@@ -12,6 +12,7 @@ failure, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -62,7 +63,13 @@ def validate_config(config: dict, need_outputs: bool = True) -> dict:
     _require(isinstance(run.get("seed"), int), "run.seed", "required integer")
     run.setdefault("paths", 1000)
     run.setdefault("rho_replicas", 1000)
-    run.setdefault("workers", int(os.environ.get("LENTPARTICLE_WORKERS", "1")))
+    if "workers" not in run:
+        env = os.environ.get("LENTPARTICLE_WORKERS", "1")
+        try:
+            run["workers"] = int(env)
+        except ValueError:
+            raise SchemaError(
+                f"run.workers: LENTPARTICLE_WORKERS={env!r} is not an integer") from None
     for key in ("paths", "rho_replicas", "workers"):
         _require(isinstance(run[key], int) and run[key] >= 1,
                  f"run.{key}", "must be a positive integer")
@@ -74,9 +81,35 @@ def validate_config(config: dict, need_outputs: bool = True) -> dict:
     return config
 
 
+# JSON types accepted for a builder parameter annotated with each name
+_PARAM_TYPES = {"float": (int, float), "int": (int,), "str": (str,), "bool": (bool,)}
+
+
+def _param_type_ok(value, annotation: str) -> bool:
+    kinds = _PARAM_TYPES.get(annotation)
+    if kinds is None:
+        return True
+    return isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
+
+
+def check_scenario_params(config: dict):
+    """Every params key must be an argument of the scenario's builder, of its type."""
+    name = config["scenario"]
+    sig = inspect.signature(scenarios.CATALOG[name]).parameters
+    for key, value in config["params"].items():
+        _require(key in sig, f"params.{key}",
+                 f"unknown parameter of scenario {name!r}; choose from {sorted(sig)}")
+        ann = sig[key].annotation
+        _require(_param_type_ok(value, ann), f"params.{key}", f"must be a {ann}, got {value!r}")
+
+
 def check_param_ranges(config: dict):
     """Scenario-specific numeric constraints (hypothesis-level, exit 3)."""
     params = config["params"]
+    for key in ("eps", "trunc", "horizon", "ymax"):
+        if key in params:
+            _require(_param_type_ok(params[key], "float"), f"params.{key}",
+                     f"must be a float, got {params[key]!r}")
     eps = params.get("eps", 0.5)
     if not 0.0 < eps < 1.0:
         raise ValueError(
@@ -402,6 +435,8 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         need_out = args.command != "validate"
         validate_config(config, need_outputs=need_out)
+        if args.command != "tauber":    # tauber reads psi/eps/ymax/horizon itself
+            check_scenario_params(config)
     except SchemaError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_SCHEMA
@@ -418,6 +453,7 @@ def main(argv=None) -> int:
             check_param_ranges(config)
             rep = run_pipeline(config)
         elif args.command == "tauber":
+            check_param_ranges(config)
             rep = tauber_pipeline(config)
         else:
             rep = crosscheck_pipeline(config)

@@ -149,8 +149,11 @@ def sample_mark(spec: LevyMeasureSpec, stream: RngStream, size: int = 1) -> np.n
     mass = total_mass(spec)
     if mass <= 0:
         raise ValueError("cannot sample from a zero-mass measure")
-    gen = stream.generator()
-    v = gen.random(size)
+    return mark_quantile(spec, stream.generator().random(size))
+
+
+def mark_quantile(spec: LevyMeasureSpec, v: np.ndarray) -> np.ndarray:
+    """Inverse CDF of the normalised truncated measure at uniforms v."""
     lo, hi = spec.lower, spec.upper
     if spec.family == POWER:
         eps = spec.params["eps"]
@@ -172,18 +175,19 @@ def compensator_integral(spec: LevyMeasureSpec, f, t: float) -> np.ndarray:
     """
     lo, hi = spec.lower, spec.upper
     if lo >= hi:
-        return t * np.zeros_like(np.atleast_1d(np.asarray(f(hi), dtype=float)))
-    probe = np.atleast_1d(np.asarray(f(0.5 * (lo + hi)), dtype=float))
-    out = np.empty(probe.shape)
-    for i in range(probe.size):
-        def integrand(y, i=i):
-            return np.atleast_1d(np.asarray(f(y), dtype=float))[i] * float(spec.density(y))
+        out = np.zeros(np.atleast_1d(np.asarray(f(hi), dtype=float)).shape)
+    else:
+        probe = np.atleast_1d(np.asarray(f(0.5 * (lo + hi)), dtype=float))
+        out = np.empty(probe.shape)
+        for i in range(probe.size):
+            def integrand(y, i=i):
+                return np.atleast_1d(np.asarray(f(y), dtype=float))[i] * float(spec.density(y))
 
-        val, err = quad(integrand, lo, hi, epsabs=QUAD_ABS_TOL, limit=400,
-                        points=[lo + 1e-12 * (hi - lo)])
-        if not math.isfinite(val) or err > max(1e-6, 1e-6 * abs(val)):
-            raise NonIntegrableError(f"component {i} does not integrate against the measure")
-        out[i] = val
+            val, err = quad(integrand, lo, hi, epsabs=QUAD_ABS_TOL, limit=400,
+                            points=[lo + 1e-12 * (hi - lo)])
+            if not math.isfinite(val) or err > max(1e-6, 1e-6 * abs(val)):
+                raise NonIntegrableError(f"component {i} does not integrate against the measure")
+            out[i] = val
     res = t * out
     return res if res.size > 1 else float(res[0])
 

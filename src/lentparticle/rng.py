@@ -1,13 +1,27 @@
 """Counter-based splittable random number streams.
 
 Every random draw in the library is addressed by a tuple
-(seed, path, jump, replica, tag).  Streams built from distinct tuples are
-statistically independent, and the same tuple always reproduces the same
-draws, regardless of scheduling or worker count.  This is what makes
+(seed, path, jump, replica, tag), and the same tuple always reproduces the
+same draws, regardless of scheduling or worker count.  This is what makes
 parallel Monte Carlo runs bit-reproducible.
 
-Implementation: numpy's Philox counter-based generator.  The 64-bit seed
-and a tag id form the Philox key; (path, jump, replica) fill the counter.
+Implementation: numpy's Philox4x64-10 counter-based generator.  The 64-bit
+seed and the tag form the Philox key; (path, jump, replica, 0) fill the
+four counter words.  `_philox_address` is the one function that holds this
+layout; `RngStream.generator` and the batch kernel `philox_random` both
+read it.
+
+Streams are not all disjoint.  numpy increments counter word 0 before each
+block of four 64-bit outputs, and word 0 also holds the path.  So the
+stream of path p + 1 is the stream of path p shifted by one block: draws
+4k .. 4k + 3 of path p + 1 are draws 4(k + 1) .. 4(k + 1) + 3 of path p,
+for every (seed, jump, replica, tag).  Distinct tags, jumps, replicas or
+seeds do give disjoint counters.
+
+`philox_random` evaluates Philox4x64-10 on numpy uint64 arrays, for many
+(path, block) pairs at once, and reproduces what `generator().random()`
+draws bit for bit (the method of Salmon et al., "Parallel random numbers:
+as easy as 1, 2, 3", SC'11).
 """
 
 from __future__ import annotations
@@ -24,6 +38,8 @@ TAG_NESTED = 4          # nested Brownian path attached to a jump
 TAG_NOISE = 5           # continuous driver / miscellaneous noise
 
 _TAGS = (TAG_MARK, TAG_TIME, TAG_RHO, TAG_NESTED, TAG_NOISE)
+
+MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -54,8 +70,73 @@ class RngStream:
         return replace(self, **kw)
 
     def generator(self) -> np.random.Generator:
-        bitgen = np.random.Philox(
-            counter=[self.path, self.jump, self.replica, 0],
-            key=[self.seed & 0xFFFFFFFFFFFFFFFF, self.tag],
-        )
+        counter, key = _philox_address(self, self.path)
+        bitgen = np.random.Philox(counter=np.array(counter, dtype=np.uint64), key=key)
         return np.random.Generator(bitgen)
+
+
+def _philox_address(stream: RngStream, path):
+    """Philox counter words and key of `stream` at `path` (int or array).
+
+    The seed is reduced mod 2**64 and the key built as a uint64 array, so
+    negative and large seeds keep distinct keys.
+    """
+    counter = (path, stream.jump, stream.replica, 0)
+    key = np.array([stream.seed & MASK64, stream.tag], dtype=np.uint64)
+    return counter, key
+
+
+# Philox4x64 multipliers and Weyl key increments (Salmon et al.; numpy)
+_M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_ROUNDS = 10
+_LO32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+
+
+def _mulhilo(a: np.ndarray, m: int):
+    """High and low 64-bit words of the 128-bit products a * m."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    a_lo, a_hi = a & _LO32, a >> _S32
+    ll, hl, lh = a_lo * m_lo, a_hi * m_lo, a_lo * m_hi
+    mid = (ll >> _S32) + (hl & _LO32) + (lh & _LO32)
+    hi = a_hi * m_hi + (hl >> _S32) + (lh >> _S32) + (mid >> _S32)
+    return hi, a * np.uint64(m)
+
+
+def philox_random(stream: RngStream, paths, blocks) -> np.ndarray:
+    """Doubles of `stream.child(path=p).generator().random()`, four per block.
+
+    `paths` and `blocks` are broadcast together; entry i of the result is
+    the row of draws 4 b .. 4 b + 3 of the stream at path p, for
+    (p, b) = (paths[i], blocks[i]).  Shape: broadcast shape + (4,).
+
+    numpy's rules: counter word 0 is incremented before each block, and a
+    double is (u64 >> 11) * 2**-53.  numpy carries into word 1 when word 0
+    wraps; that case raises ValueError here instead.
+    """
+    paths, blocks = np.broadcast_arrays(np.asarray(paths, dtype=np.uint64),
+                                        np.asarray(blocks, dtype=np.uint64))
+    counter, key = _philox_address(stream, paths)
+    step = blocks + np.uint64(1)
+    c0 = np.asarray(counter[0], dtype=np.uint64)
+    if np.any(step > np.uint64(MASK64) - c0):
+        raise ValueError("Philox counter word 0 wraps; the carry is not reproduced")
+    c = [c0 + step] + [np.full(paths.shape, w, dtype=np.uint64) for w in counter[1:]]
+    words = _philox4x64(c, key)
+    return (words >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+
+
+def _philox4x64(c, key) -> np.ndarray:
+    """Philox4x64-10 of the counter words c (four uint64 arrays) under key.
+
+    Returns the four output words of each counter along a last axis.
+    """
+    k0, k1 = int(key[0]), int(key[1])
+    for r in range(_ROUNDS):
+        rk0 = np.uint64((k0 + r * _W0) & MASK64)
+        rk1 = np.uint64((k1 + r * _W1) & MASK64)
+        hi0, lo0 = _mulhilo(c[0], _M0)
+        hi1, lo1 = _mulhilo(c[2], _M1)
+        c = [hi1 ^ c[1] ^ rk0, lo1, hi0 ^ c[3] ^ rk1, lo0]
+    return np.stack(c, axis=-1)

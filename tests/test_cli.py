@@ -61,6 +61,47 @@ def test_main_hypothesis_exit_on_bad_eps(tmp_path):
     assert cli.main(["validate", str(path)]) == cli.EXIT_HYPOTHESIS
 
 
+def _exit_and_stderr(capsys, argv):
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err
+
+
+def test_bad_workers_env_is_schema_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("LENTPARTICLE_WORKERS", "two")
+    path, cfg = _config(tmp_path, "env")
+    del cfg["run"]["workers"]
+    path.write_text(json.dumps(cfg))
+    code, err = _exit_and_stderr(capsys, ["run", str(path)])
+    assert code == cli.EXIT_SCHEMA and "run.workers" in err
+
+
+def test_unknown_param_is_schema_error(tmp_path, capsys):
+    path, _ = _config(tmp_path, "bogus", params={"bogus": 1})
+    code, err = _exit_and_stderr(capsys, ["run", str(path)])
+    assert code == cli.EXIT_SCHEMA and "params.bogus" in err
+
+
+@pytest.mark.parametrize("command,key", [("run", "eps"), ("tauber", "eps"), ("tauber", "ymax")])
+def test_ill_typed_param_is_schema_error(tmp_path, capsys, command, key):
+    path, _ = _config(tmp_path, "typed", params={key: "x"})
+    code, err = _exit_and_stderr(capsys, [command, str(path)])
+    assert code == cli.EXIT_SCHEMA and f"params.{key}" in err
+
+
+def test_tauber_checks_eps_range(tmp_path, capsys):
+    path, _ = _config(tmp_path, "tbad", params={"eps": 1.5})
+    code, err = _exit_and_stderr(capsys, ["tauber", str(path)])
+    assert code == cli.EXIT_HYPOTHESIS and "params.eps" in err
+
+
+def test_zero_mass_run_is_hypothesis_failure(tmp_path, capsys):
+    path, _ = _config(tmp_path, "empty", params={"trunc": 2.0})
+    code, _ = _exit_and_stderr(capsys, ["run", str(path)])
+    assert code == cli.EXIT_HYPOTHESIS
+
+
 def test_validate_catalog_defaults_ok(tmp_path, capsys):
     path, _ = _config(tmp_path, "ok")
     assert cli.main(["validate", str(path)]) == cli.EXIT_OK

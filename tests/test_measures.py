@@ -91,6 +91,12 @@ def test_compensator_zero_functional():
     assert compensator_integral(spec, lambda y: 0.0 * y, 1.0) == 0.0
 
 
+def test_compensator_empty_support_is_float():
+    spec = power_law(0.5, ymax=1.0, trunc=2.0)
+    assert compensator_integral(spec, lambda y: y, 1.0) == 0.0
+    assert isinstance(compensator_integral(spec, lambda y: y, 1.0), float)
+
+
 def test_compensator_linear_in_time():
     spec = power_law(0.5, ymax=1.0, trunc=0.01)
     one = compensator_integral(spec, lambda y: y ** 2, 1.0)

@@ -1,6 +1,7 @@
 """Random streams and marked-path sampling: addressing, laws, determinism."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,16 @@ def test_stream_addresses_distinct():
     assert len(set(draws.values())) == 3
     assert (base.child(path=4).generator().random(4).tobytes()
             != base.generator().random(4).tobytes())
+
+
+def test_seed_keys_distinct_without_warning():
+    """Negative seeds and seeds >= 2**63 keep their own Philox keys."""
+    seeds = (-1, 0, 2**63, 2**63 + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = {RngStream(seed=s, path=1, tag=TAG_MARK).generator().random(4).tobytes()
+                 for s in seeds}
+    assert len(draws) == len(seeds)
 
 
 def test_child_overrides_coordinates():

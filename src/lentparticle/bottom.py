@@ -7,7 +7,8 @@ Each structure knows how to
 * produce the quadratic-form matrix of the jump coefficient in the mark
   variable (a symmetric PSD d x d matrix),
 * produce the generator applied to the coefficient, and
-* draw a zero-mean gradient sample whose second moment is that matrix.
+* produce the linear map sending an auxiliary rho-block to a zero-mean
+  gradient sample whose second moment is that matrix.
 
 Two families are provided: a weighted structure on a Euclidean mark
 interval, and Wiener-space structures (Ornstein-Uhlenbeck) for jumps that
@@ -49,9 +50,6 @@ class BottomStructure:
     def flat_matrix(self, s, x, ev) -> np.ndarray:
         """Linear map (d, block_dim) sending a rho-block to a gradient sample."""
         raise NotImplementedError
-
-    def flat_sample(self, s, x, ev, rho_block: np.ndarray) -> np.ndarray:
-        return self.flat_matrix(s, x, ev) @ np.asarray(rho_block, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +112,7 @@ def generator_symmetry_residual(bottom: EuclideanBottom, spec: LevyMeasureSpec,
     test pair vanishes; used as the executable symmetry check for the
     generator formula.
     """
-    lo, hi = bottom_support(spec)
+    lo, hi = spec.lower, spec.upper
 
     def left(u):
         a_f = (0.5 * bottom.xi(u) * fpp(u)
@@ -127,10 +125,6 @@ def generator_symmetry_residual(bottom: EuclideanBottom, spec: LevyMeasureSpec,
     lv, _ = quad(left, lo, hi, epsabs=QUAD_ABS_TOL, limit=400)
     rv, _ = quad(right, lo, hi, epsabs=QUAD_ABS_TOL, limit=400)
     return lv + rv
-
-
-def bottom_support(spec: LevyMeasureSpec) -> tuple[float, float]:
-    return spec.lower, spec.upper
 
 
 # ---------------------------------------------------------------------------

@@ -110,15 +110,20 @@ def check_param_ranges(config: dict):
         if key in params:
             _require(_param_type_ok(params[key], "float"), f"params.{key}",
                      f"must be a float, got {params[key]!r}")
-    eps = params.get("eps", 0.5)
+    sig = inspect.signature(scenarios.CATALOG[config["scenario"]]).parameters
+    eps, trunc, horizon, ymax = (params.get(key, sig[key].default)
+                                 for key in ("eps", "trunc", "horizon", "ymax"))
     if not 0.0 < eps < 1.0:
         raise ValueError(
             f"params.eps = {eps} out of range: the power-law family needs "
             "0 < eps < 1 for the Laplace-exponent asymptotics to apply")
-    if params.get("trunc", 0.01) < 0:
+    if trunc < 0:
         raise ValueError("params.trunc must be >= 0")
-    if params.get("horizon", 1.0) <= 0:
+    if horizon <= 0:
         raise ValueError("params.horizon must be > 0")
+    if not ymax > trunc:              # trunc >= 0, so this also needs ymax > 0
+        raise ValueError(f"params.ymax = {ymax} out of range: the mark support "
+                         f"(params.trunc, params.ymax] = ({trunc}, {ymax}] must not be empty")
 
 
 def load_config(path: str) -> dict:
@@ -219,6 +224,11 @@ def run_pipeline(config: dict) -> report.RunReport:
         parts = _fan_out(_simple_chunk, name, params, run["paths"],
                          run["seed"], run["workers"])
         ens = ensemble.merge_ensembles(parts)
+        if len(ens) < 2 or np.all(ens.x == ens.x[0]):
+            cause = "fewer than 2 paths" if len(ens) < 2 else "every path ends at the same X"
+            raise ValueError(f"degenerate ensemble ({cause}): the estimates need 2 or more "
+                             "paths with distinct X; raise run.paths, or the jump count by "
+                             "raising params.horizon or lowering params.trunc")
         m, se = _mean_se(ens.x)
         rep.add_estimate("mean_x", m, se, len(ens))
         m, se = _mean_se(ens.gamma)

@@ -2,8 +2,9 @@
 
 For scenarios whose state is x0 plus a sum of a function of the marks
 (no state feedback), whole ensembles reduce to per-path segment sums over
-one concatenated mark array.  This is what makes 1e5-path weight and
-density runs take seconds instead of minutes.
+one concatenated mark array (`SimpleJets.table`, which `sde.integrate`
+runs for a single path).  This is what makes 1e5-path weight and density
+runs take seconds instead of minutes.
 
 Randomness stays path-addressed: path i draws its jump count and marks
 from the sub-streams of path index i, so an ensemble computed in chunks
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import compensator_integral, mark_quantile, total_mass
+from .measures import mark_quantile, total_mass
 from .rng import TAG_MARK, TAG_TIME, RngStream, philox_random
 from .sde import Scenario
 
@@ -172,47 +173,18 @@ def _loggam(x: float) -> float:
     return gl
 
 
-def _segment_sum(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(counts))
-    nz = counts > 0
-    if not np.any(nz):
-        return out
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    out[nz] = np.add.reduceat(values, offsets[nz])
-    return out
-
-
 def simple_ensemble(scenario: Scenario, n_paths: int, stream: RngStream,
                     path_offset: int = 0) -> SimpleEnsemble:
     """Simulate n_paths paths of a scalar mark-sum scenario, with jets."""
     sj = scenario.simple
     if scenario.dim != 1 or sj is None:
         raise ValueError("vectorised ensembles need a scalar scenario with mark jets")
-    T = scenario.horizon
     counts, marks = sample_mark_sets(scenario, n_paths, stream, path_offset)
-
-    h = sj.h(marks)
-    x = scenario.x0[0] + _segment_sum(np.broadcast_to(h, marks.shape).astype(float), counts)
-    if scenario.compensated:
-        x = x - T * float(compensator_integral(scenario.measure, sj.h, 1.0))
-    mean_gen = T * float(compensator_integral(scenario.measure, sj.ah, 1.0))
-
-    def seg(fn):
-        vals = np.broadcast_to(fn(marks), marks.shape).astype(float)
-        return _segment_sum(vals, counts)
-
-    ens = SimpleEnsemble(
-        x=x,
-        n_jumps=counts,
-        gamma=seg(sj.g1),
-        a=seg(sj.ah) - mean_gen,
-        g2=seg(sj.g2),
-        xa=seg(sj.bracket_x_ah),
-        xg2=seg(sj.bracket_x_g2),
-        marks=marks,
-        offsets=np.concatenate([[0], np.cumsum(counts)]),
-    )
-    return ens
+    tab = sj.table(marks, counts, scenario.horizon, scenario.measure, scenario.compensated)
+    return SimpleEnsemble(
+        x=scenario.x0[0] + tab["X"], n_jumps=counts, gamma=tab["gamma"], a=tab["A"],
+        g2=tab["G2"], xa=tab["XA"], xg2=tab["XG2"],
+        marks=marks, offsets=np.concatenate([[0], np.cumsum(counts)]))
 
 
 def merge_ensembles(parts) -> SimpleEnsemble:

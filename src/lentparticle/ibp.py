@@ -31,7 +31,7 @@ import numpy as np
 from scipy.stats import gaussian_kde
 
 from .ensemble import SimpleEnsemble
-from .measures import LevyMeasureSpec, compensator_integral
+from .measures import LevyMeasureSpec
 from .sde import SimpleJets
 
 DET_GAMMA_FLOOR = 1e-10
@@ -51,16 +51,14 @@ def bracket(jx: SimpleJets, jy: SimpleJets, marks: np.ndarray) -> float:
 def functional_value(j: SimpleJets, marks: np.ndarray, t: float,
                      measure: LevyMeasureSpec, compensated: bool = False) -> float:
     v = float(np.sum(j.h(marks))) if len(marks) else 0.0
-    if compensated:
-        v -= t * float(compensator_integral(measure, j.h, 1.0))
-    return v
+    return v - t * j.mean_h(measure) if compensated else v
 
 
 def generator_value(j: SimpleJets, marks: np.ndarray, t: float,
                     measure: LevyMeasureSpec) -> float:
     """Generator path of a mark-sum functional at time t (always compensated)."""
     v = float(np.sum(j.ah(marks))) if len(marks) else 0.0
-    return v - t * float(compensator_integral(measure, j.ah, 1.0))
+    return v - t * j.mean_ah(measure)
 
 
 def delta(x_jet: SimpleJets, y_jet: SimpleJets, marks: np.ndarray, t: float,

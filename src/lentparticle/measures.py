@@ -81,14 +81,10 @@ class LevyMeasureSpec:
             return np.where((y >= self.params["lo"]) & (y <= self.params["hi"]), level, 0.0)
         return np.asarray(self.params["density"](y), dtype=float)
 
-    def to_json(self) -> dict:
-        if self.family == TABULATED:
-            raise ValueError("tabulated measures are not serialisable")
-        return {"family": self.family, "params": dict(self.params), "trunc": self.trunc}
-
-    @staticmethod
-    def from_json(obj: dict) -> "LevyMeasureSpec":
-        return LevyMeasureSpec(obj["family"], dict(obj["params"]), obj.get("trunc", 0.0))
+    def __hash__(self):
+        # params is a dict, which the generated hash would refuse; equal
+        # specs have equal sorted items, so this agrees with ==
+        return hash((self.family, tuple(sorted(self.params.items())), self.trunc))
 
 
 def power_law(eps: float, ymax: float = 1.0, trunc: float = 0.0) -> LevyMeasureSpec:

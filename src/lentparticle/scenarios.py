@@ -9,6 +9,7 @@ numeric parameters only).
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -102,19 +103,7 @@ def compound(eps: float = 0.5, trunc: float = 0.01, ymax: float = 1.0,
         c_uu=lambda s, x, u: np.array([0.0]),
         dlog_m=r)
 
-    mean_jump = float(compensator_integral(spec, lambda u: u, 1.0))
-    mean_gen = float(compensator_integral(spec, jets.ah, 1.0))
-
-    sym_lo, sym_hi = lo, hi
-
-    def sym_f(u):
-        return (u - sym_lo) ** 2 * (sym_hi - u) ** 2
-
-    def sym_fp(u):
-        return 2 * (u - sym_lo) * (sym_hi - u) ** 2 - 2 * (u - sym_lo) ** 2 * (sym_hi - u)
-
-    def sym_fpp(u):
-        return 2 * (sym_hi - u) ** 2 - 8 * (u - sym_lo) * (sym_hi - u) + 2 * (u - sym_lo) ** 2
+    mean_jump, mean_gen = jets.mean_h(spec), jets.mean_ah(spec)
 
     return Scenario(
         name="compound", dim=1, x0=np.array([x0]), horizon=horizon,
@@ -129,9 +118,9 @@ def compound(eps: float = 0.5, trunc: float = 0.01, ymax: float = 1.0,
         comp_gen_c=lambda s, x: np.array([mean_gen]),
         meta={
             "weight": weight,
-            "psi": (lambda u: u * u) if weight == "power" else xi,
+            "psi": xi,
             "psi_delta": 0.0,
-            "symmetry_pair": (sym_f, sym_fp, sym_fpp, lambda u: u, lambda u: 1.0),
+            "symmetry_pair": (*_bump_weight(lo, hi), lambda u: u, lambda u: 1.0),
         })
 
 
@@ -153,17 +142,6 @@ def compound_linear(beta: float = 0.5, eps: float = 0.5, trunc: float = 0.01,
         dlog_m=r)
     mean_jump = float(compensator_integral(spec, lambda u: u, 1.0))
 
-    def sym_f(u):
-        return (u - spec.lower) ** 2 * (spec.upper - u) ** 2
-
-    def sym_fp(u):
-        return (2 * (u - spec.lower) * (spec.upper - u) ** 2
-                - 2 * (u - spec.lower) ** 2 * (spec.upper - u))
-
-    def sym_fpp(u):
-        return (2 * (spec.upper - u) ** 2 - 8 * (u - spec.lower) * (spec.upper - u)
-                + 2 * (u - spec.lower) ** 2)
-
     return Scenario(
         name="compound-linear", dim=1, x0=np.array([x0]), horizon=horizon,
         measure=spec, bottom=bottom,
@@ -175,7 +153,8 @@ def compound_linear(beta: float = 0.5, eps: float = 0.5, trunc: float = 0.01,
         comp_dx_c=lambda s, x: np.array([[beta * mean_jump]]),
         comp_dxx_c=lambda s, x: np.zeros((1, 1, 1)),
         meta={"beta": beta,
-              "symmetry_pair": (sym_f, sym_fp, sym_fpp, lambda u: u, lambda u: 1.0)})
+              "symmetry_pair": (*_bump_weight(spec.lower, spec.upper),
+                                lambda u: u, lambda u: 1.0)})
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +256,10 @@ class _FieldBottom(WienerOUBottom):
         r = float(path.marks[j])
         theta = float(path.jump_stream(j, TAG_NESTED).child(replica=1)
                       .generator().uniform(0.0, 2 * math.pi))
-        self.drift = lambda z: np.array([math.cos(theta), math.sin(theta)])
-        self.drift_jac = lambda z: np.zeros((2, 2))
+        pushed = replace(self, drift=lambda z: np.array([math.cos(theta), math.sin(theta)]),
+                         drift_jac=lambda z: np.zeros((2, 2)))
         incs = nested_brownian(path, j, r, self.step, dim=self.n_brownian)
-        return self.evolve(np.asarray(x, dtype=float), r, incs)
+        return pushed.evolve(np.asarray(x, dtype=float), r, incs)
 
 
 @_register("levy-field-demo")

@@ -11,24 +11,29 @@ jumps.  The same event-by-event recursion also propagates, on demand,
   D_x c . A- + 1/2 D^2_x c : Gamma- + a[c] and drifts by minus the
   measure-average of the same expression (only the a[c] term survives the
   averaging when the equation is uncompensated),
-* for scalar x-independent scenarios, the order-2 table of carre-du-champ
-  brackets among the tracked quantities, which the integration-by-parts
-  weights consume.
+* for scalar mark-sum scenarios (those carrying SimpleJets), the order-2
+  table of carre-du-champ brackets, which the integration-by-parts weights
+  consume.  It is computed after the event loop by `SimpleJets.table`, the
+  same code the vectorised ensemble runs.
 
-Jump times are events of the grid, so pure-jump scenarios are solved with
-no discretization error at all.
+Jump times are events of the grid, and an Euler grid is added only when
+the scenario has sigma or compensation.  Pure-jump scenarios are therefore
+solved with no discretization error at all.  Their generator path drifts
+too, and that drift is evaluated once per inter-jump gap, at the gap's
+start; this is exact when the drift does not depend on s between jumps
+(the state is constant there), which holds for every catalog scenario.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .bottom import BottomStructure, CapabilityError
+from .bottom import BottomStructure
 from .measures import LevyMeasureSpec, compensator_integral
 from .prm import MarkedPoissonPath
 from .rng import TAG_NOISE, RngStream
@@ -51,7 +56,8 @@ class SimpleJets:
         ah = xi h''/2 + (xi'+xi r) h'/2     (generator applied to h)
         g2 = xi h' g1'               (bracket of X with its covariance)
 
-    plus the brackets of X with ah and g2.
+    plus the brackets of X with ah and g2.  The compensator constants
+    int h dnu and int a[h] dnu are computed once per measure and memoised.
     """
 
     h: Callable
@@ -63,6 +69,39 @@ class SimpleJets:
     xipp: Callable
     r: Callable
     rp: Callable
+    _means: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _mean(self, name: str, measure: LevyMeasureSpec) -> float:
+        key = (name, measure)
+        if key not in self._means:
+            self._means[key] = float(compensator_integral(measure, getattr(self, name), 1.0))
+        return self._means[key]
+
+    def mean_h(self, measure: LevyMeasureSpec) -> float:
+        """int h dnu over the truncated measure."""
+        return self._mean("h", measure)
+
+    def mean_ah(self, measure: LevyMeasureSpec) -> float:
+        """int a[h] dnu over the truncated measure."""
+        return self._mean("ah", measure)
+
+    def table(self, marks: np.ndarray, counts, t: float, measure: LevyMeasureSpec,
+              compensated: bool = False) -> dict:
+        """Order-2 table of X = N(h) at time t, one entry per path.
+
+        Path i owns the next counts[i] marks of the concatenated array.
+        Keys: X (compensated by t int h dnu if asked), gamma = <X, X>,
+        A = A[X] (always compensated), G2 = <X, gamma>, XA = <X, A> and
+        XG2 = <X, G2>.
+        """
+        def seg(fn):
+            return _segment_sum(np.broadcast_to(fn(marks), marks.shape).astype(float), counts)
+
+        x = seg(self.h)
+        if compensated:
+            x = x - t * self.mean_h(measure)
+        return {"X": x, "gamma": seg(self.g1), "A": seg(self.ah) - t * self.mean_ah(measure),
+                "G2": seg(self.g2), "XA": seg(self.bracket_x_ah), "XG2": seg(self.bracket_x_g2)}
 
     def g1(self, u):
         return self.xi(u) * self.hp(u) ** 2
@@ -100,6 +139,14 @@ class SimpleJets:
         return self.xi(u) * self.hp(u) * self.g2p(u)
 
 
+def _segment_sum(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    out = np.zeros(len(counts))
+    nz = counts > 0
+    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    out[nz] = np.add.reduceat(values, offsets[nz])
+    return out
+
+
 @dataclass
 class Scenario:
     """Full description of one solvable model.
@@ -110,6 +157,11 @@ class Scenario:
     callables are the measure-averages of the corresponding jets,
     signature (s, x); when omitted they are computed by quadrature, which
     only works for plain Euclidean marks.
+
+    Without sigma and compensation the state only jumps, and `integrate`
+    evaluates the generator-path drift (comp_gen_c) once per inter-jump
+    gap; such a scenario's comp_gen_c must not depend on s, as none in the
+    catalog does.
     """
 
     name: str
@@ -144,23 +196,6 @@ class Scenario:
         if self.jet_order not in (0, 1, 2):
             raise ValueError("jet order must be 0, 1 or 2")
 
-    @property
-    def pure_jump(self) -> bool:
-        return (self.sigma is None and not self.compensated
-                and self.jet_order < 2)
-
-    def state_dim(self) -> int:
-        """Size of the stacked jet state actually propagated."""
-        d = self.dim
-        n = d
-        if self.jet_order >= 1:
-            n += 3 * d * d                 # K, Kbar, C
-        if self.jet_order >= 2:
-            n += d                         # A[X]
-            if self.simple is not None:
-                n += 3                     # brackets G2, <X,A>, <X,G2>
-        return n
-
 
 @dataclass
 class JumpRecord:
@@ -168,12 +203,10 @@ class JumpRecord:
 
     index: int
     time: float
-    x_pre: np.ndarray
     ev: object
     coeff: np.ndarray
     jac: np.ndarray | None = None          # I + D_x c
     gamma: np.ndarray | None = None        # bottom matrix of c at this jump
-    gen: np.ndarray | None = None          # a[c] at this jump
     flat: np.ndarray | None = None         # (d, block_dim) gradient injector
 
 
@@ -252,8 +285,7 @@ def _comp_jets(scenario, s, x, gamma, need_a):
         if scenario.comp_gen_c is not None:
             out_gen = np.asarray(scenario.comp_gen_c(s, x), dtype=float).reshape(d)
         else:
-            out_gen = _quadrature_average(
-                scenario, lambda s_, x_, u: scenario.bottom.gen_c(s_, x_, u), s, x, (d,))
+            out_gen = _quadrature_average(scenario, scenario.bottom.gen_c, s, x, (d,))
     return out_dx, out_dxx, out_gen
 
 
@@ -266,17 +298,15 @@ def integrate(scenario: Scenario, path: MarkedPoissonPath,
     T = scenario.horizon
     need_flow = order >= 1
     need_a = order >= 2
-    if need_a and not (hasattr(scenario.bottom, "gen_c")):
-        raise CapabilityError("generator path needs a bottom generator")
 
-    # event grid: jump times, plus an Euler grid when anything drifts
-    has_drift = (scenario.sigma is not None or scenario.compensated or need_a)
+    # event grid: jump times, plus an Euler grid when the state drifts; the
+    # generator path alone drifts by a constant between jumps
+    has_drift = scenario.sigma is not None or scenario.compensated
     if has_drift:
         grid = np.linspace(0.0, T, scenario.n_steps + 1)
         times = np.union1d(grid, path.times)
     else:
-        times = np.concatenate([[0.0], path.times, [T]])
-        times = np.unique(times)
+        times = np.unique(np.concatenate([[0.0], path.times, [T]]))
     jump_events = np.searchsorted(times, path.times)
 
     noise = None
@@ -292,8 +322,6 @@ def integrate(scenario: Scenario, path: MarkedPoissonPath,
     Kb = np.eye(d)
     C = np.zeros((d, d))
     A = np.zeros(d)
-    sj = scenario.simple
-    tab = {"G2": 0.0, "XA": 0.0, "XG2": 0.0} if (need_a and sj is not None) else None
 
     states = [x.copy()]
     k_events = [K.copy()] if need_flow else None
@@ -310,7 +338,7 @@ def integrate(scenario: Scenario, path: MarkedPoissonPath,
     for k in range(1, len(times)):
         s_prev, s = times[k - 1], times[k]
         dt = s - s_prev
-        if has_drift and dt > 0:
+        if (has_drift or need_a) and dt > 0:
             gamma_now = K @ C @ K.T if need_flow else None
             cdx, cdxx, cgen = _comp_jets(scenario, s_prev, x, gamma_now, need_a)
             dx = np.zeros(d)
@@ -347,7 +375,7 @@ def integrate(scenario: Scenario, path: MarkedPoissonPath,
         if j is not None:
             ev = scenario.bottom.eval_jump(s, x, path, j)
             cval = np.atleast_1d(np.asarray(scenario.c(s, x, ev), dtype=float))
-            rec = JumpRecord(index=j, time=s, x_pre=x.copy(), ev=ev, coeff=cval)
+            rec = JumpRecord(index=j, time=s, ev=ev, coeff=cval)
             if need_flow:
                 dxc = (np.asarray(scenario.dx_c(s, x, ev), dtype=float).reshape(d, d)
                        if scenario.dx_c is not None else np.zeros((d, d)))
@@ -369,12 +397,6 @@ def integrate(scenario: Scenario, path: MarkedPoissonPath,
                         dxx = np.asarray(scenario.dxx_c(s, x, ev), dtype=float).reshape(d, d, d)
                         dA = dA + 0.5 * np.einsum("ijk,jk->i", dxx, gamma_pre)
                     A = A + dA
-                    rec.gen = gen
-                    if tab is not None:
-                        u = float(path.marks[j])
-                        tab["G2"] += float(sj.g2(u))
-                        tab["XA"] += float(sj.bracket_x_ah(u))
-                        tab["XG2"] += float(sj.bracket_x_g2(u))
                 K = jac @ K
                 Kb = Kb @ np.linalg.inv(jac)
                 inc = Kb @ gamma @ Kb.T
@@ -391,50 +413,16 @@ def integrate(scenario: Scenario, path: MarkedPoissonPath,
         if need_a:
             a_events.append(A.copy())
 
+    tab = None
+    if need_a and scenario.simple is not None:
+        full = scenario.simple.table(path.marks, np.array([path.n_jumps]), T,
+                                     scenario.measure, scenario.compensated)
+        tab = {key: float(full[key][0]) for key in ("G2", "XA", "XG2")}
     return Trajectory(scenario=scenario, path=path, times=times,
                       states=np.array(states), jumps=jumps, jump_events=jump_events,
                       k_events=k_events, kbar_events=kbar_events,
                       c_events=c_events, a_events=a_events,
                       gamma_incs=gamma_incs, order2=tab)
-
-
-def solve(scenario: Scenario, path: MarkedPoissonPath,
-          stream: RngStream | None = None) -> Trajectory:
-    """State trajectory only (jet order 0)."""
-    return integrate(scenario, path, stream=stream, order=0)
-
-
-def flow(scenario: Scenario, path: MarkedPoissonPath, traj: Trajectory) -> Trajectory:
-    """Attach K / Kbar (and the covariance accumulator) to a solved path."""
-    full = integrate(scenario, path, order=max(scenario.jet_order, 1))
-    traj.k_events = full.k_events
-    traj.kbar_events = full.kbar_events
-    traj.c_events = full.c_events
-    traj.gamma_incs = full.gamma_incs
-    traj.jumps = full.jumps
-    traj.jump_events = full.jump_events
-    traj.times = full.times
-    traj.states = full.states
-    return traj
-
-
-def generator_path(scenario: Scenario, path: MarkedPoissonPath, traj: Trajectory) -> Trajectory:
-    """Attach the generator path A[X] (requires the flow and accumulator)."""
-    full = integrate(scenario, path, order=2)
-    for name in ("k_events", "kbar_events", "c_events", "a_events",
-                 "gamma_incs", "jumps", "jump_events", "times", "states", "order2"):
-        setattr(traj, name, getattr(full, name))
-    return traj
-
-
-def augment_jet(scenario: Scenario, m: int) -> Scenario:
-    """Scenario whose solve propagates the full jet state of order m."""
-    if m not in (0, 1, 2):
-        raise ValueError("jet order must be 0, 1 or 2")
-    if m == 2 and scenario.dim > 1 and scenario.simple is None:
-        raise CapabilityError("order-2 jets only available for scalar scenarios "
-                              "with closed-form mark jets")
-    return replace(scenario, jet_order=m)
 
 
 def check_jets(scenario: Scenario, probes, rel_tol: float = 1e-4) -> float:

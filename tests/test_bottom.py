@@ -91,7 +91,7 @@ def test_generator_symmetry_on_vanishing_flux_pair():
 def test_flat_zero_derivative():
     b = _bottom(lambda u: u * u, lambda u: 2 * u, lambda s, x, u: np.array([0.0]))
     rho = np.array([1.7])
-    assert b.flat_sample(0.0, np.zeros(1), 0.4, rho) == pytest.approx(np.array([0.0]))
+    assert b.flat_matrix(0.0, np.zeros(1), 0.4) @ rho == pytest.approx(np.array([0.0]))
 
 
 def test_flat_moments_match_gamma(rng):
@@ -168,3 +168,24 @@ def test_wiener_ou_gamma_psd(rng):
         _, gam, _, _ = wiener_ou_eval(sc.bottom, np.zeros(2), float(rng.uniform(0.1, 1.0)),
                                       RngStream(seed=11, path=i + 1))
         assert np.linalg.eigvalsh(gam)[0] >= -1e-10
+
+
+def test_field_bottom_jumps_do_not_share_drift():
+    # each jump's push direction is passed to its own excursion; the
+    # catalog's shared bottom is never written to
+    sc = scenarios.build("levy-field-demo")
+    path = next(p for p in (sample_path(sc.measure, sc.horizon, RngStream(seed=15, path=i))
+                            for i in range(1, 50)) if p.n_jumps >= 2)
+    x = np.array([0.3, -0.2])
+
+    def fresh(j):
+        return scenarios.build("levy-field-demo").bottom.eval_jump(0.1, x, path, j)
+
+    forward = [sc.bottom.eval_jump(0.1, x, path, j) for j in (0, 1)]
+    backward = [sc.bottom.eval_jump(0.1, x, path, j) for j in (1, 0)][::-1]
+    for j in (0, 1):
+        for ev in (forward[j], backward[j]):
+            np.testing.assert_array_equal(ev.z, fresh(j).z)
+            np.testing.assert_array_equal(ev.gamma_m, fresh(j).gamma_m)
+    assert not np.array_equal(forward[0].z, forward[1].z)
+    assert sc.bottom.drift is None and sc.bottom.drift_jac is None

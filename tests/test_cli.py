@@ -98,8 +98,25 @@ def test_tauber_checks_eps_range(tmp_path, capsys):
 
 def test_zero_mass_run_is_hypothesis_failure(tmp_path, capsys):
     path, _ = _config(tmp_path, "empty", params={"trunc": 2.0})
-    code, _ = _exit_and_stderr(capsys, ["run", str(path)])
-    assert code == cli.EXIT_HYPOTHESIS
+    code, err = _exit_and_stderr(capsys, ["run", str(path)])
+    assert code == cli.EXIT_HYPOTHESIS and "params.trunc" in err
+    # an ensemble where no path jumps, or of one path, has no spread to estimate from
+    for name, overrides in [("short", {"params": {"horizon": 1e-9}}),
+                            ("single", {"run": {"paths": 1}})]:
+        path, _ = _config(tmp_path, name, **overrides)
+        code, err = _exit_and_stderr(capsys, ["run", str(path)])
+        assert code == cli.EXIT_HYPOTHESIS, name
+        assert "RuntimeWarning" not in err
+        for field in ("degenerate ensemble", "params.trunc", "params.horizon", "run.paths"):
+            assert field in err, (name, field)
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_ymax_range_checked_before_simulation(tmp_path, capsys, command):
+    path, _ = _config(tmp_path, "negymax", params={"ymax": -1.0})
+    code, err = _exit_and_stderr(capsys, [command, str(path)])
+    assert code == cli.EXIT_HYPOTHESIS and "params.ymax" in err
+    assert not (tmp_path / "negymax").exists()
 
 
 def test_validate_catalog_defaults_ok(tmp_path, capsys):

@@ -1,18 +1,18 @@
 """Event-driven solver: exactness, flow algebra, generator path, jets."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lentparticle import scenarios
-from lentparticle.bottom import CapabilityError, EuclideanBottom
+from lentparticle import ibp, scenarios, sde
+from lentparticle.bottom import EuclideanBottom
 from lentparticle.ensemble import simple_ensemble
 from lentparticle.measures import compensator_integral, power_law
 from lentparticle.prm import sample_path
 from lentparticle.rng import RngStream
-from lentparticle.sde import (EventError, Scenario, SimpleJets, augment_jet,
-                              check_jets, integrate, solve, trajectory_csv)
+from lentparticle.sde import EventError, Scenario, check_jets, integrate, trajectory_csv
 
 SPEC = power_law(0.5, ymax=1.0, trunc=0.01)
 
@@ -32,22 +32,22 @@ def _null_scenario():
 def test_zero_coefficients_state_constant():
     sc = _null_scenario()
     path = sample_path(SPEC, 1.0, RngStream(seed=1, path=1))
-    traj = solve(sc, path)
+    traj = integrate(sc, path, order=0)
     assert np.all(traj.states == 3.0)
 
 
 def test_pure_jump_telescoping():
     sc = scenarios.build("compound", x0=0.5)
     path = sample_path(sc.measure, sc.horizon, RngStream(seed=2, path=1))
-    traj = solve(sc, path)
+    traj = integrate(sc, path, order=0)
     assert traj.x_final[0] == pytest.approx(0.5 + path.marks.sum(), rel=1e-14)
-    # pure-jump event grid carries no Euler points
+    # pure-jump event grid carries no Euler points, at any jet order
     assert len(traj.times) == path.n_jumps + 2
+    np.testing.assert_array_equal(integrate(sc, path, order=2).times, traj.times)
 
 
 def test_compensated_mean_and_variance():
     sc = scenarios.build("compound", compensated=True, jet_order=0)
-    from lentparticle.ensemble import simple_ensemble
     ens = simple_ensemble(sc, 10_000, RngStream(seed=3))
     se = ens.x.std(ddof=1) / math.sqrt(len(ens.x))
     assert abs(ens.x.mean() - sc.x0[0]) < 3 * se
@@ -125,7 +125,6 @@ def test_generator_path_direct_accumulation():
 
 def test_generator_path_zero_form():
     sc = _null_scenario()
-    sc = augment_jet(sc, 1)
     path = sample_path(SPEC, 1.0, RngStream(seed=10, path=1))
     traj = integrate(sc, path, order=2)
     assert np.all(traj.a_final == 0.0)
@@ -141,31 +140,63 @@ def test_generator_path_mean_zero():
     assert abs(ens.a.mean()) < 3 * se
 
 
+@pytest.mark.parametrize("weight", ["power", "bump"])
+@pytest.mark.parametrize("compensated", [False, True])
+def test_event_loop_matches_ensemble_calculus(weight, compensated):
+    # the per-path event loop and the vectorised ensemble share one
+    # mark-sum calculus; the divergence delta[X grad X] reads it too
+    sc = scenarios.build("compound", weight=weight, compensated=compensated)
+    n, seed, tol = 8, 13, 1e-12
+    ens = simple_ensemble(sc, n, RngStream(seed=seed))
+    for i in range(n):
+        path = sample_path(sc.measure, sc.horizon, RngStream(seed=seed, path=i + 1))
+        np.testing.assert_array_equal(path.marks, ens.marks[ens.offsets[i]:ens.offsets[i + 1]])
+        traj = integrate(sc, path, order=2)
+        assert abs(traj.x_final[0] - ens.x[i]) <= tol
+        assert abs(traj.a_final[0] - ens.a[i]) <= tol
+        for key, col in (("G2", ens.g2), ("XA", ens.xa), ("XG2", ens.xg2)):
+            assert abs(traj.order2[key] - col[i]) <= tol, key
+        div = ibp.delta(sc.simple, sc.simple, path.marks, sc.horizon, sc.measure, compensated)
+        assert abs(div - (-2.0 * (ens.x[i] - sc.x0[0]) * ens.a[i] - ens.gamma[i])) <= tol
+
+
+def test_compensator_constants_computed_once(monkeypatch):
+    calls = []
+    quad = sde.compensator_integral
+
+    def counted(spec, f, t):
+        calls.append(spec)
+        return quad(spec, f, t)
+
+    monkeypatch.setattr(sde, "compensator_integral", counted)
+    sc = scenarios.build("compound", weight="bump", compensated=True)
+    assert len(calls) == 2                       # int h dnu and int a[h] dnu
+    path = sample_path(sc.measure, sc.horizon, RngStream(seed=14, path=1))
+    integrate(sc, path, order=2)
+    simple_ensemble(sc, 50, RngStream(seed=14))
+    rebuilt = power_law(sc.measure.params["eps"], ymax=sc.measure.upper, trunc=sc.measure.trunc)
+    assert rebuilt is not sc.measure and hash(rebuilt) == hash(sc.measure)
+    for _ in range(3):
+        ibp.delta(sc.simple, sc.simple, path.marks, sc.horizon, rebuilt, True)
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # jets
 # ---------------------------------------------------------------------------
 
-def test_state_dim_counting():
-    sc = scenarios.build("compound")
-    assert augment_jet(sc, 0).state_dim() == 1
-    assert augment_jet(sc, 1).state_dim() == 4
-    assert augment_jet(sc, 2).state_dim() == 4 + 1 + 3
-
-
-def test_augment_jet_preserves_states():
+def test_jet_order_preserves_states():
     sc = scenarios.build("compound", jet_order=0)
     path = sample_path(sc.measure, sc.horizon, RngStream(seed=11, path=1))
-    plain = solve(sc, path)
-    jet = integrate(augment_jet(sc, 1), path)
+    plain = integrate(sc, path)
+    jet = integrate(replace(sc, jet_order=1), path)
     np.testing.assert_array_equal(plain.states, jet.states)
 
 
-def test_augment_jet_capability():
+def test_jet_order_validation():
     sc = scenarios.build("simple2d")
-    with pytest.raises(CapabilityError):
-        augment_jet(sc, 2)
-    with pytest.raises(ValueError):
-        augment_jet(sc, 3)
+    with pytest.raises(ValueError, match="jet order"):
+        replace(sc, jet_order=3)
 
 
 def test_check_jets_catalog_and_broken():

@@ -6,7 +6,7 @@ Each structure knows how to
   a nested simulation addressed by the jump's sub-stream),
 * produce the quadratic-form matrix of the jump coefficient in the mark
   variable (a symmetric PSD d x d matrix),
-* produce the generator applied to the coefficient, and
+* produce, where it has one, the generator applied to the coefficient, and
 * produce the linear map sending an auxiliary rho-block to a zero-mean
   gradient sample whose second moment is that matrix.
 
@@ -159,11 +159,6 @@ class WienerSquareBottom(BottomStructure):
     def gamma_c(self, s, x, ev):
         y, b = ev.y, ev.b
         return np.array([[y, y * b], [y * b, y * b * b]])
-
-    def gen_c(self, s, x, ev):
-        # OU generator: a[f(B_y)] = y f''/2 - B_y f'/2
-        y, b = ev.y, ev.b
-        return np.array([-0.5 * b, 0.5 * (y - b * b)])
 
     def flat_matrix(self, s, x, ev):
         y, b = ev.y, ev.b

@@ -19,7 +19,7 @@ from scipy.special import gammaln
 from .bottom import CapabilityError
 from .prm import GAUSSIAN, RADEMACHER, MarkedPoissonPath, attach_rho_marks
 from .rng import TAG_RHO, RngStream
-from .sde import Scenario, Trajectory, _comp_jets
+from .sde import Scenario, Trajectory
 
 
 @dataclass
@@ -32,12 +32,6 @@ class MalliavinMatrix:
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.gamma)[0])
-
-
-@dataclass
-class GradientSample:
-    value: np.ndarray         # one realisation of the gradient of X_T
-    rho_block: np.ndarray     # the auxiliary marks that produced it
 
 
 def malliavin_matrix(traj: Trajectory) -> MalliavinMatrix:
@@ -69,24 +63,14 @@ def _propagate_gradients(scenario: Scenario, traj: Trajectory,
     for k in range(1, len(traj.times)):
         dt = traj.times[k] - traj.times[k - 1]
         if scenario.compensated and dt > 0:
-            cdx, _, _ = _comp_jets(scenario, traj.times[k - 1],
-                                   traj.states[k - 1], None, False)
+            cdx = np.asarray(scenario.comp_dx_c(traj.times[k - 1], traj.states[k - 1]),
+                             dtype=float).reshape(d, d)
             sharp = sharp - cdx @ sharp * dt
         j = jump_at.get(k)
         if j is not None:
             rec = traj.jumps[j]
             sharp = rec.jac @ sharp + rec.flat @ blocks[:, j, :].T
     return sharp.T
-
-
-def gradient_sample(scenario: Scenario, path: MarkedPoissonPath,
-                    traj: Trajectory, stream: RngStream | None = None) -> GradientSample:
-    """One gradient realisation from the path's attached rho-blocks."""
-    if path.rho_blocks is None:
-        raise ValueError("path carries no rho-blocks; call attach_rho_marks first")
-    blocks = path.rho_blocks[0][None, :, :]
-    value = _propagate_gradients(scenario, traj, blocks)[0]
-    return GradientSample(value=value, rho_block=path.rho_blocks[0])
 
 
 def gradient_samples(scenario: Scenario, traj: Trajectory, n_replicas: int,

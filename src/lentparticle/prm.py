@@ -9,7 +9,7 @@ the jump's own sub-stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class MarkedPoissonPath:
     marks: np.ndarray                  # one scalar mark per jump
     stream: RngStream                  # base stream; jump sub-streams derive from it
     rho_blocks: np.ndarray | None = None   # shape (order, n_jumps, block_dim)
-    rho_basis: str = GAUSSIAN
 
     @property
     def n_jumps(self) -> int:
@@ -51,16 +50,6 @@ def sample_path(spec: LevyMeasureSpec, horizon: float, stream: RngStream) -> Mar
     return MarkedPoissonPath(horizon, times, marks, stream)
 
 
-def merge_paths(a: MarkedPoissonPath, b: MarkedPoissonPath) -> MarkedPoissonPath:
-    """Superpose two independent paths (same horizon)."""
-    if a.horizon != b.horizon:
-        raise ValueError("paths must share the horizon")
-    times = np.concatenate([a.times, b.times])
-    marks = np.concatenate([a.marks, b.marks])
-    order = np.argsort(times, kind="stable")
-    return MarkedPoissonPath(a.horizon, times[order], marks[order], a.stream)
-
-
 def attach_rho_marks(path: MarkedPoissonPath, order: int, stream: RngStream,
                      basis: str = GAUSSIAN, block_dim: int = 1) -> MarkedPoissonPath:
     """Return a copy of the path carrying `order` auxiliary marks per jump.
@@ -79,7 +68,7 @@ def attach_rho_marks(path: MarkedPoissonPath, order: int, stream: RngStream,
     else:
         raise ValueError(f"unknown rho basis {basis!r}")
     return MarkedPoissonPath(path.horizon, path.times, path.marks, path.stream,
-                             rho_blocks=blocks, rho_basis=basis)
+                             rho_blocks=blocks)
 
 
 def nested_brownian(path: MarkedPoissonPath, jump_index: int, duration: float,

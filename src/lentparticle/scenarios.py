@@ -73,7 +73,7 @@ def _power_log_slope(eps):
 @_register("compound")
 def compound(eps: float = 0.5, trunc: float = 0.01, ymax: float = 1.0,
              horizon: float = 1.0, x0: float = 0.0, weight: str = "power",
-             compensated: bool = False, jet_order: int = 2) -> Scenario:
+             compensated: bool = False) -> Scenario:
     """d=1 compound Poisson: the state jumps by the mark itself.
 
     weight selects the form weight on marks: "power" is xi(u) = u^2 (the
@@ -111,7 +111,7 @@ def compound(eps: float = 0.5, trunc: float = 0.01, ymax: float = 1.0,
         c=lambda s, x, u: np.array([u]),
         dx_c=lambda s, x, u: np.array([[0.0]]),
         dxx_c=lambda s, x, u: np.zeros((1, 1, 1)),
-        compensated=compensated, jet_order=jet_order, simple=jets,
+        compensated=compensated, simple=jets,
         comp_c=lambda s, x: np.array([mean_jump]),
         comp_dx_c=lambda s, x: np.zeros((1, 1)),
         comp_dxx_c=lambda s, x: np.zeros((1, 1, 1)),
@@ -127,10 +127,13 @@ def compound(eps: float = 0.5, trunc: float = 0.01, ymax: float = 1.0,
 @_register("compound-linear")
 def compound_linear(beta: float = 0.5, eps: float = 0.5, trunc: float = 0.01,
                     ymax: float = 1.0, horizon: float = 1.0, x0: float = 1.0,
-                    compensated: bool = False, jet_order: int = 1) -> Scenario:
+                    compensated: bool = False) -> Scenario:
     """d=1 geometric-type compound Poisson: jumps beta * x * u.
 
     The flow derivative has the exact product form prod_i (1 + beta*u_i).
+    Under the u^2 form weight the generator applied to the jump is
+    beta * x * (1 - eps) * u / 2, so its measure-average is a multiple of
+    int u dnu.
     """
     spec = power_law(eps, ymax=ymax, trunc=trunc)
     xi, xip, xipp = _power_weight(spec.lower, spec.upper)
@@ -141,6 +144,7 @@ def compound_linear(beta: float = 0.5, eps: float = 0.5, trunc: float = 0.01,
         c_uu=lambda s, x, u: np.array([0.0]),
         dlog_m=r)
     mean_jump = float(compensator_integral(spec, lambda u: u, 1.0))
+    mean_gen = 0.5 * (1.0 - eps) * mean_jump
 
     return Scenario(
         name="compound-linear", dim=1, x0=np.array([x0]), horizon=horizon,
@@ -148,10 +152,11 @@ def compound_linear(beta: float = 0.5, eps: float = 0.5, trunc: float = 0.01,
         c=lambda s, x, u: np.array([beta * x[0] * u]),
         dx_c=lambda s, x, u: np.array([[beta * u]]),
         dxx_c=lambda s, x, u: np.zeros((1, 1, 1)),
-        compensated=compensated, jet_order=jet_order,
+        compensated=compensated,
         comp_c=lambda s, x: np.array([beta * x[0] * mean_jump]),
         comp_dx_c=lambda s, x: np.array([[beta * mean_jump]]),
         comp_dxx_c=lambda s, x: np.zeros((1, 1, 1)),
+        comp_gen_c=lambda s, x: np.array([beta * x[0] * mean_gen]),
         meta={"beta": beta,
               "symmetry_pair": (*_bump_weight(spec.lower, spec.upper),
                                 lambda u: u, lambda u: 1.0)})
@@ -163,7 +168,7 @@ def compound_linear(beta: float = 0.5, eps: float = 0.5, trunc: float = 0.01,
 
 @_register("simple2d")
 def simple2d(eps: float = 0.5, trunc: float = 0.01, ymax: float = 1.0,
-             horizon: float = 1.0, jet_order: int = 1) -> Scenario:
+             horizon: float = 1.0) -> Scenario:
     """d=2 non-linear subordination of the degenerate diffusion (B, B).
 
     Each jump of duration y moves the state by (B_y, B_y^2 / 2); the
@@ -187,14 +192,12 @@ def simple2d(eps: float = 0.5, trunc: float = 0.01, ymax: float = 1.0,
         measure=spec, bottom=bottom,
         c=lambda s, x, ev: bottom.coefficient(ev),
         dx_c=lambda s, x, ev: np.zeros((2, 2)),
-        jet_order=jet_order,
         meta={"pathwise_lower_bound": lower_bound})
 
 
 @_register("subordination-linear")
 def subordination_linear(eps: float = 0.5, trunc: float = 0.01, ymax: float = 1.0,
-                         horizon: float = 1.0, jet_order: int = 1,
-                         sigma0=None, nested_step: float = 0.25) -> Scenario:
+                         horizon: float = 1.0, sigma0=None, nested_step: float = 0.25) -> Scenario:
     """d=2 subordination of a constant-coefficient driftless diffusion.
 
     Jumps are displacements of d(zeta) = sigma0 dB run for the jump's
@@ -214,14 +217,12 @@ def subordination_linear(eps: float = 0.5, trunc: float = 0.01, ymax: float = 1.
         measure=spec, bottom=bottom,
         c=lambda s, x, ev: ev.z,
         dx_c=lambda s, x, ev: ev.m - np.eye(2),
-        jet_order=jet_order,
         meta={"sigma0": sigma0})
 
 
 @_register("subordination-nonlinear")
 def subordination_nonlinear(eps: float = 0.5, trunc: float = 0.01, ymax: float = 1.0,
-                            horizon: float = 1.0, jet_order: int = 1,
-                            nested_step: float = 0.02) -> Scenario:
+                            horizon: float = 1.0, nested_step: float = 0.02) -> Scenario:
     """d=1 subordination of a state-dependent diffusion.
 
     Nested dynamics d(zeta) = a(zeta) dB with a(z) = 0.4 + 0.1 tanh(z);
@@ -242,7 +243,7 @@ def subordination_nonlinear(eps: float = 0.5, trunc: float = 0.01, ymax: float =
         measure=spec, bottom=bottom,
         c=lambda s, x, ev: ev.z,
         dx_c=lambda s, x, ev: ev.m - np.eye(1),
-        jet_order=jet_order, meta={})
+        meta={})
 
 
 class _FieldBottom(WienerOUBottom):
@@ -264,8 +265,7 @@ class _FieldBottom(WienerOUBottom):
 
 @_register("levy-field-demo")
 def levy_field_demo(eps: float = 0.5, trunc: float = 0.05, ymax: float = 1.0,
-                    horizon: float = 1.0, jet_order: int = 1,
-                    nested_step: float = 0.05) -> Scenario:
+                    horizon: float = 1.0, nested_step: float = 0.05) -> Scenario:
     """d=2 demo: a particle diffusing in a field of random pushes.
 
     Each jump runs a planar diffusion with a position-dependent matrix for
@@ -291,4 +291,4 @@ def levy_field_demo(eps: float = 0.5, trunc: float = 0.05, ymax: float = 1.0,
         measure=spec, bottom=bottom,
         c=lambda s, x, ev: ev.z,
         dx_c=lambda s, x, ev: ev.m - np.eye(2),
-        jet_order=jet_order, meta={"demo": True})
+        meta={"demo": True})

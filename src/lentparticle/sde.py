@@ -1,8 +1,8 @@
 """Jump-adapted solver for SDEs driven by a marked Poisson measure.
 
-The state jumps by c(s, X-, u) at each point of the measure (optionally
-compensated) and moves continuously under a drift/diffusion sigma between
-jumps.  The same event-by-event recursion also propagates, on demand,
+The state jumps by c(s, X-, u) at each point of the measure and, when the
+equation is compensated, drifts between jumps by minus the measure-average
+of c.  The same event-by-event recursion also propagates, on demand,
 
 * the flow derivative K (Jacobian of x0 -> X) and its inverse Kbar,
 * the covariance accumulator C = sum Kbar gamma[c] Kbar^T (taken with the
@@ -16,30 +16,26 @@ jumps.  The same event-by-event recursion also propagates, on demand,
   consume.  It is computed after the event loop by `SimpleJets.table`, the
   same code the vectorised ensemble runs.
 
-Jump times are events of the grid, and an Euler grid is added only when
-the scenario has sigma or compensation.  Pure-jump scenarios are therefore
-solved with no discretization error at all.  Their generator path drifts
-too, and that drift is evaluated once per inter-jump gap, at the gap's
-start; this is exact when the drift does not depend on s between jumps
-(the state is constant there), which holds for every catalog scenario.
+Every measure-average is scenario data (the comp_* callables); nothing is
+averaged by quadrature here.  Jump times are events of the grid, and an
+Euler grid is added only when the scenario is compensated.  Uncompensated
+scenarios are therefore solved with no discretization error at all.  Their
+generator path drifts too, and that drift is evaluated once per inter-jump
+gap, at the gap's start; this is exact when the drift does not depend on s
+between jumps (the state is constant there), which holds for every catalog
+scenario.
 """
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .bottom import BottomStructure
+from .bottom import BottomStructure, CapabilityError
 from .measures import LevyMeasureSpec, compensator_integral
 from .prm import MarkedPoissonPath
-from .rng import TAG_NOISE, RngStream
-
-DRIVER_TIME = "time"
-DRIVER_BROWNIAN = "brownian"
 
 DET_FLOOR = 1e-12
 
@@ -154,14 +150,17 @@ class Scenario:
     Coefficient signatures: c(s, x, ev) -> (d,), dx_c(s, x, ev) -> (d, d),
     dxx_c(s, x, ev) -> (d, d, d) with axes (component, dx_j, dx_k); ev is
     whatever the bottom structure resolves a mark into.  The comp_*
-    callables are the measure-averages of the corresponding jets,
-    signature (s, x); when omitted they are computed by quadrature, which
-    only works for plain Euclidean marks.
+    callables are the measure-averages of the corresponding quantities,
+    signature (s, x): comp_c of c (d,), comp_dx_c of dx_c (d, d),
+    comp_dxx_c of dxx_c (d, d, d) and comp_gen_c of the bottom's generator
+    applied to c (d,).  A compensated scenario must supply the first
+    three, which drive the state, the flow and the generator path between
+    jumps; the generator path (jet order 2) also needs comp_gen_c.
 
-    Without sigma and compensation the state only jumps, and `integrate`
-    evaluates the generator-path drift (comp_gen_c) once per inter-jump
-    gap; such a scenario's comp_gen_c must not depend on s, as none in the
-    catalog does.
+    Uncompensated, the state only jumps, and `integrate` evaluates the
+    generator-path drift (comp_gen_c) once per inter-jump gap; such a
+    scenario's comp_gen_c must not depend on s, as none in the catalog
+    does.
     """
 
     name: str
@@ -173,13 +172,8 @@ class Scenario:
     c: Callable
     dx_c: Callable | None = None
     dxx_c: Callable | None = None
-    sigma: Callable | None = None          # (s, x) -> (d,) drift-like for time driver,
-    dx_sigma: Callable | None = None       # (d, q) for brownian driver
-    n_brownian: int = 1
     compensated: bool = False
-    driver: str = DRIVER_TIME
     n_steps: int = 1000
-    jet_order: int = 0
     comp_c: Callable | None = None
     comp_dx_c: Callable | None = None
     comp_dxx_c: Callable | None = None
@@ -191,10 +185,11 @@ class Scenario:
         self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
         if self.x0.shape != (self.dim,):
             raise ValueError("x0 must have the scenario dimension")
-        if self.driver not in (DRIVER_TIME, DRIVER_BROWNIAN):
-            raise ValueError(f"unknown driver {self.driver!r}")
-        if self.jet_order not in (0, 1, 2):
-            raise ValueError("jet order must be 0, 1 or 2")
+        if self.compensated:
+            missing = [key for key in ("comp_c", "comp_dx_c", "comp_dxx_c")
+                       if getattr(self, key) is None]
+            if missing:
+                raise ValueError(f"compensated scenario {self.name!r} must supply {missing}")
 
 
 @dataclass
@@ -254,68 +249,34 @@ class EventError(RuntimeError):
         self.event_index = event_index
 
 
-def _quadrature_average(scenario, fn_of_u, s, x, shape):
-    def f(u):
-        return np.asarray(fn_of_u(s, x, u), dtype=float).reshape(-1)
-
-    flat = np.atleast_1d(compensator_integral(scenario.measure, f, 1.0))
-    return flat.reshape(shape)
+def _average(fn, s, x, shape) -> np.ndarray:
+    """A comp_* callable at (s, x), as a float array of the given shape."""
+    return np.asarray(fn(s, x), dtype=float).reshape(shape)
 
 
-def _comp_jets(scenario, s, x, gamma, need_a):
-    """Measure-averaged drift pieces at (s, x): (dx, ddx:Gamma, gen)."""
-    d = scenario.dim
-    out_dx = out_dxx = out_gen = None
-    if scenario.compensated:
-        if scenario.comp_dx_c is not None:
-            out_dx = np.asarray(scenario.comp_dx_c(s, x), dtype=float).reshape(d, d)
-        elif scenario.dx_c is not None:
-            out_dx = _quadrature_average(scenario, scenario.dx_c, s, x, (d, d))
-        else:
-            out_dx = np.zeros((d, d))
-    if need_a:
-        if scenario.compensated:
-            if scenario.comp_dxx_c is not None:
-                dxx = np.asarray(scenario.comp_dxx_c(s, x), dtype=float).reshape(d, d, d)
-            elif scenario.dxx_c is not None:
-                dxx = _quadrature_average(scenario, scenario.dxx_c, s, x, (d, d, d))
-            else:
-                dxx = np.zeros((d, d, d))
-            out_dxx = np.einsum("ijk,jk->i", dxx, gamma)
-        if scenario.comp_gen_c is not None:
-            out_gen = np.asarray(scenario.comp_gen_c(s, x), dtype=float).reshape(d)
-        else:
-            out_gen = _quadrature_average(scenario, scenario.bottom.gen_c, s, x, (d,))
-    return out_dx, out_dxx, out_gen
-
-
-def integrate(scenario: Scenario, path: MarkedPoissonPath,
-              stream: RngStream | None = None, order: int | None = None) -> Trajectory:
-    """Run the event recursion up to the requested jet order."""
-    if order is None:
-        order = scenario.jet_order
+def integrate(scenario: Scenario, path: MarkedPoissonPath, order: int) -> Trajectory:
+    """Run the event recursion up to jet order 0 (state), 1 (flow and
+    covariance accumulator) or 2 (generator path and order-2 table)."""
+    if order not in (0, 1, 2):
+        raise ValueError(f"jet order must be 0, 1 or 2, got {order!r}")
+    if order == 2 and scenario.comp_gen_c is None:
+        raise CapabilityError(
+            f"jet order 2 needs comp_gen_c, the measure-average of the generator "
+            f"applied to c; scenario {scenario.name!r} has none")
     d = scenario.dim
     T = scenario.horizon
+    comp = scenario.compensated
     need_flow = order >= 1
     need_a = order >= 2
 
     # event grid: jump times, plus an Euler grid when the state drifts; the
     # generator path alone drifts by a constant between jumps
-    has_drift = scenario.sigma is not None or scenario.compensated
-    if has_drift:
+    if comp:
         grid = np.linspace(0.0, T, scenario.n_steps + 1)
         times = np.union1d(grid, path.times)
     else:
         times = np.unique(np.concatenate([[0.0], path.times, [T]]))
     jump_events = np.searchsorted(times, path.times)
-
-    noise = None
-    if scenario.driver == DRIVER_BROWNIAN:
-        if stream is None:
-            stream = path.stream
-        gen = stream.child(tag=TAG_NOISE).generator()
-        dts = np.diff(times)
-        noise = gen.standard_normal((len(dts), scenario.n_brownian)) * np.sqrt(dts)[:, None]
 
     x = scenario.x0.copy()
     K = np.eye(d)
@@ -338,36 +299,20 @@ def integrate(scenario: Scenario, path: MarkedPoissonPath,
     for k in range(1, len(times)):
         s_prev, s = times[k - 1], times[k]
         dt = s - s_prev
-        if (has_drift or need_a) and dt > 0:
-            gamma_now = K @ C @ K.T if need_flow else None
-            cdx, cdxx, cgen = _comp_jets(scenario, s_prev, x, gamma_now, need_a)
-            dx = np.zeros(d)
-            if scenario.compensated:
-                if scenario.comp_c is not None:
-                    comp = np.asarray(scenario.comp_c(s_prev, x), dtype=float).reshape(d)
-                else:
-                    comp = _quadrature_average(scenario, scenario.c, s_prev, x, (d,))
-                dx -= comp
-            if scenario.sigma is not None:
-                sig = np.asarray(scenario.sigma(s_prev, x), dtype=float)
-                if scenario.driver == DRIVER_TIME:
-                    dx += sig.reshape(d)
-                else:
-                    dW = noise[k - 1]
-                    x = x + sig.reshape(d, scenario.n_brownian) @ dW
-                    if need_flow and scenario.dx_sigma is not None:
-                        dsig = np.asarray(scenario.dx_sigma(s_prev, x), dtype=float)
-                        dK = np.einsum("iqj,jk,q->ik", dsig.reshape(d, scenario.n_brownian, d), K, dW)
-                        K = K + dK
-                        Kb = Kb - Kb @ dK @ Kb   # first-order inverse update
-            x = x + dx * dt
-            if need_flow and scenario.compensated and cdx is not None:
-                K = K - cdx @ K * dt
-                Kb = Kb + Kb @ cdx * dt
+        if (comp or need_a) and dt > 0:
+            # Euler step; every average is taken at the step's start, so the
+            # state and the flow are updated last
             if need_a:
-                A = A - cgen * dt
-                if scenario.compensated:
-                    A = A - cdx @ A * dt - 0.5 * cdxx * dt
+                A = A - _average(scenario.comp_gen_c, s_prev, x, (d,)) * dt
+            if comp:
+                cdx = _average(scenario.comp_dx_c, s_prev, x, (d, d))
+                if need_a:
+                    dxx = _average(scenario.comp_dxx_c, s_prev, x, (d, d, d))
+                    A = A - cdx @ A * dt - 0.5 * np.einsum("ijk,jk->i", dxx, K @ C @ K.T) * dt
+                if need_flow:
+                    K = K - cdx @ K * dt
+                    Kb = Kb + Kb @ cdx * dt
+                x = x - _average(scenario.comp_c, s_prev, x, (d,)) * dt
         if not np.all(np.isfinite(x)):
             raise EventError("state overflow", k)
 
@@ -450,15 +395,3 @@ def check_jets(scenario: Scenario, probes, rel_tol: float = 1e-4) -> float:
         raise ValueError(f"coefficient jets inconsistent: relative error {worst:.2e}")
     return worst
 
-
-def trajectory_csv(traj: Trajectory, dest) -> None:
-    """Debug dump: time, state components, det K, trace C."""
-    d = traj.scenario.dim
-    with open(dest, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time"] + [f"x{i}" for i in range(d)] + ["detK", "trC"])
-        for k, t in enumerate(traj.times):
-            detk = (np.linalg.det(traj.k_events[k]) if traj.k_events else math.nan)
-            trc = (np.trace(traj.c_events[k]) if traj.c_events else math.nan)
-            w.writerow([f"{t:.12g}"] + [f"{v:.12g}" for v in traj.states[k]]
-                       + [f"{detk:.12g}", f"{trc:.12g}"])

@@ -26,7 +26,7 @@ def _fixed_trajectory(name, seed=42, **kw):
     sc = scenarios.build(name, **kw)
     stream = RngStream(seed=seed, path=1)
     path = prm.sample_path(sc.measure, sc.horizon, stream)
-    traj = sde.integrate(sc, path, order=max(sc.jet_order, 1))
+    traj = sde.integrate(sc, path, order=1)
     return sc, stream, path, traj
 
 

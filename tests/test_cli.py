@@ -1,7 +1,7 @@
 """Command-line pipelines: schema handling, exit codes, reproducibility."""
 
 import json
-import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -77,10 +77,11 @@ def test_bad_workers_env_is_schema_error(tmp_path, capsys, monkeypatch):
     assert code == cli.EXIT_SCHEMA and "run.workers" in err
 
 
-def test_unknown_param_is_schema_error(tmp_path, capsys):
-    path, _ = _config(tmp_path, "bogus", params={"bogus": 1})
+@pytest.mark.parametrize("key", ["bogus", "jet_order"])
+def test_unknown_param_is_schema_error(tmp_path, capsys, key):
+    path, _ = _config(tmp_path, "unknown", params={key: 2})
     code, err = _exit_and_stderr(capsys, ["run", str(path)])
-    assert code == cli.EXIT_SCHEMA and "params.bogus" in err
+    assert code == cli.EXIT_SCHEMA and f"params.{key}" in err
 
 
 @pytest.mark.parametrize("command,key", [("run", "eps"), ("tauber", "eps"), ("tauber", "ymax")])
@@ -109,6 +110,17 @@ def test_zero_mass_run_is_hypothesis_failure(tmp_path, capsys):
         assert "RuntimeWarning" not in err
         for field in ("degenerate ensemble", "params.trunc", "params.horizon", "run.paths"):
             assert field in err, (name, field)
+    # nor does one trajectory path, for the means' SE or the KS test; both
+    # are refused before any simulation
+    for command, scenario in [("run", "compound-linear"), ("crosscheck", "subordination-linear")]:
+        name = f"{command}-single"
+        path, _ = _config(tmp_path, name, scenario=scenario, run={"paths": 1})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = _exit_and_stderr(capsys, [command, str(path)])
+        assert code == cli.EXIT_HYPOTHESIS and "run.paths" in err, command
+        assert "Warning" not in err
+        assert not (tmp_path / name).exists()
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])

@@ -7,9 +7,8 @@ import pytest
 
 from lentparticle import scenarios
 from lentparticle.lent import (empirical_gamma, gamma_k_simple, gaussian_kappa,
-                               gradient_sample, gradient_samples,
-                               iterated_gradient_simple, malliavin_matrix,
-                               pnorm_ratio)
+                               gradient_samples, iterated_gradient_simple,
+                               malliavin_matrix, pnorm_ratio)
 from lentparticle.ibp import sharp_coefficients
 from lentparticle.measures import power_law
 from lentparticle.prm import (GAUSSIAN, RADEMACHER, MarkedPoissonPath,
@@ -23,7 +22,7 @@ SPEC = power_law(0.5, ymax=1.0, trunc=0.01)
 def _traj(name, seed, **kw):
     sc = scenarios.build(name, **kw)
     path = sample_path(sc.measure, sc.horizon, RngStream(seed=seed, path=1))
-    return sc, path, integrate(sc, path, order=max(sc.jet_order, 1))
+    return sc, path, integrate(sc, path, order=1)
 
 
 # ---------------------------------------------------------------------------
@@ -97,12 +96,6 @@ def test_gradient_insensitive_coefficient():
     assert np.all(grads == 0.0)
 
 
-def test_gradient_requires_rho_blocks():
-    sc, path, traj = _traj("compound", seed=5)
-    with pytest.raises(ValueError):
-        gradient_sample(sc, path, traj)
-
-
 # ---------------------------------------------------------------------------
 # iterated gradients of mark sums
 # ---------------------------------------------------------------------------
@@ -115,8 +108,9 @@ def _flats(sc):
 
 def test_iterated_first_order_matches_sde_gradient():
     sc, path, traj = _traj("compound", seed=6)
-    enriched = attach_rho_marks(path, 1, path.stream)
-    via_sde = gradient_sample(sc, enriched, traj).value[0]
+    # replica 1 of the batch draws its rho-block from this same stream
+    via_sde = gradient_samples(sc, traj, 1, path.stream)[0, 0]
+    enriched = attach_rho_marks(path, 1, path.stream.child(replica=1))
     via_sum = iterated_gradient_simple(_flats(sc), enriched, 1)
     assert via_sum == pytest.approx(via_sde, rel=1e-13)
 

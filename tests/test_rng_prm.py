@@ -5,11 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare, kstest, poisson
+from scipy.stats import kstest
 
 from lentparticle.measures import power_law
-from lentparticle.prm import (RADEMACHER, attach_rho_marks, merge_paths,
-                              nested_brownian, sample_path)
+from lentparticle.prm import RADEMACHER, attach_rho_marks, nested_brownian, sample_path
 from lentparticle.rng import TAG_MARK, TAG_RHO, TAG_TIME, RngStream
 
 SPEC = power_law(0.5, ymax=1.0, trunc=0.01)   # mass 18
@@ -90,29 +89,6 @@ def test_path_reproducible_bit_exact():
     b = sample_path(SPEC, 1.0, RngStream(seed=5, path=9))
     np.testing.assert_array_equal(a.times, b.times)
     np.testing.assert_array_equal(a.marks, b.marks)
-
-
-def test_superposition_counts():
-    # merged independent paths of mass 18 each ~ Poisson(36): chi-square on
-    # binned counts against the analytic pmf
-    counts = []
-    for i in range(4000):
-        a = sample_path(SPEC, 1.0, RngStream(seed=21, path=i + 1))
-        b = sample_path(SPEC, 1.0, RngStream(seed=22, path=i + 1))
-        counts.append(merge_paths(a, b).n_jumps)
-    counts = np.array(counts)
-    edges = [0, 28, 32, 36, 40, 44, 1000]
-    obs = np.histogram(counts, bins=edges)[0]
-    cdf = poisson(36.0).cdf
-    exp = np.diff([0] + [cdf(e - 1) for e in edges[1:-1]] + [1]) * len(counts)
-    assert chisquare(obs, exp).pvalue > 0.01
-
-
-def test_merge_requires_same_horizon():
-    a = sample_path(SPEC, 1.0, RngStream(seed=1))
-    b = sample_path(SPEC, 2.0, RngStream(seed=2))
-    with pytest.raises(ValueError):
-        merge_paths(a, b)
 
 
 # ---------------------------------------------------------------------------

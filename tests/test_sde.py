@@ -1,18 +1,17 @@
 """Event-driven solver: exactness, flow algebra, generator path, jets."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lentparticle import ibp, scenarios, sde
-from lentparticle.bottom import EuclideanBottom
+from lentparticle.bottom import CapabilityError, EuclideanBottom
 from lentparticle.ensemble import simple_ensemble
 from lentparticle.measures import compensator_integral, power_law
 from lentparticle.prm import sample_path
 from lentparticle.rng import RngStream
-from lentparticle.sde import EventError, Scenario, check_jets, integrate, trajectory_csv
+from lentparticle.sde import EventError, Scenario, check_jets, integrate
 
 SPEC = power_law(0.5, ymax=1.0, trunc=0.01)
 
@@ -26,7 +25,8 @@ def _null_scenario():
     return Scenario(name="null", dim=1, x0=np.array([3.0]), horizon=1.0,
                     measure=SPEC, bottom=bottom,
                     c=lambda s, x, u: np.array([0.0]),
-                    dx_c=lambda s, x, u: np.array([[0.0]]))
+                    dx_c=lambda s, x, u: np.array([[0.0]]),
+                    comp_gen_c=lambda s, x: np.array([0.0]))
 
 
 def test_zero_coefficients_state_constant():
@@ -47,7 +47,7 @@ def test_pure_jump_telescoping():
 
 
 def test_compensated_mean_and_variance():
-    sc = scenarios.build("compound", compensated=True, jet_order=0)
+    sc = scenarios.build("compound", compensated=True)
     ens = simple_ensemble(sc, 10_000, RngStream(seed=3))
     se = ens.x.std(ddof=1) / math.sqrt(len(ens.x))
     assert abs(ens.x.mean() - sc.x0[0]) < 3 * se
@@ -93,8 +93,7 @@ def test_singular_jump_jacobian_rejected():
     sc = Scenario(name="degenerate", dim=1, x0=np.array([1.0]), horizon=1.0,
                   measure=SPEC, bottom=bottom,
                   c=lambda s, x, u: -x,
-                  dx_c=lambda s, x, u: np.array([[-1.0]]),   # I + D_x c = 0
-                  jet_order=1)
+                  dx_c=lambda s, x, u: np.array([[-1.0]]))   # I + D_x c = 0
     path = sample_path(SPEC, 1.0, RngStream(seed=7, path=1))
     with pytest.raises(EventError, match="singular"):
         integrate(sc, path, order=1)
@@ -186,17 +185,44 @@ def test_compensator_constants_computed_once(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_jet_order_preserves_states():
-    sc = scenarios.build("compound", jet_order=0)
+    sc = scenarios.build("compound")
     path = sample_path(sc.measure, sc.horizon, RngStream(seed=11, path=1))
-    plain = integrate(sc, path)
-    jet = integrate(replace(sc, jet_order=1), path)
+    plain = integrate(sc, path, order=0)
+    jet = integrate(sc, path, order=1)
     np.testing.assert_array_equal(plain.states, jet.states)
 
 
 def test_jet_order_validation():
     sc = scenarios.build("simple2d")
+    path = sample_path(sc.measure, sc.horizon, RngStream(seed=11, path=1))
     with pytest.raises(ValueError, match="jet order"):
-        replace(sc, jet_order=3)
+        integrate(sc, path, order=3)
+
+
+@pytest.mark.parametrize("name", ["simple2d", "subordination-nonlinear"])
+def test_order2_needs_averaged_generator(name):
+    sc = scenarios.build(name)
+    path = sample_path(sc.measure, sc.horizon, RngStream(seed=11, path=1))
+    with pytest.raises(CapabilityError, match="comp_gen_c"):
+        integrate(sc, path, order=2)
+
+
+def test_compound_linear_averaged_generator_closed_form():
+    sc = scenarios.build("compound-linear", beta=0.7, eps=0.3)
+    for x in (-2.0, 0.0, 0.4, 1.0, 3.5):
+        xs = np.array([x])
+        quad_mean = float(compensator_integral(
+            sc.measure, lambda u: sc.bottom.gen_c(0.0, xs, u)[0], 1.0))
+        assert abs(sc.comp_gen_c(0.0, xs)[0] - quad_mean) <= 1e-12
+
+
+def test_compensated_scenario_requires_averages():
+    sc = scenarios.build("compound", compensated=True)
+    with pytest.raises(ValueError, match="comp_c"):
+        Scenario(name="no-average", dim=1, x0=np.zeros(1), horizon=1.0,
+                 measure=sc.measure, bottom=sc.bottom, c=sc.c, dx_c=sc.dx_c,
+                 dxx_c=sc.dxx_c, compensated=True,
+                 comp_dx_c=sc.comp_dx_c, comp_dxx_c=sc.comp_dxx_c)
 
 
 def test_check_jets_catalog_and_broken():
@@ -208,13 +234,3 @@ def test_check_jets_catalog_and_broken():
     with pytest.raises(ValueError, match="inconsistent"):
         check_jets(bad, probes)
 
-
-def test_trajectory_csv_round_trip(tmp_path):
-    sc = scenarios.build("compound-linear")
-    path = sample_path(sc.measure, sc.horizon, RngStream(seed=12, path=1))
-    traj = integrate(sc, path, order=1)
-    dest = tmp_path / "traj.csv"
-    trajectory_csv(traj, dest)
-    rows = dest.read_text().strip().split("\n")
-    assert rows[0] == "time,x0,detK,trC"
-    assert len(rows) == len(traj.times) + 1

@@ -10,6 +10,12 @@ Each structure knows how to
 * produce the linear map sending an auxiliary rho-block to a zero-mean
   gradient sample whose second moment is that matrix.
 
+Marks are resolved for many paths at once: `eval_jumps` takes one jump
+per lane (`prm.JumpLanes`) and returns a resolution with a leading lane
+axis, and `gamma_c` maps it to the (n, d, d) matrices.  The one-path
+`eval_jump` is the one-lane case, with the lane axis dropped; `gamma_c`
+then gives (d, d).  `gen_c` and `flat_matrix` take one path's resolution.
+
 Two families are provided: a weighted structure on a Euclidean mark
 interval, and Wiener-space structures (Ornstein-Uhlenbeck) for jumps that
 are excursions of a nested diffusion.
@@ -18,15 +24,15 @@ are excursions of a nested diffusion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
 
 from .measures import QUAD_ABS_TOL, LevyMeasureSpec
-from .prm import MarkedPoissonPath, nested_brownian
-from .rng import TAG_NESTED, RngStream
+from .prm import JumpLanes, MarkedPoissonPath, nested_grid, nested_increments
+from .rng import TAG_NESTED
 
 
 class CapabilityError(RuntimeError):
@@ -38,8 +44,15 @@ class BottomStructure:
 
     block_dim: int = 1
 
-    def eval_jump(self, s, x, path: MarkedPoissonPath, j: int):
+    def eval_jumps(self, s: np.ndarray, x: np.ndarray, lanes: JumpLanes):
+        """Resolve one jump per lane at times s (n,) from states x (n, d)."""
         raise NotImplementedError
+
+    def eval_jump(self, s, x, path: MarkedPoissonPath, j: int):
+        """Resolve jump j of one path: `eval_jumps` on one lane."""
+        ev = self.eval_jumps(np.array([s], dtype=float), np.asarray(x, dtype=float)[None],
+                             JumpLanes.of(path, j))
+        return _lane(ev, 0)
 
     def gamma_c(self, s, x, ev) -> np.ndarray:
         raise NotImplementedError
@@ -50,6 +63,13 @@ class BottomStructure:
     def flat_matrix(self, s, x, ev) -> np.ndarray:
         """Linear map (d, block_dim) sending a rho-block to a gradient sample."""
         raise NotImplementedError
+
+
+def _lane(ev, i):
+    """Lane i of a lane-batched resolution."""
+    if is_dataclass(ev):
+        return replace(ev, **{f.name: getattr(ev, f.name)[i] for f in fields(ev)})
+    return ev[i]
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +91,7 @@ class EuclideanBottom(BottomStructure):
     the support, which is a property of the scenario, not of this class.
 
     c_u / c_uu are the mark-derivatives of the jump coefficient,
-    signatures (s, x, u) -> (d,).
+    signatures (s, x, u) -> (d,), or (n, d) for n lanes.
     """
 
     xi: Callable
@@ -82,12 +102,16 @@ class EuclideanBottom(BottomStructure):
 
     block_dim = 1
 
+    def eval_jumps(self, s, x, lanes):
+        return lanes.marks
+
     def eval_jump(self, s, x, path, j):
         return float(path.marks[j])
 
     def gamma_c(self, s, x, u):
         du = np.atleast_1d(np.asarray(self.c_u(s, x, u), dtype=float))
-        return self.xi(u) * np.outer(du, du)
+        xi = np.asarray(self.xi(u), dtype=float)
+        return xi[..., None, None] * (du[..., :, None] * du[..., None, :])
 
     def gen_c(self, s, x, u):
         if self.c_uu is None or self.dlog_m is None:
@@ -148,17 +172,19 @@ class WienerSquareBottom(BottomStructure):
 
     block_dim = 1
 
-    def eval_jump(self, s, x, path, j):
-        y = float(path.marks[j])
-        z = float(path.jump_stream(j, TAG_NESTED).generator().standard_normal())
-        return WienerSquareEval(y=y, b=math.sqrt(y) * z)
+    def eval_jumps(self, s, x, lanes):
+        y = lanes.marks
+        z = np.array([lanes.generator(i, TAG_NESTED).standard_normal()
+                      for i in range(len(lanes))])
+        return WienerSquareEval(y=y, b=np.sqrt(y) * z)
 
     def coefficient(self, ev: WienerSquareEval) -> np.ndarray:
-        return np.array([ev.b, 0.5 * ev.b ** 2])
+        return np.stack([ev.b, 0.5 * ev.b ** 2], -1)
 
     def gamma_c(self, s, x, ev):
         y, b = ev.y, ev.b
-        return np.array([[y, y * b], [y * b, y * b * b]])
+        yb = y * b
+        return np.stack([np.stack([y, yb], -1), np.stack([yb, yb * b], -1)], -2)
 
     def flat_matrix(self, s, x, ev):
         y, b = ev.y, ev.b
@@ -171,10 +197,13 @@ class WienerSquareBottom(BottomStructure):
 
 @dataclass
 class WienerOUEval:
-    y: float
-    z: np.ndarray           # displacement zeta_y^x - x
+    """One excursion; every field has a leading lane axis when it comes
+    from `evolve` or `eval_jumps`, and none from `eval_jump`."""
+
+    y: float                # duration
+    z: np.ndarray           # displacement zeta_y^x - x, (d,)
     gamma_m: np.ndarray     # Malliavin matrix of zeta_y^x, (d, d)
-    m: np.ndarray           # flow derivative M_y
+    m: np.ndarray           # flow derivative M_y, (d, d)
     m_inv: np.ndarray
 
 
@@ -185,73 +214,86 @@ class WienerOUBottom(BottomStructure):
     The nested diffusion, its flow derivative M, the inverse flow and the
     Malliavin matrix of the excursion are advanced together by
     Euler-Maruyama on one shared Brownian draw taken from the jump's
-    sub-stream.  An outer map applied to the displacement (with its
-    Jacobian) turns the excursion into the jump coefficient; identity by
-    default.
+    sub-stream.  The displacement is the jump coefficient's input.
+
+    The coefficient callables take states z of shape (n, dim), one row per
+    lane, and return a (n, dim, n_brownian), b (n, dim), da/dz
+    (n, dim, n_brownian, dim) and db/dz (n, dim, dim); a value without the
+    lane axis is taken to hold for every lane.
     """
 
     dim: int
     n_brownian: int
-    diff: Callable                     # a(z) -> (dim, n_brownian)
-    drift: Callable | None = None      # b(z) -> (dim,)
-    diff_jac: Callable | None = None   # da/dz: (dim, n_brownian, dim)
-    drift_jac: Callable | None = None  # db/dz: (dim, dim)
+    diff: Callable                     # a(z)
+    drift: Callable | None = None      # b(z)
+    diff_jac: Callable | None = None   # da/dz
+    drift_jac: Callable | None = None  # db/dz
     step: float = 1e-2
-    outer: Callable | None = None      # F(z) -> (dim,)
-    outer_jac: Callable | None = None  # F'(z) -> (dim, dim)
 
     @property
     def block_dim(self):
         return self.dim
 
-    def eval_jump(self, s, x, path, j):
-        y = float(path.marks[j])
-        incs = nested_brownian(path, j, y, self.step, dim=self.n_brownian)
-        return self.evolve(np.asarray(x, dtype=float), y, incs)
+    def eval_jumps(self, s, x, lanes):
+        incs = nested_increments(lanes, lanes.marks, self.step, self.n_brownian)
+        return self.evolve(x, lanes.marks, incs)
 
-    def evolve(self, x: np.ndarray, y: float, incs: np.ndarray) -> WienerOUEval:
+    def evolve(self, x: np.ndarray, y: np.ndarray, incs: np.ndarray) -> WienerOUEval:
+        """Run the excursions of n lanes in lockstep.
+
+        x (n, dim) start points, y (n,) durations and incs
+        (steps, n, n_brownian) the Brownian increments on the lanes'
+        `prm.nested_grid`.  Past a lane's last step its increment and step
+        width are zero, so the Euler step leaves the lane unchanged.  The
+        result carries the lane axis.
+        """
         d, q = self.dim, self.n_brownian
+        x = np.asarray(x, dtype=float)
+        n = len(x)
+        _, widths = nested_grid(y, self.step)
+        if incs.shape != widths.shape + (q,):
+            raise ValueError(f"increments of shape {incs.shape} do not match the step grid "
+                             f"{widths.shape} of the durations")
+        flows = self.diff_jac is not None or self.drift_jac is not None
         z = x.copy()
-        m = np.eye(d)
-        m_inv = np.eye(d)
-        integ = np.zeros((d, d))    # int M^-1 a a^T M^-T ds
-        t = 0.0
-        for k in range(incs.shape[0]):
-            dt = min(self.step, y - t)
+        m = np.tile(np.eye(d), (n, 1, 1))
+        m_inv = m.copy()
+        integ = np.zeros((n, d, d))    # int M^-1 a a^T M^-T ds
+        for k in range(len(widths)):
+            dt = widths[k][:, None]
+            dtm = dt[..., None]
             db = incs[k]
-            a = np.asarray(self.diff(z), dtype=float).reshape(d, q)
-            b = (np.asarray(self.drift(z), dtype=float)
-                 if self.drift is not None else np.zeros(d))
+            a = np.broadcast_to(self.diff(z), (n, d, q))
             mi_a = m_inv @ a
-            integ = integ + (mi_a @ mi_a.T) * dt
-            if self.diff_jac is not None:
-                aj = np.asarray(self.diff_jac(z), dtype=float).reshape(d, q, d)
-            else:
-                aj = np.zeros((d, q, d))
-            bj = (np.asarray(self.drift_jac(z), dtype=float).reshape(d, d)
-                  if self.drift_jac is not None else np.zeros((d, d)))
-            # shared-noise Euler step for the state and both flows; the
-            # inverse flow carries the Ito correction term (Da)^2 dt
-            dm = np.einsum("iqj,jk,q->ik", aj, m, db) + bj @ m * dt
-            mi_aj = np.einsum("jk,kql->jql", m_inv, aj)
-            dmi = -np.einsum("jql,q->jl", mi_aj, db)
-            dmi = dmi + (np.einsum("jqa,aql->jl", mi_aj, np.einsum("ab,bql->aql", m_inv, aj))
-                         - m_inv @ bj) * dt
-            z = z + a @ db + b * dt
-            m = m + dm
-            m_inv = m_inv + dmi
-            if not np.all(np.isfinite(m_inv)):
-                raise FloatingPointError(f"inverse flow overflow at nested step {k}")
-            t += dt
-        gamma_m = m @ integ @ m.T
-        disp = z - x
-        if self.outer is not None:
-            jac = np.asarray(self.outer_jac(disp), dtype=float)
-            gamma_m = jac @ gamma_m @ jac.T
-            disp_out = np.asarray(self.outer(disp), dtype=float)
-        else:
-            disp_out = disp
-        return WienerOUEval(y=y, z=disp_out, gamma_m=gamma_m, m=m, m_inv=m_inv)
+            integ = integ + (mi_a @ mi_a.transpose(0, 2, 1)) * dtm
+            if flows:
+                # shared-noise Euler step for both flows; with A_r = da[:, r]/dz
+                # and P_r = M^-1 A_r, the inverse flow carries the Ito
+                # correction sum_r P_r P_r dt
+                aj = (np.zeros((n, d, q, d)) if self.diff_jac is None
+                      else np.broadcast_to(self.diff_jac(z), (n, d, q, d)))
+                A = aj.transpose(0, 2, 1, 3)
+                P = m_inv[:, None] @ A
+                noise = db[:, :, None, None]
+                dm = (A * noise).sum(axis=1) @ m
+                corr = (P @ P).sum(axis=1)
+                if self.drift_jac is not None:
+                    bj = np.broadcast_to(self.drift_jac(z), (n, d, d))
+                    dm = dm + bj @ m * dtm
+                    corr = corr - m_inv @ bj
+                dmi = corr * dtm - (P * noise).sum(axis=1)
+            z_next = z + (a @ db[..., None])[..., 0]
+            if self.drift is not None:
+                z_next = z_next + np.broadcast_to(self.drift(z), (n, d)) * dt
+            z = z_next
+            if flows:
+                m = m + dm
+                m_inv = m_inv + dmi
+                if not np.all(np.isfinite(m_inv)):
+                    raise FloatingPointError(f"inverse flow overflow at nested step {k}")
+        gamma_m = m @ integ @ m.transpose(0, 2, 1)
+        return WienerOUEval(y=np.asarray(y, dtype=float), z=z - x, gamma_m=gamma_m,
+                            m=m, m_inv=m_inv)
 
     def gamma_c(self, s, x, ev: WienerOUEval):
         return ev.gamma_m
@@ -263,24 +305,3 @@ class WienerOUBottom(BottomStructure):
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(0.5 * (mat + mat.T))
     return v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.T
-
-
-def wiener_ou_eval(bottom: WienerOUBottom, x, y: float, stream: RngStream):
-    """Run one nested excursion from an explicit stream.
-
-    Returns (displacement, gamma_M, M, M_inv) for direct inspection;
-    `eval_jump` is the path-addressed equivalent.
-    """
-    if y < 0:
-        raise ValueError("duration must be >= 0")
-    x = np.asarray(x, dtype=float)
-    if y == 0:
-        d = bottom.dim
-        return np.zeros(d), np.zeros((d, d)), np.eye(d), np.eye(d)
-    n = int(np.ceil(y / bottom.step))
-    widths = np.full(n, bottom.step)
-    widths[-1] = y - bottom.step * (n - 1)
-    gen = stream.generator()
-    incs = gen.standard_normal((n, bottom.n_brownian)) * np.sqrt(widths)[:, None]
-    ev = bottom.evolve(x, y, incs)
-    return ev.z, ev.gamma_m, ev.m, ev.m_inv

@@ -25,7 +25,7 @@ from scipy.stats import ks_2samp
 
 from . import diagnostics, ensemble, ibp, lent, prm, report, scenarios, sde
 from .measures import NonIntegrableError, power_law, small_ball_params, tauberian_fit
-from .rng import TAG_NOISE, RngStream
+from .rng import TAG_NOISE, RngStream, seek
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -148,27 +148,20 @@ def _simple_chunk(args):
 def _traj_chunk(args):
     name, params, start, count, seed = args
     sc = scenarios.build(name, **params)
-    d = sc.dim
-    out = {"x": np.empty((count, d)), "n_jumps": np.empty(count, dtype=np.int64),
-           "kk_err": np.empty(count), "gamma_min_eig": np.empty(count),
+    batch = sde.integrate_batch(sc, count, RngStream(seed=seed), path_offset=start)
+    gamma = batch.gamma
+    out = {"x": batch.x, "n_jumps": np.array([p.n_jumps for p in batch.paths], dtype=np.int64),
+           "kk_err": batch.kk_err, "gamma_min_eig": np.linalg.eigvalsh(gamma)[:, 0],
            "bound_margin": np.full(count, np.nan)}
     lower_bound = sc.meta.get("pathwise_lower_bound")
-    for i in range(count):
-        stream = RngStream(seed=seed, path=start + i + 1)
-        path = prm.sample_path(sc.measure, sc.horizon, stream)
-        traj = sde.integrate(sc, path, order=1)
-        out["x"][i] = traj.x_final
-        out["n_jumps"][i] = path.n_jumps
-        out["kk_err"][i] = max(
-            (float(np.max(np.abs(k @ kb - np.eye(d))))
-             for k, kb in zip(traj.k_events, traj.kbar_events)), default=0.0)
-        mm = lent.malliavin_matrix(traj)
-        out["gamma_min_eig"][i] = mm.min_eigenvalue()
-        if lower_bound is not None:
-            bvals = np.array([rec.ev.b for rec in traj.jumps])
-            bound = lower_bound(path.marks, bvals)
-            out["bound_margin"][i] = float(
-                np.linalg.eigvalsh(mm.gamma - bound * np.eye(d))[0])
+    if lower_bound is not None:
+        bvals = np.zeros((count, int(out["n_jumps"].max(initial=0))))
+        for rec in batch.jumps:
+            bvals[rec.lanes, rec.index] = rec.ev.b
+        eye = np.eye(sc.dim)
+        for i, path in enumerate(batch.paths):
+            bound = lower_bound(path.marks, bvals[i, :path.n_jumps])
+            out["bound_margin"][i] = float(np.linalg.eigvalsh(gamma[i] - bound * eye)[0])
     return out
 
 
@@ -314,14 +307,18 @@ def crosscheck_pipeline(config: dict) -> report.RunReport:
     parts = _fan_out(_traj_chunk, name, params, n, run["seed"], run["workers"])
     route_sde = np.concatenate([p["x"] for p in parts])
 
-    # direct route: total subordinator time, then one Gaussian displacement
+    # direct route: total subordinator time, then one Gaussian displacement;
+    # paths n+1 .. 2n draw the marks and normals prm.sample_path and their
+    # own noise streams would
     d = sc.dim
     route_direct = np.empty((n, d))
+    counts, marks = ensemble.sample_mark_sets(sc, n, RngStream(seed=run["seed"]), path_offset=n)
+    ends = np.cumsum(counts)
+    noise = RngStream(seed=run["seed"], tag=TAG_NOISE)
+    gen = noise.generator()
     for i in range(n):
-        stream = RngStream(seed=run["seed"], path=n + i + 1)
-        path = prm.sample_path(sc.measure, sc.horizon, stream)
-        y_total = float(np.sum(path.marks))
-        z = stream.child(tag=TAG_NOISE).generator().standard_normal(d)
+        y_total = float(np.sum(marks[ends[i] - counts[i]:ends[i]]))
+        z = seek(gen, noise, n + i + 1).standard_normal(d)
         route_direct[i] = sc.x0 + math.sqrt(y_total) * sigma0 @ z
 
     out_dir = Path(config["outputs"]["dir"])
@@ -466,11 +463,10 @@ def main(argv=None) -> int:
                 failures = [i["name"] for i in body["items"] if i["status"] == "fail"]
                 print(f"hypothesis failures: {failures}", file=sys.stderr)
             return code
+        check_param_ranges(config)
         if args.command == "run":
-            check_param_ranges(config)
             rep = run_pipeline(config)
         elif args.command == "tauber":
-            check_param_ranges(config)
             rep = tauber_pipeline(config)
         else:
             rep = crosscheck_pipeline(config)

@@ -4,17 +4,19 @@ A path is a finite realisation of the jump measure on (0, T]: sorted jump
 times with one mark each.  Paths can be enriched with blocks of auxiliary
 i.i.d. marks per jump (the rho-blocks used to realise gradients), and
 jumps can carry lazily generated nested Brownian paths addressed through
-the jump's own sub-stream.
+the jump's own sub-stream.  `JumpLanes` gathers one jump from each of
+several paths of one stream, so that a lockstep sweep can resolve them
+together with the same draws each would get on its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .measures import LevyMeasureSpec, sample_mark, total_mass
-from .rng import TAG_MARK, TAG_NESTED, TAG_RHO, TAG_TIME, RngStream
+from .rng import TAG_MARK, TAG_NESTED, TAG_RHO, TAG_TIME, RngStream, seek
 
 GAUSSIAN = "gaussian"
 RADEMACHER = "rademacher"
@@ -71,6 +73,78 @@ def attach_rho_marks(path: MarkedPoissonPath, order: int, stream: RngStream,
                              rho_blocks=blocks)
 
 
+@dataclass
+class JumpLanes:
+    """One jump from each of several paths of one stream (the lanes).
+
+    Lane i is jump `index[i]` of the path at address `paths[i]` of
+    `stream`, and carries that jump's mark.  A lane's draws come from the
+    jump's sub-streams (`MarkedPoissonPath.jump_stream`): through `gen`,
+    re-addressed for every draw, when it is given, else through a new
+    generator per draw.  Either way they are the same draws.
+    """
+
+    stream: RngStream
+    paths: np.ndarray
+    index: np.ndarray
+    marks: np.ndarray
+    gen: np.random.Generator | None = None
+    _subs: dict = field(default_factory=dict, init=False, repr=False)
+
+    @classmethod
+    def of(cls, path: MarkedPoissonPath, jump_index: int) -> "JumpLanes":
+        """The one-lane batch of a single jump of `path`."""
+        return cls(path.stream, np.array([path.stream.path]), np.array([jump_index]),
+                   path.marks[jump_index:jump_index + 1])
+
+    def __len__(self) -> int:
+        return len(self.marks)
+
+    def generator(self, lane: int, tag: int, replica: int | None = None) -> np.random.Generator:
+        """Generator at the start of the lane's jump sub-stream for `tag`
+        (at `replica`, when given, instead of the path stream's own)."""
+        key = (int(self.index[lane]), tag, replica)
+        sub = self._subs.get(key)
+        if sub is None:
+            sub = self._subs[key] = self.stream.child(jump=key[0] + 1, tag=tag, replica=replica)
+        path = int(self.paths[lane])
+        if self.gen is not None:
+            return seek(self.gen, sub, path)
+        return (sub if path == sub.path else sub.child(path=path)).generator()
+
+
+def nested_grid(durations, step: float):
+    """Euler grid of nested excursions of the given durations.
+
+    Returns the per-lane step counts ceil(duration / step) and the step
+    widths, shape (max count, n lanes): `step`, except that each lane's
+    last step is shortened so that its widths sum to its duration, and 0
+    past a lane's last step.
+    """
+    durations = np.asarray(durations, dtype=float)
+    if step <= 0 or np.any(durations < 0):
+        raise ValueError("need duration >= 0 and step > 0")
+    counts = np.ceil(durations / step).astype(np.int64)
+    k = np.arange(counts.max(initial=0))[:, None]
+    last = durations - step * (counts - 1)
+    widths = np.where(k < counts - 1, step, np.where(k == counts - 1, last, 0.0))
+    return counts, widths
+
+
+def nested_increments(lanes: JumpLanes, durations, step: float, dim: int = 1) -> np.ndarray:
+    """Brownian increments of every lane on its `nested_grid`.
+
+    Shape (max count, n lanes, dim); zero past a lane's last step.  Lane
+    i's increments are those `nested_brownian` gives its jump.
+    """
+    counts, widths = nested_grid(durations, step)
+    normals = np.zeros(widths.shape + (dim,))
+    for i, n in enumerate(counts.tolist()):
+        if n:
+            normals[:n, i] = lanes.generator(i, TAG_NESTED).standard_normal((n, dim))
+    return normals * np.sqrt(widths)[..., None]
+
+
 def nested_brownian(path: MarkedPoissonPath, jump_index: int, duration: float,
                     step: float, dim: int = 1) -> np.ndarray:
     """Brownian increments on [0, duration] from the jump's sub-stream.
@@ -80,12 +154,4 @@ def nested_brownian(path: MarkedPoissonPath, jump_index: int, duration: float,
     `duration` exactly.  Reproducible: the same (path stream, jump index)
     always yields the same increments.
     """
-    if duration < 0 or step <= 0:
-        raise ValueError("need duration >= 0 and step > 0")
-    if duration == 0:
-        return np.empty((0, dim))
-    n = int(np.ceil(duration / step))
-    widths = np.full(n, step)
-    widths[-1] = duration - step * (n - 1)
-    gen = path.jump_stream(jump_index, TAG_NESTED).generator()
-    return gen.standard_normal((n, dim)) * np.sqrt(widths)[:, None]
+    return nested_increments(JumpLanes.of(path, jump_index), [duration], step, dim)[:, 0]

@@ -8,8 +8,10 @@ parallel Monte Carlo runs bit-reproducible.
 Implementation: numpy's Philox4x64-10 counter-based generator.  The 64-bit
 seed and the tag form the Philox key; (path, jump, replica, 0) fill the
 four counter words.  `_philox_address` is the one function that holds this
-layout; `RngStream.generator` and the batch kernel `philox_random` both
-read it.
+layout; `RngStream.generator`, `seek` and the batch kernel `philox_random`
+all read it.  `seek` re-addresses one existing Philox generator instead of
+building a new one, which is what a loop over many short streams wants: a
+fresh generator costs about four times as much as the re-address.
 
 Streams are not all disjoint.  numpy increments counter word 0 before each
 block of four 64-bit outputs, and word 0 also holds the path.  So the
@@ -73,6 +75,22 @@ class RngStream:
         counter, key = _philox_address(self, self.path)
         bitgen = np.random.Philox(counter=np.array(counter, dtype=np.uint64), key=key)
         return np.random.Generator(bitgen)
+
+
+def seek(gen: np.random.Generator, stream: RngStream, path=None) -> np.random.Generator:
+    """Position `gen`, a Philox generator, at the start of `stream`.
+
+    With `path` given, the stream is taken at that path instead of its own.
+    Returns `gen`, which then draws exactly what `stream.generator()` (or
+    `stream.child(path=path).generator()`) would.
+    """
+    counter, key = _philox_address(stream, stream.path if path is None else path)
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.array(counter, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
+    return gen
 
 
 def _philox_address(stream: RngStream, path):

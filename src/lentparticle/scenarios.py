@@ -3,7 +3,9 @@
 Each builder returns a fully wired Scenario with hand-written coefficient
 jets (mark jets must be analytically exact for the order-2 calculus, so
 there is no expression language -- the catalog is code, configured by
-numeric parameters only).
+numeric parameters only).  Every coefficient is written for one path and,
+with a leading lane axis on its arguments, for many paths at once (see
+`sde.Scenario`); a constant is left without the lane axis.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import numpy as np
 
 from .bottom import EuclideanBottom, WienerOUBottom, WienerSquareBottom
 from .measures import compensator_integral, power_law
+from .prm import nested_increments
+from .rng import TAG_NESTED
 from .sde import Scenario, SimpleJets
 
 CATALOG = {}
@@ -108,7 +112,7 @@ def compound(eps: float = 0.5, trunc: float = 0.01, ymax: float = 1.0,
     return Scenario(
         name="compound", dim=1, x0=np.array([x0]), horizon=horizon,
         measure=spec, bottom=bottom,
-        c=lambda s, x, u: np.array([u]),
+        c=lambda s, x, u: np.asarray(u, dtype=float)[..., None],
         dx_c=lambda s, x, u: np.array([[0.0]]),
         dxx_c=lambda s, x, u: np.zeros((1, 1, 1)),
         compensated=compensated, simple=jets,
@@ -140,7 +144,7 @@ def compound_linear(beta: float = 0.5, eps: float = 0.5, trunc: float = 0.01,
     r, rp = _power_log_slope(eps)
     bottom = EuclideanBottom(
         xi=xi, xi_prime=xip,
-        c_u=lambda s, x, u: np.array([beta * x[0]]),
+        c_u=lambda s, x, u: beta * x,
         c_uu=lambda s, x, u: np.array([0.0]),
         dlog_m=r)
     mean_jump = float(compensator_integral(spec, lambda u: u, 1.0))
@@ -149,14 +153,14 @@ def compound_linear(beta: float = 0.5, eps: float = 0.5, trunc: float = 0.01,
     return Scenario(
         name="compound-linear", dim=1, x0=np.array([x0]), horizon=horizon,
         measure=spec, bottom=bottom,
-        c=lambda s, x, u: np.array([beta * x[0] * u]),
-        dx_c=lambda s, x, u: np.array([[beta * u]]),
+        c=lambda s, x, u: beta * x * np.asarray(u, dtype=float)[..., None],
+        dx_c=lambda s, x, u: beta * np.asarray(u, dtype=float)[..., None, None],
         dxx_c=lambda s, x, u: np.zeros((1, 1, 1)),
         compensated=compensated,
-        comp_c=lambda s, x: np.array([beta * x[0] * mean_jump]),
+        comp_c=lambda s, x: beta * x * mean_jump,
         comp_dx_c=lambda s, x: np.array([[beta * mean_jump]]),
         comp_dxx_c=lambda s, x: np.zeros((1, 1, 1)),
-        comp_gen_c=lambda s, x: np.array([beta * x[0] * mean_gen]),
+        comp_gen_c=lambda s, x: beta * x * mean_gen,
         meta={"beta": beta,
               "symmetry_pair": (*_bump_weight(spec.lower, spec.upper),
                                 lambda u: u, lambda u: 1.0)})
@@ -231,10 +235,10 @@ def subordination_nonlinear(eps: float = 0.5, trunc: float = 0.01, ymax: float =
     spec = power_law(eps, ymax=ymax, trunc=trunc)
 
     def a(z):
-        return np.array([[0.4 + 0.1 * math.tanh(z[0])]])
+        return (0.4 + 0.1 * np.tanh(z))[:, :, None]
 
     def a_jac(z):
-        return np.array([[[0.1 / math.cosh(z[0]) ** 2]]])
+        return (0.1 / np.cosh(z) ** 2)[:, :, None, None]
 
     bottom = WienerOUBottom(dim=1, n_brownian=1, diff=a, diff_jac=a_jac,
                             step=nested_step)
@@ -249,18 +253,14 @@ def subordination_nonlinear(eps: float = 0.5, trunc: float = 0.01, ymax: float =
 class _FieldBottom(WienerOUBottom):
     """Jump = nested diffusion pushed for the jump's duration by a random
     direction; the direction angle is part of the mark (drawn from the
-    jump's sub-stream) and sets the nested drift."""
+    jump's sub-stream, replica 1) and sets the nested drift of its lane."""
 
-    def eval_jump(self, s, x, path, j):
-        from .prm import nested_brownian
-        from .rng import TAG_NESTED
-        r = float(path.marks[j])
-        theta = float(path.jump_stream(j, TAG_NESTED).child(replica=1)
-                      .generator().uniform(0.0, 2 * math.pi))
-        pushed = replace(self, drift=lambda z: np.array([math.cos(theta), math.sin(theta)]),
-                         drift_jac=lambda z: np.zeros((2, 2)))
-        incs = nested_brownian(path, j, r, self.step, dim=self.n_brownian)
-        return pushed.evolve(np.asarray(x, dtype=float), r, incs)
+    def eval_jumps(self, s, x, lanes):
+        theta = np.array([lanes.generator(i, TAG_NESTED, replica=1).uniform(0.0, 2 * math.pi)
+                          for i in range(len(lanes))])
+        push = np.stack([np.cos(theta), np.sin(theta)], -1)
+        incs = nested_increments(lanes, lanes.marks, self.step, self.n_brownian)
+        return replace(self, drift=lambda z: push).evolve(x, lanes.marks, incs)
 
 
 @_register("levy-field-demo")
@@ -275,13 +275,15 @@ def levy_field_demo(eps: float = 0.5, trunc: float = 0.05, ymax: float = 1.0,
     spec = power_law(eps, ymax=ymax, trunc=trunc)
 
     def upsilon(z):
-        return np.array([[0.25 + 0.05 * math.sin(z[1]), 0.0],
-                         [0.0, 0.25 + 0.05 * math.cos(z[0])]])
+        out = np.zeros((len(z), 2, 2))
+        out[:, 0, 0] = 0.25 + 0.05 * np.sin(z[:, 1])
+        out[:, 1, 1] = 0.25 + 0.05 * np.cos(z[:, 0])
+        return out
 
     def upsilon_jac(z):
-        out = np.zeros((2, 2, 2))
-        out[0, 0, 1] = 0.05 * math.cos(z[1])
-        out[1, 1, 0] = -0.05 * math.sin(z[0])
+        out = np.zeros((len(z), 2, 2, 2))
+        out[:, 0, 0, 1] = 0.05 * np.cos(z[:, 1])
+        out[:, 1, 1, 0] = -0.05 * np.sin(z[:, 0])
         return out
 
     bottom = _FieldBottom(dim=2, n_brownian=2, diff=upsilon, diff_jac=upsilon_jac,

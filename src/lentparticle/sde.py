@@ -16,6 +16,14 @@ of c.  The same event-by-event recursion also propagates, on demand,
   consume.  It is computed after the event loop by `SimpleJets.table`, the
   same code the vectorised ensemble runs.
 
+`integrate` solves one path and is the only engine for order 2, per-event
+history and gradient injectors.  `integrate_batch` runs the same order-1
+recursion for a chunk of paths at once: all paths advance in lockstep by
+event index (jump index when uncompensated), with the state, K, Kbar and C
+held as (n, d) and (n, d, d) arrays, and each lockstep event resolves its
+jumps with one `eval_jumps` call on the bottom structure.  Every random
+draw is the one `integrate` makes for that path.
+
 Every measure-average is scenario data (the comp_* callables); nothing is
 averaged by quadrature here.  Jump times are events of the grid, and an
 Euler grid is added only when the scenario is compensated.  Uncompensated
@@ -35,7 +43,8 @@ import numpy as np
 
 from .bottom import BottomStructure, CapabilityError
 from .measures import LevyMeasureSpec, compensator_integral
-from .prm import MarkedPoissonPath
+from .prm import JumpLanes, MarkedPoissonPath, sample_path
+from .rng import RngStream
 
 DET_FLOOR = 1e-12
 
@@ -157,6 +166,13 @@ class Scenario:
     three, which drive the state, the flow and the generator path between
     jumps; the generator path (jet order 2) also needs comp_gen_c.
 
+    Lane axis: `integrate_batch` calls c, dx_c, comp_c and comp_dx_c (and
+    the bottom's gamma_c) with a leading lane axis on every argument, s
+    (n,), x (n, d) and ev as `eval_jumps` resolves it, and expects (n, d)
+    and (n, d, d) back; a value without the lane axis (a constant) is taken
+    to hold for every lane.  `integrate` calls them for one path, without
+    the lane axis.
+
     Uncompensated, the state only jumps, and `integrate` evaluates the
     generator-path drift (comp_gen_c) once per inter-jump gap; such a
     scenario's comp_gen_c must not depend on s, as none in the catalog
@@ -249,6 +265,16 @@ class EventError(RuntimeError):
         self.event_index = event_index
 
 
+def _event_times(scenario: Scenario, path: MarkedPoissonPath) -> np.ndarray:
+    """Event grid of a path: 0, the jump times and T, plus an Euler grid
+    when the state drifts (the generator path alone drifts by a constant
+    between jumps)."""
+    T = scenario.horizon
+    if scenario.compensated:
+        return np.union1d(np.linspace(0.0, T, scenario.n_steps + 1), path.times)
+    return np.unique(np.concatenate([[0.0], path.times, [T]]))
+
+
 def _average(fn, s, x, shape) -> np.ndarray:
     """A comp_* callable at (s, x), as a float array of the given shape."""
     return np.asarray(fn(s, x), dtype=float).reshape(shape)
@@ -269,13 +295,7 @@ def integrate(scenario: Scenario, path: MarkedPoissonPath, order: int) -> Trajec
     need_flow = order >= 1
     need_a = order >= 2
 
-    # event grid: jump times, plus an Euler grid when the state drifts; the
-    # generator path alone drifts by a constant between jumps
-    if comp:
-        grid = np.linspace(0.0, T, scenario.n_steps + 1)
-        times = np.union1d(grid, path.times)
-    else:
-        times = np.unique(np.concatenate([[0.0], path.times, [T]]))
+    times = _event_times(scenario, path)
     jump_events = np.searchsorted(times, path.times)
 
     x = scenario.x0.copy()
@@ -368,6 +388,119 @@ def integrate(scenario: Scenario, path: MarkedPoissonPath, order: int) -> Trajec
                       k_events=k_events, kbar_events=kbar_events,
                       c_events=c_events, a_events=a_events,
                       gamma_incs=gamma_incs, order2=tab)
+
+
+@dataclass
+class LockstepJumps:
+    """The jumps taken at one lockstep event of `integrate_batch`."""
+
+    lanes: np.ndarray      # lanes that jump there
+    index: np.ndarray      # their jump indices
+    ev: object             # their resolutions, with a leading lane axis
+
+
+@dataclass
+class TrajectoryBatch:
+    """Order-1 results at the horizon for a chunk of paths, one per lane."""
+
+    paths: list                            # MarkedPoissonPath per lane
+    x: np.ndarray                          # (n, d) states at T
+    k: np.ndarray                          # (n, d, d) flow derivative K
+    c: np.ndarray                          # (n, d, d) accumulator C
+    kk_err: np.ndarray                     # (n,) max over events of |K Kbar - I|
+    jumps: list                            # LockstepJumps per event with jumps
+
+    @property
+    def gamma(self) -> np.ndarray:
+        """Malliavin matrices K C K^T at T, (n, d, d)."""
+        return self.k @ self.c @ self.k.transpose(0, 2, 1)
+
+
+def _lanes(value, shape) -> np.ndarray:
+    """A coefficient value as a float array with the lane axis, broadcast."""
+    return np.broadcast_to(np.asarray(value, dtype=float), shape)
+
+
+def _kk_err(K: np.ndarray, Kb: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(K @ Kb - np.eye(K.shape[-1])), axis=(1, 2))
+
+
+def integrate_batch(scenario: Scenario, n_paths: int, stream: RngStream,
+                    path_offset: int = 0) -> TrajectoryBatch:
+    """The order-1 recursion of `integrate` for paths [offset, offset + n) of
+    `stream`, advanced in lockstep.
+
+    Path i is `prm.sample_path` at address p = path_offset + i + 1, as in
+    `ensemble.sample_mark_sets`, and draws what `integrate` draws for it.
+    Each lane's arithmetic does not depend on the other lanes, so a chunk
+    split into parts gives the same bits as the whole.
+    """
+    d, T, comp = scenario.dim, scenario.horizon, scenario.compensated
+    n = n_paths
+    paths = [sample_path(scenario.measure, T, stream.child(path=path_offset + i + 1))
+             for i in range(n)]
+    times = [_event_times(scenario, p) for p in paths]
+    n_events = np.array([len(t) for t in times])
+    width = int(n_events.max(initial=1))
+    ev_times = np.full((n, width), np.nan)
+    jump_at = np.full((n, width), -1)
+    marks = np.zeros((n, max((p.n_jumps for p in paths), default=0)))
+    for i, (t, p) in enumerate(zip(times, paths)):
+        ev_times[i, :len(t)] = t
+        jump_at[i, np.searchsorted(t, p.times)] = np.arange(p.n_jumps)
+        marks[i, :p.n_jumps] = p.marks
+    addresses = np.arange(path_offset + 1, path_offset + n + 1)
+    gen = stream.generator()          # re-addressed for every per-jump draw
+
+    eye = np.eye(d)
+    x = np.tile(scenario.x0, (n, 1))
+    K = np.tile(eye, (n, 1, 1))
+    Kb = K.copy()
+    C = np.zeros((n, d, d))
+    kk = np.zeros(n)
+    jumps = []
+    for k in range(1, width):
+        live = np.flatnonzero(k < n_events)
+        if comp:
+            # Euler step; every average is taken at the step's start, so the
+            # state and the flow are updated last
+            dt = ev_times[live, k] - ev_times[live, k - 1]
+            lanes, dt = live[dt > 0], dt[dt > 0]
+            if lanes.size:
+                m, s_prev, xl = len(lanes), ev_times[lanes, k - 1], x[lanes]
+                cdx = _lanes(scenario.comp_dx_c(s_prev, xl), (m, d, d))
+                K[lanes] = K[lanes] - cdx @ K[lanes] * dt[:, None, None]
+                Kb[lanes] = Kb[lanes] + Kb[lanes] @ cdx * dt[:, None, None]
+                x[lanes] = xl - _lanes(scenario.comp_c(s_prev, xl), (m, d)) * dt[:, None]
+                kk[lanes] = np.maximum(kk[lanes], _kk_err(K[lanes], Kb[lanes]))
+        if not np.all(np.isfinite(x[live])):
+            raise EventError("state overflow", k)
+
+        lanes = live[jump_at[live, k] >= 0]
+        if not lanes.size:
+            continue
+        m, js, s, xl = len(lanes), jump_at[lanes, k], ev_times[lanes, k], x[lanes]
+        ev = scenario.bottom.eval_jumps(
+            s, xl, JumpLanes(stream, addresses[lanes], js, marks[lanes, js], gen))
+        cval = _lanes(scenario.c(s, xl, ev), (m, d))
+        dxc = (_lanes(scenario.dx_c(s, xl, ev), (m, d, d))
+               if scenario.dx_c is not None else np.zeros((m, d, d)))
+        jac = eye + dxc
+        det = np.linalg.det(jac)
+        bad = np.flatnonzero(np.abs(det) < DET_FLOOR)
+        if bad.size:
+            raise EventError(
+                f"singular jump Jacobian det={det[bad[0]]:.3e} on path "
+                f"{addresses[lanes[bad[0]]]}; state-coefficient invertibility violated", k)
+        gamma = _lanes(scenario.bottom.gamma_c(s, xl, ev), (m, d, d))
+        K[lanes] = jac @ K[lanes]
+        kb = Kb[lanes] @ np.linalg.inv(jac)
+        Kb[lanes] = kb
+        C[lanes] = C[lanes] + kb @ gamma @ kb.transpose(0, 2, 1)
+        x[lanes] = xl + cval
+        kk[lanes] = np.maximum(kk[lanes], _kk_err(K[lanes], kb))
+        jumps.append(LockstepJumps(lanes=lanes, index=js, ev=ev))
+    return TrajectoryBatch(paths=paths, x=x, k=K, c=C, kk_err=kk, jumps=jumps)
 
 
 def check_jets(scenario: Scenario, probes, rel_tol: float = 1e-4) -> float:

@@ -1,10 +1,13 @@
 """Shared fixtures: large ensembles are expensive, so they are built once
 per session and reused by the module tests and the acceptance suite."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from lentparticle import ensemble, scenarios
+from lentparticle.prm import sample_path
 from lentparticle.rng import RngStream
 
 
@@ -25,3 +28,26 @@ def ens_bump_100k():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture(scope="session")
+def lone_mark_singular():
+    """Builds compound-linear with I + D_x c = 0 at one mark that only one
+    of paths 1 .. n takes (neighbouring paths share most marks), other than
+    path 1; returns the scenario and that path's address."""
+    def make(sc, seed, n):
+        marks = [sample_path(sc.measure, sc.horizon, RngStream(seed=seed, path=i + 1)).marks
+                 for i in range(n)]
+        vals, counts = np.unique(np.concatenate(marks), return_counts=True)
+        lone = vals[counts == 1]
+        path = next(i for i in range(n - 1, 0, -1) if np.isin(marks[i], lone).any())
+        mark = marks[path][np.isin(marks[path], lone)][0]
+        beta = sc.meta["beta"]
+
+        def dx_c(s, x, u):
+            u = np.asarray(u)[..., None, None]
+            return np.where(u == mark, -1.0, beta * u)
+
+        return replace(sc, dx_c=dx_c), path + 1
+
+    return make

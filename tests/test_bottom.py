@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from lentparticle.bottom import (EuclideanBottom, WienerOUBottom,
-                                 WienerSquareBottom, generator_symmetry_residual,
-                                 wiener_ou_eval)
+                                 WienerSquareBottom, generator_symmetry_residual)
 from lentparticle.measures import power_law
-from lentparticle.prm import sample_path
+from lentparticle.prm import MarkedPoissonPath, sample_path
 from lentparticle.rng import RngStream
 from lentparticle import scenarios
 
@@ -113,6 +112,13 @@ def test_flat_moments_match_gamma(rng):
 # Wiener-mark structures
 # ---------------------------------------------------------------------------
 
+def _excursion(bottom, x, y, stream):
+    """One nested excursion of duration y from x: jump 0 of a one-jump path
+    on `stream`, resolved by `eval_jump`."""
+    path = MarkedPoissonPath(1.0, np.array([0.5]), np.array([y]), stream)
+    return bottom.eval_jump(0.5, np.asarray(x, dtype=float), path, 0)
+
+
 def test_wiener_square_closed_forms():
     b = WienerSquareBottom()
     path = sample_path(SPEC, 1.0, RngStream(seed=8, path=1))
@@ -137,16 +143,16 @@ def test_wiener_square_eval_reproducible():
 def test_wiener_ou_constant_coefficients_exact():
     # d(zeta) = I dB: M = I and gamma_M = y * I at any Euler step
     b = WienerOUBottom(dim=2, n_brownian=2, diff=lambda z: np.eye(2), step=0.1)
-    z, gam, m, m_inv = wiener_ou_eval(b, np.zeros(2), 0.3, RngStream(seed=9))
-    np.testing.assert_allclose(gam, 0.3 * np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(m, np.eye(2), atol=1e-12)
+    ev = _excursion(b, np.zeros(2), 0.3, RngStream(seed=9))
+    np.testing.assert_allclose(ev.gamma_m, 0.3 * np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(ev.m, np.eye(2), atol=1e-12)
 
 
 def test_wiener_ou_zero_duration():
     b = WienerOUBottom(dim=2, n_brownian=2, diff=lambda z: np.eye(2), step=0.1)
-    z, gam, m, m_inv = wiener_ou_eval(b, np.ones(2), 0.0, RngStream(seed=9))
-    assert np.all(z == 0) and np.all(gam == 0)
-    np.testing.assert_array_equal(m, np.eye(2))
+    ev = b.evolve(np.ones((1, 2)), np.zeros(1), np.zeros((0, 1, 2)))
+    assert np.all(ev.z == 0) and np.all(ev.gamma_m == 0)
+    np.testing.assert_array_equal(ev.m, np.eye(2)[None])
 
 
 def test_wiener_ou_flow_inverse_consistency():
@@ -155,19 +161,18 @@ def test_wiener_ou_flow_inverse_consistency():
     b = sc.bottom
     worst = 0.0
     for i in range(5):
-        z, gam, m, m_inv = wiener_ou_eval(b, np.zeros(1), 0.8,
-                                          RngStream(seed=10, path=i + 1))
-        worst = max(worst, float(np.max(np.abs(m @ m_inv - np.eye(1)))))
-        assert np.linalg.eigvalsh(gam)[0] >= -1e-10
+        ev = _excursion(b, np.zeros(1), 0.8, RngStream(seed=10, path=i + 1))
+        worst = max(worst, float(np.max(np.abs(ev.m @ ev.m_inv - np.eye(1)))))
+        assert np.linalg.eigvalsh(ev.gamma_m)[0] >= -1e-10
     assert worst < 0.02
 
 
 def test_wiener_ou_gamma_psd(rng):
     sc = scenarios.build("subordination-linear")
     for i in range(10):
-        _, gam, _, _ = wiener_ou_eval(sc.bottom, np.zeros(2), float(rng.uniform(0.1, 1.0)),
-                                      RngStream(seed=11, path=i + 1))
-        assert np.linalg.eigvalsh(gam)[0] >= -1e-10
+        ev = _excursion(sc.bottom, np.zeros(2), float(rng.uniform(0.1, 1.0)),
+                        RngStream(seed=11, path=i + 1))
+        assert np.linalg.eigvalsh(ev.gamma_m)[0] >= -1e-10
 
 
 def test_field_bottom_jumps_do_not_share_drift():

@@ -1,5 +1,6 @@
 """Command-line pipelines: schema handling, exit codes, reproducibility."""
 
+import functools
 import json
 import warnings
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lentparticle import cli, report
+from lentparticle import cli, report, scenarios
 
 HERE = Path(__file__).parent
 
@@ -123,12 +124,36 @@ def test_zero_mass_run_is_hypothesis_failure(tmp_path, capsys):
         assert not (tmp_path / name).exists()
 
 
-@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("command", ["validate", "run", "crosscheck"])
 def test_ymax_range_checked_before_simulation(tmp_path, capsys, command):
-    path, _ = _config(tmp_path, "negymax", params={"ymax": -1.0})
+    path, _ = _config(tmp_path, "negymax", scenario="subordination-linear",
+                      params={"ymax": -1.0})
     code, err = _exit_and_stderr(capsys, [command, str(path)])
     assert code == cli.EXIT_HYPOTHESIS and "params.ymax" in err
     assert not (tmp_path / "negymax").exists()
+
+
+@pytest.mark.parametrize("key,value", [("trunc", 2.0), ("eps", 1.5)])
+def test_crosscheck_param_ranges_checked_before_simulation(tmp_path, capsys, key, value):
+    path, _ = _config(tmp_path, "xbad", scenario="subordination-linear",
+                      run={"paths": 4}, params={key: value})
+    code, err = _exit_and_stderr(capsys, ["crosscheck", str(path)])
+    assert code == cli.EXIT_HYPOTHESIS and f"params.{key}" in err
+    assert not (tmp_path / "xbad").exists()
+
+
+def test_singular_jacobian_in_one_lane_exits_numeric(tmp_path, capsys, monkeypatch,
+                                                     lone_mark_singular):
+    # the trajectory route meets I + D_x c = 0 on one path of the chunk only
+    build = scenarios.CATALOG["compound-linear"]
+    bad, bad_path = lone_mark_singular(build(), 42, 12)
+    monkeypatch.setitem(scenarios.CATALOG, "compound-linear",
+                        functools.wraps(build)(lambda **params: bad))
+    path, _ = _config(tmp_path, "singular", scenario="compound-linear",
+                      run={"paths": 12, "rho_replicas": 10})
+    code, err = _exit_and_stderr(capsys, ["run", str(path)])
+    assert code == cli.EXIT_NUMERIC
+    assert "singular jump Jacobian" in err and f"on path {bad_path};" in err
 
 
 def test_validate_catalog_defaults_ok(tmp_path, capsys):

@@ -9,7 +9,7 @@ from scipy.stats import kstest
 
 from lentparticle.measures import power_law
 from lentparticle.prm import RADEMACHER, attach_rho_marks, nested_brownian, sample_path
-from lentparticle.rng import TAG_MARK, TAG_RHO, TAG_TIME, RngStream
+from lentparticle.rng import TAG_MARK, TAG_NESTED, TAG_NOISE, TAG_RHO, TAG_TIME, RngStream, seek
 
 SPEC = power_law(0.5, ymax=1.0, trunc=0.01)   # mass 18
 
@@ -37,6 +37,26 @@ def test_seed_keys_distinct_without_warning():
         draws = {RngStream(seed=s, path=1, tag=TAG_MARK).generator().random(4).tobytes()
                  for s in seeds}
     assert len(draws) == len(seeds)
+
+
+@pytest.mark.parametrize("seed", [0, 42, -4, 2**63, 2**64 - 1])
+def test_seek_draws_what_generator_draws(seed):
+    gen = RngStream(seed=1).generator()
+    for path in (0, 1, 2, 9):
+        for jump in (0, 1, 5):
+            for replica in (0, 1, 3):
+                for tag in (TAG_MARK, TAG_NESTED, TAG_NOISE):
+                    stream = RngStream(seed, path, jump, replica, tag)
+                    # leave gen mid-block and holding half a 64-bit word
+                    gen.random(3)
+                    gen.integers(0, 7, dtype=np.int32)
+                    assert np.array_equal(seek(gen, stream).standard_normal((3, 2)),
+                                          stream.generator().standard_normal((3, 2)))
+                    assert np.array_equal(seek(gen, stream).uniform(0.0, 2 * math.pi, 5),
+                                          stream.generator().uniform(0.0, 2 * math.pi, 5))
+                    other = stream.child(path=path + 7)
+                    assert np.array_equal(seek(gen, other, path).standard_normal(4),
+                                          stream.generator().standard_normal(4))
 
 
 def test_child_overrides_coordinates():

@@ -1,17 +1,18 @@
 """Event-driven solver: exactness, flow algebra, generator path, jets."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lentparticle import ibp, scenarios, sde
+from lentparticle import cli, ibp, lent, scenarios, sde
 from lentparticle.bottom import CapabilityError, EuclideanBottom
 from lentparticle.ensemble import simple_ensemble
 from lentparticle.measures import compensator_integral, power_law
 from lentparticle.prm import sample_path
 from lentparticle.rng import RngStream
-from lentparticle.sde import EventError, Scenario, check_jets, integrate
+from lentparticle.sde import EventError, Scenario, check_jets, integrate, integrate_batch
 
 SPEC = power_law(0.5, ymax=1.0, trunc=0.01)
 
@@ -229,8 +230,76 @@ def test_check_jets_catalog_and_broken():
     sc = scenarios.build("compound-linear")
     probes = [(0.1, np.array([1.5]), 0.3), (0.9, np.array([-0.4]), 0.8)]
     assert check_jets(sc, probes) < 1e-6
-    from dataclasses import replace
     bad = replace(sc, dx_c=lambda s, x, u: np.array([[0.0]]))
     with pytest.raises(ValueError, match="inconsistent"):
         check_jets(bad, probes)
 
+
+
+# ---------------------------------------------------------------------------
+# lockstep batch against the per-path event loop
+# ---------------------------------------------------------------------------
+
+BATCH_CASES = [("compound-linear", {}), ("compound-linear", {"compensated": True}),
+               ("simple2d", {}), ("subordination-linear", {}),
+               ("subordination-nonlinear", {}), ("levy-field-demo", {})]
+
+
+def _per_path_chunk(sc, seed, start, count):
+    """What the trajectory route computed path by path with `integrate`."""
+    d = sc.dim
+    rows = []
+    for i in range(count):
+        path = sample_path(sc.measure, sc.horizon, RngStream(seed=seed, path=start + i + 1))
+        traj = integrate(sc, path, order=1)
+        mm = lent.malliavin_matrix(traj)
+        kk = max(float(np.max(np.abs(k @ kb - np.eye(d))))
+                 for k, kb in zip(traj.k_events, traj.kbar_events))
+        margin = math.nan
+        lower_bound = sc.meta.get("pathwise_lower_bound")
+        if lower_bound is not None:
+            bound = lower_bound(path.marks, np.array([rec.ev.b for rec in traj.jumps]))
+            margin = float(np.linalg.eigvalsh(mm.gamma - bound * np.eye(d))[0])
+        rows.append((traj.x_final, path.n_jumps, kk, mm.min_eigenvalue(), margin))
+    return rows
+
+
+@pytest.mark.parametrize("horizon", [None, 0.1])
+@pytest.mark.parametrize("name,params", BATCH_CASES)
+def test_batch_matches_per_path_loop(name, params, horizon):
+    # a horizon of 0.1 (1.8 jumps per path on average) mixes in zero-jump paths
+    if horizon is not None:
+        params = dict(params, horizon=horizon)
+    sc = scenarios.build(name, **params)
+    start, count = 3, 8 if params.get("compensated") else 16
+    out = cli._traj_chunk((name, params, start, count, 21))
+    ref = _per_path_chunk(sc, 21, start, count)
+    if horizon is not None:
+        assert 0 < np.count_nonzero(out["n_jumps"] == 0) < count
+    for i, (x, n_jumps, kk, eig, margin) in enumerate(ref):
+        assert out["n_jumps"][i] == n_jumps
+        np.testing.assert_allclose(out["x"][i], x, rtol=0, atol=1e-12)
+        assert abs(out["kk_err"][i] - kk) <= 1e-12
+        assert abs(out["gamma_min_eig"][i] - eig) <= 1e-12
+        if math.isnan(margin):
+            assert math.isnan(out["bound_margin"][i])
+        else:
+            assert abs(out["bound_margin"][i] - margin) <= 1e-12
+
+
+@pytest.mark.parametrize("name,params", BATCH_CASES)
+def test_batch_chunk_split_bit_identical(name, params):
+    n, k = 12, 5
+    whole = cli._traj_chunk((name, params, 0, n, 33))
+    parts = [cli._traj_chunk((name, params, a, b - a, 33)) for a, b in ((0, 1), (1, k), (k, n))]
+    for key, val in whole.items():
+        np.testing.assert_array_equal(np.concatenate([p[key] for p in parts]), val)
+
+
+def test_batch_singular_jacobian_in_one_lane_raises(lone_mark_singular):
+    bad, path = lone_mark_singular(scenarios.build("compound-linear"), 5, 10)
+    with pytest.raises(EventError, match=f"singular jump Jacobian .* on path {path};"):
+        integrate_batch(bad, 10, RngStream(seed=5))
+    # the other lanes alone run through
+    integrate_batch(bad, path - 1, RngStream(seed=5))
+    integrate_batch(bad, 10 - path, RngStream(seed=5), path_offset=path)

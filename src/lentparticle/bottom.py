@@ -5,8 +5,7 @@ Each structure knows how to
 * resolve a raw mark into whatever the coefficients need (possibly running
   a nested simulation addressed by the jump's sub-stream),
 * produce the quadratic-form matrix of the jump coefficient in the mark
-  variable (a symmetric PSD d x d matrix),
-* produce, where it has one, the generator applied to the coefficient, and
+  variable (a symmetric PSD d x d matrix), and
 * produce the linear map sending an auxiliary rho-block to a zero-mean
   gradient sample whose second moment is that matrix.
 
@@ -14,7 +13,7 @@ Marks are resolved for many paths at once: `eval_jumps` takes one jump
 per lane (`prm.JumpLanes`) and returns a resolution with a leading lane
 axis, and `gamma_c` maps it to the (n, d, d) matrices.  The one-path
 `eval_jump` is the one-lane case, with the lane axis dropped; `gamma_c`
-then gives (d, d).  `gen_c` and `flat_matrix` take one path's resolution.
+then gives (d, d).  `flat_matrix` takes one path's resolution.
 
 Two families are provided: a weighted structure on a Euclidean mark
 interval, and Wiener-space structures (Ornstein-Uhlenbeck) for jumps that
@@ -28,15 +27,13 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
-from .measures import QUAD_ABS_TOL, LevyMeasureSpec
 from .prm import JumpLanes, MarkedPoissonPath, nested_grid, nested_increments
 from .rng import TAG_NESTED
 
 
 class CapabilityError(RuntimeError):
-    """A bottom structure lacks a capability an operation requires."""
+    """A scenario or its bottom structure lacks a capability an operation requires."""
 
 
 class BottomStructure:
@@ -56,9 +53,6 @@ class BottomStructure:
 
     def gamma_c(self, s, x, ev) -> np.ndarray:
         raise NotImplementedError
-
-    def gen_c(self, s, x, ev) -> np.ndarray:
-        raise CapabilityError("this bottom structure has no generator")
 
     def flat_matrix(self, s, x, ev) -> np.ndarray:
         """Linear map (d, block_dim) sending a rho-block to a gradient sample."""
@@ -80,25 +74,15 @@ def _lane(ev, i):
 class EuclideanBottom(BottomStructure):
     """Weighted structure on a mark interval.
 
-    The quadratic form on scalar functions is xi(u) * f'(u)**2 and the
-    generator is the symmetric operator
+    The quadratic form on scalar functions is xi(u) * f'(u)**2; its
+    generator, for scalar mark sums, is `sde.SimpleJets.ah`.
 
-        a[f] = xi f''/2 + (xi' + xi m'/m) f'/2
-
-    where m is the density of the jump measure.  The formula comes from
-    integrating the form by parts against m; it is the generator only on
-    functions whose weighted flux xi*m*f' vanishes at both endpoints of
-    the support, which is a property of the scenario, not of this class.
-
-    c_u / c_uu are the mark-derivatives of the jump coefficient,
-    signatures (s, x, u) -> (d,), or (n, d) for n lanes.
+    c_u is the mark-derivative of the jump coefficient, signature
+    (s, x, u) -> (d,), or (n, d) for n lanes.
     """
 
     xi: Callable
-    xi_prime: Callable
     c_u: Callable
-    c_uu: Callable | None = None
-    dlog_m: Callable | None = None      # m'/m of the measure density
 
     block_dim = 1
 
@@ -113,42 +97,9 @@ class EuclideanBottom(BottomStructure):
         xi = np.asarray(self.xi(u), dtype=float)
         return xi[..., None, None] * (du[..., :, None] * du[..., None, :])
 
-    def gen_c(self, s, x, u):
-        if self.c_uu is None or self.dlog_m is None:
-            raise CapabilityError("generator needs c_uu and the measure log-density slope")
-        slope = self.dlog_m(u)
-        if not math.isfinite(slope):
-            raise ValueError(f"m'/m diverges at u={u}; generator undefined there")
-        du = np.atleast_1d(np.asarray(self.c_u(s, x, u), dtype=float))
-        duu = np.atleast_1d(np.asarray(self.c_uu(s, x, u), dtype=float))
-        return 0.5 * self.xi(u) * duu + 0.5 * (self.xi_prime(u) + self.xi(u) * slope) * du
-
     def flat_matrix(self, s, x, u):
         du = np.atleast_1d(np.asarray(self.c_u(s, x, u), dtype=float))
         return (math.sqrt(self.xi(u)) * du)[:, None]
-
-
-def generator_symmetry_residual(bottom: EuclideanBottom, spec: LevyMeasureSpec,
-                                f, fp, fpp, g, gp) -> float:
-    """Quadrature value of  int a[f] g dnu + 1/2 int xi f' g' dnu.
-
-    Zero (within quadrature tolerance) whenever the boundary flux of the
-    test pair vanishes; used as the executable symmetry check for the
-    generator formula.
-    """
-    lo, hi = spec.lower, spec.upper
-
-    def left(u):
-        a_f = (0.5 * bottom.xi(u) * fpp(u)
-               + 0.5 * (bottom.xi_prime(u) + bottom.xi(u) * bottom.dlog_m(u)) * fp(u))
-        return a_f * g(u) * float(spec.density(u))
-
-    def right(u):
-        return 0.5 * bottom.xi(u) * fp(u) * gp(u) * float(spec.density(u))
-
-    lv, _ = quad(left, lo, hi, epsabs=QUAD_ABS_TOL, limit=400)
-    rv, _ = quad(right, lo, hi, epsabs=QUAD_ABS_TOL, limit=400)
-    return lv + rv
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ import numpy as np
 from scipy.stats import ks_2samp
 
 from . import diagnostics, ensemble, ibp, lent, prm, report, scenarios, sde
+from .ibp import _mean_se
 from .measures import NonIntegrableError, power_law, small_ball_params, tauberian_fit
 from .rng import TAG_NOISE, RngStream, seek
 
@@ -105,13 +106,17 @@ def check_scenario_params(config: dict):
 def check_param_ranges(config: dict):
     """Scenario-specific numeric constraints (hypothesis-level, exit 3)."""
     params = config["params"]
-    for key in ("eps", "trunc", "horizon", "ymax"):
+    keys = ("eps", "trunc", "horizon", "ymax")
+    for key in keys:
         if key in params:
             _require(_param_type_ok(params[key], "float"), f"params.{key}",
                      f"must be a float, got {params[key]!r}")
     sig = inspect.signature(scenarios.CATALOG[config["scenario"]]).parameters
-    eps, trunc, horizon, ymax = (params.get(key, sig[key].default)
-                                 for key in ("eps", "trunc", "horizon", "ymax"))
+    values = {key: params.get(key, sig[key].default) for key in keys}
+    for key, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"params.{key} = {value} must be finite")
+    eps, trunc, horizon, ymax = values.values()
     if not 0.0 < eps < 1.0:
         raise ValueError(
             f"params.eps = {eps} out of range: the power-law family needs "
@@ -178,11 +183,6 @@ def _fan_out(worker, name, params, paths, seed, workers):
 # ---------------------------------------------------------------------------
 # pipelines
 # ---------------------------------------------------------------------------
-
-def _mean_se(v):
-    v = np.asarray(v, dtype=float)
-    return float(np.mean(v)), float(np.std(v, ddof=1) / math.sqrt(len(v)))
-
 
 def _require_two_paths(run: dict, use: str):
     if run["paths"] < 2:

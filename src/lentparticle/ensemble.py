@@ -17,7 +17,7 @@ numpy generator per path and purpose.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,8 +37,6 @@ class SimpleEnsemble:
     g2: np.ndarray         # bracket of X with gamma
     xa: np.ndarray         # bracket of X with a
     xg2: np.ndarray        # bracket of X with g2
-    marks: np.ndarray      # concatenated marks of all paths
-    offsets: np.ndarray    # path i owns marks[offsets[i]:offsets[i+1]]
 
     def __len__(self):
         return len(self.x)
@@ -183,20 +181,11 @@ def simple_ensemble(scenario: Scenario, n_paths: int, stream: RngStream,
     tab = sj.table(marks, counts, scenario.horizon, scenario.measure, scenario.compensated)
     return SimpleEnsemble(
         x=scenario.x0[0] + tab["X"], n_jumps=counts, gamma=tab["gamma"], a=tab["A"],
-        g2=tab["G2"], xa=tab["XA"], xg2=tab["XG2"],
-        marks=marks, offsets=np.concatenate([[0], np.cumsum(counts)]))
+        g2=tab["G2"], xa=tab["XA"], xg2=tab["XG2"])
 
 
 def merge_ensembles(parts) -> SimpleEnsemble:
     """Concatenate ensembles computed for consecutive path ranges."""
     parts = list(parts)
-    cat = lambda name: np.concatenate([getattr(p, name) for p in parts])
-    offsets = [parts[0].offsets]
-    base = parts[0].offsets[-1]
-    for p in parts[1:]:
-        offsets.append(p.offsets[1:] + base)
-        base = base + p.offsets[-1]
-    return SimpleEnsemble(
-        x=cat("x"), n_jumps=cat("n_jumps"), gamma=cat("gamma"), a=cat("a"),
-        g2=cat("g2"), xa=cat("xa"), xg2=cat("xg2"), marks=cat("marks"),
-        offsets=np.concatenate(offsets))
+    return SimpleEnsemble(**{f.name: np.concatenate([getattr(p, f.name) for p in parts])
+                             for f in fields(SimpleEnsemble)})

@@ -137,9 +137,10 @@ class IbpEstimate:
     n: int
 
 
-def _mean_se(v: np.ndarray):
-    n = len(v)
-    return float(np.mean(v)), float(np.std(v, ddof=1) / np.sqrt(n))
+def _mean_se(v):
+    """Mean and its iid standard error."""
+    v = np.asarray(v, dtype=float)
+    return float(np.mean(v)), float(np.std(v, ddof=1) / np.sqrt(len(v)))
 
 
 def expectation_ibp(f, samples: np.ndarray, weights: WeightResult,
@@ -150,7 +151,7 @@ def expectation_ibp(f, samples: np.ndarray, weights: WeightResult,
     w_mean, w_se = _mean_se(wv)
     d_mean = d_se = None
     if f_deriv is not None:
-        d_mean, d_se = _mean_se(np.asarray(f_deriv(samples), dtype=float))
+        d_mean, d_se = _mean_se(f_deriv(samples))
     return IbpEstimate(weighted=w_mean, weighted_se=w_se,
                        direct=d_mean, direct_se=d_se, n=int(np.sum(weights.accepted)))
 

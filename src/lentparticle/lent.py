@@ -17,8 +17,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .bottom import CapabilityError
-from .prm import GAUSSIAN, RADEMACHER, MarkedPoissonPath, attach_rho_marks
-from .rng import TAG_RHO, RngStream
+from .prm import GAUSSIAN, MarkedPoissonPath, attach_rho_marks, rho_blocks
+from .rng import RngStream
 from .sde import Scenario, Trajectory
 
 
@@ -36,8 +36,6 @@ class MalliavinMatrix:
 
 def malliavin_matrix(traj: Trajectory) -> MalliavinMatrix:
     """Exact finite-sum covariance from the trajectory's jump log."""
-    if traj.gamma_incs is None:
-        raise ValueError("trajectory carries no flow; solve with jet order >= 1")
     d = traj.scenario.dim
     K = traj.k_final
     incs = [K @ inc @ K.T for inc in traj.gamma_incs]
@@ -82,15 +80,7 @@ def gradient_samples(scenario: Scenario, traj: Trajectory, n_replicas: int,
     """
     n_jumps = len(traj.jumps)
     bd = max(rec.flat.shape[1] for rec in traj.jumps) if n_jumps else 1
-    blocks = np.empty((n_replicas, n_jumps, bd))
-    for r in range(n_replicas):
-        gen = stream.child(replica=r + 1, tag=TAG_RHO).generator()
-        if basis == GAUSSIAN:
-            blocks[r] = gen.standard_normal((n_jumps, bd))
-        elif basis == RADEMACHER:
-            blocks[r] = gen.integers(0, 2, size=(n_jumps, bd)) * 2.0 - 1.0
-        else:
-            raise ValueError(f"unknown rho basis {basis!r}")
+    blocks = rho_blocks(stream, range(1, n_replicas + 1), (n_jumps, bd), basis)
     return _propagate_gradients(scenario, traj, blocks)
 
 

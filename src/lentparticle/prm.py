@@ -36,9 +36,6 @@ class MarkedPoissonPath:
     def n_jumps(self) -> int:
         return len(self.times)
 
-    def jump_stream(self, jump_index: int, tag: int) -> RngStream:
-        return self.stream.child(jump=jump_index + 1, tag=tag)
-
 
 def sample_path(spec: LevyMeasureSpec, horizon: float, stream: RngStream) -> MarkedPoissonPath:
     """Sample a path: Poisson count, sorted uniform times, i.i.d. marks."""
@@ -61,16 +58,27 @@ def attach_rho_marks(path: MarkedPoissonPath, order: int, stream: RngStream,
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    gen = stream.child(tag=TAG_RHO).generator()
-    shape = (order, path.n_jumps, block_dim)
-    if basis == GAUSSIAN:
-        blocks = gen.standard_normal(shape)
-    elif basis == RADEMACHER:
-        blocks = gen.integers(0, 2, size=shape) * 2.0 - 1.0
-    else:
-        raise ValueError(f"unknown rho basis {basis!r}")
+    blocks = rho_blocks(stream, [stream.replica], (order, path.n_jumps, block_dim), basis)[0]
     return MarkedPoissonPath(path.horizon, path.times, path.marks, path.stream,
                              rho_blocks=blocks)
+
+
+def rho_blocks(stream: RngStream, replicas, shape, basis: str = GAUSSIAN) -> np.ndarray:
+    """Auxiliary marks of the given shape for each replica, stacked.
+
+    Entry i holds what the generator of `stream.child(replica=replicas[i],
+    tag=TAG_RHO)` draws: standard normals, or signs +-1 for the Rademacher
+    basis.  One generator is re-addressed (`rng.seek`) for every replica.
+    """
+    if basis not in (GAUSSIAN, RADEMACHER):
+        raise ValueError(f"unknown rho basis {basis!r}")
+    out = np.empty((len(replicas), *shape))
+    gen = stream.generator()
+    for i, r in enumerate(replicas):
+        seek(gen, stream.child(replica=r, tag=TAG_RHO))
+        out[i] = (gen.standard_normal(shape) if basis == GAUSSIAN
+                  else gen.integers(0, 2, size=shape) * 2.0 - 1.0)
+    return out
 
 
 @dataclass
@@ -79,7 +87,7 @@ class JumpLanes:
 
     Lane i is jump `index[i]` of the path at address `paths[i]` of
     `stream`, and carries that jump's mark.  A lane's draws come from the
-    jump's sub-streams (`MarkedPoissonPath.jump_stream`): through `gen`,
+    jump's sub-streams (jump index + 1, one per tag): through `gen`,
     re-addressed for every draw, when it is given, else through a new
     generator per draw.  Either way they are the same draws.
     """

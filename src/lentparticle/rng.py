@@ -39,8 +39,6 @@ TAG_RHO = 3             # auxiliary rho-blocks (gradient enrichment)
 TAG_NESTED = 4          # nested Brownian path attached to a jump
 TAG_NOISE = 5           # miscellaneous noise (direct-route and small-ball draws)
 
-_TAGS = (TAG_MARK, TAG_TIME, TAG_RHO, TAG_NESTED, TAG_NOISE)
-
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
 

@@ -101,25 +101,17 @@ def compound(eps: float = 0.5, trunc: float = 0.01, ymax: float = 1.0,
         hpp=lambda u: 0.0 * u, hppp=lambda u: 0.0 * u,
         xi=xi, xip=xip, xipp=xipp, r=r, rp=rp)
 
-    bottom = EuclideanBottom(
-        xi=xi, xi_prime=xip,
-        c_u=lambda s, x, u: np.array([1.0]),
-        c_uu=lambda s, x, u: np.array([0.0]),
-        dlog_m=r)
-
-    mean_jump, mean_gen = jets.mean_h(spec), jets.mean_ah(spec)
+    bottom = EuclideanBottom(xi=xi, c_u=lambda s, x, u: np.array([1.0]))
+    mean_jump = jets.mean_h(spec)
 
     return Scenario(
         name="compound", dim=1, x0=np.array([x0]), horizon=horizon,
         measure=spec, bottom=bottom,
         c=lambda s, x, u: np.asarray(u, dtype=float)[..., None],
         dx_c=lambda s, x, u: np.array([[0.0]]),
-        dxx_c=lambda s, x, u: np.zeros((1, 1, 1)),
         compensated=compensated, simple=jets,
         comp_c=lambda s, x: np.array([mean_jump]),
         comp_dx_c=lambda s, x: np.zeros((1, 1)),
-        comp_dxx_c=lambda s, x: np.zeros((1, 1, 1)),
-        comp_gen_c=lambda s, x: np.array([mean_gen]),
         meta={
             "weight": weight,
             "psi": xi,
@@ -135,35 +127,22 @@ def compound_linear(beta: float = 0.5, eps: float = 0.5, trunc: float = 0.01,
     """d=1 geometric-type compound Poisson: jumps beta * x * u.
 
     The flow derivative has the exact product form prod_i (1 + beta*u_i).
-    Under the u^2 form weight the generator applied to the jump is
-    beta * x * (1 - eps) * u / 2, so its measure-average is a multiple of
-    int u dnu.
+    The form weight on marks is xi(u) = u^2.
     """
     spec = power_law(eps, ymax=ymax, trunc=trunc)
-    xi, xip, xipp = _power_weight(spec.lower, spec.upper)
-    r, rp = _power_log_slope(eps)
-    bottom = EuclideanBottom(
-        xi=xi, xi_prime=xip,
-        c_u=lambda s, x, u: beta * x,
-        c_uu=lambda s, x, u: np.array([0.0]),
-        dlog_m=r)
+    xi, _, _ = _power_weight(spec.lower, spec.upper)
+    bottom = EuclideanBottom(xi=xi, c_u=lambda s, x, u: beta * x)
     mean_jump = float(compensator_integral(spec, lambda u: u, 1.0))
-    mean_gen = 0.5 * (1.0 - eps) * mean_jump
 
     return Scenario(
         name="compound-linear", dim=1, x0=np.array([x0]), horizon=horizon,
         measure=spec, bottom=bottom,
         c=lambda s, x, u: beta * x * np.asarray(u, dtype=float)[..., None],
         dx_c=lambda s, x, u: beta * np.asarray(u, dtype=float)[..., None, None],
-        dxx_c=lambda s, x, u: np.zeros((1, 1, 1)),
         compensated=compensated,
         comp_c=lambda s, x: beta * x * mean_jump,
         comp_dx_c=lambda s, x: np.array([[beta * mean_jump]]),
-        comp_dxx_c=lambda s, x: np.zeros((1, 1, 1)),
-        comp_gen_c=lambda s, x: beta * x * mean_gen,
-        meta={"beta": beta,
-              "symmetry_pair": (*_bump_weight(spec.lower, spec.upper),
-                                lambda u: u, lambda u: 1.0)})
+        meta={"beta": beta})
 
 
 # ---------------------------------------------------------------------------

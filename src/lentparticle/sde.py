@@ -6,15 +6,13 @@ of c.  The same event-by-event recursion also propagates, on demand,
 
 * the flow derivative K (Jacobian of x0 -> X) and its inverse Kbar,
 * the covariance accumulator C = sum Kbar gamma[c] Kbar^T (taken with the
-  post-jump Kbar, so that Gamma(t) = K C K^T at any time),
-* the generator path A[X], which jumps by
-  D_x c . A- + 1/2 D^2_x c : Gamma- + a[c] and drifts by minus the
-  measure-average of the same expression (only the a[c] term survives the
-  averaging when the equation is uncompensated),
-* for scalar mark-sum scenarios (those carrying SimpleJets), the order-2
-  table of carre-du-champ brackets, which the integration-by-parts weights
-  consume.  It is computed after the event loop by `SimpleJets.table`, the
-  same code the vectorised ensemble runs.
+  post-jump Kbar, so that Gamma(t) = K C K^T at any time).
+
+Order 2 is the scalar mark-sum calculus: for scenarios carrying SimpleJets
+it adds the table of the generator path A[X] and the carre-du-champ
+brackets that the integration-by-parts weights consume.  That table is
+`SimpleJets.table` on the path's marks, the same code the vectorised
+ensemble runs, and the generator a[.] is written only there.
 
 `integrate` solves one path and is the only engine for order 2, per-event
 history and gradient injectors.  `integrate_batch` runs the same order-1
@@ -27,16 +25,12 @@ draw is the one `integrate` makes for that path.
 Every measure-average is scenario data (the comp_* callables); nothing is
 averaged by quadrature here.  Jump times are events of the grid, and an
 Euler grid is added only when the scenario is compensated.  Uncompensated
-scenarios are therefore solved with no discretization error at all.  Their
-generator path drifts too, and that drift is evaluated once per inter-jump
-gap, at the gap's start; this is exact when the drift does not depend on s
-between jumps (the state is constant there), which holds for every catalog
-scenario.
+scenarios are therefore solved with no discretization error at all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -61,8 +55,13 @@ class SimpleJets:
         ah = xi h''/2 + (xi'+xi r) h'/2     (generator applied to h)
         g2 = xi h' g1'               (bracket of X with its covariance)
 
-    plus the brackets of X with ah and g2.  The compensator constants
-    int h dnu and int a[h] dnu are computed once per measure and memoised.
+    plus the brackets of X with ah and g2.  ah is the library's one
+    writing of the mark-space generator a[.]: it comes from integrating
+    the form xi f'^2 by parts against the mark density m, so it is the
+    generator only on functions whose weighted flux xi m f' vanishes at
+    both support endpoints (`generator_symmetry_residual` checks that).
+    The compensator constants int h dnu and int a[h] dnu are computed
+    once per measure and memoised.
     """
 
     h: Callable
@@ -144,6 +143,20 @@ class SimpleJets:
         return self.xi(u) * self.hp(u) * self.g2p(u)
 
 
+def generator_symmetry_residual(jets: SimpleJets, measure: LevyMeasureSpec,
+                                f, fp, fpp, g, gp) -> float:
+    """int a[f] g dnu + 1/2 int xi f' g' dnu, with a[f] the `SimpleJets.ah`
+    of the jets' form weight and measure, applied to f instead of h.
+
+    Zero (within quadrature tolerance) whenever the boundary flux
+    xi m f' g of the test pair vanishes at both support endpoints; the
+    executable symmetry check of the generator formula.
+    """
+    af = replace(jets, h=f, hp=fp, hpp=fpp).ah
+    return float(compensator_integral(
+        measure, lambda u: af(u) * g(u) + 0.5 * jets.xi(u) * fp(u) * gp(u), 1.0))
+
+
 def _segment_sum(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     out = np.zeros(len(counts))
     nz = counts > 0
@@ -156,15 +169,13 @@ def _segment_sum(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
 class Scenario:
     """Full description of one solvable model.
 
-    Coefficient signatures: c(s, x, ev) -> (d,), dx_c(s, x, ev) -> (d, d),
-    dxx_c(s, x, ev) -> (d, d, d) with axes (component, dx_j, dx_k); ev is
-    whatever the bottom structure resolves a mark into.  The comp_*
+    Coefficient signatures: c(s, x, ev) -> (d,) and dx_c(s, x, ev) -> (d, d);
+    ev is whatever the bottom structure resolves a mark into.  The comp_*
     callables are the measure-averages of the corresponding quantities,
-    signature (s, x): comp_c of c (d,), comp_dx_c of dx_c (d, d),
-    comp_dxx_c of dxx_c (d, d, d) and comp_gen_c of the bottom's generator
-    applied to c (d,).  A compensated scenario must supply the first
-    three, which drive the state, the flow and the generator path between
-    jumps; the generator path (jet order 2) also needs comp_gen_c.
+    signature (s, x): comp_c of c (d,) and comp_dx_c of dx_c (d, d).  A
+    compensated scenario must supply both; they drive the state and the
+    flow between jumps.  Jet order 2 needs `simple`, the mark jets of a
+    scalar mark-sum scenario.
 
     Lane axis: `integrate_batch` calls c, dx_c, comp_c and comp_dx_c (and
     the bottom's gamma_c) with a leading lane axis on every argument, s
@@ -172,11 +183,6 @@ class Scenario:
     and (n, d, d) back; a value without the lane axis (a constant) is taken
     to hold for every lane.  `integrate` calls them for one path, without
     the lane axis.
-
-    Uncompensated, the state only jumps, and `integrate` evaluates the
-    generator-path drift (comp_gen_c) once per inter-jump gap; such a
-    scenario's comp_gen_c must not depend on s, as none in the catalog
-    does.
     """
 
     name: str
@@ -187,13 +193,10 @@ class Scenario:
     bottom: BottomStructure
     c: Callable
     dx_c: Callable | None = None
-    dxx_c: Callable | None = None
     compensated: bool = False
     n_steps: int = 1000
     comp_c: Callable | None = None
     comp_dx_c: Callable | None = None
-    comp_dxx_c: Callable | None = None
-    comp_gen_c: Callable | None = None
     simple: SimpleJets | None = None
     meta: dict = field(default_factory=dict)
 
@@ -202,7 +205,7 @@ class Scenario:
         if self.x0.shape != (self.dim,):
             raise ValueError("x0 must have the scenario dimension")
         if self.compensated:
-            missing = [key for key in ("comp_c", "comp_dx_c", "comp_dxx_c")
+            missing = [key for key in ("comp_c", "comp_dx_c")
                        if getattr(self, key) is None]
             if missing:
                 raise ValueError(f"compensated scenario {self.name!r} must supply {missing}")
@@ -216,9 +219,9 @@ class JumpRecord:
     time: float
     ev: object
     coeff: np.ndarray
-    jac: np.ndarray | None = None          # I + D_x c
-    gamma: np.ndarray | None = None        # bottom matrix of c at this jump
-    flat: np.ndarray | None = None         # (d, block_dim) gradient injector
+    jac: np.ndarray                        # I + D_x c
+    gamma: np.ndarray                      # bottom matrix of c at this jump
+    flat: np.ndarray                       # (d, block_dim) gradient injector
 
 
 @dataclass
@@ -229,12 +232,11 @@ class Trajectory:
     states: np.ndarray                     # (n_events, d), post-event states
     jumps: list
     jump_events: np.ndarray                # event index of each jump
-    k_events: list | None = None           # K at each event
-    kbar_events: list | None = None
-    c_events: list | None = None           # accumulator C at each event
-    a_events: list | None = None           # generator path at each event
-    gamma_incs: list | None = None         # per-jump Kbar gamma Kbar^T terms
-    order2: dict | None = None             # scalar bracket table at T
+    k_events: list                         # K at each event
+    kbar_events: list
+    c_events: list                         # accumulator C at each event
+    gamma_incs: list                       # per-jump Kbar gamma Kbar^T terms
+    order2: dict | None = None             # scalar table at T (A, G2, XA, XG2)
 
     @property
     def x_final(self):
@@ -254,7 +256,8 @@ class Trajectory:
 
     @property
     def a_final(self):
-        return self.a_events[-1]
+        """Generator path A[X] at T, (1,); needs jet order 2."""
+        return np.atleast_1d(self.order2["A"])
 
 
 class EventError(RuntimeError):
@@ -267,8 +270,7 @@ class EventError(RuntimeError):
 
 def _event_times(scenario: Scenario, path: MarkedPoissonPath) -> np.ndarray:
     """Event grid of a path: 0, the jump times and T, plus an Euler grid
-    when the state drifts (the generator path alone drifts by a constant
-    between jumps)."""
+    when the state drifts."""
     T = scenario.horizon
     if scenario.compensated:
         return np.union1d(np.linspace(0.0, T, scenario.n_steps + 1), path.times)
@@ -281,19 +283,16 @@ def _average(fn, s, x, shape) -> np.ndarray:
 
 
 def integrate(scenario: Scenario, path: MarkedPoissonPath, order: int) -> Trajectory:
-    """Run the event recursion up to jet order 0 (state), 1 (flow and
-    covariance accumulator) or 2 (generator path and order-2 table)."""
-    if order not in (0, 1, 2):
-        raise ValueError(f"jet order must be 0, 1 or 2, got {order!r}")
-    if order == 2 and scenario.comp_gen_c is None:
+    """Run the event recursion at jet order 1 (state, flow and covariance
+    accumulator) or 2 (order 1 plus the scalar table of `SimpleJets`)."""
+    if order not in (1, 2):
+        raise ValueError(f"jet order must be 1 or 2, got {order!r}")
+    if order == 2 and scenario.simple is None:
         raise CapabilityError(
-            f"jet order 2 needs comp_gen_c, the measure-average of the generator "
-            f"applied to c; scenario {scenario.name!r} has none")
+            f"jet order 2 needs simple, the mark jets of a scalar mark-sum scenario; "
+            f"scenario {scenario.name!r} has none")
     d = scenario.dim
-    T = scenario.horizon
     comp = scenario.compensated
-    need_flow = order >= 1
-    need_a = order >= 2
 
     times = _event_times(scenario, path)
     jump_events = np.searchsorted(times, path.times)
@@ -302,14 +301,12 @@ def integrate(scenario: Scenario, path: MarkedPoissonPath, order: int) -> Trajec
     K = np.eye(d)
     Kb = np.eye(d)
     C = np.zeros((d, d))
-    A = np.zeros(d)
 
     states = [x.copy()]
-    k_events = [K.copy()] if need_flow else None
-    kbar_events = [Kb.copy()] if need_flow else None
-    c_events = [C.copy()] if need_flow else None
-    a_events = [A.copy()] if need_a else None
-    gamma_incs = [] if need_flow else None
+    k_events = [K.copy()]
+    kbar_events = [Kb.copy()]
+    c_events = [C.copy()]
+    gamma_incs = []
     jumps: list[JumpRecord] = []
 
     # jumps sharing an event index are impossible (times are distinct a.s.);
@@ -319,20 +316,13 @@ def integrate(scenario: Scenario, path: MarkedPoissonPath, order: int) -> Trajec
     for k in range(1, len(times)):
         s_prev, s = times[k - 1], times[k]
         dt = s - s_prev
-        if (comp or need_a) and dt > 0:
+        if comp and dt > 0:
             # Euler step; every average is taken at the step's start, so the
             # state and the flow are updated last
-            if need_a:
-                A = A - _average(scenario.comp_gen_c, s_prev, x, (d,)) * dt
-            if comp:
-                cdx = _average(scenario.comp_dx_c, s_prev, x, (d, d))
-                if need_a:
-                    dxx = _average(scenario.comp_dxx_c, s_prev, x, (d, d, d))
-                    A = A - cdx @ A * dt - 0.5 * np.einsum("ijk,jk->i", dxx, K @ C @ K.T) * dt
-                if need_flow:
-                    K = K - cdx @ K * dt
-                    Kb = Kb + Kb @ cdx * dt
-                x = x - _average(scenario.comp_c, s_prev, x, (d,)) * dt
+            cdx = _average(scenario.comp_dx_c, s_prev, x, (d, d))
+            K = K - cdx @ K * dt
+            Kb = Kb + Kb @ cdx * dt
+            x = x - _average(scenario.comp_c, s_prev, x, (d,)) * dt
         if not np.all(np.isfinite(x)):
             raise EventError("state overflow", k)
 
@@ -340,53 +330,37 @@ def integrate(scenario: Scenario, path: MarkedPoissonPath, order: int) -> Trajec
         if j is not None:
             ev = scenario.bottom.eval_jump(s, x, path, j)
             cval = np.atleast_1d(np.asarray(scenario.c(s, x, ev), dtype=float))
-            rec = JumpRecord(index=j, time=s, ev=ev, coeff=cval)
-            if need_flow:
-                dxc = (np.asarray(scenario.dx_c(s, x, ev), dtype=float).reshape(d, d)
-                       if scenario.dx_c is not None else np.zeros((d, d)))
-                jac = np.eye(d) + dxc
-                det = np.linalg.det(jac)
-                if abs(det) < DET_FLOOR:
-                    raise EventError(
-                        f"singular jump Jacobian det={det:.3e}; state-coefficient "
-                        "invertibility violated", k)
-                gamma = scenario.bottom.gamma_c(s, x, ev)
-                rec.jac = jac
-                rec.gamma = gamma
-                rec.flat = scenario.bottom.flat_matrix(s, x, ev)
-                if need_a:
-                    gen = np.atleast_1d(np.asarray(scenario.bottom.gen_c(s, x, ev), dtype=float))
-                    gamma_pre = K @ C @ K.T
-                    dA = dxc @ A + gen
-                    if scenario.dxx_c is not None:
-                        dxx = np.asarray(scenario.dxx_c(s, x, ev), dtype=float).reshape(d, d, d)
-                        dA = dA + 0.5 * np.einsum("ijk,jk->i", dxx, gamma_pre)
-                    A = A + dA
-                K = jac @ K
-                Kb = Kb @ np.linalg.inv(jac)
-                inc = Kb @ gamma @ Kb.T
-                C = C + inc
-                gamma_incs.append(inc)
+            dxc = (np.asarray(scenario.dx_c(s, x, ev), dtype=float).reshape(d, d)
+                   if scenario.dx_c is not None else np.zeros((d, d)))
+            jac = np.eye(d) + dxc
+            det = np.linalg.det(jac)
+            if abs(det) < DET_FLOOR:
+                raise EventError(
+                    f"singular jump Jacobian det={det:.3e}; state-coefficient "
+                    "invertibility violated", k)
+            gamma = scenario.bottom.gamma_c(s, x, ev)
+            jumps.append(JumpRecord(index=j, time=s, ev=ev, coeff=cval, jac=jac, gamma=gamma,
+                                    flat=scenario.bottom.flat_matrix(s, x, ev)))
+            K = jac @ K
+            Kb = Kb @ np.linalg.inv(jac)
+            inc = Kb @ gamma @ Kb.T
+            C = C + inc
+            gamma_incs.append(inc)
             x = x + cval
-            jumps.append(rec)
 
         states.append(x.copy())
-        if need_flow:
-            k_events.append(K.copy())
-            kbar_events.append(Kb.copy())
-            c_events.append(C.copy())
-        if need_a:
-            a_events.append(A.copy())
+        k_events.append(K.copy())
+        kbar_events.append(Kb.copy())
+        c_events.append(C.copy())
 
     tab = None
-    if need_a and scenario.simple is not None:
-        full = scenario.simple.table(path.marks, np.array([path.n_jumps]), T,
+    if order == 2:
+        full = scenario.simple.table(path.marks, np.array([path.n_jumps]), scenario.horizon,
                                      scenario.measure, scenario.compensated)
-        tab = {key: float(full[key][0]) for key in ("G2", "XA", "XG2")}
+        tab = {key: float(full[key][0]) for key in ("A", "G2", "XA", "XG2")}
     return Trajectory(scenario=scenario, path=path, times=times,
                       states=np.array(states), jumps=jumps, jump_events=jump_events,
-                      k_events=k_events, kbar_events=kbar_events,
-                      c_events=c_events, a_events=a_events,
+                      k_events=k_events, kbar_events=kbar_events, c_events=c_events,
                       gamma_incs=gamma_incs, order2=tab)
 
 

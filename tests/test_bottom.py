@@ -5,19 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from lentparticle.bottom import (EuclideanBottom, WienerOUBottom,
-                                 WienerSquareBottom, generator_symmetry_residual)
+from lentparticle.bottom import EuclideanBottom, WienerOUBottom, WienerSquareBottom
 from lentparticle.measures import power_law
 from lentparticle.prm import MarkedPoissonPath, sample_path
 from lentparticle.rng import RngStream
+from lentparticle.sde import SimpleJets, generator_symmetry_residual
 from lentparticle import scenarios
 
 SPEC = power_law(0.5, ymax=1.0, trunc=0.01)
 
 
-def _bottom(xi, xip, c_u, c_uu=None):
-    return EuclideanBottom(xi=xi, xi_prime=xip, c_u=c_u, c_uu=c_uu,
-                           dlog_m=lambda u: -1.5 / u)
+def _jets(h, hp, hpp):
+    """Mark jets of h under xi = u^2 and the density slope -1.5/u of SPEC."""
+    return SimpleJets(h=h, hp=hp, hpp=hpp, hppp=lambda u: 0.0 * u,
+                      xi=lambda u: u * u, xip=lambda u: 2 * u, xipp=lambda u: 2.0 + 0.0 * u,
+                      r=lambda u: -1.5 / u, rp=lambda u: 1.5 / u ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -25,61 +27,48 @@ def _bottom(xi, xip, c_u, c_uu=None):
 # ---------------------------------------------------------------------------
 
 def test_gamma_unit_derivative():
-    b = _bottom(lambda u: 1.0, lambda u: 0.0, lambda s, x, u: np.array([1.0]))
+    b = EuclideanBottom(xi=lambda u: 1.0, c_u=lambda s, x, u: np.array([1.0]))
     assert b.gamma_c(0.0, np.zeros(1), 0.3) == pytest.approx(np.array([[1.0]]))
 
 
 def test_gamma_two_components():
-    b = _bottom(lambda u: 1.0, lambda u: 0.0,
-                lambda s, x, u: np.array([1.0, u]))
+    b = EuclideanBottom(xi=lambda u: 1.0, c_u=lambda s, x, u: np.array([1.0, u]))
     u = 0.4
     np.testing.assert_allclose(b.gamma_c(0.0, np.zeros(2), u),
                                [[1.0, u], [u, u * u]], atol=1e-14)
 
 
 def test_gamma_weighted():
-    b = _bottom(lambda u: u * u, lambda u: 2 * u, lambda s, x, u: np.array([1.0]))
+    b = EuclideanBottom(xi=lambda u: u * u, c_u=lambda s, x, u: np.array([1.0]))
     assert b.gamma_c(0.0, np.zeros(1), 0.5)[0, 0] == pytest.approx(0.25)
 
 
 def test_gamma_psd_at_probes(rng):
-    b = _bottom(lambda u: u * u, lambda u: 2 * u,
-                lambda s, x, u: np.array([1.0, math.cos(u)]))
+    b = EuclideanBottom(xi=lambda u: u * u, c_u=lambda s, x, u: np.array([1.0, math.cos(u)]))
     for u in rng.uniform(0.01, 1.0, 20):
         w = np.linalg.eigvalsh(b.gamma_c(0.0, np.zeros(2), u))
         assert w[0] >= -1e-10
 
 
 # ---------------------------------------------------------------------------
-# Euclidean generator
+# mark-space generator (SimpleJets.ah, the one formula)
 # ---------------------------------------------------------------------------
 
 def test_generator_constant_coefficient():
-    b = _bottom(lambda u: u * u, lambda u: 2 * u,
-                lambda s, x, u: np.array([0.0]), c_uu=lambda s, x, u: np.array([0.0]))
-    assert b.gen_c(0.0, np.zeros(1), 0.3) == pytest.approx(np.array([0.0]))
+    jets = _jets(lambda u: 0.0 * u + 1.0, lambda u: 0.0 * u, lambda u: 0.0 * u)
+    assert jets.ah(0.3) == pytest.approx(0.0)
 
 
 def test_generator_power_weight_closed_form():
-    # xi = u^2, density slope -1.5/u, c = u: a[c] = (2u + u^2(-1.5/u))/2 = u/4
-    b = _bottom(lambda u: u * u, lambda u: 2 * u,
-                lambda s, x, u: np.array([1.0]), c_uu=lambda s, x, u: np.array([0.0]))
-    assert b.gen_c(0.0, np.zeros(1), 0.8)[0] == pytest.approx(0.2, rel=1e-12)
-
-
-def test_generator_diverging_density_slope():
-    b = EuclideanBottom(xi=lambda u: 1.0, xi_prime=lambda u: 0.0,
-                        c_u=lambda s, x, u: np.array([1.0]),
-                        c_uu=lambda s, x, u: np.array([0.0]),
-                        dlog_m=lambda u: -1.5 / u if u else -math.inf)
-    with pytest.raises(ValueError):
-        b.gen_c(0.0, np.zeros(1), 0.0)
+    # xi = u^2, density slope -1.5/u, h = u: a[h] = (2u + u^2(-1.5/u))/2 = u/4
+    jets = _jets(lambda u: u, lambda u: 1.0 + 0.0 * u, lambda u: 0.0 * u)
+    assert jets.ah(0.8) == pytest.approx(0.2, rel=1e-12)
 
 
 def test_generator_symmetry_on_vanishing_flux_pair():
     sc = scenarios.build("compound", weight="bump")
     f, fp, fpp, g, gp = sc.meta["symmetry_pair"]
-    res = generator_symmetry_residual(sc.bottom, sc.measure, f, fp, fpp, g, gp)
+    res = generator_symmetry_residual(sc.simple, sc.measure, f, fp, fpp, g, gp)
     assert abs(res) < 1e-6
 
 
@@ -88,14 +77,13 @@ def test_generator_symmetry_on_vanishing_flux_pair():
 # ---------------------------------------------------------------------------
 
 def test_flat_zero_derivative():
-    b = _bottom(lambda u: u * u, lambda u: 2 * u, lambda s, x, u: np.array([0.0]))
+    b = EuclideanBottom(xi=lambda u: u * u, c_u=lambda s, x, u: np.array([0.0]))
     rho = np.array([1.7])
     assert b.flat_matrix(0.0, np.zeros(1), 0.4) @ rho == pytest.approx(np.array([0.0]))
 
 
 def test_flat_moments_match_gamma(rng):
-    b = _bottom(lambda u: u * u, lambda u: 2 * u,
-                lambda s, x, u: np.array([1.0, math.sin(u)]))
+    b = EuclideanBottom(xi=lambda u: u * u, c_u=lambda s, x, u: np.array([1.0, math.sin(u)]))
     for u in rng.uniform(0.05, 1.0, 5):
         mat = b.flat_matrix(0.0, np.zeros(2), u)
         draws = (mat @ rng.standard_normal((1, 10_000))).T

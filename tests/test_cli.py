@@ -142,6 +142,20 @@ def test_crosscheck_param_ranges_checked_before_simulation(tmp_path, capsys, key
     assert not (tmp_path / "xbad").exists()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("command", ["validate", "run", "crosscheck"])
+def test_non_finite_params_rejected_before_work(tmp_path, capsys, command, value):
+    # json reads NaN and Infinity; each is refused with the field named
+    for key in ("eps", "trunc", "horizon", "ymax"):
+        name = f"nonfinite-{key}"
+        path, _ = _config(tmp_path, name, scenario="subordination-linear",
+                          run={"paths": 4}, params={key: value})
+        code, err = _exit_and_stderr(capsys, [command, str(path)])
+        assert code == cli.EXIT_HYPOTHESIS, (key, err)
+        assert f"params.{key}" in err and "finite" in err
+        assert not (tmp_path / name).exists()
+
+
 def test_singular_jacobian_in_one_lane_exits_numeric(tmp_path, capsys, monkeypatch,
                                                      lone_mark_singular):
     # the trajectory route meets I + D_x c = 0 on one path of the chunk only

@@ -50,14 +50,6 @@ def test_matrix_conjugation_consistency():
     assert np.max(np.abs(mm.gamma - alt)) < 1e-10 * max(1.0, np.abs(mm.gamma).max())
 
 
-def test_matrix_requires_flow():
-    sc = scenarios.build("compound")
-    path = sample_path(sc.measure, sc.horizon, RngStream(seed=3, path=1))
-    traj = integrate(sc, path, order=0)
-    with pytest.raises(ValueError):
-        malliavin_matrix(traj)
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo route
 # ---------------------------------------------------------------------------

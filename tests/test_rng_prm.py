@@ -8,7 +8,8 @@ import pytest
 from scipy.stats import kstest
 
 from lentparticle.measures import power_law
-from lentparticle.prm import RADEMACHER, attach_rho_marks, nested_brownian, sample_path
+from lentparticle.prm import (GAUSSIAN, RADEMACHER, attach_rho_marks, nested_brownian,
+                              rho_blocks, sample_path)
 from lentparticle.rng import TAG_MARK, TAG_NESTED, TAG_NOISE, TAG_RHO, TAG_TIME, RngStream, seek
 
 SPEC = power_law(0.5, ymax=1.0, trunc=0.01)   # mass 18
@@ -54,6 +55,8 @@ def test_seek_draws_what_generator_draws(seed):
                                           stream.generator().standard_normal((3, 2)))
                     assert np.array_equal(seek(gen, stream).uniform(0.0, 2 * math.pi, 5),
                                           stream.generator().uniform(0.0, 2 * math.pi, 5))
+                    assert np.array_equal(seek(gen, stream).integers(0, 2, (3, 5)),
+                                          stream.generator().integers(0, 2, (3, 5)))
                     other = stream.child(path=path + 7)
                     assert np.array_equal(seek(gen, other, path).standard_normal(4),
                                           stream.generator().standard_normal(4))
@@ -146,6 +149,25 @@ def test_rho_rademacher_values():
     p = sample_path(SPEC, 1.0, RngStream(seed=35))
     e = attach_rho_marks(p, 1, RngStream(seed=36), basis=RADEMACHER)
     assert set(np.unique(e.rho_blocks)) <= {-1.0, 1.0}
+
+
+@pytest.mark.parametrize("basis", [GAUSSIAN, RADEMACHER])
+def test_rho_replicas_match_attach_rho_marks(basis):
+    # one re-addressed generator draws each replica what its own stream draws
+    p = sample_path(SPEC, 1.0, RngStream(seed=37, path=2))
+    stream = RngStream(seed=38, path=2)
+    n, shape = 6, (p.n_jumps, 2)
+    blocks = rho_blocks(stream, range(1, n + 1), shape, basis)
+    assert blocks.shape == (n, *shape)
+    for r in range(1, n + 1):
+        one = attach_rho_marks(p, 1, stream.child(replica=r), basis=basis, block_dim=2)
+        np.testing.assert_array_equal(blocks[r - 1], one.rho_blocks[0])
+        gen = stream.child(replica=r, tag=TAG_RHO).generator()
+        fresh = (gen.standard_normal(shape) if basis == GAUSSIAN
+                 else gen.integers(0, 2, size=shape) * 2.0 - 1.0)
+        np.testing.assert_array_equal(blocks[r - 1], fresh)
+    with pytest.raises(ValueError, match="unknown rho basis"):
+        rho_blocks(stream, [1], shape, "uniform")
 
 
 def test_rho_order_validation():

@@ -8,39 +8,39 @@ import pytest
 
 from lentparticle import cli, ibp, lent, scenarios, sde
 from lentparticle.bottom import CapabilityError, EuclideanBottom
-from lentparticle.ensemble import simple_ensemble
+from lentparticle.ensemble import sample_mark_sets, simple_ensemble
 from lentparticle.measures import compensator_integral, power_law
 from lentparticle.prm import sample_path
 from lentparticle.rng import RngStream
-from lentparticle.sde import EventError, Scenario, check_jets, integrate, integrate_batch
+from lentparticle.sde import (EventError, Scenario, SimpleJets, check_jets, integrate,
+                              integrate_batch)
 
 SPEC = power_law(0.5, ymax=1.0, trunc=0.01)
 
 
 def _null_scenario():
-    """State never moves: zero jump coefficient, no drift."""
-    bottom = EuclideanBottom(xi=lambda u: 0.0, xi_prime=lambda u: 0.0,
-                             c_u=lambda s, x, u: np.array([0.0]),
-                             c_uu=lambda s, x, u: np.array([0.0]),
-                             dlog_m=lambda u: -1.5 / u)
+    """State never moves: zero jump coefficient, zero form, no drift."""
+    zero = lambda u: 0.0 * u
+    bottom = EuclideanBottom(xi=lambda u: 0.0, c_u=lambda s, x, u: np.array([0.0]))
+    jets = SimpleJets(h=zero, hp=zero, hpp=zero, hppp=zero, xi=zero, xip=zero, xipp=zero,
+                      r=lambda u: -1.5 / u, rp=lambda u: 1.5 / u ** 2)
     return Scenario(name="null", dim=1, x0=np.array([3.0]), horizon=1.0,
                     measure=SPEC, bottom=bottom,
                     c=lambda s, x, u: np.array([0.0]),
-                    dx_c=lambda s, x, u: np.array([[0.0]]),
-                    comp_gen_c=lambda s, x: np.array([0.0]))
+                    dx_c=lambda s, x, u: np.array([[0.0]]), simple=jets)
 
 
 def test_zero_coefficients_state_constant():
     sc = _null_scenario()
     path = sample_path(SPEC, 1.0, RngStream(seed=1, path=1))
-    traj = integrate(sc, path, order=0)
+    traj = integrate(sc, path, order=1)
     assert np.all(traj.states == 3.0)
 
 
 def test_pure_jump_telescoping():
     sc = scenarios.build("compound", x0=0.5)
     path = sample_path(sc.measure, sc.horizon, RngStream(seed=2, path=1))
-    traj = integrate(sc, path, order=0)
+    traj = integrate(sc, path, order=1)
     assert traj.x_final[0] == pytest.approx(0.5 + path.marks.sum(), rel=1e-14)
     # pure-jump event grid carries no Euler points, at any jet order
     assert len(traj.times) == path.n_jumps + 2
@@ -88,9 +88,7 @@ def test_flow_inverse_identity():
 
 
 def test_singular_jump_jacobian_rejected():
-    bottom = EuclideanBottom(xi=lambda u: 1.0, xi_prime=lambda u: 0.0,
-                             c_u=lambda s, x, u: np.array([0.0]),
-                             dlog_m=lambda u: -1.5 / u)
+    bottom = EuclideanBottom(xi=lambda u: 1.0, c_u=lambda s, x, u: np.array([0.0]))
     sc = Scenario(name="degenerate", dim=1, x0=np.array([1.0]), horizon=1.0,
                   measure=SPEC, bottom=bottom,
                   c=lambda s, x, u: -x,
@@ -148,9 +146,12 @@ def test_event_loop_matches_ensemble_calculus(weight, compensated):
     sc = scenarios.build("compound", weight=weight, compensated=compensated)
     n, seed, tol = 8, 13, 1e-12
     ens = simple_ensemble(sc, n, RngStream(seed=seed))
+    counts, marks = sample_mark_sets(sc, n, RngStream(seed=seed))
+    np.testing.assert_array_equal(counts, ens.n_jumps)
+    ends = np.cumsum(counts)
     for i in range(n):
         path = sample_path(sc.measure, sc.horizon, RngStream(seed=seed, path=i + 1))
-        np.testing.assert_array_equal(path.marks, ens.marks[ens.offsets[i]:ens.offsets[i + 1]])
+        np.testing.assert_array_equal(path.marks, marks[ends[i] - counts[i]:ends[i]])
         traj = integrate(sc, path, order=2)
         assert abs(traj.x_final[0] - ens.x[i]) <= tol
         assert abs(traj.a_final[0] - ens.a[i]) <= tol
@@ -170,9 +171,10 @@ def test_compensator_constants_computed_once(monkeypatch):
 
     monkeypatch.setattr(sde, "compensator_integral", counted)
     sc = scenarios.build("compound", weight="bump", compensated=True)
-    assert len(calls) == 2                       # int h dnu and int a[h] dnu
+    assert len(calls) == 1                       # int h dnu, for the drift
     path = sample_path(sc.measure, sc.horizon, RngStream(seed=14, path=1))
     integrate(sc, path, order=2)
+    assert len(calls) == 2                       # and int a[h] dnu, on first use
     simple_ensemble(sc, 50, RngStream(seed=14))
     rebuilt = power_law(sc.measure.params["eps"], ymax=sc.measure.upper, trunc=sc.measure.trunc)
     assert rebuilt is not sc.measure and hash(rebuilt) == hash(sc.measure)
@@ -186,35 +188,36 @@ def test_compensator_constants_computed_once(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_jet_order_preserves_states():
-    sc = scenarios.build("compound")
-    path = sample_path(sc.measure, sc.horizon, RngStream(seed=11, path=1))
-    plain = integrate(sc, path, order=0)
-    jet = integrate(sc, path, order=1)
-    np.testing.assert_array_equal(plain.states, jet.states)
+    # order 2 adds the mark-sum table and leaves the order-1 recursion alone
+    for compensated in (False, True):
+        sc = scenarios.build("compound", compensated=compensated)
+        path = sample_path(sc.measure, sc.horizon, RngStream(seed=11, path=1))
+        plain = integrate(sc, path, order=1)
+        jet = integrate(sc, path, order=2)
+        np.testing.assert_array_equal(plain.times, jet.times)
+        np.testing.assert_array_equal(plain.states, jet.states)
+        for key in ("k_events", "kbar_events", "c_events", "gamma_incs"):
+            np.testing.assert_array_equal(getattr(plain, key), getattr(jet, key))
+        assert plain.order2 is None
 
 
 def test_jet_order_validation():
     sc = scenarios.build("simple2d")
     path = sample_path(sc.measure, sc.horizon, RngStream(seed=11, path=1))
-    with pytest.raises(ValueError, match="jet order"):
-        integrate(sc, path, order=3)
+    for order in (0, 3):
+        with pytest.raises(ValueError, match="jet order must be 1 or 2"):
+            integrate(sc, path, order=order)
 
 
-@pytest.mark.parametrize("name", ["simple2d", "subordination-nonlinear"])
+@pytest.mark.parametrize("name", ["simple2d", "subordination-nonlinear", "compound-linear",
+                                  "subordination-linear", "levy-field-demo"])
 def test_order2_needs_averaged_generator(name):
+    # order 2 is the mark-sum table: every scenario without mark jets lacks it
     sc = scenarios.build(name)
+    assert sc.simple is None
     path = sample_path(sc.measure, sc.horizon, RngStream(seed=11, path=1))
-    with pytest.raises(CapabilityError, match="comp_gen_c"):
+    with pytest.raises(CapabilityError, match="simple"):
         integrate(sc, path, order=2)
-
-
-def test_compound_linear_averaged_generator_closed_form():
-    sc = scenarios.build("compound-linear", beta=0.7, eps=0.3)
-    for x in (-2.0, 0.0, 0.4, 1.0, 3.5):
-        xs = np.array([x])
-        quad_mean = float(compensator_integral(
-            sc.measure, lambda u: sc.bottom.gen_c(0.0, xs, u)[0], 1.0))
-        assert abs(sc.comp_gen_c(0.0, xs)[0] - quad_mean) <= 1e-12
 
 
 def test_compensated_scenario_requires_averages():
@@ -222,8 +225,7 @@ def test_compensated_scenario_requires_averages():
     with pytest.raises(ValueError, match="comp_c"):
         Scenario(name="no-average", dim=1, x0=np.zeros(1), horizon=1.0,
                  measure=sc.measure, bottom=sc.bottom, c=sc.c, dx_c=sc.dx_c,
-                 dxx_c=sc.dxx_c, compensated=True,
-                 comp_dx_c=sc.comp_dx_c, comp_dxx_c=sc.comp_dxx_c)
+                 compensated=True, comp_dx_c=sc.comp_dx_c)
 
 
 def test_check_jets_catalog_and_broken():

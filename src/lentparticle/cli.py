@@ -21,11 +21,11 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from . import diagnostics, ensemble, ibp, lent, prm, report, scenarios, sde
 from .ibp import _mean_se
-from .measures import NonIntegrableError, power_law, small_ball_params, tauberian_fit
+from .measures import (InfiniteMassError, NonIntegrableError, power_law, small_ball_params,
+                       tauberian_fit, total_mass)
 from .rng import TAG_NOISE, RngStream, seek
 
 EXIT_OK = 0
@@ -81,15 +81,21 @@ def validate_config(config: dict, need_outputs: bool = True) -> dict:
     return config
 
 
-# JSON types accepted for a builder parameter annotated with each name
-_PARAM_TYPES = {"float": (int, float), "int": (int,), "str": (str,), "bool": (bool,)}
+def _is_float(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _param_type_ok(value, annotation: str) -> bool:
-    kinds = _PARAM_TYPES.get(annotation)
-    if kinds is None:
-        return True
-    return isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
+def _is_matrix2(value) -> bool:
+    return (isinstance(value, list) and len(value) == 2
+            and all(isinstance(row, list) and len(row) == 2
+                    and all(_is_float(v) and math.isfinite(v) for v in row) for row in value))
+
+
+# JSON values accepted for a builder parameter, by its annotation: (test, name)
+_PARAM_TYPES = {"float": (_is_float, "float"),
+                "str": (lambda v: isinstance(v, str), "str"),
+                "bool": (lambda v: isinstance(v, bool), "bool"),
+                "Matrix2": (_is_matrix2, "2x2 matrix of finite numbers, a list of two rows")}
 
 
 def check_scenario_params(config: dict):
@@ -99,20 +105,31 @@ def check_scenario_params(config: dict):
     for key, value in config["params"].items():
         _require(key in sig, f"params.{key}",
                  f"unknown parameter of scenario {name!r}; choose from {sorted(sig)}")
-        ann = sig[key].annotation
-        _require(_param_type_ok(value, ann), f"params.{key}", f"must be a {ann}, got {value!r}")
+        ok, kind = _PARAM_TYPES[sig[key].annotation]
+        _require(ok(value), f"params.{key}", f"must be a {kind}, got {value!r}")
 
 
-def check_param_ranges(config: dict):
-    """Scenario-specific numeric constraints (hypothesis-level, exit 3)."""
+# Expected jumps per path above which a config is refused: the engines hold
+# every mark of a chunk in memory and the trajectory route steps through
+# them one event at a time.  Catalog defaults ask for at most 18.
+MAX_JUMPS_PER_PATH = 10_000
+
+
+def _range_values(config: dict) -> dict:
+    """eps, trunc, horizon and ymax of the config, defaults filled in."""
     params = config["params"]
     keys = ("eps", "trunc", "horizon", "ymax")
     for key in keys:
         if key in params:
-            _require(_param_type_ok(params[key], "float"), f"params.{key}",
+            _require(_is_float(params[key]), f"params.{key}",
                      f"must be a float, got {params[key]!r}")
     sig = inspect.signature(scenarios.CATALOG[config["scenario"]]).parameters
-    values = {key: params.get(key, sig[key].default) for key in keys}
+    return {key: params.get(key, sig[key].default) for key in keys}
+
+
+def check_param_ranges(config: dict):
+    """Scenario-specific numeric constraints (hypothesis-level, exit 3)."""
+    values = _range_values(config)
     for key, value in values.items():
         if not math.isfinite(value):
             raise ValueError(f"params.{key} = {value} must be finite")
@@ -128,6 +145,22 @@ def check_param_ranges(config: dict):
     if not ymax > trunc:              # trunc >= 0, so this also needs ymax > 0
         raise ValueError(f"params.ymax = {ymax} out of range: the mark support "
                          f"(params.trunc, params.ymax] = ({trunc}, {ymax}] must not be empty")
+
+
+def check_jump_count(config: dict):
+    """The expected jumps per path, horizon x total mass, must not exceed
+    MAX_JUMPS_PER_PATH (hypothesis-level, exit 3); needs check_param_ranges."""
+    eps, trunc, horizon, ymax = _range_values(config).values()
+    try:
+        jumps = horizon * total_mass(power_law(eps, ymax=ymax, trunc=trunc))
+    except (InfiniteMassError, OverflowError):
+        jumps = math.inf
+    if not jumps <= MAX_JUMPS_PER_PATH:
+        raise ValueError(
+            f"params.horizon x the mass of the jump measure (params.eps = {eps} on "
+            f"(params.trunc, params.ymax] = ({trunc}, {ymax}]) asks for {jumps:.3g} "
+            f"jumps per path, above the limit of {MAX_JUMPS_PER_PATH}; raise "
+            "params.trunc, or lower params.eps or params.horizon")
 
 
 def load_config(path: str) -> dict:
@@ -291,6 +324,34 @@ def run_pipeline(config: dict) -> report.RunReport:
     return rep
 
 
+def _ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """Two-sided two-sample Kolmogorov-Smirnov test for samples of equal size.
+
+    Returns the statistic d = h/n and the exact p-value P(D_{n,n} >= h/n),
+    2 sum_k (-1)^(k-1) C(2n, n-kh) / C(2n, n), evaluated as a Horner-like
+    product that avoids the alternating sum's cancellation (the exact
+    method of scipy's ks_2samp, used here at every n).
+    """
+    n = len(a)
+    if n == 0 or len(b) != n:
+        raise ValueError(f"the KS test needs two non-empty samples of equal size, "
+                         f"got {len(a)} and {len(b)}")
+    a, b = np.sort(a), np.sort(b)
+    both = np.concatenate([a, b])
+    # n times the ECDF difference at every sample point, ties included
+    diffs = np.searchsorted(a, both, side="right") - np.searchsorted(b, both, side="right")
+    h = int(max(-diffs.min(), diffs.max()))
+    if h == 0:
+        return 0.0, 1.0
+    p = 0.0
+    for k in range(n // h, -1, -1):
+        term = 1.0
+        for j in range(h):
+            term = (n - k * h - j) * term / (n + k * h + j + 1)
+        p = term * (1.0 - p)
+    return h / n, min(max(2.0 * p, 0.0), 1.0)
+
+
 def crosscheck_pipeline(config: dict) -> report.RunReport:
     """Two independent simulations of the subordinated law, compared by KS."""
     name = config["scenario"]
@@ -325,12 +386,12 @@ def crosscheck_pipeline(config: dict) -> report.RunReport:
     out_dir.mkdir(parents=True, exist_ok=True)
     all_p = []
     for i in range(d):
-        full = ks_2samp(route_sde[:, i], route_direct[:, i])
-        half = ks_2samp(route_sde[: n // 2, i], route_direct[: n // 2, i])
-        rep.add_estimate(f"ks_stat_x{i}", full.statistic, 0.0, n)
-        rep.add_estimate(f"ks_pvalue_x{i}", full.pvalue, 0.0, n)
-        rep.add_estimate(f"ks_stat_half_x{i}", half.statistic, 0.0, n // 2)
-        all_p.append(full.pvalue)
+        stat, pvalue = _ks_two_sample(route_sde[:, i], route_direct[:, i])
+        half_stat, _ = _ks_two_sample(route_sde[: n // 2, i], route_direct[: n // 2, i])
+        rep.add_estimate(f"ks_stat_x{i}", stat, 0.0, n)
+        rep.add_estimate(f"ks_pvalue_x{i}", pvalue, 0.0, n)
+        rep.add_estimate(f"ks_stat_half_x{i}", half_stat, 0.0, n // 2)
+        all_p.append(pvalue)
     rep.verdicts["ks_pvalue_above_1pct"] = bool(min(all_p) > 0.01)
     report.write_csv(out_dir / "crosscheck.csv",
                      [f"sde_x{i}" for i in range(d)] + [f"direct_x{i}" for i in range(d)],
@@ -396,6 +457,7 @@ def diagnostics_stable_samples(n: int, seed: int, horizon: float) -> np.ndarray:
 
 def validate_pipeline(config: dict) -> tuple[int, dict]:
     check_param_ranges(config)
+    check_jump_count(config)
     sc = scenarios.build(config["scenario"], **config["params"])
     hyp = diagnostics.hypothesis_report(sc)
     body = hyp.to_dict()
@@ -464,6 +526,8 @@ def main(argv=None) -> int:
                 print(f"hypothesis failures: {failures}", file=sys.stderr)
             return code
         check_param_ranges(config)
+        if args.command != "tauber":    # tauber draws no jumps
+            check_jump_count(config)
         if args.command == "run":
             rep = run_pipeline(config)
         elif args.command == "tauber":

@@ -28,13 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import gaussian_kde
 
 from .ensemble import SimpleEnsemble
 from .measures import LevyMeasureSpec
 from .sde import SimpleJets
 
 DET_GAMMA_FLOOR = 1e-10
+KERNEL_REACH = 40.0        # exp(-z^2 / 2) rounds to 0 beyond z = 38.61
 
 
 # ---------------------------------------------------------------------------
@@ -185,15 +185,22 @@ def density_ibp(samples: np.ndarray, weights: WeightResult,
     grid = np.asarray(grid, dtype=float)
     xs = samples[weights.accepted]
     zs = weights.values[weights.accepted]
-    n = len(xs)
+    # Gaussian kernel with h = 0.5 n^(-1/5) sd, half the Scott bandwidth.  A
+    # sample beyond KERNEL_REACH h of a grid point adds exactly 0, so only
+    # the sorted samples within that reach are summed: the far ones would
+    # each take exp's slow underflow path for nothing
+    bw = 0.5 * len(samples) ** (-1.0 / 5.0) * float(np.std(samples, ddof=1))
+    ordered = np.sort(samples)
+    lo = np.searchsorted(ordered, grid - KERNEL_REACH * bw)
+    hi = np.searchsorted(ordered, grid + KERNEL_REACH * bw, side="right")
     vals = np.empty(len(grid))
     ses = np.empty(len(grid))
+    kde = np.empty(len(grid))
     for i, g in enumerate(grid):
         term = np.where(xs >= g, zs, 0.0)
         vals[i], ses[i] = _mean_se(term)
-    k = gaussian_kde(samples, bw_method=lambda kde: 0.5 * kde.n ** (-1.0 / 5.0))
-    kde = k(grid)
+        kde[i] = np.sum(np.exp(-0.5 * ((g - ordered[lo[i]:hi[i]]) / bw) ** 2))
+    kde /= len(samples) * bw * np.sqrt(2 * np.pi)
     # pointwise KDE standard error: sqrt(p * R(K) / (n h)), Gaussian kernel
-    bw = float(k.factor) * float(np.std(samples, ddof=1))
     kde_se = np.sqrt(np.maximum(kde, 0.0) / (2 * np.sqrt(np.pi) * len(samples) * bw))
     return DensityEstimate(grid=grid, ibp=vals, ibp_se=ses, kde=kde, kde_se=kde_se)

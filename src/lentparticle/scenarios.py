@@ -23,6 +23,8 @@ from .sde import Scenario, SimpleJets
 
 CATALOG = {}
 
+Matrix2 = list      # a 2x2 matrix given as two rows; the CLI checks the shape
+
 
 def _register(name):
     def deco(fn):
@@ -180,7 +182,8 @@ def simple2d(eps: float = 0.5, trunc: float = 0.01, ymax: float = 1.0,
 
 @_register("subordination-linear")
 def subordination_linear(eps: float = 0.5, trunc: float = 0.01, ymax: float = 1.0,
-                         horizon: float = 1.0, sigma0=None, nested_step: float = 0.25) -> Scenario:
+                         horizon: float = 1.0, sigma0: Matrix2 = ((0.3, 0.0), (0.1, 0.2)),
+                         nested_step: float = 0.25) -> Scenario:
     """d=2 subordination of a constant-coefficient driftless diffusion.
 
     Jumps are displacements of d(zeta) = sigma0 dB run for the jump's
@@ -189,8 +192,6 @@ def subordination_linear(eps: float = 0.5, trunc: float = 0.01, ymax: float = 1.
     coefficients the nested Euler scheme is exact at any step, hence the
     coarse default nested step.
     """
-    if sigma0 is None:
-        sigma0 = np.array([[0.3, 0.0], [0.1, 0.2]])
     sigma0 = np.asarray(sigma0, dtype=float)
     spec = power_law(eps, ymax=ymax, trunc=trunc)
     bottom = WienerOUBottom(dim=2, n_brownian=2,

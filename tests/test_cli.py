@@ -1,12 +1,17 @@
 """Command-line pipelines: schema handling, exit codes, reproducibility."""
 
 import functools
+import inspect
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from lentparticle import cli, report, scenarios
 
@@ -170,6 +175,36 @@ def test_singular_jacobian_in_one_lane_exits_numeric(tmp_path, capsys, monkeypat
     assert "singular jump Jacobian" in err and f"on path {bad_path};" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "crosscheck"])
+def test_jump_intensity_bounded_before_simulation(tmp_path, capsys, command):
+    # measure mass 8.2e8 on (1e-9, 1] at eps 0.99: ~8e8 jumps per path
+    name = f"intense-{command}"
+    path, _ = _config(tmp_path, name, scenario="simple2d", run={"paths": 4},
+                      params={"eps": 0.99, "trunc": 1e-9})
+    code, err = _exit_and_stderr(capsys, [command, str(path)])
+    assert code == cli.EXIT_HYPOTHESIS, err
+    for field in ("params.eps", "params.trunc", "params.horizon", "jumps per path"):
+        assert field in err, field
+    assert not (tmp_path / name).exists()
+
+
+@pytest.mark.parametrize("sigma0", [{"a": 1}, [[1.0]], [[0.3, 0.0], [0.1]],
+                                    [[0.3, 0.0], [0.1, "x"]], [[0.3, 0.0], [0.1, float("nan")]]])
+@pytest.mark.parametrize("command", ["validate", "run", "crosscheck"])
+def test_sigma0_must_be_finite_2x2_matrix(tmp_path, capsys, command, sigma0):
+    path, _ = _config(tmp_path, "sigma", scenario="subordination-linear",
+                      run={"paths": 4}, params={"sigma0": sigma0})
+    code, err = _exit_and_stderr(capsys, [command, str(path)])
+    assert code == cli.EXIT_SCHEMA and "params.sigma0" in err
+    assert not (tmp_path / "sigma").exists()
+
+
+def test_every_builder_parameter_has_a_checked_type():
+    for name, builder in scenarios.CATALOG.items():
+        for key, param in inspect.signature(builder).parameters.items():
+            assert param.annotation in cli._PARAM_TYPES, (name, key)
+
+
 def test_validate_catalog_defaults_ok(tmp_path, capsys):
     path, _ = _config(tmp_path, "ok")
     assert cli.main(["validate", str(path)]) == cli.EXIT_OK
@@ -180,6 +215,50 @@ def test_validate_catalog_defaults_ok(tmp_path, capsys):
 def test_crosscheck_requires_subordination(tmp_path):
     path, _ = _config(tmp_path, "wrong")
     assert cli.main(["crosscheck", str(path)]) == cli.EXIT_SCHEMA
+
+
+# ---------------------------------------------------------------------------
+# crosscheck statistics and start-up
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("ties", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 5, 20, 400, 5_000, 10_000])
+def test_ks_two_sample_matches_scipy(n, ties):
+    rng = np.random.default_rng(n)
+    a, b = rng.normal(size=n), rng.normal(0.05, 1.0, size=n)
+    if ties:
+        a, b = a.round(1), b.round(1)
+    ref = ks_2samp(a, b)
+    assert cli._ks_two_sample(a, b) == (ref.statistic, ref.pvalue)
+
+
+@pytest.mark.parametrize("n", [5, 7, 13])
+def test_ks_two_sample_clips_rounded_up_pvalue(n):
+    # interleaved samples: h = 1, where the exact sum rounds to 1 + 1 ulp
+    a = 2.0 * np.arange(n)
+    assert cli._ks_two_sample(a, a + 1.0) == (1 / n, 1.0)
+
+
+@pytest.mark.parametrize("sizes", [(3, 4), (0, 0), (0, 2)])
+def test_ks_two_sample_needs_equal_nonempty_samples(sizes):
+    with pytest.raises(ValueError, match="equal size"):
+        cli._ks_two_sample(np.zeros(sizes[0]), np.ones(sizes[1]))
+
+
+def test_no_command_imports_scipy_stats(tmp_path):
+    # a fresh interpreter: the tests themselves import scipy.stats
+    crosscheck, _ = _config(tmp_path, "x", scenario="subordination-linear", run={"paths": 20})
+    run, _ = _config(tmp_path, "r", run={"paths": 300, "rho_replicas": 50})
+    script = (f"import sys\nfrom lentparticle import cli\n"
+              f"assert cli.main(['crosscheck', {str(crosscheck)!r}]) == 0\n"
+              f"assert cli.main(['run', {str(run)!r}]) == 0\n"
+              f"print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 # ---------------------------------------------------------------------------

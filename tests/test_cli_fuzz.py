@@ -1,10 +1,10 @@
 """Config fuzzing of the exit-code contract: every input exits 0, 2, 3 or 4.
 
 Configs mix valid values with hostile ones (NaN, infinities, wrong types,
-out-of-range numbers, unknown keys and scenarios) and run `cli.main`
-in-process.  Valid values are bounded so that no config asks for more than
-a few dozen jumps per path: the contract is about how a run ends, not
-about its size.
+out-of-range numbers, a sigma0 that is no 2x2 matrix, a jump intensity of
+~1e8 per path, unknown keys and scenarios) and run `cli.main` in-process.
+Valid values are bounded so that no config asks for more than a few dozen
+jumps per path: the contract is about how a run ends, not about its size.
 """
 
 import contextlib
@@ -22,6 +22,8 @@ from hypothesis import strategies as st
 from lentparticle import cli, scenarios
 
 HOSTILE = [math.nan, math.inf, -math.inf, -1.0, 0.0, 1.5, 2, "x", True, None, [0.1]]
+HOSTILE_SIGMA0 = [{"a": 1}, [[1.0]], [[0.3, 0.0]], [[0.3, 0.0], [0.1, 0.2, 0.0]]]
+INTENSE = {"eps": 0.99, "trunc": 1e-9}     # measure mass 8.2e8 on (1e-9, 1]
 
 VALID_PARAMS = {
     "eps": [0.3, 0.5, 0.8], "trunc": [0.05, 0.2], "horizon": [0.2, 1.0],
@@ -39,16 +41,21 @@ def invocations(draw):
     """A subcommand and a config for it, with at most one field spoiled."""
     command = draw(st.sampled_from(["run", "validate", "crosscheck", "tauber"]))
     name = draw(st.sampled_from(sorted(scenarios.CATALOG)))
-    if command == "crosscheck" and draw(st.booleans()):
-        name = "subordination-linear"       # the one scenario it takes
+    spoil = draw(st.sampled_from([None, "params", "run", "missing", "unknown", "scenario",
+                                  "sigma0", "intensity"]))
+    if spoil == "sigma0" or command == "crosscheck" and draw(st.booleans()):
+        name = "subordination-linear"       # the one scenario crosscheck takes
     keys = [k for k in inspect.signature(scenarios.CATALOG[name]).parameters
             if k in VALID_PARAMS] + (["psi"] if command == "tauber" else [])
     chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=3))
     params = {k: draw(st.sampled_from(VALID_PARAMS[k])) for k in chosen}
     run = {k: draw(st.sampled_from(valid)) for k, valid in VALID_RUN.items()}
-    spoil = draw(st.sampled_from([None, "params", "run", "missing", "unknown", "scenario"]))
     if spoil == "params" and params:
         params[draw(st.sampled_from(chosen))] = draw(st.sampled_from(HOSTILE))
+    elif spoil == "sigma0":
+        params["sigma0"] = draw(st.sampled_from(HOSTILE_SIGMA0))
+    elif spoil == "intensity":
+        params.update(INTENSE)
     elif spoil == "run":
         run[draw(st.sampled_from(sorted(run)))] = draw(st.sampled_from(HOSTILE))
     elif spoil == "missing":

@@ -10,10 +10,11 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import gaussian_kde
 
 from lentparticle import scenarios
 from lentparticle.ensemble import simple_ensemble
-from lentparticle.ibp import (bracket, delta, density_ibp, expectation_ibp,
+from lentparticle.ibp import (WeightResult, bracket, delta, density_ibp, expectation_ibp,
                               functional_value, generator_value, weight)
 from lentparticle.rng import RngStream
 from lentparticle.sde import SimpleJets
@@ -155,6 +156,18 @@ def test_density_structure(ens_bump_100k):
     assert abs(dens.mass() - 1.0) < 0.1
     # the two half-width envelopes combine
     assert np.all(dens.joint_se() >= dens.ibp_se)
+
+
+@pytest.mark.parametrize("n", [2, 10, 1_000, 50_000])
+def test_kde_matches_scipy_gaussian_kde(n):
+    # the numpy KDE is scipy's gaussian_kde at half the Scott factor
+    x = np.random.default_rng(n).gamma(2.0, size=n)
+    grid = np.linspace(x.mean() - 3 * x.std(), x.mean() + 3 * x.std(), 41)
+    dens = density_ibp(x, WeightResult(1, np.zeros(n), np.ones(n, bool), 0), grid)
+    ref = gaussian_kde(x, bw_method=lambda k: 0.5 * k.n ** -0.2)(grid)
+    seen = ref > 1e-300
+    assert seen.any()
+    np.testing.assert_allclose(dens.kde[seen], ref[seen], rtol=1e-12, atol=0)
 
 
 def test_density_cdf_monotone(ens_bump_100k):

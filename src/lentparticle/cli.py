@@ -16,6 +16,7 @@ import inspect
 import json
 import math
 import os
+import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -95,17 +96,34 @@ def _is_matrix2(value) -> bool:
 _PARAM_TYPES = {"float": (_is_float, "float"),
                 "str": (lambda v: isinstance(v, str), "str"),
                 "bool": (lambda v: isinstance(v, bool), "bool"),
-                "Matrix2": (_is_matrix2, "2x2 matrix of finite numbers, a list of two rows")}
+                "Matrix2": (_is_matrix2, "2x2 matrix of finite numbers, a list of two rows"),
+                "Psi": (lambda v: v in ("y", "y2"), "functional name, 'y' or 'y2'")}
+
+# The params `tauber` reads, with annotation and default.  It builds no
+# scenario (its measure is the untruncated power law), so the scenario's
+# builder describes neither these keys nor their defaults
+TAUBER_PARAMS = {"psi": ("Psi", "y2"), "eps": ("float", 0.5), "ymax": ("float", 1.0),
+                 "horizon": ("float", 1.0)}
 
 
-def check_scenario_params(config: dict):
-    """Every params key must be an argument of the scenario's builder, of its type."""
+def _param_schema(config: dict, command: str) -> tuple[dict, str]:
+    """{key: (annotation, default)} of the params the command reads, and
+    the name of what reads them."""
+    if command == "tauber":
+        return TAUBER_PARAMS, "the tauber command"
     name = config["scenario"]
     sig = inspect.signature(scenarios.CATALOG[name]).parameters
+    return {key: (p.annotation, p.default) for key, p in sig.items()}, f"scenario {name!r}"
+
+
+def check_scenario_params(config: dict, command: str):
+    """Every params key must be an argument of the scenario's builder, of its
+    type; for `tauber`, a key of TAUBER_PARAMS."""
+    schema, owner = _param_schema(config, command)
     for key, value in config["params"].items():
-        _require(key in sig, f"params.{key}",
-                 f"unknown parameter of scenario {name!r}; choose from {sorted(sig)}")
-        ok, kind = _PARAM_TYPES[sig[key].annotation]
+        _require(key in schema, f"params.{key}",
+                 f"unknown parameter of {owner}; choose from {sorted(schema)}")
+        ok, kind = _PARAM_TYPES[schema[key][0]]
         _require(ok(value), f"params.{key}", f"must be a {kind}, got {value!r}")
 
 
@@ -115,21 +133,22 @@ def check_scenario_params(config: dict):
 MAX_JUMPS_PER_PATH = 10_000
 
 
-def _range_values(config: dict) -> dict:
-    """eps, trunc, horizon and ymax of the config, defaults filled in."""
+def _range_values(config: dict, command: str) -> dict:
+    """eps, trunc, horizon and ymax of the config, defaults filled in;
+    trunc is 0 for `tauber`."""
     params = config["params"]
     keys = ("eps", "trunc", "horizon", "ymax")
     for key in keys:
         if key in params:
             _require(_is_float(params[key]), f"params.{key}",
                      f"must be a float, got {params[key]!r}")
-    sig = inspect.signature(scenarios.CATALOG[config["scenario"]]).parameters
-    return {key: params.get(key, sig[key].default) for key in keys}
+    schema, _ = _param_schema(config, command)
+    return {key: params.get(key, schema[key][1] if key in schema else 0.0) for key in keys}
 
 
-def check_param_ranges(config: dict):
+def check_param_ranges(config: dict, command: str):
     """Scenario-specific numeric constraints (hypothesis-level, exit 3)."""
-    values = _range_values(config)
+    values = _range_values(config, command)
     for key, value in values.items():
         if not math.isfinite(value):
             raise ValueError(f"params.{key} = {value} must be finite")
@@ -147,10 +166,10 @@ def check_param_ranges(config: dict):
                          f"(params.trunc, params.ymax] = ({trunc}, {ymax}] must not be empty")
 
 
-def check_jump_count(config: dict):
+def check_jump_count(config: dict, command: str):
     """The expected jumps per path, horizon x total mass, must not exceed
     MAX_JUMPS_PER_PATH (hypothesis-level, exit 3); needs check_param_ranges."""
-    eps, trunc, horizon, ymax = _range_values(config).values()
+    eps, trunc, horizon, ymax = _range_values(config, command).values()
     try:
         jumps = horizon * total_mass(power_law(eps, ymax=ymax, trunc=trunc))
     except (InfiniteMassError, OverflowError):
@@ -404,14 +423,10 @@ def tauber_pipeline(config: dict) -> report.RunReport:
     """Laplace-exponent fit and, for the linear functional, a small-ball fit."""
     params = config["params"]
     run = config["run"]
-    psi_name = params.get("psi", "y2")
-    eps = params.get("eps", 0.5)
-    ymax = params.get("ymax", 1.0)
-    horizon = params.get("horizon", 1.0)
+    psi_name, eps, ymax, horizon = (params.get(key, default)
+                                    for key, (_, default) in TAUBER_PARAMS.items())
     spec = power_law(eps, ymax=ymax, trunc=0.0)
-    psi = {"y": lambda y: y, "y2": lambda y: y ** 2}.get(psi_name)
-    if psi is None:
-        raise SchemaError("params.psi: must be 'y' or 'y2'")
+    psi = {"y": lambda y: y, "y2": lambda y: y ** 2}[psi_name]
     rep = report.RunReport(config=config)
 
     fit = tauberian_fit(psi, spec, np.logspace(4, 12, 24))
@@ -448,16 +463,18 @@ def diagnostics_stable_samples(n: int, seed: int, horizon: float) -> np.ndarray:
     Its law is the half-stable subordinator value, with the closed-form
     distribution function erfc(sqrt(pi t^2 / x)); inverse-CDF sampling
     avoids the truncation bias a jump-sum simulation would add in the
-    deep lower tail.
+    deep lower tail.  erfc(x) = 2 Phi(-x sqrt 2), so the inverse is
+    erfcinv(u) = -Phi^-1(u / 2) / sqrt 2, and u = 0 gives x = 0.
     """
-    from scipy.special import erfcinv
     u = RngStream(seed=seed, tag=TAG_NOISE).generator().random(n)
-    return horizon ** 2 * math.pi / erfcinv(u) ** 2
+    inv_cdf = statistics.NormalDist().inv_cdf
+    erfcinv = np.array([-inv_cdf(v / 2) / math.sqrt(2) if v > 0 else math.inf for v in u])
+    return horizon ** 2 * math.pi / erfcinv ** 2
 
 
 def validate_pipeline(config: dict) -> tuple[int, dict]:
-    check_param_ranges(config)
-    check_jump_count(config)
+    check_param_ranges(config, "validate")
+    check_jump_count(config, "validate")
     sc = scenarios.build(config["scenario"], **config["params"])
     hyp = diagnostics.hypothesis_report(sc)
     body = hyp.to_dict()
@@ -511,8 +528,7 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         need_out = args.command != "validate"
         validate_config(config, need_outputs=need_out)
-        if args.command != "tauber":    # tauber reads psi/eps/ymax/horizon itself
-            check_scenario_params(config)
+        check_scenario_params(config, args.command)
     except SchemaError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_SCHEMA
@@ -525,9 +541,9 @@ def main(argv=None) -> int:
                 failures = [i["name"] for i in body["items"] if i["status"] == "fail"]
                 print(f"hypothesis failures: {failures}", file=sys.stderr)
             return code
-        check_param_ranges(config)
+        check_param_ranges(config, args.command)
         if args.command != "tauber":    # tauber draws no jumps
-            check_jump_count(config)
+            check_jump_count(config, args.command)
         if args.command == "run":
             rep = run_pipeline(config)
         elif args.command == "tauber":

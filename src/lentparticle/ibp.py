@@ -193,12 +193,18 @@ def density_ibp(samples: np.ndarray, weights: WeightResult,
     ordered = np.sort(samples)
     lo = np.searchsorted(ordered, grid - KERNEL_REACH * bw)
     hi = np.searchsorted(ordered, grid + KERNEL_REACH * bw, side="right")
-    vals = np.empty(len(grid))
-    ses = np.empty(len(grid))
+    # E[1{X >= g} Z1] and its iid SE at every grid point from one sort: the
+    # sums of Z1 and Z1^2 over the paths at or above g are reverse
+    # cumulative sums over the paths sorted by X
+    n = len(xs)
+    by_x = np.argsort(xs)
+    tail = np.zeros((2, n + 1))
+    tail[:, :n] = np.cumsum(np.stack([zs, zs * zs])[:, by_x[::-1]], axis=1)[:, ::-1]
+    s1, s2 = tail[:, np.searchsorted(xs[by_x], grid, side="left")]
+    vals = s1 / n
+    ses = np.sqrt(np.maximum(s2 - s1 * vals, 0.0) / (n - 1) / n)
     kde = np.empty(len(grid))
     for i, g in enumerate(grid):
-        term = np.where(xs >= g, zs, 0.0)
-        vals[i], ses[i] = _mean_se(term)
         kde[i] = np.sum(np.exp(-0.5 * ((g - ordered[lo[i]:hi[i]]) / bw) ** 2))
     kde /= len(samples) * bw * np.sqrt(2 * np.pi)
     # pointwise KDE standard error: sqrt(p * R(K) / (n h)), Gaussian kernel

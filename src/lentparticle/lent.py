@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .bottom import CapabilityError
 from .prm import GAUSSIAN, MarkedPoissonPath, attach_rho_marks, rho_blocks
@@ -124,7 +123,7 @@ def gaussian_kappa(p: float) -> float:
     """p-th absolute moment of a standard normal, to the power 1/p."""
     if p <= 0:
         raise ValueError("p must be positive")
-    log_m = (p / 2) * math.log(2.0) + gammaln((p + 1) / 2) - 0.5 * math.log(math.pi)
+    log_m = (p / 2) * math.log(2.0) + math.lgamma((p + 1) / 2) - 0.5 * math.log(math.pi)
     return math.exp(log_m / p)
 
 

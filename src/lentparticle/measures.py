@@ -8,20 +8,52 @@ infinite-activity measures into finite ones; everything downstream
 measure.
 
 Also hosts the Laplace-exponent / Tauberian machinery used by the
-small-ball smoothness diagnostics.
+small-ball smoothness diagnostics, and the one quadrature every integral
+against a measure goes through (`_quad`).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .rng import RngStream
 
 QUAD_ABS_TOL = 1e-9
+QUAD_REL_TOL = 1e-10
+QUAD_LIMIT = 400          # most subintervals one quadrature may hold
+# No piece narrower than this share of the integration interval is split:
+# it keeps the marks of a divergent integrand on (0, 1] above 1e-120, where
+# a power-law density y^(-1-eps) with eps < 1 and a few powers of y stay
+# finite, so divergence shows as a large error, not as an overflow.
+QUAD_MIN_PIECE = 2.0 ** -400
+
+# The 21-point Kronrod rule on [-1, 1] and the 10-point Gauss rule embedded
+# in it (QUADPACK's qk21, Piessens et al. 1983).  _XK, _WK and _WG hold the
+# nonnegative half, largest node first; the QK21_ arrays hold the whole
+# rule, nodes from -1 to 1.  The Gauss weight is 0 at the Kronrod-only nodes.
+_XK = np.array([0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+                0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+                0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+                0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+                0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0])
+_WK = np.array([0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+                0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+                0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+                0.123491976262065851077208980171080, 0.134709217311473325928054001771707,
+                0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+                0.149445554002916905664936468389821])
+_WG = np.array([0.0, 0.066671344308688137593568809893332, 0.0, 0.149451349150580593145776339657697,
+                0.0, 0.219086362515982043995534934228163, 0.0, 0.269266719309996355091226921569469,
+                0.0, 0.295524224714752870173892994651338, 0.0])
+QK21_NODES = np.concatenate([-_XK, _XK[-2::-1]])
+QK21_KRONROD = np.concatenate([_WK, _WK[-2::-1]])
+QK21_GAUSS = np.concatenate([_WG, _WG[-2::-1]])
+_QK21_WEIGHTS = np.stack([QK21_KRONROD, QK21_GAUSS])
+_EPMACH = np.finfo(float).eps
 
 POWER = "power"
 UNIFORM = "uniform"
@@ -87,6 +119,72 @@ class LevyMeasureSpec:
         return hash((self.family, tuple(sorted(self.params.items())), self.trunc))
 
 
+def _lanes(value, n: int) -> np.ndarray:
+    """An integrand's value at n marks as an (n, k) float array: the lane
+    (mark) axis first, one column per component; a value without the lane
+    axis is broadcast."""
+    value = np.asarray(value, dtype=float)
+    if value.shape[:1] != (n,):
+        value = np.broadcast_to(value, (n,) + value.shape[1:])
+    return value.reshape(n, -1)
+
+
+def _qk21(fn, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """21-point Kronrod estimate of int_a^b fn and QUADPACK's error bound
+    on it, per component; fn is called once, on the 21 nodes."""
+    centre, half = 0.5 * (a + b), 0.5 * (b - a)
+    f = _lanes(fn(centre + half * QK21_NODES), QK21_NODES.size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # a non-finite value is returned as it is and ends the bisection
+        resk, resg = _QK21_WEIGHTS @ f
+        resabs = QK21_KRONROD @ np.abs(f)
+        resasc = QK21_KRONROD @ np.abs(f - 0.5 * resk)
+        # |K - G| is the error of G, far above that of K on a smooth
+        # integrand; QUADPACK takes resasc min(1, (200 |K - G| / resasc)^1.5)
+        err = np.abs(resk - resg)
+        err = np.where(resasc > 0, resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5), err)
+        err = np.maximum(err, 50.0 * _EPMACH * resabs) * abs(half)
+    return resk * half, err
+
+
+def _quad(fn, edges) -> tuple[np.ndarray, np.ndarray]:
+    """Adaptive Gauss-Kronrod quadrature of fn over [edges[0], edges[-1]]
+    (QUADPACK's qag with the qk21 rule, started from the partition `edges`):
+    split the subinterval of largest error until every component's summed
+    error is within max(QUAD_ABS_TOL, QUAD_REL_TOL |value|), a value is not
+    finite, there are QUAD_LIMIT subintervals, or the worst one is narrower
+    than QUAD_MIN_PIECE of the whole interval.
+
+    fn takes an array of 21 marks and returns its value at each, lane axis
+    first: shape (21,) for a scalar integrand, (21, k) for k components.
+    Returns (value, error), each of shape (k,).
+    """
+    smallest = QUAD_MIN_PIECE * (edges[-1] - edges[0])
+    heap = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        v, e = _qk21(fn, lo, hi)
+        heap.append((-e.max(), lo, hi, v, e))
+    heapq.heapify(heap)
+    total, total_err = sum(item[3] for item in heap), sum(item[4] for item in heap)
+    while (len(heap) < QUAD_LIMIT and np.all(np.isfinite(total))
+           and np.any(total_err > np.maximum(QUAD_ABS_TOL, QUAD_REL_TOL * np.abs(total)))):
+        _, a, b, v0, e0 = heap[0]
+        # a jump density that blows up at 0 is split near 0 on the piece
+        # touching it: b / 8 leaves [b / 8, b] smooth at qk21's scale, so
+        # each split shrinks the singular piece 8-fold instead of 2-fold
+        mid = 0.5 * (a + b) if a != 0.0 else 0.125 * b
+        if not (a < mid < b and b - a > smallest):
+            break
+        heapq.heappop(heap)
+        total, total_err = total - v0, total_err - e0
+        for lo, hi in ((a, mid), (mid, b)):
+            v, e = _qk21(fn, lo, hi)
+            heapq.heappush(heap, (-e.max(), lo, hi, v, e))
+            total, total_err = total + v, total_err + e
+    # the running sums drift; the result is the plain sum over the intervals
+    return sum(item[3] for item in heap), sum(item[4] for item in heap)
+
+
 def power_law(eps: float, ymax: float = 1.0, trunc: float = 0.0) -> LevyMeasureSpec:
     return LevyMeasureSpec(POWER, {"eps": eps, "ymax": ymax}, trunc)
 
@@ -113,8 +211,7 @@ def total_mass(spec: LevyMeasureSpec) -> float:
         return (lo ** (-eps) - hi ** (-eps)) / eps
     if spec.family == UNIFORM:
         return spec.params.get("level", 1.0) * (hi - lo)
-    val, _ = quad(spec.density, lo, hi, epsabs=QUAD_ABS_TOL, limit=200)
-    return val
+    return float(_quad(spec.density, (lo, hi))[0][0])
 
 
 def mark_cdf(spec: LevyMeasureSpec, y) -> np.ndarray:
@@ -134,9 +231,7 @@ def mark_cdf(spec: LevyMeasureSpec, y) -> np.ndarray:
     elif spec.family == UNIFORM:
         part = spec.params.get("level", 1.0) * (yc - lo)
     else:
-        part = np.array(
-            [quad(spec.density, lo, v, epsabs=QUAD_ABS_TOL, limit=200)[0] for v in yc]
-        )
+        part = np.array([_quad(spec.density, (lo, v))[0][0] for v in yc])
     return part / mass
 
 
@@ -167,23 +262,18 @@ def mark_quantile(spec: LevyMeasureSpec, v: np.ndarray) -> np.ndarray:
 def compensator_integral(spec: LevyMeasureSpec, f, t: float) -> np.ndarray:
     """t * integral of f against the truncated measure.
 
-    f maps a mark to a scalar or a vector; integration is per component.
+    f maps an array of marks to its value at each, lane axis first: shape
+    (n,) for a scalar integrand, (n, k) for a vector one; integration is
+    per component.
     """
     lo, hi = spec.lower, spec.upper
     if lo >= hi:
-        out = np.zeros(np.atleast_1d(np.asarray(f(hi), dtype=float)).shape)
+        out = np.zeros(_lanes(f(np.array([hi])), 1).shape[1])
     else:
-        probe = np.atleast_1d(np.asarray(f(0.5 * (lo + hi)), dtype=float))
-        out = np.empty(probe.shape)
-        for i in range(probe.size):
-            def integrand(y, i=i):
-                return np.atleast_1d(np.asarray(f(y), dtype=float))[i] * float(spec.density(y))
-
-            val, err = quad(integrand, lo, hi, epsabs=QUAD_ABS_TOL, limit=400,
-                            points=[lo + 1e-12 * (hi - lo)])
-            if not math.isfinite(val) or err > max(1e-6, 1e-6 * abs(val)):
+        out, err = _quad(lambda y: _lanes(f(y), y.size) * spec.density(y)[:, None], (lo, hi))
+        for i, (val, e) in enumerate(zip(out, err)):
+            if not math.isfinite(val) or e > max(1e-6, 1e-6 * abs(val)):
                 raise NonIntegrableError(f"component {i} does not integrate against the measure")
-            out[i] = val
     res = t * out
     return res if res.size > 1 else float(res[0])
 
@@ -207,22 +297,17 @@ def laplace_exponent(lam: float, psi, spec: LevyMeasureSpec) -> float:
         return 0.0
 
     def integrand(y):
-        return np.expm1(-lam * psi(y)) * float(spec.density(y))
+        return np.expm1(-lam * psi(y)) * spec.density(y)
 
     # For large lam the integrand varies over many scales (the transition
     # region lam * psi(y) ~ 1 can sit ten decades below the support's top),
-    # so integrate decade by decade on a log-spaced partition; each piece
-    # is smooth at quad's scale.
+    # so the quadrature starts from a log-spaced partition, two pieces per
+    # decade; each piece is smooth at the quadrature's scale.
     a = lo if lo > 0 else hi * 1e-18
-    breaks = np.geomspace(a, hi, max(8, int(math.log10(hi / a)) * 2 + 2))
-    pieces = list(zip(breaks[:-1], breaks[1:]))
+    edges = np.geomspace(a, hi, max(8, int(math.log10(hi / a)) * 2 + 2)).tolist()
     if lo <= 0:
-        pieces.insert(0, (0.0, a))
-    val = 0.0
-    for u0, u1 in pieces:
-        v, _ = quad(integrand, u0, u1, epsabs=QUAD_ABS_TOL, limit=200)
-        val += v
-    return min(val, 0.0)
+        edges.insert(0, 0.0)
+    return min(float(_quad(integrand, edges)[0][0]), 0.0)
 
 
 @dataclass

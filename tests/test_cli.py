@@ -8,9 +8,11 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.special import erfcinv
 from scipy.stats import ks_2samp
 
 from lentparticle import cli, report, scenarios
@@ -95,6 +97,31 @@ def test_ill_typed_param_is_schema_error(tmp_path, capsys, command, key):
     path, _ = _config(tmp_path, "typed", params={key: "x"})
     code, err = _exit_and_stderr(capsys, [command, str(path)])
     assert code == cli.EXIT_SCHEMA and f"params.{key}" in err
+
+
+@pytest.mark.parametrize("params,field", [
+    ({"bogus": 1, "psi": "y"}, "params.bogus"),
+    ({"trunc": 0.1}, "params.trunc"),
+    ({"weight": "bump"}, "params.weight"),
+    ({"psi": "y3"}, "params.psi"),
+    ({"psi": 2}, "params.psi"),
+    ({"horizon": True}, "params.horizon"),
+])
+def test_tauber_params_schema(tmp_path, capsys, params, field):
+    # tauber reads psi, eps, ymax and horizon; any other key, or an ill-typed
+    # one, is refused before any work
+    path, _ = _config(tmp_path, "tschema", params=params)
+    code, err = _exit_and_stderr(capsys, ["tauber", str(path)])
+    assert code == cli.EXIT_SCHEMA and field in err
+    assert not (tmp_path / "tschema").exists()
+
+
+def test_tauber_measure_is_untruncated(tmp_path, capsys):
+    # tauber integrates over (0, ymax]: the scenario's trunc (0.01 for
+    # compound) does not bound its ymax
+    path, _ = _config(tmp_path, "tsmall", params={"ymax": 0.005})
+    code, err = _exit_and_stderr(capsys, ["tauber", str(path)])
+    assert code == cli.EXIT_OK, err
 
 
 def test_tauber_checks_eps_range(tmp_path, capsys):
@@ -245,20 +272,42 @@ def test_ks_two_sample_needs_equal_nonempty_samples(sizes):
         cli._ks_two_sample(np.zeros(sizes[0]), np.ones(sizes[1]))
 
 
-def test_no_command_imports_scipy_stats(tmp_path):
-    # a fresh interpreter: the tests themselves import scipy.stats
+def test_no_command_imports_scipy(tmp_path):
+    # a fresh interpreter: the tests themselves import scipy
     crosscheck, _ = _config(tmp_path, "x", scenario="subordination-linear", run={"paths": 20})
     run, _ = _config(tmp_path, "r", run={"paths": 300, "rho_replicas": 50})
+    validate, _ = _config(tmp_path, "v", scenario="compound-linear",
+                          params={"compensated": True})
+    tauber, _ = _config(tmp_path, "t", params={"psi": "y"}, run={"paths": 20_000})
     script = (f"import sys\nfrom lentparticle import cli\n"
               f"assert cli.main(['crosscheck', {str(crosscheck)!r}]) == 0\n"
               f"assert cli.main(['run', {str(run)!r}]) == 0\n"
-              f"print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
+              f"assert cli.main(['validate', {str(validate)!r}]) == 0\n"
+              f"assert cli.main(['tauber', {str(tauber)!r}]) == 0\n"
+              f"print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "[]"
+
+
+def test_stable_samples_match_erfcinv(monkeypatch):
+    u = np.concatenate([[0.0, 1e-300, 0.5, 1 - 2 ** -53],
+                        np.random.default_rng(3).random(20_000)])
+
+    class FixedUniforms:
+        def __init__(self, **address):
+            pass
+
+        def generator(self):
+            return SimpleNamespace(random=lambda n: u[:n])
+
+    monkeypatch.setattr(cli, "RngStream", FixedUniforms)
+    samples = cli.diagnostics_stable_samples(len(u), 0, 1.5)
+    assert samples[0] == 0.0
+    np.testing.assert_allclose(samples, 1.5 ** 2 * np.pi / erfcinv(u) ** 2, rtol=1e-14, atol=0)
 
 
 # ---------------------------------------------------------------------------

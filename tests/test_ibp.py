@@ -170,6 +170,24 @@ def test_kde_matches_scipy_gaussian_kde(n):
     np.testing.assert_allclose(dens.kde[seen], ref[seen], rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("n", [2, 7, 5_000])
+def test_density_tail_means_match_per_point_loop(n):
+    # the sorted reverse cumulative sums give what a mean over all accepted
+    # paths per grid point gives, ties and rejected paths included
+    rng = np.random.default_rng(n)
+    x = np.round(rng.gamma(2.0, size=n), 1)
+    w = WeightResult(1, rng.standard_normal(n) * 3 + 0.5, rng.random(n) > 0.2, 0)
+    w.accepted[:2] = True
+    grid = np.concatenate([np.linspace(x.min() - 1, x.max() + 1, 31), x[:3]])
+    dens = density_ibp(x, w, grid)
+    xs, zs = x[w.accepted], w.values[w.accepted]
+    for i, g in enumerate(grid):
+        term = np.where(xs >= g, zs, 0.0)
+        assert dens.ibp[i] == pytest.approx(term.mean(), rel=1e-12, abs=1e-15), g
+        assert dens.ibp_se[i] == pytest.approx(term.std(ddof=1) / math.sqrt(len(xs)),
+                                               rel=1e-9, abs=1e-15), g
+
+
 def test_density_cdf_monotone(ens_bump_100k):
     # E[1{X >= x} Z1] integrates the density from the right: the implied
     # survival values must be consistent with a nonincreasing tail

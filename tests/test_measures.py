@@ -7,12 +7,65 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import kstest
 
-from lentparticle.measures import (InfiniteMassError, LevyMeasureSpec,
-                                   TABULATED, compensator_integral,
-                                   laplace_exponent, mark_cdf, power_law,
-                                   sample_mark, small_ball_params, tauberian_fit,
+from lentparticle import scenarios
+from lentparticle.measures import (QK21_GAUSS, QK21_KRONROD, QK21_NODES,
+                                   InfiniteMassError, LevyMeasureSpec,
+                                   NonIntegrableError, TABULATED,
+                                   compensator_integral, laplace_exponent,
+                                   mark_cdf, power_law, sample_mark,
+                                   small_ball_params, tauberian_fit,
                                    total_mass, uniform_measure)
 from lentparticle.rng import RngStream
+
+
+# ---------------------------------------------------------------------------
+# reference routes: scipy's quad, one mark at a time, as the library used it
+# ---------------------------------------------------------------------------
+
+def quad_compensator(spec, f, t):
+    """t * int f dnu per component, one quad call per component."""
+    lo, hi = spec.lower, spec.upper
+    probe = np.atleast_1d(np.asarray(f(0.5 * (lo + hi)), dtype=float))
+    out = np.empty(probe.shape)
+    for i in range(probe.size):
+        def integrand(y, i=i):
+            return np.atleast_1d(np.asarray(f(y), dtype=float))[i] * float(spec.density(y))
+
+        out[i] = quad(integrand, lo, hi, epsabs=1e-9, limit=400,
+                      points=[lo + 1e-12 * (hi - lo)])[0]
+    return t * out
+
+
+def quad_laplace(lam, psi, spec):
+    """Laplace exponent by quad on the decade partition, piece by piece."""
+    lo, hi = spec.lower, spec.upper
+    a = lo if lo > 0 else hi * 1e-18
+    breaks = np.geomspace(a, hi, max(8, int(math.log10(hi / a)) * 2 + 2))
+    pieces = list(zip(breaks[:-1], breaks[1:]))
+    if lo <= 0:
+        pieces.insert(0, (0.0, a))
+    val = sum(quad(lambda y: np.expm1(-lam * psi(y)) * float(spec.density(y)),
+                   u0, u1, epsabs=1e-9, limit=200)[0] for u0, u1 in pieces)
+    return min(val, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the quadrature rule
+# ---------------------------------------------------------------------------
+
+def test_qk21_rule_exact_on_polynomials():
+    # Kronrod: degree 31; the embedded Gauss rule: the 10-point Gauss-Legendre
+    # rule, degree 19
+    gauss = QK21_GAUSS > 0
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    np.testing.assert_allclose(np.sort(QK21_NODES[gauss]), nodes, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(QK21_GAUSS[gauss][np.argsort(QK21_NODES[gauss])], weights,
+                               rtol=0, atol=1e-15)
+    for k in range(32):
+        exact = 0.0 if k % 2 else 2.0 / (k + 1)
+        assert QK21_KRONROD @ QK21_NODES ** k == pytest.approx(exact, abs=1e-14), k
+        if k < 20:
+            assert QK21_GAUSS @ QK21_NODES ** k == pytest.approx(exact, abs=1e-14), k
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +96,16 @@ def test_mass_matches_quadrature_on_tabulated():
                                        "lo": 0.1, "hi": 2.0})
     oracle = math.exp(-0.1) - math.exp(-2.0)
     assert total_mass(spec) == pytest.approx(oracle, rel=1e-6)
+
+
+def test_tabulated_mass_and_cdf_closed_form():
+    spec = LevyMeasureSpec(TABULATED, {"density": lambda y: np.exp(-y),
+                                       "lo": 0.1, "hi": 2.0})
+    mass = math.exp(-0.1) - math.exp(-2.0)
+    assert total_mass(spec) == pytest.approx(mass, rel=1e-13)
+    y = np.array([-1.0, 0.1, 0.5, 1.0, 1.7, 2.0, 3.0])
+    oracle = (math.exp(-0.1) - np.exp(-np.clip(y, 0.1, 2.0))) / mass
+    np.testing.assert_allclose(mark_cdf(spec, y), oracle, rtol=1e-13, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +174,56 @@ def test_compensator_quadrature_agreement():
     assert val == pytest.approx(oracle, rel=1e-6)
 
 
+@pytest.mark.parametrize("eps", [0.1, 0.5, 0.9])
+def test_compensator_support_from_zero_closed_forms(eps):
+    # int_0^1 y^p y^(-1-eps) dy = 1 / (p - eps): the integrand is singular
+    # at the support's lower end 0
+    spec = power_law(eps, ymax=1.0, trunc=0.0)
+    for p in (1, 2):
+        val = compensator_integral(spec, lambda y: y ** p, 1.0)
+        assert val == pytest.approx(1.0 / (p - eps), rel=1e-8), p
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.9])
+@pytest.mark.parametrize("f,component", [
+    (lambda y: np.ones_like(y), 0),
+    (lambda y: y ** 0.4, 0),
+    (lambda y: np.stack([y, np.ones_like(y)], -1), 1),
+], ids=["1", "y^0.4", "(y,1)"])
+def test_compensator_support_from_zero_non_integrable(eps, f, component):
+    spec = power_law(eps, ymax=1.0, trunc=0.0)
+    with pytest.raises(NonIntegrableError, match=f"component {component} "):
+        compensator_integral(spec, f, 1.0)
+
+
+@pytest.mark.parametrize("weight", ["power", "bump"])
+def test_jet_means_match_quad(weight):
+    sc = scenarios.build("compound", weight=weight)
+    jets = sc.simple
+    for name in ("h", "ah"):
+        ref = quad_compensator(sc.measure, getattr(jets, name), 1.0)[0]
+        assert getattr(jets, f"mean_{name}")(sc.measure) == pytest.approx(ref, rel=0, abs=1e-12)
+
+
+def test_compensator_vector_integrand_lane_axis_first():
+    # one row per mark, one column per component; each call sees the 21
+    # nodes of one subinterval
+    spec = power_law(0.5, ymax=1.0, trunc=0.01)
+    shapes = []
+
+    def f(y):
+        shapes.append(y.shape)
+        return np.stack([y, y ** 2, np.sin(y)], -1)
+
+    val = compensator_integral(spec, f, 2.0)
+    assert val.shape == (3,)
+    assert set(shapes) == {(21,)}
+    ref = quad_compensator(spec, lambda y: np.array([y, y ** 2, math.sin(y)]), 2.0)
+    np.testing.assert_allclose(val, ref, rtol=1e-12)
+    for i, g in enumerate([lambda y: y, lambda y: y ** 2, np.sin]):
+        assert compensator_integral(spec, g, 2.0) == pytest.approx(val[i], rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # laplace_exponent
 # ---------------------------------------------------------------------------
@@ -142,6 +255,14 @@ def test_laplace_monotone_and_nonpositive():
     vals = [laplace_exponent(l, lambda y: y, spec) for l in lams]
     assert all(v <= 0 for v in vals)
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("power", [1, 2])
+def test_laplace_matches_piecewise_quad(power):
+    spec = power_law(0.5, ymax=1.0, trunc=0.0)
+    for lam in np.logspace(4, 12, 24):
+        ref = quad_laplace(lam, lambda y: y ** power, spec)
+        assert laplace_exponent(lam, lambda y: y ** power, spec) == pytest.approx(ref, rel=1e-10)
 
 
 def test_laplace_rejects_negative_psi():

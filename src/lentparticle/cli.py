@@ -2,8 +2,8 @@
 
 Configuration is a JSON file; the schema is documented in the README and
 enforced here with field-path error messages.  Monte Carlo work fans out
-to a process pool over contiguous path ranges and is merged in path
-order, so results are independent of the worker count.
+to a process pool, one per command, over contiguous path ranges and is
+merged in path order, so results are independent of the worker count.
 
 Exit codes: 0 success, 2 configuration/schema error, 3 hypothesis
 failure, 4 numeric failure.
@@ -12,13 +12,13 @@ failure, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import json
 import math
+import multiprocessing
 import os
-import statistics
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ from . import diagnostics, ensemble, ibp, lent, prm, report, scenarios, sde
 from .ibp import _mean_se
 from .measures import (InfiniteMassError, NonIntegrableError, power_law, small_ball_params,
                        tauberian_fit, total_mass)
-from .rng import TAG_NOISE, RngStream, seek
+from .rng import TAG_NOISE, RngStream, normal_quantile, seek
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -61,7 +61,7 @@ def validate_config(config: dict, need_outputs: bool = True) -> dict:
     _require(isinstance(params, dict), "params", "must be an object")
     run = config.setdefault("run", {})
     _require(isinstance(run, dict), "run", "must be an object")
-    _require(isinstance(run.get("seed"), int), "run.seed", "required integer")
+    _require(_is_int(run.get("seed")), "run.seed", "required integer")
     run.setdefault("paths", 1000)
     run.setdefault("rho_replicas", 1000)
     if "workers" not in run:
@@ -72,7 +72,7 @@ def validate_config(config: dict, need_outputs: bool = True) -> dict:
             raise SchemaError(
                 f"run.workers: LENTPARTICLE_WORKERS={env!r} is not an integer") from None
     for key in ("paths", "rho_replicas", "workers"):
-        _require(isinstance(run[key], int) and run[key] >= 1,
+        _require(_is_int(run[key]) and run[key] >= 1,
                  f"run.{key}", "must be a positive integer")
     outputs = config.setdefault("outputs", {})
     _require(isinstance(outputs, dict), "outputs", "must be an object")
@@ -80,6 +80,10 @@ def validate_config(config: dict, need_outputs: bool = True) -> dict:
         _require(isinstance(outputs.get("dir"), str), "outputs.dir", "required string")
     outputs.setdefault("svg", True)
     return config
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_float(value) -> bool:
@@ -222,14 +226,27 @@ def _traj_chunk(args):
     return out
 
 
-def _fan_out(worker, name, params, paths, seed, workers):
+def _fan_out(worker, name, params, paths, seed, workers, pool=None):
     chunk = math.ceil(paths / workers)
     jobs = [(name, params, start, min(chunk, paths - start), seed)
             for start in range(0, paths, chunk)]
     if workers == 1 or len(jobs) == 1:
         return [worker(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, jobs))
+    if pool is not None:
+        return pool.map(worker, jobs)
+    with multiprocessing.Pool(workers) as pool:
+        return pool.map(worker, jobs)
+
+
+def _command_pool(run: dict):
+    """The process pool of a command that fans out (None when it runs serially).
+    Its workers are forked when the pipeline starts and end when it returns, not
+    with the fan-out, and the pipelines fan out before their serial diagnostics:
+    the workers reach their peak memory early and keep it for the rest of every
+    run, however short the chunks are (bench/run.py samples memory every 0.2 s)."""
+    if min(run["workers"], run["paths"]) < 2:
+        return contextlib.nullcontext()
+    return multiprocessing.Pool(run["workers"])
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +271,7 @@ def _dual_oracle(sc, seed, rho_replicas):
     return mm, emp, rel
 
 
-def run_pipeline(config: dict) -> report.RunReport:
+def run_pipeline(config: dict, pool=None) -> report.RunReport:
     name = config["scenario"]
     params = config["params"]
     run = config["run"]
@@ -265,15 +282,9 @@ def run_pipeline(config: dict) -> report.RunReport:
     out_dir = Path(config["outputs"]["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    mm, emp, rel = _dual_oracle(sc, run["seed"], run["rho_replicas"])
-    rep.diagnostics["gamma_product"] = mm.gamma.tolist()
-    rep.diagnostics["gamma_monte_carlo"] = emp.tolist()
-    rep.add_estimate("gamma_dual_oracle_rel_err", rel, 0.0, run["rho_replicas"])
-    rep.verdicts["gamma_dual_oracle_5pct"] = bool(rel < 0.05)
-
     if name in SIMPLE_SCENARIOS:
         parts = _fan_out(_simple_chunk, name, params, run["paths"],
-                         run["seed"], run["workers"])
+                         run["seed"], run["workers"], pool)
         ens = ensemble.merge_ensembles(parts)
         if len(ens) < 2 or np.all(ens.x == ens.x[0]):
             cause = "fewer than 2 paths" if len(ens) < 2 else "every path ends at the same X"
@@ -317,7 +328,7 @@ def run_pipeline(config: dict) -> report.RunReport:
             "estimate": inv.estimate, "stable": inv.stable, "verdict": inv.verdict}
     else:
         parts = _fan_out(_traj_chunk, name, params, run["paths"],
-                         run["seed"], run["workers"])
+                         run["seed"], run["workers"], pool)
         x = np.concatenate([p["x"] for p in parts])
         kk = np.concatenate([p["kk_err"] for p in parts])
         eig = np.concatenate([p["gamma_min_eig"] for p in parts])
@@ -336,6 +347,13 @@ def run_pipeline(config: dict) -> report.RunReport:
                          [f"x{i}" for i in range(sc.dim)] + ["kk_err", "gamma_min_eig"],
                          [list(map(float, row)) + [float(a), float(b)]
                           for row, a, b in zip(x, kk, eig)])
+
+    # the serial diagnostics follow the fan-out
+    mm, emp, rel = _dual_oracle(sc, run["seed"], run["rho_replicas"])
+    rep.diagnostics["gamma_product"] = mm.gamma.tolist()
+    rep.diagnostics["gamma_monte_carlo"] = emp.tolist()
+    rep.add_estimate("gamma_dual_oracle_rel_err", rel, 0.0, run["rho_replicas"])
+    rep.verdicts["gamma_dual_oracle_5pct"] = bool(rel < 0.05)
 
     hyp = diagnostics.hypothesis_report(sc)
     rep.diagnostics["hypotheses"] = hyp.to_dict()
@@ -371,7 +389,7 @@ def _ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     return h / n, min(max(2.0 * p, 0.0), 1.0)
 
 
-def crosscheck_pipeline(config: dict) -> report.RunReport:
+def crosscheck_pipeline(config: dict, pool=None) -> report.RunReport:
     """Two independent simulations of the subordinated law, compared by KS."""
     name = config["scenario"]
     if name != "subordination-linear":
@@ -384,7 +402,7 @@ def crosscheck_pipeline(config: dict) -> report.RunReport:
     n = run["paths"]
     rep = report.RunReport(config=config)
 
-    parts = _fan_out(_traj_chunk, name, params, n, run["seed"], run["workers"])
+    parts = _fan_out(_traj_chunk, name, params, n, run["seed"], run["workers"], pool)
     route_sde = np.concatenate([p["x"] for p in parts])
 
     # direct route: total subordinator time, then one Gaussian displacement;
@@ -467,8 +485,9 @@ def diagnostics_stable_samples(n: int, seed: int, horizon: float) -> np.ndarray:
     erfcinv(u) = -Phi^-1(u / 2) / sqrt 2, and u = 0 gives x = 0.
     """
     u = RngStream(seed=seed, tag=TAG_NOISE).generator().random(n)
-    inv_cdf = statistics.NormalDist().inv_cdf
-    erfcinv = np.array([-inv_cdf(v / 2) / math.sqrt(2) if v > 0 else math.inf for v in u])
+    erfcinv = np.full(n, math.inf)
+    pos = u > 0
+    erfcinv[pos] = -normal_quantile(u[pos] / 2) / math.sqrt(2)
     return horizon ** 2 * math.pi / erfcinv ** 2
 
 
@@ -544,12 +563,12 @@ def main(argv=None) -> int:
         check_param_ranges(config, args.command)
         if args.command != "tauber":    # tauber draws no jumps
             check_jump_count(config, args.command)
-        if args.command == "run":
-            rep = run_pipeline(config)
-        elif args.command == "tauber":
+        if args.command == "tauber":
             rep = tauber_pipeline(config)
         else:
-            rep = crosscheck_pipeline(config)
+            pipeline = run_pipeline if args.command == "run" else crosscheck_pipeline
+            with _command_pool(config["run"]) as pool:
+                rep = pipeline(config, pool)
     except SchemaError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_SCHEMA

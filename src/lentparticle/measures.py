@@ -14,6 +14,7 @@ against a measure goes through (`_quad`).
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -253,10 +254,16 @@ def mark_quantile(spec: LevyMeasureSpec, v: np.ndarray) -> np.ndarray:
         return (lo ** (-eps) - v * (lo ** (-eps) - hi ** (-eps))) ** (-1.0 / eps)
     if spec.family == UNIFORM:
         return lo + v * (hi - lo)
-    # tabulated: numerical inverse on a fixed grid
-    grid = np.linspace(lo, hi, 2049)
-    cdf = mark_cdf(spec, grid)
-    return np.interp(v, cdf, grid)
+    return np.interp(v, *_cdf_table(spec))
+
+
+@functools.lru_cache(maxsize=16)
+def _cdf_table(spec: LevyMeasureSpec):
+    """CDF of a tabulated measure on a fixed 2049-point grid, and the grid:
+    the numerical inverse `mark_quantile` interpolates, built once per
+    measure (it takes one quadrature per grid point)."""
+    grid = np.linspace(spec.lower, spec.upper, 2049)
+    return mark_cdf(spec, grid), grid
 
 
 def compensator_integral(spec: LevyMeasureSpec, f, t: float) -> np.ndarray:

@@ -156,3 +156,47 @@ def _philox4x64(c, key) -> np.ndarray:
         hi1, lo1 = _mulhilo(c[2], _M1)
         c = [hi1 ^ c[1] ^ rk0, lo1, hi0 ^ c[3] ^ rk1, lo0]
     return np.stack(c, axis=-1)
+
+
+# Wichura's AS241 (PPND16) coefficients, as `statistics.NormalDist` has
+# them: [branch][numerator, denominator][highest power first]
+_AS241 = np.array([
+    [[2509.0809287301227, 33430.57558358813, 67265.7709270087, 45921.95393154987,
+      13731.69376550946, 1971.5909503065513, 133.14166789178438, 3.3871328727963665],
+     [5226.495278852854, 28729.085735721943, 39307.89580009271, 21213.794301586597,
+      5394.196021424751, 687.1870074920579, 42.31333070160091, 1.0]],
+    [[0.0007745450142783414, 0.022723844989269184, 0.2417807251774506, 1.2704582524523684,
+      3.6478483247632045, 5.769497221460691, 4.630337846156546, 1.4234371107496835],
+     [1.0507500716444169e-09, 0.0005475938084995345, 0.015198666563616457,
+      0.14810397642748008, 0.6897673349851, 1.6763848301838038, 2.053191626637759, 1.0]],
+    [[2.0103343992922881e-07, 2.7115555687434876e-05, 0.0012426609473880784,
+      0.026532189526576124, 0.29656057182850487, 1.7848265399172913, 5.463784911164114,
+      6.657904643501103],
+     [2.0442631033899397e-15, 1.421511758316446e-07, 1.8463183175100548e-05,
+      0.0007868691311456133, 0.014875361290850615, 0.1369298809227358, 0.599832206555888,
+      1.0]]])
+
+
+def normal_quantile(p) -> np.ndarray:
+    """Standard normal quantile Phi^-1(p), elementwise, for 0 < p < 1.
+
+    A numpy port of `statistics.NormalDist.inv_cdf` (Wichura, "Algorithm
+    AS241", Applied Statistics 37, 1988; ~1e-16 relative) with its
+    branches and operation order; only numpy's log may differ from libm's
+    in the last bit.
+    """
+    p = np.asarray(p, dtype=float)
+    if not np.all((p > 0.0) & (p < 1.0)):
+        raise ValueError("the normal quantile needs 0 < p < 1")
+    q = p - 0.5
+    x = np.empty_like(q)
+    mid = np.abs(q) <= 0.425
+    qm, qt = q[mid], q[~mid]
+    r = 0.180625 - qm * qm
+    x[mid] = np.polyval(_AS241[0, 0], r) * qm / np.polyval(_AS241[0, 1], r)
+    r = np.sqrt(-np.log(np.where(qt <= 0.0, p[~mid], 1.0 - p[~mid])))
+    near, far = r - 1.6, r - 5.0
+    xt = np.where(r <= 5.0, np.polyval(_AS241[1, 0], near) / np.polyval(_AS241[1, 1], near),
+                  np.polyval(_AS241[2, 0], far) / np.polyval(_AS241[2, 1], far))
+    x[~mid] = np.where(qt < 0.0, -xt, xt)
+    return x

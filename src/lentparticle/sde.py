@@ -56,12 +56,13 @@ class SimpleJets:
         g2 = xi h' g1'               (bracket of X with its covariance)
 
     plus the brackets of X with ah and g2.  ah is the library's one
-    writing of the mark-space generator a[.]: it comes from integrating
-    the form xi f'^2 by parts against the mark density m, so it is the
-    generator only on functions whose weighted flux xi m f' vanishes at
-    both support endpoints (`generator_symmetry_residual` checks that).
-    The compensator constants int h dnu and int a[h] dnu are computed
-    once per measure and memoised.
+    writing of the mark-space generator a[.] (`_a`, which `table` also
+    applies to jet values): it comes from integrating the form xi f'^2 by
+    parts against the mark density m, so it is the generator only on
+    functions whose weighted flux xi m f' vanishes at both support
+    endpoints (`generator_symmetry_residual` checks that).  The
+    compensator constants int h dnu and int a[h] dnu are computed once
+    per measure and memoised.
     """
 
     h: Callable
@@ -96,51 +97,41 @@ class SimpleJets:
         Path i owns the next counts[i] marks of the concatenated array.
         Keys: X (compensated by t int h dnu if asked), gamma = <X, X>,
         A = A[X] (always compensated), G2 = <X, gamma>, XA = <X, A> and
-        XG2 = <X, G2>.
+        XG2 = <X, G2>, the last three being N(xi h' g1'), N(xi h' a[h]')
+        and N(xi h' g2').  Each of the nine jets is evaluated once, on the
+        whole mark array, and every integrand is assembled from those values.
         """
-        def seg(fn):
-            return _segment_sum(np.broadcast_to(fn(marks), marks.shape).astype(float), counts)
+        h, hp, hpp, hppp, xi, xip, xipp, r, rp = (
+            jet(marks) for jet in (self.h, self.hp, self.hpp, self.hppp,
+                                   self.xi, self.xip, self.xipp, self.r, self.rp))
+        g1p = xip * hp ** 2 + 2 * xi * hp * hpp
+        g1pp = xipp * hp ** 2 + 4 * xip * hp * hpp + 2 * xi * (hpp ** 2 + hp * hppp)
+        ahp = (0.5 * xip * hpp + 0.5 * xi * hppp
+               + 0.5 * (xipp + xip * r + xi * rp) * hp + 0.5 * (xip + xi * r) * hpp)
+        g2p = xip * hp * g1p + xi * hpp * g1p + xi * hp * g1pp
 
-        x = seg(self.h)
+        def seg(values):
+            values = np.ascontiguousarray(np.broadcast_to(values, marks.shape), dtype=float)
+            return _segment_sum(values, counts)
+
+        x = seg(h)
         if compensated:
             x = x - t * self.mean_h(measure)
-        return {"X": x, "gamma": seg(self.g1), "A": seg(self.ah) - t * self.mean_ah(measure),
-                "G2": seg(self.g2), "XA": seg(self.bracket_x_ah), "XG2": seg(self.bracket_x_g2)}
+        return {"X": x, "gamma": seg(xi * hp ** 2),
+                "A": seg(_a(xi, xip, r, hp, hpp)) - t * self.mean_ah(measure),
+                "G2": seg(xi * hp * g1p), "XA": seg(xi * hp * ahp),
+                "XG2": seg(xi * hp * g2p)}
 
     def g1(self, u):
         return self.xi(u) * self.hp(u) ** 2
 
-    def g1p(self, u):
-        return self.xip(u) * self.hp(u) ** 2 + 2 * self.xi(u) * self.hp(u) * self.hpp(u)
-
-    def g1pp(self, u):
-        return (self.xipp(u) * self.hp(u) ** 2
-                + 4 * self.xip(u) * self.hp(u) * self.hpp(u)
-                + 2 * self.xi(u) * (self.hpp(u) ** 2 + self.hp(u) * self.hppp(u)))
-
     def ah(self, u):
-        return (0.5 * self.xi(u) * self.hpp(u)
-                + 0.5 * (self.xip(u) + self.xi(u) * self.r(u)) * self.hp(u))
+        return _a(self.xi(u), self.xip(u), self.r(u), self.hp(u), self.hpp(u))
 
-    def ahp(self, u):
-        return (0.5 * self.xip(u) * self.hpp(u) + 0.5 * self.xi(u) * self.hppp(u)
-                + 0.5 * (self.xipp(u) + self.xip(u) * self.r(u) + self.xi(u) * self.rp(u)) * self.hp(u)
-                + 0.5 * (self.xip(u) + self.xi(u) * self.r(u)) * self.hpp(u))
 
-    def g2(self, u):
-        return self.xi(u) * self.hp(u) * self.g1p(u)
-
-    def g2p(self, u):
-        return (self.xip(u) * self.hp(u) * self.g1p(u)
-                + self.xi(u) * self.hpp(u) * self.g1p(u)
-                + self.xi(u) * self.hp(u) * self.g1pp(u))
-
-    # brackets of X = N(h) with the tracked scalars
-    def bracket_x_ah(self, u):
-        return self.xi(u) * self.hp(u) * self.ahp(u)
-
-    def bracket_x_g2(self, u):
-        return self.xi(u) * self.hp(u) * self.g2p(u)
+def _a(xi, xip, r, fp, fpp):
+    """The mark-space generator a[f] = xi f''/2 + (xi' + xi r) f'/2, from jet values."""
+    return 0.5 * xi * fpp + 0.5 * (xip + xi * r) * fp
 
 
 def generator_symmetry_residual(jets: SimpleJets, measure: LevyMeasureSpec,

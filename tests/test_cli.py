@@ -85,6 +85,17 @@ def test_bad_workers_env_is_schema_error(tmp_path, capsys, monkeypatch):
     assert code == cli.EXIT_SCHEMA and "run.workers" in err
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("key", ["seed", "paths", "rho_replicas", "workers"])
+def test_boolean_run_field_is_schema_error(tmp_path, capsys, command, key):
+    # JSON true is a Python int (isinstance(True, int)); a run field must
+    # still refuse it, as the params' float check does
+    path, _ = _config(tmp_path, "boolrun", scenario="compound-linear", run={key: True})
+    code, err = _exit_and_stderr(capsys, [command, str(path)])
+    assert code == cli.EXIT_SCHEMA and f"run.{key}" in err
+    assert not (tmp_path / "boolrun").exists()
+
+
 @pytest.mark.parametrize("key", ["bogus", "jet_order"])
 def test_unknown_param_is_schema_error(tmp_path, capsys, key):
     path, _ = _config(tmp_path, "unknown", params={key: 2})
@@ -334,6 +345,25 @@ def test_run_worker_count_invariance(tmp_path):
     b1 = report.report_body(tmp_path / "w1" / "report.json")
     b8 = report.report_body(tmp_path / "w8" / "report.json")
     assert b1["estimates"] == b8["estimates"]
+
+
+def test_command_pool_outlives_the_fan_out(tmp_path, monkeypatch):
+    """`run` at 2 workers fans out on the command's pool, which is still
+    open when the fan-out returns and is closed with the command."""
+    real_fan_out, pools = cli._fan_out, []
+
+    def fan_out(worker, name, params, paths, seed, workers, pool=None):
+        parts = real_fan_out(worker, name, params, paths, seed, workers, pool)
+        assert pool.apply(abs, (-2,)) == 2     # still open
+        pools.append(pool)
+        return parts
+
+    monkeypatch.setattr(cli, "_fan_out", fan_out)
+    path, _ = _config(tmp_path, "pool", run={"workers": 2})
+    assert cli.main(["run", str(path)]) == 0
+    assert len(pools) == 1
+    with pytest.raises(ValueError):
+        pools[0].apply(abs, (-3,))
 
 
 def test_run_outputs_csv_and_svg(tmp_path):

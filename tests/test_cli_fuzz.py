@@ -1,4 +1,5 @@
-"""Config fuzzing of the exit-code contract: every input exits 0, 2, 3 or 4.
+"""Config fuzzing of the exit-code contract: every input exits 0, 2, 3 or 4,
+and an ill-typed or out-of-range run field exits 2.
 
 Configs mix valid values with hostile ones (NaN, infinities, wrong types,
 out-of-range numbers, a sigma0 that is no 2x2 matrix, a jump intensity of
@@ -22,6 +23,9 @@ from hypothesis import strategies as st
 from lentparticle import cli, scenarios
 
 HOSTILE = [math.nan, math.inf, -math.inf, -1.0, 0.0, 1.5, 2, "x", True, None, [0.1]]
+# values no run field (seed, paths, rho_replicas, workers) accepts; JSON
+# booleans among them, which Python's isinstance(True, int) would let in
+HOSTILE_RUN = [math.nan, 2.0, 0.5, "x", True, False, None, [1]]
 HOSTILE_SIGMA0 = [{"a": 1}, [[1.0]], [[0.3, 0.0]], [[0.3, 0.0], [0.1, 0.2, 0.0]]]
 INTENSE = {"eps": 0.99, "trunc": 1e-9}     # measure mass 8.2e8 on (1e-9, 1]
 
@@ -38,7 +42,8 @@ VALID_RUN = {"seed": [0, 42, -3, 2 ** 64], "paths": [1, 2, 8], "rho_replicas": [
 
 @st.composite
 def invocations(draw):
-    """A subcommand and a config for it, with at most one field spoiled."""
+    """A subcommand, a config for it with at most one field spoiled, and
+    the exit codes it may end with."""
     command = draw(st.sampled_from(["run", "validate", "crosscheck", "tauber"]))
     name = draw(st.sampled_from(sorted(scenarios.CATALOG)))
     spoil = draw(st.sampled_from([None, "params", "run", "missing", "unknown", "scenario",
@@ -57,21 +62,23 @@ def invocations(draw):
     elif spoil == "intensity":
         params.update(INTENSE)
     elif spoil == "run":
-        run[draw(st.sampled_from(sorted(run)))] = draw(st.sampled_from(HOSTILE))
+        run[draw(st.sampled_from(sorted(run)))] = draw(st.sampled_from(HOSTILE_RUN))
     elif spoil == "missing":
         del run[draw(st.sampled_from(sorted(run)))]
     elif spoil == "unknown":
         params["bogus"] = 1
     elif spoil == "scenario":
         name = "nope"
+    expect = {cli.EXIT_SCHEMA} if spoil == "run" else {
+        cli.EXIT_OK, cli.EXIT_SCHEMA, cli.EXIT_HYPOTHESIS, cli.EXIT_NUMERIC}
     return command, {"scenario": name, "params": params, "run": run,
-                     "outputs": {"svg": draw(st.booleans())}}
+                     "outputs": {"svg": draw(st.booleans())}}, expect
 
 
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)
 @given(invocations())
 def test_exit_code_contract(invocation):
-    command, config = invocation
+    command, config, expect = invocation
     with tempfile.TemporaryDirectory() as tmp:
         config["outputs"]["dir"] = str(Path(tmp, "out"))
         path = Path(tmp, "config.json")
@@ -82,5 +89,5 @@ def test_exit_code_contract(invocation):
                 contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
             code = cli.main([command, str(path)])
-    assert code in (cli.EXIT_OK, cli.EXIT_SCHEMA, cli.EXIT_HYPOTHESIS, cli.EXIT_NUMERIC)
+    assert code in expect
     assert "Traceback" not in err.getvalue()

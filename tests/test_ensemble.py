@@ -6,8 +6,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lentparticle import ensemble, scenarios
-from lentparticle.measures import sample_mark, total_mass, uniform_measure
+from lentparticle import ensemble, measures, scenarios
+from lentparticle.measures import (TABULATED, LevyMeasureSpec, sample_mark, total_mass,
+                                   uniform_measure)
 from lentparticle.rng import (MASK64, TAG_MARK, TAG_RHO, TAG_TIME, RngStream,
                               _philox4x64, philox_random)
 
@@ -106,3 +107,54 @@ def test_philox_random_matches_generator():
 def test_philox_random_refuses_counter_wrap():
     with pytest.raises(ValueError, match="wraps"):
         philox_random(RngStream(seed=1), MASK64 - 2, np.arange(4))
+
+
+# ---------------------------------------------------------------------------
+# path blocks of simple_ensemble
+# ---------------------------------------------------------------------------
+
+def whole_chunk_ensemble(scenario, n_paths, stream, path_offset):
+    """The unblocked formulation: one draw and one table for the whole chunk."""
+    counts, marks = ensemble.sample_mark_sets(scenario, n_paths, stream, path_offset)
+    tab = scenario.simple.table(marks, counts, scenario.horizon, scenario.measure,
+                                scenario.compensated)
+    return ensemble.SimpleEnsemble(
+        x=scenario.x0[0] + tab["X"], n_jumps=counts, gamma=tab["gamma"], a=tab["A"],
+        g2=tab["G2"], xa=tab["XA"], xg2=tab["XG2"])
+
+
+@pytest.mark.parametrize("horizon", [1.0, 1e-6])
+@pytest.mark.parametrize("weight,compensated", [("bump", False), ("power", True)])
+def test_blocks_match_whole_chunk(weight, compensated, horizon):
+    # three blocks, the last one short, starting off the block grid of the
+    # path index; at horizon 1e-6 (lam ~ 2e-5) whole blocks have no jump
+    sc = scenarios.build("compound", weight=weight, compensated=compensated,
+                         horizon=horizon)
+    block = ensemble.BLOCK_PATHS
+    n, offset = 2 * block + 37, block - 5
+    stream = RngStream(seed=42)
+    got = ensemble.simple_ensemble(sc, n, stream, path_offset=offset)
+    ref = whole_chunk_ensemble(sc, n, stream, offset)
+    for f in dataclasses.fields(ensemble.SimpleEnsemble):
+        a, b = getattr(got, f.name), getattr(ref, f.name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+    per_block = np.add.reduceat(ref.n_jumps, np.arange(0, n, block))
+    if horizon < 1:
+        assert (per_block == 0).any()
+    else:
+        assert (per_block > 0).all()
+
+
+def test_tabulated_family_builds_its_quantile_table_once(monkeypatch):
+    # the numerical inverse CDF of a tabulated measure takes one quadrature
+    # per grid point: two blocks and the per-path oracle share one table
+    calls = []
+    cdf = measures.mark_cdf
+    monkeypatch.setattr(measures, "mark_cdf", lambda spec, y: calls.append(spec) or cdf(spec, y))
+    sc = dataclasses.replace(scenarios.build("compound"), measure=LevyMeasureSpec(
+        TABULATED, {"density": lambda y: np.exp(-y), "lo": 0.2, "hi": 3.0}))
+    n = ensemble.BLOCK_PATHS + 10
+    ens = ensemble.simple_ensemble(sc, n, RngStream(seed=8))
+    counts, marks = assert_same_draws(sc, n, RngStream(seed=8))
+    assert np.array_equal(ens.n_jumps, counts) and counts.sum() > 0
+    assert len(calls) == 1

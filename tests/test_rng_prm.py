@@ -1,6 +1,7 @@
 """Random streams and marked-path sampling: addressing, laws, determinism."""
 
 import math
+import statistics
 import warnings
 
 import numpy as np
@@ -10,7 +11,8 @@ from scipy.stats import kstest
 from lentparticle.measures import power_law
 from lentparticle.prm import (GAUSSIAN, RADEMACHER, attach_rho_marks, nested_brownian,
                               rho_blocks, sample_path)
-from lentparticle.rng import TAG_MARK, TAG_NESTED, TAG_NOISE, TAG_RHO, TAG_TIME, RngStream, seek
+from lentparticle.rng import (TAG_MARK, TAG_NESTED, TAG_NOISE, TAG_RHO, TAG_TIME, RngStream,
+                              normal_quantile, seek)
 
 SPEC = power_law(0.5, ymax=1.0, trunc=0.01)   # mass 18
 
@@ -206,3 +208,28 @@ def test_nested_brownian_step_widths():
     assert incs.shape == (3, 1)
     again = nested_brownian(p, 0, 0.25, step=0.1)
     np.testing.assert_array_equal(incs, again)
+
+
+# ---------------------------------------------------------------------------
+# normal quantile
+# ---------------------------------------------------------------------------
+
+def test_normal_quantile_matches_stdlib():
+    # the stdlib's per-value AS241 is the reference, on uniforms plus the
+    # deep tails, both sides of p = 0.5 and of the branch points
+    # |p - 0.5| = 0.425 and exp(-25) (where sqrt(-log p) crosses 5)
+    edges = [5e-324, 1e-300, 1e-20, math.exp(-25), 2 ** -53, 0.075, 0.5 - 2 ** -54, 0.5,
+             0.5 + 2 ** -53, 0.925, 1 - 1e-12, 1 - 2 ** -53]
+    near = [np.nextafter(e, d) for e in edges for d in (0.0, 1.0)]
+    p = np.concatenate([edges, near, np.logspace(-300, -1, 600), 1 - np.logspace(-16, -1, 300),
+                        np.random.default_rng(11).random(20_000)])
+    p = p[(p > 0) & (p < 1)]
+    ref = np.array([statistics.NormalDist().inv_cdf(v) for v in p])
+    np.testing.assert_allclose(normal_quantile(p), ref, rtol=1e-15, atol=0)
+    assert normal_quantile(0.5) == 0.0
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5, math.nan])
+def test_normal_quantile_domain(bad):
+    with pytest.raises(ValueError, match="0 < p < 1"):
+        normal_quantile(np.array([0.3, bad]))

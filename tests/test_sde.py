@@ -1,7 +1,8 @@
 """Event-driven solver: exactness, flow algebra, generator path, jets."""
 
 import math
-from dataclasses import replace
+from collections import Counter
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -186,6 +187,35 @@ def test_compensator_constants_computed_once(monkeypatch):
 # ---------------------------------------------------------------------------
 # jets
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("weight", ["power", "bump"])
+@pytest.mark.parametrize("compensated", [False, True])
+def test_table_evaluates_each_jet_once(weight, compensated):
+    # the order-2 table evaluates each of the nine jets once on the mark
+    # array and assembles every integrand from those values
+    sc = scenarios.build("compound", weight=weight, compensated=compensated)
+    names = [f.name for f in fields(SimpleJets) if f.init]
+    assert names == ["h", "hp", "hpp", "hppp", "xi", "xip", "xipp", "r", "rp"]
+    calls = Counter()
+
+    def counted(name):
+        jet = getattr(sc.simple, name)
+
+        def wrapped(u):
+            calls[name] += 1
+            return jet(u)
+        return wrapped
+
+    jets = replace(sc.simple, **{name: counted(name) for name in names})
+    jets.mean_h(sc.measure), jets.mean_ah(sc.measure)      # memoised quadratures
+    counts, marks = sample_mark_sets(sc, 300, RngStream(seed=6))
+    ref = sc.simple.table(marks, counts, sc.horizon, sc.measure, compensated)
+    calls.clear()
+    for n_calls in (1, 2):
+        tab = jets.table(marks, counts, sc.horizon, sc.measure, compensated)
+        assert calls == {name: n_calls for name in names}
+    assert all(np.array_equal(tab[key], ref[key]) for key in ref)
+
 
 def test_jet_order_preserves_states():
     # order 2 adds the mark-sum table and leaves the order-1 recursion alone

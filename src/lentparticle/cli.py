@@ -34,8 +34,6 @@ EXIT_SCHEMA = 2
 EXIT_HYPOTHESIS = 3
 EXIT_NUMERIC = 4
 
-SIMPLE_SCENARIOS = {"compound"}       # vectorised mark-sum pipeline
-
 
 class SchemaError(ValueError):
     """Configuration failure, carrying the offending field path."""
@@ -275,14 +273,14 @@ def run_pipeline(config: dict, pool=None) -> report.RunReport:
     name = config["scenario"]
     params = config["params"]
     run = config["run"]
-    if name not in SIMPLE_SCENARIOS:     # the ensemble branch checks its spread below
-        _require_two_paths(run, "the standard error of each mean")
     sc = scenarios.build(name, **params)
+    if sc.simple is None:     # the ensemble branch checks its spread below
+        _require_two_paths(run, "the standard error of each mean")
     rep = report.RunReport(config=config)
     out_dir = Path(config["outputs"]["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if name in SIMPLE_SCENARIOS:
+    if sc.simple is not None:          # mark sums: the vectorised ensemble
         parts = _fan_out(_simple_chunk, name, params, run["paths"],
                          run["seed"], run["workers"], pool)
         ens = ensemble.merge_ensembles(parts)

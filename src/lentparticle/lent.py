@@ -16,32 +16,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bottom import CapabilityError
-from .prm import GAUSSIAN, MarkedPoissonPath, attach_rho_marks, rho_blocks
+from .prm import GAUSSIAN, MarkedPoissonPath, rho_blocks
 from .rng import RngStream
 from .sde import Scenario, Trajectory
 
 
 @dataclass
 class MalliavinMatrix:
-    """Covariance matrix of the state at time t, with its per-jump log."""
+    """Covariance matrix of the state at time t."""
 
     t: float
     gamma: np.ndarray
-    increments: list          # jump index -> conjugated contribution at time t
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.gamma)[0])
 
 
 def malliavin_matrix(traj: Trajectory) -> MalliavinMatrix:
-    """Exact finite-sum covariance from the trajectory's jump log."""
-    d = traj.scenario.dim
-    K = traj.k_final
-    incs = [K @ inc @ K.T for inc in traj.gamma_incs]
-    gamma = np.zeros((d, d))
-    for inc in incs:
-        gamma = gamma + inc
-    return MalliavinMatrix(t=traj.scenario.horizon, gamma=gamma, increments=incs)
+    """Exact finite-sum covariance K C K^T at the trajectory's horizon."""
+    return MalliavinMatrix(t=traj.scenario.horizon, gamma=traj.gamma)
 
 
 def _propagate_gradients(scenario: Scenario, traj: Trajectory,
@@ -89,33 +79,34 @@ def empirical_gamma(samples: np.ndarray) -> np.ndarray:
     return samples.T @ samples / samples.shape[0]
 
 
-def iterated_gradient_simple(h_flats, path: MarkedPoissonPath, k: int) -> float:
+def iterated_gradient_simple(h_flats, path: MarkedPoissonPath, blocks: np.ndarray,
+                             k: int) -> float:
     """k-fold gradient of a simple integral of h over the jump measure.
 
     h_flats[j-1](u) must be the j-fold application of f -> sqrt(xi) f' to
-    h; the k-th gradient realisation is the sum over jumps of
-    h_flats[k-1](u_j) times the product of the jump's k auxiliary marks.
+    h, and blocks holds one replica of the path's rho-blocks, shape
+    (order, n_jumps, block_dim) with order >= k; the k-th gradient
+    realisation is the sum over jumps of h_flats[k-1](u_j) times the
+    product of the jump's first k auxiliary marks.
     """
     if not 1 <= k <= 3:
         raise ValueError("gradient order must be 1, 2 or 3")
     if len(h_flats) < k:
         raise CapabilityError(f"order-{k} gradient needs {k} mark jets, got {len(h_flats)}")
-    if path.rho_blocks is None or path.rho_blocks.shape[0] < k:
-        raise ValueError(f"path needs rho-blocks of order >= {k}")
+    if blocks.shape[0] < k:
+        raise ValueError(f"needs rho-blocks of order >= {k}, got {blocks.shape[0]}")
     if path.n_jumps == 0:
         return 0.0
     terms = np.asarray([h_flats[k - 1](u) for u in path.marks])
-    prod = np.prod(path.rho_blocks[:k, :, 0], axis=0)
+    prod = np.prod(blocks[:k, :, 0], axis=0)
     return float(np.dot(terms, prod))
 
 
 def gamma_k_simple(h_flats, path: MarkedPoissonPath, k: int,
                    n_replicas: int, stream: RngStream, basis: str = GAUSSIAN) -> float:
     """Order-k energy of a simple integral, by averaging squared gradients."""
-    vals = np.empty(n_replicas)
-    for r in range(n_replicas):
-        enriched = attach_rho_marks(path, k, stream.child(replica=r + 1), basis=basis)
-        vals[r] = iterated_gradient_simple(h_flats, enriched, k)
+    blocks = rho_blocks(stream, range(1, n_replicas + 1), (k, path.n_jumps, 1), basis)
+    vals = np.array([iterated_gradient_simple(h_flats, path, b, k) for b in blocks])
     return float(np.mean(vals ** 2))
 
 

@@ -1,8 +1,8 @@
 """Sampling of the marked Poisson random measure and its enrichments.
 
 A path is a finite realisation of the jump measure on (0, T]: sorted jump
-times with one mark each.  Paths can be enriched with blocks of auxiliary
-i.i.d. marks per jump (the rho-blocks used to realise gradients), and
+times with one mark each.  `rho_blocks` draws the blocks of auxiliary
+i.i.d. marks per jump that realise gradients, one set per replica, and
 jumps can carry lazily generated nested Brownian paths addressed through
 the jump's own sub-stream.  `JumpLanes` gathers one jump from each of
 several paths of one stream, so that a lockstep sweep can resolve them
@@ -30,7 +30,6 @@ class MarkedPoissonPath:
     times: np.ndarray                  # strictly increasing, in (0, horizon]
     marks: np.ndarray                  # one scalar mark per jump
     stream: RngStream                  # base stream; jump sub-streams derive from it
-    rho_blocks: np.ndarray | None = None   # shape (order, n_jumps, block_dim)
 
     @property
     def n_jumps(self) -> int:
@@ -49,26 +48,14 @@ def sample_path(spec: LevyMeasureSpec, horizon: float, stream: RngStream) -> Mar
     return MarkedPoissonPath(horizon, times, marks, stream)
 
 
-def attach_rho_marks(path: MarkedPoissonPath, order: int, stream: RngStream,
-                     basis: str = GAUSSIAN, block_dim: int = 1) -> MarkedPoissonPath:
-    """Return a copy of the path carrying `order` auxiliary marks per jump.
-
-    Blocks are independent across jumps and across orders, independent of
-    the jump skeleton, and fully determined by the stream address.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    blocks = rho_blocks(stream, [stream.replica], (order, path.n_jumps, block_dim), basis)[0]
-    return MarkedPoissonPath(path.horizon, path.times, path.marks, path.stream,
-                             rho_blocks=blocks)
-
-
 def rho_blocks(stream: RngStream, replicas, shape, basis: str = GAUSSIAN) -> np.ndarray:
     """Auxiliary marks of the given shape for each replica, stacked.
 
     Entry i holds what the generator of `stream.child(replica=replicas[i],
     tag=TAG_RHO)` draws: standard normals, or signs +-1 for the Rademacher
     basis.  One generator is re-addressed (`rng.seek`) for every replica.
+    The blocks are independent across replicas and entries, independent
+    of the jump skeleton, and fully determined by the stream address.
     """
     if basis not in (GAUSSIAN, RADEMACHER):
         raise ValueError(f"unknown rho basis {basis!r}")

@@ -14,13 +14,13 @@ brackets that the integration-by-parts weights consume.  That table is
 `SimpleJets.table` on the path's marks, the same code the vectorised
 ensemble runs, and the generator a[.] is written only there.
 
-`integrate` solves one path and is the only engine for order 2, per-event
-history and gradient injectors.  `integrate_batch` runs the same order-1
-recursion for a chunk of paths at once: all paths advance in lockstep by
-event index (jump index when uncompensated), with the state, K, Kbar and C
-held as (n, d) and (n, d, d) arrays, and each lockstep event resolves its
-jumps with one `eval_jumps` call on the bottom structure.  Every random
-draw is the one `integrate` makes for that path.
+`integrate` solves one path and is the only engine for order 2 and for
+the states and jump records that `lent` replays.  `integrate_batch` runs
+the same order-1 recursion for a chunk of paths at once: all paths advance
+in lockstep by event index (jump index when uncompensated), with the state,
+K, Kbar and C held as (n, d) and (n, d, d) arrays, and each lockstep event
+resolves its jumps with one `eval_jumps` call on the bottom structure.
+Every random draw is the one `integrate` makes for that path.
 
 Every measure-average is scenario data (the comp_* callables); nothing is
 averaged by quadrature here.  Jump times are events of the grid, and an
@@ -206,44 +206,39 @@ class Scenario:
 class JumpRecord:
     """Everything resolved at one jump, for reuse by later passes."""
 
-    index: int
-    time: float
     ev: object
-    coeff: np.ndarray
     jac: np.ndarray                        # I + D_x c
     gamma: np.ndarray                      # bottom matrix of c at this jump
     flat: np.ndarray                       # (d, block_dim) gradient injector
 
 
+def _conjugate(k: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The Malliavin matrix K C K^T, over the last two axes."""
+    return k @ c @ np.swapaxes(k, -1, -2)
+
+
 @dataclass
 class Trajectory:
+    """One solved path; its results at T have `TrajectoryBatch`'s names."""
+
     scenario: Scenario
-    path: MarkedPoissonPath
     times: np.ndarray                      # event times, starts at 0 ends at T
     states: np.ndarray                     # (n_events, d), post-event states
-    jumps: list
+    jumps: list                            # JumpRecord per jump
     jump_events: np.ndarray                # event index of each jump
-    k_events: list                         # K at each event
-    kbar_events: list
-    c_events: list                         # accumulator C at each event
-    gamma_incs: list                       # per-jump Kbar gamma Kbar^T terms
+    k: np.ndarray                          # (d, d) flow derivative K at T
+    c: np.ndarray                          # (d, d) accumulator C at T
+    kk_err: float                          # max over events of |K Kbar - I|
     order2: dict | None = None             # scalar table at T (A, G2, XA, XG2)
 
     @property
-    def x_final(self):
+    def x(self) -> np.ndarray:
         return self.states[-1]
 
     @property
-    def k_final(self):
-        return self.k_events[-1]
-
-    @property
-    def kbar_final(self):
-        return self.kbar_events[-1]
-
-    @property
-    def c_final(self):
-        return self.c_events[-1]
+    def gamma(self) -> np.ndarray:
+        """Malliavin matrix K C K^T at T, (d, d)."""
+        return _conjugate(self.k, self.c)
 
     @property
     def a_final(self):
@@ -288,16 +283,13 @@ def integrate(scenario: Scenario, path: MarkedPoissonPath, order: int) -> Trajec
     times = _event_times(scenario, path)
     jump_events = np.searchsorted(times, path.times)
 
-    x = scenario.x0.copy()
+    x = scenario.x0
     K = np.eye(d)
     Kb = np.eye(d)
     C = np.zeros((d, d))
 
-    states = [x.copy()]
-    k_events = [K.copy()]
-    kbar_events = [Kb.copy()]
-    c_events = [C.copy()]
-    gamma_incs = []
+    states = [x]
+    flows = []                        # (K, Kbar) after each update, for kk_err
     jumps: list[JumpRecord] = []
 
     # jumps sharing an event index are impossible (times are distinct a.s.);
@@ -314,6 +306,7 @@ def integrate(scenario: Scenario, path: MarkedPoissonPath, order: int) -> Trajec
             K = K - cdx @ K * dt
             Kb = Kb + Kb @ cdx * dt
             x = x - _average(scenario.comp_c, s_prev, x, (d,)) * dt
+            flows.append((K, Kb))
         if not np.all(np.isfinite(x)):
             raise EventError("state overflow", k)
 
@@ -330,29 +323,25 @@ def integrate(scenario: Scenario, path: MarkedPoissonPath, order: int) -> Trajec
                     f"singular jump Jacobian det={det:.3e}; state-coefficient "
                     "invertibility violated", k)
             gamma = scenario.bottom.gamma_c(s, x, ev)
-            jumps.append(JumpRecord(index=j, time=s, ev=ev, coeff=cval, jac=jac, gamma=gamma,
+            jumps.append(JumpRecord(ev=ev, jac=jac, gamma=gamma,
                                     flat=scenario.bottom.flat_matrix(s, x, ev)))
             K = jac @ K
             Kb = Kb @ np.linalg.inv(jac)
-            inc = Kb @ gamma @ Kb.T
-            C = C + inc
-            gamma_incs.append(inc)
+            C = C + Kb @ gamma @ Kb.T
             x = x + cval
-
-        states.append(x.copy())
-        k_events.append(K.copy())
-        kbar_events.append(Kb.copy())
-        c_events.append(C.copy())
+            flows.append((K, Kb))
+        states.append(x)
 
     tab = None
     if order == 2:
         full = scenario.simple.table(path.marks, np.array([path.n_jumps]), scenario.horizon,
                                      scenario.measure, scenario.compensated)
         tab = {key: float(full[key][0]) for key in ("A", "G2", "XA", "XG2")}
-    return Trajectory(scenario=scenario, path=path, times=times,
-                      states=np.array(states), jumps=jumps, jump_events=jump_events,
-                      k_events=k_events, kbar_events=kbar_events, c_events=c_events,
-                      gamma_incs=gamma_incs, order2=tab)
+    flows = np.array(flows).reshape(-1, 2, d, d)
+    return Trajectory(scenario=scenario, times=times, states=np.array(states), jumps=jumps,
+                      jump_events=jump_events, k=K, c=C,
+                      kk_err=float(_kk_err(flows[:, 0], flows[:, 1]).max(initial=0.0)),
+                      order2=tab)
 
 
 @dataclass
@@ -378,7 +367,7 @@ class TrajectoryBatch:
     @property
     def gamma(self) -> np.ndarray:
         """Malliavin matrices K C K^T at T, (n, d, d)."""
-        return self.k @ self.c @ self.k.transpose(0, 2, 1)
+        return _conjugate(self.k, self.c)
 
 
 def _lanes(value, shape) -> np.ndarray:

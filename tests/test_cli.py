@@ -250,6 +250,14 @@ def test_validate_catalog_defaults_ok(tmp_path, capsys):
     assert body["passed"]
 
 
+def test_validate_prints_plain_floats(tmp_path, capsys):
+    # the worst probe is reported as plain floats, not numpy scalar reprs
+    path, _ = _config(tmp_path, "plain")
+    assert cli.main(["validate", str(path)]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "min |det| over probes" in out and "np.float64" not in out
+
+
 def test_crosscheck_requires_subordination(tmp_path):
     path, _ = _config(tmp_path, "wrong")
     assert cli.main(["crosscheck", str(path)]) == cli.EXIT_SCHEMA

@@ -144,6 +144,25 @@ def test_hypothesis_report_catalog_passes():
     assert any("invertibility" in n for n in names)
 
 
+def test_hypothesis_probe_scan_matches_probe_loop():
+    # the scan runs every probe on the coefficients' lane axis; a loop over
+    # the same probes finds the same worst determinant, probe and |c|
+    sc = scenarios.build("compound-linear")
+    rng = np.random.default_rng(0)
+    ss = rng.uniform(0, sc.horizon, 200)
+    xs = sc.x0 + rng.uniform(-2, 2, (200, 1))
+    us = rng.uniform(sc.measure.lower, sc.measure.upper, 200)
+    probes = list(zip(ss, xs, us))
+    dets = [abs(np.linalg.det(np.eye(1) + sc.dx_c(*p).reshape(1, 1))) for p in probes]
+    i = int(np.argmin(dets))
+    worst = (float(ss[i]), (float(xs[i, 0]),), float(us[i]))
+    jet = max(float(np.max(np.abs(sc.c(*p)))) for p in probes)
+    details = {item.name: item.detail for item in hypothesis_report(sc, seed=0).items}
+    assert details["state-Jacobian invertibility (I + D_x c nonsingular)"] == (
+        f"min |det| over probes = {dets[i]:.3e} at {worst}")
+    assert details["coefficient boundedness over probe box"] == f"max |c| = {jet:.3g}"
+
+
 def test_hypothesis_report_flags_singular_jacobian():
     from dataclasses import replace
     sc = scenarios.build("compound")

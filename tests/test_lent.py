@@ -11,8 +11,7 @@ from lentparticle.lent import (empirical_gamma, gamma_k_simple, gaussian_kappa,
                                malliavin_matrix, pnorm_ratio)
 from lentparticle.ibp import sharp_coefficients
 from lentparticle.measures import power_law
-from lentparticle.prm import (GAUSSIAN, RADEMACHER, MarkedPoissonPath,
-                              attach_rho_marks, sample_path)
+from lentparticle.prm import GAUSSIAN, RADEMACHER, MarkedPoissonPath, rho_blocks, sample_path
 from lentparticle.rng import TAG_RHO, RngStream
 from lentparticle.sde import integrate
 
@@ -40,13 +39,17 @@ def test_matrix_mark_sum_closed_form():
     sc, path, traj = _traj("compound", seed=3)
     mm = malliavin_matrix(traj)
     assert mm.gamma[0, 0] == pytest.approx(float(np.sum(path.marks ** 2)), rel=1e-13)
-    assert len(mm.increments) == path.n_jumps
+    assert len(traj.jumps) == path.n_jumps
 
 
 def test_matrix_conjugation_consistency():
+    # linear jumps: K_T Kbar_j = prod_{i > j} (1 + beta u_i), so Gamma is the
+    # sum of the per-jump matrices, each scaled by that product squared
     sc, path, traj = _traj("compound-linear", seed=4)
     mm = malliavin_matrix(traj)
-    alt = traj.k_final @ traj.c_final @ traj.k_final.T
+    after = np.append(np.cumprod((1.0 + sc.meta["beta"] * path.marks)[::-1])[::-1][1:], 1.0)
+    assert path.n_jumps > 0
+    alt = sum(a ** 2 * rec.gamma for a, rec in zip(after, traj.jumps))
     assert np.max(np.abs(mm.gamma - alt)) < 1e-10 * max(1.0, np.abs(mm.gamma).max())
 
 
@@ -102,17 +105,17 @@ def test_iterated_first_order_matches_sde_gradient():
     sc, path, traj = _traj("compound", seed=6)
     # replica 1 of the batch draws its rho-block from this same stream
     via_sde = gradient_samples(sc, traj, 1, path.stream)[0, 0]
-    enriched = attach_rho_marks(path, 1, path.stream.child(replica=1))
-    via_sum = iterated_gradient_simple(_flats(sc), enriched, 1)
+    blocks = rho_blocks(path.stream, [1], (1, path.n_jumps, 1))[0]
+    via_sum = iterated_gradient_simple(_flats(sc), path, blocks, 1)
     assert via_sum == pytest.approx(via_sde, rel=1e-13)
 
 
 def test_second_gradient_of_linear_integrand():
     # h = u with unit weight: sqrt(xi) h' is constant, so the second jet is 0
     path = sample_path(SPEC, 1.0, RngStream(seed=7, path=1))
-    enriched = attach_rho_marks(path, 2, path.stream)
+    blocks = rho_blocks(path.stream, [1], (2, path.n_jumps, 1))[0]
     flats = [lambda u: 1.0, lambda u: 0.0]
-    assert iterated_gradient_simple(flats, enriched, 2) == 0.0
+    assert iterated_gradient_simple(flats, path, blocks, 2) == 0.0
 
 
 def test_order2_energy_counts_jumps():
@@ -128,9 +131,9 @@ def test_order2_energy_counts_jumps():
 
 def test_iterated_gradient_validation():
     path = sample_path(SPEC, 1.0, RngStream(seed=8, path=1))
-    enriched = attach_rho_marks(path, 1, path.stream)
+    blocks = rho_blocks(path.stream, [1], (1, path.n_jumps, 1))[0]
     with pytest.raises(Exception):
-        iterated_gradient_simple([lambda u: 1.0], enriched, 2)
+        iterated_gradient_simple([lambda u: 1.0], path, blocks, 2)
 
 
 # ---------------------------------------------------------------------------

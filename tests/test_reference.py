@@ -7,7 +7,8 @@ shows up here before a benchmark run: the two trajectory workloads (the
 state-dependent nested run and the subordination crosscheck), the
 ensemble route (`compound-run`, 50 000 paths over 2 workers, so several
 path blocks per chunk and the fan-out) and the per-path order-2 loop
-(`pathwise-compound`).
+(`pathwise-compound`).  The counters that the benchmark's span tracer
+derives from the library's return values are checked here too.
 """
 
 import importlib.util
@@ -17,15 +18,15 @@ from pathlib import Path
 
 import pytest
 
-from lentparticle import cli, scenarios
+from lentparticle import cli, lent, prm, scenarios, sde
+from lentparticle.rng import RngStream
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-@pytest.fixture(scope="module")
-def wl():
-    """bench/workloads.py, loaded read-only under a private module name."""
-    spec = importlib.util.spec_from_file_location("_bench_workloads", BENCH / "workloads.py")
+def _load_bench(name):
+    """bench/<name>.py, loaded read-only under a private module name."""
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCH / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = mod          # dataclasses look their module up here
     try:
@@ -33,6 +34,16 @@ def wl():
         yield mod
     finally:
         del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="module")
+def wl():
+    yield from _load_bench("workloads")
+
+
+@pytest.fixture(scope="module")
+def spans():
+    yield from _load_bench("spans")
 
 
 def _run_cli_workload(tmp_path, wl, name, workers):
@@ -62,3 +73,29 @@ def test_pathwise_workload_matches_reference(wl):
     sc = scenarios.build(w.scenario, **w.params)
     sums = wl.pathwise_loop(sc, wl.DEFAULT_SEED, w.paths, w.rho_replicas)
     assert wl.compare_reference(wl.outcome_of(w, None, sums), ref) == []
+
+
+def test_traced_pathwise_counters_match_trajectories(wl, spans):
+    # the tracer counts events and jumps from what sde.integrate returns
+    # and replicas from what lent.gradient_samples is asked for
+    w = wl.WORKLOADS["pathwise-compound"]
+    sc = scenarios.build(w.scenario, **w.params)
+    n = 5
+    tracer = spans.Tracer().install()
+    try:
+        sums = wl.pathwise_loop(sc, wl.DEFAULT_SEED, n, w.rho_replicas)
+    finally:
+        tracer.restore()
+    assert spans.leftover_wrappers() == []
+    events = jumps = replicas = 0
+    for i in range(n):
+        stream = RngStream(seed=wl.DEFAULT_SEED, path=i + 1)
+        traj = sde.integrate(sc, prm.sample_path(sc.measure, sc.horizon, stream), order=2)
+        events += len(traj.times) - 1
+        jumps += len(traj.jumps)
+        replicas += len(lent.gradient_samples(sc, traj, w.rho_replicas, stream))
+    counts = tracer.counts
+    assert tracer.table()["sde.integrate"]["calls"] == n
+    assert counts["sde.integrate.events"] == counts["sde.integrate.order2_events"] == events
+    assert counts["sde.integrate.jumps"] == jumps == sums["jumps"] > 0
+    assert counts["lent.gradient_samples.replicas"] == replicas == n * w.rho_replicas

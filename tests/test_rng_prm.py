@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from lentparticle.lent import iterated_gradient_simple
 from lentparticle.measures import power_law
-from lentparticle.prm import (GAUSSIAN, RADEMACHER, attach_rho_marks, nested_brownian,
-                              rho_blocks, sample_path)
+from lentparticle.prm import GAUSSIAN, RADEMACHER, nested_brownian, rho_blocks, sample_path
 from lentparticle.rng import (TAG_MARK, TAG_NESTED, TAG_NOISE, TAG_RHO, TAG_TIME, RngStream,
                               normal_quantile, seek)
 
@@ -122,19 +122,19 @@ def test_path_reproducible_bit_exact():
 
 def test_rho_blocks_deterministic():
     p = sample_path(SPEC, 1.0, RngStream(seed=6))
-    a = attach_rho_marks(p, 2, RngStream(seed=30))
-    b = attach_rho_marks(p, 2, RngStream(seed=30))
-    np.testing.assert_array_equal(a.rho_blocks, b.rho_blocks)
-    assert a.rho_blocks.shape == (2, p.n_jumps, 1)
+    a = rho_blocks(RngStream(seed=30), [0], (2, p.n_jumps, 1))
+    b = rho_blocks(RngStream(seed=30), [0], (2, p.n_jumps, 1))
+    np.testing.assert_array_equal(a, b)
+    assert a.shape == (1, 2, p.n_jumps, 1)
 
 
 def test_rho_orders_uncorrelated():
     vals = []
     for i in range(2000):
         p = sample_path(SPEC, 1.0, RngStream(seed=31, path=i + 1))
-        e = attach_rho_marks(p, 2, RngStream(seed=32, path=i + 1))
+        e = rho_blocks(RngStream(seed=32, path=i + 1), [0], (2, p.n_jumps, 1))[0]
         if p.n_jumps:
-            vals.append(np.column_stack([e.rho_blocks[0, :, 0], e.rho_blocks[1, :, 0]]))
+            vals.append(np.column_stack([e[0, :, 0], e[1, :, 0]]))
     vals = np.vstack(vals)[:10_000]
     corr = np.corrcoef(vals.T)[0, 1]
     assert abs(corr) < 3.0 / math.sqrt(len(vals))
@@ -142,19 +142,19 @@ def test_rho_orders_uncorrelated():
 
 def test_rho_marginal_gaussian():
     p = sample_path(SPEC, 10.0, RngStream(seed=33))
-    e = attach_rho_marks(p, 1, RngStream(seed=34), block_dim=64)
-    stat = kstest(e.rho_blocks.ravel(), "norm").statistic
-    assert stat < 1.63 / math.sqrt(e.rho_blocks.size)
+    e = rho_blocks(RngStream(seed=34), [0], (1, p.n_jumps, 64))
+    stat = kstest(e.ravel(), "norm").statistic
+    assert stat < 1.63 / math.sqrt(e.size)
 
 
 def test_rho_rademacher_values():
     p = sample_path(SPEC, 1.0, RngStream(seed=35))
-    e = attach_rho_marks(p, 1, RngStream(seed=36), basis=RADEMACHER)
-    assert set(np.unique(e.rho_blocks)) <= {-1.0, 1.0}
+    e = rho_blocks(RngStream(seed=36), [0], (1, p.n_jumps, 1), basis=RADEMACHER)
+    assert set(np.unique(e)) <= {-1.0, 1.0}
 
 
 @pytest.mark.parametrize("basis", [GAUSSIAN, RADEMACHER])
-def test_rho_replicas_match_attach_rho_marks(basis):
+def test_rho_replicas_match_own_streams(basis):
     # one re-addressed generator draws each replica what its own stream draws
     p = sample_path(SPEC, 1.0, RngStream(seed=37, path=2))
     stream = RngStream(seed=38, path=2)
@@ -162,8 +162,8 @@ def test_rho_replicas_match_attach_rho_marks(basis):
     blocks = rho_blocks(stream, range(1, n + 1), shape, basis)
     assert blocks.shape == (n, *shape)
     for r in range(1, n + 1):
-        one = attach_rho_marks(p, 1, stream.child(replica=r), basis=basis, block_dim=2)
-        np.testing.assert_array_equal(blocks[r - 1], one.rho_blocks[0])
+        np.testing.assert_array_equal(
+            blocks[r - 1], rho_blocks(stream.child(replica=r), [r], shape, basis)[0])
         gen = stream.child(replica=r, tag=TAG_RHO).generator()
         fresh = (gen.standard_normal(shape) if basis == GAUSSIAN
                  else gen.integers(0, 2, size=shape) * 2.0 - 1.0)
@@ -173,9 +173,13 @@ def test_rho_replicas_match_attach_rho_marks(basis):
 
 
 def test_rho_order_validation():
+    # a k-fold gradient reads the first k orders of a replica's blocks
     p = sample_path(SPEC, 1.0, RngStream(seed=35))
-    with pytest.raises(ValueError):
-        attach_rho_marks(p, 0, RngStream(seed=1))
+    flats = [lambda u: 1.0, lambda u: 0.0]
+    for order, k in ((0, 1), (1, 2)):
+        blocks = rho_blocks(RngStream(seed=1), [0], (order, p.n_jumps, 1))[0]
+        with pytest.raises(ValueError, match=f"order >= {k}"):
+            iterated_gradient_simple(flats, p, blocks, k)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ def test_pure_jump_telescoping():
     sc = scenarios.build("compound", x0=0.5)
     path = sample_path(sc.measure, sc.horizon, RngStream(seed=2, path=1))
     traj = integrate(sc, path, order=1)
-    assert traj.x_final[0] == pytest.approx(0.5 + path.marks.sum(), rel=1e-14)
+    assert traj.x[0] == pytest.approx(0.5 + path.marks.sum(), rel=1e-14)
     # pure-jump event grid carries no Euler points, at any jet order
     assert len(traj.times) == path.n_jumps + 2
     np.testing.assert_array_equal(integrate(sc, path, order=2).times, traj.times)
@@ -66,8 +66,8 @@ def test_flow_identity_for_x_independent():
     sc = scenarios.build("compound")
     path = sample_path(sc.measure, sc.horizon, RngStream(seed=4, path=1))
     traj = integrate(sc, path, order=1)
-    for K in traj.k_events:
-        np.testing.assert_array_equal(K, np.eye(1))
+    np.testing.assert_array_equal(traj.k, np.eye(1))
+    assert traj.kk_err == 0.0           # K = Kbar = I at every event
 
 
 def test_flow_product_formula():
@@ -75,8 +75,8 @@ def test_flow_product_formula():
     path = sample_path(sc.measure, sc.horizon, RngStream(seed=5, path=1))
     traj = integrate(sc, path, order=1)
     prod = float(np.prod(1.0 + sc.meta["beta"] * path.marks))
-    assert traj.k_final[0, 0] == pytest.approx(prod, rel=1e-13)
-    assert traj.kbar_final[0, 0] == pytest.approx(1.0 / prod, rel=1e-12)
+    assert traj.k[0, 0] == pytest.approx(prod, rel=1e-13)
+    assert traj.kk_err <= 1e-12         # so Kbar = 1 / prod as well
 
 
 def test_flow_inverse_identity():
@@ -84,8 +84,7 @@ def test_flow_inverse_identity():
     for i in range(50):
         path = sample_path(sc.measure, sc.horizon, RngStream(seed=6, path=i + 1))
         traj = integrate(sc, path, order=1)
-        for K, Kb in zip(traj.k_events, traj.kbar_events):
-            assert np.max(np.abs(K @ Kb - np.eye(1))) <= 1e-8
+        assert traj.kk_err <= 1e-8      # |K Kbar - I| at every event
 
 
 def test_singular_jump_jacobian_rejected():
@@ -100,11 +99,15 @@ def test_singular_jump_jacobian_rejected():
 
 
 def test_covariance_accumulator_monotone():
+    # C grows by Kbar gamma Kbar^T at each jump: non-decreasing because
+    # every per-jump matrix gamma is PSD
     sc = scenarios.build("compound-linear")
     path = sample_path(sc.measure, sc.horizon, RngStream(seed=8, path=1))
     traj = integrate(sc, path, order=1)
-    for c0, c1 in zip(traj.c_events, traj.c_events[1:]):
-        assert np.linalg.eigvalsh(np.atleast_2d(c1 - c0))[0] >= -1e-10
+    assert len(traj.jumps) == path.n_jumps > 0
+    for rec in traj.jumps:
+        assert np.linalg.eigvalsh(np.atleast_2d(rec.gamma))[0] >= -1e-10
+    assert np.linalg.eigvalsh(traj.c)[0] >= -1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +157,7 @@ def test_event_loop_matches_ensemble_calculus(weight, compensated):
         path = sample_path(sc.measure, sc.horizon, RngStream(seed=seed, path=i + 1))
         np.testing.assert_array_equal(path.marks, marks[ends[i] - counts[i]:ends[i]])
         traj = integrate(sc, path, order=2)
-        assert abs(traj.x_final[0] - ens.x[i]) <= tol
+        assert abs(traj.x[0] - ens.x[i]) <= tol
         assert abs(traj.a_final[0] - ens.a[i]) <= tol
         for key, col in (("G2", ens.g2), ("XA", ens.xa), ("XG2", ens.xg2)):
             assert abs(traj.order2[key] - col[i]) <= tol, key
@@ -226,7 +229,7 @@ def test_jet_order_preserves_states():
         jet = integrate(sc, path, order=2)
         np.testing.assert_array_equal(plain.times, jet.times)
         np.testing.assert_array_equal(plain.states, jet.states)
-        for key in ("k_events", "kbar_events", "c_events", "gamma_incs"):
+        for key in ("k", "c", "kk_err", "gamma"):
             np.testing.assert_array_equal(getattr(plain, key), getattr(jet, key))
         assert plain.order2 is None
 
@@ -284,15 +287,13 @@ def _per_path_chunk(sc, seed, start, count):
     for i in range(count):
         path = sample_path(sc.measure, sc.horizon, RngStream(seed=seed, path=start + i + 1))
         traj = integrate(sc, path, order=1)
-        mm = lent.malliavin_matrix(traj)
-        kk = max(float(np.max(np.abs(k @ kb - np.eye(d))))
-                 for k, kb in zip(traj.k_events, traj.kbar_events))
+        gamma = lent.malliavin_matrix(traj).gamma
         margin = math.nan
         lower_bound = sc.meta.get("pathwise_lower_bound")
         if lower_bound is not None:
             bound = lower_bound(path.marks, np.array([rec.ev.b for rec in traj.jumps]))
-            margin = float(np.linalg.eigvalsh(mm.gamma - bound * np.eye(d))[0])
-        rows.append((traj.x_final, path.n_jumps, kk, mm.min_eigenvalue(), margin))
+            margin = float(np.linalg.eigvalsh(gamma - bound * np.eye(d))[0])
+        rows.append((traj.x, path.n_jumps, traj.kk_err, gamma, margin))
     return rows
 
 
@@ -305,14 +306,16 @@ def test_batch_matches_per_path_loop(name, params, horizon):
     sc = scenarios.build(name, **params)
     start, count = 3, 8 if params.get("compensated") else 16
     out = cli._traj_chunk((name, params, start, count, 21))
+    batch = integrate_batch(sc, count, RngStream(seed=21), path_offset=start)
     ref = _per_path_chunk(sc, 21, start, count)
     if horizon is not None:
         assert 0 < np.count_nonzero(out["n_jumps"] == 0) < count
-    for i, (x, n_jumps, kk, eig, margin) in enumerate(ref):
+    for i, (x, n_jumps, kk, gamma, margin) in enumerate(ref):
         assert out["n_jumps"][i] == n_jumps
         np.testing.assert_allclose(out["x"][i], x, rtol=0, atol=1e-12)
         assert abs(out["kk_err"][i] - kk) <= 1e-12
-        assert abs(out["gamma_min_eig"][i] - eig) <= 1e-12
+        np.testing.assert_allclose(batch.gamma[i], gamma, rtol=0, atol=1e-12)
+        assert abs(out["gamma_min_eig"][i] - np.linalg.eigvalsh(gamma)[0]) <= 1e-12
         if math.isnan(margin):
             assert math.isnan(out["bound_margin"][i])
         else:

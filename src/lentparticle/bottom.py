@@ -11,9 +11,8 @@ Each structure knows how to
 
 Marks are resolved for many paths at once: `eval_jumps` takes one jump
 per lane (`prm.JumpLanes`) and returns a resolution with a leading lane
-axis, and `gamma_c` maps it to the (n, d, d) matrices.  The one-path
-`eval_jump` is the one-lane case, with the lane axis dropped; `gamma_c`
-then gives (d, d).  `flat_matrix` takes one path's resolution.
+axis, and `gamma_c` and `flat_matrix` map it to the (n, d, d) matrices
+and the (n, d, block_dim) injectors.
 
 Two families are provided: a weighted structure on a Euclidean mark
 interval, and Wiener-space structures (Ornstein-Uhlenbeck) for jumps that
@@ -22,13 +21,12 @@ are excursions of a nested diffusion.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .prm import JumpLanes, MarkedPoissonPath, nested_grid, nested_increments
+from .prm import JumpLanes, nested_grid, nested_increments
 from .rng import TAG_NESTED
 
 
@@ -45,25 +43,12 @@ class BottomStructure:
         """Resolve one jump per lane at times s (n,) from states x (n, d)."""
         raise NotImplementedError
 
-    def eval_jump(self, s, x, path: MarkedPoissonPath, j: int):
-        """Resolve jump j of one path: `eval_jumps` on one lane."""
-        ev = self.eval_jumps(np.array([s], dtype=float), np.asarray(x, dtype=float)[None],
-                             JumpLanes.of(path, j))
-        return _lane(ev, 0)
-
     def gamma_c(self, s, x, ev) -> np.ndarray:
         raise NotImplementedError
 
     def flat_matrix(self, s, x, ev) -> np.ndarray:
-        """Linear map (d, block_dim) sending a rho-block to a gradient sample."""
+        """Linear maps (n, d, block_dim) sending a rho-block to a gradient sample."""
         raise NotImplementedError
-
-
-def _lane(ev, i):
-    """Lane i of a lane-batched resolution."""
-    if is_dataclass(ev):
-        return replace(ev, **{f.name: getattr(ev, f.name)[i] for f in fields(ev)})
-    return ev[i]
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +74,6 @@ class EuclideanBottom(BottomStructure):
     def eval_jumps(self, s, x, lanes):
         return lanes.marks
 
-    def eval_jump(self, s, x, path, j):
-        return float(path.marks[j])
-
     def gamma_c(self, s, x, u):
         du = np.atleast_1d(np.asarray(self.c_u(s, x, u), dtype=float))
         xi = np.asarray(self.xi(u), dtype=float)
@@ -99,7 +81,7 @@ class EuclideanBottom(BottomStructure):
 
     def flat_matrix(self, s, x, u):
         du = np.atleast_1d(np.asarray(self.c_u(s, x, u), dtype=float))
-        return (math.sqrt(self.xi(u)) * du)[:, None]
+        return np.sqrt(np.asarray(self.xi(u), dtype=float))[..., None, None] * du[..., :, None]
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +90,8 @@ class EuclideanBottom(BottomStructure):
 
 @dataclass
 class WienerSquareEval:
-    y: float
-    b: float          # Brownian value at time y
+    y: np.ndarray     # (n,) durations
+    b: np.ndarray     # (n,) Brownian values at time y
 
 
 class WienerSquareBottom(BottomStructure):
@@ -138,8 +120,7 @@ class WienerSquareBottom(BottomStructure):
         return np.stack([np.stack([y, yb], -1), np.stack([yb, yb * b], -1)], -2)
 
     def flat_matrix(self, s, x, ev):
-        y, b = ev.y, ev.b
-        return (np.array([1.0, b]) * math.sqrt(y))[:, None]
+        return (np.stack([np.ones_like(ev.b), ev.b], -1) * np.sqrt(ev.y)[..., None])[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -148,13 +129,12 @@ class WienerSquareBottom(BottomStructure):
 
 @dataclass
 class WienerOUEval:
-    """One excursion; every field has a leading lane axis when it comes
-    from `evolve` or `eval_jumps`, and none from `eval_jump`."""
+    """Excursions; every field has a leading lane axis."""
 
-    y: float                # duration
-    z: np.ndarray           # displacement zeta_y^x - x, (d,)
-    gamma_m: np.ndarray     # Malliavin matrix of zeta_y^x, (d, d)
-    m: np.ndarray           # flow derivative M_y, (d, d)
+    y: np.ndarray           # (n,) durations
+    z: np.ndarray           # (n, d) displacements zeta_y^x - x
+    gamma_m: np.ndarray     # (n, d, d) Malliavin matrices of zeta_y^x
+    m: np.ndarray           # (n, d, d) flow derivatives M_y
     m_inv: np.ndarray
 
 
@@ -254,5 +234,6 @@ class WienerOUBottom(BottomStructure):
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(0.5 * (mat + mat.T))
-    return v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    """Symmetric square roots of PSD matrices, over the last two axes."""
+    w, v = np.linalg.eigh(0.5 * (mat + np.swapaxes(mat, -1, -2)))
+    return v * np.sqrt(np.clip(w, 0.0, None))[..., None, :] @ np.swapaxes(v, -1, -2)

@@ -225,15 +225,14 @@ def _traj_chunk(args):
 
 
 def _fan_out(worker, name, params, paths, seed, workers, pool=None):
+    """The chunks of `workers` contiguous path ranges, on `pool` when one is
+    given and serially otherwise; the same bits either way."""
     chunk = math.ceil(paths / workers)
     jobs = [(name, params, start, min(chunk, paths - start), seed)
             for start in range(0, paths, chunk)]
-    if workers == 1 or len(jobs) == 1:
+    if pool is None or len(jobs) == 1:
         return [worker(j) for j in jobs]
-    if pool is not None:
-        return pool.map(worker, jobs)
-    with multiprocessing.Pool(workers) as pool:
-        return pool.map(worker, jobs)
+    return pool.map(worker, jobs)
 
 
 def _command_pool(run: dict):

@@ -205,21 +205,27 @@ def hypothesis_report(scenario: Scenario, probe_budget: int = 200,
                            f"mass = {mass:.6g}"))
 
     if hasattr(scenario.bottom, "c_u") and scenario.dx_c is not None:
-        # every probe at once, on the coefficients' lane axis
-        jac = np.eye(d) + np.broadcast_to(
-            np.asarray(scenario.dx_c(ss, xs, us), dtype=float), (probe_budget, d, d))
-        dets = np.abs(np.linalg.det(jac))
+        # every probe at once, on the coefficients' lane axis; an overflow
+        # shows as a value that is not finite, and fails the items below
+        with np.errstate(all="ignore"):
+            jac = np.eye(d) + np.broadcast_to(
+                np.asarray(scenario.dx_c(ss, xs, us), dtype=float), (probe_budget, d, d))
+            dets = np.abs(np.linalg.det(jac))
+            worst_jet = float(np.max(np.abs(np.asarray(scenario.c(ss, xs, us), dtype=float))))
         i = int(np.argmin(dets))
         worst_probe = (float(ss[i]), tuple(xs[i].tolist()), float(us[i]))
-        worst_jet = float(np.max(np.abs(np.asarray(scenario.c(ss, xs, us), dtype=float))))
         ok = dets[i] > 1e-6
         items.append(CheckItem(
             "state-Jacobian invertibility (I + D_x c nonsingular)",
             "pass" if ok else "fail",
             f"min |det| over probes = {dets[i]:.3e} at {worst_probe}"
             + ("" if ok else "; jump-coefficient invertibility hypothesis violated")))
-        items.append(CheckItem("coefficient boundedness over probe box", "pass",
-                               f"max |c| = {worst_jet:.3g}"))
+        bounded = math.isfinite(worst_jet) and math.isfinite(dets[i])
+        items.append(CheckItem(
+            "coefficient boundedness over probe box", "pass" if bounded else "fail",
+            f"max |c| = {worst_jet:.3g}"
+            + ("" if bounded else f", min |det| = {dets[i]:.3g}; a coefficient is not "
+               "finite over the probe box")))
     else:
         items.append(CheckItem("state-Jacobian invertibility (I + D_x c nonsingular)",
                                "pass", "jump coefficient resolved through nested "

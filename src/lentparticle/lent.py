@@ -18,7 +18,7 @@ import numpy as np
 from .bottom import CapabilityError
 from .prm import GAUSSIAN, MarkedPoissonPath, rho_blocks
 from .rng import RngStream
-from .sde import Scenario, Trajectory
+from .sde import Scenario, Trajectory, _lanes
 
 
 @dataclass
@@ -40,23 +40,23 @@ def _propagate_gradients(scenario: Scenario, traj: Trajectory,
 
     blocks has shape (n_replicas, n_jumps, block_dim); returns (n_replicas, d).
     The recursion visits the same events as the state solve: at a jump the
-    gradient is multiplied by (I + D_x c) and receives the jump's injection,
-    between jumps it follows the linearised compensator drift.
+    gradient is multiplied by the recorded I + D_x c and receives the
+    recorded injection, between jumps it follows the linearised
+    compensator drift, taken at every step's start from the recorded states.
     """
     d = scenario.dim
-    n_rep = blocks.shape[0]
-    sharp = np.zeros((d, n_rep))
-    jump_at = {int(e): j for j, e in enumerate(traj.jump_events)}
-    for k in range(1, len(traj.times)):
-        dt = traj.times[k] - traj.times[k - 1]
-        if scenario.compensated and dt > 0:
-            cdx = np.asarray(scenario.comp_dx_c(traj.times[k - 1], traj.states[k - 1]),
-                             dtype=float).reshape(d, d)
-            sharp = sharp - cdx @ sharp * dt
-        j = jump_at.get(k)
-        if j is not None:
-            rec = traj.jumps[j]
-            sharp = rec.jac @ sharp + rec.flat @ blocks[:, j, :].T
+    times = traj.times
+    sharp = np.zeros((d, blocks.shape[0]))
+    if scenario.compensated:
+        # every step in one call, with the steps on the lane axis
+        cdx = _lanes(scenario.comp_dx_c(times[:-1], traj.states[:-1]), (len(times) - 1, d, d))
+    jump_at = {rec.event: rec for rec in traj.jumps}
+    for k in range(1, len(times)):
+        if scenario.compensated:
+            sharp = sharp - cdx[k - 1] @ sharp * (times[k] - times[k - 1])
+        rec = jump_at.get(k)
+        if rec is not None:
+            sharp = rec.jac[0] @ sharp + rec.flat[0] @ blocks[:, rec.index[0], :].T
     return sharp.T
 
 
@@ -67,9 +67,8 @@ def gradient_samples(scenario: Scenario, traj: Trajectory, n_replicas: int,
     Replica r draws its blocks from the replica-indexed sub-stream, so the
     batch is reproducible and schedule-independent.
     """
-    n_jumps = len(traj.jumps)
-    bd = max(rec.flat.shape[1] for rec in traj.jumps) if n_jumps else 1
-    blocks = rho_blocks(stream, range(1, n_replicas + 1), (n_jumps, bd), basis)
+    blocks = rho_blocks(stream, range(1, n_replicas + 1),
+                        (len(traj.jumps), scenario.bottom.block_dim), basis)
     return _propagate_gradients(scenario, traj, blocks)
 
 
@@ -89,24 +88,31 @@ def iterated_gradient_simple(h_flats, path: MarkedPoissonPath, blocks: np.ndarra
     realisation is the sum over jumps of h_flats[k-1](u_j) times the
     product of the jump's first k auxiliary marks.
     """
+    terms = _gradient_terms(h_flats, path, k)
+    if blocks.shape[0] < k:
+        raise ValueError(f"needs rho-blocks of order >= {k}, got {blocks.shape[0]}")
+    return float(np.dot(terms, np.prod(blocks[:k, :, 0], axis=0)))
+
+
+def _gradient_terms(h_flats, path: MarkedPoissonPath, k: int) -> np.ndarray:
+    """h_flats[k-1] at every mark of the path, after checking the order."""
     if not 1 <= k <= 3:
         raise ValueError("gradient order must be 1, 2 or 3")
     if len(h_flats) < k:
         raise CapabilityError(f"order-{k} gradient needs {k} mark jets, got {len(h_flats)}")
-    if blocks.shape[0] < k:
-        raise ValueError(f"needs rho-blocks of order >= {k}, got {blocks.shape[0]}")
-    if path.n_jumps == 0:
-        return 0.0
-    terms = np.asarray([h_flats[k - 1](u) for u in path.marks])
-    prod = np.prod(blocks[:k, :, 0], axis=0)
-    return float(np.dot(terms, prod))
+    return np.asarray([h_flats[k - 1](u) for u in path.marks], dtype=float)
 
 
 def gamma_k_simple(h_flats, path: MarkedPoissonPath, k: int,
                    n_replicas: int, stream: RngStream, basis: str = GAUSSIAN) -> float:
-    """Order-k energy of a simple integral, by averaging squared gradients."""
+    """Order-k energy of a simple integral, by averaging squared gradients.
+
+    The terms h_flats[k-1](u_j) are evaluated once and contracted with
+    every replica's products of auxiliary marks.
+    """
+    terms = _gradient_terms(h_flats, path, k)
     blocks = rho_blocks(stream, range(1, n_replicas + 1), (k, path.n_jumps, 1), basis)
-    vals = np.array([iterated_gradient_simple(h_flats, path, b, k) for b in blocks])
+    vals = np.prod(blocks[:, :, :, 0], axis=1) @ terms
     return float(np.mean(vals ** 2))
 
 

@@ -6,7 +6,7 @@ i.i.d. marks per jump that realise gradients, one set per replica, and
 jumps can carry lazily generated nested Brownian paths addressed through
 the jump's own sub-stream.  `JumpLanes` gathers one jump from each of
 several paths of one stream, so that a lockstep sweep can resolve them
-together with the same draws each would get on its own.
+together with the same draws each would get in a sweep of its own.
 """
 
 from __future__ import annotations
@@ -74,9 +74,10 @@ class JumpLanes:
 
     Lane i is jump `index[i]` of the path at address `paths[i]` of
     `stream`, and carries that jump's mark.  A lane's draws come from the
-    jump's sub-streams (jump index + 1, one per tag): through `gen`,
-    re-addressed for every draw, when it is given, else through a new
-    generator per draw.  Either way they are the same draws.
+    jump's sub-streams (jump index + 1, one per tag), through `gen`
+    re-addressed for every draw.  `gen` is built on the first draw unless
+    one is given, so lanes that draw nothing build none; pass it on to the
+    next `JumpLanes` of the sweep.
     """
 
     stream: RngStream
@@ -85,12 +86,6 @@ class JumpLanes:
     marks: np.ndarray
     gen: np.random.Generator | None = None
     _subs: dict = field(default_factory=dict, init=False, repr=False)
-
-    @classmethod
-    def of(cls, path: MarkedPoissonPath, jump_index: int) -> "JumpLanes":
-        """The one-lane batch of a single jump of `path`."""
-        return cls(path.stream, np.array([path.stream.path]), np.array([jump_index]),
-                   path.marks[jump_index:jump_index + 1])
 
     def __len__(self) -> int:
         return len(self.marks)
@@ -102,10 +97,9 @@ class JumpLanes:
         sub = self._subs.get(key)
         if sub is None:
             sub = self._subs[key] = self.stream.child(jump=key[0] + 1, tag=tag, replica=replica)
-        path = int(self.paths[lane])
-        if self.gen is not None:
-            return seek(self.gen, sub, path)
-        return (sub if path == sub.path else sub.child(path=path)).generator()
+        if self.gen is None:
+            self.gen = self.stream.generator()
+        return seek(self.gen, sub, int(self.paths[lane]))
 
 
 def nested_grid(durations, step: float):
@@ -129,8 +123,10 @@ def nested_grid(durations, step: float):
 def nested_increments(lanes: JumpLanes, durations, step: float, dim: int = 1) -> np.ndarray:
     """Brownian increments of every lane on its `nested_grid`.
 
-    Shape (max count, n lanes, dim); zero past a lane's last step.  Lane
-    i's increments are those `nested_brownian` gives its jump.
+    Shape (max count, n lanes, dim); zero past a lane's last step.  The
+    increments have variance equal to their step width, so each lane's sum
+    is a Brownian value at its duration exactly, and they depend only on
+    the lane's (path stream, jump index) address.
     """
     counts, widths = nested_grid(durations, step)
     normals = np.zeros(widths.shape + (dim,))
@@ -138,15 +134,3 @@ def nested_increments(lanes: JumpLanes, durations, step: float, dim: int = 1) ->
         if n:
             normals[:n, i] = lanes.generator(i, TAG_NESTED).standard_normal((n, dim))
     return normals * np.sqrt(widths)[..., None]
-
-
-def nested_brownian(path: MarkedPoissonPath, jump_index: int, duration: float,
-                    step: float, dim: int = 1) -> np.ndarray:
-    """Brownian increments on [0, duration] from the jump's sub-stream.
-
-    Returns an array of shape (n_steps, dim); increments have variance
-    min(step, remaining time) so they always sum to a Brownian value at
-    `duration` exactly.  Reproducible: the same (path stream, jump index)
-    always yields the same increments.
-    """
-    return nested_increments(JumpLanes.of(path, jump_index), [duration], step, dim)[:, 0]

@@ -28,7 +28,7 @@ as easy as 1, 2, 3", SC'11).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,17 +57,12 @@ class RngStream:
     tag: int = TAG_NOISE
 
     def child(self, *, path=None, jump=None, replica=None, tag=None) -> "RngStream":
-        """Derive a sub-stream with some coordinates replaced."""
-        kw = {}
-        if path is not None:
-            kw["path"] = path
-        if jump is not None:
-            kw["jump"] = jump
-        if replica is not None:
-            kw["replica"] = replica
-        if tag is not None:
-            kw["tag"] = tag
-        return replace(self, **kw)
+        """Derive a sub-stream with the coordinates given (not None) replaced."""
+        return RngStream(self.seed,
+                         self.path if path is None else path,
+                         self.jump if jump is None else jump,
+                         self.replica if replica is None else replica,
+                         self.tag if tag is None else tag)
 
     def generator(self) -> np.random.Generator:
         counter, key = _philox_address(self, self.path)

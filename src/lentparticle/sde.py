@@ -14,13 +14,16 @@ brackets that the integration-by-parts weights consume.  That table is
 `SimpleJets.table` on the path's marks, the same code the vectorised
 ensemble runs, and the generator a[.] is written only there.
 
-`integrate` solves one path and is the only engine for order 2 and for
-the states and jump records that `lent` replays.  `integrate_batch` runs
-the same order-1 recursion for a chunk of paths at once: all paths advance
-in lockstep by event index (jump index when uncompensated), with the state,
+There is one event loop, `_advance`: every path of a chunk advances in
+lockstep by event index (jump index when uncompensated), with the state,
 K, Kbar and C held as (n, d) and (n, d, d) arrays, and each lockstep event
 resolves its jumps with one `eval_jumps` call on the bottom structure.
-Every random draw is the one `integrate` makes for that path.
+`integrate_batch` runs it on a chunk of sampled paths, and `integrate` on
+one path, adding the order-2 table when asked.  A lane's arithmetic and
+draws do not depend on the other lanes, so a path gives the same bits
+alone as in any chunk.  Besides the results at T, the loop keeps the
+states at every event and, per jump, the records (`LockstepJumps`) that
+`lent`'s gradient pass replays.
 
 Every measure-average is scenario data (the comp_* callables); nothing is
 averaged by quadrature here.  Jump times are events of the grid, and an
@@ -168,12 +171,12 @@ class Scenario:
     flow between jumps.  Jet order 2 needs `simple`, the mark jets of a
     scalar mark-sum scenario.
 
-    Lane axis: `integrate_batch` calls c, dx_c, comp_c and comp_dx_c (and
-    the bottom's gamma_c) with a leading lane axis on every argument, s
-    (n,), x (n, d) and ev as `eval_jumps` resolves it, and expects (n, d)
-    and (n, d, d) back; a value without the lane axis (a constant) is taken
-    to hold for every lane.  `integrate` calls them for one path, without
-    the lane axis.
+    Lane axis: the event loop calls c, dx_c, comp_c and comp_dx_c (and the
+    bottom's gamma_c and flat_matrix) with a leading lane axis on every
+    argument, s (n,), x (n, d) and ev as `eval_jumps` resolves it, and
+    expects (n, d), (n, d, d) and (n, d, block_dim) back; a value without
+    the lane axis (a constant) is taken to hold for every lane.  One path
+    is one lane.
     """
 
     name: str
@@ -203,13 +206,16 @@ class Scenario:
 
 
 @dataclass
-class JumpRecord:
-    """Everything resolved at one jump, for reuse by later passes."""
+class LockstepJumps:
+    """The jumps taken at one lockstep event; arrays have the lane axis first."""
 
-    ev: object
-    jac: np.ndarray                        # I + D_x c
-    gamma: np.ndarray                      # bottom matrix of c at this jump
-    flat: np.ndarray                       # (d, block_dim) gradient injector
+    event: int             # the event index
+    lanes: np.ndarray      # lanes that jump there
+    index: np.ndarray      # their jump indices
+    ev: object             # their resolutions
+    jac: np.ndarray        # (m, d, d) I + D_x c
+    gamma: np.ndarray      # (m, d, d) bottom matrix of c
+    flat: np.ndarray       # (m, d, block_dim) gradient injector
 
 
 def _conjugate(k: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -219,13 +225,12 @@ def _conjugate(k: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """One solved path; its results at T have `TrajectoryBatch`'s names."""
+    """One solved path: the lane of a one-lane `TrajectoryBatch`."""
 
     scenario: Scenario
     times: np.ndarray                      # event times, starts at 0 ends at T
     states: np.ndarray                     # (n_events, d), post-event states
-    jumps: list                            # JumpRecord per jump
-    jump_events: np.ndarray                # event index of each jump
+    jumps: list                            # LockstepJumps per jump, one lane each
     k: np.ndarray                          # (d, d) flow derivative K at T
     c: np.ndarray                          # (d, d) accumulator C at T
     kk_err: float                          # max over events of |K Kbar - I|
@@ -263,101 +268,48 @@ def _event_times(scenario: Scenario, path: MarkedPoissonPath) -> np.ndarray:
     return np.unique(np.concatenate([[0.0], path.times, [T]]))
 
 
-def _average(fn, s, x, shape) -> np.ndarray:
-    """A comp_* callable at (s, x), as a float array of the given shape."""
-    return np.asarray(fn(s, x), dtype=float).reshape(shape)
+def _lanes(value, shape) -> np.ndarray:
+    """A coefficient value as a float array with the lane axis; a value
+    without it (a constant) holds for every lane."""
+    value = np.asarray(value, dtype=float)
+    if value.shape == shape:
+        return value
+    out = np.empty(shape)
+    out[...] = value
+    return out
 
 
 def integrate(scenario: Scenario, path: MarkedPoissonPath, order: int) -> Trajectory:
-    """Run the event recursion at jet order 1 (state, flow and covariance
-    accumulator) or 2 (order 1 plus the scalar table of `SimpleJets`)."""
+    """Solve one path at jet order 1 (state, flow and covariance
+    accumulator) or 2 (order 1 plus the scalar table of `SimpleJets`).
+
+    Order 1 is the lockstep recursion run on the path alone, with the
+    draws of its own stream.
+    """
     if order not in (1, 2):
         raise ValueError(f"jet order must be 1 or 2, got {order!r}")
     if order == 2 and scenario.simple is None:
         raise CapabilityError(
             f"jet order 2 needs simple, the mark jets of a scalar mark-sum scenario; "
             f"scenario {scenario.name!r} has none")
-    d = scenario.dim
-    comp = scenario.compensated
-
-    times = _event_times(scenario, path)
-    jump_events = np.searchsorted(times, path.times)
-
-    x = scenario.x0
-    K = np.eye(d)
-    Kb = np.eye(d)
-    C = np.zeros((d, d))
-
-    states = [x]
-    flows = []                        # (K, Kbar) after each update, for kk_err
-    jumps: list[JumpRecord] = []
-
-    # jumps sharing an event index are impossible (times are distinct a.s.);
-    # map event index -> jump index for the sweep
-    jump_at = {int(e): j for j, e in enumerate(jump_events)}
-
-    for k in range(1, len(times)):
-        s_prev, s = times[k - 1], times[k]
-        dt = s - s_prev
-        if comp and dt > 0:
-            # Euler step; every average is taken at the step's start, so the
-            # state and the flow are updated last
-            cdx = _average(scenario.comp_dx_c, s_prev, x, (d, d))
-            K = K - cdx @ K * dt
-            Kb = Kb + Kb @ cdx * dt
-            x = x - _average(scenario.comp_c, s_prev, x, (d,)) * dt
-            flows.append((K, Kb))
-        if not np.all(np.isfinite(x)):
-            raise EventError("state overflow", k)
-
-        j = jump_at.get(k)
-        if j is not None:
-            ev = scenario.bottom.eval_jump(s, x, path, j)
-            cval = np.atleast_1d(np.asarray(scenario.c(s, x, ev), dtype=float))
-            dxc = (np.asarray(scenario.dx_c(s, x, ev), dtype=float).reshape(d, d)
-                   if scenario.dx_c is not None else np.zeros((d, d)))
-            jac = np.eye(d) + dxc
-            det = np.linalg.det(jac)
-            if abs(det) < DET_FLOOR:
-                raise EventError(
-                    f"singular jump Jacobian det={det:.3e}; state-coefficient "
-                    "invertibility violated", k)
-            gamma = scenario.bottom.gamma_c(s, x, ev)
-            jumps.append(JumpRecord(ev=ev, jac=jac, gamma=gamma,
-                                    flat=scenario.bottom.flat_matrix(s, x, ev)))
-            K = jac @ K
-            Kb = Kb @ np.linalg.inv(jac)
-            C = C + Kb @ gamma @ Kb.T
-            x = x + cval
-            flows.append((K, Kb))
-        states.append(x)
-
+    batch = _advance(scenario, [path], path.stream, np.array([path.stream.path]))
     tab = None
     if order == 2:
         full = scenario.simple.table(path.marks, np.array([path.n_jumps]), scenario.horizon,
                                      scenario.measure, scenario.compensated)
         tab = {key: float(full[key][0]) for key in ("A", "G2", "XA", "XG2")}
-    flows = np.array(flows).reshape(-1, 2, d, d)
-    return Trajectory(scenario=scenario, times=times, states=np.array(states), jumps=jumps,
-                      jump_events=jump_events, k=K, c=C,
-                      kk_err=float(_kk_err(flows[:, 0], flows[:, 1]).max(initial=0.0)),
-                      order2=tab)
-
-
-@dataclass
-class LockstepJumps:
-    """The jumps taken at one lockstep event of `integrate_batch`."""
-
-    lanes: np.ndarray      # lanes that jump there
-    index: np.ndarray      # their jump indices
-    ev: object             # their resolutions, with a leading lane axis
+    return Trajectory(scenario=scenario, times=batch.times[0], states=batch.states[0],
+                      jumps=batch.jumps, k=batch.k[0], c=batch.c[0],
+                      kk_err=float(batch.kk_err[0]), order2=tab)
 
 
 @dataclass
 class TrajectoryBatch:
-    """Order-1 results at the horizon for a chunk of paths, one per lane."""
+    """A chunk of solved paths, one per lane."""
 
     paths: list                            # MarkedPoissonPath per lane
+    times: np.ndarray                      # (n, width) event times, NaN past a lane's end
+    states: np.ndarray                     # (n, width, d) post-event states, likewise
     x: np.ndarray                          # (n, d) states at T
     k: np.ndarray                          # (n, d, d) flow derivative K
     c: np.ndarray                          # (n, d, d) accumulator C
@@ -370,115 +322,110 @@ class TrajectoryBatch:
         return _conjugate(self.k, self.c)
 
 
-def _lanes(value, shape) -> np.ndarray:
-    """A coefficient value as a float array with the lane axis, broadcast."""
-    return np.broadcast_to(np.asarray(value, dtype=float), shape)
-
-
-def _kk_err(K: np.ndarray, Kb: np.ndarray) -> np.ndarray:
-    return np.max(np.abs(K @ Kb - np.eye(K.shape[-1])), axis=(1, 2))
-
-
 def integrate_batch(scenario: Scenario, n_paths: int, stream: RngStream,
                     path_offset: int = 0) -> TrajectoryBatch:
-    """The order-1 recursion of `integrate` for paths [offset, offset + n) of
-    `stream`, advanced in lockstep.
+    """The order-1 recursion for paths [offset, offset + n) of `stream`.
 
     Path i is `prm.sample_path` at address p = path_offset + i + 1, as in
-    `ensemble.sample_mark_sets`, and draws what `integrate` draws for it.
+    `ensemble.sample_mark_sets`, and gives what `integrate` gives for it.
     Each lane's arithmetic does not depend on the other lanes, so a chunk
     split into parts gives the same bits as the whole.
     """
-    d, T, comp = scenario.dim, scenario.horizon, scenario.compensated
-    n = n_paths
-    paths = [sample_path(scenario.measure, T, stream.child(path=path_offset + i + 1))
-             for i in range(n)]
+    paths = [sample_path(scenario.measure, scenario.horizon, stream.child(path=path_offset + i + 1))
+             for i in range(n_paths)]
+    return _advance(scenario, paths, stream,
+                    np.arange(path_offset + 1, path_offset + n_paths + 1))
+
+
+def _advance(scenario: Scenario, paths: list, stream: RngStream,
+             addresses: np.ndarray) -> TrajectoryBatch:
+    """The event recursion for every path, advanced in lockstep by event index.
+
+    Lane i is `paths[i]`, and its jumps draw from `stream` at path address
+    `addresses[i]`.  The lanes are walked sorted by event count, so the
+    lanes still running at an event are a leading slice, and so (without
+    an Euler grid, where event k is jump k - 1) are the lanes that jump
+    there.  Per event it keeps the states, and per lockstep event with
+    jumps a `LockstepJumps`.  Results come back in the order of `paths`.
+    """
+    d, comp, bottom = scenario.dim, scenario.compensated, scenario.bottom
     times = [_event_times(scenario, p) for p in paths]
     n_events = np.array([len(t) for t in times])
-    width = int(n_events.max(initial=1))
-    ev_times = np.full((n, width), np.nan)
-    jump_at = np.full((n, width), -1)
-    marks = np.zeros((n, max((p.n_jumps for p in paths), default=0)))
-    for i, (t, p) in enumerate(zip(times, paths)):
-        ev_times[i, :len(t)] = t
-        jump_at[i, np.searchsorted(t, p.times)] = np.arange(p.n_jumps)
-        marks[i, :p.n_jumps] = p.marks
-    addresses = np.arange(path_offset + 1, path_offset + n + 1)
-    gen = stream.generator()          # re-addressed for every per-jump draw
+    order = np.argsort(-n_events, kind="stable")
+    n, width = len(paths), int(n_events.max(initial=1))
+    # event-major tables, lanes in walking order
+    ev_times = np.full((width, n), np.nan)
+    jump_at = np.full((width, n), -1)
+    mark_at = np.zeros((width, n))
+    for lane, i in enumerate(order.tolist()):
+        t, p = times[i], paths[i]
+        at = np.searchsorted(t, p.times)
+        ev_times[:len(t), lane] = t
+        jump_at[at, lane] = np.arange(p.n_jumps)
+        mark_at[at, lane] = p.marks
+    addresses = np.asarray(addresses)[order]
+    jumping = jump_at >= 0
+    n_jumping = jumping.sum(axis=1)
+    leading = np.all(jumping == (np.arange(n) < n_jumping[:, None]), axis=1).tolist()
+    live = np.count_nonzero(n_events > np.arange(width)[:, None], axis=1).tolist()
+    n_jumping = n_jumping.tolist()
 
     eye = np.eye(d)
     x = np.tile(scenario.x0, (n, 1))
     K = np.tile(eye, (n, 1, 1))
     Kb = K.copy()
     C = np.zeros((n, d, d))
-    kk = np.zeros(n)
+    flow_err = np.zeros((n, d, d))                  # running max of |K Kbar - I|
+    states = np.full((width, n, d), np.nan)
+    states[0] = x
+    gen = None                                      # built by the first draw
     jumps = []
     for k in range(1, width):
-        live = np.flatnonzero(k < n_events)
+        m = live[k]
         if comp:
             # Euler step; every average is taken at the step's start, so the
             # state and the flow are updated last
-            dt = ev_times[live, k] - ev_times[live, k - 1]
-            lanes, dt = live[dt > 0], dt[dt > 0]
-            if lanes.size:
-                m, s_prev, xl = len(lanes), ev_times[lanes, k - 1], x[lanes]
-                cdx = _lanes(scenario.comp_dx_c(s_prev, xl), (m, d, d))
-                K[lanes] = K[lanes] - cdx @ K[lanes] * dt[:, None, None]
-                Kb[lanes] = Kb[lanes] + Kb[lanes] @ cdx * dt[:, None, None]
-                x[lanes] = xl - _lanes(scenario.comp_c(s_prev, xl), (m, d)) * dt[:, None]
-                kk[lanes] = np.maximum(kk[lanes], _kk_err(K[lanes], Kb[lanes]))
-        if not np.all(np.isfinite(x[live])):
+            s_prev, xl = ev_times[k - 1, :m], x[:m]
+            dt = ev_times[k, :m] - s_prev
+            cdx = _lanes(scenario.comp_dx_c(s_prev, xl), (m, d, d))
+            kn = K[:m] - cdx @ K[:m] * dt[:, None, None]
+            kbn = Kb[:m] + Kb[:m] @ cdx * dt[:, None, None]
+            x[:m] = xl - _lanes(scenario.comp_c(s_prev, xl), (m, d)) * dt[:, None]
+            K[:m], Kb[:m] = kn, kbn
+            flow_err[:m] = np.maximum(flow_err[:m], np.abs(kn @ kbn - eye))
+        if not np.isfinite(x[:m]).all():
             raise EventError("state overflow", k)
 
-        lanes = live[jump_at[live, k] >= 0]
-        if not lanes.size:
-            continue
-        m, js, s, xl = len(lanes), jump_at[lanes, k], ev_times[lanes, k], x[lanes]
-        ev = scenario.bottom.eval_jumps(
-            s, xl, JumpLanes(stream, addresses[lanes], js, marks[lanes, js], gen))
-        cval = _lanes(scenario.c(s, xl, ev), (m, d))
-        dxc = (_lanes(scenario.dx_c(s, xl, ev), (m, d, d))
-               if scenario.dx_c is not None else np.zeros((m, d, d)))
-        jac = eye + dxc
-        det = np.linalg.det(jac)
-        bad = np.flatnonzero(np.abs(det) < DET_FLOOR)
-        if bad.size:
-            raise EventError(
-                f"singular jump Jacobian det={det[bad[0]]:.3e} on path "
-                f"{addresses[lanes[bad[0]]]}; state-coefficient invertibility violated", k)
-        gamma = _lanes(scenario.bottom.gamma_c(s, xl, ev), (m, d, d))
-        K[lanes] = jac @ K[lanes]
-        kb = Kb[lanes] @ np.linalg.inv(jac)
-        Kb[lanes] = kb
-        C[lanes] = C[lanes] + kb @ gamma @ kb.transpose(0, 2, 1)
-        x[lanes] = xl + cval
-        kk[lanes] = np.maximum(kk[lanes], _kk_err(K[lanes], kb))
-        jumps.append(LockstepJumps(lanes=lanes, index=js, ev=ev))
-    return TrajectoryBatch(paths=paths, x=x, k=K, c=C, kk_err=kk, jumps=jumps)
-
-
-def check_jets(scenario: Scenario, probes, rel_tol: float = 1e-4) -> float:
-    """Finite-difference cross-check of the state jets of c at probe points.
-
-    probes: iterable of (s, x, ev).  Returns the worst relative error seen;
-    raises if it exceeds rel_tol.
-    """
-    worst = 0.0
-    d = scenario.dim
-    for (s, x, ev) in probes:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        base = np.atleast_1d(np.asarray(scenario.c(s, x, ev), dtype=float))
-        scale = max(1.0, float(np.max(np.abs(base))))
-        if scenario.dx_c is not None:
-            jac = np.asarray(scenario.dx_c(s, x, ev), dtype=float).reshape(d, d)
-            h = 1e-6 * max(1.0, float(np.max(np.abs(x))))
-            for j in range(d):
-                e = np.zeros(d)
-                e[j] = h
-                fd = (np.atleast_1d(scenario.c(s, x + e, ev))
-                      - np.atleast_1d(scenario.c(s, x - e, ev))) / (2 * h)
-                worst = max(worst, float(np.max(np.abs(fd - jac[:, j]))) / scale)
-    if worst > rel_tol:
-        raise ValueError(f"coefficient jets inconsistent: relative error {worst:.2e}")
-    return worst
-
+        mj = n_jumping[k]
+        if mj:
+            sel = slice(0, mj) if leading[k] else np.flatnonzero(jumping[k])
+            # xl is the pre-jump state (a view when sel is a slice): every
+            # coefficient reads it before x is written
+            js, s, xl = jump_at[k, sel], ev_times[k, sel], x[sel]
+            draws = JumpLanes(stream, addresses[sel], js, mark_at[k, sel], gen)
+            ev = bottom.eval_jumps(s, xl, draws)
+            gen = draws.gen
+            cval = _lanes(scenario.c(s, xl, ev), (mj, d))
+            jac = _lanes(eye + (scenario.dx_c(s, xl, ev) if scenario.dx_c is not None else 0.0),
+                         (mj, d, d))
+            det = np.linalg.det(jac)
+            if (np.abs(det) < DET_FLOOR).any():
+                i = np.flatnonzero(np.abs(det) < DET_FLOOR)[0]
+                raise EventError(
+                    f"singular jump Jacobian det={det[i]:.3e} on path {addresses[sel][i]}; "
+                    "state-coefficient invertibility violated", k)
+            gamma = _lanes(bottom.gamma_c(s, xl, ev), (mj, d, d))
+            flat = _lanes(bottom.flat_matrix(s, xl, ev), (mj, d, bottom.block_dim))
+            kn = jac @ K[sel]
+            kbn = Kb[sel] @ np.linalg.inv(jac)
+            C[sel] = C[sel] + kbn @ gamma @ kbn.transpose(0, 2, 1)
+            x[sel] = xl + cval
+            K[sel], Kb[sel] = kn, kbn
+            flow_err[sel] = np.maximum(flow_err[sel], np.abs(kn @ kbn - eye))
+            jumps.append(LockstepJumps(event=k, lanes=order[sel], index=js, ev=ev,
+                                       jac=jac, gamma=gamma, flat=flat))
+        states[k, :m] = x[:m]
+    back = np.argsort(order)
+    return TrajectoryBatch(paths=paths, times=ev_times.T[back],
+                           states=states.transpose(1, 0, 2)[back], x=x[back], k=K[back],
+                           c=C[back], kk_err=flow_err.max(axis=(1, 2))[back], jumps=jumps)

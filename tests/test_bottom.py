@@ -7,7 +7,7 @@ import pytest
 
 from lentparticle.bottom import EuclideanBottom, WienerOUBottom, WienerSquareBottom
 from lentparticle.measures import power_law
-from lentparticle.prm import MarkedPoissonPath, sample_path
+from lentparticle.prm import JumpLanes, MarkedPoissonPath, sample_path
 from lentparticle.rng import RngStream
 from lentparticle.sde import SimpleJets, generator_symmetry_residual
 from lentparticle import scenarios
@@ -100,40 +100,53 @@ def test_flat_moments_match_gamma(rng):
 # Wiener-mark structures
 # ---------------------------------------------------------------------------
 
+def _resolve(bottom, s, x, path, j):
+    """Jump j of `path` from state x, resolved by `eval_jumps` as a lane of
+    its own; the resolution keeps the lane axis."""
+    lanes = JumpLanes(path.stream, np.array([path.stream.path]), np.array([j]),
+                      path.marks[j:j + 1])
+    return bottom.eval_jumps(np.array([s]), np.asarray(x, dtype=float)[None], lanes)
+
+
 def _excursion(bottom, x, y, stream):
-    """One nested excursion of duration y from x: jump 0 of a one-jump path
-    on `stream`, resolved by `eval_jump`."""
+    """Flow derivative and Malliavin matrix of one nested excursion of
+    duration y from x: jump 0 of a one-jump path on `stream`."""
     path = MarkedPoissonPath(1.0, np.array([0.5]), np.array([y]), stream)
-    return bottom.eval_jump(0.5, np.asarray(x, dtype=float), path, 0)
+    ev = _resolve(bottom, 0.5, x, path, 0)
+    return ev.m[0], ev.m_inv[0], ev.gamma_m[0]
 
 
 def test_wiener_square_closed_forms():
     b = WienerSquareBottom()
     path = sample_path(SPEC, 1.0, RngStream(seed=8, path=1))
-    ev = b.eval_jump(0.1, np.zeros(2), path, 0)
+    s, x = np.array([0.1, 0.1]), np.zeros((2, 2))
+    ev = b.eval_jumps(s, x, JumpLanes(path.stream, np.array([1, 1]), np.array([0, 1]),
+                                      path.marks[:2]))
     y, bv = ev.y, ev.b
-    np.testing.assert_allclose(b.gamma_c(0.1, np.zeros(2), ev),
-                               [[y, y * bv], [y * bv, y * bv * bv]], atol=1e-15)
-    flat = b.flat_matrix(0.1, np.zeros(2), ev)
-    np.testing.assert_allclose(flat @ flat.T, b.gamma_c(0.1, np.zeros(2), ev),
-                               atol=1e-14)
-    np.testing.assert_allclose(b.coefficient(ev), [bv, 0.5 * bv ** 2])
+    np.testing.assert_array_equal(y, path.marks[:2])
+    np.testing.assert_allclose(b.gamma_c(s, x, ev),
+                               np.moveaxis([[y, y * bv], [y * bv, y * bv * bv]], -1, 0),
+                               atol=1e-15)
+    flat = b.flat_matrix(s, x, ev)
+    assert flat.shape == (2, 2, 1)
+    np.testing.assert_allclose(flat @ flat.transpose(0, 2, 1), b.gamma_c(s, x, ev), atol=1e-14)
+    np.testing.assert_allclose(b.coefficient(ev), np.stack([bv, 0.5 * bv ** 2], -1))
 
 
 def test_wiener_square_eval_reproducible():
     b = WienerSquareBottom()
     path = sample_path(SPEC, 1.0, RngStream(seed=8, path=1))
-    e1 = b.eval_jump(0.1, np.zeros(2), path, 2)
-    e2 = b.eval_jump(0.1, np.zeros(2), path, 2)
+    e1 = _resolve(b, 0.1, np.zeros(2), path, 2)
+    e2 = _resolve(b, 0.1, np.zeros(2), path, 2)
     assert (e1.y, e1.b) == (e2.y, e2.b)
 
 
 def test_wiener_ou_constant_coefficients_exact():
     # d(zeta) = I dB: M = I and gamma_M = y * I at any Euler step
     b = WienerOUBottom(dim=2, n_brownian=2, diff=lambda z: np.eye(2), step=0.1)
-    ev = _excursion(b, np.zeros(2), 0.3, RngStream(seed=9))
-    np.testing.assert_allclose(ev.gamma_m, 0.3 * np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(ev.m, np.eye(2), atol=1e-12)
+    m, _, gamma_m = _excursion(b, np.zeros(2), 0.3, RngStream(seed=9))
+    np.testing.assert_allclose(gamma_m, 0.3 * np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(m, np.eye(2), atol=1e-12)
 
 
 def test_wiener_ou_zero_duration():
@@ -149,18 +162,18 @@ def test_wiener_ou_flow_inverse_consistency():
     b = sc.bottom
     worst = 0.0
     for i in range(5):
-        ev = _excursion(b, np.zeros(1), 0.8, RngStream(seed=10, path=i + 1))
-        worst = max(worst, float(np.max(np.abs(ev.m @ ev.m_inv - np.eye(1)))))
-        assert np.linalg.eigvalsh(ev.gamma_m)[0] >= -1e-10
+        m, m_inv, gamma_m = _excursion(b, np.zeros(1), 0.8, RngStream(seed=10, path=i + 1))
+        worst = max(worst, float(np.max(np.abs(m @ m_inv - np.eye(1)))))
+        assert np.linalg.eigvalsh(gamma_m)[0] >= -1e-10
     assert worst < 0.02
 
 
 def test_wiener_ou_gamma_psd(rng):
     sc = scenarios.build("subordination-linear")
     for i in range(10):
-        ev = _excursion(sc.bottom, np.zeros(2), float(rng.uniform(0.1, 1.0)),
-                        RngStream(seed=11, path=i + 1))
-        assert np.linalg.eigvalsh(ev.gamma_m)[0] >= -1e-10
+        _, _, gamma_m = _excursion(sc.bottom, np.zeros(2), float(rng.uniform(0.1, 1.0)),
+                                   RngStream(seed=11, path=i + 1))
+        assert np.linalg.eigvalsh(gamma_m)[0] >= -1e-10
 
 
 def test_field_bottom_jumps_do_not_share_drift():
@@ -172,10 +185,10 @@ def test_field_bottom_jumps_do_not_share_drift():
     x = np.array([0.3, -0.2])
 
     def fresh(j):
-        return scenarios.build("levy-field-demo").bottom.eval_jump(0.1, x, path, j)
+        return _resolve(scenarios.build("levy-field-demo").bottom, 0.1, x, path, j)
 
-    forward = [sc.bottom.eval_jump(0.1, x, path, j) for j in (0, 1)]
-    backward = [sc.bottom.eval_jump(0.1, x, path, j) for j in (1, 0)][::-1]
+    forward = [_resolve(sc.bottom, 0.1, x, path, j) for j in (0, 1)]
+    backward = [_resolve(sc.bottom, 0.1, x, path, j) for j in (1, 0)][::-1]
     for j in (0, 1):
         for ev in (forward[j], backward[j]):
             np.testing.assert_array_equal(ev.z, fresh(j).z)

@@ -258,6 +258,19 @@ def test_validate_prints_plain_floats(tmp_path, capsys):
     assert "min |det| over probes" in out and "np.float64" not in out
 
 
+def test_validate_fails_unbounded_coefficients(tmp_path, capsys):
+    # beta x u overflows at every probe: the boundedness item fails, with no
+    # overflow warning escaping
+    path, _ = _config(tmp_path, "unbounded", scenario="compound-linear",
+                      params={"beta": 1e308, "x0": 10.0})
+    assert cli.main(["validate", str(path)]) == cli.EXIT_HYPOTHESIS
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err and "coefficient boundedness over probe box" in err
+    item = next(i for i in json.loads(out)["items"]
+                if i["name"] == "coefficient boundedness over probe box")
+    assert item["status"] == "fail" and item["detail"].startswith("max |c| = inf")
+
+
 def test_crosscheck_requires_subordination(tmp_path):
     path, _ = _config(tmp_path, "wrong")
     assert cli.main(["crosscheck", str(path)]) == cli.EXIT_SCHEMA

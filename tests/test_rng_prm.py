@@ -10,7 +10,8 @@ from scipy.stats import kstest
 
 from lentparticle.lent import iterated_gradient_simple
 from lentparticle.measures import power_law
-from lentparticle.prm import GAUSSIAN, RADEMACHER, nested_brownian, rho_blocks, sample_path
+from lentparticle.prm import (GAUSSIAN, RADEMACHER, JumpLanes, nested_increments, rho_blocks,
+                              sample_path)
 from lentparticle.rng import (TAG_MARK, TAG_NESTED, TAG_NOISE, TAG_RHO, TAG_TIME, RngStream,
                               normal_quantile, seek)
 
@@ -68,6 +69,10 @@ def test_child_overrides_coordinates():
     s = RngStream(seed=1).child(path=5, jump=2, tag=TAG_RHO)
     assert (s.path, s.jump, s.tag) == (5, 2, TAG_RHO)
     assert s.seed == 1
+    # None keeps a coordinate; an explicit 0 replaces it
+    assert s.child(path=0, replica=4) == RngStream(1, 0, 2, 4, TAG_RHO)
+    assert s.child(jump=0, tag=0) == RngStream(1, 5, 0, 0, 0)
+    assert s.child() == s
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +191,12 @@ def test_rho_order_validation():
 # nested Brownian marks
 # ---------------------------------------------------------------------------
 
+def _nested(path, duration, step):
+    """Increments of an excursion of the given duration at jump 0 of `path`."""
+    lanes = JumpLanes(path.stream, np.array([path.stream.path]), np.array([0]), path.marks[:1])
+    return nested_increments(lanes, [duration], step)[:, 0]
+
+
 def test_nested_brownian_terminal_variance():
     y = 0.7
     terms = []
@@ -193,7 +204,7 @@ def test_nested_brownian_terminal_variance():
         p = sample_path(SPEC, 1.0, RngStream(seed=40, path=i + 1))
         if p.n_jumps == 0:
             continue
-        incs = nested_brownian(p, 0, y, step=0.1)
+        incs = _nested(p, y, step=0.1)
         terms.append(float(incs.sum()))
     terms = np.array(terms)
     se = math.sqrt(2.0 / len(terms)) * y   # SE of the sample variance
@@ -202,15 +213,15 @@ def test_nested_brownian_terminal_variance():
 
 def test_nested_brownian_zero_duration():
     p = sample_path(SPEC, 1.0, RngStream(seed=41))
-    assert nested_brownian(p, 0, 0.0, step=0.1).shape == (0, 1)
+    assert _nested(p, 0.0, step=0.1).shape == (0, 1)
 
 
 def test_nested_brownian_step_widths():
     # last increment is shortened so the widths cover [0, y] exactly
     p = sample_path(SPEC, 1.0, RngStream(seed=41))
-    incs = nested_brownian(p, 0, 0.25, step=0.1)
+    incs = _nested(p, 0.25, step=0.1)
     assert incs.shape == (3, 1)
-    again = nested_brownian(p, 0, 0.25, step=0.1)
+    again = _nested(p, 0.25, step=0.1)
     np.testing.assert_array_equal(incs, again)
 
 

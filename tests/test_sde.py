@@ -2,7 +2,7 @@
 
 import math
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -11,10 +11,9 @@ from lentparticle import cli, ibp, lent, scenarios, sde
 from lentparticle.bottom import CapabilityError, EuclideanBottom
 from lentparticle.ensemble import sample_mark_sets, simple_ensemble
 from lentparticle.measures import compensator_integral, power_law
-from lentparticle.prm import sample_path
+from lentparticle.prm import GAUSSIAN, JumpLanes, rho_blocks, sample_path
 from lentparticle.rng import RngStream
-from lentparticle.sde import (EventError, Scenario, SimpleJets, check_jets, integrate,
-                              integrate_batch)
+from lentparticle.sde import EventError, Scenario, SimpleJets, integrate, integrate_batch
 
 SPEC = power_law(0.5, ymax=1.0, trunc=0.01)
 
@@ -105,8 +104,8 @@ def test_covariance_accumulator_monotone():
     path = sample_path(sc.measure, sc.horizon, RngStream(seed=8, path=1))
     traj = integrate(sc, path, order=1)
     assert len(traj.jumps) == path.n_jumps > 0
-    for rec in traj.jumps:
-        assert np.linalg.eigvalsh(np.atleast_2d(rec.gamma))[0] >= -1e-10
+    for rec in traj.jumps:              # one lane each
+        assert np.linalg.eigvalsh(rec.gamma[0])[0] >= -1e-10
     assert np.linalg.eigvalsh(traj.c)[0] >= -1e-10
 
 
@@ -261,6 +260,32 @@ def test_compensated_scenario_requires_averages():
                  compensated=True, comp_dx_c=sc.comp_dx_c)
 
 
+def check_jets(scenario: Scenario, probes, rel_tol: float = 1e-4) -> float:
+    """Finite-difference cross-check of the state jets of c at probe points.
+
+    probes: iterable of (s, x, ev).  Returns the worst relative error seen;
+    raises if it exceeds rel_tol.
+    """
+    worst = 0.0
+    d = scenario.dim
+    for (s, x, ev) in probes:
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        base = np.atleast_1d(np.asarray(scenario.c(s, x, ev), dtype=float))
+        scale = max(1.0, float(np.max(np.abs(base))))
+        if scenario.dx_c is not None:
+            jac = np.asarray(scenario.dx_c(s, x, ev), dtype=float).reshape(d, d)
+            h = 1e-6 * max(1.0, float(np.max(np.abs(x))))
+            for j in range(d):
+                e = np.zeros(d)
+                e[j] = h
+                fd = (np.atleast_1d(scenario.c(s, x + e, ev))
+                      - np.atleast_1d(scenario.c(s, x - e, ev))) / (2 * h)
+                worst = max(worst, float(np.max(np.abs(fd - jac[:, j]))) / scale)
+    if worst > rel_tol:
+        raise ValueError(f"coefficient jets inconsistent: relative error {worst:.2e}")
+    return worst
+
+
 def test_check_jets_catalog_and_broken():
     sc = scenarios.build("compound-linear")
     probes = [(0.1, np.array([1.5]), 0.3), (0.9, np.array([-0.4]), 0.8)]
@@ -272,28 +297,124 @@ def test_check_jets_catalog_and_broken():
 
 
 # ---------------------------------------------------------------------------
-# lockstep batch against the per-path event loop
+# the lockstep engine against the per-path event loop, kept as the oracle
 # ---------------------------------------------------------------------------
+
+def _lane(ev, p=0):
+    """Lane p of a resolution with the lane axis, without it."""
+    if is_dataclass(ev):
+        return replace(ev, **{f.name: getattr(ev, f.name)[p] for f in fields(ev)})
+    return ev[p]
+
+
+def per_path_integrate(sc, path):
+    """The oracle: the event loop that solved one path at a time, with (d, d)
+    arithmetic and one-path coefficient calls.  Returns the event times, the
+    states, (K, C, kk_err) at T and per jump (event, ev, jac, gamma, flat)."""
+    d = sc.dim
+    times = sde._event_times(sc, path)
+    jump_at = {int(e): j for j, e in enumerate(np.searchsorted(times, path.times))}
+    x, K, Kb, C = sc.x0, np.eye(d), np.eye(d), np.zeros((d, d))
+    states, flows, jumps = [x], [], []
+    for k in range(1, len(times)):
+        s_prev, s = times[k - 1], times[k]
+        dt = s - s_prev
+        if sc.compensated and dt > 0:
+            cdx = np.asarray(sc.comp_dx_c(s_prev, x), dtype=float).reshape(d, d)
+            K = K - cdx @ K * dt
+            Kb = Kb + Kb @ cdx * dt
+            x = x - np.asarray(sc.comp_c(s_prev, x), dtype=float).reshape(d) * dt
+            flows.append((K, Kb))
+        j = jump_at.get(k)
+        if j is not None:
+            lanes = JumpLanes(path.stream, np.array([path.stream.path]), np.array([j]),
+                              path.marks[j:j + 1])
+            ev = _lane(sc.bottom.eval_jumps(np.array([s]), x[None], lanes))
+            cval = np.atleast_1d(np.asarray(sc.c(s, x, ev), dtype=float))
+            jac = np.eye(d) + np.asarray(sc.dx_c(s, x, ev), dtype=float).reshape(d, d)
+            gamma = sc.bottom.gamma_c(s, x, ev)
+            jumps.append((k, ev, jac, gamma, sc.bottom.flat_matrix(s, x, ev)))
+            K = jac @ K
+            Kb = Kb @ np.linalg.inv(jac)
+            C = C + Kb @ gamma @ Kb.T
+            x = x + cval
+            flows.append((K, Kb))
+        states.append(x)
+    kk = max((float(np.max(np.abs(k @ kb - np.eye(d)))) for k, kb in flows), default=0.0)
+    return times, np.array(states), K, C, kk, jumps
+
+
+def per_path_gradients(sc, times, states, jumps, blocks):
+    """The oracle's gradient recursion over its jump records."""
+    d = sc.dim
+    sharp = np.zeros((d, blocks.shape[0]))
+    at = {k: (j, jac, flat) for j, (k, _, jac, _, flat) in enumerate(jumps)}
+    for k in range(1, len(times)):
+        dt = times[k] - times[k - 1]
+        if sc.compensated and dt > 0:
+            cdx = np.asarray(sc.comp_dx_c(times[k - 1], states[k - 1]), dtype=float).reshape(d, d)
+            sharp = sharp - cdx @ sharp * dt
+        if k in at:
+            j, jac, flat = at[k]
+            sharp = jac @ sharp + flat @ blocks[:, j, :].T
+    return sharp.T
+
 
 BATCH_CASES = [("compound-linear", {}), ("compound-linear", {"compensated": True}),
                ("simple2d", {}), ("subordination-linear", {}),
                ("subordination-nonlinear", {}), ("levy-field-demo", {})]
 
 
+@pytest.mark.parametrize("horizon", [None, 0.1])
+@pytest.mark.parametrize("name,params", BATCH_CASES + [("compound", {"weight": "bump"}),
+                                                       ("compound", {"compensated": True})])
+def test_integrate_matches_per_path_oracle(name, params, horizon):
+    if horizon is not None:
+        params = dict(params, horizon=horizon)
+    sc = scenarios.build(name, **params)
+    order = 1 if sc.simple is None else 2
+    count, tol = (3 if params.get("compensated") else 8), 1e-12
+    for i in range(count):
+        stream = RngStream(seed=17, path=i + 1)
+        path = sample_path(sc.measure, sc.horizon, stream)
+        traj = integrate(sc, path, order=order)
+        times, states, k, c, kk, jumps = per_path_integrate(sc, path)
+        np.testing.assert_array_equal(traj.times, times)
+        np.testing.assert_allclose(traj.states, states, rtol=0, atol=tol)
+        np.testing.assert_allclose(traj.x, states[-1], rtol=0, atol=tol)
+        np.testing.assert_allclose(traj.k, k, rtol=0, atol=tol)
+        np.testing.assert_allclose(traj.c, c, rtol=0, atol=tol)
+        np.testing.assert_allclose(lent.malliavin_matrix(traj).gamma, k @ c @ k.T,
+                                   rtol=0, atol=tol)
+        # |K Kbar - I| is rounding error, far below tol: compare it relatively
+        np.testing.assert_allclose(traj.kk_err, kk, rtol=1e-9, atol=0)
+        assert [rec.event for rec in traj.jumps] == [j[0] for j in jumps]
+        blocks = rho_blocks(stream, range(1, 41), (path.n_jumps, sc.bottom.block_dim),
+                            GAUSSIAN)
+        np.testing.assert_allclose(lent.gradient_samples(sc, traj, 40, stream),
+                                   per_path_gradients(sc, times, states, jumps, blocks),
+                                   rtol=0, atol=tol)
+        if order == 2:
+            table = sc.simple.table(path.marks, np.array([path.n_jumps]), sc.horizon,
+                                    sc.measure, sc.compensated)
+            assert traj.order2 == {key: float(table[key][0])
+                                   for key in ("A", "G2", "XA", "XG2")}
+
+
 def _per_path_chunk(sc, seed, start, count):
-    """What the trajectory route computed path by path with `integrate`."""
+    """What the trajectory route computed path by path, by the oracle."""
     d = sc.dim
     rows = []
     for i in range(count):
         path = sample_path(sc.measure, sc.horizon, RngStream(seed=seed, path=start + i + 1))
-        traj = integrate(sc, path, order=1)
-        gamma = lent.malliavin_matrix(traj).gamma
+        _, states, k, c, kk, jumps = per_path_integrate(sc, path)
+        gamma = k @ c @ k.T
         margin = math.nan
         lower_bound = sc.meta.get("pathwise_lower_bound")
         if lower_bound is not None:
-            bound = lower_bound(path.marks, np.array([rec.ev.b for rec in traj.jumps]))
+            bound = lower_bound(path.marks, np.array([ev.b for _, ev, *_ in jumps]))
             margin = float(np.linalg.eigvalsh(gamma - bound * np.eye(d))[0])
-        rows.append((traj.x, path.n_jumps, traj.kk_err, gamma, margin))
+        rows.append((states[-1], path.n_jumps, kk, gamma, margin))
     return rows
 
 
@@ -320,6 +441,48 @@ def test_batch_matches_per_path_loop(name, params, horizon):
             assert math.isnan(out["bound_margin"][i])
         else:
             assert abs(out["bound_margin"][i] - margin) <= 1e-12
+
+
+def _paths_with_counts(sc, stream, counts):
+    """Addresses and paths of `stream` whose jump counts are `counts`, in order."""
+    pool = {}
+    for p in range(1, 400):
+        path = sample_path(sc.measure, sc.horizon, stream.child(path=p))
+        pool.setdefault(path.n_jumps, []).append((p, path))
+    picked = [pool[n].pop(0) for n in counts]
+    return np.array([p for p, _ in picked]), [path for _, path in picked]
+
+
+@pytest.mark.parametrize("name,params", [("compound-linear", {}),
+                                         ("compound-linear", {"compensated": True}),
+                                         ("levy-field-demo", {})])
+def test_lockstep_lane_order_bit_identical(name, params):
+    # event counts that rise, fall and repeat, with jumpless paths among
+    # them: each lane of the chunk is what the path gives on its own
+    sc = scenarios.build(name, horizon=0.3, **params)
+    stream = RngStream(seed=23)
+    addresses, paths = _paths_with_counts(sc, stream, [2, 0, 4, 4, 6, 1, 0, 3])
+    batch = sde._advance(sc, paths, stream, addresses)
+    per_lane = {i: [] for i in range(len(paths))}
+    for rec in batch.jumps:
+        for p, lane in enumerate(rec.lanes):
+            per_lane[lane].append((rec, p))
+    for i, path in enumerate(paths):
+        traj = integrate(sc, path, order=1)
+        n = len(traj.times)
+        np.testing.assert_array_equal(batch.times[i, :n], traj.times)
+        assert np.isnan(batch.times[i, n:]).all()
+        np.testing.assert_array_equal(batch.states[i, :n], traj.states)
+        for key in ("x", "k", "c", "kk_err", "gamma"):
+            np.testing.assert_array_equal(getattr(batch, key)[i], getattr(traj, key))
+        assert len(per_lane[i]) == len(traj.jumps) == path.n_jumps
+        for (rec, p), own in zip(per_lane[i], traj.jumps):
+            assert (rec.event, rec.index[p]) == (own.event, own.index[0])
+            for key in ("jac", "gamma", "flat"):
+                np.testing.assert_array_equal(getattr(rec, key)[p], getattr(own, key)[0])
+            lane, alone = _lane(rec.ev, p), _lane(own.ev)
+            np.testing.assert_equal(getattr(lane, "__dict__", lane),
+                                    getattr(alone, "__dict__", alone))
 
 
 @pytest.mark.parametrize("name,params", BATCH_CASES)

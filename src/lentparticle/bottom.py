@@ -148,9 +148,10 @@ class WienerOUBottom(BottomStructure):
     sub-stream.  The displacement is the jump coefficient's input.
 
     The coefficient callables take states z of shape (n, dim), one row per
-    lane, and return a (n, dim, n_brownian), b (n, dim), da/dz
-    (n, dim, n_brownian, dim) and db/dz (n, dim, dim); a value without the
-    lane axis is taken to hold for every lane.
+    lane, and return a (n, dim, n_brownian), b (n, dim) and da/dz
+    (n, dim, n_brownian, dim); a value without the lane axis is taken to
+    hold for every lane.  The flow derivative follows the diffusion
+    coefficient only: b is taken to be constant in z.
     """
 
     dim: int
@@ -158,7 +159,6 @@ class WienerOUBottom(BottomStructure):
     diff: Callable                     # a(z)
     drift: Callable | None = None      # b(z)
     diff_jac: Callable | None = None   # da/dz
-    drift_jac: Callable | None = None  # db/dz
     step: float = 1e-2
 
     @property
@@ -185,7 +185,7 @@ class WienerOUBottom(BottomStructure):
         if incs.shape != widths.shape + (q,):
             raise ValueError(f"increments of shape {incs.shape} do not match the step grid "
                              f"{widths.shape} of the durations")
-        flows = self.diff_jac is not None or self.drift_jac is not None
+        flows = self.diff_jac is not None
         z = x.copy()
         m = np.tile(np.eye(d), (n, 1, 1))
         m_inv = m.copy()
@@ -201,18 +201,11 @@ class WienerOUBottom(BottomStructure):
                 # shared-noise Euler step for both flows; with A_r = da[:, r]/dz
                 # and P_r = M^-1 A_r, the inverse flow carries the Ito
                 # correction sum_r P_r P_r dt
-                aj = (np.zeros((n, d, q, d)) if self.diff_jac is None
-                      else np.broadcast_to(self.diff_jac(z), (n, d, q, d)))
-                A = aj.transpose(0, 2, 1, 3)
+                A = np.broadcast_to(self.diff_jac(z), (n, d, q, d)).transpose(0, 2, 1, 3)
                 P = m_inv[:, None] @ A
                 noise = db[:, :, None, None]
                 dm = (A * noise).sum(axis=1) @ m
-                corr = (P @ P).sum(axis=1)
-                if self.drift_jac is not None:
-                    bj = np.broadcast_to(self.drift_jac(z), (n, d, d))
-                    dm = dm + bj @ m * dtm
-                    corr = corr - m_inv @ bj
-                dmi = corr * dtm - (P * noise).sum(axis=1)
+                dmi = (P @ P).sum(axis=1) * dtm - (P * noise).sum(axis=1)
             z_next = z + (a @ db[..., None])[..., 0]
             if self.drift is not None:
                 z_next = z_next + np.broadcast_to(self.drift(z), (n, d)) * dt

@@ -1,11 +1,16 @@
 """Malliavin covariance by two independent routes.
 
 Route one is deterministic: conjugate the per-jump accumulator by the
-final flow derivative, Gamma = K_T (sum_j Kbar gamma[c] Kbar^T) K_T^T.
+final flow derivative, Gamma = K_T (sum_j Kbar_j gamma[c]_j Kbar_j^T) K_T^T,
+with Kbar_j the running inverse flow the event loop carries past jump j.
 Route two is Monte Carlo: enrich every jump with an auxiliary zero-mean
-mark, propagate the gradient linear SDE along the same trajectory, and
-average outer products of the resulting samples.  Agreement of the two is
-the library's central correctness check.
+mark block rho_j and form the lent-particle gradient
+
+    X#_T = K_T sum_j K_{T_j}^-1 c_flat_j rho_j,
+
+with K_{T_j} the flow just after jump j and c_flat_j its injector, by
+solves against the recorded K_{T_j}; then average outer products of the
+samples.  Agreement of the two is the library's central correctness check.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 from .bottom import CapabilityError
 from .prm import GAUSSIAN, MarkedPoissonPath, rho_blocks
 from .rng import RngStream
-from .sde import Scenario, Trajectory, _lanes
+from .sde import Scenario, Trajectory
 
 
 @dataclass
@@ -34,42 +39,23 @@ def malliavin_matrix(traj: Trajectory) -> MalliavinMatrix:
     return MalliavinMatrix(t=traj.scenario.horizon, gamma=traj.gamma)
 
 
-def _propagate_gradients(scenario: Scenario, traj: Trajectory,
-                         blocks: np.ndarray) -> np.ndarray:
-    """Run the gradient linear SDE for a batch of rho-enrichments.
-
-    blocks has shape (n_replicas, n_jumps, block_dim); returns (n_replicas, d).
-    The recursion visits the same events as the state solve: at a jump the
-    gradient is multiplied by the recorded I + D_x c and receives the
-    recorded injection, between jumps it follows the linearised
-    compensator drift, taken at every step's start from the recorded states.
-    """
-    d = scenario.dim
-    times = traj.times
-    sharp = np.zeros((d, blocks.shape[0]))
-    if scenario.compensated:
-        # every step in one call, with the steps on the lane axis
-        cdx = _lanes(scenario.comp_dx_c(times[:-1], traj.states[:-1]), (len(times) - 1, d, d))
-    jump_at = {rec.event: rec for rec in traj.jumps}
-    for k in range(1, len(times)):
-        if scenario.compensated:
-            sharp = sharp - cdx[k - 1] @ sharp * (times[k] - times[k - 1])
-        rec = jump_at.get(k)
-        if rec is not None:
-            sharp = rec.jac[0] @ sharp + rec.flat[0] @ blocks[:, rec.index[0], :].T
-    return sharp.T
-
-
 def gradient_samples(scenario: Scenario, traj: Trajectory, n_replicas: int,
                      stream: RngStream, basis: str = GAUSSIAN) -> np.ndarray:
     """Batch of independent gradient realisations, shape (n_replicas, d).
 
     Replica r draws its blocks from the replica-indexed sub-stream, so the
-    batch is reproducible and schedule-independent.
+    batch is reproducible and schedule-independent.  Sample r is
+    K_T sum_j K_{T_j}^-1 c_flat_j rho_{r,j}: one batched solve over the
+    path's jumps, contracted with every replica's blocks.
     """
     blocks = rho_blocks(stream, range(1, n_replicas + 1),
                         (len(traj.jumps), scenario.bottom.block_dim), basis)
-    return _propagate_gradients(scenario, traj, blocks)
+    if not traj.jumps:
+        return np.zeros((n_replicas, scenario.dim))
+    k, flat, index = (np.concatenate([getattr(rec, key) for rec in traj.jumps])
+                      for key in ("k", "flat", "index"))
+    inj = np.linalg.solve(k, flat).transpose(0, 2, 1).reshape(-1, scenario.dim)
+    return blocks[:, index].reshape(n_replicas, -1) @ inj @ traj.k.T
 
 
 def empirical_gamma(samples: np.ndarray) -> np.ndarray:

@@ -115,7 +115,6 @@ def compound(eps: float = 0.5, trunc: float = 0.01, ymax: float = 1.0,
         comp_c=lambda s, x: np.array([mean_jump]),
         comp_dx_c=lambda s, x: np.zeros((1, 1)),
         meta={
-            "weight": weight,
             "psi": xi,
             "psi_delta": 0.0,
             "symmetry_pair": (*_bump_weight(lo, hi), lambda u: u, lambda u: 1.0),
@@ -272,5 +271,4 @@ def levy_field_demo(eps: float = 0.5, trunc: float = 0.05, ymax: float = 1.0,
         name="levy-field-demo", dim=2, x0=np.zeros(2), horizon=horizon,
         measure=spec, bottom=bottom,
         c=lambda s, x, ev: ev.z,
-        dx_c=lambda s, x, ev: ev.m - np.eye(2),
-        meta={"demo": True})
+        dx_c=lambda s, x, ev: ev.m - np.eye(2))

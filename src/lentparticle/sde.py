@@ -21,9 +21,9 @@ resolves its jumps with one `eval_jumps` call on the bottom structure.
 `integrate_batch` runs it on a chunk of sampled paths, and `integrate` on
 one path, adding the order-2 table when asked.  A lane's arithmetic and
 draws do not depend on the other lanes, so a path gives the same bits
-alone as in any chunk.  Besides the results at T, the loop keeps the
-states at every event and, per jump, the records (`LockstepJumps`) that
-`lent`'s gradient pass replays.
+alone as in any chunk.  The loop keeps no state history: besides the
+results at T it keeps, per jump, the records (`LockstepJumps`: the
+post-jump flow K and the injector) from which `lent` forms the gradient.
 
 Every measure-average is scenario data (the comp_* callables); nothing is
 averaged by quadrature here.  Jump times are events of the grid, and an
@@ -44,6 +44,7 @@ from .prm import JumpLanes, MarkedPoissonPath, sample_path
 from .rng import RngStream
 
 DET_FLOOR = 1e-12
+N_STEPS = 1000          # Euler steps on [0, T] in a compensated scenario's event grid
 
 
 @dataclass
@@ -188,7 +189,6 @@ class Scenario:
     c: Callable
     dx_c: Callable | None = None
     compensated: bool = False
-    n_steps: int = 1000
     comp_c: Callable | None = None
     comp_dx_c: Callable | None = None
     simple: SimpleJets | None = None
@@ -213,7 +213,7 @@ class LockstepJumps:
     lanes: np.ndarray      # lanes that jump there
     index: np.ndarray      # their jump indices
     ev: object             # their resolutions
-    jac: np.ndarray        # (m, d, d) I + D_x c
+    k: np.ndarray          # (m, d, d) flow derivative K just after the jump
     gamma: np.ndarray      # (m, d, d) bottom matrix of c
     flat: np.ndarray       # (m, d, block_dim) gradient injector
 
@@ -229,16 +229,12 @@ class Trajectory:
 
     scenario: Scenario
     times: np.ndarray                      # event times, starts at 0 ends at T
-    states: np.ndarray                     # (n_events, d), post-event states
     jumps: list                            # LockstepJumps per jump, one lane each
+    x: np.ndarray                          # (d,) state at T
     k: np.ndarray                          # (d, d) flow derivative K at T
     c: np.ndarray                          # (d, d) accumulator C at T
     kk_err: float                          # max over events of |K Kbar - I|
     order2: dict | None = None             # scalar table at T (A, G2, XA, XG2)
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.states[-1]
 
     @property
     def gamma(self) -> np.ndarray:
@@ -264,7 +260,7 @@ def _event_times(scenario: Scenario, path: MarkedPoissonPath) -> np.ndarray:
     when the state drifts."""
     T = scenario.horizon
     if scenario.compensated:
-        return np.union1d(np.linspace(0.0, T, scenario.n_steps + 1), path.times)
+        return np.union1d(np.linspace(0.0, T, N_STEPS + 1), path.times)
     return np.unique(np.concatenate([[0.0], path.times, [T]]))
 
 
@@ -292,14 +288,14 @@ def integrate(scenario: Scenario, path: MarkedPoissonPath, order: int) -> Trajec
         raise CapabilityError(
             f"jet order 2 needs simple, the mark jets of a scalar mark-sum scenario; "
             f"scenario {scenario.name!r} has none")
-    batch = _advance(scenario, [path], path.stream, np.array([path.stream.path]))
+    batch = _advance(scenario, [path])
     tab = None
     if order == 2:
         full = scenario.simple.table(path.marks, np.array([path.n_jumps]), scenario.horizon,
                                      scenario.measure, scenario.compensated)
         tab = {key: float(full[key][0]) for key in ("A", "G2", "XA", "XG2")}
-    return Trajectory(scenario=scenario, times=batch.times[0], states=batch.states[0],
-                      jumps=batch.jumps, k=batch.k[0], c=batch.c[0],
+    return Trajectory(scenario=scenario, times=batch.times[0], jumps=batch.jumps,
+                      x=batch.x[0], k=batch.k[0], c=batch.c[0],
                       kk_err=float(batch.kk_err[0]), order2=tab)
 
 
@@ -309,7 +305,6 @@ class TrajectoryBatch:
 
     paths: list                            # MarkedPoissonPath per lane
     times: np.ndarray                      # (n, width) event times, NaN past a lane's end
-    states: np.ndarray                     # (n, width, d) post-event states, likewise
     x: np.ndarray                          # (n, d) states at T
     k: np.ndarray                          # (n, d, d) flow derivative K
     c: np.ndarray                          # (n, d, d) accumulator C
@@ -333,20 +328,19 @@ def integrate_batch(scenario: Scenario, n_paths: int, stream: RngStream,
     """
     paths = [sample_path(scenario.measure, scenario.horizon, stream.child(path=path_offset + i + 1))
              for i in range(n_paths)]
-    return _advance(scenario, paths, stream,
-                    np.arange(path_offset + 1, path_offset + n_paths + 1))
+    return _advance(scenario, paths)
 
 
-def _advance(scenario: Scenario, paths: list, stream: RngStream,
-             addresses: np.ndarray) -> TrajectoryBatch:
+def _advance(scenario: Scenario, paths: list) -> TrajectoryBatch:
     """The event recursion for every path, advanced in lockstep by event index.
 
-    Lane i is `paths[i]`, and its jumps draw from `stream` at path address
-    `addresses[i]`.  The lanes are walked sorted by event count, so the
-    lanes still running at an event are a leading slice, and so (without
-    an Euler grid, where event k is jump k - 1) are the lanes that jump
-    there.  Per event it keeps the states, and per lockstep event with
-    jumps a `LockstepJumps`.  Results come back in the order of `paths`.
+    Lane i is `paths[i]`, and its jumps draw from its path's stream.  The
+    paths' streams may differ only in their path address, as the streams
+    `stream.child(path=p)` of one chunk do.  The lanes are walked sorted by
+    event count, so the lanes still running at an event are a leading
+    slice, and so (without an Euler grid, where event k is jump k - 1) are
+    the lanes that jump there.  Per lockstep event with jumps it keeps a
+    `LockstepJumps`.  Results come back in the order of `paths`.
     """
     d, comp, bottom = scenario.dim, scenario.compensated, scenario.bottom
     times = [_event_times(scenario, p) for p in paths]
@@ -363,7 +357,7 @@ def _advance(scenario: Scenario, paths: list, stream: RngStream,
         ev_times[:len(t), lane] = t
         jump_at[at, lane] = np.arange(p.n_jumps)
         mark_at[at, lane] = p.marks
-    addresses = np.asarray(addresses)[order]
+    addresses = np.array([p.stream.path for p in paths])[order]
     jumping = jump_at >= 0
     n_jumping = jumping.sum(axis=1)
     leading = np.all(jumping == (np.arange(n) < n_jumping[:, None]), axis=1).tolist()
@@ -376,8 +370,6 @@ def _advance(scenario: Scenario, paths: list, stream: RngStream,
     Kb = K.copy()
     C = np.zeros((n, d, d))
     flow_err = np.zeros((n, d, d))                  # running max of |K Kbar - I|
-    states = np.full((width, n, d), np.nan)
-    states[0] = x
     gen = None                                      # built by the first draw
     jumps = []
     for k in range(1, width):
@@ -402,7 +394,7 @@ def _advance(scenario: Scenario, paths: list, stream: RngStream,
             # xl is the pre-jump state (a view when sel is a slice): every
             # coefficient reads it before x is written
             js, s, xl = jump_at[k, sel], ev_times[k, sel], x[sel]
-            draws = JumpLanes(stream, addresses[sel], js, mark_at[k, sel], gen)
+            draws = JumpLanes(paths[0].stream, addresses[sel], js, mark_at[k, sel], gen)
             ev = bottom.eval_jumps(s, xl, draws)
             gen = draws.gen
             cval = _lanes(scenario.c(s, xl, ev), (mj, d))
@@ -423,9 +415,7 @@ def _advance(scenario: Scenario, paths: list, stream: RngStream,
             K[sel], Kb[sel] = kn, kbn
             flow_err[sel] = np.maximum(flow_err[sel], np.abs(kn @ kbn - eye))
             jumps.append(LockstepJumps(event=k, lanes=order[sel], index=js, ev=ev,
-                                       jac=jac, gamma=gamma, flat=flat))
-        states[k, :m] = x[:m]
+                                       k=kn, gamma=gamma, flat=flat))
     back = np.argsort(order)
-    return TrajectoryBatch(paths=paths, times=ev_times.T[back],
-                           states=states.transpose(1, 0, 2)[back], x=x[back], k=K[back],
+    return TrajectoryBatch(paths=paths, times=ev_times.T[back], x=x[back], k=K[back],
                            c=C[back], kk_err=flow_err.max(axis=(1, 2))[back], jumps=jumps)

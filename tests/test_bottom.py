@@ -194,4 +194,4 @@ def test_field_bottom_jumps_do_not_share_drift():
             np.testing.assert_array_equal(ev.z, fresh(j).z)
             np.testing.assert_array_equal(ev.gamma_m, fresh(j).gamma_m)
     assert not np.array_equal(forward[0].z, forward[1].z)
-    assert sc.bottom.drift is None and sc.bottom.drift_jac is None
+    assert sc.bottom.drift is None

@@ -387,6 +387,19 @@ def test_command_pool_outlives_the_fan_out(tmp_path, monkeypatch):
         pools[0].apply(abs, (-3,))
 
 
+@pytest.mark.parametrize("name,horizon", [("compound", 0.001),
+                                          ("subordination-nonlinear", 0.01)])
+def test_dual_oracle_without_jump_fails(tmp_path, name, horizon):
+    # at seed 1 path 1 takes no jump, so both routes give Gamma = 0
+    path, cfg = _config(tmp_path, "nojump", scenario=name, params={"horizon": horizon},
+                        run={"seed": 1})
+    assert cli.main(["run", str(path)]) == 0
+    body = report.report_body(Path(cfg["outputs"]["dir"]) / "report.json")
+    assert body["estimates"]["gamma_dual_oracle_rel_err"]["value"] == 0.0
+    assert body["verdicts"]["gamma_dual_oracle_5pct"] is False
+    assert "no jump" in body["diagnostics"]["gamma_dual_oracle_no_jump"]
+
+
 def test_run_outputs_csv_and_svg(tmp_path):
     path, cfg = _config(tmp_path, "out")
     assert cli.main(["run", str(path)]) == 0

@@ -34,7 +34,8 @@ def test_zero_coefficients_state_constant():
     sc = _null_scenario()
     path = sample_path(SPEC, 1.0, RngStream(seed=1, path=1))
     traj = integrate(sc, path, order=1)
-    assert np.all(traj.states == 3.0)
+    assert path.n_jumps > 0
+    assert np.all(traj.x == 3.0)
 
 
 def test_pure_jump_telescoping():
@@ -227,8 +228,7 @@ def test_jet_order_preserves_states():
         plain = integrate(sc, path, order=1)
         jet = integrate(sc, path, order=2)
         np.testing.assert_array_equal(plain.times, jet.times)
-        np.testing.assert_array_equal(plain.states, jet.states)
-        for key in ("k", "c", "kk_err", "gamma"):
+        for key in ("x", "k", "c", "kk_err", "gamma"):
             np.testing.assert_array_equal(getattr(plain, key), getattr(jet, key))
         assert plain.order2 is None
 
@@ -310,7 +310,8 @@ def _lane(ev, p=0):
 def per_path_integrate(sc, path):
     """The oracle: the event loop that solved one path at a time, with (d, d)
     arithmetic and one-path coefficient calls.  Returns the event times, the
-    states, (K, C, kk_err) at T and per jump (event, ev, jac, gamma, flat)."""
+    states, (K, C, kk_err) at T and per jump (event, ev, jac, gamma, flat, K),
+    with K the flow just after the jump."""
     d = sc.dim
     times = sde._event_times(sc, path)
     jump_at = {int(e): j for j, e in enumerate(np.searchsorted(times, path.times))}
@@ -333,8 +334,8 @@ def per_path_integrate(sc, path):
             cval = np.atleast_1d(np.asarray(sc.c(s, x, ev), dtype=float))
             jac = np.eye(d) + np.asarray(sc.dx_c(s, x, ev), dtype=float).reshape(d, d)
             gamma = sc.bottom.gamma_c(s, x, ev)
-            jumps.append((k, ev, jac, gamma, sc.bottom.flat_matrix(s, x, ev)))
             K = jac @ K
+            jumps.append((k, ev, jac, gamma, sc.bottom.flat_matrix(s, x, ev), K))
             Kb = Kb @ np.linalg.inv(jac)
             C = C + Kb @ gamma @ Kb.T
             x = x + cval
@@ -348,7 +349,7 @@ def per_path_gradients(sc, times, states, jumps, blocks):
     """The oracle's gradient recursion over its jump records."""
     d = sc.dim
     sharp = np.zeros((d, blocks.shape[0]))
-    at = {k: (j, jac, flat) for j, (k, _, jac, _, flat) in enumerate(jumps)}
+    at = {k: (j, jac, flat) for j, (k, _, jac, _, flat, _) in enumerate(jumps)}
     for k in range(1, len(times)):
         dt = times[k] - times[k - 1]
         if sc.compensated and dt > 0:
@@ -380,7 +381,6 @@ def test_integrate_matches_per_path_oracle(name, params, horizon):
         traj = integrate(sc, path, order=order)
         times, states, k, c, kk, jumps = per_path_integrate(sc, path)
         np.testing.assert_array_equal(traj.times, times)
-        np.testing.assert_allclose(traj.states, states, rtol=0, atol=tol)
         np.testing.assert_allclose(traj.x, states[-1], rtol=0, atol=tol)
         np.testing.assert_allclose(traj.k, k, rtol=0, atol=tol)
         np.testing.assert_allclose(traj.c, c, rtol=0, atol=tol)
@@ -389,6 +389,8 @@ def test_integrate_matches_per_path_oracle(name, params, horizon):
         # |K Kbar - I| is rounding error, far below tol: compare it relatively
         np.testing.assert_allclose(traj.kk_err, kk, rtol=1e-9, atol=0)
         assert [rec.event for rec in traj.jumps] == [j[0] for j in jumps]
+        for rec, own in zip(traj.jumps, jumps):
+            np.testing.assert_allclose(rec.k[0], own[5], rtol=0, atol=tol)
         blocks = rho_blocks(stream, range(1, 41), (path.n_jumps, sc.bottom.block_dim),
                             GAUSSIAN)
         np.testing.assert_allclose(lent.gradient_samples(sc, traj, 40, stream),
@@ -444,13 +446,12 @@ def test_batch_matches_per_path_loop(name, params, horizon):
 
 
 def _paths_with_counts(sc, stream, counts):
-    """Addresses and paths of `stream` whose jump counts are `counts`, in order."""
+    """Paths of `stream` whose jump counts are `counts`, in order."""
     pool = {}
     for p in range(1, 400):
         path = sample_path(sc.measure, sc.horizon, stream.child(path=p))
-        pool.setdefault(path.n_jumps, []).append((p, path))
-    picked = [pool[n].pop(0) for n in counts]
-    return np.array([p for p, _ in picked]), [path for _, path in picked]
+        pool.setdefault(path.n_jumps, []).append(path)
+    return [pool[n].pop(0) for n in counts]
 
 
 @pytest.mark.parametrize("name,params", [("compound-linear", {}),
@@ -460,9 +461,8 @@ def test_lockstep_lane_order_bit_identical(name, params):
     # event counts that rise, fall and repeat, with jumpless paths among
     # them: each lane of the chunk is what the path gives on its own
     sc = scenarios.build(name, horizon=0.3, **params)
-    stream = RngStream(seed=23)
-    addresses, paths = _paths_with_counts(sc, stream, [2, 0, 4, 4, 6, 1, 0, 3])
-    batch = sde._advance(sc, paths, stream, addresses)
+    paths = _paths_with_counts(sc, RngStream(seed=23), [2, 0, 4, 4, 6, 1, 0, 3])
+    batch = sde._advance(sc, paths)
     per_lane = {i: [] for i in range(len(paths))}
     for rec in batch.jumps:
         for p, lane in enumerate(rec.lanes):
@@ -472,13 +472,12 @@ def test_lockstep_lane_order_bit_identical(name, params):
         n = len(traj.times)
         np.testing.assert_array_equal(batch.times[i, :n], traj.times)
         assert np.isnan(batch.times[i, n:]).all()
-        np.testing.assert_array_equal(batch.states[i, :n], traj.states)
         for key in ("x", "k", "c", "kk_err", "gamma"):
             np.testing.assert_array_equal(getattr(batch, key)[i], getattr(traj, key))
         assert len(per_lane[i]) == len(traj.jumps) == path.n_jumps
         for (rec, p), own in zip(per_lane[i], traj.jumps):
             assert (rec.event, rec.index[p]) == (own.event, own.index[0])
-            for key in ("jac", "gamma", "flat"):
+            for key in ("k", "gamma", "flat"):
                 np.testing.assert_array_equal(getattr(rec, key)[p], getattr(own, key)[0])
             lane, alone = _lane(rec.ev, p), _lane(own.ev)
             np.testing.assert_equal(getattr(lane, "__dict__", lane),

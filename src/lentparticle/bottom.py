@@ -12,7 +12,7 @@ Each structure knows how to
 Marks are resolved for many paths at once: `eval_jumps` takes one jump
 per lane (`prm.JumpLanes`) and returns a resolution with a leading lane
 axis, and `gamma_c` and `flat_matrix` map it to the (n, d, d) matrices
-and the (n, d, block_dim) injectors.
+and the (n, d, block_dim) injectors; `jump_matrices` gives both at once.
 
 Two families are provided: a weighted structure on a Euclidean mark
 interval, and Wiener-space structures (Ornstein-Uhlenbeck) for jumps that
@@ -50,6 +50,10 @@ class BottomStructure:
         """Linear maps (n, d, block_dim) sending a rho-block to a gradient sample."""
         raise NotImplementedError
 
+    def jump_matrices(self, s, x, ev):
+        """`gamma_c` and `flat_matrix` of the same jumps, as the event loop takes them."""
+        return self.gamma_c(s, x, ev), self.flat_matrix(s, x, ev)
+
 
 # ---------------------------------------------------------------------------
 # Euclidean mark space with carre du champ weight xi
@@ -74,14 +78,18 @@ class EuclideanBottom(BottomStructure):
     def eval_jumps(self, s, x, lanes):
         return lanes.marks
 
-    def gamma_c(self, s, x, u):
+    def jump_matrices(self, s, x, u):
+        """Both matrices from one evaluation of c_u and of the weight xi."""
         du = np.atleast_1d(np.asarray(self.c_u(s, x, u), dtype=float))
         xi = np.asarray(self.xi(u), dtype=float)
-        return xi[..., None, None] * (du[..., :, None] * du[..., None, :])
+        return (xi[..., None, None] * (du[..., :, None] * du[..., None, :]),
+                np.sqrt(xi)[..., None, None] * du[..., :, None])
+
+    def gamma_c(self, s, x, u):
+        return self.jump_matrices(s, x, u)[0]
 
     def flat_matrix(self, s, x, u):
-        du = np.atleast_1d(np.asarray(self.c_u(s, x, u), dtype=float))
-        return np.sqrt(np.asarray(self.xi(u), dtype=float))[..., None, None] * du[..., :, None]
+        return self.jump_matrices(s, x, u)[1]
 
 
 # ---------------------------------------------------------------------------

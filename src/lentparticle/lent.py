@@ -48,10 +48,10 @@ def gradient_samples(scenario: Scenario, traj: Trajectory, n_replicas: int,
     K_T sum_j K_{T_j}^-1 c_flat_j rho_{r,j}: one batched solve over the
     path's jumps, contracted with every replica's blocks.
     """
-    blocks = rho_blocks(stream, range(1, n_replicas + 1),
-                        (len(traj.jumps), scenario.bottom.block_dim), basis)
     if not traj.jumps:
         return np.zeros((n_replicas, scenario.dim))
+    blocks = rho_blocks(stream, range(1, n_replicas + 1),
+                        (len(traj.jumps), scenario.bottom.block_dim), basis)
     k, flat, index = (np.concatenate([getattr(rec, key) for rec in traj.jumps])
                       for key in ("k", "flat", "index"))
     inj = np.linalg.solve(k, flat).transpose(0, 2, 1).reshape(-1, scenario.dim)

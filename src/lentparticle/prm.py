@@ -11,12 +11,13 @@ together with the same draws each would get in a sweep of its own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .measures import LevyMeasureSpec, sample_mark, total_mass
-from .rng import TAG_MARK, TAG_NESTED, TAG_RHO, TAG_TIME, RngStream, seek
+from .rng import TAG_MARK, TAG_NESTED, TAG_RHO, TAG_TIME, RngStream, _seek_replicas, seek
 
 GAUSSIAN = "gaussian"
 RADEMACHER = "rademacher"
@@ -53,18 +54,22 @@ def rho_blocks(stream: RngStream, replicas, shape, basis: str = GAUSSIAN) -> np.
 
     Entry i holds what the generator of `stream.child(replica=replicas[i],
     tag=TAG_RHO)` draws: standard normals, or signs +-1 for the Rademacher
-    basis.  One generator is re-addressed (`rng.seek`) for every replica.
-    The blocks are independent across replicas and entries, independent
-    of the jump skeleton, and fully determined by the stream address.
+    basis.  One generator is re-addressed for every replica, changing only
+    the replica word of its state, and Gaussian blocks are drawn straight
+    into their rows.  The blocks are independent across replicas and
+    entries, independent of the jump skeleton, and fully determined by the
+    stream address.
     """
     if basis not in (GAUSSIAN, RADEMACHER):
         raise ValueError(f"unknown rho basis {basis!r}")
     out = np.empty((len(replicas), *shape))
-    gen = stream.generator()
-    for i, r in enumerate(replicas):
-        seek(gen, stream.child(replica=r, tag=TAG_RHO))
-        out[i] = (gen.standard_normal(shape) if basis == GAUSSIAN
-                  else gen.integers(0, 2, size=shape) * 2.0 - 1.0)
+    rows = out.reshape(len(replicas), math.prod(shape))
+    gens = _seek_replicas(stream.generator(), stream.child(tag=TAG_RHO), replicas)
+    for i, gen in enumerate(gens):
+        if basis == GAUSSIAN:
+            gen.standard_normal(out=rows[i])
+        else:
+            out[i] = gen.integers(0, 2, size=shape) * 2.0 - 1.0
     return out
 
 

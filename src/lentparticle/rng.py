@@ -10,8 +10,9 @@ seed and the tag form the Philox key; (path, jump, replica, 0) fill the
 four counter words.  `_philox_address` is the one function that holds this
 layout; `RngStream.generator`, `seek` and the batch kernel `philox_random`
 all read it.  `seek` re-addresses one existing Philox generator instead of
-building a new one, which is what a loop over many short streams wants: a
-fresh generator costs about four times as much as the re-address.
+building a new one, writing its state from plain ints, which is what a
+loop over many short streams wants: a fresh generator costs about nine
+times as much as the re-address.
 
 Streams are not all disjoint.  numpy increments counter word 0 before each
 block of four 64-bit outputs, and word 0 also holds the path.  So the
@@ -66,7 +67,8 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         counter, key = _philox_address(self, self.path)
-        bitgen = np.random.Philox(counter=np.array(counter, dtype=np.uint64), key=key)
+        bitgen = np.random.Philox(counter=np.array(counter, dtype=np.uint64),
+                                  key=np.array(key, dtype=np.uint64))
         return np.random.Generator(bitgen)
 
 
@@ -77,24 +79,46 @@ def seek(gen: np.random.Generator, stream: RngStream, path=None) -> np.random.Ge
     Returns `gen`, which then draws exactly what `stream.generator()` (or
     `stream.child(path=path).generator()`) would.
     """
-    counter, key = _philox_address(stream, stream.path if path is None else path)
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.array(counter, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-        "has_uint32": 0, "uinteger": 0}
+    gen.bit_generator.state = _philox_state(stream, stream.path if path is None else path)
     return gen
 
 
 def _philox_address(stream: RngStream, path):
     """Philox counter words and key of `stream` at `path` (int or array).
 
-    The seed is reduced mod 2**64 and the key built as a uint64 array, so
-    negative and large seeds keep distinct keys.
+    The seed is reduced mod 2**64, so negative and large seeds keep
+    distinct keys.  Both come back as lists, `path` in the counter as given.
     """
-    counter = (path, stream.jump, stream.replica, 0)
-    key = np.array([stream.seed & MASK64, stream.tag], dtype=np.uint64)
-    return counter, key
+    return [path, stream.jump, stream.replica, 0], [stream.seed & MASK64, stream.tag]
+
+
+_REPLICA_WORD = 2       # the counter word `_philox_address` gives the replica
+
+
+def _philox_state(stream: RngStream, path) -> dict:
+    """numpy's Philox state dict at the start of `stream` at `path`.
+
+    The words stay plain ints, which numpy's setter takes as they are, and
+    the output buffer is empty.  The setter copies the words, so the
+    caller may edit the counter list and set the same dict again.
+    """
+    counter, key = _philox_address(stream, path)
+    return {"bit_generator": "Philox", "state": {"counter": counter, "key": key},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
+def _seek_replicas(gen: np.random.Generator, stream: RngStream, replicas):
+    """Yield `gen` at the start of `stream.child(replica=r)`, for each r in turn.
+
+    One state dict serves every replica: only its replica word changes.
+    """
+    bitgen = gen.bit_generator
+    state = _philox_state(stream, stream.path)
+    counter = state["state"]["counter"]
+    for r in replicas:
+        counter[_REPLICA_WORD] = r
+        bitgen.state = state
+        yield gen
 
 
 # Philox4x64 multipliers and Weyl key increments (Salmon et al.; numpy)
@@ -105,14 +129,31 @@ _LO32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 
 
-def _mulhilo(a: np.ndarray, m: int):
-    """High and low 64-bit words of the 128-bit products a * m."""
+def _mulhilo(a: np.ndarray, m: int, hi: np.ndarray, lo: np.ndarray, scratch):
+    """High and low 64-bit words of the 128-bit products a * m, into hi and lo.
+
+    `scratch` holds three uint64 arrays of a's shape, overwritten here; a,
+    hi, lo and the scratch arrays must all be distinct.  No partial sum
+    below exceeds 2**64 - 1 (Warren, "Hacker's Delight", mulhu).
+    """
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    a_lo, a_hi = a & _LO32, a >> _S32
-    ll, hl, lh = a_lo * m_lo, a_hi * m_lo, a_lo * m_hi
-    mid = (ll >> _S32) + (hl & _LO32) + (lh & _LO32)
-    hi = a_hi * m_hi + (hl >> _S32) + (lh >> _S32) + (mid >> _S32)
-    return hi, a * np.uint64(m)
+    a_lo, a_hi, t = scratch
+    np.bitwise_and(a, _LO32, out=a_lo)
+    np.right_shift(a, _S32, out=a_hi)
+    np.multiply(a, np.uint64(m), out=lo)
+    np.multiply(a_hi, m_hi, out=hi)
+    np.multiply(a_lo, m_lo, out=t)
+    t >>= _S32
+    a_hi *= m_lo
+    t += a_hi                                   # t = (a_lo m_lo >> 32) + a_hi m_lo
+    a_lo *= m_hi
+    np.bitwise_and(t, _LO32, out=a_hi)
+    a_hi += a_lo                                # u = (t & LO32) + a_lo m_hi
+    t >>= _S32
+    hi += t
+    a_hi >>= _S32
+    hi += a_hi
+    return hi, lo
 
 
 def philox_random(stream: RngStream, paths, blocks) -> np.ndarray:
@@ -144,12 +185,20 @@ def _philox4x64(c, key) -> np.ndarray:
     Returns the four output words of each counter along a last axis.
     """
     k0, k1 = int(key[0]), int(key[1])
+    # each round writes its words into the set the round before last wrote
+    sets = [[np.empty(np.shape(c[0]), dtype=np.uint64) for _ in range(4)] for _ in range(2)]
+    scratch = [np.empty(np.shape(c[0]), dtype=np.uint64) for _ in range(3)]
     for r in range(_ROUNDS):
         rk0 = np.uint64((k0 + r * _W0) & MASK64)
         rk1 = np.uint64((k1 + r * _W1) & MASK64)
-        hi0, lo0 = _mulhilo(c[0], _M0)
-        hi1, lo1 = _mulhilo(c[2], _M1)
-        c = [hi1 ^ c[1] ^ rk0, lo1, hi0 ^ c[3] ^ rk1, lo0]
+        out = sets[r % 2]
+        _mulhilo(c[0], _M0, out[2], out[3], scratch)
+        _mulhilo(c[2], _M1, out[0], out[1], scratch)
+        out[0] ^= c[1]
+        out[0] ^= rk0
+        out[2] ^= c[3]
+        out[2] ^= rk1
+        c = out
     return np.stack(c, axis=-1)
 
 

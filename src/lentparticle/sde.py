@@ -173,11 +173,11 @@ class Scenario:
     scalar mark-sum scenario.
 
     Lane axis: the event loop calls c, dx_c, comp_c and comp_dx_c (and the
-    bottom's gamma_c and flat_matrix) with a leading lane axis on every
-    argument, s (n,), x (n, d) and ev as `eval_jumps` resolves it, and
-    expects (n, d), (n, d, d) and (n, d, block_dim) back; a value without
-    the lane axis (a constant) is taken to hold for every lane.  One path
-    is one lane.
+    bottom's gamma_c and flat_matrix, through jump_matrices) with a
+    leading lane axis on every argument, s (n,), x (n, d) and ev as
+    `eval_jumps` resolves it, and expects (n, d), (n, d, d) and
+    (n, d, block_dim) back; a value without the lane axis (a constant) is
+    taken to hold for every lane.  One path is one lane.
     """
 
     name: str
@@ -406,8 +406,9 @@ def _advance(scenario: Scenario, paths: list) -> TrajectoryBatch:
                 raise EventError(
                     f"singular jump Jacobian det={det[i]:.3e} on path {addresses[sel][i]}; "
                     "state-coefficient invertibility violated", k)
-            gamma = _lanes(bottom.gamma_c(s, xl, ev), (mj, d, d))
-            flat = _lanes(bottom.flat_matrix(s, xl, ev), (mj, d, bottom.block_dim))
+            gamma, flat = bottom.jump_matrices(s, xl, ev)
+            gamma = _lanes(gamma, (mj, d, d))
+            flat = _lanes(flat, (mj, d, bottom.block_dim))
             kn = jac @ K[sel]
             kbn = Kb[sel] @ np.linalg.inv(jac)
             C[sel] = C[sel] + kbn @ gamma @ kbn.transpose(0, 2, 1)

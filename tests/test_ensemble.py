@@ -9,8 +9,8 @@ import pytest
 from lentparticle import ensemble, measures, scenarios
 from lentparticle.measures import (TABULATED, LevyMeasureSpec, sample_mark, total_mass,
                                    uniform_measure)
-from lentparticle.rng import (MASK64, TAG_MARK, TAG_RHO, TAG_TIME, RngStream,
-                              _philox4x64, philox_random)
+from lentparticle.rng import (MASK64, TAG_MARK, TAG_RHO, TAG_TIME, RngStream, _M0, _M1,
+                              _mulhilo, _philox4x64, philox_random)
 
 
 def per_path_mark_sets(scenario, n_paths, stream, path_offset=0):
@@ -93,6 +93,19 @@ def test_philox_kernel_matches_numpy_raw_words():
     word0 = np.arange(path + 1, path + 1 + n_blocks, dtype=np.uint64)
     c = [word0] + [np.full(n_blocks, w, dtype=np.uint64) for w in (jump, replica, 0)]
     assert np.array_equal(_philox4x64(c, key).ravel(), raw)
+
+
+def test_mulhilo_matches_big_int_products():
+    edges = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, MASK64 - 1, MASK64]
+    words = np.concatenate([np.array(edges, dtype=np.uint64),
+                            np.random.default_rng(3).integers(0, MASK64, 200, dtype=np.uint64,
+                                                              endpoint=True)])
+    hi, lo, *scratch = (np.empty(words.shape, dtype=np.uint64) for _ in range(5))
+    for m in (_M0, _M1, 0, 1, 2**32, MASK64):
+        _mulhilo(words, m, hi, lo, scratch)
+        products = [a * m for a in words.tolist()]
+        assert hi.tolist() == [p >> 64 for p in products]
+        assert lo.tolist() == [p & MASK64 for p in products]
 
 
 def test_philox_random_matches_generator():

@@ -91,6 +91,19 @@ def test_gradient_insensitive_coefficient():
     assert np.all(grads == 0.0)
 
 
+def test_gradient_jumpless_path_draws_nothing(monkeypatch):
+    sc = scenarios.build("compound")
+    path = MarkedPoissonPath(1.0, np.empty(0), np.empty(0), RngStream(seed=0))
+    traj = integrate(sc, path, order=1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a jumpless path needs no rho blocks")
+
+    monkeypatch.setattr("lentparticle.lent.rho_blocks", refuse)
+    grads = gradient_samples(sc, traj, 50, path.stream)
+    assert grads.shape == (50, sc.dim) and np.all(grads == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # iterated gradients of mark sums
 # ---------------------------------------------------------------------------

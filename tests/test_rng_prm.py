@@ -46,7 +46,7 @@ def test_seed_keys_distinct_without_warning():
 @pytest.mark.parametrize("seed", [0, 42, -4, 2**63, 2**64 - 1])
 def test_seek_draws_what_generator_draws(seed):
     gen = RngStream(seed=1).generator()
-    for path in (0, 1, 2, 9):
+    for path in (0, 1, 2, 9, 2**40):
         for jump in (0, 1, 5):
             for replica in (0, 1, 3):
                 for tag in (TAG_MARK, TAG_NESTED, TAG_NOISE):
@@ -62,6 +62,9 @@ def test_seek_draws_what_generator_draws(seed):
                                           stream.generator().integers(0, 2, (3, 5)))
                     other = stream.child(path=path + 7)
                     assert np.array_equal(seek(gen, other, path).standard_normal(4),
+                                          stream.generator().standard_normal(4))
+                    # a path read from a numpy address array, as `JumpLanes` holds it
+                    assert np.array_equal(seek(gen, other, np.uint64(path)).standard_normal(4),
                                           stream.generator().standard_normal(4))
 
 
@@ -162,19 +165,23 @@ def test_rho_rademacher_values():
 def test_rho_replicas_match_own_streams(basis):
     # one re-addressed generator draws each replica what its own stream draws
     p = sample_path(SPEC, 1.0, RngStream(seed=37, path=2))
-    stream = RngStream(seed=38, path=2)
-    n, shape = 6, (p.n_jumps, 2)
-    blocks = rho_blocks(stream, range(1, n + 1), shape, basis)
-    assert blocks.shape == (n, *shape)
-    for r in range(1, n + 1):
-        np.testing.assert_array_equal(
-            blocks[r - 1], rho_blocks(stream.child(replica=r), [r], shape, basis)[0])
-        gen = stream.child(replica=r, tag=TAG_RHO).generator()
-        fresh = (gen.standard_normal(shape) if basis == GAUSSIAN
-                 else gen.integers(0, 2, size=shape) * 2.0 - 1.0)
-        np.testing.assert_array_equal(blocks[r - 1], fresh)
+    streams = (RngStream(seed=38, path=2), RngStream(seed=-4, path=5),
+               RngStream(seed=2**64 - 1, path=2**40, jump=3, replica=7))
+    replica_lists = (range(1, 7), [5, 2, 9], np.arange(3, 6), [np.uint64(4), 2**32, 2**40 + 3])
+    for stream in streams:
+        for replicas in replica_lists:
+            for shape in ((p.n_jumps, 2), (0, 1)):
+                blocks = rho_blocks(stream, replicas, shape, basis)
+                assert blocks.shape == (len(replicas), *shape)
+                for block, r in zip(blocks, replicas):
+                    np.testing.assert_array_equal(
+                        block, rho_blocks(stream.child(replica=r), [r], shape, basis)[0])
+                    gen = stream.child(replica=r, tag=TAG_RHO).generator()
+                    fresh = (gen.standard_normal(shape) if basis == GAUSSIAN
+                             else gen.integers(0, 2, size=shape) * 2.0 - 1.0)
+                    np.testing.assert_array_equal(block, fresh)
     with pytest.raises(ValueError, match="unknown rho basis"):
-        rho_blocks(stream, [1], shape, "uniform")
+        rho_blocks(streams[0], [1], (p.n_jumps, 2), "uniform")
 
 
 def test_rho_order_validation():

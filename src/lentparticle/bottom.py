@@ -115,8 +115,7 @@ class WienerSquareBottom(BottomStructure):
 
     def eval_jumps(self, s, x, lanes):
         y = lanes.marks
-        z = np.array([lanes.generator(i, TAG_NESTED).standard_normal()
-                      for i in range(len(lanes))])
+        z = np.array([gen.standard_normal() for gen in lanes.draws(TAG_NESTED)])
         return WienerSquareEval(y=y, b=np.sqrt(y) * z)
 
     def coefficient(self, ev: WienerSquareEval) -> np.ndarray:

@@ -27,7 +27,7 @@ from . import diagnostics, ensemble, ibp, lent, prm, report, scenarios, sde
 from .ibp import _mean_se
 from .measures import (InfiniteMassError, NonIntegrableError, power_law, small_ball_params,
                        tauberian_fit, total_mass)
-from .rng import TAG_NOISE, RngStream, normal_quantile, seek
+from .rng import TAG_NOISE, RngStream, normal_quantile
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -418,11 +418,9 @@ def crosscheck_pipeline(config: dict, pool=None) -> report.RunReport:
     counts, marks = ensemble.sample_mark_sets(sc, n, RngStream(seed=run["seed"]), path_offset=n)
     ends = np.cumsum(counts)
     noise = RngStream(seed=run["seed"], tag=TAG_NOISE)
-    gen = noise.generator()
-    for i in range(n):
+    for i, gen in enumerate(noise.each(path=range(n + 1, 2 * n + 1))):
         y_total = float(np.sum(marks[ends[i] - counts[i]:ends[i]]))
-        z = seek(gen, noise, n + i + 1).standard_normal(d)
-        route_direct[i] = sc.x0 + math.sqrt(y_total) * sigma0 @ z
+        route_direct[i] = sc.x0 + math.sqrt(y_total) * sigma0 @ gen.standard_normal(d)
 
     out_dir = Path(config["outputs"]["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)

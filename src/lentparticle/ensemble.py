@@ -50,10 +50,11 @@ def sample_mark_sets(scenario: Scenario, n_paths: int, stream: RngStream,
                      path_offset: int = 0):
     """Counts and concatenated marks for paths [offset, offset + n).
 
-    Path i is addressed as p = path_offset + i + 1.  Its count is what
-    `stream.child(path=p, tag=TAG_TIME).generator().poisson(lam)` draws, and
-    its marks what `sample_mark(spec, stream.child(path=p, tag=TAG_MARK),
-    size=count)` draws, bit for bit.
+    Path i is addressed as p = path_offset + i + 1.  Its count and marks
+    are those of `prm.sample_path` at `stream.child(path=p)`, bit for bit:
+    the count is what `stream.child(path=p, tag=TAG_TIME).generator()
+    .poisson(lam)` draws, and the marks are `mark_quantile` of the first
+    `count` uniforms of `stream.child(path=p, tag=TAG_MARK)`.
     """
     spec = scenario.measure
     lam = scenario.horizon * total_mass(spec)

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import RngStream
 
 QUAD_ABS_TOL = 1e-9
 QUAD_REL_TOL = 1e-10
@@ -234,14 +233,6 @@ def mark_cdf(spec: LevyMeasureSpec, y) -> np.ndarray:
     else:
         part = np.array([_quad(spec.density, (lo, v))[0][0] for v in yc])
     return part / mass
-
-
-def sample_mark(spec: LevyMeasureSpec, stream: RngStream, size: int = 1) -> np.ndarray:
-    """Draw marks from the normalised truncated measure (inverse CDF)."""
-    mass = total_mass(spec)
-    if mass <= 0:
-        raise ValueError("cannot sample from a zero-mass measure")
-    return mark_quantile(spec, stream.generator().random(size))
 
 
 def mark_quantile(spec: LevyMeasureSpec, v: np.ndarray) -> np.ndarray:

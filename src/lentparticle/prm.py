@@ -7,17 +7,18 @@ jumps can carry lazily generated nested Brownian paths addressed through
 the jump's own sub-stream.  `JumpLanes` gathers one jump from each of
 several paths of one stream, so that a lockstep sweep can resolve them
 together with the same draws each would get in a sweep of its own.
+Loops over many addresses walk one generator with `RngStream.each`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import LevyMeasureSpec, sample_mark, total_mass
-from .rng import TAG_MARK, TAG_NESTED, TAG_RHO, TAG_TIME, RngStream, _seek_replicas, seek
+from .measures import LevyMeasureSpec, mark_quantile, total_mass
+from .rng import TAG_MARK, TAG_NESTED, TAG_RHO, TAG_TIME, RngStream
 
 GAUSSIAN = "gaussian"
 RADEMACHER = "rademacher"
@@ -38,15 +39,30 @@ class MarkedPoissonPath:
 
 
 def sample_path(spec: LevyMeasureSpec, horizon: float, stream: RngStream) -> MarkedPoissonPath:
-    """Sample a path: Poisson count, sorted uniform times, i.i.d. marks."""
+    """Sample a path: Poisson count, sorted uniform times, i.i.d. marks
+    (the one-lane case of `sample_paths`)."""
+    return sample_paths(spec, horizon, stream, [stream.path])[0]
+
+
+def sample_paths(spec: LevyMeasureSpec, horizon: float, stream: RngStream, paths) -> list:
+    """`sample_path` at `stream.child(path=p)` for each address p of `paths`.
+
+    A path's count and times come from its TAG_TIME stream, and its
+    marks, the inverse CDF of uniforms, from its TAG_MARK stream; each
+    purpose walks one generator over the paths.
+    """
     mass = total_mass(spec)
-    gen = stream.child(tag=TAG_TIME).generator()
-    n = int(gen.poisson(horizon * mass)) if mass > 0 else 0
-    if n == 0:
-        return MarkedPoissonPath(horizon, np.empty(0), np.empty(0), stream)
-    times = np.sort(gen.random(n)) * horizon
-    marks = sample_mark(spec, stream.child(tag=TAG_MARK), size=n)
-    return MarkedPoissonPath(horizon, times, marks, stream)
+    counts, times = [], []
+    for gen in stream.child(tag=TAG_TIME).each(path=paths):
+        n = int(gen.poisson(horizon * mass)) if mass > 0 else 0
+        counts.append(n)
+        times.append(np.sort(gen.random(n)) * horizon)
+    drawn = [p for p, n in zip(paths, counts) if n]
+    u = [gen.random(n) for n, gen in zip(filter(None, counts),
+                                         stream.child(tag=TAG_MARK).each(path=drawn))]
+    marks = mark_quantile(spec, np.concatenate(u)) if u else np.empty(0)
+    return [MarkedPoissonPath(horizon, t, m, stream.child(path=p))
+            for p, t, m in zip(paths, times, np.split(marks, np.cumsum(counts)[:-1]))]
 
 
 def rho_blocks(stream: RngStream, replicas, shape, basis: str = GAUSSIAN) -> np.ndarray:
@@ -54,18 +70,16 @@ def rho_blocks(stream: RngStream, replicas, shape, basis: str = GAUSSIAN) -> np.
 
     Entry i holds what the generator of `stream.child(replica=replicas[i],
     tag=TAG_RHO)` draws: standard normals, or signs +-1 for the Rademacher
-    basis.  One generator is re-addressed for every replica, changing only
-    the replica word of its state, and Gaussian blocks are drawn straight
-    into their rows.  The blocks are independent across replicas and
-    entries, independent of the jump skeleton, and fully determined by the
-    stream address.
+    basis.  One generator walks the replicas, and Gaussian blocks are
+    drawn straight into their rows.  The blocks are independent across
+    replicas and entries, independent of the jump skeleton, and fully
+    determined by the stream address.
     """
     if basis not in (GAUSSIAN, RADEMACHER):
         raise ValueError(f"unknown rho basis {basis!r}")
     out = np.empty((len(replicas), *shape))
     rows = out.reshape(len(replicas), math.prod(shape))
-    gens = _seek_replicas(stream.generator(), stream.child(tag=TAG_RHO), replicas)
-    for i, gen in enumerate(gens):
+    for i, gen in enumerate(stream.child(tag=TAG_RHO).each(replica=replicas)):
         if basis == GAUSSIAN:
             gen.standard_normal(out=rows[i])
         else:
@@ -79,32 +93,23 @@ class JumpLanes:
 
     Lane i is jump `index[i]` of the path at address `paths[i]` of
     `stream`, and carries that jump's mark.  A lane's draws come from the
-    jump's sub-streams (jump index + 1, one per tag), through `gen`
-    re-addressed for every draw.  `gen` is built on the first draw unless
-    one is given, so lanes that draw nothing build none; pass it on to the
-    next `JumpLanes` of the sweep.
+    jump's sub-streams (jump index + 1, one per tag).
     """
 
     stream: RngStream
     paths: np.ndarray
     index: np.ndarray
     marks: np.ndarray
-    gen: np.random.Generator | None = None
-    _subs: dict = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.marks)
 
-    def generator(self, lane: int, tag: int, replica: int | None = None) -> np.random.Generator:
-        """Generator at the start of the lane's jump sub-stream for `tag`
-        (at `replica`, when given, instead of the path stream's own)."""
-        key = (int(self.index[lane]), tag, replica)
-        sub = self._subs.get(key)
-        if sub is None:
-            sub = self._subs[key] = self.stream.child(jump=key[0] + 1, tag=tag, replica=replica)
-        if self.gen is None:
-            self.gen = self.stream.generator()
-        return seek(self.gen, sub, int(self.paths[lane]))
+    def draws(self, tag: int, replica: int | None = None):
+        """Yield, lane by lane, a generator at the start of the lane's jump
+        sub-stream for `tag` (at `replica`, when given, instead of the path
+        stream's own)."""
+        return self.stream.child(tag=tag, replica=replica).each(
+            path=self.paths.tolist(), jump=(self.index + 1).tolist())
 
 
 def nested_grid(durations, step: float):
@@ -135,7 +140,6 @@ def nested_increments(lanes: JumpLanes, durations, step: float, dim: int = 1) ->
     """
     counts, widths = nested_grid(durations, step)
     normals = np.zeros(widths.shape + (dim,))
-    for i, n in enumerate(counts.tolist()):
-        if n:
-            normals[:n, i] = lanes.generator(i, TAG_NESTED).standard_normal((n, dim))
+    for i, (n, gen) in enumerate(zip(counts.tolist(), lanes.draws(TAG_NESTED))):
+        normals[:n, i] = gen.standard_normal((n, dim))
     return normals * np.sqrt(widths)[..., None]

@@ -8,11 +8,12 @@ parallel Monte Carlo runs bit-reproducible.
 Implementation: numpy's Philox4x64-10 counter-based generator.  The 64-bit
 seed and the tag form the Philox key; (path, jump, replica, 0) fill the
 four counter words.  `_philox_address` is the one function that holds this
-layout; `RngStream.generator`, `seek` and the batch kernel `philox_random`
-all read it.  `seek` re-addresses one existing Philox generator instead of
-building a new one, writing its state from plain ints, which is what a
-loop over many short streams wants: a fresh generator costs about nine
-times as much as the re-address.
+layout; `RngStream.generator`, `RngStream.each` and the batch kernel
+`philox_random` all read it.  `each` walks one Philox generator over many
+addresses of a stream instead of building a generator per address,
+writing each address into its state as plain ints, which is what a loop
+over many short streams wants: a fresh generator costs about nine times
+as much as the re-address.
 
 Streams are not all disjoint.  numpy increments counter word 0 before each
 block of four 64-bit outputs, and word 0 also holds the path.  So the
@@ -30,6 +31,7 @@ as easy as 1, 2, 3", SC'11).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -71,16 +73,45 @@ class RngStream:
                                   key=np.array(key, dtype=np.uint64))
         return np.random.Generator(bitgen)
 
+    def each(self, **coords):
+        """Yield a generator at `self.child(**entry)` for each entry of `coords`.
 
-def seek(gen: np.random.Generator, stream: RngStream, path=None) -> np.random.Generator:
-    """Position `gen`, a Philox generator, at the start of `stream`.
-
-    With `path` given, the stream is taken at that path instead of its own.
-    Returns `gen`, which then draws exactly what `stream.generator()` (or
-    `stream.child(path=path).generator()`) would.
-    """
-    gen.bit_generator.state = _philox_state(stream, stream.path if path is None else path)
-    return gen
+        `coords` maps some of path, jump and replica to sequences of one
+        length, and entry i takes element i of each.  One generator serves
+        the whole walk: before each yield only the counter words of one
+        state dict change, and numpy's setter copies them in.  The
+        generator yielded draws what the entry's own `generator()` would,
+        until the walk moves on.  An empty walk builds nothing.
+        """
+        if not coords or not set(coords) <= set(_COUNTER_WORDS):
+            raise ValueError(f"each walks some of {_COUNTER_WORDS}, got {sorted(coords)}")
+        lengths = {len(seq) for seq in coords.values()}
+        if len(lengths) > 1:
+            raise ValueError(f"coordinate sequences of unequal lengths {sorted(lengths)}")
+        if lengths == {0}:
+            return
+        counter, key = _philox_address(self, self.path)
+        words = {"counter": counter, "key": key}
+        state = {"bit_generator": "Philox", "state": words,
+                 "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        gen = self.generator()
+        bitgen = gen.bit_generator
+        if len(coords) == 1:
+            # one word changes: the loop writes it in place, as tight as a
+            # loop over the setter alone
+            (name, seq), = coords.items()
+            word = _COUNTER_WORDS.index(name)
+            for counter[word] in seq:
+                bitgen.state = state
+                yield gen
+            return
+        # several words change: each entry's row of four words is the counter
+        rows = [repeat(value) for value in counter]
+        for name, seq in coords.items():
+            rows[_COUNTER_WORDS.index(name)] = seq
+        for words["counter"] in zip(*rows):
+            bitgen.state = state
+            yield gen
 
 
 def _philox_address(stream: RngStream, path):
@@ -92,33 +123,7 @@ def _philox_address(stream: RngStream, path):
     return [path, stream.jump, stream.replica, 0], [stream.seed & MASK64, stream.tag]
 
 
-_REPLICA_WORD = 2       # the counter word `_philox_address` gives the replica
-
-
-def _philox_state(stream: RngStream, path) -> dict:
-    """numpy's Philox state dict at the start of `stream` at `path`.
-
-    The words stay plain ints, which numpy's setter takes as they are, and
-    the output buffer is empty.  The setter copies the words, so the
-    caller may edit the counter list and set the same dict again.
-    """
-    counter, key = _philox_address(stream, path)
-    return {"bit_generator": "Philox", "state": {"counter": counter, "key": key},
-            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-
-
-def _seek_replicas(gen: np.random.Generator, stream: RngStream, replicas):
-    """Yield `gen` at the start of `stream.child(replica=r)`, for each r in turn.
-
-    One state dict serves every replica: only its replica word changes.
-    """
-    bitgen = gen.bit_generator
-    state = _philox_state(stream, stream.path)
-    counter = state["state"]["counter"]
-    for r in replicas:
-        counter[_REPLICA_WORD] = r
-        bitgen.state = state
-        yield gen
+_COUNTER_WORDS = ("path", "jump", "replica")     # counter words 0-2 of `_philox_address`
 
 
 # Philox4x64 multipliers and Weyl key increments (Salmon et al.; numpy)

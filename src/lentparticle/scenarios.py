@@ -235,8 +235,8 @@ class _FieldBottom(WienerOUBottom):
     jump's sub-stream, replica 1) and sets the nested drift of its lane."""
 
     def eval_jumps(self, s, x, lanes):
-        theta = np.array([lanes.generator(i, TAG_NESTED, replica=1).uniform(0.0, 2 * math.pi)
-                          for i in range(len(lanes))])
+        theta = np.array([gen.uniform(0.0, 2 * math.pi)
+                          for gen in lanes.draws(TAG_NESTED, replica=1)])
         push = np.stack([np.cos(theta), np.sin(theta)], -1)
         incs = nested_increments(lanes, lanes.marks, self.step, self.n_brownian)
         return replace(self, drift=lambda z: push).evolve(x, lanes.marks, incs)

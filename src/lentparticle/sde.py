@@ -40,7 +40,7 @@ import numpy as np
 
 from .bottom import BottomStructure, CapabilityError
 from .measures import LevyMeasureSpec, compensator_integral
-from .prm import JumpLanes, MarkedPoissonPath, sample_path
+from .prm import JumpLanes, MarkedPoissonPath, sample_paths
 from .rng import RngStream
 
 DET_FLOOR = 1e-12
@@ -322,12 +322,13 @@ def integrate_batch(scenario: Scenario, n_paths: int, stream: RngStream,
     """The order-1 recursion for paths [offset, offset + n) of `stream`.
 
     Path i is `prm.sample_path` at address p = path_offset + i + 1, as in
-    `ensemble.sample_mark_sets`, and gives what `integrate` gives for it.
+    `ensemble.sample_mark_sets`, and gives what `integrate` gives for it;
+    `prm.sample_paths` draws the chunk's paths in one walk per purpose.
     Each lane's arithmetic does not depend on the other lanes, so a chunk
     split into parts gives the same bits as the whole.
     """
-    paths = [sample_path(scenario.measure, scenario.horizon, stream.child(path=path_offset + i + 1))
-             for i in range(n_paths)]
+    paths = sample_paths(scenario.measure, scenario.horizon, stream,
+                         range(path_offset + 1, path_offset + n_paths + 1))
     return _advance(scenario, paths)
 
 
@@ -370,7 +371,6 @@ def _advance(scenario: Scenario, paths: list) -> TrajectoryBatch:
     Kb = K.copy()
     C = np.zeros((n, d, d))
     flow_err = np.zeros((n, d, d))                  # running max of |K Kbar - I|
-    gen = None                                      # built by the first draw
     jumps = []
     for k in range(1, width):
         m = live[k]
@@ -394,9 +394,8 @@ def _advance(scenario: Scenario, paths: list) -> TrajectoryBatch:
             # xl is the pre-jump state (a view when sel is a slice): every
             # coefficient reads it before x is written
             js, s, xl = jump_at[k, sel], ev_times[k, sel], x[sel]
-            draws = JumpLanes(paths[0].stream, addresses[sel], js, mark_at[k, sel], gen)
-            ev = bottom.eval_jumps(s, xl, draws)
-            gen = draws.gen
+            ev = bottom.eval_jumps(s, xl, JumpLanes(paths[0].stream, addresses[sel], js,
+                                                    mark_at[k, sel]))
             cval = _lanes(scenario.c(s, xl, ev), (mj, d))
             jac = _lanes(eye + (scenario.dx_c(s, xl, ev) if scenario.dx_c is not None else 0.0),
                          (mj, d, d))

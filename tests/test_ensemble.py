@@ -7,27 +7,19 @@ import numpy as np
 import pytest
 
 from lentparticle import ensemble, measures, scenarios
-from lentparticle.measures import (TABULATED, LevyMeasureSpec, sample_mark, total_mass,
-                                   uniform_measure)
-from lentparticle.rng import (MASK64, TAG_MARK, TAG_RHO, TAG_TIME, RngStream, _M0, _M1,
-                              _mulhilo, _philox4x64, philox_random)
+from lentparticle.measures import TABULATED, LevyMeasureSpec, total_mass, uniform_measure
+from lentparticle.prm import sample_path
+from lentparticle.rng import (MASK64, TAG_MARK, TAG_RHO, RngStream, _M0, _M1, _mulhilo,
+                              _philox4x64, philox_random)
 
 
 def per_path_mark_sets(scenario, n_paths, stream, path_offset=0):
-    """The oracle: one numpy generator per path and purpose."""
-    spec = scenario.measure
-    mass = total_mass(spec)
-    lam = scenario.horizon * mass
-    counts = np.empty(n_paths, dtype=np.int64)
-    chunks = []
-    for i in range(n_paths):
-        pstream = stream.child(path=path_offset + i + 1)
-        n = int(pstream.child(tag=TAG_TIME).generator().poisson(lam))
-        counts[i] = n
-        if n:
-            chunks.append(sample_mark(spec, pstream.child(tag=TAG_MARK), size=n))
-    marks = np.concatenate(chunks) if chunks else np.empty(0)
-    return counts, marks
+    """The oracle: `prm.sample_path`, whose numpy generators draw each
+    path's count and marks one path at a time."""
+    paths = [sample_path(scenario.measure, scenario.horizon,
+                         stream.child(path=path_offset + i + 1)) for i in range(n_paths)]
+    counts = np.array([p.n_jumps for p in paths], dtype=np.int64)
+    return counts, np.concatenate([p.marks for p in paths])
 
 
 def assert_same_draws(scenario, n_paths, stream, path_offset=0):

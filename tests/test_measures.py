@@ -12,7 +12,7 @@ from lentparticle.measures import (QK21_GAUSS, QK21_KRONROD, QK21_NODES,
                                    InfiniteMassError, LevyMeasureSpec,
                                    NonIntegrableError, TABULATED,
                                    compensator_integral, laplace_exponent,
-                                   mark_cdf, power_law, sample_mark,
+                                   mark_cdf, mark_quantile, power_law,
                                    small_ball_params, tauberian_fit,
                                    total_mass, uniform_measure)
 from lentparticle.rng import RngStream
@@ -109,12 +109,16 @@ def test_tabulated_mass_and_cdf_closed_form():
 
 
 # ---------------------------------------------------------------------------
-# sample_mark
+# mark sampling: the inverse CDF of uniforms
 # ---------------------------------------------------------------------------
+
+def _marks(spec, seed, size):
+    return mark_quantile(spec, RngStream(seed=seed).generator().random(size))
+
 
 def test_sample_mark_power_mean():
     spec = power_law(0.5, ymax=1.0, trunc=0.01)
-    draws = sample_mark(spec, RngStream(seed=1), size=100_000)
+    draws = _marks(spec, 1, 100_000)
     # mean = (int y * y^-1.5 dy) / mass = 1.8 / 18
     se = draws.std(ddof=1) / math.sqrt(len(draws))
     assert abs(draws.mean() - 0.1) < 3 * se
@@ -122,21 +126,16 @@ def test_sample_mark_power_mean():
 
 def test_sample_mark_uniform_mean():
     spec = uniform_measure(0.0, 2.0)
-    draws = sample_mark(spec, RngStream(seed=2), size=50_000)
+    draws = _marks(spec, 2, 50_000)
     se = draws.std(ddof=1) / math.sqrt(len(draws))
     assert abs(draws.mean() - 1.0) < 3 * se
 
 
 def test_sample_mark_ks_against_cdf():
     spec = power_law(0.5, ymax=1.0, trunc=0.01)
-    draws = sample_mark(spec, RngStream(seed=3), size=10_000)
+    draws = _marks(spec, 3, 10_000)
     stat = kstest(draws, lambda y: mark_cdf(spec, y)).statistic
     assert stat < 1.63 / math.sqrt(len(draws))  # 1% critical value
-
-
-def test_sample_mark_zero_mass_errors():
-    with pytest.raises(ValueError):
-        sample_mark(power_law(0.5, ymax=1.0, trunc=2.0), RngStream(seed=1))
 
 
 # ---------------------------------------------------------------------------

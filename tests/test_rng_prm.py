@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from lentparticle import cli, scenarios, sde
 from lentparticle.lent import iterated_gradient_simple
-from lentparticle.measures import power_law
+from lentparticle.measures import (TABULATED, LevyMeasureSpec, mark_quantile, power_law,
+                                   total_mass)
 from lentparticle.prm import (GAUSSIAN, RADEMACHER, JumpLanes, nested_increments, rho_blocks,
-                              sample_path)
+                              sample_path, sample_paths)
 from lentparticle.rng import (TAG_MARK, TAG_NESTED, TAG_NOISE, TAG_RHO, TAG_TIME, RngStream,
-                              normal_quantile, seek)
+                              normal_quantile)
 
 SPEC = power_law(0.5, ymax=1.0, trunc=0.01)   # mass 18
 
@@ -43,29 +45,42 @@ def test_seed_keys_distinct_without_warning():
     assert len(draws) == len(seeds)
 
 
+def _mixed_draws(gen):
+    """Draws of several kinds, leaving `gen` mid-block and holding half a
+    64-bit word."""
+    return [gen.standard_normal((3, 2)), gen.uniform(0.0, 2 * math.pi, 5),
+            gen.integers(0, 2, (3, 5)), gen.random(3), gen.integers(0, 7, dtype=np.int32)]
+
+
 @pytest.mark.parametrize("seed", [0, 42, -4, 2**63, 2**64 - 1])
 def test_seek_draws_what_generator_draws(seed):
-    gen = RngStream(seed=1).generator()
-    for path in (0, 1, 2, 9, 2**40):
-        for jump in (0, 1, 5):
-            for replica in (0, 1, 3):
-                for tag in (TAG_MARK, TAG_NESTED, TAG_NOISE):
-                    stream = RngStream(seed, path, jump, replica, tag)
-                    # leave gen mid-block and holding half a 64-bit word
-                    gen.random(3)
-                    gen.integers(0, 7, dtype=np.int32)
-                    assert np.array_equal(seek(gen, stream).standard_normal((3, 2)),
-                                          stream.generator().standard_normal((3, 2)))
-                    assert np.array_equal(seek(gen, stream).uniform(0.0, 2 * math.pi, 5),
-                                          stream.generator().uniform(0.0, 2 * math.pi, 5))
-                    assert np.array_equal(seek(gen, stream).integers(0, 2, (3, 5)),
-                                          stream.generator().integers(0, 2, (3, 5)))
-                    other = stream.child(path=path + 7)
-                    assert np.array_equal(seek(gen, other, path).standard_normal(4),
-                                          stream.generator().standard_normal(4))
-                    # a path read from a numpy address array, as `JumpLanes` holds it
-                    assert np.array_equal(seek(gen, other, np.uint64(path)).standard_normal(4),
-                                          stream.generator().standard_normal(4))
+    """A walk re-addresses one generator: at each entry it draws what the
+    entry's own stream draws, whatever the previous entry left behind."""
+    paths = [0, 1, 2, 9, 2**40]
+    walks = ({"path": paths},
+             {"path": np.array(paths, dtype=np.uint64)},   # as address arrays hold them
+             {"path": paths * 3, "jump": [0] * 5 + [1] * 5 + [5] * 5},
+             {"replica": [0, 1, 3, np.uint64(4), 2**40]},
+             {"replica": range(2, 5), "path": [2**40, 9, 0], "jump": [5, 0, 1]})
+    for tag in (TAG_MARK, TAG_NESTED, TAG_NOISE):
+        base = RngStream(seed, path=3, jump=5, replica=7, tag=tag)
+        for coords in walks:
+            entries = [dict(zip(coords, values)) for values in zip(*coords.values())]
+            for entry, gen in zip(entries, base.each(**coords), strict=True):
+                own = base.child(**entry).generator()
+                for a, b in zip(_mixed_draws(gen), _mixed_draws(own)):
+                    assert np.array_equal(a, b)
+        assert list(base.each(path=[])) == []
+        assert list(base.each(path=[], replica=np.arange(0))) == []
+
+
+def test_each_refuses_unequal_or_unknown_coordinates():
+    base = RngStream(seed=1)
+    with pytest.raises(ValueError, match="unequal lengths"):
+        list(base.each(path=[1, 2, 3], jump=[1, 2]))
+    for coords in ({}, {"tag": [1]}, {"seed": [1], "path": [1]}):
+        with pytest.raises(ValueError, match="each walks"):
+            list(base.each(**coords))
 
 
 def test_child_overrides_coordinates():
@@ -102,6 +117,41 @@ def test_path_times_sorted_in_horizon():
 def test_zero_mass_gives_empty_path():
     p = sample_path(power_law(0.5, ymax=1.0, trunc=2.0), 1.0, RngStream(seed=4))
     assert p.n_jumps == 0
+
+
+def _fresh_path(spec, horizon, stream):
+    """The oracle: a path drawn by one fresh generator per purpose."""
+    gen = stream.child(tag=TAG_TIME).generator()
+    mass = total_mass(spec)
+    n = int(gen.poisson(horizon * mass)) if mass > 0 else 0
+    times = np.sort(gen.random(n)) * horizon
+    marks = (mark_quantile(spec, stream.child(tag=TAG_MARK).generator().random(n)) if n
+             else np.empty(0))
+    return times, marks
+
+
+@pytest.mark.parametrize("spec", [SPEC, power_law(0.5, ymax=1.0, trunc=0.2),
+                                  power_law(0.5, ymax=1.0, trunc=2.0),
+                                  power_law(0.5, ymax=1.0, trunc=1.0),
+                                  LevyMeasureSpec(TABULATED, {"density": lambda y: np.exp(-y),
+                                                              "lo": 0.1, "hi": 2.0}),
+                                  LevyMeasureSpec(TABULATED, {"density": lambda y: np.exp(-y),
+                                                              "lo": 0.1, "hi": 2.0}, trunc=3.0)],
+                         ids=["power", "power-sparse", "zero-mass", "zero-mass-edge",
+                              "tabulated", "tabulated-zero-mass"])
+def test_sample_paths_match_per_address(spec):
+    stream = RngStream(seed=-4, jump=2)
+    addresses = list(range(5, 45)) + [2**40, 3]
+    batch = sample_paths(spec, 1.5, stream, addresses)
+    assert len(batch) == len(addresses)
+    for p, path in zip(addresses, batch):
+        one = sample_path(spec, 1.5, stream.child(path=p))
+        times, marks = _fresh_path(spec, 1.5, stream.child(path=p))
+        assert path.stream == stream.child(path=p) and path.horizon == 1.5
+        for got in (path, one):
+            assert got.times.dtype == times.dtype and got.marks.dtype == marks.dtype
+            assert np.array_equal(got.times, times) and np.array_equal(got.marks, marks)
+    assert sample_paths(spec, 1.5, stream, []) == []
 
 
 def test_jump_times_uniform_on_horizon():
@@ -192,6 +242,32 @@ def test_rho_order_validation():
         blocks = rho_blocks(RngStream(seed=1), [0], (order, p.n_jumps, 1))[0]
         with pytest.raises(ValueError, match=f"order >= {k}"):
             iterated_gradient_simple(flats, p, blocks, k)
+
+
+def test_walks_build_one_generator(monkeypatch, tmp_path):
+    """Loops over many addresses walk one generator instead of building one
+    per address: a chunk of paths builds one per purpose plus one per
+    lockstep event that draws, and a rho walk and crosscheck's direct
+    route build one each."""
+    built = []
+    generator = RngStream.generator
+
+    def counted(self):
+        built.append(self)
+        return generator(self)
+
+    monkeypatch.setattr(RngStream, "generator", counted)
+    n = 50
+    batch = sde.integrate_batch(scenarios.build("subordination-nonlinear"), n, RngStream(seed=42))
+    assert len(built) <= 2 + len(batch.jumps) < 2 * n      # one per lane per purpose: 2n
+    built.clear()
+    rho_blocks(RngStream(seed=1, path=3), range(1, 201), (13, 1))
+    assert len(built) == 1
+    built.clear()
+    cli.crosscheck_pipeline({"scenario": "subordination-linear", "params": {},
+                             "run": {"seed": 3, "paths": 40, "rho_replicas": 10, "workers": 1},
+                             "outputs": {"dir": str(tmp_path), "svg": False}})
+    assert [s.tag for s in built].count(TAG_NOISE) == 1
 
 
 # ---------------------------------------------------------------------------

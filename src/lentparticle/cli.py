@@ -1,9 +1,12 @@
 """Command line interface: run, validate, tauber, crosscheck, report.
 
 Configuration is a JSON file; the schema is documented in the README and
-enforced here with field-path error messages.  Monte Carlo work fans out
-to a process pool, one per command, over contiguous path ranges and is
-merged in path order, so results are independent of the worker count.
+enforced here with field-path error messages.  Monte Carlo work is split
+into contiguous path ranges, one per worker: the parent computes the last
+range itself and a process pool, one per command, the others, so
+`workers: 1` forks nothing and `workers: n` forks at most n - 1 processes.
+The ranges are merged in path order, so results are independent of the
+worker count.
 
 Exit codes: 0 success, 2 configuration/schema error, 3 hypothesis
 failure, 4 numeric failure.
@@ -224,26 +227,43 @@ def _traj_chunk(args):
     return out
 
 
+def _chunks(paths: int, workers: int) -> list[tuple[int, int]]:
+    """(start, count) of the contiguous path ranges of a fan-out: ceil(paths /
+    workers) paths each, the last never larger, so at most `workers` ranges."""
+    size = math.ceil(paths / workers)
+    return [(start, min(size, paths - start)) for start in range(0, paths, size)]
+
+
 def _fan_out(worker, name, params, paths, seed, workers, pool=None):
-    """The chunks of `workers` contiguous path ranges, on `pool` when one is
-    given and serially otherwise; the same bits either way."""
-    chunk = math.ceil(paths / workers)
-    jobs = [(name, params, start, min(chunk, paths - start), seed)
-            for start in range(0, paths, chunk)]
+    """The chunks of `_chunks(paths, workers)`, in path order, with the same
+    bits however they run.  Without a pool they run serially; with one, the
+    parent computes the last chunk while the pool runs the others.  A failing
+    chunk raises as it would serially: the first failing pool chunk in path
+    order, and the parent's only when all of those succeed."""
+    jobs = [(name, params, start, count, seed) for start, count in _chunks(paths, workers)]
     if pool is None or len(jobs) == 1:
         return [worker(j) for j in jobs]
-    return pool.map(worker, jobs)
+    rest = pool.imap(worker, jobs[:-1])
+    try:
+        last = worker(jobs[-1])
+    finally:
+        parts = list(rest)
+    return parts + [last]
 
 
 def _command_pool(run: dict):
-    """The process pool of a command that fans out (None when it runs serially).
-    Its workers are forked when the pipeline starts and end when it returns, not
-    with the fan-out, and the pipelines fan out before their serial diagnostics:
-    the workers reach their peak memory early and keep it for the rest of every
-    run, however short the chunks are (bench/run.py samples memory every 0.2 s)."""
-    if min(run["workers"], run["paths"]) < 2:
+    """The process pool of a command that fans out, or a null context when it
+    runs serially.  The parent computes one chunk itself, so the pool has one
+    process per other chunk: `workers: 1` forks nothing and `workers: n` forks
+    at most n - 1 (fewer when `run.paths` gives fewer chunks).  The pool lives
+    as long as the pipeline, not the fan-out, and the pipelines fan out before
+    their serial diagnostics, so the workers hold their peak memory for the
+    rest of every run and a sampled memory reading (bench/run.py polls every
+    0.2 s) sees them however short the chunks are."""
+    forks = len(_chunks(run["paths"], run["workers"])) - 1
+    if forks == 0:
         return contextlib.nullcontext()
-    return multiprocessing.Pool(run["workers"])
+    return multiprocessing.Pool(forks)
 
 
 # ---------------------------------------------------------------------------

@@ -251,8 +251,11 @@ class EventError(RuntimeError):
     """Numerical failure at a specific event of one trajectory."""
 
     def __init__(self, message, event_index):
-        super().__init__(f"{message} (event {event_index})")
+        super().__init__(message, event_index)   # so a pool worker's error unpickles
         self.event_index = event_index
+
+    def __str__(self):
+        return f"{self.args[0]} (event {self.event_index})"
 
 
 def _event_times(scenario: Scenario, path: MarkedPoissonPath) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Command-line pipelines: schema handling, exit codes, reproducibility."""
 
+import contextlib
 import functools
 import inspect
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -15,7 +17,7 @@ import pytest
 from scipy.special import erfcinv
 from scipy.stats import ks_2samp
 
-from lentparticle import cli, report, scenarios
+from lentparticle import cli, ensemble, report, scenarios, sde
 
 HERE = Path(__file__).parent
 
@@ -359,23 +361,27 @@ def test_run_repeatable_report(tmp_path):
 
 
 def test_run_worker_count_invariance(tmp_path):
-    p1, _ = _config(tmp_path, "w1", run={"workers": 1})
-    p8, _ = _config(tmp_path, "w8", run={"workers": 8})
-    assert cli.main(["run", str(p1)]) == 0
-    assert cli.main(["run", str(p8)]) == 0
-    b1 = report.report_body(tmp_path / "w1" / "report.json")
-    b8 = report.report_body(tmp_path / "w8" / "report.json")
-    assert b1["estimates"] == b8["estimates"]
+    for name in ("compound", "subordination-nonlinear"):
+        bodies = []
+        for workers in (1, 2, 3, 8):
+            path, cfg = _config(tmp_path, f"{name}-w{workers}", scenario=name,
+                                run={"rho_replicas": 50, "workers": workers})
+            assert cli.main(["run", str(path)]) == 0
+            body = report.report_body(Path(cfg["outputs"]["dir"]) / "report.json")
+            body["provenance"].pop("config_hash")   # differs through run.workers
+            bodies.append(body)
+        assert all(body == bodies[0] for body in bodies[1:]), name
 
 
 def test_command_pool_outlives_the_fan_out(tmp_path, monkeypatch):
-    """`run` at 2 workers fans out on the command's pool, which is still
-    open when the fan-out returns and is closed with the command."""
+    """`run` at 2 workers fans out on the command's pool of one process, which
+    is still open when the fan-out returns and is closed with the command."""
     real_fan_out, pools = cli._fan_out, []
 
     def fan_out(worker, name, params, paths, seed, workers, pool=None):
         parts = real_fan_out(worker, name, params, paths, seed, workers, pool)
         assert pool.apply(abs, (-2,)) == 2     # still open
+        assert len(multiprocessing.active_children()) == workers - 1
         pools.append(pool)
         return parts
 
@@ -385,6 +391,126 @@ def test_command_pool_outlives_the_fan_out(tmp_path, monkeypatch):
     assert len(pools) == 1
     with pytest.raises(ValueError):
         pools[0].apply(abs, (-3,))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("paths,workers,chunks", [
+    (10, 1, [(0, 10)]),
+    (10, 2, [(0, 5), (5, 5)]),
+    (10, 3, [(0, 4), (4, 4), (8, 2)]),
+    (5, 4, [(0, 2), (2, 2), (4, 1)]),
+    (3, 8, [(0, 1), (1, 1), (2, 1)]),
+    (1, 4, [(0, 1)]),
+])
+def test_chunks_split_the_paths_in_order(paths, workers, chunks):
+    assert cli._chunks(paths, workers) == chunks
+
+
+@pytest.mark.parametrize("paths,workers,forks", [
+    (50_000, 1, 0), (50_000, 2, 1), (50_000, 3, 2), (1, 4, 0),
+    (5, 4, 2),       # 3 chunks of at most 2 paths
+    (9, 8, 4),       # 5 chunks of at most 2 paths
+])
+def test_command_pool_forks_one_process_per_chunk_but_the_parents(monkeypatch, paths,
+                                                                    workers, forks):
+    monkeypatch.setattr(cli.multiprocessing, "Pool", lambda processes: processes)
+    pool = cli._command_pool({"paths": paths, "workers": workers})
+    if forks == 0:
+        assert isinstance(pool, contextlib.nullcontext)
+    else:
+        assert pool == forks
+
+
+class _RecordingPool:
+    """Runs in this process what it is given, and keeps the jobs."""
+
+    def __init__(self):
+        self.jobs = []
+
+    def imap(self, worker, jobs):
+        jobs = list(jobs)
+        self.jobs += jobs
+        return map(worker, jobs)
+
+
+def _assert_parts_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        g, w = (vars(g), vars(w)) if hasattr(g, "__dict__") else (g, w)
+        assert g.keys() == w.keys()
+        for key in g:
+            np.testing.assert_array_equal(g[key], w[key], strict=True)
+
+
+@pytest.mark.parametrize("worker,name", [(cli._simple_chunk, "compound"),
+                                         (cli._traj_chunk, "subordination-nonlinear")])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_parent_computes_the_last_chunk(worker, name, workers):
+    paths, seed = 23, 5
+    jobs = [(name, {}, start, count, seed) for start, count in cli._chunks(paths, workers)]
+    pool = _RecordingPool()
+    parts = cli._fan_out(worker, name, {}, paths, seed, workers, pool)
+    assert pool.jobs == jobs[:-1]
+    _assert_parts_equal(parts, cli._fan_out(worker, name, {}, paths, seed, workers))
+
+
+def _crosscheck_config(tmp_path, name, **run):
+    return _config(tmp_path, name, scenario="subordination-linear",
+                   run={"paths": 40, "workers": 2, **run})
+
+
+@pytest.mark.parametrize("command", ["run", "crosscheck"])
+def test_no_process_left_behind(tmp_path, command):
+    if command == "run":
+        path, _ = _config(tmp_path, "left", scenario="subordination-nonlinear",
+                          run={"paths": 40, "rho_replicas": 50, "workers": 2})
+    else:
+        path, _ = _crosscheck_config(tmp_path, "left")
+    assert cli.main([command, str(path)]) == 0
+    assert multiprocessing.active_children() == []
+
+
+def _fail_from(module, attr, monkeypatch, errors):
+    """Make `module.attr` raise errors[i] on chunk i (None: run as before)."""
+    real = getattr(module, attr)
+
+    def chunk(*args, path_offset=0, **kwargs):
+        error = errors[0 if path_offset == 0 else 1]
+        if error is not None:
+            raise error
+        return real(*args, path_offset=path_offset, **kwargs)
+
+    monkeypatch.setattr(module, attr, chunk)
+
+
+@pytest.mark.parametrize("command,scenario,module,attr,error,code", [
+    ("run", "compound", ensemble, "simple_ensemble", ValueError("bad chunk"),
+     cli.EXIT_HYPOTHESIS),
+    ("run", "subordination-nonlinear", sde, "integrate_batch",
+     sde.EventError("bad chunk", 3), cli.EXIT_NUMERIC),
+    ("crosscheck", "subordination-linear", sde, "integrate_batch",
+     sde.EventError("bad chunk", 3), cli.EXIT_NUMERIC),
+])
+@pytest.mark.parametrize("failing", [0, 1])     # the pool's chunk, the parent's
+def test_failing_chunk_leaves_no_process(tmp_path, capsys, monkeypatch, command, scenario,
+                                         module, attr, error, code, failing):
+    _fail_from(module, attr, monkeypatch, [error if i == failing else None for i in (0, 1)])
+    path, _ = _config(tmp_path, "fail", scenario=scenario,
+                      run={"paths": 40, "rho_replicas": 50, "workers": 2})
+    got, err = _exit_and_stderr(capsys, [command, str(path)])
+    assert got == code and "bad chunk" in err
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_first_failing_chunk_decides_the_exit(tmp_path, capsys, monkeypatch, workers):
+    # chunk 0 runs on the pool, chunk 1 in the parent; serially chunk 0 fails first
+    _fail_from(sde, "integrate_batch", monkeypatch,
+               [ValueError("first chunk"), sde.EventError("last chunk", 3)])
+    path, _ = _crosscheck_config(tmp_path, "first", workers=workers)
+    got, err = _exit_and_stderr(capsys, ["crosscheck", str(path)])
+    assert got == cli.EXIT_HYPOTHESIS and "first chunk" in err
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("name,horizon", [("compound", 0.001),

@@ -1,6 +1,7 @@
 """Event-driven solver: exactness, flow algebra, generator path, jets."""
 
 import math
+import pickle
 from collections import Counter
 from dataclasses import fields, is_dataclass, replace
 
@@ -96,6 +97,13 @@ def test_singular_jump_jacobian_rejected():
     path = sample_path(SPEC, 1.0, RngStream(seed=7, path=1))
     with pytest.raises(EventError, match="singular"):
         integrate(sc, path, order=1)
+
+
+def test_event_error_survives_pickling():
+    # a pool worker's error reaches the parent pickled
+    err = pickle.loads(pickle.dumps(EventError("state overflow", 4)))
+    assert type(err) is EventError and err.event_index == 4
+    assert str(err) == "state overflow (event 4)"
 
 
 def test_covariance_accumulator_monotone():

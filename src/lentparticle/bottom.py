@@ -157,8 +157,9 @@ class WienerOUBottom(BottomStructure):
     The coefficient callables take states z of shape (n, dim), one row per
     lane, and return a (n, dim, n_brownian), b (n, dim) and da/dz
     (n, dim, n_brownian, dim); a value without the lane axis is taken to
-    hold for every lane.  The flow derivative follows the diffusion
-    coefficient only: b is taken to be constant in z.
+    hold for every lane.  a and da/dz are functions of z alone.  b is
+    taken to be constant in z: the flow derivative follows the diffusion
+    coefficient only, and `evolve` evaluates b once per call.
     """
 
     dim: int
@@ -176,54 +177,73 @@ class WienerOUBottom(BottomStructure):
         incs = nested_increments(lanes, lanes.marks, self.step, self.n_brownian)
         return self.evolve(x, lanes.marks, incs)
 
+    # the inverse flow is checked for overflow and raised as an error, so
+    # numpy's overflow warnings would only repeat the failure
+    @np.errstate(over="ignore", invalid="ignore")
     def evolve(self, x: np.ndarray, y: np.ndarray, incs: np.ndarray) -> WienerOUEval:
         """Run the excursions of n lanes in lockstep.
 
         x (n, dim) start points, y (n,) durations and incs
         (steps, n, n_brownian) the Brownian increments on the lanes'
-        `prm.nested_grid`.  Past a lane's last step its increment and step
-        width are zero, so the Euler step leaves the lane unchanged.  The
-        result carries the lane axis.
+        `prm.nested_grid`.  The lanes are walked sorted by step count,
+        longest first, so the lanes still stepping at nested step k are a
+        leading slice, and only that slice is stepped: a lane past its last
+        step keeps its values, as the zero increment over a zero width it
+        is given there would.  `diff` and `diff_jac` are evaluated on the
+        stepping lanes' states; `drift`, constant in z, once per call on
+        all lanes, its rows following the lanes.  The result carries the
+        lane axis, in the order of x.
         """
         d, q = self.dim, self.n_brownian
         x = np.asarray(x, dtype=float)
         n = len(x)
-        _, widths = nested_grid(y, self.step)
+        counts, widths = nested_grid(y, self.step)
         if incs.shape != widths.shape + (q,):
             raise ValueError(f"increments of shape {incs.shape} do not match the step grid "
                              f"{widths.shape} of the durations")
+        order = np.argsort(-counts, kind="stable")
+        live = np.count_nonzero(counts > np.arange(len(widths))[:, None], axis=1).tolist()
+        # per-step views, lanes in walking order: widths (steps, n, 1, 1) and
+        # increments as columns (steps, n, q, 1) and as noise (steps, n, q, 1, 1)
+        dtms = widths[:, order, None, None]
+        dbs = incs[:, order, :, None]
+        noises = dbs[..., None]
+        drift_dt = (None if self.drift is None
+                    else np.broadcast_to(self.drift(x), (n, d))[order] * dtms[..., 0])
         flows = self.diff_jac is not None
-        z = x.copy()
+        z = x[order]
         m = np.tile(np.eye(d), (n, 1, 1))
         m_inv = m.copy()
         integ = np.zeros((n, d, d))    # int M^-1 a a^T M^-T ds
-        for k in range(len(widths)):
-            dt = widths[k][:, None]
-            dtm = dt[..., None]
-            db = incs[k]
-            a = np.broadcast_to(self.diff(z), (n, d, q))
-            mi_a = m_inv @ a
-            integ = integ + (mi_a @ mi_a.transpose(0, 2, 1)) * dtm
+        for k, l in enumerate(live):
+            # views of the stepping lanes; a and da/dz broadcast over
+            # them when given without the lane axis
+            dtm, db = dtms[k, :l], dbs[k, :l]
+            zl, ml, mil, il = z[:l], m[:l], m_inv[:l], integ[:l]
+            a = self.diff(zl)
+            mi_a = mil @ a
+            il += (mi_a @ mi_a.transpose(0, 2, 1)) * dtm
             if flows:
                 # shared-noise Euler step for both flows; with A_r = da[:, r]/dz
                 # and P_r = M^-1 A_r, the inverse flow carries the Ito
                 # correction sum_r P_r P_r dt
-                A = np.broadcast_to(self.diff_jac(z), (n, d, q, d)).transpose(0, 2, 1, 3)
-                P = m_inv[:, None] @ A
-                noise = db[:, :, None, None]
-                dm = (A * noise).sum(axis=1) @ m
+                A = np.swapaxes(self.diff_jac(zl), -3, -2)
+                P = mil[:, None] @ A
+                noise = noises[k, :l]
+                dm = (A * noise).sum(axis=1) @ ml
                 dmi = (P @ P).sum(axis=1) * dtm - (P * noise).sum(axis=1)
-            z_next = z + (a @ db[..., None])[..., 0]
-            if self.drift is not None:
-                z_next = z_next + np.broadcast_to(self.drift(z), (n, d)) * dt
-            z = z_next
+            zl += (a @ db)[..., 0]
+            if drift_dt is not None:
+                zl += drift_dt[k, :l]
             if flows:
-                m = m + dm
-                m_inv = m_inv + dmi
-                if not np.all(np.isfinite(m_inv)):
+                ml += dm
+                mil += dmi
+                if not np.isfinite(mil).all():
                     raise FloatingPointError(f"inverse flow overflow at nested step {k}")
-        gamma_m = m @ integ @ m.transpose(0, 2, 1)
-        return WienerOUEval(y=np.asarray(y, dtype=float), z=z - x, gamma_m=gamma_m,
+        back = np.argsort(order)
+        m, m_inv = m[back], m_inv[back]
+        gamma_m = m @ integ[back] @ m.transpose(0, 2, 1)
+        return WienerOUEval(y=np.asarray(y, dtype=float), z=z[back] - x, gamma_m=gamma_m,
                             m=m, m_inv=m_inv)
 
     def gamma_c(self, s, x, ev: WienerOUEval):

@@ -15,7 +15,6 @@ samples.  Agreement of the two is the library's central correctness check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,29 +99,3 @@ def gamma_k_simple(h_flats, path: MarkedPoissonPath, k: int,
     blocks = rho_blocks(stream, range(1, n_replicas + 1), (k, path.n_jumps, 1), basis)
     vals = np.prod(blocks[:, :, :, 0], axis=1) @ terms
     return float(np.mean(vals ** 2))
-
-
-def gaussian_kappa(p: float) -> float:
-    """p-th absolute moment of a standard normal, to the power 1/p."""
-    if p <= 0:
-        raise ValueError("p must be positive")
-    log_m = (p / 2) * math.log(2.0) + math.lgamma((p + 1) / 2) - 0.5 * math.log(math.pi)
-    return math.exp(log_m / p)
-
-
-def pnorm_ratio(samples: np.ndarray, p: float, gamma: float | None = None) -> float:
-    """Ratio of the empirical p-norm of gradient samples to Gamma^(1/2).
-
-    With a Gaussian auxiliary basis the ratio estimates the Gaussian
-    p-moment constant; with a Rademacher basis it falls in the
-    hypercontractivity sandwich [1, (p-1)^(k/2)] for p > 2.
-    """
-    if p <= 1:
-        raise ValueError("p must exceed 1")
-    samples = np.asarray(samples, dtype=float).reshape(-1)
-    if gamma is None:
-        gamma = float(np.mean(samples ** 2))
-    if gamma <= 0:
-        raise ZeroDivisionError("zero energy: p-norm ratio undefined")
-    pnorm = float(np.mean(np.abs(samples) ** p)) ** (1.0 / p)
-    return pnorm / math.sqrt(gamma)

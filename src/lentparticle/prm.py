@@ -136,10 +136,14 @@ def nested_increments(lanes: JumpLanes, durations, step: float, dim: int = 1) ->
     Shape (max count, n lanes, dim); zero past a lane's last step.  The
     increments have variance equal to their step width, so each lane's sum
     is a Brownian value at its duration exactly, and they depend only on
-    the lane's (path stream, jump index) address.
+    the lane's (path stream, jump index) address.  Each lane's normals are
+    drawn into one contiguous buffer, lane after lane, and placed by one
+    boolean-mask scatter.
     """
     counts, widths = nested_grid(durations, step)
-    normals = np.zeros(widths.shape + (dim,))
-    for i, (n, gen) in enumerate(zip(counts.tolist(), lanes.draws(TAG_NESTED))):
-        normals[:n, i] = gen.standard_normal((n, dim))
-    return normals * np.sqrt(widths)[..., None]
+    drawn = np.empty((int(counts.sum()), dim))
+    for gen, n, end in zip(lanes.draws(TAG_NESTED), counts.tolist(), np.cumsum(counts).tolist()):
+        gen.standard_normal(out=drawn[end - n:end])
+    normals = np.zeros((len(counts), len(widths), dim))     # lane-major
+    normals[np.arange(len(widths)) < counts[:, None]] = drawn
+    return normals.transpose(1, 0, 2) * np.sqrt(widths)[..., None]

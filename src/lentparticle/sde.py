@@ -260,11 +260,12 @@ class EventError(RuntimeError):
 
 def _event_times(scenario: Scenario, path: MarkedPoissonPath) -> np.ndarray:
     """Event grid of a path: 0, the jump times and T, plus an Euler grid
-    when the state drifts."""
+    when the state drifts; sorted, each time once.  (A sort and an
+    adjacent-difference mask: numpy's `unique` would import `numpy.ma`.)"""
     T = scenario.horizon
-    if scenario.compensated:
-        return np.union1d(np.linspace(0.0, T, N_STEPS + 1), path.times)
-    return np.unique(np.concatenate([[0.0], path.times, [T]]))
+    grid = np.linspace(0.0, T, N_STEPS + 1) if scenario.compensated else np.array([0.0, T])
+    t = np.sort(np.concatenate([grid, path.times]))
+    return t[np.concatenate([[True], t[1:] != t[:-1]])]
 
 
 def _lanes(value, shape) -> np.ndarray:
@@ -335,6 +336,9 @@ def integrate_batch(scenario: Scenario, n_paths: int, stream: RngStream,
     return _advance(scenario, paths)
 
 
+# the loop checks the state (and `evolve` its inverse flow) for overflow and
+# raises, so numpy's overflow warnings would only repeat the failure
+@np.errstate(over="ignore", invalid="ignore")
 def _advance(scenario: Scenario, paths: list) -> TrajectoryBatch:
     """The event recursion for every path, advanced in lockstep by event index.
 

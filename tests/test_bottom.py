@@ -1,13 +1,14 @@
 """Mark-space structures: quadratic forms, generators, gradient samplers."""
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from lentparticle.bottom import EuclideanBottom, WienerOUBottom, WienerSquareBottom
 from lentparticle.measures import power_law
-from lentparticle.prm import JumpLanes, MarkedPoissonPath, sample_path
+from lentparticle.prm import JumpLanes, MarkedPoissonPath, nested_grid, sample_path
 from lentparticle.rng import RngStream
 from lentparticle.sde import SimpleJets, generator_symmetry_residual
 from lentparticle import scenarios
@@ -195,3 +196,48 @@ def test_field_bottom_jumps_do_not_share_drift():
             np.testing.assert_array_equal(ev.gamma_m, fresh(j).gamma_m)
     assert not np.array_equal(forward[0].z, forward[1].z)
     assert sc.bottom.drift is None
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", ["subordination-linear", "subordination-nonlinear",
+                                  "levy-field-demo"])
+def test_evolve_lane_permutation_permutes_outputs(name):
+    # lanes of 0 steps, 1 step and the longest count, with ties: whatever
+    # order the lanes come in, each lane's outputs keep their bits
+    bottom = scenarios.build(name).bottom
+    d, q, step = bottom.dim, bottom.n_brownian, bottom.step
+    rng = np.random.default_rng(5)
+    y = np.array([0.0, 0.5 * step, 7.3 * step, step, 7.3 * step, 2.5 * step, 0.4 * step])
+    n = len(y)
+    x = rng.standard_normal((n, d))
+    _, widths = nested_grid(y, step)
+    incs = rng.standard_normal(widths.shape + (q,)) * np.sqrt(widths)[..., None]
+    push = rng.standard_normal((n, d))
+    # the field demo's per-lane drift follows the lanes it was built for
+    run = ((lambda idx: replace(bottom, drift=lambda z: push[idx]))
+           if name == "levy-field-demo" else (lambda idx: bottom))
+    assert (bottom.diff_jac is None) == (name == "subordination-linear")
+    base = run(np.arange(n)).evolve(x, y, incs)
+    for perm in (np.arange(n)[::-1], rng.permutation(n)):
+        out = run(perm).evolve(x[perm], y[perm], incs[:, perm])
+        for f in fields(base):
+            assert _same_bits(getattr(out, f.name), getattr(base, f.name)[perm]), f.name
+    assert np.all(base.z[0] == 0) and np.all(base.gamma_m[0] == 0)
+
+
+def test_evolve_inverse_flow_overflow_names_its_step():
+    # lane 1 is not the longest; its state drifts by 0.1 per step and the
+    # diffusion's Jacobian blows up once it reaches 0.45, at nested step 5
+    bottom = WienerOUBottom(
+        dim=1, n_brownian=1, step=0.1, diff=lambda z: np.zeros((1, 1)),
+        drift=lambda z: np.ones(1),
+        diff_jac=lambda z: np.where(z >= 0.45, 1e300, 0.0)[:, :, None, None])
+    x, y = np.array([[-10.0], [0.0], [-5.0]]), np.array([2.0, 1.0, 0.3])
+    incs = np.zeros(nested_grid(y, 0.1)[1].shape + (1,))
+    with pytest.raises(FloatingPointError, match=r"inverse flow overflow at nested step 5$"):
+        bottom.evolve(x, y, incs)
+    bottom.evolve(x[[0, 2]], y[[0, 2]], incs[:, [0, 2]])    # the other lanes run through

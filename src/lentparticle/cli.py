@@ -79,7 +79,12 @@ def validate_config(config: dict, need_outputs: bool = True) -> dict:
     _require(isinstance(outputs, dict), "outputs", "must be an object")
     if need_outputs:
         _require(isinstance(outputs.get("dir"), str), "outputs.dir", "required string")
-    outputs.setdefault("svg", True)
+        # checked now: a run writes there only after its simulation
+        out_dir = Path(outputs["dir"])
+        first = next(p for p in (out_dir, *out_dir.parents) if os.path.lexists(p))
+        _require(first.is_dir(), "outputs.dir", f"{str(first)!r} exists and is not a directory")
+    _require(isinstance(outputs.setdefault("svg", True), bool), "outputs.svg",
+             f"must be a boolean, got {outputs['svg']!r}")
     return config
 
 
@@ -189,10 +194,14 @@ def check_jump_count(config: dict, command: str):
 
 def load_config(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise SchemaError(f"$: config file not found: {path}")
+    except OSError as e:
+        raise SchemaError(f"$: cannot read config file {path}: {e.strerror}")
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"$: config file {path} is not UTF-8: {e}")
     except json.JSONDecodeError as e:
         raise SchemaError(f"$: invalid JSON: {e}")
 
@@ -533,13 +542,28 @@ def report_pipeline(run_dir: str) -> int:
     if not rep_path.exists():
         print(f"no report.json in {run_dir}", file=sys.stderr)
         return EXIT_SCHEMA
-    body = report.report_body(rep_path)
-    print(json.dumps(body["estimates"], indent=2, sort_keys=True))
+    try:
+        estimates = report.report_body(rep_path).get("estimates")
+        if not isinstance(estimates, dict):
+            raise ValueError("no estimates object")
+        entry = estimates.get("density_mass")
+        stored = entry.get("value") if isinstance(entry, dict) else None
+        if entry is not None and not _is_float(stored):
+            raise ValueError("density_mass has no numeric value")
+    except (OSError, ValueError) as e:      # ValueError: bad JSON or UTF-8 too
+        print(f"unreadable report {rep_path}: {e}", file=sys.stderr)
+        return EXIT_SCHEMA
+    print(json.dumps(estimates, indent=2, sort_keys=True))
     dens_path = run_dir / "density.csv"
-    if dens_path.exists() and "density_mass" in body["estimates"]:
-        _, rows = report.read_csv(dens_path)
+    if dens_path.exists() and stored is not None:
+        try:
+            header, rows = report.read_csv(dens_path)
+            if len(header) < 2:
+                raise ValueError("needs the grid and ibp columns")
+        except (OSError, ValueError) as e:
+            print(f"unreadable density table {dens_path}: {e}", file=sys.stderr)
+            return EXIT_SCHEMA
         mass = float(np.trapezoid(rows[:, 1], rows[:, 0]))
-        stored = body["estimates"]["density_mass"]["value"]
         if not math.isclose(mass, stored, rel_tol=1e-9, abs_tol=1e-12):
             print(f"density mass mismatch: csv {mass} vs report {stored}",
                   file=sys.stderr)

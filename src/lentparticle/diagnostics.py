@@ -17,6 +17,9 @@ import numpy as np
 from .measures import total_mass
 from .sde import Scenario
 
+SMALL_BALL_MIN_HITS = 10     # sub-epsilon samples a small-ball grid point needs
+PROBE_BUDGET = 200           # (s, x, u) probes of the hypothesis report
+
 
 @dataclass
 class InverseMomentResult:
@@ -62,23 +65,24 @@ class SmallBallFit:
     warnings: list = field(default_factory=list)
 
 
-def small_ball_fit(samples, eps_grid, min_hits: int = 10) -> SmallBallFit:
+def small_ball_fit(samples, eps_grid) -> SmallBallFit:
     """Fit log P(V <= eps) = a + r2 * eps^(-beta) over a candidate range.
 
     beta is found by golden-section search maximizing the linear-fit R^2,
     since fitting (beta, r2) jointly is ill-conditioned.  Grid points with
-    too few sub-eps samples are dropped (with a warning).  A fitted decay
-    that is better explained by log P ~ log eps (power-law CDF near 0, as
-    for any law with a positive density at 0) is flagged non-tauberian.
+    fewer than SMALL_BALL_MIN_HITS sub-eps samples are dropped (with a
+    warning).  A fitted decay that is better explained by log P ~ log eps
+    (power-law CDF near 0, as for any law with a positive density at 0) is
+    flagged non-tauberian.
     """
     s = np.sort(np.asarray(samples, dtype=float))
     eps_grid = np.sort(np.asarray(eps_grid, dtype=float))
     warnings = []
     hits = np.searchsorted(s, eps_grid, side="right")
-    keep = hits >= min_hits
+    keep = hits >= SMALL_BALL_MIN_HITS
     if not np.all(keep):
         warnings.append(f"dropped {int(np.sum(~keep))} grid points with fewer "
-                        f"than {min_hits} sub-epsilon samples")
+                        f"than {SMALL_BALL_MIN_HITS} sub-epsilon samples")
     eps = eps_grid[keep]
     if len(eps) < 4:
         raise ValueError("not enough usable grid points for a small-ball fit")
@@ -135,7 +139,7 @@ class EllipticityReport:
 
 
 def ellipticity_scan(scenario: Scenario, probes) -> EllipticityReport:
-    """Minimum of eig_min(gamma_c) / (psi(u) / (1 + |x|)^delta) over probes.
+    """Minimum of eig_min(jump matrix) / (psi(u) / (1 + |x|)^delta) over probes.
 
     psi and delta come from the scenario's metadata; pass means the
     declared lower bound holds (ratio >= 1 up to roundoff) at every probe.
@@ -151,7 +155,7 @@ def ellipticity_scan(scenario: Scenario, probes) -> EllipticityReport:
         bound = psi(u) / (1.0 + float(np.linalg.norm(x))) ** delta
         if bound <= 0:
             raise ValueError(f"nonpositive ellipticity bound at probe {(s, tuple(x), u)}")
-        lam = float(np.linalg.eigvalsh(scenario.bottom.gamma_c(s, x, u))[0])
+        lam = float(np.linalg.eigvalsh(scenario.bottom.jump_matrices(s, x, u)[0])[0])
         ratio = lam / bound
         if ratio < best:
             best, arg = ratio, (s, tuple(x), u)
@@ -182,22 +186,22 @@ class HypothesisReport:
                 "passed": self.passed()}
 
 
-def hypothesis_report(scenario: Scenario, probe_budget: int = 200,
-                      seed: int = 0) -> HypothesisReport:
+def hypothesis_report(scenario: Scenario) -> HypothesisReport:
     """Sampled checks of the model's standing assumptions.
 
-    Probes (s, x, u) are drawn quasi-uniformly over the horizon, a state
-    box around x0, and the mark support.  Items whose true content is an
-    L^p bound over the auxiliary space are reported not-checkable.
+    PROBE_BUDGET probes (s, x, u) are drawn uniformly, from a generator of
+    fixed seed 0, over the horizon, a state box around x0, and the mark
+    support.  Items whose true content is an L^p bound over the auxiliary
+    space are reported not-checkable.
     """
     items = []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     spec = scenario.measure
     lo, hi = spec.lower, spec.upper
     d = scenario.dim
-    ss = rng.uniform(0, scenario.horizon, probe_budget)
-    xs = scenario.x0 + rng.uniform(-2, 2, (probe_budget, d))
-    us = rng.uniform(lo, hi, probe_budget)
+    ss = rng.uniform(0, scenario.horizon, PROBE_BUDGET)
+    xs = scenario.x0 + rng.uniform(-2, 2, (PROBE_BUDGET, d))
+    us = rng.uniform(lo, hi, PROBE_BUDGET)
 
     mass = total_mass(spec)
     items.append(CheckItem("truncated measure has finite mass",
@@ -209,7 +213,7 @@ def hypothesis_report(scenario: Scenario, probe_budget: int = 200,
         # shows as a value that is not finite, and fails the items below
         with np.errstate(all="ignore"):
             jac = np.eye(d) + np.broadcast_to(
-                np.asarray(scenario.dx_c(ss, xs, us), dtype=float), (probe_budget, d, d))
+                np.asarray(scenario.dx_c(ss, xs, us), dtype=float), (PROBE_BUDGET, d, d))
             dets = np.abs(np.linalg.det(jac))
             worst_jet = float(np.max(np.abs(np.asarray(scenario.c(ss, xs, us), dtype=float))))
         i = int(np.argmin(dets))

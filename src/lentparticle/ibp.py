@@ -69,13 +69,6 @@ def delta(x_jet: SimpleJets, y_jet: SimpleJets, marks: np.ndarray, t: float,
     return -2.0 * xv * ay - bracket(x_jet, y_jet, marks)
 
 
-def sharp_coefficients(j: SimpleJets, marks: np.ndarray) -> np.ndarray:
-    """Per-jump loadings of the gradient: grad = sum_j coef_j * rho_j."""
-    if len(marks) == 0:
-        return np.empty(0)
-    return np.sqrt(j.xi(marks)) * j.hp(marks)
-
-
 # ---------------------------------------------------------------------------
 # weights over an ensemble
 # ---------------------------------------------------------------------------
@@ -92,9 +85,9 @@ class WeightResult:
         return self.n_rejected / len(self.values)
 
 
-def weight(ens: SimpleEnsemble, order: int,
-           det_floor: float = DET_GAMMA_FLOOR) -> WeightResult:
-    """IBP weight of the requested order for every path of the ensemble.
+def weight(ens: SimpleEnsemble, order: int) -> WeightResult:
+    """IBP weight of the requested order for every path of the ensemble;
+    a path with gamma <= DET_GAMMA_FLOOR is rejected (weight 0).
 
     Z1 = -2 A / gamma + G2 / gamma^2, with G2 = <X, gamma>; Z2 applies the
     divergence once more, with the bracket of Z1 and X expanded by the
@@ -114,7 +107,7 @@ def weight(ens: SimpleEnsemble, order: int,
     if order not in (1, 2):
         raise ValueError("weight order must be 1 or 2")
     g = ens.gamma
-    ok = g > det_floor
+    ok = g > DET_GAMMA_FLOOR
     n_rej = int(np.sum(~ok))
     gs = np.where(ok, g, 1.0)
     z1 = -2.0 * ens.a / gs + ens.g2 / gs ** 2
@@ -167,9 +160,6 @@ class DensityEstimate:
     def mass(self) -> float:
         """Integral of the IBP density over the grid (trapezoid)."""
         return float(np.trapezoid(self.ibp, self.grid))
-
-    def joint_se(self) -> np.ndarray:
-        return np.sqrt(self.ibp_se ** 2 + self.kde_se ** 2)
 
 
 def density_ibp(samples: np.ndarray, weights: WeightResult,

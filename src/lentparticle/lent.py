@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bottom import CapabilityError
-from .prm import GAUSSIAN, MarkedPoissonPath, rho_blocks
+from .prm import GAUSSIAN, rho_blocks
 from .rng import RngStream
 from .sde import Scenario, Trajectory
 
@@ -62,40 +61,3 @@ def empirical_gamma(samples: np.ndarray) -> np.ndarray:
     samples = np.atleast_2d(samples)
     return samples.T @ samples / samples.shape[0]
 
-
-def iterated_gradient_simple(h_flats, path: MarkedPoissonPath, blocks: np.ndarray,
-                             k: int) -> float:
-    """k-fold gradient of a simple integral of h over the jump measure.
-
-    h_flats[j-1](u) must be the j-fold application of f -> sqrt(xi) f' to
-    h, and blocks holds one replica of the path's rho-blocks, shape
-    (order, n_jumps, block_dim) with order >= k; the k-th gradient
-    realisation is the sum over jumps of h_flats[k-1](u_j) times the
-    product of the jump's first k auxiliary marks.
-    """
-    terms = _gradient_terms(h_flats, path, k)
-    if blocks.shape[0] < k:
-        raise ValueError(f"needs rho-blocks of order >= {k}, got {blocks.shape[0]}")
-    return float(np.dot(terms, np.prod(blocks[:k, :, 0], axis=0)))
-
-
-def _gradient_terms(h_flats, path: MarkedPoissonPath, k: int) -> np.ndarray:
-    """h_flats[k-1] at every mark of the path, after checking the order."""
-    if not 1 <= k <= 3:
-        raise ValueError("gradient order must be 1, 2 or 3")
-    if len(h_flats) < k:
-        raise CapabilityError(f"order-{k} gradient needs {k} mark jets, got {len(h_flats)}")
-    return np.asarray([h_flats[k - 1](u) for u in path.marks], dtype=float)
-
-
-def gamma_k_simple(h_flats, path: MarkedPoissonPath, k: int,
-                   n_replicas: int, stream: RngStream, basis: str = GAUSSIAN) -> float:
-    """Order-k energy of a simple integral, by averaging squared gradients.
-
-    The terms h_flats[k-1](u_j) are evaluated once and contracted with
-    every replica's products of auxiliary marks.
-    """
-    terms = _gradient_terms(h_flats, path, k)
-    blocks = rho_blocks(stream, range(1, n_replicas + 1), (k, path.n_jumps, 1), basis)
-    vals = np.prod(blocks[:, :, :, 0], axis=1) @ terms
-    return float(np.mean(vals ** 2))

@@ -189,10 +189,6 @@ def power_law(eps: float, ymax: float = 1.0, trunc: float = 0.0) -> LevyMeasureS
     return LevyMeasureSpec(POWER, {"eps": eps, "ymax": ymax}, trunc)
 
 
-def uniform_measure(lo: float, hi: float, level: float = 1.0, trunc: float = 0.0) -> LevyMeasureSpec:
-    return LevyMeasureSpec(UNIFORM, {"lo": lo, "hi": hi, "level": level}, trunc)
-
-
 def total_mass(spec: LevyMeasureSpec) -> float:
     """Mass of the measure restricted above the truncation cutoff."""
     lo, hi = spec.lower, spec.upper

@@ -31,7 +31,8 @@ class RunReport:
     def add_estimate(self, name, value, se, n):
         self.estimates[name] = {"value": float(value), "se": float(se), "n": int(n)}
 
-    def to_dict(self, with_timestamp: bool = True) -> dict:
+    def dump(self, dest) -> None:
+        """Write the report as JSON, stamped with the wall-clock time."""
         from . import __version__
         body = {
             "estimates": self.estimates,
@@ -42,21 +43,19 @@ class RunReport:
                 "seed": self.config["run"]["seed"],
                 "version": __version__,
             },
+            "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
-        if with_timestamp:
-            body["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-        return body
-
-    def dump(self, dest, with_timestamp: bool = True) -> None:
         with open(dest, "w") as fh:
-            json.dump(self.to_dict(with_timestamp), fh, indent=2, sort_keys=True)
+            json.dump(body, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
 def report_body(path) -> dict:
     """Load a report and drop the timestamp, for comparisons."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         body = json.load(fh)
+    if not isinstance(body, dict):
+        raise ValueError("a report is a JSON object")
     body.pop("generated_at", None)
     return body
 
@@ -70,11 +69,15 @@ def write_csv(dest, header, rows) -> None:
 
 
 def read_csv(src):
-    with open(src, newline="") as fh:
+    """Header and rows (n, columns) of a numeric table; ValueError if a cell
+    is not a number or a row does not have one cell per column."""
+    with open(src, newline="", encoding="utf-8") as fh:
         rd = csv.reader(fh)
-        header = next(rd)
+        header = next(rd, [])
         rows = [[float(v) for v in row] for row in rd]
-    return header, np.array(rows)
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError(f"a row does not have the header's {len(header)} cells")
+    return header, np.array(rows).reshape(len(rows), len(header))
 
 
 # ---------------------------------------------------------------------------

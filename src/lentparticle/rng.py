@@ -96,16 +96,7 @@ class RngStream:
                  "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         gen = self.generator()
         bitgen = gen.bit_generator
-        if len(coords) == 1:
-            # one word changes: the loop writes it in place, as tight as a
-            # loop over the setter alone
-            (name, seq), = coords.items()
-            word = _COUNTER_WORDS.index(name)
-            for counter[word] in seq:
-                bitgen.state = state
-                yield gen
-            return
-        # several words change: each entry's row of four words is the counter
+        # each entry's row of four words is the counter
         rows = [repeat(value) for value in counter]
         for name, seq in coords.items():
             rows[_COUNTER_WORDS.index(name)] = seq

@@ -114,11 +114,7 @@ def compound(eps: float = 0.5, trunc: float = 0.01, ymax: float = 1.0,
         compensated=compensated, simple=jets,
         comp_c=lambda s, x: np.array([mean_jump]),
         comp_dx_c=lambda s, x: np.zeros((1, 1)),
-        meta={
-            "psi": xi,
-            "psi_delta": 0.0,
-            "symmetry_pair": (*_bump_weight(lo, hi), lambda u: u, lambda u: 1.0),
-        })
+        meta={"psi": xi, "psi_delta": 0.0})
 
 
 @_register("compound-linear")
@@ -142,8 +138,7 @@ def compound_linear(beta: float = 0.5, eps: float = 0.5, trunc: float = 0.01,
         dx_c=lambda s, x, u: beta * np.asarray(u, dtype=float)[..., None, None],
         compensated=compensated,
         comp_c=lambda s, x: beta * x * mean_jump,
-        comp_dx_c=lambda s, x: np.array([[beta * mean_jump]]),
-        meta={"beta": beta})
+        comp_dx_c=lambda s, x: np.array([[beta * mean_jump]]))
 
 
 # ---------------------------------------------------------------------------

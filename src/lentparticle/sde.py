@@ -33,7 +33,7 @@ scenarios are therefore solved with no discretization error at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -64,9 +64,8 @@ class SimpleJets:
     applies to jet values): it comes from integrating the form xi f'^2 by
     parts against the mark density m, so it is the generator only on
     functions whose weighted flux xi m f' vanishes at both support
-    endpoints (`generator_symmetry_residual` checks that).  The
-    compensator constants int h dnu and int a[h] dnu are computed once
-    per measure and memoised.
+    endpoints.  The compensator constants int h dnu and int a[h] dnu are
+    computed once per measure and memoised.
     """
 
     h: Callable
@@ -126,9 +125,6 @@ class SimpleJets:
                 "G2": seg(xi * hp * g1p), "XA": seg(xi * hp * ahp),
                 "XG2": seg(xi * hp * g2p)}
 
-    def g1(self, u):
-        return self.xi(u) * self.hp(u) ** 2
-
     def ah(self, u):
         return _a(self.xi(u), self.xip(u), self.r(u), self.hp(u), self.hpp(u))
 
@@ -136,20 +132,6 @@ class SimpleJets:
 def _a(xi, xip, r, fp, fpp):
     """The mark-space generator a[f] = xi f''/2 + (xi' + xi r) f'/2, from jet values."""
     return 0.5 * xi * fpp + 0.5 * (xip + xi * r) * fp
-
-
-def generator_symmetry_residual(jets: SimpleJets, measure: LevyMeasureSpec,
-                                f, fp, fpp, g, gp) -> float:
-    """int a[f] g dnu + 1/2 int xi f' g' dnu, with a[f] the `SimpleJets.ah`
-    of the jets' form weight and measure, applied to f instead of h.
-
-    Zero (within quadrature tolerance) whenever the boundary flux
-    xi m f' g of the test pair vanishes at both support endpoints; the
-    executable symmetry check of the generator formula.
-    """
-    af = replace(jets, h=f, hp=fp, hpp=fpp).ah
-    return float(compensator_integral(
-        measure, lambda u: af(u) * g(u) + 0.5 * jets.xi(u) * fp(u) * gp(u), 1.0))
 
 
 def _segment_sum(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -173,11 +155,11 @@ class Scenario:
     scalar mark-sum scenario.
 
     Lane axis: the event loop calls c, dx_c, comp_c and comp_dx_c (and the
-    bottom's gamma_c and flat_matrix, through jump_matrices) with a
-    leading lane axis on every argument, s (n,), x (n, d) and ev as
-    `eval_jumps` resolves it, and expects (n, d), (n, d, d) and
-    (n, d, block_dim) back; a value without the lane axis (a constant) is
-    taken to hold for every lane.  One path is one lane.
+    bottom's jump_matrices) with a leading lane axis on every argument,
+    s (n,), x (n, d) and ev as `eval_jumps` resolves it, and expects (n, d)
+    and (n, d, d) back, and from jump_matrices (n, d, d) and
+    (n, d, block_dim); a value without the lane axis (a constant) is taken
+    to hold for every lane.  One path is one lane.
     """
 
     name: str

@@ -10,6 +10,8 @@ from lentparticle import ensemble, scenarios
 from lentparticle.prm import sample_path
 from lentparticle.rng import RngStream
 
+from oracles import LINEAR_BETA
+
 
 @pytest.fixture(scope="session")
 def ens_power_100k():
@@ -42,11 +44,10 @@ def lone_mark_singular():
         lone = vals[counts == 1]
         path = next(i for i in range(n - 1, 0, -1) if np.isin(marks[i], lone).any())
         mark = marks[path][np.isin(marks[path], lone)][0]
-        beta = sc.meta["beta"]
 
         def dx_c(s, x, u):
             u = np.asarray(u)[..., None, None]
-            return np.where(u == mark, -1.0, beta * u)
+            return np.where(u == mark, -1.0, LINEAR_BETA * u)
 
         return replace(sc, dx_c=dx_c), path + 1
 

@@ -1,0 +1,114 @@
+"""Reference implementations that several test modules check the library against.
+
+None of these is called by the package: each is the plain, one-path form
+of something the library computes another way (or a catalog constant read
+back from its builder), kept here as an oracle.
+"""
+
+import inspect
+import math
+from dataclasses import replace
+
+import numpy as np
+
+from lentparticle import scenarios
+from lentparticle.bottom import CapabilityError
+from lentparticle.measures import UNIFORM, LevyMeasureSpec, compensator_integral
+from lentparticle.prm import MarkedPoissonPath
+from lentparticle.sde import SimpleJets
+
+# the jump scale of `compound-linear` as the catalog builds it by default
+LINEAR_BETA = inspect.signature(scenarios.compound_linear).parameters["beta"].default
+
+
+def uniform_measure(lo: float, hi: float, level: float = 1.0,
+                    trunc: float = 0.0) -> LevyMeasureSpec:
+    return LevyMeasureSpec(UNIFORM, {"lo": lo, "hi": hi, "level": level}, trunc)
+
+
+# ---------------------------------------------------------------------------
+# mark-space calculus
+# ---------------------------------------------------------------------------
+
+def generator_symmetry_residual(jets: SimpleJets, measure: LevyMeasureSpec,
+                                f, fp, fpp, g, gp) -> float:
+    """int a[f] g dnu + 1/2 int xi f' g' dnu, with a[f] the `SimpleJets.ah`
+    of the jets' form weight and measure, applied to f instead of h.
+
+    Zero (within quadrature tolerance) whenever the boundary flux
+    xi m f' g of the test pair vanishes at both support endpoints; the
+    executable symmetry check of the generator formula.
+    """
+    af = replace(jets, h=f, hp=fp, hpp=fpp).ah
+    return float(compensator_integral(
+        measure, lambda u: af(u) * g(u) + 0.5 * jets.xi(u) * fp(u) * gp(u), 1.0))
+
+
+def symmetry_pair(measure: LevyMeasureSpec):
+    """A test pair (f, f', f'', g, g') whose flux vanishes at both endpoints
+    of the measure's support: f is the bump weight, g(u) = u."""
+    return (*scenarios._bump_weight(measure.lower, measure.upper),
+            lambda u: u, lambda u: 1.0)
+
+
+def sharp_coefficients(j: SimpleJets, marks: np.ndarray) -> np.ndarray:
+    """Per-jump loadings of the gradient: grad = sum_j coef_j * rho_j."""
+    if len(marks) == 0:
+        return np.empty(0)
+    return np.sqrt(j.xi(marks)) * j.hp(marks)
+
+
+def joint_se(dens) -> np.ndarray:
+    """Combined standard error of a `DensityEstimate`'s IBP and KDE columns."""
+    return np.sqrt(dens.ibp_se ** 2 + dens.kde_se ** 2)
+
+
+# ---------------------------------------------------------------------------
+# iterated gradients of mark sums, orders 1 to 3
+# ---------------------------------------------------------------------------
+
+def iterated_gradient_simple(h_flats, path: MarkedPoissonPath, blocks: np.ndarray,
+                             k: int) -> float:
+    """k-fold gradient of a simple integral of h over the jump measure.
+
+    h_flats[j-1](u) must be the j-fold application of f -> sqrt(xi) f' to
+    h, and blocks holds one replica of the path's rho-blocks, shape
+    (order, n_jumps, block_dim) with order >= k; the k-th gradient
+    realisation is the sum over jumps of h_flats[k-1](u_j) times the
+    product of the jump's first k auxiliary marks.
+    """
+    terms = gradient_terms(h_flats, path, k)
+    if blocks.shape[0] < k:
+        raise ValueError(f"needs rho-blocks of order >= {k}, got {blocks.shape[0]}")
+    return float(np.dot(terms, np.prod(blocks[:k, :, 0], axis=0)))
+
+
+def gradient_terms(h_flats, path: MarkedPoissonPath, k: int) -> np.ndarray:
+    """h_flats[k-1] at every mark of the path, after checking the order."""
+    if not 1 <= k <= 3:
+        raise ValueError("gradient order must be 1, 2 or 3")
+    if len(h_flats) < k:
+        raise CapabilityError(f"order-{k} gradient needs {k} mark jets, got {len(h_flats)}")
+    return np.asarray([h_flats[k - 1](u) for u in path.marks], dtype=float)
+
+
+# ---------------------------------------------------------------------------
+# norm identities
+# ---------------------------------------------------------------------------
+
+def pnorm_ratio(samples: np.ndarray, p: float, gamma: float | None = None) -> float:
+    """Ratio of the empirical p-norm of gradient samples to Gamma^(1/2).
+
+    With a Gaussian auxiliary basis the ratio estimates the Gaussian
+    p-moment constant; with a Rademacher basis it falls in the
+    hypercontractivity sandwich [1, (p-1)^(k/2)] for p > 2.
+    """
+    if p <= 1:
+        raise ValueError("p must exceed 1")
+    samples = np.asarray(samples, dtype=float).reshape(-1)
+    if gamma is None:
+        gamma = float(np.mean(samples ** 2))
+    if gamma <= 0:
+        raise ZeroDivisionError("zero energy: p-norm ratio undefined")
+    pnorm = float(np.mean(np.abs(samples) ** p)) ** (1.0 / p)
+    return pnorm / math.sqrt(gamma)

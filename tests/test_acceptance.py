@@ -17,10 +17,11 @@ from scipy.integrate import quad
 from lentparticle import cli, ensemble, ibp, lent, prm, report, scenarios, sde
 from lentparticle.measures import power_law, tauberian_fit
 from lentparticle.rng import TAG_RHO, RngStream
-from lentparticle.sde import SimpleJets, generator_symmetry_residual
+from lentparticle.sde import SimpleJets
 from lentparticle.diagnostics import small_ball_fit
 
-from test_lent import pnorm_ratio
+from oracles import (LINEAR_BETA, generator_symmetry_residual, joint_se, pnorm_ratio,
+                     sharp_coefficients, symmetry_pair)
 
 
 def _fixed_trajectory(name, seed=42, **kw):
@@ -66,12 +67,11 @@ def test_criterion_02_simple2d_exactness():
 def test_criterion_03_flow_algebra():
     """K Kbar = I at every event; exact product formula for linear jumps."""
     sc = scenarios.build("compound-linear")
-    beta = sc.meta["beta"]
     for i in range(1000):
         path = prm.sample_path(sc.measure, sc.horizon, RngStream(seed=9, path=i + 1))
         traj = sde.integrate(sc, path, order=1)
         assert traj.kk_err <= 1e-8      # max over events of |K Kbar - I|
-        prod = float(np.prod(1.0 + beta * path.marks))
+        prod = float(np.prod(1.0 + LINEAR_BETA * path.marks))
         assert traj.k[0, 0] == pytest.approx(prod, rel=1e-12)
 
 
@@ -125,7 +125,7 @@ def test_criterion_04_ibp_vs_characteristic_function(ens_power_100k):
     for e, sign in ((spec.lower, -1.0), (spec.upper, 1.0)):
         phi = float(sj.xi(e) * sj.hp(e) * spec.density(e))
         boundary += sign * sc.horizon * phi * (
-            f(x + sj.h(e)) / (gamma + sj.g1(e)) - f(x) / gamma)
+            f(x + sj.h(e)) / (gamma + sj.xi(e) * sj.hp(e) ** 2) - f(x) / gamma)
     corrected, se = _block_mean_se(bare + boundary)
     assert 3 * se <= 0.2 * abs(exact), f"3 SE {3 * se:.4f} vs oracle {exact:.4f}"
     assert abs(corrected - exact) < 3 * se, (
@@ -157,8 +157,8 @@ def test_criterion_05_adjoint_duality():
             rhs[i] = zv * ibp.delta(x_jet, y_jet, m, sc.horizon, sc.measure)
             if len(m):
                 r = rho[:, offsets[i]:offsets[i + 1]]
-                lhs[i] = np.mean((r @ ibp.sharp_coefficients(z_jet, m)) * xv
-                                 * (r @ ibp.sharp_coefficients(y_jet, m)))
+                lhs[i] = np.mean((r @ sharp_coefficients(z_jet, m)) * xv
+                                 * (r @ sharp_coefficients(y_jet, m)))
         joint = math.hypot(lhs.std(ddof=1), rhs.std(ddof=1)) / math.sqrt(n_paths)
         assert abs(lhs.mean() - rhs.mean()) < 3 * joint
 
@@ -180,7 +180,7 @@ def test_criterion_07_norm_identities():
     """Gaussian-basis 4-norm constant; Rademacher hypercontractive sandwich."""
     sc = scenarios.build("compound", weight="bump")
     path = prm.sample_path(sc.measure, sc.horizon, RngStream(seed=1, path=1))
-    coef = ibp.sharp_coefficients(sc.simple, path.marks)
+    coef = sharp_coefficients(sc.simple, path.marks)
     gamma = float(np.sum(coef ** 2))
     gen = RngStream(seed=1, path=1).child(tag=TAG_RHO).generator()
     gauss = gen.standard_normal((10_000, len(coef))) @ coef
@@ -209,8 +209,7 @@ def test_criterion_09_generator_symmetry():
     """Mark-space generator (`SimpleJets.ah`) is symmetric on each weight's test pair."""
     for kw in ({}, {"weight": "bump"}):
         sc = scenarios.build("compound", **kw)
-        f, fp, fpp, g, gp = sc.meta["symmetry_pair"]
-        res = generator_symmetry_residual(sc.simple, sc.measure, f, fp, fpp, g, gp)
+        res = generator_symmetry_residual(sc.simple, sc.measure, *symmetry_pair(sc.measure))
         assert abs(res) < 1e-6, (kw, res)
 
 
@@ -223,7 +222,7 @@ def test_criterion_10_density_consistency():
     grid = np.linspace(mu - 4 * sd, mu + 4 * sd, 41)
     dens = ibp.density_ibp(ens.x, w1, grid)
     assert abs(dens.mass() - 1.0) < 0.02
-    assert np.all(np.abs(dens.ibp - dens.kde) <= 3 * dens.joint_se())
+    assert np.all(np.abs(dens.ibp - dens.kde) <= 3 * joint_se(dens))
 
 
 def test_criterion_11_reproducibility(tmp_path):

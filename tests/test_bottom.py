@@ -10,8 +10,10 @@ from lentparticle.bottom import EuclideanBottom, WienerOUBottom, WienerSquareBot
 from lentparticle.measures import power_law
 from lentparticle.prm import JumpLanes, MarkedPoissonPath, nested_grid, sample_path
 from lentparticle.rng import RngStream
-from lentparticle.sde import SimpleJets, generator_symmetry_residual
+from lentparticle.sde import SimpleJets, integrate_batch
 from lentparticle import scenarios
+
+from oracles import generator_symmetry_residual, symmetry_pair
 
 SPEC = power_law(0.5, ymax=1.0, trunc=0.01)
 
@@ -27,27 +29,31 @@ def _jets(h, hp, hpp):
 # Euclidean quadratic form
 # ---------------------------------------------------------------------------
 
+def _gamma(bottom, s, x, ev):
+    return bottom.jump_matrices(s, x, ev)[0]
+
+
 def test_gamma_unit_derivative():
     b = EuclideanBottom(xi=lambda u: 1.0, c_u=lambda s, x, u: np.array([1.0]))
-    assert b.gamma_c(0.0, np.zeros(1), 0.3) == pytest.approx(np.array([[1.0]]))
+    assert _gamma(b, 0.0, np.zeros(1), 0.3) == pytest.approx(np.array([[1.0]]))
 
 
 def test_gamma_two_components():
     b = EuclideanBottom(xi=lambda u: 1.0, c_u=lambda s, x, u: np.array([1.0, u]))
     u = 0.4
-    np.testing.assert_allclose(b.gamma_c(0.0, np.zeros(2), u),
+    np.testing.assert_allclose(_gamma(b, 0.0, np.zeros(2), u),
                                [[1.0, u], [u, u * u]], atol=1e-14)
 
 
 def test_gamma_weighted():
     b = EuclideanBottom(xi=lambda u: u * u, c_u=lambda s, x, u: np.array([1.0]))
-    assert b.gamma_c(0.0, np.zeros(1), 0.5)[0, 0] == pytest.approx(0.25)
+    assert _gamma(b, 0.0, np.zeros(1), 0.5)[0, 0] == pytest.approx(0.25)
 
 
 def test_gamma_psd_at_probes(rng):
     b = EuclideanBottom(xi=lambda u: u * u, c_u=lambda s, x, u: np.array([1.0, math.cos(u)]))
     for u in rng.uniform(0.01, 1.0, 20):
-        w = np.linalg.eigvalsh(b.gamma_c(0.0, np.zeros(2), u))
+        w = np.linalg.eigvalsh(_gamma(b, 0.0, np.zeros(2), u))
         assert w[0] >= -1e-10
 
 
@@ -68,8 +74,7 @@ def test_generator_power_weight_closed_form():
 
 def test_generator_symmetry_on_vanishing_flux_pair():
     sc = scenarios.build("compound", weight="bump")
-    f, fp, fpp, g, gp = sc.meta["symmetry_pair"]
-    res = generator_symmetry_residual(sc.simple, sc.measure, f, fp, fpp, g, gp)
+    res = generator_symmetry_residual(sc.simple, sc.measure, *symmetry_pair(sc.measure))
     assert abs(res) < 1e-6
 
 
@@ -80,16 +85,15 @@ def test_generator_symmetry_on_vanishing_flux_pair():
 def test_flat_zero_derivative():
     b = EuclideanBottom(xi=lambda u: u * u, c_u=lambda s, x, u: np.array([0.0]))
     rho = np.array([1.7])
-    assert b.flat_matrix(0.0, np.zeros(1), 0.4) @ rho == pytest.approx(np.array([0.0]))
+    assert b.jump_matrices(0.0, np.zeros(1), 0.4)[1] @ rho == pytest.approx(np.array([0.0]))
 
 
 def test_flat_moments_match_gamma(rng):
     b = EuclideanBottom(xi=lambda u: u * u, c_u=lambda s, x, u: np.array([1.0, math.sin(u)]))
     for u in rng.uniform(0.05, 1.0, 5):
-        mat = b.flat_matrix(0.0, np.zeros(2), u)
+        gam, mat = b.jump_matrices(0.0, np.zeros(2), u)
         draws = (mat @ rng.standard_normal((1, 10_000))).T
         emp = draws.T @ draws / len(draws)
-        gam = b.gamma_c(0.0, np.zeros(2), u)
         # entrywise SE of a Gaussian product moment is <= sqrt(3)*max|gamma|/sqrt(n)
         tol = 3.0 * math.sqrt(3.0) * np.abs(gam).max() / math.sqrt(len(draws))
         assert np.max(np.abs(emp - gam)) < tol
@@ -125,13 +129,25 @@ def test_wiener_square_closed_forms():
                                       path.marks[:2]))
     y, bv = ev.y, ev.b
     np.testing.assert_array_equal(y, path.marks[:2])
-    np.testing.assert_allclose(b.gamma_c(s, x, ev),
+    np.testing.assert_allclose(_gamma(b, s, x, ev),
                                np.moveaxis([[y, y * bv], [y * bv, y * bv * bv]], -1, 0),
                                atol=1e-15)
-    flat = b.flat_matrix(s, x, ev)
-    assert flat.shape == (2, 2, 1)
-    np.testing.assert_allclose(flat @ flat.transpose(0, 2, 1), b.gamma_c(s, x, ev), atol=1e-14)
     np.testing.assert_allclose(b.coefficient(ev), np.stack([bv, 0.5 * bv ** 2], -1))
+
+
+@pytest.mark.parametrize("name", sorted(scenarios.CATALOG))
+def test_jump_matrices_injector_squares_to_gamma(name):
+    # the one bottom contract, as the event loop records it: the injector
+    # of every jump is a square root of its quadratic-form matrix
+    sc = scenarios.build(name)
+    d, block_dim = sc.dim, sc.bottom.block_dim
+    batch = integrate_batch(sc, 5, RngStream(seed=31))
+    assert batch.jumps
+    for rec in batch.jumps:
+        m = len(rec.lanes)
+        assert rec.gamma.shape == (m, d, d) and rec.flat.shape == (m, d, block_dim)
+        err = np.abs(rec.flat @ rec.flat.transpose(0, 2, 1) - rec.gamma).max()
+        assert err <= 1e-12 * np.abs(rec.gamma).max(), (rec.event, err)
 
 
 def test_wiener_square_eval_reproducible():

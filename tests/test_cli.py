@@ -581,6 +581,82 @@ def test_report_rederives_density_mass(tmp_path, capsys):
     assert cli.main(["report", out]) == cli.EXIT_NUMERIC
 
 
+def _config_dir(tmp_path):
+    return ["run", str(tmp_path)]
+
+
+def _config_not_utf8(tmp_path):
+    path, _ = _config(tmp_path, "latin1", params={"weight": "bump"})
+    path.write_bytes(path.read_bytes().replace(b"bump", "bümp".encode("latin-1")))
+    return ["run", str(path)]
+
+
+def _outputs_dir_is_a_file(tmp_path):
+    (tmp_path / "taken").write_text("")
+    path, _ = _config(tmp_path, "taken-dir", outputs={"dir": str(tmp_path / "taken")})
+    return ["run", str(path)]
+
+
+def _outputs_dir_under_a_file(tmp_path):
+    (tmp_path / "taken").write_text("")
+    path, _ = _config(tmp_path, "under", outputs={"dir": str(tmp_path / "taken" / "out")})
+    return ["crosscheck", str(path)]
+
+
+def _outputs_dir_dangling_link(tmp_path):
+    (tmp_path / "link").symlink_to(tmp_path / "nowhere")
+    path, _ = _config(tmp_path, "link-dir", outputs={"dir": str(tmp_path / "link")})
+    return ["run", str(path)]
+
+
+def _svg_not_boolean(tmp_path):
+    path, _ = _config(tmp_path, "svg", outputs={"svg": "no"})
+    return ["run", str(path)]
+
+
+def _run_dir(tmp_path, report_text, density_text=None):
+    (tmp_path / "report.json").write_text(report_text)
+    if density_text is not None:
+        (tmp_path / "density.csv").write_text(density_text)
+    return ["report", str(tmp_path)]
+
+
+_MASS = json.dumps({"estimates": {"density_mass": {"value": 1.0, "se": 0.0, "n": 1}}})
+
+UNREADABLE_INPUTS = {
+    "config-is-a-directory": (_config_dir, "Is a directory"),
+    "config-not-utf8": (_config_not_utf8, "not UTF-8"),
+    "outputs-dir-is-a-file": (_outputs_dir_is_a_file, "outputs.dir"),
+    "outputs-dir-under-a-file": (_outputs_dir_under_a_file, "outputs.dir"),
+    "outputs-dir-dangling-link": (_outputs_dir_dangling_link, "outputs.dir"),
+    "outputs-svg-not-boolean": (_svg_not_boolean, "outputs.svg"),
+    "report-bad-json": (lambda t: _run_dir(t, '{"estimates": '), "report.json"),
+    "report-not-an-object": (lambda t: _run_dir(t, "[1, 2]"), "report.json"),
+    "report-mass-not-a-number": (
+        lambda t: _run_dir(t, '{"estimates": {"density_mass": {"value": "1"}}}', ""),
+        "report.json"),
+    "density-non-numeric-cell": (lambda t: _run_dir(t, _MASS, "grid,ibp\n0.0,abc\n"),
+                                 "density.csv"),
+    "density-ragged-row": (lambda t: _run_dir(t, _MASS, "grid,ibp\n0.0,1.0\n0.5\n"),
+                           "density.csv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_INPUTS))
+def test_unreadable_inputs_are_schema_errors(tmp_path, capsys, monkeypatch, case):
+    # each exits 2 with one stderr line naming what it could not use, and
+    # draws no path
+    make, named = UNREADABLE_INPUTS[case]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no path may be drawn")
+
+    monkeypatch.setattr(cli, "_fan_out", refuse)
+    code, err = _exit_and_stderr(capsys, make(tmp_path))
+    assert code == cli.EXIT_SCHEMA, err
+    assert len(err.splitlines()) == 1 and named in err, err
+
+
 def test_golden_small_run(tmp_path):
     """Frozen end-to-end numbers for a small reference run."""
     path, cfg = _config(tmp_path, "golden",

@@ -1,9 +1,10 @@
 """Config fuzzing of the exit-code contract: every input exits 0, 2, 3 or 4,
-and an ill-typed or out-of-range run field exits 2.
+and an ill-typed or out-of-range run field or outputs.svg exits 2.
 
 Configs mix valid values with hostile ones (NaN, infinities, wrong types,
-out-of-range numbers, a sigma0 that is no 2x2 matrix, a jump intensity of
-~1e8 per path, unknown keys and scenarios) and run `cli.main` in-process.
+out-of-range numbers, a sigma0 that is no 2x2 matrix, an outputs.svg that
+is no boolean, a jump intensity of ~1e8 per path, unknown keys and
+scenarios) and run `cli.main` in-process.
 Valid values are bounded so that no config asks for more than a few dozen
 jumps per path: the contract is about how a run ends, not about its size.
 """
@@ -26,6 +27,8 @@ HOSTILE = [math.nan, math.inf, -math.inf, -1.0, 0.0, 1.5, 2, "x", True, None, [0
 # values no run field (seed, paths, rho_replicas, workers) accepts; JSON
 # booleans among them, which Python's isinstance(True, int) would let in
 HOSTILE_RUN = [math.nan, 2.0, 0.5, "x", True, False, None, [1]]
+# values outputs.svg, a JSON boolean, does not accept
+HOSTILE_SVG = ["no", "true", 0, 1, None, [True]]
 HOSTILE_SIGMA0 = [{"a": 1}, [[1.0]], [[0.3, 0.0]], [[0.3, 0.0], [0.1, 0.2, 0.0]]]
 INTENSE = {"eps": 0.99, "trunc": 1e-9}     # measure mass 8.2e8 on (1e-9, 1]
 
@@ -47,7 +50,7 @@ def invocations(draw):
     command = draw(st.sampled_from(["run", "validate", "crosscheck", "tauber"]))
     name = draw(st.sampled_from(sorted(scenarios.CATALOG)))
     spoil = draw(st.sampled_from([None, "params", "run", "missing", "unknown", "scenario",
-                                  "sigma0", "intensity"]))
+                                  "sigma0", "intensity", "svg"]))
     if spoil == "sigma0" or command == "crosscheck" and draw(st.booleans()):
         name = "subordination-linear"       # the one scenario crosscheck takes
     keys = list(cli.TAUBER_PARAMS) if command == "tauber" else [
@@ -69,10 +72,11 @@ def invocations(draw):
         params["bogus"] = 1
     elif spoil == "scenario":
         name = "nope"
-    expect = {cli.EXIT_SCHEMA} if spoil == "run" else {
+    svg = draw(st.sampled_from(HOSTILE_SVG) if spoil == "svg" else st.booleans())
+    expect = {cli.EXIT_SCHEMA} if spoil in ("run", "svg") else {
         cli.EXIT_OK, cli.EXIT_SCHEMA, cli.EXIT_HYPOTHESIS, cli.EXIT_NUMERIC}
     return command, {"scenario": name, "params": params, "run": run,
-                     "outputs": {"svg": draw(st.booleans())}}, expect
+                     "outputs": {"svg": svg}}, expect
 
 
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)

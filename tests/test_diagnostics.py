@@ -157,7 +157,7 @@ def test_hypothesis_probe_scan_matches_probe_loop():
     i = int(np.argmin(dets))
     worst = (float(ss[i]), (float(xs[i, 0]),), float(us[i]))
     jet = max(float(np.max(np.abs(sc.c(*p)))) for p in probes)
-    details = {item.name: item.detail for item in hypothesis_report(sc, seed=0).items}
+    details = {item.name: item.detail for item in hypothesis_report(sc).items}
     assert details["state-Jacobian invertibility (I + D_x c nonsingular)"] == (
         f"min |det| over probes = {dets[i]:.3e} at {worst}")
     assert details["coefficient boundedness over probe box"] == f"max |c| = {jet:.3g}"

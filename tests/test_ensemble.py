@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from lentparticle import ensemble, measures, scenarios
-from lentparticle.measures import TABULATED, LevyMeasureSpec, total_mass, uniform_measure
+from lentparticle.measures import TABULATED, LevyMeasureSpec, total_mass
 from lentparticle.prm import sample_path
 from lentparticle.rng import (MASK64, TAG_MARK, TAG_RHO, RngStream, _M0, _M1, _mulhilo,
                               _philox4x64, philox_random)
+
+from oracles import uniform_measure
 
 
 def per_path_mark_sets(scenario, n_paths, stream, path_offset=0):

@@ -19,6 +19,8 @@ from lentparticle.ibp import (WeightResult, bracket, delta, density_ibp, expecta
 from lentparticle.rng import RngStream
 from lentparticle.sde import SimpleJets
 
+from oracles import joint_se
+
 
 def _cf_oracle(spec):
     """E[cos(X_T - x0)] for the mark-sum state, by quadrature."""
@@ -155,7 +157,7 @@ def test_density_structure(ens_bump_100k):
     assert np.all(dens.ibp_se > 0) and np.all(dens.kde >= 0)
     assert abs(dens.mass() - 1.0) < 0.1
     # the two half-width envelopes combine
-    assert np.all(dens.joint_se() >= dens.ibp_se)
+    assert np.all(joint_se(dens) >= dens.ibp_se)
 
 
 @pytest.mark.parametrize("n", [2, 10, 1_000, 50_000])

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from lentparticle import scenarios
-from lentparticle.lent import (empirical_gamma, gamma_k_simple, gradient_samples,
-                               iterated_gradient_simple, malliavin_matrix)
-from lentparticle.ibp import sharp_coefficients
+from lentparticle.lent import empirical_gamma, gradient_samples, malliavin_matrix
 from lentparticle.measures import power_law
 from lentparticle.prm import GAUSSIAN, RADEMACHER, MarkedPoissonPath, rho_blocks, sample_path
 from lentparticle.rng import TAG_RHO, RngStream
 from lentparticle.sde import integrate
+
+from oracles import (LINEAR_BETA, gradient_terms, iterated_gradient_simple, pnorm_ratio,
+                     sharp_coefficients)
 
 SPEC = power_law(0.5, ymax=1.0, trunc=0.01)
 
@@ -46,7 +47,7 @@ def test_matrix_conjugation_consistency():
     # sum of the per-jump matrices, each scaled by that product squared
     sc, path, traj = _traj("compound-linear", seed=4)
     mm = malliavin_matrix(traj)
-    after = np.append(np.cumprod((1.0 + sc.meta["beta"] * path.marks)[::-1])[::-1][1:], 1.0)
+    after = np.append(np.cumprod((1.0 + LINEAR_BETA * path.marks)[::-1])[::-1][1:], 1.0)
     assert path.n_jumps > 0
     alt = sum(a ** 2 * rec.gamma[0] for a, rec in zip(after, traj.jumps))
     assert np.max(np.abs(mm.gamma - alt)) < 1e-10 * max(1.0, np.abs(mm.gamma).max())
@@ -107,6 +108,19 @@ def test_gradient_jumpless_path_draws_nothing(monkeypatch):
 # iterated gradients of mark sums
 # ---------------------------------------------------------------------------
 
+def gamma_k_simple(h_flats, path: MarkedPoissonPath, k: int,
+                   n_replicas: int, stream: RngStream, basis: str = GAUSSIAN) -> float:
+    """Order-k energy of a simple integral, by averaging squared gradients.
+
+    The terms h_flats[k-1](u_j) are evaluated once and contracted with
+    every replica's products of auxiliary marks.
+    """
+    terms = gradient_terms(h_flats, path, k)
+    blocks = rho_blocks(stream, range(1, n_replicas + 1), (k, path.n_jumps, 1), basis)
+    vals = np.prod(blocks[:, :, :, 0], axis=1) @ terms
+    return float(np.mean(vals ** 2))
+
+
 def _flats(sc):
     sj = sc.simple
     flat1 = lambda u: math.sqrt(sj.xi(u)) * sj.hp(u)
@@ -158,24 +172,6 @@ def gaussian_kappa(p: float) -> float:
         raise ValueError("p must be positive")
     log_m = (p / 2) * math.log(2.0) + math.lgamma((p + 1) / 2) - 0.5 * math.log(math.pi)
     return math.exp(log_m / p)
-
-
-def pnorm_ratio(samples: np.ndarray, p: float, gamma: float | None = None) -> float:
-    """Ratio of the empirical p-norm of gradient samples to Gamma^(1/2).
-
-    With a Gaussian auxiliary basis the ratio estimates the Gaussian
-    p-moment constant; with a Rademacher basis it falls in the
-    hypercontractivity sandwich [1, (p-1)^(k/2)] for p > 2.
-    """
-    if p <= 1:
-        raise ValueError("p must exceed 1")
-    samples = np.asarray(samples, dtype=float).reshape(-1)
-    if gamma is None:
-        gamma = float(np.mean(samples ** 2))
-    if gamma <= 0:
-        raise ZeroDivisionError("zero energy: p-norm ratio undefined")
-    pnorm = float(np.mean(np.abs(samples) ** p)) ** (1.0 / p)
-    return pnorm / math.sqrt(gamma)
 
 
 def test_gaussian_kappa_values():

@@ -14,8 +14,10 @@ from lentparticle.measures import (QK21_GAUSS, QK21_KRONROD, QK21_NODES,
                                    compensator_integral, laplace_exponent,
                                    mark_cdf, mark_quantile, power_law,
                                    small_ball_params, tauberian_fit,
-                                   total_mass, uniform_measure)
+                                   total_mass)
 from lentparticle.rng import RngStream
+
+from oracles import uniform_measure
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,15 @@ derives from the library's return values are checked here too.
 """
 
 import importlib.util
+import inspect
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from lentparticle import cli, lent, prm, scenarios, sde
+from lentparticle import cli, ensemble, ibp, lent, prm, report, scenarios, sde
+from lentparticle.bottom import WienerOUBottom
 from lentparticle.rng import RngStream
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -99,3 +101,30 @@ def test_traced_pathwise_counters_match_trajectories(wl, spans):
     assert counts["sde.integrate.events"] == counts["sde.integrate.order2_events"] == events
     assert counts["sde.integrate.jumps"] == jumps == sums["jumps"] > 0
     assert counts["lent.gradient_samples.replicas"] == replicas == n * w.rho_replicas
+
+
+# What the benchmark reaches by name: the parameters its span counters read
+# from each traced call, and the callables its workloads use.  It wraps
+# whatever exists, so a cut here would zero a per-layer row or break a
+# counter without failing a run
+BENCH_READS = {
+    (sde, "integrate"): ("order",),
+    (WienerOUBottom, "evolve"): ("incs",),
+    (lent, "gradient_samples"): ("n_replicas",),
+    (ensemble, "sample_mark_sets"): ("n_paths",),
+    (report, "write_csv"): ("dest",),
+    (report, "svg_line_chart"): ("dest",),
+    (report.RunReport, "dump"): ("dest",),
+    (ibp, "delta"): (),
+    (ibp, "functional_value"): (),
+    (sde.Trajectory, "a_final"): (),
+}
+
+
+@pytest.mark.parametrize("owner, name", list(BENCH_READS),
+                         ids=lambda v: getattr(v, "__name__", v))
+def test_names_the_benchmark_reads_exist(owner, name):
+    assert hasattr(owner, name)
+    params = BENCH_READS[owner, name]
+    if params:
+        assert set(params) <= set(inspect.signature(getattr(owner, name)).parameters)

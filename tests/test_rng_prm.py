@@ -9,13 +9,14 @@ import pytest
 from scipy.stats import kstest
 
 from lentparticle import cli, scenarios, sde
-from lentparticle.lent import iterated_gradient_simple
 from lentparticle.measures import (TABULATED, LevyMeasureSpec, mark_quantile, power_law,
                                    total_mass)
 from lentparticle.prm import (GAUSSIAN, RADEMACHER, JumpLanes, nested_increments, rho_blocks,
                               sample_path, sample_paths)
 from lentparticle.rng import (TAG_MARK, TAG_NESTED, TAG_NOISE, TAG_RHO, TAG_TIME, RngStream,
                               normal_quantile)
+
+from oracles import iterated_gradient_simple
 
 SPEC = power_law(0.5, ymax=1.0, trunc=0.01)   # mass 18
 

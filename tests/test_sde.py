@@ -16,6 +16,8 @@ from lentparticle.prm import GAUSSIAN, JumpLanes, MarkedPoissonPath, rho_blocks,
 from lentparticle.rng import RngStream
 from lentparticle.sde import EventError, Scenario, SimpleJets, integrate, integrate_batch
 
+from oracles import LINEAR_BETA
+
 SPEC = power_law(0.5, ymax=1.0, trunc=0.01)
 
 
@@ -75,7 +77,7 @@ def test_flow_product_formula():
     sc = scenarios.build("compound-linear")
     path = sample_path(sc.measure, sc.horizon, RngStream(seed=5, path=1))
     traj = integrate(sc, path, order=1)
-    prod = float(np.prod(1.0 + sc.meta["beta"] * path.marks))
+    prod = float(np.prod(1.0 + LINEAR_BETA * path.marks))
     assert traj.k[0, 0] == pytest.approx(prod, rel=1e-13)
     assert traj.kk_err <= 1e-12         # so Kbar = 1 / prod as well
 
@@ -365,9 +367,9 @@ def per_path_integrate(sc, path):
             ev = _lane(sc.bottom.eval_jumps(np.array([s]), x[None], lanes))
             cval = np.atleast_1d(np.asarray(sc.c(s, x, ev), dtype=float))
             jac = np.eye(d) + np.asarray(sc.dx_c(s, x, ev), dtype=float).reshape(d, d)
-            gamma = sc.bottom.gamma_c(s, x, ev)
+            gamma, flat = sc.bottom.jump_matrices(s, x, ev)
             K = jac @ K
-            jumps.append((k, ev, jac, gamma, sc.bottom.flat_matrix(s, x, ev), K))
+            jumps.append((k, ev, jac, gamma, flat, K))
             Kb = Kb @ np.linalg.inv(jac)
             C = C + Kb @ gamma @ Kb.T
             x = x + cval

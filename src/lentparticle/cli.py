@@ -28,7 +28,7 @@ import numpy as np
 
 from . import diagnostics, ensemble, ibp, lent, prm, report, scenarios, sde
 from .ibp import _mean_se
-from .measures import (InfiniteMassError, NonIntegrableError, power_law, small_ball_params,
+from .measures import (InfiniteMassError, LevyMeasureSpec, NonIntegrableError, small_ball_params,
                        tauberian_fit, total_mass)
 from .rng import TAG_NOISE, RngStream, normal_quantile
 
@@ -165,7 +165,7 @@ def check_param_ranges(config: dict, command: str):
     eps, trunc, horizon, ymax = values.values()
     if not 0.0 < eps < 1.0:
         raise ValueError(
-            f"params.eps = {eps} out of range: the power-law family needs "
+            f"params.eps = {eps} out of range: the power-law jump measure needs "
             "0 < eps < 1 for the Laplace-exponent asymptotics to apply")
     if trunc < 0:
         raise ValueError("params.trunc must be >= 0")
@@ -181,7 +181,7 @@ def check_jump_count(config: dict, command: str):
     MAX_JUMPS_PER_PATH (hypothesis-level, exit 3); needs check_param_ranges."""
     eps, trunc, horizon, ymax = _range_values(config, command).values()
     try:
-        jumps = horizon * total_mass(power_law(eps, ymax=ymax, trunc=trunc))
+        jumps = horizon * total_mass(LevyMeasureSpec(eps, ymax=ymax, trunc=trunc))
     except (InfiniteMassError, OverflowError):
         jumps = math.inf
     if not jumps <= MAX_JUMPS_PER_PATH:
@@ -475,7 +475,7 @@ def tauber_pipeline(config: dict) -> report.RunReport:
     run = config["run"]
     psi_name, eps, ymax, horizon = (params.get(key, default)
                                     for key, (_, default) in TAUBER_PARAMS.items())
-    spec = power_law(eps, ymax=ymax, trunc=0.0)
+    spec = LevyMeasureSpec(eps, ymax=ymax)
     psi = {"y": lambda y: y, "y2": lambda y: y ** 2}[psi_name]
     rep = report.RunReport(config=config)
 
@@ -534,9 +534,34 @@ def validate_pipeline(config: dict) -> tuple[int, dict]:
     return EXIT_OK, body
 
 
+def _density_estimates(header, rows) -> dict:
+    """{estimate: (value, None, tolerance)} re-derived from density.csv; the
+    grid has no count to check against the estimate's n."""
+    if len(header) < 2:
+        raise ValueError("needs the grid and ibp columns")
+    mass = float(np.trapezoid(rows[:, 1], rows[:, 0]))
+    return {"density_mass": (mass, None, 1e-9 * abs(mass) + 1e-12)}
+
+
+def _states_estimates(header, rows) -> dict:
+    """{estimate: (value, n, tolerance)} re-derived from states.csv."""
+    d = len(header) - 2
+    if header != [f"x{i}" for i in range(d)] + ["kk_err", "gamma_min_eig"] or not len(rows):
+        raise ValueError("needs rows of x0, x1, ..., kk_err, gamma_min_eig")
+    # a cell carries 12 significant digits, so a mean is off by at most
+    # 5e-12 of its column's mean magnitude
+    x, kk, n = rows[:, :d], float(rows[:, d].max()), len(rows)
+    out = {f"mean_x{i}": (float(m), n, 1e-9 * float(a) + 1e-12)
+           for i, (m, a) in enumerate(zip(x.mean(axis=0), np.abs(x).mean(axis=0)))}
+    out["max_flow_inverse_error"] = (kk, n, 1e-9 * abs(kk) + 1e-12)
+    return out
+
+
 def report_pipeline(run_dir: str) -> int:
     """Re-derive summary numbers from the CSVs and check them against the
-    stored report; prints the summary."""
+    stored report; prints the summary.  `density.csv` gives density_mass;
+    `states.csv`, on a trajectory run, gives every mean_x{i} and
+    max_flow_inverse_error, whose n must equal its row count."""
     run_dir = Path(run_dir)
     rep_path = run_dir / "report.json"
     if not rep_path.exists():
@@ -546,29 +571,33 @@ def report_pipeline(run_dir: str) -> int:
         estimates = report.report_body(rep_path).get("estimates")
         if not isinstance(estimates, dict):
             raise ValueError("no estimates object")
-        entry = estimates.get("density_mass")
-        stored = entry.get("value") if isinstance(entry, dict) else None
-        if entry is not None and not _is_float(stored):
-            raise ValueError("density_mass has no numeric value")
+        for key, entry in estimates.items():
+            if not (isinstance(entry, dict) and _is_float(entry.get("value"))
+                    and _is_int(entry.get("n"))):
+                raise ValueError(f"{key} has no numeric value and count")
     except (OSError, ValueError) as e:      # ValueError: bad JSON or UTF-8 too
         print(f"unreadable report {rep_path}: {e}", file=sys.stderr)
         return EXIT_SCHEMA
     print(json.dumps(estimates, indent=2, sort_keys=True))
-    dens_path = run_dir / "density.csv"
-    if dens_path.exists() and stored is not None:
+    # each table is checked when the report holds its key
+    for name, key, rederive in (("density.csv", "density_mass", _density_estimates),
+                                ("states.csv", "max_flow_inverse_error", _states_estimates)):
+        path = run_dir / name
+        if key not in estimates or not path.exists():
+            continue
         try:
-            header, rows = report.read_csv(dens_path)
-            if len(header) < 2:
-                raise ValueError("needs the grid and ibp columns")
+            derived = rederive(*report.read_csv(path))
         except (OSError, ValueError) as e:
-            print(f"unreadable density table {dens_path}: {e}", file=sys.stderr)
+            print(f"unreadable table {path}: {e}", file=sys.stderr)
             return EXIT_SCHEMA
-        mass = float(np.trapezoid(rows[:, 1], rows[:, 0]))
-        if not math.isclose(mass, stored, rel_tol=1e-9, abs_tol=1e-12):
-            print(f"density mass mismatch: csv {mass} vs report {stored}",
-                  file=sys.stderr)
-            return EXIT_NUMERIC
-        print(f"density mass from CSV: {mass:.6f} (matches report)")
+        for est, (value, n, tol) in derived.items():
+            entry = estimates.get(est, {"value": math.nan})
+            if not (abs(entry["value"] - value) <= tol and n in (None, entry.get("n"))):
+                rows = f" from {n} rows" if n else ""
+                print(f"{name} does not match the report: {est} {value}{rows}, stored {entry}",
+                      file=sys.stderr)
+                return EXIT_NUMERIC
+            print(f"{est.replace('_', ' ')} from CSV: {value:.6g} (matches report)")
     return EXIT_OK
 
 

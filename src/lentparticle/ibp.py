@@ -75,7 +75,6 @@ def delta(x_jet: SimpleJets, y_jet: SimpleJets, marks: np.ndarray, t: float,
 
 @dataclass
 class WeightResult:
-    order: int
     values: np.ndarray         # per-path weights, 0 where rejected
     accepted: np.ndarray       # boolean mask
     n_rejected: int
@@ -113,12 +112,12 @@ def weight(ens: SimpleEnsemble, order: int) -> WeightResult:
     z1 = -2.0 * ens.a / gs + ens.g2 / gs ** 2
     if order == 1:
         vals = np.where(ok, z1, 0.0)
-        return WeightResult(1, vals, ok, n_rej)
+        return WeightResult(vals, ok, n_rej)
     br_z1_x = (-2.0 * ens.xa / gs + 2.0 * ens.a * ens.g2 / gs ** 2
                + ens.xg2 / gs ** 2 - 2.0 * ens.g2 ** 2 / gs ** 3)
     z2 = -2.0 * z1 * ens.a / gs - br_z1_x / gs + z1 * ens.g2 / gs ** 2
     vals = np.where(ok, z2, 0.0)
-    return WeightResult(2, vals, ok, n_rej)
+    return WeightResult(vals, ok, n_rej)
 
 
 @dataclass

@@ -3,8 +3,8 @@
 Route one is deterministic: conjugate the per-jump accumulator by the
 final flow derivative, Gamma = K_T (sum_j Kbar_j gamma[c]_j Kbar_j^T) K_T^T,
 with Kbar_j the running inverse flow the event loop carries past jump j.
-Route two is Monte Carlo: enrich every jump with an auxiliary zero-mean
-mark block rho_j and form the lent-particle gradient
+Route two is Monte Carlo: enrich every jump with an auxiliary block rho_j
+of standard normal marks and form the lent-particle gradient
 
     X#_T = K_T sum_j K_{T_j}^-1 c_flat_j rho_j,
 
@@ -19,26 +19,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prm import GAUSSIAN, rho_blocks
+from .prm import rho_blocks
 from .rng import RngStream
 from .sde import Scenario, Trajectory
 
 
 @dataclass
 class MalliavinMatrix:
-    """Covariance matrix of the state at time t."""
+    """Covariance matrix of the state at the horizon."""
 
-    t: float
     gamma: np.ndarray
 
 
 def malliavin_matrix(traj: Trajectory) -> MalliavinMatrix:
     """Exact finite-sum covariance K C K^T at the trajectory's horizon."""
-    return MalliavinMatrix(t=traj.scenario.horizon, gamma=traj.gamma)
+    return MalliavinMatrix(gamma=traj.gamma)
 
 
 def gradient_samples(scenario: Scenario, traj: Trajectory, n_replicas: int,
-                     stream: RngStream, basis: str = GAUSSIAN) -> np.ndarray:
+                     stream: RngStream) -> np.ndarray:
     """Batch of independent gradient realisations, shape (n_replicas, d).
 
     Replica r draws its blocks from the replica-indexed sub-stream, so the
@@ -49,7 +48,7 @@ def gradient_samples(scenario: Scenario, traj: Trajectory, n_replicas: int,
     if not traj.jumps:
         return np.zeros((n_replicas, scenario.dim))
     blocks = rho_blocks(stream, range(1, n_replicas + 1),
-                        (len(traj.jumps), scenario.bottom.block_dim), basis)
+                        (len(traj.jumps), scenario.bottom.block_dim))
     k, flat, index = (np.concatenate([getattr(rec, key) for rec in traj.jumps])
                       for key in ("k", "flat", "index"))
     inj = np.linalg.solve(k, flat).transpose(0, 2, 1).reshape(-1, scenario.dim)

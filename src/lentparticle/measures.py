@@ -1,11 +1,10 @@
-"""Analytic layer for jump intensity measures.
+"""Analytic layer for the jump intensity measure.
 
-Supports a small set of one-dimensional measure families on the positive
-half line: power-law densities y^(-1-eps), uniform densities on an
-interval, and user-tabulated densities.  A lower truncation cutoff turns
-infinite-activity measures into finite ones; everything downstream
-(Poisson counts, mark sampling, compensators) works on the truncated
-measure.
+The jump measure is the truncated power law: density y^(-1-eps) on
+(trunc, ymax] of the positive half line, with 0 < eps < 1.  Without the
+lower cutoff it has infinite activity; everything downstream (Poisson
+counts, mark sampling, compensators) works on the truncated measure, in
+closed form where one exists.
 
 Also hosts the Laplace-exponent / Tauberian machinery used by the
 small-ball smoothness diagnostics, and the one quadrature every integral
@@ -14,10 +13,9 @@ against a measure goes through (`_quad`).
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,10 +53,6 @@ QK21_GAUSS = np.concatenate([_WG, _WG[-2::-1]])
 _QK21_WEIGHTS = np.stack([QK21_KRONROD, QK21_GAUSS])
 _EPMACH = np.finfo(float).eps
 
-POWER = "power"
-UNIFORM = "uniform"
-TABULATED = "tabulated"
-
 
 class InfiniteMassError(ValueError):
     """Raised when the truncated measure has infinite total mass."""
@@ -70,53 +64,36 @@ class NonIntegrableError(ValueError):
 
 @dataclass(frozen=True)
 class LevyMeasureSpec:
-    """Analytic description of a jump measure on an interval of (0, inf).
+    """The power-law jump measure y^(-1-eps) dy on (trunc, ymax].
 
-    family   one of POWER, UNIFORM, TABULATED
-    params   POWER: {"eps": exponent in density y^(-1-eps), "ymax": upper bound}
-             UNIFORM: {"lo": a, "hi": b, "level": density value}
-             TABULATED: {"density": callable, "lo": a, "hi": b}
+    eps      exponent, in (0, 1)
+    ymax     upper end of the support
     trunc    lower cutoff; marks below it are dropped from the model
     """
 
-    family: str
-    params: dict = field(default_factory=dict)
+    eps: float
+    ymax: float = 1.0
     trunc: float = 0.0
 
     def __post_init__(self):
-        if self.family not in (POWER, UNIFORM, TABULATED):
-            raise ValueError(f"unknown measure family {self.family!r}")
+        if not 0.0 < self.eps < 1.0:
+            raise ValueError(f"power-law exponent eps = {self.eps} must lie in (0, 1)")
         if self.trunc < 0:
             raise ValueError("truncation cutoff must be >= 0")
 
-    # effective support after truncation
+    # the support after truncation
     @property
     def lower(self) -> float:
-        if self.family == POWER:
-            return max(self.trunc, 0.0)
-        return max(self.trunc, self.params["lo"])
+        return self.trunc
 
     @property
     def upper(self) -> float:
-        if self.family == POWER:
-            return self.params["ymax"]
-        return self.params["hi"]
+        return self.ymax
 
     def density(self, y):
         """Density of the untruncated measure at y (vectorised)."""
         y = np.asarray(y, dtype=float)
-        if self.family == POWER:
-            eps = self.params["eps"]
-            return np.where((y > 0) & (y <= self.upper), y ** (-1.0 - eps), 0.0)
-        if self.family == UNIFORM:
-            level = self.params.get("level", 1.0)
-            return np.where((y >= self.params["lo"]) & (y <= self.params["hi"]), level, 0.0)
-        return np.asarray(self.params["density"](y), dtype=float)
-
-    def __hash__(self):
-        # params is a dict, which the generated hash would refuse; equal
-        # specs have equal sorted items, so this agrees with ==
-        return hash((self.family, tuple(sorted(self.params.items())), self.trunc))
+        return np.where((y > 0) & (y <= self.upper), y ** (-1.0 - self.eps), 0.0)
 
 
 def _lanes(value, n: int) -> np.ndarray:
@@ -185,72 +162,20 @@ def _quad(fn, edges) -> tuple[np.ndarray, np.ndarray]:
     return sum(item[3] for item in heap), sum(item[4] for item in heap)
 
 
-def power_law(eps: float, ymax: float = 1.0, trunc: float = 0.0) -> LevyMeasureSpec:
-    return LevyMeasureSpec(POWER, {"eps": eps, "ymax": ymax}, trunc)
-
-
 def total_mass(spec: LevyMeasureSpec) -> float:
     """Mass of the measure restricted above the truncation cutoff."""
-    lo, hi = spec.lower, spec.upper
+    lo, hi, eps = spec.lower, spec.upper, spec.eps
     if lo >= hi:
         return 0.0
-    if spec.family == POWER:
-        eps = spec.params["eps"]
-        if lo <= 0.0:
-            if eps >= 0:
-                raise InfiniteMassError(
-                    "power-law family with exponent >= 0 has infinite mass without truncation"
-                )
-            return (hi ** (-eps) - 0.0) / (-eps)
-        if eps == 0:
-            return math.log(hi / lo)
-        return (lo ** (-eps) - hi ** (-eps)) / eps
-    if spec.family == UNIFORM:
-        return spec.params.get("level", 1.0) * (hi - lo)
-    return float(_quad(spec.density, (lo, hi))[0][0])
-
-
-def mark_cdf(spec: LevyMeasureSpec, y) -> np.ndarray:
-    """CDF of the normalised truncated measure, for sampling and KS tests."""
-    mass = total_mass(spec)
-    if mass <= 0:
-        raise ValueError("zero-mass measure has no mark distribution")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    lo, hi = spec.lower, spec.upper
-    yc = np.clip(y, lo, hi)
-    if spec.family == POWER:
-        eps = spec.params["eps"]
-        if eps == 0:
-            part = np.log(yc / lo)
-        else:
-            part = (lo ** (-eps) - yc ** (-eps)) / eps
-    elif spec.family == UNIFORM:
-        part = spec.params.get("level", 1.0) * (yc - lo)
-    else:
-        part = np.array([_quad(spec.density, (lo, v))[0][0] for v in yc])
-    return part / mass
+    if lo <= 0.0:
+        raise InfiniteMassError("the power law has infinite mass without truncation")
+    return (lo ** (-eps) - hi ** (-eps)) / eps
 
 
 def mark_quantile(spec: LevyMeasureSpec, v: np.ndarray) -> np.ndarray:
     """Inverse CDF of the normalised truncated measure at uniforms v."""
-    lo, hi = spec.lower, spec.upper
-    if spec.family == POWER:
-        eps = spec.params["eps"]
-        if eps == 0:
-            return lo * np.exp(v * math.log(hi / lo))
-        return (lo ** (-eps) - v * (lo ** (-eps) - hi ** (-eps))) ** (-1.0 / eps)
-    if spec.family == UNIFORM:
-        return lo + v * (hi - lo)
-    return np.interp(v, *_cdf_table(spec))
-
-
-@functools.lru_cache(maxsize=16)
-def _cdf_table(spec: LevyMeasureSpec):
-    """CDF of a tabulated measure on a fixed 2049-point grid, and the grid:
-    the numerical inverse `mark_quantile` interpolates, built once per
-    measure (it takes one quadrature per grid point)."""
-    grid = np.linspace(spec.lower, spec.upper, 2049)
-    return mark_cdf(spec, grid), grid
+    lo, hi, eps = spec.lower, spec.upper, spec.eps
+    return (lo ** (-eps) - v * (lo ** (-eps) - hi ** (-eps))) ** (-1.0 / eps)
 
 
 def compensator_integral(spec: LevyMeasureSpec, f, t: float) -> np.ndarray:
@@ -310,8 +235,6 @@ class TauberianFit:
 
     alpha: float
     r1: float
-    beta: float | None = None
-    r2: float | None = None
     residual: float = 0.0
     lam_grid: np.ndarray | None = None
     regime: str = "tauberian"   # or "mass-dominated" / "non-tauberian"

@@ -2,9 +2,9 @@
 
 A path is a finite realisation of the jump measure on (0, T]: sorted jump
 times with one mark each.  `rho_blocks` draws the blocks of auxiliary
-i.i.d. marks per jump that realise gradients, one set per replica, and
-jumps can carry lazily generated nested Brownian paths addressed through
-the jump's own sub-stream.  `JumpLanes` gathers one jump from each of
+i.i.d. standard normal marks per jump that realise gradients, one set per
+replica, and jumps can carry lazily generated nested Brownian paths
+addressed through the jump's own sub-stream.  `JumpLanes` gathers one jump from each of
 several paths of one stream, so that a lockstep sweep can resolve them
 together with the same draws each would get in a sweep of its own.
 Loops over many addresses walk one generator with `RngStream.each`.
@@ -19,10 +19,6 @@ import numpy as np
 
 from .measures import LevyMeasureSpec, mark_quantile, total_mass
 from .rng import TAG_MARK, TAG_NESTED, TAG_RHO, TAG_TIME, RngStream
-
-GAUSSIAN = "gaussian"
-RADEMACHER = "rademacher"
-
 
 @dataclass
 class MarkedPoissonPath:
@@ -65,26 +61,19 @@ def sample_paths(spec: LevyMeasureSpec, horizon: float, stream: RngStream, paths
             for p, t, m in zip(paths, times, np.split(marks, np.cumsum(counts)[:-1]))]
 
 
-def rho_blocks(stream: RngStream, replicas, shape, basis: str = GAUSSIAN) -> np.ndarray:
+def rho_blocks(stream: RngStream, replicas, shape) -> np.ndarray:
     """Auxiliary marks of the given shape for each replica, stacked.
 
-    Entry i holds what the generator of `stream.child(replica=replicas[i],
-    tag=TAG_RHO)` draws: standard normals, or signs +-1 for the Rademacher
-    basis.  One generator walks the replicas, and Gaussian blocks are
-    drawn straight into their rows.  The blocks are independent across
-    replicas and entries, independent of the jump skeleton, and fully
-    determined by the stream address.
+    Entry i holds the standard normals that the generator of
+    `stream.child(replica=replicas[i], tag=TAG_RHO)` draws.  One generator
+    walks the replicas and draws each block straight into its row.  The
+    blocks are independent across replicas and entries, independent of
+    the jump skeleton, and fully determined by the stream address.
     """
-    if basis not in (GAUSSIAN, RADEMACHER):
-        raise ValueError(f"unknown rho basis {basis!r}")
-    out = np.empty((len(replicas), *shape))
-    rows = out.reshape(len(replicas), math.prod(shape))
-    for i, gen in enumerate(stream.child(tag=TAG_RHO).each(replica=replicas)):
-        if basis == GAUSSIAN:
-            gen.standard_normal(out=rows[i])
-        else:
-            out[i] = gen.integers(0, 2, size=shape) * 2.0 - 1.0
-    return out
+    rows = np.empty((len(replicas), math.prod(shape)))
+    for row, gen in zip(rows, stream.child(tag=TAG_RHO).each(replica=replicas)):
+        gen.standard_normal(out=row)
+    return rows.reshape(len(replicas), *shape)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from .bottom import EuclideanBottom, WienerOUBottom, WienerSquareBottom
-from .measures import compensator_integral, power_law
+from .measures import LevyMeasureSpec, compensator_integral
 from .prm import nested_increments
 from .rng import TAG_NESTED
 from .sde import Scenario, SimpleJets
@@ -88,7 +88,7 @@ def compound(eps: float = 0.5, trunc: float = 0.01, ymax: float = 1.0,
     truncated measure (see _bump_weight).  Integration-by-parts weights
     are only consistent under the "bump" choice.
     """
-    spec = power_law(eps, ymax=ymax, trunc=trunc)
+    spec = LevyMeasureSpec(eps, ymax=ymax, trunc=trunc)
     lo, hi = spec.lower, spec.upper
     if weight == "power":
         xi, xip, xipp = _power_weight(lo, hi)
@@ -126,7 +126,7 @@ def compound_linear(beta: float = 0.5, eps: float = 0.5, trunc: float = 0.01,
     The flow derivative has the exact product form prod_i (1 + beta*u_i).
     The form weight on marks is xi(u) = u^2.
     """
-    spec = power_law(eps, ymax=ymax, trunc=trunc)
+    spec = LevyMeasureSpec(eps, ymax=ymax, trunc=trunc)
     xi, _, _ = _power_weight(spec.lower, spec.upper)
     bottom = EuclideanBottom(xi=xi, c_u=lambda s, x, u: beta * x)
     mean_jump = float(compensator_integral(spec, lambda u: u, 1.0))
@@ -156,7 +156,7 @@ def simple2d(eps: float = 0.5, trunc: float = 0.01, ymax: float = 1.0,
     (M1 ^ M2) * I with M1, M2 the sums of y^2 over jumps with y < 1 and
     B_y >= sqrt(y) (resp. <= -sqrt(y)).
     """
-    spec = power_law(eps, ymax=ymax, trunc=trunc)
+    spec = LevyMeasureSpec(eps, ymax=ymax, trunc=trunc)
     bottom = WienerSquareBottom()
 
     def lower_bound(marks, bvals):
@@ -187,7 +187,7 @@ def subordination_linear(eps: float = 0.5, trunc: float = 0.01, ymax: float = 1.
     coarse default nested step.
     """
     sigma0 = np.asarray(sigma0, dtype=float)
-    spec = power_law(eps, ymax=ymax, trunc=trunc)
+    spec = LevyMeasureSpec(eps, ymax=ymax, trunc=trunc)
     bottom = WienerOUBottom(dim=2, n_brownian=2,
                             diff=lambda z: sigma0, step=nested_step)
     return Scenario(
@@ -206,7 +206,7 @@ def subordination_nonlinear(eps: float = 0.5, trunc: float = 0.01, ymax: float =
     Nested dynamics d(zeta) = a(zeta) dB with a(z) = 0.4 + 0.1 tanh(z);
     the jump's flow derivative M enters the state Jacobian.
     """
-    spec = power_law(eps, ymax=ymax, trunc=trunc)
+    spec = LevyMeasureSpec(eps, ymax=ymax, trunc=trunc)
 
     def a(z):
         return (0.4 + 0.1 * np.tanh(z))[:, :, None]
@@ -246,7 +246,7 @@ def levy_field_demo(eps: float = 0.5, trunc: float = 0.05, ymax: float = 1.0,
     the jump's duration, drifting in a uniformly random direction.  Ships
     as a demonstration only (no closed-form oracles).
     """
-    spec = power_law(eps, ymax=ymax, trunc=trunc)
+    spec = LevyMeasureSpec(eps, ymax=ymax, trunc=trunc)
 
     def upsilon(z):
         out = np.zeros((len(z), 2, 2))

@@ -13,7 +13,7 @@ import numpy as np
 
 from lentparticle import scenarios
 from lentparticle.bottom import CapabilityError
-from lentparticle.measures import UNIFORM, LevyMeasureSpec, compensator_integral
+from lentparticle.measures import LevyMeasureSpec, compensator_integral, total_mass
 from lentparticle.prm import MarkedPoissonPath
 from lentparticle.sde import SimpleJets
 
@@ -21,9 +21,14 @@ from lentparticle.sde import SimpleJets
 LINEAR_BETA = inspect.signature(scenarios.compound_linear).parameters["beta"].default
 
 
-def uniform_measure(lo: float, hi: float, level: float = 1.0,
-                    trunc: float = 0.0) -> LevyMeasureSpec:
-    return LevyMeasureSpec(UNIFORM, {"lo": lo, "hi": hi, "level": level}, trunc)
+def mark_cdf(spec: LevyMeasureSpec, y) -> np.ndarray:
+    """CDF of the normalised truncated power law, in closed form: the
+    reference the mark samplers' KS tests read."""
+    mass = total_mass(spec)
+    if mass <= 0:
+        raise ValueError("zero-mass measure has no mark distribution")
+    yc = np.clip(np.atleast_1d(np.asarray(y, dtype=float)), spec.lower, spec.upper)
+    return (spec.lower ** -spec.eps - yc ** -spec.eps) / spec.eps / mass
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 from scipy.integrate import quad
 
 from lentparticle import cli, ensemble, ibp, lent, prm, report, scenarios, sde
-from lentparticle.measures import power_law, tauberian_fit
+from lentparticle.measures import LevyMeasureSpec, tauberian_fit
 from lentparticle.rng import TAG_RHO, RngStream
 from lentparticle.sde import SimpleJets
 from lentparticle.diagnostics import small_ball_fit
@@ -165,7 +165,7 @@ def test_criterion_05_adjoint_duality():
 
 def test_criterion_06_tauberian_asymptotics():
     """Laplace-exponent fit and the Monte Carlo small-ball constants."""
-    spec = power_law(0.5, ymax=1.0, trunc=0.0)
+    spec = LevyMeasureSpec(0.5, ymax=1.0, trunc=0.0)
     fit = tauberian_fit(lambda y: y ** 2, spec, np.logspace(4, 12, 24))
     assert abs(fit.alpha - 0.25) < 0.05
     assert fit.r1 == pytest.approx(-math.gamma(0.75) / 0.5, rel=0.05)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lentparticle.bottom import EuclideanBottom, WienerOUBottom, WienerSquareBottom
-from lentparticle.measures import power_law
+from lentparticle.measures import LevyMeasureSpec
 from lentparticle.prm import JumpLanes, MarkedPoissonPath, nested_grid, sample_path
 from lentparticle.rng import RngStream
 from lentparticle.sde import SimpleJets, integrate_batch
@@ -15,7 +15,7 @@ from lentparticle import scenarios
 
 from oracles import generator_symmetry_residual, symmetry_pair
 
-SPEC = power_law(0.5, ymax=1.0, trunc=0.01)
+SPEC = LevyMeasureSpec(0.5, ymax=1.0, trunc=0.01)
 
 
 def _jets(h, hp, hpp):

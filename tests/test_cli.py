@@ -6,6 +6,7 @@ import inspect
 import json
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -579,6 +580,45 @@ def test_report_rederives_density_mass(tmp_path, capsys):
     report.write_csv(Path(out) / "density.csv", header,
                      [list(map(float, r)) for r in rows])
     assert cli.main(["report", out]) == cli.EXIT_NUMERIC
+
+
+@pytest.mark.parametrize("name", ["subordination-linear", "simple2d"])
+def test_report_rederives_trajectory_states(tmp_path, capsys, name):
+    path, cfg = _config(tmp_path, "traj", scenario=name, run={"paths": 20})
+    assert cli.main(["run", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["report", cfg["outputs"]["dir"]]) == cli.EXIT_OK
+    assert "max flow inverse error from CSV" in capsys.readouterr().out
+
+
+# states.csv rows after the header -> (exit code, word on stderr)
+STATES_TAMPERING = {
+    "first-row-overwritten": (lambda rows: ["99,99,0,0", *rows[1:]], cli.EXIT_NUMERIC, "mean_x0"),
+    "row-dropped": (lambda rows: rows[:-1], cli.EXIT_NUMERIC, "from 19 rows"),
+    "flow-error-raised": (lambda rows: [rows[0].rsplit(",", 2)[0] + ",1e-3,0", *rows[1:]],
+                          cli.EXIT_NUMERIC, "max_flow_inverse_error"),
+    "ragged-row": (lambda rows: [*rows, "1.0,2.0"], cli.EXIT_SCHEMA, "states.csv"),
+    "non-numeric-cell": (lambda rows: [*rows[:-1], "x,0,0,0"], cli.EXIT_SCHEMA, "states.csv"),
+}
+
+
+@pytest.fixture(scope="module")
+def subordination_run(tmp_path_factory):
+    path, cfg = _config(tmp_path_factory.mktemp("sub"), "traj",
+                        scenario="subordination-linear", run={"paths": 20})
+    assert cli.main(["run", str(path)]) == 0
+    return Path(cfg["outputs"]["dir"])
+
+
+@pytest.mark.parametrize("case", sorted(STATES_TAMPERING))
+def test_report_catches_tampered_states(tmp_path, capsys, subordination_run, case):
+    tamper, expected, named = STATES_TAMPERING[case]
+    out = tmp_path / "run"
+    shutil.copytree(subordination_run, out)
+    header, *rows = (out / "states.csv").read_text().splitlines()
+    (out / "states.csv").write_text("\n".join([header, *tamper(rows)]) + "\n")
+    code, err = _exit_and_stderr(capsys, ["report", str(out)])
+    assert code == expected and named in err, err
 
 
 def _config_dir(tmp_path):

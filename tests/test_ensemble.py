@@ -6,13 +6,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lentparticle import ensemble, measures, scenarios
-from lentparticle.measures import TABULATED, LevyMeasureSpec, total_mass
+from lentparticle import ensemble, scenarios
+from lentparticle.measures import total_mass
 from lentparticle.prm import sample_path
 from lentparticle.rng import (MASK64, TAG_MARK, TAG_RHO, RngStream, _M0, _M1, _mulhilo,
                               _philox4x64, philox_random)
-
-from oracles import uniform_measure
 
 
 def per_path_mark_sets(scenario, n_paths, stream, path_offset=0):
@@ -50,12 +48,6 @@ def test_zero_mass_draws_nothing():
     sc = scenarios.build("compound", trunc=2.0)  # empty support, lam = 0
     counts, marks = assert_same_draws(sc, 1_000, RngStream(seed=1))
     assert not counts.any() and marks.shape == (0,)
-
-
-def test_uniform_family_matches_per_path():
-    sc = scenarios.build("compound")
-    sc = dataclasses.replace(sc, measure=uniform_measure(0.2, 3.0, level=5.0))
-    assert_same_draws(sc, 10_000, RngStream(seed=11))
 
 
 def test_offset_and_chunks_match_one_run():
@@ -150,18 +142,3 @@ def test_blocks_match_whole_chunk(weight, compensated, horizon):
         assert (per_block == 0).any()
     else:
         assert (per_block > 0).all()
-
-
-def test_tabulated_family_builds_its_quantile_table_once(monkeypatch):
-    # the numerical inverse CDF of a tabulated measure takes one quadrature
-    # per grid point: two blocks and the per-path oracle share one table
-    calls = []
-    cdf = measures.mark_cdf
-    monkeypatch.setattr(measures, "mark_cdf", lambda spec, y: calls.append(spec) or cdf(spec, y))
-    sc = dataclasses.replace(scenarios.build("compound"), measure=LevyMeasureSpec(
-        TABULATED, {"density": lambda y: np.exp(-y), "lo": 0.2, "hi": 3.0}))
-    n = ensemble.BLOCK_PATHS + 10
-    ens = ensemble.simple_ensemble(sc, n, RngStream(seed=8))
-    counts, marks = assert_same_draws(sc, n, RngStream(seed=8))
-    assert np.array_equal(ens.n_jumps, counts) and counts.sum() > 0
-    assert len(calls) == 1

@@ -165,7 +165,7 @@ def test_kde_matches_scipy_gaussian_kde(n):
     # the numpy KDE is scipy's gaussian_kde at half the Scott factor
     x = np.random.default_rng(n).gamma(2.0, size=n)
     grid = np.linspace(x.mean() - 3 * x.std(), x.mean() + 3 * x.std(), 41)
-    dens = density_ibp(x, WeightResult(1, np.zeros(n), np.ones(n, bool), 0), grid)
+    dens = density_ibp(x, WeightResult(np.zeros(n), np.ones(n, bool), 0), grid)
     ref = gaussian_kde(x, bw_method=lambda k: 0.5 * k.n ** -0.2)(grid)
     seen = ref > 1e-300
     assert seen.any()
@@ -178,7 +178,7 @@ def test_density_tail_means_match_per_point_loop(n):
     # paths per grid point gives, ties and rejected paths included
     rng = np.random.default_rng(n)
     x = np.round(rng.gamma(2.0, size=n), 1)
-    w = WeightResult(1, rng.standard_normal(n) * 3 + 0.5, rng.random(n) > 0.2, 0)
+    w = WeightResult(rng.standard_normal(n) * 3 + 0.5, rng.random(n) > 0.2, 0)
     w.accepted[:2] = True
     grid = np.concatenate([np.linspace(x.min() - 1, x.max() + 1, 31), x[:3]])
     dens = density_ibp(x, w, grid)

@@ -7,15 +7,15 @@ import pytest
 
 from lentparticle import scenarios
 from lentparticle.lent import empirical_gamma, gradient_samples, malliavin_matrix
-from lentparticle.measures import power_law
-from lentparticle.prm import GAUSSIAN, RADEMACHER, MarkedPoissonPath, rho_blocks, sample_path
+from lentparticle.measures import LevyMeasureSpec
+from lentparticle.prm import MarkedPoissonPath, rho_blocks, sample_path
 from lentparticle.rng import TAG_RHO, RngStream
 from lentparticle.sde import integrate
 
 from oracles import (LINEAR_BETA, gradient_terms, iterated_gradient_simple, pnorm_ratio,
                      sharp_coefficients)
 
-SPEC = power_law(0.5, ymax=1.0, trunc=0.01)
+SPEC = LevyMeasureSpec(0.5, ymax=1.0, trunc=0.01)
 
 
 def _traj(name, seed, **kw):
@@ -72,15 +72,6 @@ def test_gradient_second_moment_matches_matrix():
     assert rel < 0.05
 
 
-def test_gradient_basis_invariance():
-    sc, path, traj = _traj("compound", seed=3)
-    g = gradient_samples(sc, traj, 10_000, path.stream, basis=GAUSSIAN)[:, 0]
-    r = gradient_samples(sc, traj, 10_000, path.stream, basis=RADEMACHER)[:, 0]
-    vg, vr = float(np.mean(g ** 2)), float(np.mean(r ** 2))
-    se = math.hypot(np.std(g ** 2, ddof=1), np.std(r ** 2, ddof=1)) / math.sqrt(len(g))
-    assert abs(vg - vr) < 3 * se
-
-
 def test_gradient_insensitive_coefficient():
     sc = scenarios.build("compound")
     # zero out the form weight: every injection vanishes
@@ -109,14 +100,14 @@ def test_gradient_jumpless_path_draws_nothing(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def gamma_k_simple(h_flats, path: MarkedPoissonPath, k: int,
-                   n_replicas: int, stream: RngStream, basis: str = GAUSSIAN) -> float:
+                   n_replicas: int, stream: RngStream) -> float:
     """Order-k energy of a simple integral, by averaging squared gradients.
 
     The terms h_flats[k-1](u_j) are evaluated once and contracted with
     every replica's products of auxiliary marks.
     """
     terms = gradient_terms(h_flats, path, k)
-    blocks = rho_blocks(stream, range(1, n_replicas + 1), (k, path.n_jumps, 1), basis)
+    blocks = rho_blocks(stream, range(1, n_replicas + 1), (k, path.n_jumps, 1))
     vals = np.prod(blocks[:, :, :, 0], axis=1) @ terms
     return float(np.mean(vals ** 2))
 

@@ -10,14 +10,13 @@ from scipy.stats import kstest
 from lentparticle import scenarios
 from lentparticle.measures import (QK21_GAUSS, QK21_KRONROD, QK21_NODES,
                                    InfiniteMassError, LevyMeasureSpec,
-                                   NonIntegrableError, TABULATED,
-                                   compensator_integral, laplace_exponent,
-                                   mark_cdf, mark_quantile, power_law,
+                                   NonIntegrableError, compensator_integral,
+                                   laplace_exponent, mark_quantile,
                                    small_ball_params, tauberian_fit,
                                    total_mass)
 from lentparticle.rng import RngStream
 
-from oracles import uniform_measure
+from oracles import mark_cdf
 
 
 # ---------------------------------------------------------------------------
@@ -71,43 +70,43 @@ def test_qk21_rule_exact_on_polynomials():
 
 
 # ---------------------------------------------------------------------------
+# the spec
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("eps", [0.0, -0.5, 1.0])
+def test_spec_refuses_eps_outside_unit_interval(eps):
+    with pytest.raises(ValueError, match="eps"):
+        LevyMeasureSpec(eps, ymax=1.0, trunc=0.01)
+
+
+def test_spec_refuses_negative_cutoff():
+    with pytest.raises(ValueError, match="cutoff"):
+        LevyMeasureSpec(0.5, ymax=1.0, trunc=-0.01)
+
+
+def test_equal_specs_hash_equal():
+    a, b = LevyMeasureSpec(0.5, ymax=2.0, trunc=0.01), LevyMeasureSpec(0.5, 2.0, 0.01)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b, LevyMeasureSpec(0.5, ymax=2.0, trunc=0.02)}) == 2
+
+
+# ---------------------------------------------------------------------------
 # total_mass
 # ---------------------------------------------------------------------------
 
 def test_mass_power_law_truncated():
     # closed form 2(trunc^-1/2 - 1) at exponent 1/2 on (trunc, 1]
-    spec = power_law(0.5, ymax=1.0, trunc=0.01)
+    spec = LevyMeasureSpec(0.5, ymax=1.0, trunc=0.01)
     assert total_mass(spec) == pytest.approx(18.0, rel=1e-12)
 
 
-def test_mass_uniform():
-    assert total_mass(uniform_measure(0.0, 2.0)) == pytest.approx(2.0)
-
-
 def test_mass_truncation_above_support():
-    assert total_mass(power_law(0.5, ymax=1.0, trunc=2.0)) == 0.0
+    assert total_mass(LevyMeasureSpec(0.5, ymax=1.0, trunc=2.0)) == 0.0
 
 
 def test_mass_infinite_without_truncation():
     with pytest.raises(InfiniteMassError):
-        total_mass(power_law(0.5, ymax=1.0, trunc=0.0))
-
-
-def test_mass_matches_quadrature_on_tabulated():
-    spec = LevyMeasureSpec(TABULATED, {"density": lambda y: np.exp(-y),
-                                       "lo": 0.1, "hi": 2.0})
-    oracle = math.exp(-0.1) - math.exp(-2.0)
-    assert total_mass(spec) == pytest.approx(oracle, rel=1e-6)
-
-
-def test_tabulated_mass_and_cdf_closed_form():
-    spec = LevyMeasureSpec(TABULATED, {"density": lambda y: np.exp(-y),
-                                       "lo": 0.1, "hi": 2.0})
-    mass = math.exp(-0.1) - math.exp(-2.0)
-    assert total_mass(spec) == pytest.approx(mass, rel=1e-13)
-    y = np.array([-1.0, 0.1, 0.5, 1.0, 1.7, 2.0, 3.0])
-    oracle = (math.exp(-0.1) - np.exp(-np.clip(y, 0.1, 2.0))) / mass
-    np.testing.assert_allclose(mark_cdf(spec, y), oracle, rtol=1e-13, atol=1e-15)
+        total_mass(LevyMeasureSpec(0.5, ymax=1.0, trunc=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -119,22 +118,15 @@ def _marks(spec, seed, size):
 
 
 def test_sample_mark_power_mean():
-    spec = power_law(0.5, ymax=1.0, trunc=0.01)
+    spec = LevyMeasureSpec(0.5, ymax=1.0, trunc=0.01)
     draws = _marks(spec, 1, 100_000)
     # mean = (int y * y^-1.5 dy) / mass = 1.8 / 18
     se = draws.std(ddof=1) / math.sqrt(len(draws))
     assert abs(draws.mean() - 0.1) < 3 * se
 
 
-def test_sample_mark_uniform_mean():
-    spec = uniform_measure(0.0, 2.0)
-    draws = _marks(spec, 2, 50_000)
-    se = draws.std(ddof=1) / math.sqrt(len(draws))
-    assert abs(draws.mean() - 1.0) < 3 * se
-
-
 def test_sample_mark_ks_against_cdf():
-    spec = power_law(0.5, ymax=1.0, trunc=0.01)
+    spec = LevyMeasureSpec(0.5, ymax=1.0, trunc=0.01)
     draws = _marks(spec, 3, 10_000)
     stat = kstest(draws, lambda y: mark_cdf(spec, y)).statistic
     assert stat < 1.63 / math.sqrt(len(draws))  # 1% critical value
@@ -145,31 +137,31 @@ def test_sample_mark_ks_against_cdf():
 # ---------------------------------------------------------------------------
 
 def test_compensator_linear_functional():
-    spec = power_law(0.5, ymax=1.0, trunc=0.01)
+    spec = LevyMeasureSpec(0.5, ymax=1.0, trunc=0.01)
     val = compensator_integral(spec, lambda y: y, 1.0)
     assert val == pytest.approx(1.8, rel=1e-6)
 
 
 def test_compensator_zero_functional():
-    spec = power_law(0.5, ymax=1.0, trunc=0.01)
+    spec = LevyMeasureSpec(0.5, ymax=1.0, trunc=0.01)
     assert compensator_integral(spec, lambda y: 0.0 * y, 1.0) == 0.0
 
 
 def test_compensator_empty_support_is_float():
-    spec = power_law(0.5, ymax=1.0, trunc=2.0)
+    spec = LevyMeasureSpec(0.5, ymax=1.0, trunc=2.0)
     assert compensator_integral(spec, lambda y: y, 1.0) == 0.0
     assert isinstance(compensator_integral(spec, lambda y: y, 1.0), float)
 
 
 def test_compensator_linear_in_time():
-    spec = power_law(0.5, ymax=1.0, trunc=0.01)
+    spec = LevyMeasureSpec(0.5, ymax=1.0, trunc=0.01)
     one = compensator_integral(spec, lambda y: y ** 2, 1.0)
     two = compensator_integral(spec, lambda y: y ** 2, 2.0)
     assert two == pytest.approx(2.0 * one, rel=1e-12)
 
 
 def test_compensator_quadrature_agreement():
-    spec = power_law(0.5, ymax=1.0, trunc=0.01)
+    spec = LevyMeasureSpec(0.5, ymax=1.0, trunc=0.01)
     val = compensator_integral(spec, lambda y: np.sin(y), 1.0)
     oracle, _ = quad(lambda y: math.sin(y) * y ** -1.5, 0.01, 1.0, limit=200)
     assert val == pytest.approx(oracle, rel=1e-6)
@@ -179,7 +171,7 @@ def test_compensator_quadrature_agreement():
 def test_compensator_support_from_zero_closed_forms(eps):
     # int_0^1 y^p y^(-1-eps) dy = 1 / (p - eps): the integrand is singular
     # at the support's lower end 0
-    spec = power_law(eps, ymax=1.0, trunc=0.0)
+    spec = LevyMeasureSpec(eps, ymax=1.0, trunc=0.0)
     for p in (1, 2):
         val = compensator_integral(spec, lambda y: y ** p, 1.0)
         assert val == pytest.approx(1.0 / (p - eps), rel=1e-8), p
@@ -192,7 +184,7 @@ def test_compensator_support_from_zero_closed_forms(eps):
     (lambda y: np.stack([y, np.ones_like(y)], -1), 1),
 ], ids=["1", "y^0.4", "(y,1)"])
 def test_compensator_support_from_zero_non_integrable(eps, f, component):
-    spec = power_law(eps, ymax=1.0, trunc=0.0)
+    spec = LevyMeasureSpec(eps, ymax=1.0, trunc=0.0)
     with pytest.raises(NonIntegrableError, match=f"component {component} "):
         compensator_integral(spec, f, 1.0)
 
@@ -209,7 +201,7 @@ def test_jet_means_match_quad(weight):
 def test_compensator_vector_integrand_lane_axis_first():
     # one row per mark, one column per component; each call sees the 21
     # nodes of one subinterval
-    spec = power_law(0.5, ymax=1.0, trunc=0.01)
+    spec = LevyMeasureSpec(0.5, ymax=1.0, trunc=0.01)
     shapes = []
 
     def f(y):
@@ -230,28 +222,22 @@ def test_compensator_vector_integrand_lane_axis_first():
 # ---------------------------------------------------------------------------
 
 def test_laplace_zero_lambda():
-    spec = power_law(0.5, ymax=1.0, trunc=0.01)
+    spec = LevyMeasureSpec(0.5, ymax=1.0, trunc=0.01)
     assert laplace_exponent(0.0, lambda y: y, spec) == 0.0
-
-
-def test_laplace_uniform_closed_form():
-    spec = uniform_measure(0.0, 1.0)
-    val = laplace_exponent(1.0, lambda y: y, spec)
-    assert val == pytest.approx(-math.exp(-1.0), rel=1e-8)
 
 
 def test_laplace_large_lambda_asymptotic():
     # untruncated y^-1.5 with psi = y^2: L(lam) ~ r1 lam^(1/4) with
     # r1 = -Gamma(3/4)/0.5; the cutoff at ymax = 1 contributes an O(1)
     # offset, so test far enough out that it is below the tolerance
-    spec = power_law(0.5, ymax=1.0, trunc=0.0)
+    spec = LevyMeasureSpec(0.5, ymax=1.0, trunc=0.0)
     val = laplace_exponent(1e8, lambda y: y ** 2, spec)
     r1 = -math.gamma(0.75) / 0.5
     assert val == pytest.approx(100.0 * r1, rel=0.02)
 
 
 def test_laplace_monotone_and_nonpositive():
-    spec = power_law(0.5, ymax=1.0, trunc=0.0)
+    spec = LevyMeasureSpec(0.5, ymax=1.0, trunc=0.0)
     lams = np.logspace(0, 6, 13)
     vals = [laplace_exponent(l, lambda y: y, spec) for l in lams]
     assert all(v <= 0 for v in vals)
@@ -260,15 +246,15 @@ def test_laplace_monotone_and_nonpositive():
 
 @pytest.mark.parametrize("power", [1, 2])
 def test_laplace_matches_piecewise_quad(power):
-    spec = power_law(0.5, ymax=1.0, trunc=0.0)
+    spec = LevyMeasureSpec(0.5, ymax=1.0, trunc=0.0)
     for lam in np.logspace(4, 12, 24):
         ref = quad_laplace(lam, lambda y: y ** power, spec)
         assert laplace_exponent(lam, lambda y: y ** power, spec) == pytest.approx(ref, rel=1e-10)
 
 
 def test_laplace_rejects_negative_psi():
-    spec = uniform_measure(0.0, 1.0)
-    with pytest.raises(ValueError):
+    spec = LevyMeasureSpec(0.5, ymax=1.0, trunc=0.01)
+    with pytest.raises(ValueError, match="nonnegative"):
         laplace_exponent(1.0, lambda y: y - 0.5, spec)
 
 
@@ -277,7 +263,7 @@ def test_laplace_rejects_negative_psi():
 # ---------------------------------------------------------------------------
 
 def test_tauberian_quadratic_functional():
-    spec = power_law(0.5, ymax=1.0, trunc=0.0)
+    spec = LevyMeasureSpec(0.5, ymax=1.0, trunc=0.0)
     fit = tauberian_fit(lambda y: y ** 2, spec, np.logspace(4, 12, 24))
     assert fit.regime == "tauberian"
     assert abs(fit.alpha - 0.25) < 0.05
@@ -287,20 +273,20 @@ def test_tauberian_quadratic_functional():
 def test_tauberian_linear_functional_recovers_closed_form():
     # for psi = y the asymptotic constant is exactly -2*sqrt(pi); at a
     # high lambda grid the fit acts as a pure regression sanity check
-    spec = power_law(0.5, ymax=1.0, trunc=0.0)
+    spec = LevyMeasureSpec(0.5, ymax=1.0, trunc=0.0)
     fit = tauberian_fit(lambda y: y, spec, np.logspace(6, 12, 16))
     assert fit.alpha == pytest.approx(0.5, abs=1e-3)
     assert fit.r1 == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-3)
 
 
 def test_tauberian_finite_mass_flagged():
-    spec = power_law(0.5, ymax=1.0, trunc=0.01)   # finite mass: L is bounded
+    spec = LevyMeasureSpec(0.5, ymax=1.0, trunc=0.01)   # finite mass: L is bounded
     fit = tauberian_fit(lambda y: y, spec, np.logspace(4, 10, 16))
     assert fit.regime == "mass-dominated"
 
 
 def test_tauberian_grid_validation():
-    spec = power_law(0.5, ymax=1.0, trunc=0.0)
+    spec = LevyMeasureSpec(0.5, ymax=1.0, trunc=0.0)
     with pytest.raises(ValueError):
         tauberian_fit(lambda y: y, spec, np.logspace(0, 2, 8))
 

@@ -9,16 +9,14 @@ import pytest
 from scipy.stats import kstest
 
 from lentparticle import cli, scenarios, sde
-from lentparticle.measures import (TABULATED, LevyMeasureSpec, mark_quantile, power_law,
-                                   total_mass)
-from lentparticle.prm import (GAUSSIAN, RADEMACHER, JumpLanes, nested_increments, rho_blocks,
-                              sample_path, sample_paths)
+from lentparticle.measures import LevyMeasureSpec, mark_quantile, total_mass
+from lentparticle.prm import JumpLanes, nested_increments, rho_blocks, sample_path, sample_paths
 from lentparticle.rng import (TAG_MARK, TAG_NESTED, TAG_NOISE, TAG_RHO, TAG_TIME, RngStream,
                               normal_quantile)
 
 from oracles import iterated_gradient_simple
 
-SPEC = power_law(0.5, ymax=1.0, trunc=0.01)   # mass 18
+SPEC = LevyMeasureSpec(0.5, ymax=1.0, trunc=0.01)   # mass 18
 
 
 def test_stream_reproducible():
@@ -116,7 +114,7 @@ def test_path_times_sorted_in_horizon():
 
 
 def test_zero_mass_gives_empty_path():
-    p = sample_path(power_law(0.5, ymax=1.0, trunc=2.0), 1.0, RngStream(seed=4))
+    p = sample_path(LevyMeasureSpec(0.5, ymax=1.0, trunc=2.0), 1.0, RngStream(seed=4))
     assert p.n_jumps == 0
 
 
@@ -131,15 +129,10 @@ def _fresh_path(spec, horizon, stream):
     return times, marks
 
 
-@pytest.mark.parametrize("spec", [SPEC, power_law(0.5, ymax=1.0, trunc=0.2),
-                                  power_law(0.5, ymax=1.0, trunc=2.0),
-                                  power_law(0.5, ymax=1.0, trunc=1.0),
-                                  LevyMeasureSpec(TABULATED, {"density": lambda y: np.exp(-y),
-                                                              "lo": 0.1, "hi": 2.0}),
-                                  LevyMeasureSpec(TABULATED, {"density": lambda y: np.exp(-y),
-                                                              "lo": 0.1, "hi": 2.0}, trunc=3.0)],
-                         ids=["power", "power-sparse", "zero-mass", "zero-mass-edge",
-                              "tabulated", "tabulated-zero-mass"])
+@pytest.mark.parametrize("spec", [SPEC, LevyMeasureSpec(0.5, ymax=1.0, trunc=0.2),
+                                  LevyMeasureSpec(0.5, ymax=1.0, trunc=2.0),
+                                  LevyMeasureSpec(0.5, ymax=1.0, trunc=1.0)],
+                         ids=["power", "power-sparse", "zero-mass", "zero-mass-edge"])
 def test_sample_paths_match_per_address(spec):
     stream = RngStream(seed=-4, jump=2)
     addresses = list(range(5, 45)) + [2**40, 3]
@@ -206,14 +199,7 @@ def test_rho_marginal_gaussian():
     assert stat < 1.63 / math.sqrt(e.size)
 
 
-def test_rho_rademacher_values():
-    p = sample_path(SPEC, 1.0, RngStream(seed=35))
-    e = rho_blocks(RngStream(seed=36), [0], (1, p.n_jumps, 1), basis=RADEMACHER)
-    assert set(np.unique(e)) <= {-1.0, 1.0}
-
-
-@pytest.mark.parametrize("basis", [GAUSSIAN, RADEMACHER])
-def test_rho_replicas_match_own_streams(basis):
+def test_rho_replicas_match_own_streams():
     # one re-addressed generator draws each replica what its own stream draws
     p = sample_path(SPEC, 1.0, RngStream(seed=37, path=2))
     streams = (RngStream(seed=38, path=2), RngStream(seed=-4, path=5),
@@ -222,17 +208,13 @@ def test_rho_replicas_match_own_streams(basis):
     for stream in streams:
         for replicas in replica_lists:
             for shape in ((p.n_jumps, 2), (0, 1)):
-                blocks = rho_blocks(stream, replicas, shape, basis)
+                blocks = rho_blocks(stream, replicas, shape)
                 assert blocks.shape == (len(replicas), *shape)
                 for block, r in zip(blocks, replicas):
                     np.testing.assert_array_equal(
-                        block, rho_blocks(stream.child(replica=r), [r], shape, basis)[0])
-                    gen = stream.child(replica=r, tag=TAG_RHO).generator()
-                    fresh = (gen.standard_normal(shape) if basis == GAUSSIAN
-                             else gen.integers(0, 2, size=shape) * 2.0 - 1.0)
+                        block, rho_blocks(stream.child(replica=r), [r], shape)[0])
+                    fresh = stream.child(replica=r, tag=TAG_RHO).generator().standard_normal(shape)
                     np.testing.assert_array_equal(block, fresh)
-    with pytest.raises(ValueError, match="unknown rho basis"):
-        rho_blocks(streams[0], [1], (p.n_jumps, 2), "uniform")
 
 
 def test_rho_order_validation():

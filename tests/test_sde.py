@@ -11,14 +11,14 @@ import pytest
 from lentparticle import cli, ibp, lent, scenarios, sde
 from lentparticle.bottom import CapabilityError, EuclideanBottom
 from lentparticle.ensemble import sample_mark_sets, simple_ensemble
-from lentparticle.measures import compensator_integral, power_law
-from lentparticle.prm import GAUSSIAN, JumpLanes, MarkedPoissonPath, rho_blocks, sample_path
+from lentparticle.measures import LevyMeasureSpec, compensator_integral
+from lentparticle.prm import JumpLanes, MarkedPoissonPath, rho_blocks, sample_path
 from lentparticle.rng import RngStream
 from lentparticle.sde import EventError, Scenario, SimpleJets, integrate, integrate_batch
 
 from oracles import LINEAR_BETA
 
-SPEC = power_law(0.5, ymax=1.0, trunc=0.01)
+SPEC = LevyMeasureSpec(0.5, ymax=1.0, trunc=0.01)
 
 
 def _null_scenario():
@@ -214,7 +214,7 @@ def test_compensator_constants_computed_once(monkeypatch):
     integrate(sc, path, order=2)
     assert len(calls) == 2                       # and int a[h] dnu, on first use
     simple_ensemble(sc, 50, RngStream(seed=14))
-    rebuilt = power_law(sc.measure.params["eps"], ymax=sc.measure.upper, trunc=sc.measure.trunc)
+    rebuilt = LevyMeasureSpec(sc.measure.eps, ymax=sc.measure.upper, trunc=sc.measure.trunc)
     assert rebuilt is not sc.measure and hash(rebuilt) == hash(sc.measure)
     for _ in range(3):
         ibp.delta(sc.simple, sc.simple, path.marks, sc.horizon, rebuilt, True)
@@ -425,8 +425,7 @@ def test_integrate_matches_per_path_oracle(name, params, horizon):
         assert [rec.event for rec in traj.jumps] == [j[0] for j in jumps]
         for rec, own in zip(traj.jumps, jumps):
             np.testing.assert_allclose(rec.k[0], own[5], rtol=0, atol=tol)
-        blocks = rho_blocks(stream, range(1, 41), (path.n_jumps, sc.bottom.block_dim),
-                            GAUSSIAN)
+        blocks = rho_blocks(stream, range(1, 41), (path.n_jumps, sc.bottom.block_dim))
         np.testing.assert_allclose(lent.gradient_samples(sc, traj, 40, stream),
                                    per_path_gradients(sc, times, states, jumps, blocks),
                                    rtol=0, atol=tol)

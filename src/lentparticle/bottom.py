@@ -152,9 +152,9 @@ class WienerOUBottom(BottomStructure):
     dim: int
     n_brownian: int
     diff: Callable                     # a(z)
+    step: float                        # nested Euler step
     drift: Callable | None = None      # b(z)
     diff_jac: Callable | None = None   # da/dz
-    step: float = 1e-2
 
     @property
     def block_dim(self):

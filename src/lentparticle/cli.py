@@ -79,6 +79,7 @@ def validate_config(config: dict, need_outputs: bool = True) -> dict:
     _require(isinstance(outputs, dict), "outputs", "must be an object")
     if need_outputs:
         _require(isinstance(outputs.get("dir"), str), "outputs.dir", "required string")
+        _require("\0" not in outputs["dir"], "outputs.dir", "must not contain a NUL byte")
         # checked now: a run writes there only after its simulation
         out_dir = Path(outputs["dir"])
         first = next(p for p in (out_dir, *out_dir.parents) if os.path.lexists(p))
@@ -102,67 +103,57 @@ def _is_matrix2(value) -> bool:
                     and all(_is_float(v) and math.isfinite(v) for v in row) for row in value))
 
 
-# JSON values accepted for a builder parameter, by its annotation: (test, name)
+# JSON values accepted for a param, by the annotation of the argument that
+# reads it (of a scenario builder or of `_tauber_inputs`): (test, name)
 _PARAM_TYPES = {"float": (_is_float, "float"),
                 "str": (lambda v: isinstance(v, str), "str"),
                 "bool": (lambda v: isinstance(v, bool), "bool"),
                 "Matrix2": (_is_matrix2, "2x2 matrix of finite numbers, a list of two rows"),
                 "Psi": (lambda v: v in ("y", "y2"), "functional name, 'y' or 'y2'")}
 
-# The params `tauber` reads, with annotation and default.  It builds no
-# scenario (its measure is the untruncated power law), so the scenario's
-# builder describes neither these keys nor their defaults
-TAUBER_PARAMS = {"psi": ("Psi", "y2"), "eps": ("float", 0.5), "ymax": ("float", 1.0),
-                 "horizon": ("float", 1.0)}
+Psi = str       # the functional of `tauber`, 'y' or 'y2'
 
 
-def _param_schema(config: dict, command: str) -> tuple[dict, str]:
-    """{key: (annotation, default)} of the params the command reads, and
-    the name of what reads them."""
-    if command == "tauber":
-        return TAUBER_PARAMS, "the tauber command"
-    name = config["scenario"]
-    sig = inspect.signature(scenarios.CATALOG[name]).parameters
-    return {key: (p.annotation, p.default) for key, p in sig.items()}, f"scenario {name!r}"
-
-
-def check_scenario_params(config: dict, command: str):
-    """Every params key must be an argument of the scenario's builder, of its
-    type; for `tauber`, a key of TAUBER_PARAMS."""
-    schema, owner = _param_schema(config, command)
-    for key, value in config["params"].items():
-        _require(key in schema, f"params.{key}",
-                 f"unknown parameter of {owner}; choose from {sorted(schema)}")
-        ok, kind = _PARAM_TYPES[schema[key][0]]
-        _require(ok(value), f"params.{key}", f"must be a {kind}, got {value!r}")
+def _tauber_inputs(psi: Psi = "y2", eps: float = 0.5, ymax: float = 1.0,
+                   horizon: float = 1.0) -> tuple:
+    """The params `tauber` reads, as its signature gives them.  It builds no
+    scenario (its measure is the untruncated power law), so no builder
+    describes these keys or their defaults."""
+    return psi, eps, ymax, horizon
 
 
 # Expected jumps per path above which a config is refused: the engines hold
 # every mark of a chunk in memory and the trajectory route steps through
 # them one event at a time.  Catalog defaults ask for at most 18.
 MAX_JUMPS_PER_PATH = 10_000
+# Nested Euler steps of the longest excursion (params.ymax /
+# params.nested_step) above which a config is refused: they size the arrays
+# of `prm.nested_grid`.  Catalog defaults ask for at most 50.
+MAX_NESTED_STEPS = 10_000
 
 
-def _range_values(config: dict, command: str) -> dict:
-    """eps, trunc, horizon and ymax of the config, defaults filled in;
-    trunc is 0 for `tauber`."""
+def check_params(config: dict, command: str):
+    """Check the params against the signature of what reads them: the
+    scenario's builder, or `_tauber_inputs` for `tauber`.  An unknown or
+    ill-typed key is a SchemaError (exit 2); a float that is not finite or a
+    value out of range, jump bound and nested-step bound included, is a
+    ValueError (exit 3)."""
+    name = config["scenario"]
+    reader, owner = ((_tauber_inputs, "the tauber command") if command == "tauber"
+                     else (scenarios.CATALOG[name], f"scenario {name!r}"))
+    sig = inspect.signature(reader).parameters
     params = config["params"]
-    keys = ("eps", "trunc", "horizon", "ymax")
-    for key in keys:
-        if key in params:
-            _require(_is_float(params[key]), f"params.{key}",
-                     f"must be a float, got {params[key]!r}")
-    schema, _ = _param_schema(config, command)
-    return {key: params.get(key, schema[key][1] if key in schema else 0.0) for key in keys}
-
-
-def check_param_ranges(config: dict, command: str):
-    """Scenario-specific numeric constraints (hypothesis-level, exit 3)."""
-    values = _range_values(config, command)
+    for key, value in params.items():
+        _require(key in sig, f"params.{key}",
+                 f"unknown parameter of {owner}; choose from {sorted(sig)}")
+        ok, kind = _PARAM_TYPES[sig[key].annotation]
+        _require(ok(value), f"params.{key}", f"must be a {kind}, got {value!r}")
+    values = {key: params.get(key, p.default) for key, p in sig.items()}
     for key, value in values.items():
-        if not math.isfinite(value):
+        if sig[key].annotation == "float" and not math.isfinite(value):
             raise ValueError(f"params.{key} = {value} must be finite")
-    eps, trunc, horizon, ymax = values.values()
+    eps, ymax, horizon = values["eps"], values["ymax"], values["horizon"]
+    trunc = values.get("trunc", 0.0)                # tauber's measure is untruncated
     if not 0.0 < eps < 1.0:
         raise ValueError(
             f"params.eps = {eps} out of range: the power-law jump measure needs "
@@ -174,12 +165,13 @@ def check_param_ranges(config: dict, command: str):
     if not ymax > trunc:              # trunc >= 0, so this also needs ymax > 0
         raise ValueError(f"params.ymax = {ymax} out of range: the mark support "
                          f"(params.trunc, params.ymax] = ({trunc}, {ymax}] must not be empty")
-
-
-def check_jump_count(config: dict, command: str):
-    """The expected jumps per path, horizon x total mass, must not exceed
-    MAX_JUMPS_PER_PATH (hypothesis-level, exit 3); needs check_param_ranges."""
-    eps, trunc, horizon, ymax = _range_values(config, command).values()
+    step = values.get("nested_step", math.inf)      # inf: no nested excursions
+    if not (step > 0 and ymax / step <= MAX_NESTED_STEPS):
+        raise ValueError(f"params.nested_step = {step} out of range: it must be > 0, and "
+                         f"params.ymax / params.nested_step (the steps of the longest "
+                         f"excursion) at most {MAX_NESTED_STEPS}")
+    if command == "tauber":           # tauber draws no jumps
+        return
     try:
         jumps = horizon * total_mass(LevyMeasureSpec(eps, ymax=ymax, trunc=trunc))
     except (InfiniteMassError, OverflowError):
@@ -221,12 +213,11 @@ def _traj_chunk(args):
     sc = scenarios.build(name, **params)
     batch = sde.integrate_batch(sc, count, RngStream(seed=seed), path_offset=start)
     gamma = batch.gamma
-    out = {"x": batch.x, "n_jumps": np.array([p.n_jumps for p in batch.paths], dtype=np.int64),
-           "kk_err": batch.kk_err, "gamma_min_eig": np.linalg.eigvalsh(gamma)[:, 0],
+    out = {"x": batch.x, "kk_err": batch.kk_err, "gamma_min_eig": np.linalg.eigvalsh(gamma)[:, 0],
            "bound_margin": np.full(count, np.nan)}
     lower_bound = sc.meta.get("pathwise_lower_bound")
     if lower_bound is not None:
-        bvals = np.zeros((count, int(out["n_jumps"].max(initial=0))))
+        bvals = np.zeros((count, max((p.n_jumps for p in batch.paths), default=0)))
         for rec in batch.jumps:
             bvals[rec.lanes, rec.index] = rec.ev.b
         eye = np.eye(sc.dim)
@@ -471,10 +462,8 @@ def crosscheck_pipeline(config: dict, pool=None) -> report.RunReport:
 
 def tauber_pipeline(config: dict) -> report.RunReport:
     """Laplace-exponent fit and, for the linear functional, a small-ball fit."""
-    params = config["params"]
     run = config["run"]
-    psi_name, eps, ymax, horizon = (params.get(key, default)
-                                    for key, (_, default) in TAUBER_PARAMS.items())
+    psi_name, eps, ymax, horizon = _tauber_inputs(**config["params"])
     spec = LevyMeasureSpec(eps, ymax=ymax)
     psi = {"y": lambda y: y, "y2": lambda y: y ** 2}[psi_name]
     rep = report.RunReport(config=config)
@@ -524,8 +513,6 @@ def diagnostics_stable_samples(n: int, seed: int, horizon: float) -> np.ndarray:
 
 
 def validate_pipeline(config: dict) -> tuple[int, dict]:
-    check_param_ranges(config, "validate")
-    check_jump_count(config, "validate")
     sc = scenarios.build(config["scenario"], **config["params"])
     hyp = diagnostics.hypothesis_report(sc)
     body = hyp.to_dict()
@@ -621,14 +608,8 @@ def main(argv=None) -> int:
 
     try:
         config = load_config(args.config)
-        need_out = args.command != "validate"
-        validate_config(config, need_outputs=need_out)
-        check_scenario_params(config, args.command)
-    except SchemaError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_SCHEMA
-
-    try:
+        validate_config(config, need_outputs=args.command != "validate")
+        check_params(config, args.command)
         if args.command == "validate":
             code, body = validate_pipeline(config)
             print(json.dumps(body, indent=2, sort_keys=True))
@@ -636,9 +617,6 @@ def main(argv=None) -> int:
                 failures = [i["name"] for i in body["items"] if i["status"] == "fail"]
                 print(f"hypothesis failures: {failures}", file=sys.stderr)
             return code
-        check_param_ranges(config, args.command)
-        if args.command != "tauber":    # tauber draws no jumps
-            check_jump_count(config, args.command)
         if args.command == "tauber":
             rep = tauber_pipeline(config)
         else:

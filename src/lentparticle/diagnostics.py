@@ -23,9 +23,7 @@ PROBE_BUDGET = 200           # (s, x, u) probes of the hypothesis report
 
 @dataclass
 class InverseMomentResult:
-    p: float
     estimate: float
-    se: float
     stable: bool
     verdict: str              # "finite-looking" | "unstable" | "infinite moment"
     n_zero: int = 0
@@ -43,15 +41,13 @@ def inverse_moment(samples, p: float) -> InverseMomentResult:
     if np.any(s < 0):
         raise ValueError("samples must be nonnegative")
     if n_zero:
-        return InverseMomentResult(p, math.inf, math.inf, False, "infinite moment", n_zero)
+        return InverseMomentResult(math.inf, False, "infinite moment", n_zero)
     inv = s ** (-p)
     est = float(np.mean(inv))
-    se = float(np.std(inv, ddof=1) / np.sqrt(len(inv)))
     half = float(np.mean(inv[: len(inv) // 2]))
     ratio = half / est if est > 0 else 1.0
     stable = 0.9 <= ratio <= 1.1
-    return InverseMomentResult(p, est, se, stable,
-                               "finite-looking" if stable else "unstable")
+    return InverseMomentResult(est, stable, "finite-looking" if stable else "unstable")
 
 
 @dataclass
@@ -208,7 +204,7 @@ def hypothesis_report(scenario: Scenario) -> HypothesisReport:
                            "pass" if math.isfinite(mass) else "fail",
                            f"mass = {mass:.6g}"))
 
-    if hasattr(scenario.bottom, "c_u") and scenario.dx_c is not None:
+    if hasattr(scenario.bottom, "c_u"):
         # every probe at once, on the coefficients' lane axis; an overflow
         # shows as a value that is not finite, and fails the items below
         with np.errstate(all="ignore"):

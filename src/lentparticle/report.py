@@ -87,13 +87,12 @@ def read_csv(src):
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd"]
 
 
-def svg_line_chart(dest, series: dict, title: str = "",
-                   xlabel: str = "", ylabel: str = "",
-                   width: int = 640, height: int = 420) -> None:
-    """Write a simple multi-series line chart.
+def svg_line_chart(dest, series: dict, title: str, xlabel: str, ylabel: str) -> None:
+    """Write a simple multi-series line chart, 640 x 420 px.
 
     series maps a label to a pair (x, y) of equal-length arrays.
     """
+    width, height = 640, 420
     ml, mr, mt, mb = 60, 20, 40, 50
     pw, ph = width - ml - mr, height - mt - mb
     xs = np.concatenate([np.asarray(x, dtype=float) for x, _ in series.values()])
@@ -112,10 +111,9 @@ def svg_line_chart(dest, series: dict, title: str = "",
         return mt + ph - (y - y0) / (y1 - y0) * ph
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-             f'<rect width="{width}" height="{height}" fill="white"/>']
-    if title:
-        parts.append(f'<text x="{width/2:.0f}" y="24" text-anchor="middle" '
-                     f'font-size="16" font-family="sans-serif">{title}</text>')
+             f'<rect width="{width}" height="{height}" fill="white"/>',
+             f'<text x="{width/2:.0f}" y="24" text-anchor="middle" '
+             f'font-size="16" font-family="sans-serif">{title}</text>']
     # axes
     parts.append(f'<line x1="{ml}" y1="{mt+ph}" x2="{ml+pw}" y2="{mt+ph}" stroke="black"/>')
     parts.append(f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt+ph}" stroke="black"/>')
@@ -126,13 +124,11 @@ def svg_line_chart(dest, series: dict, title: str = "",
                      f'font-size="11" font-family="sans-serif">{xv:.3g}</text>')
         parts.append(f'<text x="{ml-6}" y="{sy(yv)+4:.1f}" text-anchor="end" '
                      f'font-size="11" font-family="sans-serif">{yv:.3g}</text>')
-    if xlabel:
-        parts.append(f'<text x="{ml+pw/2:.0f}" y="{height-8}" text-anchor="middle" '
-                     f'font-size="13" font-family="sans-serif">{xlabel}</text>')
-    if ylabel:
-        parts.append(f'<text x="16" y="{mt+ph/2:.0f}" text-anchor="middle" '
-                     f'font-size="13" font-family="sans-serif" '
-                     f'transform="rotate(-90 16 {mt+ph/2:.0f})">{ylabel}</text>')
+    parts.append(f'<text x="{ml+pw/2:.0f}" y="{height-8}" text-anchor="middle" '
+                 f'font-size="13" font-family="sans-serif">{xlabel}</text>')
+    parts.append(f'<text x="16" y="{mt+ph/2:.0f}" text-anchor="middle" '
+                 f'font-size="13" font-family="sans-serif" '
+                 f'transform="rotate(-90 16 {mt+ph/2:.0f})">{ylabel}</text>')
     for i, (label, (x, y)) in enumerate(series.items()):
         color = _COLORS[i % len(_COLORS)]
         pts = " ".join(f"{sx(float(a)):.2f},{sy(float(b)):.2f}"

@@ -94,7 +94,7 @@ class SimpleJets:
         return self._mean("ah", measure)
 
     def table(self, marks: np.ndarray, counts, t: float, measure: LevyMeasureSpec,
-              compensated: bool = False) -> dict:
+              compensated: bool) -> dict:
         """Order-2 table of X = N(h) at time t, one entry per path.
 
         Path i owns the next counts[i] marks of the concatenated array.
@@ -169,7 +169,7 @@ class Scenario:
     measure: LevyMeasureSpec
     bottom: BottomStructure
     c: Callable
-    dx_c: Callable | None = None
+    dx_c: Callable
     compensated: bool = False
     comp_c: Callable | None = None
     comp_dx_c: Callable | None = None
@@ -209,7 +209,6 @@ def _conjugate(k: np.ndarray, c: np.ndarray) -> np.ndarray:
 class Trajectory:
     """One solved path: the lane of a one-lane `TrajectoryBatch`."""
 
-    scenario: Scenario
     times: np.ndarray                      # event times, starts at 0 ends at T
     jumps: list                            # LockstepJumps per jump, one lane each
     x: np.ndarray                          # (d,) state at T
@@ -280,9 +279,8 @@ def integrate(scenario: Scenario, path: MarkedPoissonPath, order: int) -> Trajec
         full = scenario.simple.table(path.marks, np.array([path.n_jumps]), scenario.horizon,
                                      scenario.measure, scenario.compensated)
         tab = {key: float(full[key][0]) for key in ("A", "G2", "XA", "XG2")}
-    return Trajectory(scenario=scenario, times=batch.times[0], jumps=batch.jumps,
-                      x=batch.x[0], k=batch.k[0], c=batch.c[0],
-                      kk_err=float(batch.kk_err[0]), order2=tab)
+    return Trajectory(times=batch.times[0], jumps=batch.jumps, x=batch.x[0], k=batch.k[0],
+                      c=batch.c[0], kk_err=float(batch.kk_err[0]), order2=tab)
 
 
 @dataclass
@@ -386,8 +384,7 @@ def _advance(scenario: Scenario, paths: list) -> TrajectoryBatch:
             ev = bottom.eval_jumps(s, xl, JumpLanes(paths[0].stream, addresses[sel], js,
                                                     mark_at[k, sel]))
             cval = _lanes(scenario.c(s, xl, ev), (mj, d))
-            jac = _lanes(eye + (scenario.dx_c(s, xl, ev) if scenario.dx_c is not None else 0.0),
-                         (mj, d, d))
+            jac = _lanes(eye + scenario.dx_c(s, xl, ev), (mj, d, d))
             det = np.linalg.det(jac)
             if (np.abs(det) < DET_FLOOR).any():
                 i = np.flatnonzero(np.abs(det) < DET_FLOOR)[0]

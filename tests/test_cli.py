@@ -191,15 +191,34 @@ def test_crosscheck_param_ranges_checked_before_simulation(tmp_path, capsys, key
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 @pytest.mark.parametrize("command", ["validate", "run", "crosscheck"])
 def test_non_finite_params_rejected_before_work(tmp_path, capsys, command, value):
-    # json reads NaN and Infinity; each is refused with the field named
-    for key in ("eps", "trunc", "horizon", "ymax"):
-        name = f"nonfinite-{key}"
-        path, _ = _config(tmp_path, name, scenario="subordination-linear",
-                          run={"paths": 4}, params={key: value})
-        code, err = _exit_and_stderr(capsys, [command, str(path)])
-        assert code == cli.EXIT_HYPOTHESIS, (key, err)
-        assert f"params.{key}" in err and "finite" in err
-        assert not (tmp_path / name).exists()
+    # json reads NaN and Infinity; each float param is refused with its field named
+    for scenario in ("subordination-linear", "compound-linear"):
+        params = inspect.signature(scenarios.CATALOG[scenario]).parameters
+        for key in [key for key, p in params.items() if p.annotation == "float"]:
+            name = f"nonfinite-{scenario}-{key}"
+            path, _ = _config(tmp_path, name, scenario=scenario,
+                              run={"paths": 4}, params={key: value})
+            code, err = _exit_and_stderr(capsys, [command, str(path)])
+            assert code == cli.EXIT_HYPOTHESIS, (scenario, key, err)
+            assert f"params.{key}" in err and "finite" in err
+            assert not (tmp_path / name).exists()
+
+
+@pytest.mark.parametrize("step", [0.0, -0.5, 1e-8])
+@pytest.mark.parametrize("command", ["validate", "run", "crosscheck"])
+def test_nested_step_checked_before_work(tmp_path, capsys, command, step):
+    # 1e-8 would ask prm.nested_grid for 1e8 steps on a full-length excursion
+    path, _ = _config(tmp_path, "step", scenario="subordination-linear",
+                      run={"paths": 4}, params={"nested_step": step})
+    code, err = _exit_and_stderr(capsys, [command, str(path)])
+    assert code == cli.EXIT_HYPOTHESIS and "params.nested_step" in err, err
+    assert not (tmp_path / "step").exists()
+
+
+def test_nested_step_bound_is_inclusive(tmp_path):
+    path, _ = _config(tmp_path, "bound", scenario="subordination-linear",
+                      params={"ymax": 0.5, "nested_step": 0.5 / cli.MAX_NESTED_STEPS})
+    assert cli.main(["validate", str(path)]) == cli.EXIT_OK
 
 
 def test_singular_jacobian_in_one_lane_exits_numeric(tmp_path, capsys, monkeypatch,
@@ -241,8 +260,8 @@ def test_sigma0_must_be_finite_2x2_matrix(tmp_path, capsys, command, sigma0):
 
 
 def test_every_builder_parameter_has_a_checked_type():
-    for name, builder in scenarios.CATALOG.items():
-        for key, param in inspect.signature(builder).parameters.items():
+    for name, reader in dict(scenarios.CATALOG, tauber=cli._tauber_inputs).items():
+        for key, param in inspect.signature(reader).parameters.items():
             assert param.annotation in cli._PARAM_TYPES, (name, key)
 
 
@@ -649,6 +668,11 @@ def _outputs_dir_dangling_link(tmp_path):
     return ["run", str(path)]
 
 
+def _outputs_dir_nul_byte(tmp_path):
+    path, _ = _config(tmp_path, "nul", outputs={"dir": str(tmp_path / "a\0b")})
+    return ["run", str(path)]
+
+
 def _svg_not_boolean(tmp_path):
     path, _ = _config(tmp_path, "svg", outputs={"svg": "no"})
     return ["run", str(path)]
@@ -669,6 +693,7 @@ UNREADABLE_INPUTS = {
     "outputs-dir-is-a-file": (_outputs_dir_is_a_file, "outputs.dir"),
     "outputs-dir-under-a-file": (_outputs_dir_under_a_file, "outputs.dir"),
     "outputs-dir-dangling-link": (_outputs_dir_dangling_link, "outputs.dir"),
+    "outputs-dir-nul-byte": (_outputs_dir_nul_byte, "outputs.dir"),
     "outputs-svg-not-boolean": (_svg_not_boolean, "outputs.svg"),
     "report-bad-json": (lambda t: _run_dir(t, '{"estimates": '), "report.json"),
     "report-not-an-object": (lambda t: _run_dir(t, "[1, 2]"), "report.json"),

@@ -53,8 +53,8 @@ def invocations(draw):
                                   "sigma0", "intensity", "svg"]))
     if spoil == "sigma0" or command == "crosscheck" and draw(st.booleans()):
         name = "subordination-linear"       # the one scenario crosscheck takes
-    keys = list(cli.TAUBER_PARAMS) if command == "tauber" else [
-        k for k in inspect.signature(scenarios.CATALOG[name]).parameters if k in VALID_PARAMS]
+    reader = cli._tauber_inputs if command == "tauber" else scenarios.CATALOG[name]
+    keys = [k for k in inspect.signature(reader).parameters if k in VALID_PARAMS]
     chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=3))
     params = {k: draw(st.sampled_from(VALID_PARAMS[k])) for k in chosen}
     run = {k: draw(st.sampled_from(valid)) for k, valid in VALID_RUN.items()}

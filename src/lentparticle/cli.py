@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import inspect
 import json
 import math
@@ -301,7 +302,9 @@ def run_pipeline(config: dict, pool=None) -> report.RunReport:
         _require_two_paths(run, "the standard error of each mean")
     rep = report.RunReport(config=config)
     out_dir = Path(config["outputs"]["dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # the output files are written only once every stage has succeeded, so
+    # a run that withholds its outputs leaves no output directory
+    writes = []
 
     if sc.simple is not None:          # mark sums: the vectorised ensemble
         parts = _fan_out(_simple_chunk, name, params, run["paths"],
@@ -334,16 +337,15 @@ def run_pipeline(config: dict, pool=None) -> report.RunReport:
         dens = ibp.density_ibp(ens.x, w1, grid)
         rep.add_estimate("density_mass", dens.mass(), 0.0, len(ens))
         rep.verdicts["density_mass_2pct"] = bool(abs(dens.mass() - 1.0) < 0.02)
-        report.write_csv(out_dir / "density.csv",
-                         ["grid", "ibp", "ibp_se", "kde"],
-                         list(zip(dens.grid.tolist(), dens.ibp.tolist(),
-                                  dens.ibp_se.tolist(), dens.kde.tolist())))
+        writes.append(functools.partial(
+            report.write_csv, out_dir / "density.csv", ["grid", "ibp", "ibp_se", "kde"],
+            list(zip(dens.grid.tolist(), dens.ibp.tolist(),
+                     dens.ibp_se.tolist(), dens.kde.tolist()))))
         if config["outputs"].get("svg"):
-            report.svg_line_chart(out_dir / "density.svg",
-                                  {"ibp": (dens.grid, dens.ibp),
-                                   "kde": (dens.grid, dens.kde)},
-                                  title=f"{name}: density at the horizon",
-                                  xlabel="x", ylabel="p(x)")
+            writes.append(functools.partial(
+                report.svg_line_chart, out_dir / "density.svg",
+                {"ibp": (dens.grid, dens.ibp), "kde": (dens.grid, dens.kde)},
+                title=f"{name}: density at the horizon", xlabel="x", ylabel="p(x)"))
         inv = diagnostics.inverse_moment(ens.gamma[ens.gamma > 0], 2)
         rep.diagnostics["gamma_inverse_moment_p2"] = {
             "estimate": inv.estimate, "stable": inv.stable, "verdict": inv.verdict}
@@ -364,10 +366,10 @@ def run_pipeline(config: dict, pool=None) -> report.RunReport:
             worst = float(np.nanmin(margins))
             rep.add_estimate("min_lower_bound_margin", worst, 0.0, len(margins))
             rep.verdicts["pathwise_lower_bound_psd"] = bool(worst >= -1e-10)
-        report.write_csv(out_dir / "states.csv",
-                         [f"x{i}" for i in range(sc.dim)] + ["kk_err", "gamma_min_eig"],
-                         [list(map(float, row)) + [float(a), float(b)]
-                          for row, a, b in zip(x, kk, eig)])
+        writes.append(functools.partial(
+            report.write_csv, out_dir / "states.csv",
+            [f"x{i}" for i in range(sc.dim)] + ["kk_err", "gamma_min_eig"],
+            [list(map(float, row)) + [float(a), float(b)] for row, a, b in zip(x, kk, eig)]))
 
     # the serial diagnostics follow the fan-out
     mm, emp, rel, n_jumps = _dual_oracle(sc, run["seed"], run["rho_replicas"])
@@ -383,6 +385,10 @@ def run_pipeline(config: dict, pool=None) -> report.RunReport:
     hyp = diagnostics.hypothesis_report(sc)
     rep.diagnostics["hypotheses"] = hyp.to_dict()
     rep.verdicts["hypotheses_pass"] = hyp.passed()
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for write in writes:
+        write()
     return rep
 
 

@@ -8,10 +8,12 @@ runs take seconds instead of minutes.
 
 Randomness stays path-addressed: path i draws its jump count and marks
 from the sub-streams of path index i, so an ensemble computed in chunks
-by several workers, or in blocks of BLOCK_PATHS paths, is bit-identical
-to a single-worker run.  All paths of a block are drawn at once by
-`rng.philox_random` with a vectorised port of numpy's Poisson sampler:
-bit for bit the draws of one numpy generator per path and purpose.
+by several workers is bit-identical to a single-worker run.  A chunk's
+counts are drawn at once, by a vectorised port of numpy's Poisson sampler
+on `rng.philox_random`; its marks are drawn, and its table computed, in
+blocks of whole paths of about BLOCK_MARKS marks, so that the temporaries
+stay in cache and on the heap.  Every draw is bit for bit that of one
+numpy generator per path and purpose, whatever the blocks.
 """
 
 from __future__ import annotations
@@ -25,9 +27,17 @@ from .measures import mark_quantile, total_mass
 from .rng import TAG_MARK, TAG_TIME, RngStream, philox_random
 from .sde import Scenario
 
-# Paths per block of `simple_ensemble`: ~0.6 MB per temporary at ~18 marks
-# per path, where smaller blocks pay the Poisson sampler's loop more often.
-BLOCK_PATHS = 4096
+# Marks plus paths per block of a chunk (a path counts one more than its
+# marks, for its entry in the per-path sums).  A float64 temporary of a
+# block is then under 96 KiB, and the ~15 that `SimpleJets.table` holds at
+# once come to ~1.4 MB: they stay in L2, and on a 25 000-path chunk under
+# glibc's heap trim threshold (twice the largest chunk it has unmapped,
+# there the Poisson pass's 0.8 MB draws).  Above it (16 Ki and up) every
+# block hands its temporaries back and page-faults them in again.  Swept
+# over 8, 12, 16, 24 and 32 Ki on `compound` (CHANGES.md has the
+# figures): larger blocks pay less per-block overhead, and 12 Ki is the
+# largest below the threshold.
+BLOCK_MARKS = 12_288
 
 
 @dataclass
@@ -54,15 +64,32 @@ def sample_mark_sets(scenario: Scenario, n_paths: int, stream: RngStream,
     are those of `prm.sample_path` at `stream.child(path=p)`, bit for bit:
     the count is what `stream.child(path=p, tag=TAG_TIME).generator()
     .poisson(lam)` draws, and the marks are `mark_quantile` of the first
-    `count` uniforms of `stream.child(path=p, tag=TAG_MARK)`.
+    `count` uniforms of `stream.child(path=p, tag=TAG_MARK)`.  All counts
+    are drawn in one pass of the sampler, the marks block by block.
     """
     spec = scenario.measure
     lam = scenario.horizon * total_mass(spec)
     paths = np.arange(path_offset + 1, path_offset + n_paths + 1, dtype=np.uint64)
     counts = _poisson(stream.child(tag=TAG_TIME), paths, lam)
-    v = _leading_draws(stream.child(tag=TAG_MARK), paths, counts)
-    marks = mark_quantile(spec, v) if v.size else np.empty(0)
+    marks = np.empty(int(counts.sum()))
+    mark_stream = stream.child(tag=TAG_MARK)
+    for p, m in _blocks(counts):
+        if m.start < m.stop:
+            marks[m] = mark_quantile(spec, _leading_draws(mark_stream, paths[p], counts[p]))
     return counts, marks
+
+
+def _blocks(counts: np.ndarray):
+    """(path slice, mark slice) of each block of a chunk: runs of whole
+    paths, each of at most BLOCK_MARKS marks plus paths, or of one path
+    that has more."""
+    size = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts + 1, out=size[1:])         # marks plus paths before each path
+    lo = 0
+    while lo < len(counts):
+        hi = max(lo + 1, int(np.searchsorted(size, size[lo] + BLOCK_MARKS, side="right")) - 1)
+        yield slice(lo, hi), slice(int(size[lo]) - lo, int(size[hi]) - hi)
+        lo = hi
 
 
 def _leading_draws(stream: RngStream, paths: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -180,18 +207,20 @@ def simple_ensemble(scenario: Scenario, n_paths: int, stream: RngStream,
                     path_offset: int = 0) -> SimpleEnsemble:
     """Simulate n_paths paths of a scalar mark-sum scenario, with jets.
 
-    More than BLOCK_PATHS paths are simulated a block at a time and
-    concatenated: the same bits, on temporaries that stay in cache.
+    The table runs block by block, over the blocks `sample_mark_sets`
+    draws the marks in: the same bits as one table for the whole chunk,
+    on temporaries that stay in cache.
     """
-    if n_paths > BLOCK_PATHS:
-        return merge_ensembles(
-            simple_ensemble(scenario, min(BLOCK_PATHS, n_paths - lo), stream, path_offset + lo)
-            for lo in range(0, n_paths, BLOCK_PATHS))
     sj = scenario.simple
     if scenario.dim != 1 or sj is None:
         raise ValueError("vectorised ensembles need a scalar scenario with mark jets")
     counts, marks = sample_mark_sets(scenario, n_paths, stream, path_offset)
-    tab = sj.table(marks, counts, scenario.horizon, scenario.measure, scenario.compensated)
+    tab = {key: np.empty(n_paths) for key in ("X", "gamma", "A", "G2", "XA", "XG2")}
+    for p, m in _blocks(counts):
+        part = sj.table(marks[m], counts[p], scenario.horizon, scenario.measure,
+                        scenario.compensated)
+        for key, column in tab.items():
+            column[p] = part[key]
     return SimpleEnsemble(
         x=scenario.x0[0] + tab["X"], n_jumps=counts, gamma=tab["gamma"], a=tab["A"],
         g2=tab["G2"], xa=tab["XA"], xg2=tab["XG2"])

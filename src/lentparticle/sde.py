@@ -113,9 +113,16 @@ class SimpleJets:
                + 0.5 * (xipp + xip * r + xi * rp) * hp + 0.5 * (xip + xi * r) * hpp)
         g2p = xip * hp * g1p + xi * hpp * g1p + xi * hp * g1pp
 
+        # per-path sums: path i's marks start at starts[i], the paths with
+        # no mark sum to zero
+        jumped = counts > 0
+        starts = (np.cumsum(counts) - counts)[jumped]
+
         def seg(values):
             values = np.ascontiguousarray(np.broadcast_to(values, marks.shape), dtype=float)
-            return _segment_sum(values, counts)
+            out = np.zeros(len(counts))
+            out[jumped] = np.add.reduceat(values, starts)
+            return out
 
         x = seg(h)
         if compensated:
@@ -132,14 +139,6 @@ class SimpleJets:
 def _a(xi, xip, r, fp, fpp):
     """The mark-space generator a[f] = xi f''/2 + (xi' + xi r) f'/2, from jet values."""
     return 0.5 * xi * fpp + 0.5 * (xip + xi * r) * fp
-
-
-def _segment_sum(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(counts))
-    nz = counts > 0
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    out[nz] = np.add.reduceat(values, offsets[nz])
-    return out
 
 
 @dataclass

@@ -157,6 +157,7 @@ def test_zero_mass_run_is_hypothesis_failure(tmp_path, capsys):
         assert "RuntimeWarning" not in err
         for field in ("degenerate ensemble", "params.trunc", "params.horizon", "run.paths"):
             assert field in err, (name, field)
+        assert not (tmp_path / name).exists()
     # nor does one trajectory path, for the means' SE or the KS test; both
     # are refused before any simulation
     for command, scenario in [("run", "compound-linear"), ("crosscheck", "subordination-linear")]:
@@ -291,6 +292,21 @@ def test_run_state_overflow_exits_numeric_without_warnings(tmp_path, capfd, work
     err = capfd.readouterr().err
     assert "Warning" not in err and "Traceback" not in err
     assert err.strip() == "numeric failure: state overflow (event 2)"
+    assert not (tmp_path / "overflow").exists()
+
+
+@pytest.mark.parametrize("name", ["compound", "compound-linear"])
+def test_run_failing_after_its_tables_writes_nothing(tmp_path, capsys, monkeypatch, name):
+    # the density and states tables are ready before the serial diagnostics;
+    # a diagnostic that fails withholds them with the report
+    def failing_oracle(*args):
+        raise FloatingPointError("oracle overflow")
+
+    monkeypatch.setattr(cli, "_dual_oracle", failing_oracle)
+    path, _ = _config(tmp_path, "late", scenario=name, run={"paths": 40})
+    code, err = _exit_and_stderr(capsys, ["run", str(path)])
+    assert code == cli.EXIT_NUMERIC and "oracle overflow" in err
+    assert not (tmp_path / "late").exists()
 
 
 def test_validate_fails_unbounded_coefficients(tmp_path, capsys):

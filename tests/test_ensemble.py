@@ -2,6 +2,7 @@
 per-path numpy generators it reproduces bit for bit."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,11 +110,11 @@ def test_philox_random_refuses_counter_wrap():
 
 
 # ---------------------------------------------------------------------------
-# path blocks of simple_ensemble
+# mark blocks of a chunk
 # ---------------------------------------------------------------------------
 
 def whole_chunk_ensemble(scenario, n_paths, stream, path_offset):
-    """The unblocked formulation: one draw and one table for the whole chunk."""
+    """The unblocked formulation: one table for the whole chunk."""
     counts, marks = ensemble.sample_mark_sets(scenario, n_paths, stream, path_offset)
     tab = scenario.simple.table(marks, counts, scenario.horizon, scenario.measure,
                                 scenario.compensated)
@@ -125,20 +126,60 @@ def whole_chunk_ensemble(scenario, n_paths, stream, path_offset):
 @pytest.mark.parametrize("horizon", [1.0, 1e-6])
 @pytest.mark.parametrize("weight,compensated", [("bump", False), ("power", True)])
 def test_blocks_match_whole_chunk(weight, compensated, horizon):
-    # three blocks, the last one short, starting off the block grid of the
-    # path index; at horizon 1e-6 (lam ~ 2e-5) whole blocks have no jump
+    # ~2.5 blocks of marks plus paths, at a path offset off any block grid;
+    # at horizon 1e-6 (lam ~ 2e-5) whole blocks have no jump
     sc = scenarios.build("compound", weight=weight, compensated=compensated,
                          horizon=horizon)
-    block = ensemble.BLOCK_PATHS
-    n, offset = 2 * block + 37, block - 5
+    size = ensemble.BLOCK_MARKS
+    n = int(2.5 * size / (1 + sc.horizon * total_mass(sc.measure)))
+    offset = size - 5
     stream = RngStream(seed=42)
     got = ensemble.simple_ensemble(sc, n, stream, path_offset=offset)
     ref = whole_chunk_ensemble(sc, n, stream, offset)
     for f in dataclasses.fields(ensemble.SimpleEnsemble):
         a, b = getattr(got, f.name), getattr(ref, f.name)
         assert a.dtype == b.dtype and np.array_equal(a, b), f.name
-    per_block = np.add.reduceat(ref.n_jumps, np.arange(0, n, block))
+
+    # the blocks tile the paths, each holds the marks of its own paths, and
+    # only the last is short
+    counts = ref.n_jumps
+    before = np.concatenate([[0], np.cumsum(counts)])     # marks before each path
+    blocks = list(ensemble._blocks(counts))
+    assert len(blocks) >= 3
+    assert [p.start for p, _ in blocks] == [0] + [p.stop for p, _ in blocks[:-1]]
+    assert blocks[-1][0].stop == n
+    entries = []
+    for p, m in blocks:
+        assert p.start < p.stop and (m.start, m.stop) == (before[p.start], before[p.stop])
+        entries.append(m.stop - m.start + p.stop - p.start)
+    assert max(entries) <= size and entries[-1] < min(entries[:-1])
+    jumps = np.array([counts[p].sum() for p, _ in blocks])
     if horizon < 1:
-        assert (per_block == 0).any()
+        assert (jumps == 0).any()
     else:
-        assert (per_block > 0).all()
+        assert (jumps > 0).all()
+
+
+def test_block_holds_one_path_with_more_marks():
+    counts = np.array([3, ensemble.BLOCK_MARKS + 7, 0, 2])
+    assert list(ensemble._blocks(counts)) == [
+        (slice(0, 1), slice(0, 3)), (slice(1, 2), slice(3, ensemble.BLOCK_MARKS + 10)),
+        (slice(2, 4), slice(ensemble.BLOCK_MARKS + 10, ensemble.BLOCK_MARKS + 12))]
+
+
+def test_chunk_temporaries_stay_block_sized():
+    # beyond the chunk's marks and its result arrays (counted twice, for
+    # the columns the table fills and the fields built from them), one
+    # 25 000-path chunk holds under 16 x 128 KiB of temporaries at a time
+    sc = scenarios.build("compound")
+    stream = RngStream(seed=42)
+    ensemble.simple_ensemble(sc, 10, stream)         # memoised quadratures
+    tracemalloc.start()
+    try:
+        ens = ensemble.simple_ensemble(sc, 25_000, stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    results = sum(getattr(ens, f.name).nbytes for f in dataclasses.fields(ens))
+    marks = 8 * int(ens.n_jumps.sum())
+    assert peak - marks - 2 * results < 16 * 128 * 1024

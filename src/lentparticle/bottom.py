@@ -134,7 +134,7 @@ class WienerOUEval:
 
 @dataclass
 class WienerOUBottom(BottomStructure):
-    """Jumps given by excursions of a diffusion dzeta = a(zeta) dB + b(zeta) dt.
+    """Jumps given by excursions of a diffusion dzeta = a(zeta) dB + b dt.
 
     The nested diffusion, its flow derivative M, the inverse flow and the
     Malliavin matrix of the excursion are advanced together by
@@ -142,18 +142,17 @@ class WienerOUBottom(BottomStructure):
     sub-stream.  The displacement is the jump coefficient's input.
 
     The coefficient callables take states z of shape (n, dim), one row per
-    lane, and return a (n, dim, n_brownian), b (n, dim) and da/dz
+    lane, and return a (n, dim, n_brownian) and da/dz
     (n, dim, n_brownian, dim); a value without the lane axis is taken to
-    hold for every lane.  a and da/dz are functions of z alone.  b is
-    taken to be constant in z: the flow derivative follows the diffusion
-    coefficient only, and `evolve` evaluates b once per call.
+    hold for every lane.  The drift b is no function of z: it is a per-lane
+    constant that `evolve` takes as an argument, so the flow derivative
+    follows the diffusion coefficient only.
     """
 
     dim: int
     n_brownian: int
     diff: Callable                     # a(z)
     step: float                        # nested Euler step
-    drift: Callable | None = None      # b(z)
     diff_jac: Callable | None = None   # da/dz
 
     @property
@@ -167,19 +166,20 @@ class WienerOUBottom(BottomStructure):
     # the inverse flow is checked for overflow and raised as an error, so
     # numpy's overflow warnings would only repeat the failure
     @np.errstate(over="ignore", invalid="ignore")
-    def evolve(self, x: np.ndarray, y: np.ndarray, incs: np.ndarray) -> WienerOUEval:
+    def evolve(self, x: np.ndarray, y: np.ndarray, incs: np.ndarray,
+               drift: np.ndarray | None = None) -> WienerOUEval:
         """Run the excursions of n lanes in lockstep.
 
-        x (n, dim) start points, y (n,) durations and incs
+        x (n, dim) start points, y (n,) durations, incs
         (steps, n, n_brownian) the Brownian increments on the lanes'
-        `prm.nested_grid`.  The lanes are walked sorted by step count,
+        `prm.nested_grid`, and drift, when given, the (n, dim) drift b of
+        each lane.  The lanes are walked sorted by step count,
         longest first, so the lanes still stepping at nested step k are a
         leading slice, and only that slice is stepped: a lane past its last
         step keeps its values, as the zero increment over a zero width it
         is given there would.  `diff` and `diff_jac` are evaluated on the
-        stepping lanes' states; `drift`, constant in z, once per call on
-        all lanes, its rows following the lanes.  The result carries the
-        lane axis, in the order of x.
+        stepping lanes' states.  The result carries the lane axis, in the
+        order of x.
         """
         d, q = self.dim, self.n_brownian
         x = np.asarray(x, dtype=float)
@@ -195,8 +195,8 @@ class WienerOUBottom(BottomStructure):
         dtms = widths[:, order, None, None]
         dbs = incs[:, order, :, None]
         noises = dbs[..., None]
-        drift_dt = (None if self.drift is None
-                    else np.broadcast_to(self.drift(x), (n, d))[order] * dtms[..., 0])
+        drift_dt = (None if drift is None
+                    else np.broadcast_to(drift, (n, d))[order] * dtms[..., 0])
         flows = self.diff_jac is not None
         z = x[order]
         m = np.tile(np.eye(d), (n, 1, 1))

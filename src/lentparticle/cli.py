@@ -22,6 +22,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -52,9 +53,16 @@ def _require(cond, path, msg):
         raise SchemaError(f"{path}: {msg}")
 
 
+def _known_keys(obj: dict, prefix: str, keys) -> None:
+    for key in obj:
+        _require(key in keys, f"{prefix}{key}", f"unknown key; choose from {sorted(keys)}")
+
+
 def validate_config(config: dict, need_outputs: bool = True) -> dict:
-    """Check the config shape and fill defaults; returns the config."""
+    """Check the config shape, refuse unknown keys and fill defaults; returns
+    the config.  (`check_params` checks the keys of `params`.)"""
     _require(isinstance(config, dict), "$", "config must be a JSON object")
+    _known_keys(config, "", ("scenario", "params", "run", "outputs"))
     name = config.get("scenario")
     _require(isinstance(name, str), "scenario", "required string")
     _require(name in scenarios.CATALOG, "scenario",
@@ -63,6 +71,7 @@ def validate_config(config: dict, need_outputs: bool = True) -> dict:
     _require(isinstance(params, dict), "params", "must be an object")
     run = config.setdefault("run", {})
     _require(isinstance(run, dict), "run", "must be an object")
+    _known_keys(run, "run.", ("seed", "paths", "rho_replicas", "workers"))
     _require(_is_int(run.get("seed")), "run.seed", "required integer")
     run.setdefault("paths", 1000)
     run.setdefault("rho_replicas", 1000)
@@ -78,6 +87,7 @@ def validate_config(config: dict, need_outputs: bool = True) -> dict:
                  f"run.{key}", "must be a positive integer")
     outputs = config.setdefault("outputs", {})
     _require(isinstance(outputs, dict), "outputs", "must be an object")
+    _known_keys(outputs, "outputs.", ("dir", "svg"))
     if need_outputs:
         _require(isinstance(outputs.get("dir"), str), "outputs.dir", "required string")
         _require("\0" not in outputs["dir"], "outputs.dir", "must not contain a NUL byte")
@@ -136,9 +146,9 @@ MAX_NESTED_STEPS = 10_000
 def check_params(config: dict, command: str):
     """Check the params against the signature of what reads them: the
     scenario's builder, or `_tauber_inputs` for `tauber`.  An unknown or
-    ill-typed key is a SchemaError (exit 2); a float that is not finite or a
-    value out of range, jump bound and nested-step bound included, is a
-    ValueError (exit 3)."""
+    ill-typed key is a SchemaError (exit 2); a float that is not finite, a
+    jump measure that `LevyMeasureSpec` refuses, or a value out of range,
+    jump bound and nested-step bound included, is a ValueError (exit 3)."""
     name = config["scenario"]
     reader, owner = ((_tauber_inputs, "the tauber command") if command == "tauber"
                      else (scenarios.CATALOG[name], f"scenario {name!r}"))
@@ -153,35 +163,28 @@ def check_params(config: dict, command: str):
     for key, value in values.items():
         if sig[key].annotation == "float" and not math.isfinite(value):
             raise ValueError(f"params.{key} = {value} must be finite")
-    eps, ymax, horizon = values["eps"], values["ymax"], values["horizon"]
-    trunc = values.get("trunc", 0.0)                # tauber's measure is untruncated
-    if not 0.0 < eps < 1.0:
-        raise ValueError(
-            f"params.eps = {eps} out of range: the power-law jump measure needs "
-            "0 < eps < 1 for the Laplace-exponent asymptotics to apply")
-    if trunc < 0:
-        raise ValueError("params.trunc must be >= 0")
-    if horizon <= 0:
+    try:                                        # tauber's measure is untruncated
+        spec = LevyMeasureSpec(values["eps"], ymax=values["ymax"], trunc=values.get("trunc", 0.0))
+    except ValueError as e:                     # the spec names its fields; qualify them
+        raise ValueError(re.sub(r"\b(eps|ymax|trunc)\b", r"params.\1", str(e))) from None
+    if values["horizon"] <= 0:
         raise ValueError("params.horizon must be > 0")
-    if not ymax > trunc:              # trunc >= 0, so this also needs ymax > 0
-        raise ValueError(f"params.ymax = {ymax} out of range: the mark support "
-                         f"(params.trunc, params.ymax] = ({trunc}, {ymax}] must not be empty")
     step = values.get("nested_step", math.inf)      # inf: no nested excursions
-    if not (step > 0 and ymax / step <= MAX_NESTED_STEPS):
+    if not (step > 0 and spec.ymax / step <= MAX_NESTED_STEPS):
         raise ValueError(f"params.nested_step = {step} out of range: it must be > 0, and "
                          f"params.ymax / params.nested_step (the steps of the longest "
                          f"excursion) at most {MAX_NESTED_STEPS}")
     if command == "tauber":           # tauber draws no jumps
         return
     try:
-        jumps = horizon * total_mass(LevyMeasureSpec(eps, ymax=ymax, trunc=trunc))
+        jumps = values["horizon"] * total_mass(spec)
     except (InfiniteMassError, OverflowError):
         jumps = math.inf
     if not jumps <= MAX_JUMPS_PER_PATH:
         raise ValueError(
-            f"params.horizon x the mass of the jump measure (params.eps = {eps} on "
-            f"(params.trunc, params.ymax] = ({trunc}, {ymax}]) asks for {jumps:.3g} "
-            f"jumps per path, above the limit of {MAX_JUMPS_PER_PATH}; raise "
+            f"params.horizon x the mass of the jump measure (params.eps = {spec.eps} on "
+            f"(params.trunc, params.ymax] = ({spec.trunc}, {spec.ymax}]) asks for "
+            f"{jumps:.3g} jumps per path, above the limit of {MAX_JUMPS_PER_PATH}; raise "
             "params.trunc, or lower params.eps or params.horizon")
 
 
@@ -554,7 +557,8 @@ def report_pipeline(run_dir: str) -> int:
     """Re-derive summary numbers from the CSVs and check them against the
     stored report; prints the summary.  `density.csv` gives density_mass;
     `states.csv`, on a trajectory run, gives every mean_x{i} and
-    max_flow_inverse_error, whose n must equal its row count."""
+    max_flow_inverse_error, whose n must equal its row count; a mean_x{i}
+    that no column gives is a mismatch."""
     run_dir = Path(run_dir)
     rep_path = run_dir / "report.json"
     if not rep_path.exists():
@@ -572,9 +576,12 @@ def report_pipeline(run_dir: str) -> int:
         print(f"unreadable report {rep_path}: {e}", file=sys.stderr)
         return EXIT_SCHEMA
     print(json.dumps(estimates, indent=2, sort_keys=True))
-    # each table is checked when the report holds its key
-    for name, key, rederive in (("density.csv", "density_mass", _density_estimates),
-                                ("states.csv", "max_flow_inverse_error", _states_estimates)):
+    # each table is checked when the report holds its key; the estimates
+    # whose names it owns must be exactly those it gives
+    for name, key, owns, rederive in (
+            ("density.csv", "density_mass", r"density_mass", _density_estimates),
+            ("states.csv", "max_flow_inverse_error", r"mean_x\d+|max_flow_inverse_error",
+             _states_estimates)):
         path = run_dir / name
         if key not in estimates or not path.exists():
             continue
@@ -583,6 +590,11 @@ def report_pipeline(run_dir: str) -> int:
         except (OSError, ValueError) as e:
             print(f"unreadable table {path}: {e}", file=sys.stderr)
             return EXIT_SCHEMA
+        extra = sorted(k for k in estimates if re.fullmatch(owns, k) and k not in derived)
+        if extra:
+            print(f"{name} does not match the report: no column gives {', '.join(extra)}",
+                  file=sys.stderr)
+            return EXIT_NUMERIC
         for est, (value, n, tol) in derived.items():
             entry = estimates.get(est, {"value": math.nan})
             if not (abs(entry["value"] - value) <= tol and n in (None, entry.get("n"))):

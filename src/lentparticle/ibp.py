@@ -57,7 +57,7 @@ def functional_value(j: SimpleJets, marks: np.ndarray, t: float,
 def generator_value(j: SimpleJets, marks: np.ndarray, t: float,
                     measure: LevyMeasureSpec) -> float:
     """Generator path of a mark-sum functional at time t (always compensated)."""
-    v = float(np.sum(j.ah(marks))) if len(marks) else 0.0
+    v = float(np.sum(j.ah(marks, measure))) if len(marks) else 0.0
     return v - t * j.mean_ah(measure)
 
 

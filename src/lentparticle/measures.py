@@ -67,8 +67,10 @@ class LevyMeasureSpec:
     """The power-law jump measure y^(-1-eps) dy on (trunc, ymax].
 
     eps      exponent, in (0, 1)
-    ymax     upper end of the support
-    trunc    lower cutoff; marks below it are dropped from the model
+    ymax     upper end of the support, above trunc: the support is not empty
+    trunc    lower cutoff, >= 0; marks below it are dropped from the model
+
+    A spec outside these ranges is refused, by a message naming the field.
     """
 
     eps: float
@@ -77,23 +79,23 @@ class LevyMeasureSpec:
 
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0:
-            raise ValueError(f"power-law exponent eps = {self.eps} must lie in (0, 1)")
-        if self.trunc < 0:
-            raise ValueError("truncation cutoff must be >= 0")
-
-    # the support after truncation
-    @property
-    def lower(self) -> float:
-        return self.trunc
-
-    @property
-    def upper(self) -> float:
-        return self.ymax
+            raise ValueError(f"eps = {self.eps} out of range: the power-law jump measure needs "
+                             "0 < eps < 1 for the Laplace-exponent asymptotics to apply")
+        if not self.trunc >= 0:
+            raise ValueError(f"trunc = {self.trunc} out of range: the cutoff must be >= 0")
+        if not self.ymax > self.trunc:
+            raise ValueError(f"ymax = {self.ymax} out of range: the mark support "
+                             f"(trunc, ymax] = ({self.trunc}, {self.ymax}] must not be empty")
 
     def density(self, y):
         """Density of the untruncated measure at y (vectorised)."""
         y = np.asarray(y, dtype=float)
-        return np.where((y > 0) & (y <= self.upper), y ** (-1.0 - self.eps), 0.0)
+        return np.where((y > 0) & (y <= self.ymax), y ** (-1.0 - self.eps), 0.0)
+
+    def log_slope(self, u):
+        """The slope r = m'/m of the log-density m(u) = u^(-1-eps) at marks u,
+        and its derivative r'."""
+        return -(1.0 + self.eps) / u, (1.0 + self.eps) / u ** 2
 
 
 def _lanes(value, n: int) -> np.ndarray:
@@ -164,17 +166,15 @@ def _quad(fn, edges) -> tuple[np.ndarray, np.ndarray]:
 
 def total_mass(spec: LevyMeasureSpec) -> float:
     """Mass of the measure restricted above the truncation cutoff."""
-    lo, hi, eps = spec.lower, spec.upper, spec.eps
-    if lo >= hi:
-        return 0.0
-    if lo <= 0.0:
+    lo, hi, eps = spec.trunc, spec.ymax, spec.eps
+    if lo == 0.0:
         raise InfiniteMassError("the power law has infinite mass without truncation")
     return (lo ** (-eps) - hi ** (-eps)) / eps
 
 
 def mark_quantile(spec: LevyMeasureSpec, v: np.ndarray) -> np.ndarray:
     """Inverse CDF of the normalised truncated measure at uniforms v."""
-    lo, hi, eps = spec.lower, spec.upper, spec.eps
+    lo, hi, eps = spec.trunc, spec.ymax, spec.eps
     return (lo ** (-eps) - v * (lo ** (-eps) - hi ** (-eps))) ** (-1.0 / eps)
 
 
@@ -185,14 +185,11 @@ def compensator_integral(spec: LevyMeasureSpec, f, t: float) -> np.ndarray:
     (n,) for a scalar integrand, (n, k) for a vector one; integration is
     per component.
     """
-    lo, hi = spec.lower, spec.upper
-    if lo >= hi:
-        out = np.zeros(_lanes(f(np.array([hi])), 1).shape[1])
-    else:
-        out, err = _quad(lambda y: _lanes(f(y), y.size) * spec.density(y)[:, None], (lo, hi))
-        for i, (val, e) in enumerate(zip(out, err)):
-            if not math.isfinite(val) or e > max(1e-6, 1e-6 * abs(val)):
-                raise NonIntegrableError(f"component {i} does not integrate against the measure")
+    out, err = _quad(lambda y: _lanes(f(y), y.size) * spec.density(y)[:, None],
+                     (spec.trunc, spec.ymax))
+    for i, (val, e) in enumerate(zip(out, err)):
+        if not math.isfinite(val) or e > max(1e-6, 1e-6 * abs(val)):
+            raise NonIntegrableError(f"component {i} does not integrate against the measure")
     res = t * out
     return res if res.size > 1 else float(res[0])
 
@@ -206,9 +203,7 @@ def laplace_exponent(lam: float, psi, spec: LevyMeasureSpec) -> float:
     """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    lo, hi = spec.lower, spec.upper
-    if lo >= hi:
-        return 0.0
+    lo, hi = spec.trunc, spec.ymax
     probes = np.linspace(lo if lo > 0 else hi * 1e-9, hi, 64)
     if np.any(np.asarray(psi(probes)) < 0):
         raise ValueError("psi must be nonnegative on the support")

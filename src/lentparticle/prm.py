@@ -50,7 +50,7 @@ def sample_paths(spec: LevyMeasureSpec, horizon: float, stream: RngStream, paths
     mass = total_mass(spec)
     counts, times = [], []
     for gen in stream.child(tag=TAG_TIME).each(path=paths):
-        n = int(gen.poisson(horizon * mass)) if mass > 0 else 0
+        n = int(gen.poisson(horizon * mass))
         counts.append(n)
         times.append(np.sort(gen.random(n)) * horizon)
     drawn = [p for p, n in zip(paths, counts) if n]

@@ -11,7 +11,6 @@ with a leading lane axis on its arguments, for many paths at once (see
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -47,7 +46,7 @@ def _power_weight(lo, hi):
     """Form weight xi(u) = u^2 (with derivatives)."""
     return (lambda u: u * u,
             lambda u: 2.0 * u,
-            lambda u: 2.0 + 0.0 * u)
+            lambda u: 2.0)
 
 
 def _bump_weight(lo, hi):
@@ -70,12 +69,6 @@ def _bump_weight(lo, hi):
     return xi, xip, xipp
 
 
-def _power_log_slope(eps):
-    # density m(u) = u^(-1-eps)
-    return (lambda u: -(1.0 + eps) / u,
-            lambda u: (1.0 + eps) / u ** 2)
-
-
 @_register("compound")
 def compound(eps: float = 0.5, trunc: float = 0.01, ymax: float = 1.0,
              horizon: float = 1.0, x0: float = 0.0, weight: str = "power",
@@ -89,19 +82,16 @@ def compound(eps: float = 0.5, trunc: float = 0.01, ymax: float = 1.0,
     are only consistent under the "bump" choice.
     """
     spec = LevyMeasureSpec(eps, ymax=ymax, trunc=trunc)
-    lo, hi = spec.lower, spec.upper
+    lo, hi = spec.trunc, spec.ymax
     if weight == "power":
         xi, xip, xipp = _power_weight(lo, hi)
     elif weight == "bump":
         xi, xip, xipp = _bump_weight(lo, hi)
     else:
         raise ValueError(f"unknown weight {weight!r}")
-    r, rp = _power_log_slope(eps)
 
-    jets = SimpleJets(
-        h=lambda u: u, hp=lambda u: 1.0 + 0.0 * u,
-        hpp=lambda u: 0.0 * u, hppp=lambda u: 0.0 * u,
-        xi=xi, xip=xip, xipp=xipp, r=r, rp=rp)
+    jets = SimpleJets(h=lambda u: u, hp=lambda u: 1.0, hpp=lambda u: 0.0, hppp=lambda u: 0.0,
+                      xi=xi, xip=xip, xipp=xipp)
 
     bottom = EuclideanBottom(xi=xi, c_u=lambda s, x, u: np.array([1.0]))
     mean_jump = jets.mean_h(spec)
@@ -127,7 +117,7 @@ def compound_linear(beta: float = 0.5, eps: float = 0.5, trunc: float = 0.01,
     The form weight on marks is xi(u) = u^2.
     """
     spec = LevyMeasureSpec(eps, ymax=ymax, trunc=trunc)
-    xi, _, _ = _power_weight(spec.lower, spec.upper)
+    xi, _, _ = _power_weight(spec.trunc, spec.ymax)
     bottom = EuclideanBottom(xi=xi, c_u=lambda s, x, u: beta * x)
     mean_jump = float(compensator_integral(spec, lambda u: u, 1.0))
 
@@ -234,7 +224,7 @@ class _FieldBottom(WienerOUBottom):
                           for gen in lanes.draws(TAG_NESTED, replica=1)])
         push = np.stack([np.cos(theta), np.sin(theta)], -1)
         incs = nested_increments(lanes, lanes.marks, self.step, self.n_brownian)
-        return replace(self, drift=lambda z: push).evolve(x, lanes.marks, incs)
+        return self.evolve(x, lanes.marks, incs, drift=push)
 
 
 @_register("levy-field-demo")

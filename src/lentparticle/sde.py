@@ -51,9 +51,10 @@ N_STEPS = 1000          # Euler steps on [0, T] in a compensated scenario's even
 class SimpleJets:
     """Closed-form mark jets for scalar jump heights c(s,x,u) = h(u).
 
-    Carries h with three derivatives, the form weight xi with two, and the
-    log-density slope r = m'/m with one.  From these it assembles the
-    derived quantities the order-2 calculus needs:
+    Carries h with three derivatives and the form weight xi with two; the
+    log-density slope r = m'/m and r' come from the measure
+    (`LevyMeasureSpec.log_slope`).  From these it assembles the derived
+    quantities the order-2 calculus needs:
 
         g1 = xi h'^2                 (per-jump covariance increment)
         ah = xi h''/2 + (xi'+xi r) h'/2     (generator applied to h)
@@ -75,23 +76,21 @@ class SimpleJets:
     xi: Callable
     xip: Callable
     xipp: Callable
-    r: Callable
-    rp: Callable
     _means: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def _mean(self, name: str, measure: LevyMeasureSpec) -> float:
+    def _mean(self, name: str, measure: LevyMeasureSpec, f) -> float:
         key = (name, measure)
         if key not in self._means:
-            self._means[key] = float(compensator_integral(measure, getattr(self, name), 1.0))
+            self._means[key] = float(compensator_integral(measure, f, 1.0))
         return self._means[key]
 
     def mean_h(self, measure: LevyMeasureSpec) -> float:
         """int h dnu over the truncated measure."""
-        return self._mean("h", measure)
+        return self._mean("h", measure, self.h)
 
     def mean_ah(self, measure: LevyMeasureSpec) -> float:
         """int a[h] dnu over the truncated measure."""
-        return self._mean("ah", measure)
+        return self._mean("ah", measure, lambda u: self.ah(u, measure))
 
     def table(self, marks: np.ndarray, counts, t: float, measure: LevyMeasureSpec,
               compensated: bool) -> dict:
@@ -101,12 +100,13 @@ class SimpleJets:
         Keys: X (compensated by t int h dnu if asked), gamma = <X, X>,
         A = A[X] (always compensated), G2 = <X, gamma>, XA = <X, A> and
         XG2 = <X, G2>, the last three being N(xi h' g1'), N(xi h' a[h]')
-        and N(xi h' g2').  Each of the nine jets is evaluated once, on the
-        whole mark array, and every integrand is assembled from those values.
+        and N(xi h' g2').  Each jet and the log slope is evaluated once, on
+        the whole mark array, and every integrand is assembled from those values.
         """
-        h, hp, hpp, hppp, xi, xip, xipp, r, rp = (
+        h, hp, hpp, hppp, xi, xip, xipp = (
             jet(marks) for jet in (self.h, self.hp, self.hpp, self.hppp,
-                                   self.xi, self.xip, self.xipp, self.r, self.rp))
+                                   self.xi, self.xip, self.xipp))
+        r, rp = measure.log_slope(marks)
         g1p = xip * hp ** 2 + 2 * xi * hp * hpp
         g1pp = xipp * hp ** 2 + 4 * xip * hp * hpp + 2 * xi * (hpp ** 2 + hp * hppp)
         ahp = (0.5 * xip * hpp + 0.5 * xi * hppp
@@ -132,8 +132,9 @@ class SimpleJets:
                 "G2": seg(xi * hp * g1p), "XA": seg(xi * hp * ahp),
                 "XG2": seg(xi * hp * g2p)}
 
-    def ah(self, u):
-        return _a(self.xi(u), self.xip(u), self.r(u), self.hp(u), self.hpp(u))
+    def ah(self, u, measure: LevyMeasureSpec):
+        """a[h] at marks u, under the density of `measure`."""
+        return _a(self.xi(u), self.xip(u), measure.log_slope(u)[0], self.hp(u), self.hpp(u))
 
 
 def _a(xi, xip, r, fp, fpp):

@@ -27,8 +27,8 @@ def mark_cdf(spec: LevyMeasureSpec, y) -> np.ndarray:
     mass = total_mass(spec)
     if mass <= 0:
         raise ValueError("zero-mass measure has no mark distribution")
-    yc = np.clip(np.atleast_1d(np.asarray(y, dtype=float)), spec.lower, spec.upper)
-    return (spec.lower ** -spec.eps - yc ** -spec.eps) / spec.eps / mass
+    yc = np.clip(np.atleast_1d(np.asarray(y, dtype=float)), spec.trunc, spec.ymax)
+    return (spec.trunc ** -spec.eps - yc ** -spec.eps) / spec.eps / mass
 
 
 # ---------------------------------------------------------------------------
@@ -46,13 +46,13 @@ def generator_symmetry_residual(jets: SimpleJets, measure: LevyMeasureSpec,
     """
     af = replace(jets, h=f, hp=fp, hpp=fpp).ah
     return float(compensator_integral(
-        measure, lambda u: af(u) * g(u) + 0.5 * jets.xi(u) * fp(u) * gp(u), 1.0))
+        measure, lambda u: af(u, measure) * g(u) + 0.5 * jets.xi(u) * fp(u) * gp(u), 1.0))
 
 
 def symmetry_pair(measure: LevyMeasureSpec):
     """A test pair (f, f', f'', g, g') whose flux vanishes at both endpoints
     of the measure's support: f is the bump weight, g(u) = u."""
-    return (*scenarios._bump_weight(measure.lower, measure.upper),
+    return (*scenarios._bump_weight(measure.trunc, measure.ymax),
             lambda u: u, lambda u: 1.0)
 
 

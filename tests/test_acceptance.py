@@ -113,16 +113,16 @@ def test_criterion_04_ibp_vs_characteristic_function(ens_power_100k):
     sc, ens = ens_power_100k
     spec = sc.measure
     re_i, _ = quad(lambda u: (math.cos(u) - 1.0) * float(spec.density(u)),
-                   spec.lower, spec.upper, limit=400)
+                   spec.trunc, spec.ymax, limit=400)
     im_i, _ = quad(lambda u: math.sin(u) * float(spec.density(u)),
-                   spec.lower, spec.upper, limit=400)
+                   spec.trunc, spec.ymax, limit=400)
     exact = math.exp(re_i) * math.cos(im_i)
     w1 = ibp.weight(ens, 1)
     sj, f = sc.simple, lambda x: np.sin(x - sc.x0[0])
     x, gamma = ens.x[w1.accepted], ens.gamma[w1.accepted]
     bare = f(x) * w1.values[w1.accepted]
     boundary = np.zeros_like(bare)
-    for e, sign in ((spec.lower, -1.0), (spec.upper, 1.0)):
+    for e, sign in ((spec.trunc, -1.0), (spec.ymax, 1.0)):
         phi = float(sj.xi(e) * sj.hp(e) * spec.density(e))
         boundary += sign * sc.horizon * phi * (
             f(x + sj.h(e)) / (gamma + sj.xi(e) * sj.hp(e) ** 2) - f(x) / gamma)
@@ -141,7 +141,7 @@ def test_criterion_05_adjoint_duality():
     sj = sc.simple
     jet2 = SimpleJets(h=lambda u: 0.5 * u * u, hp=lambda u: u,
                       hpp=lambda u: 1.0 + 0.0 * u, hppp=lambda u: 0.0 * u,
-                      xi=sj.xi, xip=sj.xip, xipp=sj.xipp, r=sj.r, rp=sj.rp)
+                      xi=sj.xi, xip=sj.xip, xipp=sj.xipp)
     n_paths, n_rho = 10_000, 100
     counts, marks = ensemble.sample_mark_sets(sc, n_paths, RngStream(seed=5))
     offsets = np.concatenate([[0], np.cumsum(counts)])

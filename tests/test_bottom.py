@@ -1,7 +1,7 @@
 """Mark-space structures: quadratic forms, generators, gradient samplers."""
 
 import math
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,10 +19,9 @@ SPEC = LevyMeasureSpec(0.5, ymax=1.0, trunc=0.01)
 
 
 def _jets(h, hp, hpp):
-    """Mark jets of h under xi = u^2 and the density slope -1.5/u of SPEC."""
+    """Mark jets of h under xi = u^2."""
     return SimpleJets(h=h, hp=hp, hpp=hpp, hppp=lambda u: 0.0 * u,
-                      xi=lambda u: u * u, xip=lambda u: 2 * u, xipp=lambda u: 2.0 + 0.0 * u,
-                      r=lambda u: -1.5 / u, rp=lambda u: 1.5 / u ** 2)
+                      xi=lambda u: u * u, xip=lambda u: 2 * u, xipp=lambda u: 2.0 + 0.0 * u)
 
 
 # ---------------------------------------------------------------------------
@@ -63,13 +62,13 @@ def test_gamma_psd_at_probes(rng):
 
 def test_generator_constant_coefficient():
     jets = _jets(lambda u: 0.0 * u + 1.0, lambda u: 0.0 * u, lambda u: 0.0 * u)
-    assert jets.ah(0.3) == pytest.approx(0.0)
+    assert jets.ah(0.3, SPEC) == pytest.approx(0.0)
 
 
 def test_generator_power_weight_closed_form():
-    # xi = u^2, density slope -1.5/u, h = u: a[h] = (2u + u^2(-1.5/u))/2 = u/4
+    # xi = u^2, SPEC's density slope -1.5/u, h = u: a[h] = (2u + u^2(-1.5/u))/2 = u/4
     jets = _jets(lambda u: u, lambda u: 1.0 + 0.0 * u, lambda u: 0.0 * u)
-    assert jets.ah(0.8) == pytest.approx(0.2, rel=1e-12)
+    assert jets.ah(0.8, SPEC) == pytest.approx(0.2, rel=1e-12)
 
 
 def test_generator_symmetry_on_vanishing_flux_pair():
@@ -211,7 +210,6 @@ def test_field_bottom_jumps_do_not_share_drift():
             np.testing.assert_array_equal(ev.z, fresh(j).z)
             np.testing.assert_array_equal(ev.gamma_m, fresh(j).gamma_m)
     assert not np.array_equal(forward[0].z, forward[1].z)
-    assert sc.bottom.drift is None
 
 
 def _same_bits(a, b):
@@ -232,14 +230,12 @@ def test_evolve_lane_permutation_permutes_outputs(name):
     x = rng.standard_normal((n, d))
     _, widths = nested_grid(y, step)
     incs = rng.standard_normal(widths.shape + (q,)) * np.sqrt(widths)[..., None]
-    push = rng.standard_normal((n, d))
-    # the field demo's per-lane drift follows the lanes it was built for
-    run = ((lambda idx: replace(bottom, drift=lambda z: push[idx]))
-           if name == "levy-field-demo" else (lambda idx: bottom))
+    # the field demo's per-lane drift follows the lanes
+    push = rng.standard_normal((n, d)) if name == "levy-field-demo" else None
     assert (bottom.diff_jac is None) == (name == "subordination-linear")
-    base = run(np.arange(n)).evolve(x, y, incs)
+    base = bottom.evolve(x, y, incs, push)
     for perm in (np.arange(n)[::-1], rng.permutation(n)):
-        out = run(perm).evolve(x[perm], y[perm], incs[:, perm])
+        out = bottom.evolve(x[perm], y[perm], incs[:, perm], None if push is None else push[perm])
         for f in fields(base):
             assert _same_bits(getattr(out, f.name), getattr(base, f.name)[perm]), f.name
     assert np.all(base.z[0] == 0) and np.all(base.gamma_m[0] == 0)
@@ -250,10 +246,11 @@ def test_evolve_inverse_flow_overflow_names_its_step():
     # diffusion's Jacobian blows up once it reaches 0.45, at nested step 5
     bottom = WienerOUBottom(
         dim=1, n_brownian=1, step=0.1, diff=lambda z: np.zeros((1, 1)),
-        drift=lambda z: np.ones(1),
         diff_jac=lambda z: np.where(z >= 0.45, 1e300, 0.0)[:, :, None, None])
     x, y = np.array([[-10.0], [0.0], [-5.0]]), np.array([2.0, 1.0, 0.3])
     incs = np.zeros(nested_grid(y, 0.1)[1].shape + (1,))
+    drift = np.ones((3, 1))
     with pytest.raises(FloatingPointError, match=r"inverse flow overflow at nested step 5$"):
-        bottom.evolve(x, y, incs)
-    bottom.evolve(x[[0, 2]], y[[0, 2]], incs[:, [0, 2]])    # the other lanes run through
+        bottom.evolve(x, y, incs, drift)
+    # the other lanes run through
+    bottom.evolve(x[[0, 2]], y[[0, 2]], incs[:, [0, 2]], drift[[0, 2]])

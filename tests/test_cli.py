@@ -626,6 +626,20 @@ def test_report_rederives_trajectory_states(tmp_path, capsys, name):
     assert "max flow inverse error from CSV" in capsys.readouterr().out
 
 
+def test_report_refuses_a_mean_with_no_column(tmp_path, capsys):
+    # a d = 1 trajectory run's states.csv has the column x0 only: a stored
+    # mean_x1 is an estimate no column re-derives
+    path, cfg = _config(tmp_path, "linear", scenario="compound-linear", run={"paths": 20})
+    assert cli.main(["run", str(path)]) == 0
+    rep_path = Path(cfg["outputs"]["dir"]) / "report.json"
+    body = json.loads(rep_path.read_text())
+    body["estimates"]["mean_x1"] = dict(body["estimates"]["mean_x0"])
+    rep_path.write_text(json.dumps(body))
+    code, err = _exit_and_stderr(capsys, ["report", cfg["outputs"]["dir"]])
+    assert code == cli.EXIT_NUMERIC and "mean_x1" in err and "mean_x0" not in err, err
+    assert len(err.splitlines()) == 1
+
+
 # states.csv rows after the header -> (exit code, word on stderr)
 STATES_TAMPERING = {
     "first-row-overwritten": (lambda rows: ["99,99,0,0", *rows[1:]], cli.EXIT_NUMERIC, "mean_x0"),
@@ -694,6 +708,17 @@ def _svg_not_boolean(tmp_path):
     return ["run", str(path)]
 
 
+def _unknown_key(where, key):
+    """A compound run whose config holds an unknown key at `where` ("" for
+    the top level)."""
+    def make(tmp_path):
+        path, cfg = _config(tmp_path, "unknown-key")
+        (cfg[where] if where else cfg)[key] = 1
+        path.write_text(json.dumps(cfg))
+        return ["run", str(path)]
+    return make
+
+
 def _run_dir(tmp_path, report_text, density_text=None):
     (tmp_path / "report.json").write_text(report_text)
     if density_text is not None:
@@ -711,6 +736,9 @@ UNREADABLE_INPUTS = {
     "outputs-dir-dangling-link": (_outputs_dir_dangling_link, "outputs.dir"),
     "outputs-dir-nul-byte": (_outputs_dir_nul_byte, "outputs.dir"),
     "outputs-svg-not-boolean": (_svg_not_boolean, "outputs.svg"),
+    "unknown-top-level-key": (_unknown_key("", "extra"), "extra: unknown key"),
+    "unknown-run-key": (_unknown_key("run", "worker"), "run.worker: unknown key"),
+    "unknown-outputs-key": (_unknown_key("outputs", "svgg"), "outputs.svgg: unknown key"),
     "report-bad-json": (lambda t: _run_dir(t, '{"estimates": '), "report.json"),
     "report-not-an-object": (lambda t: _run_dir(t, "[1, 2]"), "report.json"),
     "report-mass-not-a-number": (

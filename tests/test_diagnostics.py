@@ -151,7 +151,7 @@ def test_hypothesis_probe_scan_matches_probe_loop():
     rng = np.random.default_rng(0)
     ss = rng.uniform(0, sc.horizon, 200)
     xs = sc.x0 + rng.uniform(-2, 2, (200, 1))
-    us = rng.uniform(sc.measure.lower, sc.measure.upper, 200)
+    us = rng.uniform(sc.measure.trunc, sc.measure.ymax, 200)
     probes = list(zip(ss, xs, us))
     dets = [abs(np.linalg.det(np.eye(1) + sc.dx_c(*p).reshape(1, 1))) for p in probes]
     i = int(np.argmin(dets))
@@ -161,6 +161,18 @@ def test_hypothesis_probe_scan_matches_probe_loop():
     assert details["state-Jacobian invertibility (I + D_x c nonsingular)"] == (
         f"min |det| over probes = {dets[i]:.3e} at {worst}")
     assert details["coefficient boundedness over probe box"] == f"max |c| = {jet:.3g}"
+
+
+def test_hypothesis_report_fails_infinite_mass():
+    # without a cutoff the power law has infinite mass: the item fails with
+    # the reason, and every other item is still reported
+    rep = hypothesis_report(scenarios.build("compound", trunc=0.0))
+    item = rep.items[0]
+    assert item.name == "truncated measure has finite mass"
+    assert item.status == "fail" and "infinite mass" in item.detail
+    assert rep.hard_failures == [item]
+    assert [i.name for i in rep.items] == [
+        i.name for i in hypothesis_report(scenarios.build("compound")).items]
 
 
 def test_hypothesis_report_flags_singular_jacobian():

@@ -46,7 +46,8 @@ def test_multiplication_branch_matches_per_path():
 
 
 def test_zero_mass_draws_nothing():
-    sc = scenarios.build("compound", trunc=2.0)  # empty support, lam = 0
+    sc = scenarios.build("compound", trunc=1.0 - 2.0 ** -53)    # mass rounds to 0
+    assert total_mass(sc.measure) == 0.0
     counts, marks = assert_same_draws(sc, 1_000, RngStream(seed=1))
     assert not counts.any() and marks.shape == (0,)
 

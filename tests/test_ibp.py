@@ -25,9 +25,9 @@ from oracles import joint_se
 def _cf_oracle(spec):
     """E[cos(X_T - x0)] for the mark-sum state, by quadrature."""
     re_i, _ = quad(lambda u: (math.cos(u) - 1.0) * float(spec.density(u)),
-                   spec.lower, spec.upper, limit=400)
+                   spec.trunc, spec.ymax, limit=400)
     im_i, _ = quad(lambda u: math.sin(u) * float(spec.density(u)),
-                   spec.lower, spec.upper, limit=400)
+                   spec.trunc, spec.ymax, limit=400)
     return math.exp(re_i) * math.cos(im_i)
 
 
@@ -39,7 +39,7 @@ def _unit_jet(sj):
     """Jets of the constant functional 1 (flat gradient, zero bracket)."""
     return SimpleJets(h=lambda u: 0.0 * u + 0.0, hp=lambda u: 0.0 * u,
                       hpp=lambda u: 0.0 * u, hppp=lambda u: 0.0 * u,
-                      xi=sj.xi, xip=sj.xip, xipp=sj.xipp, r=sj.r, rp=sj.rp)
+                      xi=sj.xi, xip=sj.xip, xipp=sj.xipp)
 
 
 def test_delta_constant_left_factor():

@@ -25,7 +25,7 @@ from oracles import mark_cdf
 
 def quad_compensator(spec, f, t):
     """t * int f dnu per component, one quad call per component."""
-    lo, hi = spec.lower, spec.upper
+    lo, hi = spec.trunc, spec.ymax
     probe = np.atleast_1d(np.asarray(f(0.5 * (lo + hi)), dtype=float))
     out = np.empty(probe.shape)
     for i in range(probe.size):
@@ -39,7 +39,7 @@ def quad_compensator(spec, f, t):
 
 def quad_laplace(lam, psi, spec):
     """Laplace exponent by quad on the decade partition, piece by piece."""
-    lo, hi = spec.lower, spec.upper
+    lo, hi = spec.trunc, spec.ymax
     a = lo if lo > 0 else hi * 1e-18
     breaks = np.geomspace(a, hi, max(8, int(math.log10(hi / a)) * 2 + 2))
     pieces = list(zip(breaks[:-1], breaks[1:]))
@@ -84,6 +84,19 @@ def test_spec_refuses_negative_cutoff():
         LevyMeasureSpec(0.5, ymax=1.0, trunc=-0.01)
 
 
+@pytest.mark.parametrize("kwargs,field", [
+    ({"eps": 1.5}, "eps"), ({"eps": 0.0}, "eps"), ({"eps": float("nan")}, "eps"),
+    ({"trunc": -0.1}, "trunc"), ({"trunc": float("nan")}, "trunc"),
+    ({"trunc": 1.0}, "ymax"), ({"ymax": 0.0}, "ymax"), ({"ymax": -1.0}, "ymax"),
+    ({"ymax": float("nan")}, "ymax"),
+])
+def test_spec_refusal_names_its_field(kwargs, field):
+    # every message starts with the field it refuses, which the CLI
+    # qualifies as params.<field>
+    with pytest.raises(ValueError, match=rf"^{field} = "):
+        LevyMeasureSpec(**{"eps": 0.5, **kwargs})
+
+
 def test_equal_specs_hash_equal():
     a, b = LevyMeasureSpec(0.5, ymax=2.0, trunc=0.01), LevyMeasureSpec(0.5, 2.0, 0.01)
     assert a is not b and a == b and hash(a) == hash(b)
@@ -101,7 +114,10 @@ def test_mass_power_law_truncated():
 
 
 def test_mass_truncation_above_support():
-    assert total_mass(LevyMeasureSpec(0.5, ymax=1.0, trunc=2.0)) == 0.0
+    # an empty support is refused when the spec is built, so no measure has it
+    with pytest.raises(ValueError, match=r"^ymax = 1.0 out of range: the mark support "
+                                         r"\(trunc, ymax\] = \(2.0, 1.0\] must not be empty$"):
+        LevyMeasureSpec(0.5, ymax=1.0, trunc=2.0)
 
 
 def test_mass_infinite_without_truncation():
@@ -140,17 +156,12 @@ def test_compensator_linear_functional():
     spec = LevyMeasureSpec(0.5, ymax=1.0, trunc=0.01)
     val = compensator_integral(spec, lambda y: y, 1.0)
     assert val == pytest.approx(1.8, rel=1e-6)
+    assert isinstance(val, float)
 
 
 def test_compensator_zero_functional():
     spec = LevyMeasureSpec(0.5, ymax=1.0, trunc=0.01)
     assert compensator_integral(spec, lambda y: 0.0 * y, 1.0) == 0.0
-
-
-def test_compensator_empty_support_is_float():
-    spec = LevyMeasureSpec(0.5, ymax=1.0, trunc=2.0)
-    assert compensator_integral(spec, lambda y: y, 1.0) == 0.0
-    assert isinstance(compensator_integral(spec, lambda y: y, 1.0), float)
 
 
 def test_compensator_linear_in_time():
@@ -193,8 +204,8 @@ def test_compensator_support_from_zero_non_integrable(eps, f, component):
 def test_jet_means_match_quad(weight):
     sc = scenarios.build("compound", weight=weight)
     jets = sc.simple
-    for name in ("h", "ah"):
-        ref = quad_compensator(sc.measure, getattr(jets, name), 1.0)[0]
+    for name, f in (("h", jets.h), ("ah", lambda u: jets.ah(u, sc.measure))):
+        ref = quad_compensator(sc.measure, f, 1.0)[0]
         assert getattr(jets, f"mean_{name}")(sc.measure) == pytest.approx(ref, rel=0, abs=1e-12)
 
 

@@ -25,8 +25,7 @@ def _null_scenario():
     """State never moves: zero jump coefficient, zero form, no drift."""
     zero = lambda u: 0.0 * u
     bottom = EuclideanBottom(xi=lambda u: 0.0, c_u=lambda s, x, u: np.array([0.0]))
-    jets = SimpleJets(h=zero, hp=zero, hpp=zero, hppp=zero, xi=zero, xip=zero, xipp=zero,
-                      r=lambda u: -1.5 / u, rp=lambda u: 1.5 / u ** 2)
+    jets = SimpleJets(h=zero, hp=zero, hpp=zero, hppp=zero, xi=zero, xip=zero, xipp=zero)
     return Scenario(name="null", dim=1, x0=np.array([3.0]), horizon=1.0,
                     measure=SPEC, bottom=bottom,
                     c=lambda s, x, u: np.array([0.0]),
@@ -153,7 +152,10 @@ def test_generator_path_direct_accumulation():
     sc = scenarios.build("compound", compensated=True)
     path = sample_path(sc.measure, sc.horizon, RngStream(seed=9, path=1))
     traj = integrate(sc, path, order=2)
-    ah = sc.simple.ah
+
+    def ah(u):
+        return sc.simple.ah(u, sc.measure)
+
     direct = sum(ah(u) for u in path.marks) - float(
         compensator_integral(sc.measure, ah, sc.horizon))
     assert traj.a_final[0] == pytest.approx(direct, abs=1e-10)
@@ -214,7 +216,7 @@ def test_compensator_constants_computed_once(monkeypatch):
     integrate(sc, path, order=2)
     assert len(calls) == 2                       # and int a[h] dnu, on first use
     simple_ensemble(sc, 50, RngStream(seed=14))
-    rebuilt = LevyMeasureSpec(sc.measure.eps, ymax=sc.measure.upper, trunc=sc.measure.trunc)
+    rebuilt = LevyMeasureSpec(sc.measure.eps, ymax=sc.measure.ymax, trunc=sc.measure.trunc)
     assert rebuilt is not sc.measure and hash(rebuilt) == hash(sc.measure)
     for _ in range(3):
         ibp.delta(sc.simple, sc.simple, path.marks, sc.horizon, rebuilt, True)
@@ -228,11 +230,11 @@ def test_compensator_constants_computed_once(monkeypatch):
 @pytest.mark.parametrize("weight", ["power", "bump"])
 @pytest.mark.parametrize("compensated", [False, True])
 def test_table_evaluates_each_jet_once(weight, compensated):
-    # the order-2 table evaluates each of the nine jets once on the mark
+    # the order-2 table evaluates each of the seven jets once on the mark
     # array and assembles every integrand from those values
     sc = scenarios.build("compound", weight=weight, compensated=compensated)
     names = [f.name for f in fields(SimpleJets) if f.init]
-    assert names == ["h", "hp", "hpp", "hppp", "xi", "xip", "xipp", "r", "rp"]
+    assert names == ["h", "hp", "hpp", "hppp", "xi", "xip", "xipp"]
     calls = Counter()
 
     def counted(name):
@@ -327,6 +329,42 @@ def test_check_jets_catalog_and_broken():
     with pytest.raises(ValueError, match="inconsistent"):
         check_jets(bad, probes)
 
+
+def mark_jet_errors(jets: SimpleJets, spec: LevyMeasureSpec, u: np.ndarray) -> dict:
+    """Worst error of each hand-written mark derivative against the central
+    difference of the function it differentiates, at marks u inside the
+    support, relative to 1 + |derivative|.  r and r' are the measure's
+    `log_slope`, checked against the log of its density."""
+    h = 1e-6 * u
+
+    def slope(k):
+        return lambda v: spec.log_slope(v)[k]
+
+    def at(f, v):
+        return np.broadcast_to(np.asarray(f(v), dtype=float), u.shape)
+
+    pairs = {"hp": (jets.hp, jets.h), "hpp": (jets.hpp, jets.hp), "hppp": (jets.hppp, jets.hpp),
+             "xip": (jets.xip, jets.xi), "xipp": (jets.xipp, jets.xip),
+             "r": (slope(0), lambda v: np.log(spec.density(v))), "rp": (slope(1), slope(0))}
+    errors = {}
+    for name, (deriv, f) in pairs.items():
+        exact = at(deriv, u)
+        fd = (at(f, u + h) - at(f, u - h)) / (2 * h)
+        errors[name] = float(np.max(np.abs(fd - exact) / (1.0 + np.abs(exact))))
+    return errors
+
+
+@pytest.mark.parametrize("weight", ["power", "bump"])
+def test_mark_jets_are_the_derivatives_they_name(weight):
+    sc = scenarios.build("compound", weight=weight)
+    u = np.linspace(sc.measure.trunc, sc.measure.ymax, 41)[1:-1]
+    errors = mark_jet_errors(sc.simple, sc.measure, u)
+    assert max(errors.values()) < 1e-6, errors
+    # a wrong hand-written derivative is caught, and only it
+    xip = sc.simple.xip
+    bad = mark_jet_errors(replace(sc.simple, xip=lambda v: 1.01 * xip(v)), sc.measure, u)
+    assert bad["xip"] > 1e-3 and bad["xipp"] > 1e-3, bad
+    assert all(bad[name] == errors[name] for name in errors if name not in ("xip", "xipp"))
 
 
 # ---------------------------------------------------------------------------

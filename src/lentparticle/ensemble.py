@@ -25,32 +25,36 @@ import numpy as np
 
 from .measures import mark_quantile, total_mass
 from .rng import TAG_MARK, TAG_TIME, RngStream, philox_random
-from .sde import Scenario
+from .sde import TABLE_COLUMNS, Scenario
 
 # Marks plus paths per block of a chunk (a path counts one more than its
 # marks, for its entry in the per-path sums).  A float64 temporary of a
-# block is then under 96 KiB, and the ~15 that `SimpleJets.table` holds at
-# once come to ~1.4 MB: they stay in L2, and on a 25 000-path chunk under
-# glibc's heap trim threshold (twice the largest chunk it has unmapped,
-# there the Poisson pass's 0.8 MB draws).  Above it (16 Ki and up) every
-# block hands its temporaries back and page-faults them in again.  Swept
-# over 8, 12, 16, 24 and 32 Ki on `compound` (CHANGES.md has the
-# figures): larger blocks pay less per-block overhead, and 12 Ki is the
-# largest below the threshold.
-BLOCK_MARKS = 12_288
+# block is then under 192 KiB, and the order-1 table that `run` asks for
+# holds 7 of them at once (10 at order 2), ~1.3 MB: on a 25 000-path chunk
+# that stays under glibc's heap trim threshold (twice the largest chunk it
+# has unmapped, there the Poisson pass's 0.8 MB draws).  At 32 Ki it does
+# not, and every block hands its temporaries back and page-faults them in
+# again.  Swept over 12, 16, 24 and 32 Ki on `compound` at both orders
+# (CHANGES.md has the figures): larger blocks call `philox_random`, whose
+# fixed cost is ~0.25 ms a call, fewer times, and 24 Ki is the largest
+# below the threshold.
+BLOCK_MARKS = 24_576
 
 
 @dataclass
 class SimpleEnsemble:
-    """Per-path functionals of a scalar mark-sum scenario."""
+    """Per-path functionals of a scalar mark-sum scenario, tabulated for an
+    IBP weight order (`SimpleJets.table`).  Every ensemble carries the
+    order-1 columns, which Z1 reads; xa and xg2, which only Z2 reads, are
+    there at order 2 and None at order 1."""
 
     x: np.ndarray          # state at the horizon
     n_jumps: np.ndarray
     gamma: np.ndarray      # covariance N(xi h'^2)
     a: np.ndarray          # generator path, compensated sum of a[h]
     g2: np.ndarray         # bracket of X with gamma
-    xa: np.ndarray         # bracket of X with a
-    xg2: np.ndarray        # bracket of X with g2
+    xa: np.ndarray | None = None      # bracket of X with a (order 2)
+    xg2: np.ndarray | None = None     # bracket of X with g2 (order 2)
 
     def __len__(self):
         return len(self.x)
@@ -203,9 +207,10 @@ def _loggam(x: float) -> float:
     return gl
 
 
-def simple_ensemble(scenario: Scenario, n_paths: int, stream: RngStream,
+def simple_ensemble(scenario: Scenario, n_paths: int, stream: RngStream, *, order: int,
                     path_offset: int = 0) -> SimpleEnsemble:
-    """Simulate n_paths paths of a scalar mark-sum scenario, with jets.
+    """Simulate n_paths paths of a scalar mark-sum scenario, with the table
+    the IBP weight of `order` reads (`SimpleJets.table`).
 
     The table runs block by block, over the blocks `sample_mark_sets`
     draws the marks in: the same bits as one table for the whole chunk,
@@ -214,20 +219,26 @@ def simple_ensemble(scenario: Scenario, n_paths: int, stream: RngStream,
     sj = scenario.simple
     if scenario.dim != 1 or sj is None:
         raise ValueError("vectorised ensembles need a scalar scenario with mark jets")
+    if order not in TABLE_COLUMNS:
+        raise ValueError(f"table order must be 1 or 2, got {order!r}")
     counts, marks = sample_mark_sets(scenario, n_paths, stream, path_offset)
-    tab = {key: np.empty(n_paths) for key in ("X", "gamma", "A", "G2", "XA", "XG2")}
+    tab = {key: np.empty(n_paths) for key in TABLE_COLUMNS[order]}
     for p, m in _blocks(counts):
         part = sj.table(marks[m], counts[p], scenario.horizon, scenario.measure,
-                        scenario.compensated)
+                        scenario.compensated, order)
         for key, column in tab.items():
             column[p] = part[key]
     return SimpleEnsemble(
         x=scenario.x0[0] + tab["X"], n_jumps=counts, gamma=tab["gamma"], a=tab["A"],
-        g2=tab["G2"], xa=tab["XA"], xg2=tab["XG2"])
+        g2=tab["G2"], xa=tab.get("XA"), xg2=tab.get("XG2"))
 
 
 def merge_ensembles(parts) -> SimpleEnsemble:
-    """Concatenate ensembles computed for consecutive path ranges."""
+    """Concatenate ensembles computed for consecutive path ranges; a column
+    that a part lacks (an order-1 part's xa and xg2) the merge lacks too."""
     parts = list(parts)
-    return SimpleEnsemble(**{f.name: np.concatenate([getattr(p, f.name) for p in parts])
-                             for f in fields(SimpleEnsemble)})
+    merged = {}
+    for f in fields(SimpleEnsemble):
+        columns = [getattr(p, f.name) for p in parts]
+        merged[f.name] = None if any(c is None for c in columns) else np.concatenate(columns)
+    return SimpleEnsemble(**merged)

@@ -17,10 +17,10 @@ E[f(X) Z_n] alone does not equal E[d^n f(X)]; under the u^2 weight with
 the compound scenario's defaults the flux is 0.1 at the lower and 1 at
 the upper endpoint.
 
-Weights are implemented for scalar mark-sum scenarios, whose order-2
-bracket table is carried by the vectorised ensemble (gamma, A and the
-brackets of X with gamma, A and g2 = <X, gamma>); everything is closed
-under explicit chain rules, no numerical differentiation anywhere.
+Weights are implemented for scalar mark-sum scenarios, whose bracket
+table is carried by the vectorised ensemble: gamma, A and G2 = <X, gamma>
+for Z1, and for Z2 also the brackets of X with A and G2.  Everything is
+closed under explicit chain rules, no numerical differentiation anywhere.
 """
 
 from __future__ import annotations
@@ -88,6 +88,11 @@ def weight(ens: SimpleEnsemble, order: int) -> WeightResult:
     """IBP weight of the requested order for every path of the ensemble;
     a path with gamma <= DET_GAMMA_FLOOR is rejected (weight 0).
 
+    Z1 reads the columns every ensemble carries (x, gamma, a, g2); `run`
+    weighs at order 1 and tabulates only those.  Z2 also reads xa and xg2,
+    which only an ensemble tabulated at order 2 carries: an order-1
+    ensemble is refused with a ValueError.
+
     Z1 = -2 A / gamma + G2 / gamma^2, with G2 = <X, gamma>; Z2 applies the
     divergence once more, with the bracket of Z1 and X expanded by the
     chain rule over the tracked table:
@@ -105,6 +110,9 @@ def weight(ens: SimpleEnsemble, order: int) -> WeightResult:
     """
     if order not in (1, 2):
         raise ValueError("weight order must be 1 or 2")
+    if order == 2 and ens.xa is None:
+        raise ValueError("weight order 2 reads the brackets XA and XG2, which an ensemble "
+                         "tabulated at order 1 lacks; simulate it with order=2")
     g = ens.gamma
     ok = g > DET_GAMMA_FLOOR
     n_rej = int(np.sum(~ok))

@@ -92,10 +92,11 @@ class LevyMeasureSpec:
         y = np.asarray(y, dtype=float)
         return np.where((y > 0) & (y <= self.ymax), y ** (-1.0 - self.eps), 0.0)
 
-    def log_slope(self, u):
-        """The slope r = m'/m of the log-density m(u) = u^(-1-eps) at marks u,
-        and its derivative r'."""
-        return -(1.0 + self.eps) / u, (1.0 + self.eps) / u ** 2
+    def log_slope(self, u, order: int):
+        """The first `order` derivatives of log m, m(u) = u^(-1-eps), at marks
+        u: the slope r = m'/m, and at order 2 also its derivative r'."""
+        r = -(1.0 + self.eps) / u
+        return (r,) if order == 1 else (r, (1.0 + self.eps) / u ** 2)
 
 
 def _lanes(value, n: int) -> np.ndarray:

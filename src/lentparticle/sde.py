@@ -45,6 +45,8 @@ from .rng import RngStream
 
 DET_FLOOR = 1e-12
 N_STEPS = 1000          # Euler steps on [0, T] in a compensated scenario's event grid
+# the columns of `SimpleJets.table` at each IBP weight order
+TABLE_COLUMNS = {1: ("X", "gamma", "A", "G2"), 2: ("X", "gamma", "A", "G2", "XA", "XG2")}
 
 
 @dataclass
@@ -93,25 +95,29 @@ class SimpleJets:
         return self._mean("ah", measure, lambda u: self.ah(u, measure))
 
     def table(self, marks: np.ndarray, counts, t: float, measure: LevyMeasureSpec,
-              compensated: bool) -> dict:
-        """Order-2 table of X = N(h) at time t, one entry per path.
+              compensated: bool, order: int) -> dict:
+        """Table of X = N(h) at time t for the IBP weight of `order`, one
+        entry per path.
 
         Path i owns the next counts[i] marks of the concatenated array.
-        Keys: X (compensated by t int h dnu if asked), gamma = <X, X>,
-        A = A[X] (always compensated), G2 = <X, gamma>, XA = <X, A> and
-        XG2 = <X, G2>, the last three being N(xi h' g1'), N(xi h' a[h]')
-        and N(xi h' g2').  Each jet and the log slope is evaluated once, on
-        the whole mark array, and every integrand is assembled from those values.
+        The columns are TABLE_COLUMNS[order].  Order 1 holds what Z1 reads:
+        X (compensated by t int h dnu if asked), gamma = <X, X>, A = A[X]
+        (always compensated) and G2 = <X, gamma> = N(xi h' g1'); the
+        vectorised `run` asks for it.  Order 2 adds what Z2 reads,
+        XA = <X, A> = N(xi h' a[h]') and XG2 = <X, G2> = N(xi h' g2'), on
+        top of the same order-1 columns; `integrate(order=2)` and the
+        ensembles that `ibp.weight(ens, 2)` weighs ask for it.  Each jet the
+        order needs and the log slope (h''', xi'' and r' only at order 2)
+        are evaluated once, on the whole mark array, and every integrand is
+        assembled from those values.
         """
-        h, hp, hpp, hppp, xi, xip, xipp = (
-            jet(marks) for jet in (self.h, self.hp, self.hpp, self.hppp,
-                                   self.xi, self.xip, self.xipp))
-        r, rp = measure.log_slope(marks)
+        if order not in TABLE_COLUMNS:
+            raise ValueError(f"table order must be 1 or 2, got {order!r}")
+        h, hp, hpp, xi, xip = (jet(marks) for jet in (self.h, self.hp, self.hpp,
+                                                         self.xi, self.xip))
+        slope = measure.log_slope(marks, order)
+        r = slope[0]
         g1p = xip * hp ** 2 + 2 * xi * hp * hpp
-        g1pp = xipp * hp ** 2 + 4 * xip * hp * hpp + 2 * xi * (hpp ** 2 + hp * hppp)
-        ahp = (0.5 * xip * hpp + 0.5 * xi * hppp
-               + 0.5 * (xipp + xip * r + xi * rp) * hp + 0.5 * (xip + xi * r) * hpp)
-        g2p = xip * hp * g1p + xi * hpp * g1p + xi * hp * g1pp
 
         # per-path sums: path i's marks start at starts[i], the paths with
         # no mark sum to zero
@@ -127,14 +133,22 @@ class SimpleJets:
         x = seg(h)
         if compensated:
             x = x - t * self.mean_h(measure)
-        return {"X": x, "gamma": seg(xi * hp ** 2),
-                "A": seg(_a(xi, xip, r, hp, hpp)) - t * self.mean_ah(measure),
-                "G2": seg(xi * hp * g1p), "XA": seg(xi * hp * ahp),
-                "XG2": seg(xi * hp * g2p)}
+        tab = {"X": x, "gamma": seg(xi * hp ** 2),
+               "A": seg(_a(xi, xip, r, hp, hpp)) - t * self.mean_ah(measure),
+               "G2": seg(xi * hp * g1p)}
+        if order == 2:
+            hppp, xipp, rp = self.hppp(marks), self.xipp(marks), slope[1]
+            g1pp = xipp * hp ** 2 + 4 * xip * hp * hpp + 2 * xi * (hpp ** 2 + hp * hppp)
+            ahp = (0.5 * xip * hpp + 0.5 * xi * hppp
+                   + 0.5 * (xipp + xip * r + xi * rp) * hp + 0.5 * (xip + xi * r) * hpp)
+            g2p = xip * hp * g1p + xi * hpp * g1p + xi * hp * g1pp
+            tab["XA"] = seg(xi * hp * ahp)
+            tab["XG2"] = seg(xi * hp * g2p)
+        return tab
 
     def ah(self, u, measure: LevyMeasureSpec):
         """a[h] at marks u, under the density of `measure`."""
-        return _a(self.xi(u), self.xip(u), measure.log_slope(u)[0], self.hp(u), self.hpp(u))
+        return _a(self.xi(u), self.xip(u), measure.log_slope(u, 1)[0], self.hp(u), self.hpp(u))
 
 
 def _a(xi, xip, r, fp, fpp):
@@ -277,7 +291,7 @@ def integrate(scenario: Scenario, path: MarkedPoissonPath, order: int) -> Trajec
     tab = None
     if order == 2:
         full = scenario.simple.table(path.marks, np.array([path.n_jumps]), scenario.horizon,
-                                     scenario.measure, scenario.compensated)
+                                     scenario.measure, scenario.compensated, 2)
         tab = {key: float(full[key][0]) for key in ("A", "G2", "XA", "XG2")}
     return Trajectory(times=batch.times[0], jumps=batch.jumps, x=batch.x[0], k=batch.k[0],
                       c=batch.c[0], kk_err=float(batch.kk_err[0]), order2=tab)

@@ -17,14 +17,15 @@ from oracles import LINEAR_BETA
 def ens_power_100k():
     """10^5 paths of the compound scenario with the u^2 form weight."""
     sc = scenarios.build("compound")
-    return sc, ensemble.simple_ensemble(sc, 100_000, RngStream(seed=42))
+    return sc, ensemble.simple_ensemble(sc, 100_000, RngStream(seed=42), order=1)
 
 
 @pytest.fixture(scope="session")
 def ens_bump_100k():
-    """10^5 paths of the compound scenario with the boundary-vanishing weight."""
+    """10^5 paths of the compound scenario with the boundary-vanishing
+    weight, tabulated for Z2."""
     sc = scenarios.build("compound", weight="bump")
-    return sc, ensemble.simple_ensemble(sc, 100_000, RngStream(seed=102))
+    return sc, ensemble.simple_ensemble(sc, 100_000, RngStream(seed=102), order=2)
 
 
 @pytest.fixture(scope="session")

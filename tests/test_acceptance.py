@@ -216,7 +216,7 @@ def test_criterion_09_generator_symmetry():
 def test_criterion_10_density_consistency():
     """Weighted density: unit mass and agreement with the KDE envelope."""
     sc = scenarios.build("compound", weight="bump")
-    ens = ensemble.simple_ensemble(sc, 300_000, RngStream(seed=3))
+    ens = ensemble.simple_ensemble(sc, 300_000, RngStream(seed=3), order=1)
     w1 = ibp.weight(ens, 1)
     mu, sd = float(ens.x.mean()), float(ens.x.std())
     grid = np.linspace(mu - 4 * sd, mu + 4 * sd, 41)

@@ -521,6 +521,25 @@ def test_parent_computes_the_last_chunk(worker, name, workers):
     _assert_parts_equal(parts, cli._fan_out(worker, name, {}, paths, seed, workers))
 
 
+def test_run_chunks_tabulate_at_the_weight_order(tmp_path, monkeypatch):
+    # every chunk, the pool's and the parent's, asks the table for the order
+    # `run` weighs at; the forked worker inherits the patch and logs to a file
+    log = tmp_path / "orders.log"
+    real = sde.SimpleJets.table
+
+    def logged(self, *args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {args[-1]}\n")
+        return real(self, *args)
+
+    monkeypatch.setattr(sde.SimpleJets, "table", logged)
+    path, _ = _config(tmp_path, "orders", run={"paths": 200, "workers": 2})
+    assert cli.main(["run", str(path)]) == 0
+    calls = [line.split() for line in log.read_text().splitlines()]
+    assert len({pid for pid, _ in calls}) == 2
+    assert {order for _, order in calls} == {str(cli.RUN_WEIGHT_ORDER)} == {"1"}
+
+
 def _crosscheck_config(tmp_path, name, **run):
     return _config(tmp_path, name, scenario="subordination-linear",
                    run={"paths": 40, "workers": 2, **run})
@@ -638,6 +657,17 @@ def test_report_refuses_a_mean_with_no_column(tmp_path, capsys):
     code, err = _exit_and_stderr(capsys, ["report", cfg["outputs"]["dir"]])
     assert code == cli.EXIT_NUMERIC and "mean_x1" in err and "mean_x0" not in err, err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("scenario,paths,table", [("compound-linear", 20, "states.csv"),
+                                                   ("compound", 200, "density.csv")])
+def test_report_refuses_a_run_whose_table_is_gone(tmp_path, capsys, scenario, paths, table):
+    path, cfg = _config(tmp_path, "gone", scenario=scenario, run={"paths": paths})
+    assert cli.main(["run", str(path)]) == 0
+    (Path(cfg["outputs"]["dir"]) / table).unlink()
+    capsys.readouterr()
+    code, err = _exit_and_stderr(capsys, ["report", cfg["outputs"]["dir"]])
+    assert code == cli.EXIT_SCHEMA and table in err, err
 
 
 # states.csv rows after the header -> (exit code, word on stderr)

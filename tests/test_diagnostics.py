@@ -41,7 +41,7 @@ def test_inverse_moment_jump_functional_stable_low_orders():
     # V = sum of squared marks over each path; low inverse moments look
     # finite and stable, in line with the Laplace-exponent decay
     sc = scenarios.build("compound")
-    ens = simple_ensemble(sc, 100_000, RngStream(seed=13))
+    ens = simple_ensemble(sc, 100_000, RngStream(seed=13), order=1)
     v = ens.gamma[ens.gamma > 0]       # xi = u^2, unit jump slope
     for p in (1, 2):
         res = inverse_moment(v, p)
@@ -53,7 +53,7 @@ def test_inverse_moment_jump_functional_stable_low_orders():
 
 def test_inverse_moment_atom_at_zero():
     sc = scenarios.build("compound", trunc=0.3)
-    ens = simple_ensemble(sc, 2_000, RngStream(seed=14))
+    ens = simple_ensemble(sc, 2_000, RngStream(seed=14), order=1)
     res = inverse_moment(ens.gamma, 2)
     assert res.verdict == "infinite moment"
     assert res.n_zero > 0

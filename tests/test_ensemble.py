@@ -114,14 +114,14 @@ def test_philox_random_refuses_counter_wrap():
 # mark blocks of a chunk
 # ---------------------------------------------------------------------------
 
-def whole_chunk_ensemble(scenario, n_paths, stream, path_offset):
+def whole_chunk_ensemble(scenario, n_paths, stream, path_offset, order):
     """The unblocked formulation: one table for the whole chunk."""
     counts, marks = ensemble.sample_mark_sets(scenario, n_paths, stream, path_offset)
     tab = scenario.simple.table(marks, counts, scenario.horizon, scenario.measure,
-                                scenario.compensated)
+                                scenario.compensated, order)
     return ensemble.SimpleEnsemble(
         x=scenario.x0[0] + tab["X"], n_jumps=counts, gamma=tab["gamma"], a=tab["A"],
-        g2=tab["G2"], xa=tab["XA"], xg2=tab["XG2"])
+        g2=tab["G2"], xa=tab.get("XA"), xg2=tab.get("XG2"))
 
 
 @pytest.mark.parametrize("horizon", [1.0, 1e-6])
@@ -135,11 +135,19 @@ def test_blocks_match_whole_chunk(weight, compensated, horizon):
     n = int(2.5 * size / (1 + sc.horizon * total_mass(sc.measure)))
     offset = size - 5
     stream = RngStream(seed=42)
-    got = ensemble.simple_ensemble(sc, n, stream, path_offset=offset)
-    ref = whole_chunk_ensemble(sc, n, stream, offset)
-    for f in dataclasses.fields(ensemble.SimpleEnsemble):
-        a, b = getattr(got, f.name), getattr(ref, f.name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+    full = whole_chunk_ensemble(sc, n, stream, offset, 2)
+    for order in (1, 2):
+        got = ensemble.simple_ensemble(sc, n, stream, order=order, path_offset=offset)
+        ref = whole_chunk_ensemble(sc, n, stream, offset, order)
+        # an order-1 column is the order-2 table's, bit for bit; xa and
+        # xg2, which only Z2 reads, are absent at order 1
+        for f in dataclasses.fields(ensemble.SimpleEnsemble):
+            a, b, c = (getattr(e, f.name) for e in (got, ref, full))
+            if order == 1 and f.name in ("xa", "xg2"):
+                assert a is None and b is None, f.name
+                continue
+            assert a.dtype == b.dtype == c.dtype, (order, f.name)
+            assert np.array_equal(a, b) and np.array_equal(a, c), (order, f.name)
 
     # the blocks tile the paths, each holds the marks of its own paths, and
     # only the last is short
@@ -174,13 +182,45 @@ def test_chunk_temporaries_stay_block_sized():
     # 25 000-path chunk holds under 16 x 128 KiB of temporaries at a time
     sc = scenarios.build("compound")
     stream = RngStream(seed=42)
-    ensemble.simple_ensemble(sc, 10, stream)         # memoised quadratures
+    ensemble.simple_ensemble(sc, 10, stream, order=1)        # memoised quadratures
     tracemalloc.start()
     try:
-        ens = ensemble.simple_ensemble(sc, 25_000, stream)
+        ens = ensemble.simple_ensemble(sc, 25_000, stream, order=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    results = sum(getattr(ens, f.name).nbytes for f in dataclasses.fields(ens))
+    columns = [getattr(ens, f.name) for f in dataclasses.fields(ens)]
+    results = sum(c.nbytes for c in columns if c is not None)
     marks = 8 * int(ens.n_jumps.sum())
     assert peak - marks - 2 * results < 16 * 128 * 1024
+
+
+def test_merge_keeps_the_columns_its_parts_share():
+    sc = scenarios.build("compound", weight="bump")
+    stream = RngStream(seed=5)
+    for order in (1, 2):
+        parts = [ensemble.simple_ensemble(sc, 300, stream, order=order, path_offset=start)
+                 for start in (0, 300)]
+        merged = ensemble.merge_ensembles(parts)
+        whole = ensemble.simple_ensemble(sc, 600, stream, order=order)
+        for f in dataclasses.fields(ensemble.SimpleEnsemble):
+            a, b = getattr(merged, f.name), getattr(whole, f.name)
+            if order == 1 and f.name in ("xa", "xg2"):
+                assert a is None and b is None, f.name
+            else:
+                assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+    # an order-1 part makes the merge order 1
+    mixed = ensemble.merge_ensembles([
+        ensemble.simple_ensemble(sc, 300, stream, order=2),
+        ensemble.simple_ensemble(sc, 300, stream, order=1, path_offset=300)])
+    assert mixed.xa is None and mixed.xg2 is None and len(mixed) == 600
+
+
+@pytest.mark.parametrize("order", [0, 3, None])
+def test_table_order_must_be_1_or_2(order):
+    sc = scenarios.build("compound")
+    with pytest.raises(ValueError, match="order must be 1 or 2"):
+        ensemble.simple_ensemble(sc, 10, RngStream(seed=1), order=order)
+    counts, marks = ensemble.sample_mark_sets(sc, 10, RngStream(seed=1))
+    with pytest.raises(ValueError, match="order must be 1 or 2"):
+        sc.simple.table(marks, counts, sc.horizon, sc.measure, False, order)

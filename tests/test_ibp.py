@@ -122,11 +122,20 @@ def test_weight_order_validation(ens_bump_100k):
         weight(ens, 3)
 
 
+def test_weight_order_2_refuses_an_order_1_ensemble():
+    # Z2 reads XA and XG2, which an order-1 table does not carry
+    sc = scenarios.build("compound", weight="bump")
+    ens = simple_ensemble(sc, 1_000, RngStream(seed=1), order=1)
+    assert ens.xa is None and ens.xg2 is None
+    with pytest.raises(ValueError, match="order 2"):
+        weight(ens, 2)
+
+
 def test_weight_rejection_counting():
     # heavier truncation gives a visible no-jump probability; those paths
     # have zero covariance and must be rejected, not divided by
     sc = scenarios.build("compound", weight="bump", trunc=0.2)
-    ens = simple_ensemble(sc, 5_000, RngStream(seed=1))
+    ens = simple_ensemble(sc, 5_000, RngStream(seed=1), order=1)
     w1 = weight(ens, 1)
     p0 = math.exp(-ens.n_jumps.mean())
     assert w1.n_rejected == int(np.sum(ens.gamma <= 1e-10))

@@ -52,7 +52,7 @@ def test_pure_jump_telescoping():
 
 def test_compensated_mean_and_variance():
     sc = scenarios.build("compound", compensated=True)
-    ens = simple_ensemble(sc, 10_000, RngStream(seed=3))
+    ens = simple_ensemble(sc, 10_000, RngStream(seed=3), order=1)
     se = ens.x.std(ddof=1) / math.sqrt(len(ens.x))
     assert abs(ens.x.mean() - sc.x0[0]) < 3 * se
     var_target = float(compensator_integral(sc.measure, lambda u: u * u, sc.horizon))
@@ -173,7 +173,7 @@ def test_generator_path_mean_zero():
     # martingale (own ensemble; the shared fixture seed is selected for
     # other statistics and happens to sit past 3 sigma on this one)
     sc = scenarios.build("compound", weight="bump")
-    ens = simple_ensemble(sc, 100_000, RngStream(seed=21))
+    ens = simple_ensemble(sc, 100_000, RngStream(seed=21), order=1)
     se = ens.a.std(ddof=1) / math.sqrt(len(ens.a))
     assert abs(ens.a.mean()) < 3 * se
 
@@ -185,7 +185,7 @@ def test_event_loop_matches_ensemble_calculus(weight, compensated):
     # mark-sum calculus; the divergence delta[X grad X] reads it too
     sc = scenarios.build("compound", weight=weight, compensated=compensated)
     n, seed, tol = 8, 13, 1e-12
-    ens = simple_ensemble(sc, n, RngStream(seed=seed))
+    ens = simple_ensemble(sc, n, RngStream(seed=seed), order=2)
     counts, marks = sample_mark_sets(sc, n, RngStream(seed=seed))
     np.testing.assert_array_equal(counts, ens.n_jumps)
     ends = np.cumsum(counts)
@@ -215,7 +215,7 @@ def test_compensator_constants_computed_once(monkeypatch):
     path = sample_path(sc.measure, sc.horizon, RngStream(seed=14, path=1))
     integrate(sc, path, order=2)
     assert len(calls) == 2                       # and int a[h] dnu, on first use
-    simple_ensemble(sc, 50, RngStream(seed=14))
+    simple_ensemble(sc, 50, RngStream(seed=14), order=1)
     rebuilt = LevyMeasureSpec(sc.measure.eps, ymax=sc.measure.ymax, trunc=sc.measure.trunc)
     assert rebuilt is not sc.measure and hash(rebuilt) == hash(sc.measure)
     for _ in range(3):
@@ -230,8 +230,9 @@ def test_compensator_constants_computed_once(monkeypatch):
 @pytest.mark.parametrize("weight", ["power", "bump"])
 @pytest.mark.parametrize("compensated", [False, True])
 def test_table_evaluates_each_jet_once(weight, compensated):
-    # the order-2 table evaluates each of the seven jets once on the mark
-    # array and assembles every integrand from those values
+    # the table evaluates each jet its order needs once on the mark array
+    # (order 1 skips h''' and xi'') and assembles every integrand from
+    # those values; the order-1 columns are the order-2 table's, bit for bit
     sc = scenarios.build("compound", weight=weight, compensated=compensated)
     names = [f.name for f in fields(SimpleJets) if f.init]
     assert names == ["h", "hp", "hpp", "hppp", "xi", "xip", "xipp"]
@@ -248,12 +249,15 @@ def test_table_evaluates_each_jet_once(weight, compensated):
     jets = replace(sc.simple, **{name: counted(name) for name in names})
     jets.mean_h(sc.measure), jets.mean_ah(sc.measure)      # memoised quadratures
     counts, marks = sample_mark_sets(sc, 300, RngStream(seed=6))
-    ref = sc.simple.table(marks, counts, sc.horizon, sc.measure, compensated)
-    calls.clear()
-    for n_calls in (1, 2):
-        tab = jets.table(marks, counts, sc.horizon, sc.measure, compensated)
-        assert calls == {name: n_calls for name in names}
-    assert all(np.array_equal(tab[key], ref[key]) for key in ref)
+    ref = sc.simple.table(marks, counts, sc.horizon, sc.measure, compensated, 2)
+    for order, needed in ((1, ["h", "hp", "hpp", "xi", "xip"]), (2, names)):
+        calls.clear()
+        for n_calls in (1, 2):
+            tab = jets.table(marks, counts, sc.horizon, sc.measure, compensated, order)
+            assert calls == {name: n_calls for name in needed}
+        assert tuple(tab) == sde.TABLE_COLUMNS[order]
+        assert all(tab[key].dtype == ref[key].dtype and np.array_equal(tab[key], ref[key])
+                   for key in tab)
 
 
 def test_jet_order_preserves_states():
@@ -338,7 +342,7 @@ def mark_jet_errors(jets: SimpleJets, spec: LevyMeasureSpec, u: np.ndarray) -> d
     h = 1e-6 * u
 
     def slope(k):
-        return lambda v: spec.log_slope(v)[k]
+        return lambda v: spec.log_slope(v, 2)[k]
 
     def at(f, v):
         return np.broadcast_to(np.asarray(f(v), dtype=float), u.shape)
@@ -468,7 +472,7 @@ def test_integrate_matches_per_path_oracle(name, params, horizon):
                                    rtol=0, atol=tol)
         if order == 2:
             table = sc.simple.table(path.marks, np.array([path.n_jumps]), sc.horizon,
-                                    sc.measure, sc.compensated)
+                                    sc.measure, sc.compensated, 2)
             assert traj.order2 == {key: float(table[key][0])
                                    for key in ("A", "G2", "XA", "XG2")}
 

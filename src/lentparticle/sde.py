@@ -18,12 +18,21 @@ There is one event loop, `_advance`: every path of a chunk advances in
 lockstep by event index (jump index when uncompensated), with the state,
 K, Kbar and C held as (n, d) and (n, d, d) arrays, and each lockstep event
 resolves its jumps with one `eval_jumps` call on the bottom structure.
-`integrate_batch` runs it on a chunk of sampled paths, and `integrate` on
-one path, adding the order-2 table when asked.  A lane's arithmetic and
-draws do not depend on the other lanes, so a path gives the same bits
-alone as in any chunk.  The loop keeps no state history: besides the
-results at T it keeps, per jump, the records (`LockstepJumps`: the
-post-jump flow K and the injector) from which `lent` forms the gradient.
+The events run in blocks of whole events, each of at most `BLOCK_ROWS`
+rows (a row is one lane at one Euler step or at one jump).  Only the state
+and the flow products are sequential, so a block runs in three steps: a
+state sweep advances x event by event and records every row's pre-event
+state; the linear algebra that feeds no later state (comp_dx_c, dx_c and
+its determinant check, the inverse Jacobians, `jump_matrices`) runs as one
+call per block on all of its rows; and a flow sweep carries K and Kbar
+event by event, after which C and |K Kbar - I| are accumulated per lane.
+The blocks change no bits.  `integrate_batch` runs the loop on a chunk of
+sampled paths, and `integrate` on one path, adding the order-2 table when
+asked.  A lane's arithmetic and draws do not depend on the other lanes, so
+a path gives the same bits alone as in any chunk.  The loop keeps no state
+history: besides the results at T it keeps, per jump, the records
+(`LockstepJumps`: the post-jump flow K and the injector) from which `lent`
+forms the gradient.
 
 Every measure-average is scenario data (the comp_* callables); nothing is
 averaged by quadrature here.  Jump times are events of the grid, and an
@@ -33,7 +42,8 @@ scenarios are therefore solved with no discretization error at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -45,6 +55,7 @@ from .rng import RngStream
 
 DET_FLOOR = 1e-12
 N_STEPS = 1000          # Euler steps on [0, T] in a compensated scenario's event grid
+BLOCK_ROWS = 2048       # rows (lane-events) an `_advance` block holds; sized in CHANGES.md
 # the columns of `SimpleJets.table` at each IBP weight order
 TABLE_COLUMNS = {1: ("X", "gamma", "A", "G2"), 2: ("X", "gamma", "A", "G2", "XA", "XG2")}
 
@@ -173,7 +184,10 @@ class Scenario:
     s (n,), x (n, d) and ev as `eval_jumps` resolves it, and expects (n, d)
     and (n, d, d) back, and from jump_matrices (n, d, d) and
     (n, d, block_dim); a value without the lane axis (a constant) is taken
-    to hold for every lane.  One path is one lane.
+    to hold for every lane.  One path is one lane.  dx_c, comp_dx_c and
+    jump_matrices see the rows of a whole block of events at once (one row
+    per lane and event), so every row must be computed from its own
+    arguments alone.
     """
 
     name: str
@@ -203,7 +217,10 @@ class Scenario:
 
 @dataclass
 class LockstepJumps:
-    """The jumps taken at one lockstep event; arrays have the lane axis first."""
+    """The jumps taken at one lockstep event; arrays have the lane axis first.
+
+    The arrays, those of `ev` included, are read-only views of arrays that
+    the records of one `_advance` block share."""
 
     event: int             # the event index
     lanes: np.ndarray      # lanes that jump there
@@ -330,6 +347,64 @@ def integrate_batch(scenario: Scenario, n_paths: int, stream: RngStream,
     return _advance(scenario, paths)
 
 
+def _blocks(rows: list) -> list:
+    """(first, end) event ranges that cover events 1 .. len(rows) - 1 in
+    blocks of whole events; rows[k] is the number of rows event k adds.  A
+    block holds at most BLOCK_ROWS rows, unless one event alone holds more."""
+    blocks, first, held = [], 1, 0
+    for k in range(1, len(rows)):
+        if held and held + rows[k] > BLOCK_ROWS:
+            blocks.append((first, k))
+            first, held = k, 0
+        held += rows[k]
+    if first < len(rows):
+        blocks.append((first, len(rows)))
+    return blocks
+
+
+def _concat(evs: list):
+    """One read-only resolution holding the lanes of `evs` in order: an
+    array, or a dataclass of lane-axis arrays (`WienerSquareEval`,
+    `WienerOUEval`)."""
+    if is_dataclass(evs[0]):
+        return replace(evs[0], **{f.name: _concat([getattr(ev, f.name) for ev in evs])
+                                  for f in fields(evs[0])})
+    out = np.concatenate(evs)
+    out.flags.writeable = False
+    return out
+
+
+def _rows(ev, a: int, b: int):
+    """Rows a .. b - 1 of a resolution, as views."""
+    if is_dataclass(ev):
+        return replace(ev, **{f.name: getattr(ev, f.name)[a:b] for f in fields(ev)})
+    return ev[a:b]
+
+
+def _at(ufunc, out: np.ndarray, lanes: np.ndarray, rows: np.ndarray):
+    """out[lanes[i]] = ufunc(out[lanes[i]], rows[i]) for i in order.  Both
+    arrays are flattened first: numpy's `ufunc.at` is much faster on one
+    axis."""
+    size = out[0].size
+    ufunc.at(out.reshape(-1), (lanes[:, None] * size + np.arange(size)).ravel(),
+             rows.reshape(-1))
+
+
+def _jump_jacobians(scenario: Scenario, s, x, ev, events, addresses) -> np.ndarray:
+    """The jump Jacobians I + D_x c of the rows, (r, d, d).  Raises
+    `EventError` at the first row, in row order, whose Jacobian is singular."""
+    d = scenario.dim
+    jac = _lanes(np.eye(d) + scenario.dx_c(s, x, ev), (len(s), d, d))
+    det = np.linalg.det(jac)
+    singular = np.flatnonzero(np.abs(det) < DET_FLOOR)
+    if singular.size:
+        i = singular[0]
+        raise EventError(
+            f"singular jump Jacobian det={det[i]:.3e} on path {addresses[i]}; "
+            "state-coefficient invertibility violated", int(events[i]))
+    return jac
+
+
 # the loop checks the state (and `evolve` its inverse flow) for overflow and
 # raises, so numpy's overflow warnings would only repeat the failure
 @np.errstate(over="ignore", invalid="ignore")
@@ -341,8 +416,26 @@ def _advance(scenario: Scenario, paths: list) -> TrajectoryBatch:
     `stream.child(path=p)` of one chunk do.  The lanes are walked sorted by
     event count, so the lanes still running at an event are a leading
     slice, and so (without an Euler grid, where event k is jump k - 1) are
-    the lanes that jump there.  Per lockstep event with jumps it keeps a
-    `LockstepJumps`.  Results come back in the order of `paths`.
+    the lanes that jump there.  Results come back in the order of `paths`.
+
+    The events run in blocks of whole events (`_blocks`).  A block's rows
+    are its Euler rows (one per live lane and event, when compensated) and
+    its jump rows (one per jumping lane and event), in event order.  Each
+    block runs in three steps:
+
+    1. the state sweep, event by event: the Euler drift, the overflow check
+       and, per jump, `eval_jumps` and c.  It records each row's pre-event
+       state, and each event's resolution;
+    2. one call per block, over all of its rows, of comp_dx_c, dx_c with
+       the singular-Jacobian check, `np.linalg.inv` and `jump_matrices`;
+    3. the flow sweep, event by event: the products that carry K and Kbar.
+       Then C gains Kbar gamma Kbar^T per jump row, lane by lane in event
+       order, and each lane's |K Kbar - I| is a running max.
+
+    A failure in the state sweep is raised after the Jacobians of the
+    block's earlier events are checked, so the error is the first failing
+    event's, as it is event by event.  Per lockstep event with jumps it
+    keeps a `LockstepJumps`, whose arrays are views of its block's.
     """
     d, comp, bottom = scenario.dim, scenario.compensated, scenario.bottom
     times = [_event_times(scenario, p) for p in paths]
@@ -373,49 +466,99 @@ def _advance(scenario: Scenario, paths: list) -> TrajectoryBatch:
     C = np.zeros((n, d, d))
     flow_err = np.zeros((n, d, d))                  # running max of |K Kbar - I|
     jumps = []
-    for k in range(1, width):
-        m = live[k]
+    for k0, k1 in _blocks([j + m * comp for j, m in zip(n_jumping, live)]):
+        # jump rows: event je, lane jl (walking order), rows j_at[k - k0]:j_at[k - k0 + 1]
+        j_at = list(accumulate(n_jumping[k0:k1], initial=0))
+        je, jl = np.nonzero(jumping[k0:k1])
+        je += k0
+        s_j, j_index, j_marks = ev_times[je, jl], jump_at[je, jl], mark_at[je, jl]
+        j_paths, j_lanes = addresses[jl], order[jl]
+        x_j = np.empty((len(jl), d))                # pre-jump states
         if comp:
-            # Euler step; every average is taken at the step's start, so the
-            # state and the flow are updated last
-            s_prev, xl = ev_times[k - 1, :m], x[:m]
-            dt = ev_times[k, :m] - s_prev
-            cdx = _lanes(scenario.comp_dx_c(s_prev, xl), (m, d, d))
-            kn = K[:m] - cdx @ K[:m] * dt[:, None, None]
-            kbn = Kb[:m] + Kb[:m] @ cdx * dt[:, None, None]
-            x[:m] = xl - _lanes(scenario.comp_c(s_prev, xl), (m, d)) * dt[:, None]
-            K[:m], Kb[:m] = kn, kbn
-            flow_err[:m] = np.maximum(flow_err[:m], np.abs(kn @ kbn - eye))
-        if not np.isfinite(x[:m]).all():
-            raise EventError("state overflow", k)
+            # Euler rows: lanes 0 .. live[k] - 1 of each event k, which are the
+            # cells of `alive` in row-major order (times are NaN past a lane's end)
+            e_at = list(accumulate(live[k0:k1], initial=0))
+            alive = ~np.isnan(ev_times[k0:k1, :live[k0]])
+            s_e = ev_times[k0 - 1:k1 - 1, :live[k0]][alive]     # averages are taken at
+            dt_e = ev_times[k0:k1, :live[k0]][alive] - s_e      # the step's start
+            dt2, dt3 = dt_e[:, None], dt_e[:, None, None]
+            x_e = np.empty((len(s_e), d))            # pre-step states
+            # the flow after each Euler step, per (event, lane); a cell past a
+            # lane's end keeps K = Kbar = I
+            kn_e = np.empty((k1 - k0, live[k0], d, d))
+            kn_e[...] = eye
+            kbn_e = kn_e.copy()
 
-        mj = n_jumping[k]
-        if mj:
-            sel = slice(0, mj) if leading[k] else np.flatnonzero(jumping[k])
-            # xl is the pre-jump state (a view when sel is a slice): every
-            # coefficient reads it before x is written
-            js, s, xl = jump_at[k, sel], ev_times[k, sel], x[sel]
-            ev = bottom.eval_jumps(s, xl, JumpLanes(paths[0].stream, addresses[sel], js,
-                                                    mark_at[k, sel]))
-            cval = _lanes(scenario.c(s, xl, ev), (mj, d))
-            jac = _lanes(eye + scenario.dx_c(s, xl, ev), (mj, d, d))
-            det = np.linalg.det(jac)
-            if (np.abs(det) < DET_FLOOR).any():
-                i = np.flatnonzero(np.abs(det) < DET_FLOOR)[0]
-                raise EventError(
-                    f"singular jump Jacobian det={det[i]:.3e} on path {addresses[sel][i]}; "
-                    "state-coefficient invertibility violated", k)
-            gamma, flat = bottom.jump_matrices(s, xl, ev)
-            gamma = _lanes(gamma, (mj, d, d))
-            flat = _lanes(flat, (mj, d, bottom.block_dim))
-            kn = jac @ K[sel]
-            kbn = Kb[sel] @ np.linalg.inv(jac)
-            C[sel] = C[sel] + kbn @ gamma @ kbn.transpose(0, 2, 1)
-            x[sel] = xl + cval
-            K[sel], Kb[sel] = kn, kbn
-            flow_err[sel] = np.maximum(flow_err[sel], np.abs(kn @ kbn - eye))
-            jumps.append(LockstepJumps(event=k, lanes=order[sel], index=js, ev=ev,
-                                       k=kn, gamma=gamma, flat=flat))
+        # 1. the state sweep
+        evs = []
+        try:
+            for k in range(k0, k1):
+                if comp:
+                    a, b, m = e_at[k - k0], e_at[k - k0 + 1], live[k]
+                    xl = x_e[a:b]
+                    xl[...] = x[:m]
+                    x[:m] = xl - _lanes(scenario.comp_c(s_e[a:b], xl), (m, d)) * dt2[a:b]
+                if not np.isfinite(x[:live[k]]).all():
+                    raise EventError("state overflow", k)
+                mj = n_jumping[k]
+                if mj:
+                    a, b = j_at[k - k0], j_at[k - k0 + 1]
+                    sel = slice(0, mj) if leading[k] else jl[a:b]
+                    s, xl = s_j[a:b], x_j[a:b]
+                    xl[...] = x[sel]
+                    ev = bottom.eval_jumps(s, xl, JumpLanes(paths[0].stream, j_paths[a:b],
+                                                            j_index[a:b], j_marks[a:b]))
+                    x[sel] = xl + _lanes(scenario.c(s, xl, ev), (mj, d))
+                    evs.append(ev)
+        except Exception:
+            # event by event, the Jacobians of the earlier events were checked first
+            r = j_at[k - k0]
+            if r:
+                _jump_jacobians(scenario, s_j[:r], x_j[:r], _concat(evs), je[:r], j_paths[:r])
+            raise
+
+        # 2. one call per block
+        nj = len(jl)
+        if nj:
+            ev = _concat(evs)
+            del evs                                 # the records view `ev` instead
+            jac = _jump_jacobians(scenario, s_j, x_j, ev, je, j_paths)
+            gamma, flat = bottom.jump_matrices(s_j, x_j, ev)
+            gamma = _lanes(gamma, (nj, d, d))
+            flat = _lanes(flat, (nj, d, bottom.block_dim))
+            inv = np.linalg.inv(jac)
+            kn_j, kbn_j = np.empty((nj, d, d)), np.empty((nj, d, d))
+        if comp:
+            cdx = _lanes(scenario.comp_dx_c(s_e, x_e), (len(s_e), d, d))
+
+        # 3. the flow sweep
+        for k in range(k0, k1):
+            if comp:
+                a, b, m = e_at[k - k0], e_at[k - k0 + 1], live[k]
+                kl, kbl, kn, kbn = K[:m], Kb[:m], kn_e[k - k0, :m], kbn_e[k - k0, :m]
+                np.subtract(kl, cdx[a:b] @ kl * dt3[a:b], out=kn)
+                np.add(kbl, kbl @ cdx[a:b] * dt3[a:b], out=kbn)
+                kl[...], kbl[...] = kn, kbn
+            mj = n_jumping[k]
+            if mj:
+                a, b = j_at[k - k0], j_at[k - k0 + 1]
+                sel = slice(0, mj) if leading[k] else jl[a:b]
+                kn, kbn = kn_j[a:b], kbn_j[a:b]
+                np.matmul(jac[a:b], K[sel], out=kn)
+                np.matmul(Kb[sel], inv[a:b], out=kbn)
+                K[sel], Kb[sel] = kn, kbn
+        if nj:
+            _at(np.add, C, jl, kbn_j @ gamma @ kbn_j.transpose(0, 2, 1))
+            _at(np.maximum, flow_err, jl, np.abs(kn_j @ kbn_j - eye))
+            for shared in (j_lanes, j_index, kn_j, gamma, flat):
+                shared.flags.writeable = False
+            jumps += [LockstepJumps(event=k, lanes=j_lanes[a:b], index=j_index[a:b],
+                                    ev=_rows(ev, a, b), k=kn_j[a:b], gamma=gamma[a:b],
+                                    flat=flat[a:b])
+                      for k, a, b in zip(range(k0, k1), j_at, j_at[1:]) if a < b]
+        if comp:
+            np.maximum(flow_err[:live[k0]], np.abs(kn_e @ kbn_e - eye).max(axis=0),
+                       out=flow_err[:live[k0]])
     back = np.argsort(order)
     return TrajectoryBatch(paths=paths, times=ev_times.T[back], x=x[back], k=K[back],
                            c=C[back], kk_err=flow_err.max(axis=(1, 2))[back], jumps=jumps)

@@ -12,7 +12,7 @@ from lentparticle import cli, ibp, lent, scenarios, sde
 from lentparticle.bottom import CapabilityError, EuclideanBottom
 from lentparticle.ensemble import sample_mark_sets, simple_ensemble
 from lentparticle.measures import LevyMeasureSpec, compensator_integral
-from lentparticle.prm import JumpLanes, MarkedPoissonPath, rho_blocks, sample_path
+from lentparticle.prm import JumpLanes, MarkedPoissonPath, rho_blocks, sample_path, sample_paths
 from lentparticle.rng import RngStream
 from lentparticle.sde import EventError, Scenario, SimpleJets, integrate, integrate_batch
 
@@ -575,3 +575,94 @@ def test_batch_singular_jacobian_in_one_lane_raises(lone_mark_singular):
     # the other lanes alone run through
     integrate_batch(bad, path - 1, RngStream(seed=5))
     integrate_batch(bad, 10 - path, RngStream(seed=5), path_offset=path)
+
+
+# ---------------------------------------------------------------------------
+# blocks of events: batched per block, invisible in the results
+# ---------------------------------------------------------------------------
+
+def _batch_arrays(batch):
+    """Every field of a `TrajectoryBatch` and of each of its records, as arrays."""
+    out = [batch.times, batch.x, batch.k, batch.c, batch.kk_err]
+    for rec in batch.jumps:
+        ev = ([getattr(rec.ev, f.name) for f in fields(rec.ev)] if is_dataclass(rec.ev)
+              else [rec.ev])
+        out += [np.array(rec.event), rec.lanes, rec.index, rec.k, rec.gamma, rec.flat, *ev]
+    return out
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+@pytest.mark.parametrize("name,params", BATCH_CASES + [("compound", {"weight": "bump"}),
+                                                       ("compound", {"compensated": True})])
+def test_blocks_are_invisible(monkeypatch, name, params, block):
+    # a chunk and one lane alone (compensated: block boundaries fall among
+    # its Euler events) give the same bits at any block size
+    sc = scenarios.build(name, horizon=0.3, **params)
+    chunk = sample_paths(sc.measure, sc.horizon, RngStream(seed=29), range(1, 7))
+    runs = [chunk, [max(chunk, key=lambda p: p.n_jumps)]]
+    want = [_batch_arrays(sde._advance(sc, paths)) for paths in runs]
+    monkeypatch.setattr(sde, "BLOCK_ROWS", block)
+    for paths, ref in zip(runs, want):
+        batch = sde._advance(sc, paths)
+        got = _batch_arrays(batch)
+        assert len(got) == len(ref) > 5
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+        assert not any(getattr(rec, key).flags.writeable for rec in batch.jumps
+                       for key in ("lanes", "index", "k", "gamma", "flat"))
+
+
+def test_batched_calls_once_per_block(monkeypatch):
+    # dx_c, the bottom matrices and the inverse Jacobians are computed once
+    # per block of events, not once per jump
+    sc = scenarios.build("compound-linear")
+    path = next(p for p in (sample_path(sc.measure, sc.horizon, RngStream(seed=31, path=i))
+                            for i in range(1, 50)) if p.n_jumps >= 5)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    sc = replace(sc, dx_c=counted("dx_c", sc.dx_c))
+    monkeypatch.setattr(sc.bottom, "jump_matrices", counted("jump_matrices",
+                                                            sc.bottom.jump_matrices))
+    monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+    traj = integrate(sc, path, order=1)
+    assert len(traj.jumps) == path.n_jumps >= 5
+    assert calls == {"dx_c": 1, "jump_matrices": 1, "inv": 1}
+    calls.clear()
+    monkeypatch.setattr(sde, "BLOCK_ROWS", 2)      # one row per jump: two jumps a block
+    integrate(sc, path, order=1)
+    blocks = -(-path.n_jumps // 2)
+    assert calls == {"dx_c": blocks, "jump_matrices": blocks, "inv": blocks}
+
+
+@pytest.mark.parametrize("block", [1, sde.BLOCK_ROWS])
+@pytest.mark.parametrize("singular_first", [True, False])
+def test_first_failing_event_raises(monkeypatch, singular_first, block):
+    # a block checks its Jacobians after its state sweep, yet the error is
+    # the first failing event's: a singular jump Jacobian (jump 0) before a
+    # state overflow (made by jump 1, seen at event 3), or an overflow (made
+    # by jump 0, seen at event 2) before a singular Jacobian (jump 2)
+    monkeypatch.setattr(sde, "BLOCK_ROWS", block)
+    marks = np.array([0.2, 0.3, 0.4, 0.5])
+    singular, blowup = (0.2, 0.3) if singular_first else (0.4, 0.2)
+    bottom = EuclideanBottom(xi=lambda u: 1.0, c_u=lambda s, x, u: np.array([1.0]))
+    sc = Scenario(name="failing", dim=1, x0=np.array([1.0]), horizon=1.0,
+                  measure=SPEC, bottom=bottom,
+                  c=lambda s, x, u: np.where(np.asarray(u)[..., None] == blowup, np.inf, 0.0),
+                  dx_c=lambda s, x, u: np.where(np.asarray(u)[..., None, None] == singular,
+                                                -1.0, 0.0))
+    path = MarkedPoissonPath(1.0, np.array([0.1, 0.2, 0.3, 0.4]), marks,
+                             RngStream(seed=1, path=1))
+    with pytest.raises(EventError) as info:
+        integrate(sc, path, order=1)
+    if singular_first:
+        assert info.value.args[0].startswith("singular jump Jacobian det=0.000e+00 on path 1;")
+        assert info.value.event_index == 1
+    else:
+        assert info.value.args[0] == "state overflow"
+        assert info.value.event_index == 2

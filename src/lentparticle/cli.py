@@ -120,7 +120,9 @@ _PARAM_TYPES = {"float": (_is_float, "float"),
                 "str": (lambda v: isinstance(v, str), "str"),
                 "bool": (lambda v: isinstance(v, bool), "bool"),
                 "Matrix2": (_is_matrix2, "2x2 matrix of finite numbers, a list of two rows"),
-                "Psi": (lambda v: v in ("y", "y2"), "functional name, 'y' or 'y2'")}
+                "Psi": (lambda v: v in ("y", "y2"), "functional name, 'y' or 'y2'"),
+                "Weight": (lambda v: isinstance(v, str) and v in scenarios.WEIGHTS,
+                           f"form weight name, one of {sorted(scenarios.WEIGHTS)}")}
 
 Psi = str       # the functional of `tauber`, 'y' or 'y2'
 
@@ -228,8 +230,8 @@ def _traj_chunk(args):
     lower_bound = sc.meta.get("pathwise_lower_bound")
     if lower_bound is not None:
         bvals = np.zeros((count, max((p.n_jumps for p in batch.paths), default=0)))
-        for rec in batch.jumps:
-            bvals[rec.lanes, rec.index] = rec.ev.b
+        for rows in batch.jumps:
+            bvals[rows.lanes, rows.index] = rows.ev.b
         eye = np.eye(sc.dim)
         for i, path in enumerate(batch.paths):
             bound = lower_bound(path.marks, bvals[i, :path.n_jumps])

@@ -45,14 +45,12 @@ def gradient_samples(scenario: Scenario, traj: Trajectory, n_replicas: int,
     K_T sum_j K_{T_j}^-1 c_flat_j rho_{r,j}: one batched solve over the
     path's jumps, contracted with every replica's blocks.
     """
-    if not traj.jumps:
+    rows = traj.jumps
+    if not rows:
         return np.zeros((n_replicas, scenario.dim))
-    blocks = rho_blocks(stream, range(1, n_replicas + 1),
-                        (len(traj.jumps), scenario.bottom.block_dim))
-    k, flat, index = (np.concatenate([getattr(rec, key) for rec in traj.jumps])
-                      for key in ("k", "flat", "index"))
-    inj = np.linalg.solve(k, flat).transpose(0, 2, 1).reshape(-1, scenario.dim)
-    return blocks[:, index].reshape(n_replicas, -1) @ inj @ traj.k.T
+    blocks = rho_blocks(stream, range(1, n_replicas + 1), (len(rows), scenario.bottom.block_dim))
+    inj = np.linalg.solve(rows.k, rows.flat).transpose(0, 2, 1).reshape(-1, scenario.dim)
+    return blocks[:, rows.index].reshape(n_replicas, -1) @ inj @ traj.k.T
 
 
 def empirical_gamma(samples: np.ndarray) -> np.ndarray:

@@ -69,9 +69,14 @@ def _bump_weight(lo, hi):
     return xi, xip, xipp
 
 
+# the form weights of `compound` by name, each built from the support (lo, hi)
+WEIGHTS = {"power": _power_weight, "bump": _bump_weight}
+Weight = str        # a key of WEIGHTS; the CLI checks the name
+
+
 @_register("compound")
 def compound(eps: float = 0.5, trunc: float = 0.01, ymax: float = 1.0,
-             horizon: float = 1.0, x0: float = 0.0, weight: str = "power",
+             horizon: float = 1.0, x0: float = 0.0, weight: Weight = "power",
              compensated: bool = False) -> Scenario:
     """d=1 compound Poisson: the state jumps by the mark itself.
 
@@ -82,14 +87,7 @@ def compound(eps: float = 0.5, trunc: float = 0.01, ymax: float = 1.0,
     are only consistent under the "bump" choice.
     """
     spec = LevyMeasureSpec(eps, ymax=ymax, trunc=trunc)
-    lo, hi = spec.trunc, spec.ymax
-    if weight == "power":
-        xi, xip, xipp = _power_weight(lo, hi)
-    elif weight == "bump":
-        xi, xip, xipp = _bump_weight(lo, hi)
-    else:
-        raise ValueError(f"unknown weight {weight!r}")
-
+    xi, xip, xipp = WEIGHTS[weight](spec.trunc, spec.ymax)
     jets = SimpleJets(h=lambda u: u, hp=lambda u: 1.0, hpp=lambda u: 0.0, hppp=lambda u: 0.0,
                       xi=xi, xip=xip, xipp=xipp)
 
@@ -97,7 +95,7 @@ def compound(eps: float = 0.5, trunc: float = 0.01, ymax: float = 1.0,
     mean_jump = jets.mean_h(spec)
 
     return Scenario(
-        name="compound", dim=1, x0=np.array([x0]), horizon=horizon,
+        name="compound", x0=np.array([x0]), horizon=horizon,
         measure=spec, bottom=bottom,
         c=lambda s, x, u: np.asarray(u, dtype=float)[..., None],
         dx_c=lambda s, x, u: np.array([[0.0]]),
@@ -122,7 +120,7 @@ def compound_linear(beta: float = 0.5, eps: float = 0.5, trunc: float = 0.01,
     mean_jump = float(compensator_integral(spec, lambda u: u, 1.0))
 
     return Scenario(
-        name="compound-linear", dim=1, x0=np.array([x0]), horizon=horizon,
+        name="compound-linear", x0=np.array([x0]), horizon=horizon,
         measure=spec, bottom=bottom,
         c=lambda s, x, u: beta * x * np.asarray(u, dtype=float)[..., None],
         dx_c=lambda s, x, u: beta * np.asarray(u, dtype=float)[..., None, None],
@@ -157,7 +155,7 @@ def simple2d(eps: float = 0.5, trunc: float = 0.01, ymax: float = 1.0,
         return min(m1, m2)
 
     return Scenario(
-        name="simple2d", dim=2, x0=np.zeros(2), horizon=horizon,
+        name="simple2d", x0=np.zeros(2), horizon=horizon,
         measure=spec, bottom=bottom,
         c=lambda s, x, ev: bottom.coefficient(ev),
         dx_c=lambda s, x, ev: np.zeros((2, 2)),
@@ -181,7 +179,7 @@ def subordination_linear(eps: float = 0.5, trunc: float = 0.01, ymax: float = 1.
     bottom = WienerOUBottom(dim=2, n_brownian=2,
                             diff=lambda z: sigma0, step=nested_step)
     return Scenario(
-        name="subordination-linear", dim=2, x0=np.zeros(2), horizon=horizon,
+        name="subordination-linear", x0=np.zeros(2), horizon=horizon,
         measure=spec, bottom=bottom,
         c=lambda s, x, ev: ev.z,
         dx_c=lambda s, x, ev: ev.m - np.eye(2),
@@ -207,7 +205,7 @@ def subordination_nonlinear(eps: float = 0.5, trunc: float = 0.01, ymax: float =
     bottom = WienerOUBottom(dim=1, n_brownian=1, diff=a, diff_jac=a_jac,
                             step=nested_step)
     return Scenario(
-        name="subordination-nonlinear", dim=1, x0=np.zeros(1), horizon=horizon,
+        name="subordination-nonlinear", x0=np.zeros(1), horizon=horizon,
         measure=spec, bottom=bottom,
         c=lambda s, x, ev: ev.z,
         dx_c=lambda s, x, ev: ev.m - np.eye(1),
@@ -253,7 +251,7 @@ def levy_field_demo(eps: float = 0.5, trunc: float = 0.05, ymax: float = 1.0,
     bottom = _FieldBottom(dim=2, n_brownian=2, diff=upsilon, diff_jac=upsilon_jac,
                           step=nested_step)
     return Scenario(
-        name="levy-field-demo", dim=2, x0=np.zeros(2), horizon=horizon,
+        name="levy-field-demo", x0=np.zeros(2), horizon=horizon,
         measure=spec, bottom=bottom,
         c=lambda s, x, ev: ev.z,
         dx_c=lambda s, x, ev: ev.m - np.eye(2))

@@ -30,9 +30,9 @@ The blocks change no bits.  `integrate_batch` runs the loop on a chunk of
 sampled paths, and `integrate` on one path, adding the order-2 table when
 asked.  A lane's arithmetic and draws do not depend on the other lanes, so
 a path gives the same bits alone as in any chunk.  The loop keeps no state
-history: besides the results at T it keeps, per jump, the records
-(`LockstepJumps`: the post-jump flow K and the injector) from which `lent`
-forms the gradient.
+history: besides the results at T it keeps the jump rows of each block
+(`JumpRows`: per jump, the post-jump flow K and the injector) from which
+`lent` forms the gradient.
 
 Every measure-average is scenario data (the comp_* callables); nothing is
 averaged by quadrature here.  Jump times are events of the grid, and an
@@ -191,7 +191,6 @@ class Scenario:
     """
 
     name: str
-    dim: int
     x0: np.ndarray
     horizon: float
     measure: LevyMeasureSpec
@@ -205,30 +204,42 @@ class Scenario:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
-        if self.x0.shape != (self.dim,):
-            raise ValueError("x0 must have the scenario dimension")
+        self.x0 = np.asarray(self.x0, dtype=float)
+        if self.x0.ndim != 1:
+            raise ValueError(f"x0 must be a 1-D state, got shape {self.x0.shape}")
         if self.compensated:
-            missing = [key for key in ("comp_c", "comp_dx_c")
-                       if getattr(self, key) is None]
+            missing = [key for key in ("comp_c", "comp_dx_c") if getattr(self, key) is None]
             if missing:
                 raise ValueError(f"compensated scenario {self.name!r} must supply {missing}")
 
+    @property
+    def dim(self) -> int:
+        """The state dimension d, the length of x0."""
+        return len(self.x0)
+
 
 @dataclass
-class LockstepJumps:
-    """The jumps taken at one lockstep event; arrays have the lane axis first.
+class JumpRows:
+    """Jump rows, one per lane and jump, in event order; arrays have the row
+    axis first.  `_advance` keeps one table per block of events."""
 
-    The arrays, those of `ev` included, are read-only views of arrays that
-    the records of one `_advance` block share."""
-
-    event: int             # the event index
-    lanes: np.ndarray      # lanes that jump there
-    index: np.ndarray      # their jump indices
-    ev: object             # their resolutions
+    event: np.ndarray      # (m,) event index
+    lanes: np.ndarray      # (m,) lane that jumps there
+    index: np.ndarray      # (m,) its jump index
+    ev: object             # the resolutions; None on a table with no rows
     k: np.ndarray          # (m, d, d) flow derivative K just after the jump
     gamma: np.ndarray      # (m, d, d) bottom matrix of c
     flat: np.ndarray       # (m, d, block_dim) gradient injector
+
+    def __len__(self):
+        return len(self.event)
+
+    @classmethod
+    def empty(cls, d: int, block_dim: int) -> JumpRows:
+        """The table of a jumpless path."""
+        none = np.empty(0, dtype=np.intp)
+        return cls(event=none, lanes=none, index=none, ev=None, k=np.empty((0, d, d)),
+                   gamma=np.empty((0, d, d)), flat=np.empty((0, d, block_dim)))
 
 
 def _conjugate(k: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -241,7 +252,7 @@ class Trajectory:
     """One solved path: the lane of a one-lane `TrajectoryBatch`."""
 
     times: np.ndarray                      # event times, starts at 0 ends at T
-    jumps: list                            # LockstepJumps per jump, one lane each
+    jumps: JumpRows                        # one row per jump of the path
     x: np.ndarray                          # (d,) state at T
     k: np.ndarray                          # (d, d) flow derivative K at T
     c: np.ndarray                          # (d, d) accumulator C at T
@@ -310,7 +321,9 @@ def integrate(scenario: Scenario, path: MarkedPoissonPath, order: int) -> Trajec
         full = scenario.simple.table(path.marks, np.array([path.n_jumps]), scenario.horizon,
                                      scenario.measure, scenario.compensated, 2)
         tab = {key: float(full[key][0]) for key in ("A", "G2", "XA", "XG2")}
-    return Trajectory(times=batch.times[0], jumps=batch.jumps, x=batch.x[0], k=batch.k[0],
+    jumps = (_concat(batch.jumps) if batch.jumps
+             else JumpRows.empty(scenario.dim, scenario.bottom.block_dim))
+    return Trajectory(times=batch.times[0], jumps=jumps, x=batch.x[0], k=batch.k[0],
                       c=batch.c[0], kk_err=float(batch.kk_err[0]), order2=tab)
 
 
@@ -319,12 +332,12 @@ class TrajectoryBatch:
     """A chunk of solved paths, one per lane."""
 
     paths: list                            # MarkedPoissonPath per lane
-    times: np.ndarray                      # (n, width) event times, NaN past a lane's end
+    times: list                            # each lane's event times
     x: np.ndarray                          # (n, d) states at T
     k: np.ndarray                          # (n, d, d) flow derivative K
     c: np.ndarray                          # (n, d, d) accumulator C
     kk_err: np.ndarray                     # (n,) max over events of |K Kbar - I|
-    jumps: list                            # LockstepJumps per event with jumps
+    jumps: list                            # JumpRows per block with jumps
 
     @property
     def gamma(self) -> np.ndarray:
@@ -362,23 +375,14 @@ def _blocks(rows: list) -> list:
     return blocks
 
 
-def _concat(evs: list):
-    """One read-only resolution holding the lanes of `evs` in order: an
-    array, or a dataclass of lane-axis arrays (`WienerSquareEval`,
-    `WienerOUEval`)."""
-    if is_dataclass(evs[0]):
-        return replace(evs[0], **{f.name: _concat([getattr(ev, f.name) for ev in evs])
-                                  for f in fields(evs[0])})
-    out = np.concatenate(evs)
-    out.flags.writeable = False
-    return out
-
-
-def _rows(ev, a: int, b: int):
-    """Rows a .. b - 1 of a resolution, as views."""
-    if is_dataclass(ev):
-        return replace(ev, **{f.name: getattr(ev, f.name)[a:b] for f in fields(ev)})
-    return ev[a:b]
+def _concat(parts: list):
+    """The rows of `parts` joined in order.  A part is an array, or a
+    dataclass of row-axis arrays (a resolution such as `WienerSquareEval`,
+    or `JumpRows`)."""
+    if is_dataclass(parts[0]):
+        return replace(parts[0], **{f.name: _concat([getattr(p, f.name) for p in parts])
+                                    for f in fields(parts[0])})
+    return np.concatenate(parts)
 
 
 def _at(ufunc, out: np.ndarray, lanes: np.ndarray, rows: np.ndarray):
@@ -434,8 +438,8 @@ def _advance(scenario: Scenario, paths: list) -> TrajectoryBatch:
 
     A failure in the state sweep is raised after the Jacobians of the
     block's earlier events are checked, so the error is the first failing
-    event's, as it is event by event.  Per lockstep event with jumps it
-    keeps a `LockstepJumps`, whose arrays are views of its block's.
+    event's, as it is event by event.  Per block with jumps it keeps one
+    `JumpRows` of the block's own arrays; joined in order, they hold every jump.
     """
     d, comp, bottom = scenario.dim, scenario.compensated, scenario.bottom
     times = [_event_times(scenario, p) for p in paths]
@@ -521,7 +525,7 @@ def _advance(scenario: Scenario, paths: list) -> TrajectoryBatch:
         nj = len(jl)
         if nj:
             ev = _concat(evs)
-            del evs                                 # the records view `ev` instead
+            del evs                                 # the table keeps `ev` instead
             jac = _jump_jacobians(scenario, s_j, x_j, ev, je, j_paths)
             gamma, flat = bottom.jump_matrices(s_j, x_j, ev)
             gamma = _lanes(gamma, (nj, d, d))
@@ -550,15 +554,11 @@ def _advance(scenario: Scenario, paths: list) -> TrajectoryBatch:
         if nj:
             _at(np.add, C, jl, kbn_j @ gamma @ kbn_j.transpose(0, 2, 1))
             _at(np.maximum, flow_err, jl, np.abs(kn_j @ kbn_j - eye))
-            for shared in (j_lanes, j_index, kn_j, gamma, flat):
-                shared.flags.writeable = False
-            jumps += [LockstepJumps(event=k, lanes=j_lanes[a:b], index=j_index[a:b],
-                                    ev=_rows(ev, a, b), k=kn_j[a:b], gamma=gamma[a:b],
-                                    flat=flat[a:b])
-                      for k, a, b in zip(range(k0, k1), j_at, j_at[1:]) if a < b]
+            jumps.append(JumpRows(event=je, lanes=j_lanes, index=j_index, ev=ev, k=kn_j,
+                                  gamma=gamma, flat=flat))
         if comp:
             np.maximum(flow_err[:live[k0]], np.abs(kn_e @ kbn_e - eye).max(axis=0),
                        out=flow_err[:live[k0]])
     back = np.argsort(order)
-    return TrajectoryBatch(paths=paths, times=ev_times.T[back], x=x[back], k=K[back],
+    return TrajectoryBatch(paths=paths, times=times, x=x[back], k=K[back],
                            c=C[back], kk_err=flow_err.max(axis=(1, 2))[back], jumps=jumps)

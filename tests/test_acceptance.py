@@ -54,12 +54,13 @@ def test_criterion_02_simple2d_exactness():
         stream = RngStream(seed=9, path=i + 1)
         path = prm.sample_path(sc.measure, sc.horizon, stream)
         traj = sde.integrate(sc, path, order=1)
-        for rec in traj.jumps:          # one lane each
-            y, b = rec.ev.y[0], rec.ev.b[0]
-            ref = np.array([[y, y * b], [y * b, y * b * b]])
-            assert np.max(np.abs(rec.gamma[0] - ref)) <= 1e-12
+        rows = traj.jumps
+        bvals = rows.ev.b if rows else np.empty(0)
+        if rows:
+            y, b = rows.ev.y, rows.ev.b
+            ref = np.stack([np.stack([y, y * b], -1), np.stack([y * b, y * b * b], -1)], -2)
+            assert np.max(np.abs(rows.gamma - ref)) <= 1e-12
         mm = lent.malliavin_matrix(traj)
-        bvals = np.array([rec.ev.b[0] for rec in traj.jumps])
         bound = bound_fn(path.marks, bvals)
         assert np.linalg.eigvalsh(mm.gamma - bound * np.eye(2))[0] >= -1e-10
 

@@ -113,6 +113,16 @@ def test_ill_typed_param_is_schema_error(tmp_path, capsys, command, key):
     assert code == cli.EXIT_SCHEMA and f"params.{key}" in err
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("weight", ["foo", 2, ["bump"]])
+def test_unknown_weight_is_schema_error(tmp_path, capsys, command, weight):
+    # the form weight is checked by name before any work, as psi is
+    path, _ = _config(tmp_path, "weight", params={"weight": weight})
+    code, err = _exit_and_stderr(capsys, [command, str(path)])
+    assert code == cli.EXIT_SCHEMA and "params.weight" in err and "'bump'" in err
+    assert not (tmp_path / "weight").exists()
+
+
 @pytest.mark.parametrize("params,field", [
     ({"bogus": 1, "psi": "y"}, "params.bogus"),
     ({"trunc": 0.1}, "params.trunc"),

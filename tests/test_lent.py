@@ -49,7 +49,7 @@ def test_matrix_conjugation_consistency():
     mm = malliavin_matrix(traj)
     after = np.append(np.cumprod((1.0 + LINEAR_BETA * path.marks)[::-1])[::-1][1:], 1.0)
     assert path.n_jumps > 0
-    alt = sum(a ** 2 * rec.gamma[0] for a, rec in zip(after, traj.jumps))
+    alt = sum(a ** 2 * gamma for a, gamma in zip(after, traj.jumps.gamma))
     assert np.max(np.abs(mm.gamma - alt)) < 1e-10 * max(1.0, np.abs(mm.gamma).max())
 
 

@@ -26,7 +26,7 @@ def _null_scenario():
     zero = lambda u: 0.0 * u
     bottom = EuclideanBottom(xi=lambda u: 0.0, c_u=lambda s, x, u: np.array([0.0]))
     jets = SimpleJets(h=zero, hp=zero, hpp=zero, hppp=zero, xi=zero, xip=zero, xipp=zero)
-    return Scenario(name="null", dim=1, x0=np.array([3.0]), horizon=1.0,
+    return Scenario(name="null", x0=np.array([3.0]), horizon=1.0,
                     measure=SPEC, bottom=bottom,
                     c=lambda s, x, u: np.array([0.0]),
                     dx_c=lambda s, x, u: np.array([[0.0]]), simple=jets)
@@ -91,7 +91,7 @@ def test_flow_inverse_identity():
 
 def test_singular_jump_jacobian_rejected():
     bottom = EuclideanBottom(xi=lambda u: 1.0, c_u=lambda s, x, u: np.array([0.0]))
-    sc = Scenario(name="degenerate", dim=1, x0=np.array([1.0]), horizon=1.0,
+    sc = Scenario(name="degenerate", x0=np.array([1.0]), horizon=1.0,
                   measure=SPEC, bottom=bottom,
                   c=lambda s, x, u: -x,
                   dx_c=lambda s, x, u: np.array([[-1.0]]))   # I + D_x c = 0
@@ -114,8 +114,7 @@ def test_covariance_accumulator_monotone():
     path = sample_path(sc.measure, sc.horizon, RngStream(seed=8, path=1))
     traj = integrate(sc, path, order=1)
     assert len(traj.jumps) == path.n_jumps > 0
-    for rec in traj.jumps:              # one lane each
-        assert np.linalg.eigvalsh(rec.gamma[0])[0] >= -1e-10
+    assert np.linalg.eigvalsh(traj.jumps.gamma)[:, 0].min() >= -1e-10
     assert np.linalg.eigvalsh(traj.c)[0] >= -1e-10
 
 
@@ -295,9 +294,18 @@ def test_order2_needs_averaged_generator(name):
 def test_compensated_scenario_requires_averages():
     sc = scenarios.build("compound", compensated=True)
     with pytest.raises(ValueError, match="comp_c"):
-        Scenario(name="no-average", dim=1, x0=np.zeros(1), horizon=1.0,
+        Scenario(name="no-average", x0=np.zeros(1), horizon=1.0,
                  measure=sc.measure, bottom=sc.bottom, c=sc.c, dx_c=sc.dx_c,
                  compensated=True, comp_dx_c=sc.comp_dx_c)
+
+
+@pytest.mark.parametrize("x0", [1.0, np.zeros((1, 1))])
+def test_scenario_state_is_one_dimensional(x0):
+    # the dimension is the length of x0, which must be a 1-D state
+    sc = scenarios.build("simple2d")
+    assert sc.dim == len(sc.x0) == 2
+    with pytest.raises(ValueError, match="1-D"):
+        replace(sc, x0=x0)
 
 
 def check_jets(scenario: Scenario, probes, rel_tol: float = 1e-4) -> float:
@@ -376,7 +384,7 @@ def test_mark_jets_are_the_derivatives_they_name(weight):
 # ---------------------------------------------------------------------------
 
 def _lane(ev, p=0):
-    """Lane p of a resolution with the lane axis, without it."""
+    """Row p of a resolution with the row axis, or its rows p (a mask)."""
     if is_dataclass(ev):
         return replace(ev, **{f.name: getattr(ev, f.name)[p] for f in fields(ev)})
     return ev[p]
@@ -463,9 +471,9 @@ def test_integrate_matches_per_path_oracle(name, params, horizon):
                                    rtol=0, atol=tol)
         # |K Kbar - I| is rounding error, far below tol: compare it relatively
         np.testing.assert_allclose(traj.kk_err, kk, rtol=1e-9, atol=0)
-        assert [rec.event for rec in traj.jumps] == [j[0] for j in jumps]
-        for rec, own in zip(traj.jumps, jumps):
-            np.testing.assert_allclose(rec.k[0], own[5], rtol=0, atol=tol)
+        assert traj.jumps.event.tolist() == [j[0] for j in jumps]
+        for k, own in zip(traj.jumps.k, jumps):
+            np.testing.assert_allclose(k, own[5], rtol=0, atol=tol)
         blocks = rho_blocks(stream, range(1, 41), (path.n_jumps, sc.bottom.block_dim))
         np.testing.assert_allclose(lent.gradient_samples(sc, traj, 40, stream),
                                    per_path_gradients(sc, times, states, jumps, blocks),
@@ -538,25 +546,21 @@ def test_lockstep_lane_order_bit_identical(name, params):
     sc = scenarios.build(name, horizon=0.3, **params)
     paths = _paths_with_counts(sc, RngStream(seed=23), [2, 0, 4, 4, 6, 1, 0, 3])
     batch = sde._advance(sc, paths)
-    per_lane = {i: [] for i in range(len(paths))}
-    for rec in batch.jumps:
-        for p, lane in enumerate(rec.lanes):
-            per_lane[lane].append((rec, p))
+    rows = sde._concat(batch.jumps)
     for i, path in enumerate(paths):
         traj = integrate(sc, path, order=1)
-        n = len(traj.times)
-        np.testing.assert_array_equal(batch.times[i, :n], traj.times)
-        assert np.isnan(batch.times[i, n:]).all()
+        np.testing.assert_array_equal(batch.times[i], traj.times)
         for key in ("x", "k", "c", "kk_err", "gamma"):
             np.testing.assert_array_equal(getattr(batch, key)[i], getattr(traj, key))
-        assert len(per_lane[i]) == len(traj.jumps) == path.n_jumps
-        for (rec, p), own in zip(per_lane[i], traj.jumps):
-            assert (rec.event, rec.index[p]) == (own.event, own.index[0])
-            for key in ("k", "gamma", "flat"):
-                np.testing.assert_array_equal(getattr(rec, key)[p], getattr(own, key)[0])
-            lane, alone = _lane(rec.ev, p), _lane(own.ev)
-            np.testing.assert_equal(getattr(lane, "__dict__", lane),
-                                    getattr(alone, "__dict__", alone))
+        mine = rows.lanes == i
+        assert np.count_nonzero(mine) == len(traj.jumps) == path.n_jumps
+        if not mine.any():
+            continue
+        for key in ("event", "index", "k", "gamma", "flat"):
+            np.testing.assert_array_equal(getattr(rows, key)[mine], getattr(traj.jumps, key))
+        lane, alone = _lane(rows.ev, mine), traj.jumps.ev
+        np.testing.assert_equal(getattr(lane, "__dict__", lane),
+                                getattr(alone, "__dict__", alone))
 
 
 @pytest.mark.parametrize("name,params", BATCH_CASES)
@@ -582,13 +586,12 @@ def test_batch_singular_jacobian_in_one_lane_raises(lone_mark_singular):
 # ---------------------------------------------------------------------------
 
 def _batch_arrays(batch):
-    """Every field of a `TrajectoryBatch` and of each of its records, as arrays."""
-    out = [batch.times, batch.x, batch.k, batch.c, batch.kk_err]
-    for rec in batch.jumps:
-        ev = ([getattr(rec.ev, f.name) for f in fields(rec.ev)] if is_dataclass(rec.ev)
-              else [rec.ev])
-        out += [np.array(rec.event), rec.lanes, rec.index, rec.k, rec.gamma, rec.flat, *ev]
-    return out
+    """Every field of a `TrajectoryBatch` and of its joined jump rows, as arrays."""
+    rows = sde._concat(batch.jumps)
+    ev = ([getattr(rows.ev, f.name) for f in fields(rows.ev)] if is_dataclass(rows.ev)
+          else [rows.ev])
+    return [*batch.times, batch.x, batch.k, batch.c, batch.kk_err, rows.event, rows.lanes,
+            rows.index, rows.k, rows.gamma, rows.flat, *ev]
 
 
 @pytest.mark.parametrize("block", [1, 2, 7])
@@ -607,9 +610,26 @@ def test_blocks_are_invisible(monkeypatch, name, params, block):
         got = _batch_arrays(batch)
         assert len(got) == len(ref) > 5
         for a, b in zip(got, ref):
-            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
-        assert not any(getattr(rec, key).flags.writeable for rec in batch.jumps
-                       for key in ("lanes", "index", "k", "gamma", "flat"))
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_jump_rows_count_the_path_jumps(monkeypatch):
+    # a path's table holds one row per jump, with or without jumps and over
+    # one block or several, as the bench counts them
+    sc = scenarios.build("compound", horizon=0.01)
+    paths = [sample_path(sc.measure, sc.horizon, RngStream(seed=37, path=p))
+             for p in range(1, 40)]
+    jumpless = next(p for p in paths if p.n_jumps == 0)
+    traj = integrate(sc, jumpless, order=1)
+    assert len(traj.jumps) == jumpless.n_jumps == 0
+    assert np.all(lent.gradient_samples(sc, traj, 20, jumpless.stream) == 0.0)
+    sc = scenarios.build("compound")
+    path = sample_path(sc.measure, sc.horizon, RngStream(seed=37, path=1))
+    assert path.n_jumps >= 5
+    for block, tables in ((sde.BLOCK_ROWS, 1), (2, -(-path.n_jumps // 2))):
+        monkeypatch.setattr(sde, "BLOCK_ROWS", block)
+        assert len(sde._advance(sc, [path]).jumps) == tables
+        assert len(integrate(sc, path, order=1).jumps) == path.n_jumps
 
 
 def test_batched_calls_once_per_block(monkeypatch):
@@ -651,7 +671,7 @@ def test_first_failing_event_raises(monkeypatch, singular_first, block):
     marks = np.array([0.2, 0.3, 0.4, 0.5])
     singular, blowup = (0.2, 0.3) if singular_first else (0.4, 0.2)
     bottom = EuclideanBottom(xi=lambda u: 1.0, c_u=lambda s, x, u: np.array([1.0]))
-    sc = Scenario(name="failing", dim=1, x0=np.array([1.0]), horizon=1.0,
+    sc = Scenario(name="failing", x0=np.array([1.0]), horizon=1.0,
                   measure=SPEC, bottom=bottom,
                   c=lambda s, x, u: np.where(np.asarray(u)[..., None] == blowup, np.inf, 0.0),
                   dx_c=lambda s, x, u: np.where(np.asarray(u)[..., None, None] == singular,

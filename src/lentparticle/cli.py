@@ -4,9 +4,9 @@ Configuration is a JSON file; the schema is documented in the README and
 enforced here with field-path error messages.  Monte Carlo work is split
 into contiguous path ranges, one per worker: the parent computes the last
 range itself and a process pool, one per command, the others, so
-`workers: 1` forks nothing and `workers: n` forks at most n - 1 processes.
-The ranges are merged in path order, so results are independent of the
-worker count.
+`workers: 1` forks nothing and `workers: n` forks at most n - 1 processes,
+and never more than the cores - 1.  The ranges are merged in path order,
+so results are independent of the worker count.
 
 Exit codes: 0 success, 2 configuration/schema error, 3 hypothesis
 failure, 4 numeric failure.
@@ -32,7 +32,7 @@ from . import diagnostics, ensemble, ibp, lent, prm, report, scenarios, sde
 from .ibp import _mean_se
 from .measures import (InfiniteMassError, LevyMeasureSpec, NonIntegrableError, small_ball_params,
                        tauberian_fit, total_mass)
-from .rng import TAG_NOISE, RngStream, normal_quantile
+from .rng import TAG_NOISE, RngStream, normal_quantile, philox_random
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -267,12 +267,13 @@ def _command_pool(run: dict):
     """The process pool of a command that fans out, or a null context when it
     runs serially.  The parent computes one chunk itself, so the pool has one
     process per other chunk: `workers: 1` forks nothing and `workers: n` forks
-    at most n - 1 (fewer when `run.paths` gives fewer chunks).  The pool lives
-    as long as the pipeline, not the fan-out, and the pipelines fan out before
+    at most n - 1 (fewer when `run.paths` gives fewer chunks), and never more
+    than the cores - 1, for which the other chunks queue.  The pool lives as
+    long as the pipeline, not the fan-out, and the pipelines fan out before
     their serial diagnostics, so the workers hold their peak memory for the
     rest of every run and a sampled memory reading (bench/run.py polls every
     0.2 s) sees them however short the chunks are."""
-    forks = len(_chunks(run["paths"], run["workers"])) - 1
+    forks = min(len(_chunks(run["paths"], run["workers"])), os.cpu_count() or 1) - 1
     if forks == 0:
         return contextlib.nullcontext()
     return multiprocessing.Pool(forks)
@@ -522,7 +523,8 @@ def diagnostics_stable_samples(n: int, seed: int, horizon: float) -> np.ndarray:
     deep lower tail.  erfc(x) = 2 Phi(-x sqrt 2), so the inverse is
     erfcinv(u) = -Phi^-1(u / 2) / sqrt 2, and u = 0 gives x = 0.
     """
-    u = RngStream(seed=seed, tag=TAG_NOISE).generator().random(n)
+    stream = RngStream(seed=seed, tag=TAG_NOISE)
+    u = philox_random(stream, stream.path, np.arange(math.ceil(n / 4))).reshape(-1)[:n]
     erfcinv = np.full(n, math.inf)
     pos = u > 0
     erfcinv[pos] = -normal_quantile(u[pos] / 2) / math.sqrt(2)

@@ -1,7 +1,7 @@
 """Analytic layer for the jump intensity measure.
 
 The jump measure is the truncated power law: density y^(-1-eps) on
-(trunc, ymax] of the positive half line, with 0 < eps < 1.  Without the
+(trunc, ymax] of the positive half line, with EPS_MIN <= eps < 1.  Without the
 lower cutoff it has infinite activity; everything downstream (Poisson
 counts, mark sampling, compensators) works on the truncated measure, in
 closed form where one exists.
@@ -28,6 +28,9 @@ QUAD_LIMIT = 400          # most subintervals one quadrature may hold
 # a power-law density y^(-1-eps) with eps < 1 and a few powers of y stay
 # finite, so divergence shows as a large error, not as an overflow.
 QUAD_MIN_PIECE = 2.0 ** -400
+# Smallest exponent a spec accepts: the mass and the quantile cancel in trunc^-eps - ymax^-eps,
+# to a relative error ~2e-16 / (eps log(ymax / trunc)): ~5e-11 at 1e-6, all of it near 1e-16.
+EPS_MIN = 1e-6
 
 # The 21-point Kronrod rule on [-1, 1] and the 10-point Gauss rule embedded
 # in it (QUADPACK's qk21, Piessens et al. 1983).  _XK, _WK and _WG hold the
@@ -66,7 +69,7 @@ class NonIntegrableError(ValueError):
 class LevyMeasureSpec:
     """The power-law jump measure y^(-1-eps) dy on (trunc, ymax].
 
-    eps      exponent, in (0, 1)
+    eps      exponent, in [EPS_MIN, 1)
     ymax     upper end of the support, above trunc: the support is not empty
     trunc    lower cutoff, >= 0; marks below it are dropped from the model
 
@@ -78,9 +81,9 @@ class LevyMeasureSpec:
     trunc: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.eps < 1.0:
+        if not EPS_MIN <= self.eps < 1.0:
             raise ValueError(f"eps = {self.eps} out of range: the power-law jump measure needs "
-                             "0 < eps < 1 for the Laplace-exponent asymptotics to apply")
+                             f"{EPS_MIN} <= eps < 1 (mass cancels below, asymptotics fail above)")
         if not self.trunc >= 0:
             raise ValueError(f"trunc = {self.trunc} out of range: the cutoff must be >= 0")
         if not self.ymax > self.trunc:

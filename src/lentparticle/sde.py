@@ -22,17 +22,17 @@ The events run in blocks of whole events, each of at most `BLOCK_ROWS`
 rows (a row is one lane at one Euler step or at one jump).  Only the state
 and the flow products are sequential, so a block runs in three steps: a
 state sweep advances x event by event and records every row's pre-event
-state; the linear algebra that feeds no later state (comp_dx_c, dx_c and
-its determinant check, the inverse Jacobians, `jump_matrices`) runs as one
-call per block on all of its rows; and a flow sweep carries K and Kbar
-event by event, after which C and |K Kbar - I| are accumulated per lane.
-The blocks change no bits.  `integrate_batch` runs the loop on a chunk of
-sampled paths, and `integrate` on one path, adding the order-2 table when
-asked.  A lane's arithmetic and draws do not depend on the other lanes, so
-a path gives the same bits alone as in any chunk.  The loop keeps no state
-history: besides the results at T it keeps the jump rows of each block
-(`JumpRows`: per jump, the post-jump flow K and the injector) from which
-`lent` forms the gradient.
+state; the linear algebra that feeds no later state (each row's Jacobian J
+and backward matrix B, and `jump_matrices`) runs as one call per block on
+all of its rows; and a flow sweep carries every row by one rule, K <- J K
+and Kbar <- Kbar B, after which C and |K Kbar - I| are accumulated per
+lane.  The blocks change no bits.  `integrate_batch` runs the loop on a
+chunk of sampled paths, and `integrate` on one path, adding the order-2
+table when asked.  A lane's arithmetic and draws do not depend on the
+other lanes, so a path gives the same bits alone as in any chunk.  The
+loop keeps no state history: besides the results at T it keeps the jump
+rows of each block (`JumpRows`: per jump, the post-jump flow K and the
+injector) from which `lent` forms the gradient.
 
 Every measure-average is scenario data (the comp_* callables); nothing is
 averaged by quadrature here.  Jump times are events of the grid, and an
@@ -424,17 +424,21 @@ def _advance(scenario: Scenario, paths: list) -> TrajectoryBatch:
 
     The events run in blocks of whole events (`_blocks`).  A block's rows
     are its Euler rows (one per live lane and event, when compensated) and
-    its jump rows (one per jumping lane and event), in event order.  Each
-    block runs in three steps:
+    then its jump rows (one per jumping lane and event), each kind in event
+    order.  Every row carries a Jacobian J and a backward matrix B: a jump
+    row J = I + dx_c and B = J^-1, an Euler row J = I - comp_dx_c dt and
+    B = I + comp_dx_c dt, the inverse to first order.  Each block runs in
+    three steps:
 
     1. the state sweep, event by event: the Euler drift, the overflow check
        and, per jump, `eval_jumps` and c.  It records each row's pre-event
-       state, and each event's resolution;
+       state, each event's resolution, and each row group (the lanes of one
+       kind at one event) as (lanes, first row, end row);
     2. one call per block, over all of its rows, of comp_dx_c, dx_c with
        the singular-Jacobian check, `np.linalg.inv` and `jump_matrices`;
-    3. the flow sweep, event by event: the products that carry K and Kbar.
+    3. the flow sweep replays the row groups: K <- J K and Kbar <- Kbar B.
        Then C gains Kbar gamma Kbar^T per jump row, lane by lane in event
-       order, and each lane's |K Kbar - I| is a running max.
+       order, and each lane's |K Kbar - I| is a running max over its rows.
 
     A failure in the state sweep is raised after the Jacobians of the
     block's earlier events are checked, so the error is the first failing
@@ -471,37 +475,35 @@ def _advance(scenario: Scenario, paths: list) -> TrajectoryBatch:
     flow_err = np.zeros((n, d, d))                  # running max of |K Kbar - I|
     jumps = []
     for k0, k1 in _blocks([j + m * comp for j, m in zip(n_jumping, live)]):
-        # jump rows: event je, lane jl (walking order), rows j_at[k - k0]:j_at[k - k0 + 1]
+        # jump rows ne + j_at[k - k0] .. ne + j_at[k - k0 + 1] - 1: event je, lane jl
         j_at = list(accumulate(n_jumping[k0:k1], initial=0))
         je, jl = np.nonzero(jumping[k0:k1])
         je += k0
         s_j, j_index, j_marks = ev_times[je, jl], jump_at[je, jl], mark_at[je, jl]
         j_paths, j_lanes = addresses[jl], order[jl]
         x_j = np.empty((len(jl), d))                # pre-jump states
+        ne, lanes = 0, jl                           # Euler row count, each row's lane
         if comp:
-            # Euler rows: lanes 0 .. live[k] - 1 of each event k, which are the
-            # cells of `alive` in row-major order (times are NaN past a lane's end)
+            # Euler rows 0 .. ne - 1: lanes 0 .. live[k] - 1 of each event k, the cells
+            # of `alive` in row-major order (times are NaN past a lane's end)
             e_at = list(accumulate(live[k0:k1], initial=0))
             alive = ~np.isnan(ev_times[k0:k1, :live[k0]])
             s_e = ev_times[k0 - 1:k1 - 1, :live[k0]][alive]     # averages are taken at
             dt_e = ev_times[k0:k1, :live[k0]][alive] - s_e      # the step's start
-            dt2, dt3 = dt_e[:, None], dt_e[:, None, None]
-            x_e = np.empty((len(s_e), d))            # pre-step states
-            # the flow after each Euler step, per (event, lane); a cell past a
-            # lane's end keeps K = Kbar = I
-            kn_e = np.empty((k1 - k0, live[k0], d, d))
-            kn_e[...] = eye
-            kbn_e = kn_e.copy()
+            lane_at = np.broadcast_to(np.arange(live[k0]), alive.shape)
+            ne, lanes = len(s_e), np.concatenate([lane_at[alive], jl])
+            x_e = np.empty((ne, d))                 # pre-step states
 
         # 1. the state sweep
-        evs = []
+        groups, evs = [], []                        # groups: (lanes, first row, end row)
         try:
             for k in range(k0, k1):
                 if comp:
                     a, b, m = e_at[k - k0], e_at[k - k0 + 1], live[k]
                     xl = x_e[a:b]
                     xl[...] = x[:m]
-                    x[:m] = xl - _lanes(scenario.comp_c(s_e[a:b], xl), (m, d)) * dt2[a:b]
+                    x[:m] = xl - _lanes(scenario.comp_c(s_e[a:b], xl), (m, d)) * dt_e[a:b, None]
+                    groups.append((slice(0, m), a, b))
                 if not np.isfinite(x[:live[k]]).all():
                     raise EventError("state overflow", k)
                 mj = n_jumping[k]
@@ -514,6 +516,7 @@ def _advance(scenario: Scenario, paths: list) -> TrajectoryBatch:
                                                             j_index[a:b], j_marks[a:b]))
                     x[sel] = xl + _lanes(scenario.c(s, xl, ev), (mj, d))
                     evs.append(ev)
+                    groups.append((sel, ne + a, ne + b))
         except Exception:
             # event by event, the Jacobians of the earlier events were checked first
             r = j_at[k - k0]
@@ -521,44 +524,35 @@ def _advance(scenario: Scenario, paths: list) -> TrajectoryBatch:
                 _jump_jacobians(scenario, s_j[:r], x_j[:r], _concat(evs), je[:r], j_paths[:r])
             raise
 
-        # 2. one call per block
+        # 2. one call per block: each row's Jacobian J and backward matrix B
         nj = len(jl)
+        J, B = np.empty((ne + nj, d, d)), np.empty((ne + nj, d, d))
+        if comp:
+            step = _lanes(scenario.comp_dx_c(s_e, x_e), (ne, d, d)) * dt_e[:, None, None]
+            np.subtract(eye, step, out=J[:ne])
+            np.add(eye, step, out=B[:ne])
         if nj:
             ev = _concat(evs)
             del evs                                 # the table keeps `ev` instead
-            jac = _jump_jacobians(scenario, s_j, x_j, ev, je, j_paths)
+            J[ne:] = _jump_jacobians(scenario, s_j, x_j, ev, je, j_paths)
+            B[ne:] = np.linalg.inv(J[ne:])
             gamma, flat = bottom.jump_matrices(s_j, x_j, ev)
-            gamma = _lanes(gamma, (nj, d, d))
-            flat = _lanes(flat, (nj, d, bottom.block_dim))
-            inv = np.linalg.inv(jac)
-            kn_j, kbn_j = np.empty((nj, d, d)), np.empty((nj, d, d))
-        if comp:
-            cdx = _lanes(scenario.comp_dx_c(s_e, x_e), (len(s_e), d, d))
+            gamma, flat = _lanes(gamma, (nj, d, d)), _lanes(flat, (nj, d, bottom.block_dim))
 
-        # 3. the flow sweep
-        for k in range(k0, k1):
-            if comp:
-                a, b, m = e_at[k - k0], e_at[k - k0 + 1], live[k]
-                kl, kbl, kn, kbn = K[:m], Kb[:m], kn_e[k - k0, :m], kbn_e[k - k0, :m]
-                np.subtract(kl, cdx[a:b] @ kl * dt3[a:b], out=kn)
-                np.add(kbl, kbl @ cdx[a:b] * dt3[a:b], out=kbn)
-                kl[...], kbl[...] = kn, kbn
-            mj = n_jumping[k]
-            if mj:
-                a, b = j_at[k - k0], j_at[k - k0 + 1]
-                sel = slice(0, mj) if leading[k] else jl[a:b]
-                kn, kbn = kn_j[a:b], kbn_j[a:b]
-                np.matmul(jac[a:b], K[sel], out=kn)
-                np.matmul(Kb[sel], inv[a:b], out=kbn)
-                K[sel], Kb[sel] = kn, kbn
+        # 3. the flow sweep: kn, kbn hold K and Kbar just after each row
+        kn, kbn = np.empty_like(J), np.empty_like(B)
+        for sel, a, b in groups:
+            k_after, kb_after = kn[a:b], kbn[a:b]
+            np.matmul(J[a:b], K[sel], out=k_after)
+            np.matmul(Kb[sel], B[a:b], out=kb_after)
+            K[sel], Kb[sel] = k_after, kb_after
+        _at(np.maximum, flow_err, lanes, np.abs(kn @ kbn - eye))
         if nj:
+            kn_j, kbn_j = kn[ne:], kbn[ne:]
             _at(np.add, C, jl, kbn_j @ gamma @ kbn_j.transpose(0, 2, 1))
-            _at(np.maximum, flow_err, jl, np.abs(kn_j @ kbn_j - eye))
-            jumps.append(JumpRows(event=je, lanes=j_lanes, index=j_index, ev=ev, k=kn_j,
-                                  gamma=gamma, flat=flat))
-        if comp:
-            np.maximum(flow_err[:live[k0]], np.abs(kn_e @ kbn_e - eye).max(axis=0),
-                       out=flow_err[:live[k0]])
+            # with Euler rows in kn, the table copies K so as not to keep them alive
+            jumps.append(JumpRows(event=je, lanes=j_lanes, index=j_index, ev=ev,
+                                  k=kn_j.copy() if ne else kn_j, gamma=gamma, flat=flat))
     back = np.argsort(order)
     return TrajectoryBatch(paths=paths, times=times, x=x[back], k=K[back],
                            c=C[back], kk_err=flow_err.max(axis=(1, 2))[back], jumps=jumps)

@@ -11,7 +11,6 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from scipy.special import erfcinv
 from scipy.stats import ks_2samp
 
 from lentparticle import cli, ensemble, report, scenarios, sde
+from lentparticle.rng import TAG_NOISE, RngStream
 
 HERE = Path(__file__).parent
 
@@ -152,6 +152,15 @@ def test_tauber_checks_eps_range(tmp_path, capsys):
     path, _ = _config(tmp_path, "tbad", params={"eps": 1.5})
     code, err = _exit_and_stderr(capsys, ["tauber", str(path)])
     assert code == cli.EXIT_HYPOTHESIS and "params.eps" in err
+
+
+def test_run_refuses_eps_whose_mass_cancels(tmp_path, capsys):
+    # at eps 1e-17, trunc^-eps - ymax^-eps is 0: every path would be jumpless
+    path, _ = _config(tmp_path, "tiny", scenario="subordination-nonlinear",
+                      params={"eps": 1e-17})
+    code, err = _exit_and_stderr(capsys, ["run", str(path)])
+    assert code == cli.EXIT_HYPOTHESIS and "params.eps" in err
+    assert not (tmp_path / "tiny").exists()
 
 
 def test_zero_mass_run_is_hypothesis_failure(tmp_path, capsys):
@@ -405,17 +414,14 @@ def test_trajectory_commands_do_not_import_numpy_ma(tmp_path):
 
 
 def test_stable_samples_match_erfcinv(monkeypatch):
+    # the uniforms are the stream's own generator draws
+    u = RngStream(seed=0, tag=TAG_NOISE).generator().random(5)
+    np.testing.assert_allclose(cli.diagnostics_stable_samples(5, 0, 1.5),
+                               1.5 ** 2 * np.pi / erfcinv(u) ** 2, rtol=1e-14, atol=0)
     u = np.concatenate([[0.0, 1e-300, 0.5, 1 - 2 ** -53],
                         np.random.default_rng(3).random(20_000)])
-
-    class FixedUniforms:
-        def __init__(self, **address):
-            pass
-
-        def generator(self):
-            return SimpleNamespace(random=lambda n: u[:n])
-
-    monkeypatch.setattr(cli, "RngStream", FixedUniforms)
+    monkeypatch.setattr(cli, "philox_random",
+                        lambda stream, paths, blocks: np.resize(u, (len(blocks), 4)))
     samples = cli.diagnostics_stable_samples(len(u), 0, 1.5)
     assert samples[0] == 0.0
     np.testing.assert_allclose(samples, 1.5 ** 2 * np.pi / erfcinv(u) ** 2, rtol=1e-14, atol=0)
@@ -487,9 +493,11 @@ def test_chunks_split_the_paths_in_order(paths, workers, chunks):
     (50_000, 1, 0), (50_000, 2, 1), (50_000, 3, 2), (1, 4, 0),
     (5, 4, 2),       # 3 chunks of at most 2 paths
     (9, 8, 4),       # 5 chunks of at most 2 paths
+    (50_000, 9, 7), (100_000, 100_000, 7), (10 ** 6, 10 ** 6, 7),   # 8 cores
 ])
 def test_command_pool_forks_one_process_per_chunk_but_the_parents(monkeypatch, paths,
                                                                     workers, forks):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(cli.multiprocessing, "Pool", lambda processes: processes)
     pool = cli._command_pool({"paths": paths, "workers": workers})
     if forks == 0:

@@ -73,7 +73,7 @@ def test_qk21_rule_exact_on_polynomials():
 # the spec
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("eps", [0.0, -0.5, 1.0])
+@pytest.mark.parametrize("eps", [0.0, -0.5, 1.0, 1e-17])
 def test_spec_refuses_eps_outside_unit_interval(eps):
     with pytest.raises(ValueError, match="eps"):
         LevyMeasureSpec(eps, ymax=1.0, trunc=0.01)

@@ -16,7 +16,9 @@ axis, and `jump_matrices` maps it to the (n, d, d) matrices and the
 
 Two families are provided: a weighted structure on a Euclidean mark
 interval, and Wiener-space structures (Ornstein-Uhlenbeck) for jumps that
-are excursions of a nested diffusion.
+are excursions of a nested diffusion.  The nested one also resolves a
+chunk's jumps several per lane, each lane's excursions back to back on one
+clock (`WienerOUBottom.run_excursions`).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .prm import JumpLanes, nested_grid, nested_increments
+from .prm import JumpLanes, nested_grid, nested_increments, nested_steps
 from .rng import TAG_NESTED
 
 
@@ -123,7 +125,7 @@ class WienerSquareBottom(BottomStructure):
 
 @dataclass
 class WienerOUEval:
-    """Excursions; every field has a leading lane axis."""
+    """Excursions; every field has a leading axis, one row per excursion."""
 
     y: np.ndarray           # (n,) durations
     z: np.ndarray           # (n, d) displacements zeta_y^x - x
@@ -144,9 +146,14 @@ class WienerOUBottom(BottomStructure):
     The coefficient callables take states z of shape (n, dim), one row per
     lane, and return a (n, dim, n_brownian) and da/dz
     (n, dim, n_brownian, dim); a value without the lane axis is taken to
-    hold for every lane.  The drift b is no function of z: it is a per-lane
-    constant that `evolve` takes as an argument, so the flow derivative
-    follows the diffusion coefficient only.
+    hold for every lane.  The drift b is no function of z: it is a
+    per-excursion constant (`nested_drift`), so the flow derivative follows
+    the diffusion coefficient only.
+
+    One scheme runs every excursion: `run_excursions` runs several per lane
+    back to back on one nested clock, and `evolve` is its case of one
+    excursion per lane.  `run_excursions` reports each lane's first inverse
+    flow overflow to its caller; `evolve` raises the first of them.
     """
 
     dim: int
@@ -159,83 +166,200 @@ class WienerOUBottom(BottomStructure):
     def block_dim(self):
         return self.dim
 
+    def nested_drift(self, lanes: JumpLanes):
+        """The drift b of each lane's excursion, (n, dim), or None for none."""
+        return None
+
     def eval_jumps(self, s, x, lanes):
         incs = nested_increments(lanes, lanes.marks, self.step, self.n_brownian)
-        return self.evolve(x, lanes.marks, incs)
+        return self.evolve(x, lanes.marks, incs, drift=self.nested_drift(lanes))
 
-    # the inverse flow is checked for overflow and raised as an error, so
-    # numpy's overflow warnings would only repeat the failure
-    @np.errstate(over="ignore", invalid="ignore")
     def evolve(self, x: np.ndarray, y: np.ndarray, incs: np.ndarray,
                drift: np.ndarray | None = None) -> WienerOUEval:
-        """Run the excursions of n lanes in lockstep.
+        """Run one excursion per lane: the one-row-per-lane case of `_clock`.
 
         x (n, dim) start points, y (n,) durations, incs
         (steps, n, n_brownian) the Brownian increments on the lanes'
         `prm.nested_grid`, and drift, when given, the (n, dim) drift b of
-        each lane.  The lanes are walked sorted by step count,
-        longest first, so the lanes still stepping at nested step k are a
-        leading slice, and only that slice is stepped: a lane past its last
-        step keeps its values, as the zero increment over a zero width it
-        is given there would.  `diff` and `diff_jac` are evaluated on the
-        stepping lanes' states.  The result carries the lane axis, in the
-        order of x.
+        each lane.  The result carries the lane axis, in the order of x.
+        Raises FloatingPointError at the first nested step at which an
+        inverse flow overflows.
         """
-        d, q = self.dim, self.n_brownian
         x = np.asarray(x, dtype=float)
         n = len(x)
         counts, widths = nested_grid(y, self.step)
-        if incs.shape != widths.shape + (q,):
+        if incs.shape != widths.shape + (self.n_brownian,):
             raise ValueError(f"increments of shape {incs.shape} do not match the step grid "
                              f"{widths.shape} of the durations")
-        order = np.argsort(-counts, kind="stable")
-        live = np.count_nonzero(counts > np.arange(len(widths))[:, None], axis=1).tolist()
-        # per-step views, lanes in walking order: widths (steps, n, 1, 1) and
-        # increments as columns (steps, n, q, 1) and as noise (steps, n, q, 1, 1)
-        dtms = widths[:, order, None, None]
-        dbs = incs[:, order, :, None]
-        noises = dbs[..., None]
-        drift_dt = (None if drift is None
-                    else np.broadcast_to(drift, (n, d))[order] * dtms[..., 0])
-        flows = self.diff_jac is not None
-        z = x[order]
-        m = np.tile(np.eye(d), (n, 1, 1))
+        steps = np.arange(len(widths)) < counts[:, None]        # lane-major
+        ev, _, failed = self._clock(
+            x, np.arange(n), np.asarray(y, dtype=float), counts, widths.T[steps],
+            incs.transpose(1, 0, 2)[steps],
+            None if drift is None else np.broadcast_to(drift, (n, self.dim)), None)
+        if failed:
+            raise flow_overflow(min(step for _, step in failed))
+        return ev
+
+    def run_excursions(self, x: np.ndarray, lane: np.ndarray, jumps: JumpLanes, jump):
+        """Run the excursions of `jumps` on one nested clock (`_clock`): row r
+        of `jumps` is an excursion of lane lane[r] of x, of duration
+        jumps.marks[r], with the draws `eval_jumps` gives it, and a lane runs
+        its rows back to back in the order they come."""
+        by_lane = np.argsort(lane, kind="stable")
+        steps = JumpLanes(jumps.stream, jumps.paths[by_lane], jumps.index[by_lane],
+                          jumps.marks[by_lane])
+        drawn, widths, incs = nested_steps(steps, steps.marks, self.step, self.n_brownian)
+        counts = np.empty_like(drawn)
+        counts[by_lane] = drawn
+        return self._clock(x, lane, jumps.marks, counts, widths, incs,
+                           self.nested_drift(jumps), jump)
+
+    # an overflowing inverse flow is reported as an error, so numpy's
+    # overflow warnings would only repeat the failure
+    @np.errstate(over="ignore", invalid="ignore")
+    def _clock(self, x, lane, y, counts, widths, incs, drift, jump):
+        """The nested Euler scheme of excursions run back to back on one clock.
+
+        Row r is an excursion of lane lane[r] of x (n, dim), of duration
+        y[r] and drift drift[r] (drift None: none), in counts[r] steps.  A
+        lane runs its rows in the order they come, and `widths` and `incs`
+        (n_brownian) hold the steps of lane 0, then of lane 1, and so on,
+        each lane's in the order it runs them.  The lanes are walked sorted
+        by their total step count, longest first, so the lanes stepping at
+        tick t are a leading slice, and only they are stepped.  An
+        excursion starts from its lane's state, and its resolution is formed
+        at the tick it ends.  Then `jump(rows, x, ev)`, given the rows ending
+        there, with their start states and resolutions, returns their lanes'
+        next states, where their next rows start (without `jump`, a lane
+        runs one row).
+
+        Returns the resolutions in row order, the lanes' final states, and
+        (row, nested step) of the first overflow of each lane's inverse
+        flow.  An overflowing lane runs on, so that a caller can tell which
+        failure comes first in its own order.
+        """
+        d, n, r = self.dim, len(x), len(y)
+        start, ending, heads, succ = _schedule(lane, counts)
+        end = start + counts
+        total = np.zeros(n, dtype=np.int64)
+        np.add.at(total, lane, counts)
+        order = np.argsort(-total, kind="stable")
+        at = np.empty(n, dtype=np.int64)            # each lane's place in walking order
+        at[order] = np.arange(n)
+        ticks = int(total.max(initial=0))
+        live = np.searchsorted(-total[order], -np.arange(ticks)).tolist()
+        base = (np.cumsum(total) - total)[order]    # each lane's first step in `widths`
+        row_lane = at[lane]
+        if drift is not None:
+            lane_drift = np.empty((n, d))           # the drift of each lane's current row
+            lane_drift[row_lane[heads]] = drift[heads]
+
+        xs = x[order]                   # each lane's state where its current row started
+        z = xs.copy()
+        eye = np.eye(d)
+        m = np.tile(eye, (n, 1, 1))
         m_inv = m.copy()
-        integ = np.zeros((n, d, d))    # int M^-1 a a^T M^-T ds
-        for k, l in enumerate(live):
-            # views of the stepping lanes; a and da/dz broadcast over
-            # them when given without the lane axis
-            dtm, db = dtms[k, :l], dbs[k, :l]
-            zl, ml, mil, il = z[:l], m[:l], m_inv[:l], integ[:l]
-            a = self.diff(zl)
-            mi_a = mil @ a
-            il += (mi_a @ mi_a.transpose(0, 2, 1)) * dtm
-            if flows:
-                # shared-noise Euler step for both flows; with A_r = da[:, r]/dz
-                # and P_r = M^-1 A_r, the inverse flow carries the Ito
-                # correction sum_r P_r P_r dt
-                A = np.swapaxes(self.diff_jac(zl), -3, -2)
-                P = mil[:, None] @ A
-                noise = noises[k, :l]
-                dm = (A * noise).sum(axis=1) @ ml
-                dmi = (P @ P).sum(axis=1) * dtm - (P * noise).sum(axis=1)
-            zl += (a @ db)[..., 0]
-            if drift_dt is not None:
-                zl += drift_dt[k, :l]
-            if flows:
-                ml += dm
-                mil += dmi
-                if not np.isfinite(mil).all():
-                    raise FloatingPointError(f"inverse flow overflow at nested step {k}")
-        back = np.argsort(order)
-        m, m_inv = m[back], m_inv[back]
-        gamma_m = m @ integ[back] @ m.transpose(0, 2, 1)
-        return WienerOUEval(y=np.asarray(y, dtype=float), z=z[back] - x, gamma_m=gamma_m,
-                            m=m, m_inv=m_inv)
+        integ = np.zeros((n, d, d))     # int M^-1 a a^T M^-T ds
+        out = WienerOUEval(y=y, z=np.empty((r, d)), gamma_m=np.empty((r, d, d)),
+                           m=np.empty((r, d, d)), m_inv=np.empty((r, d, d)))
+        failed, broken = [], np.zeros(n, dtype=bool)
+        for t in range(ticks + 1):
+            for rows in ending.get(t, ()):
+                ln = row_lane[rows]
+                x_pre, ml = xs[ln], m[ln]
+                ev = WienerOUEval(y=y[rows], z=z[ln] - x_pre,
+                                  gamma_m=ml @ integ[ln] @ ml.transpose(0, 2, 1),
+                                  m=ml, m_inv=m_inv[ln])
+                out.z[rows], out.gamma_m[rows], out.m[rows], out.m_inv[rows] = (
+                    ev.z, ev.gamma_m, ev.m, ev.m_inv)
+                if jump is not None:
+                    xs[ln] = z[ln] = jump(rows, x_pre, ev)
+                    m[ln] = m_inv[ln] = eye
+                    integ[ln] = 0.0
+                    if drift is not None:
+                        lane_drift[ln] = drift[succ[rows]]
+            if t == ticks:
+                break
+            l = live[t]
+            at_t = base[:l] + t                     # the stepping lanes' steps
+            w = widths[at_t]
+            if not self._step(z[:l], m[:l], m_inv[:l], integ[:l], w[:, None, None],
+                              incs[at_t][..., None],
+                              None if drift is None else lane_drift[:l] * w[:, None]):
+                bad = np.flatnonzero(~np.isfinite(m_inv[:l]).all(axis=(1, 2)) & ~broken[:l])
+                broken[bad] = True
+                for row in np.flatnonzero(np.isin(row_lane, bad) & (start <= t) & (t < end)):
+                    failed.append((int(row), t - int(start[row])))
+        x_end = np.empty_like(xs)
+        x_end[order] = xs
+        return out, x_end, failed
+
+    def _step(self, z, m, m_inv, integ, dtm, db, drift_dt) -> bool:
+        """One Euler step, in place, of the stepping lanes' nested states z
+        (l, dim), flows m and m_inv and integrals integ (l, dim, dim), with
+        widths dtm (l, 1, 1), increments db (l, n_brownian, 1) and drift
+        times width drift_dt (l, dim) or None.  Returns False if an inverse
+        flow is no longer finite."""
+        # a and da/dz broadcast over the lanes when given without the lane axis
+        a = self.diff(z)
+        mi_a = m_inv @ a
+        integ += (mi_a @ mi_a.transpose(0, 2, 1)) * dtm
+        flows = self.diff_jac is not None
+        if flows:
+            # shared-noise Euler step for both flows; with A_r = da[:, r]/dz
+            # and P_r = M^-1 A_r, the inverse flow carries the Ito
+            # correction sum_r P_r P_r dt
+            A = np.swapaxes(self.diff_jac(z), -3, -2)
+            P = m_inv[:, None] @ A
+            noise = db[..., None]
+            dm = (A * noise).sum(axis=1) @ m
+            dmi = (P @ P).sum(axis=1) * dtm - (P * noise).sum(axis=1)
+        z += (a @ db)[..., 0]
+        if drift_dt is not None:
+            z += drift_dt
+        if not flows:
+            return True
+        m += dm
+        m_inv += dmi
+        return bool(np.isfinite(m_inv).all())
 
     def jump_matrices(self, s, x, ev: WienerOUEval):
         """The excursion's Malliavin matrix and its symmetric square root."""
         return ev.gamma_m, _psd_sqrt(ev.gamma_m)
+
+
+def _schedule(lane: np.ndarray, counts: np.ndarray):
+    """When the rows of `_clock` run, each lane's back to back in the order
+    they come.  Returns each row's first tick (its lane's step count before
+    it), the rows ending at each tick in groups of distinct lanes, each
+    lane's first row, and each row's successor in its lane (itself for the
+    lane's last row)."""
+    r = len(lane)
+    i = np.arange(r)
+    by_lane = np.argsort(lane, kind="stable")
+    c = counts[by_lane]
+    same = lane[by_lane][1:] == lane[by_lane][:-1]     # sorted row i + 1 follows row i
+    before = np.cumsum(c) - c
+    start = before - before[np.maximum.accumulate(np.where(np.r_[True, ~same], i, 0))]
+    end = start + c
+    # a zero-step row ends where the row before it in its lane does: the
+    # rows ending at one tick take their turns by `rank`
+    tied = np.r_[False, same & (end[1:] == end[:-1])]
+    rank = i - np.maximum.accumulate(np.where(tied, 0, i))
+    by_end = np.lexsort((rank, end))
+    ending = {}
+    for group in np.split(by_end, np.flatnonzero(np.diff(end[by_end])
+                                                 | np.diff(rank[by_end])) + 1):
+        ending.setdefault(int(end[group[0]]), []).append(by_lane[group])
+    first, succ = np.empty(r, dtype=np.int64), np.empty(r, dtype=np.int64)
+    first[by_lane] = start
+    succ[by_lane] = by_lane[np.where(np.r_[same, False], i + 1, i)]
+    return first, ending, by_lane[np.r_[True, ~same]], succ
+
+
+def flow_overflow(step: int) -> FloatingPointError:
+    """The error of an inverse flow that overflows at nested step `step`."""
+    return FloatingPointError(f"inverse flow overflow at nested step {step}")
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:

@@ -239,28 +239,39 @@ def _traj_chunk(args):
     return out
 
 
+def _chunk_size(paths: int, workers: int) -> tuple[int, int]:
+    """Paths per chunk of a fan-out, ceil(paths / workers), and the number of
+    chunks: every chunk but the last has that size, and the last is never
+    larger, so there are at most `workers` chunks."""
+    size = -(-paths // workers)
+    return size, -(-paths // size)
+
+
 def _chunks(paths: int, workers: int) -> list[tuple[int, int]]:
-    """(start, count) of the contiguous path ranges of a fan-out: ceil(paths /
-    workers) paths each, the last never larger, so at most `workers` ranges."""
-    size = math.ceil(paths / workers)
-    return [(start, min(size, paths - start)) for start in range(0, paths, size)]
+    """(start, count) of the contiguous path ranges of a fan-out, in path
+    order, as `_chunk_size` lays them out."""
+    size, n = _chunk_size(paths, workers)
+    return [(i * size, min(size, paths - i * size)) for i in range(n)]
 
 
 def _fan_out(worker, name, params, paths, seed, workers, pool=None):
     """The chunks of `_chunks(paths, workers)`, in path order, with the same
     bits however they run.  Without a pool they run serially; with one, the
-    parent computes the last chunk while the pool runs the others.  A failing
-    chunk raises as it would serially: the first failing pool chunk in path
-    order, and the parent's only when all of those succeed."""
-    jobs = [(name, params, start, count, seed) for start, count in _chunks(paths, workers)]
-    if pool is None or len(jobs) == 1:
-        return [worker(j) for j in jobs]
-    rest = pool.imap(worker, jobs[:-1])
+    parent computes the last chunk while the pool runs the others.  The
+    chunks are walked, never listed: the pool takes them one by one.  A
+    failing chunk raises as it would serially: the first failing pool chunk
+    in path order, and the parent's only when all of those succeed."""
+    size, n = _chunk_size(paths, workers)
+    last = (n - 1) * size
+    jobs = ((name, params, i * size, size, seed) for i in range(n - 1))
+    if pool is None or n == 1:
+        return [worker(j) for j in jobs] + [worker((name, params, last, paths - last, seed))]
+    rest = pool.imap(worker, jobs)
     try:
-        last = worker(jobs[-1])
+        tail = worker((name, params, last, paths - last, seed))
     finally:
         parts = list(rest)
-    return parts + [last]
+    return parts + [tail]
 
 
 def _command_pool(run: dict):
@@ -273,7 +284,7 @@ def _command_pool(run: dict):
     their serial diagnostics, so the workers hold their peak memory for the
     rest of every run and a sampled memory reading (bench/run.py polls every
     0.2 s) sees them however short the chunks are."""
-    forks = min(len(_chunks(run["paths"], run["workers"])), os.cpu_count() or 1) - 1
+    forks = min(_chunk_size(run["paths"], run["workers"])[1], os.cpu_count() or 1) - 1
     if forks == 0:
         return contextlib.nullcontext()
     return multiprocessing.Pool(forks)

@@ -101,6 +101,16 @@ class JumpLanes:
             path=self.paths.tolist(), jump=(self.index + 1).tolist())
 
 
+def _nested_counts(durations, step: float):
+    """Step counts ceil(duration / step) of nested excursions, and the width
+    of each one's last step, shortened so that its widths sum to its duration."""
+    durations = np.asarray(durations, dtype=float)
+    if step <= 0 or np.any(durations < 0):
+        raise ValueError("need duration >= 0 and step > 0")
+    counts = np.ceil(durations / step).astype(np.int64)
+    return counts, durations - step * (counts - 1)
+
+
 def nested_grid(durations, step: float):
     """Euler grid of nested excursions of the given durations.
 
@@ -109,30 +119,40 @@ def nested_grid(durations, step: float):
     last step is shortened so that its widths sum to its duration, and 0
     past a lane's last step.
     """
-    durations = np.asarray(durations, dtype=float)
-    if step <= 0 or np.any(durations < 0):
-        raise ValueError("need duration >= 0 and step > 0")
-    counts = np.ceil(durations / step).astype(np.int64)
+    counts, last = _nested_counts(durations, step)
     k = np.arange(counts.max(initial=0))[:, None]
-    last = durations - step * (counts - 1)
     widths = np.where(k < counts - 1, step, np.where(k == counts - 1, last, 0.0))
     return counts, widths
+
+
+def nested_steps(lanes: JumpLanes, durations, step: float, dim: int = 1):
+    """Brownian increments of every lane's nested Euler steps, held flat.
+
+    Lane i takes the steps of its column of `nested_grid`.  Returns the
+    step counts, and the widths (s,) and increments (s, dim) of the s
+    steps, one row per lane-step, lane after lane.  The increments have
+    variance equal to their width, so each lane's sum is a Brownian value at
+    its duration exactly, and they depend only on the lane's (path stream,
+    jump index) address: one walk draws each lane's normals into its rows.
+    """
+    counts, last = _nested_counts(durations, step)
+    ends = np.cumsum(counts)
+    widths = np.full(int(ends[-1]) if len(ends) else 0, float(step))
+    widths[ends[counts > 0] - 1] = last[counts > 0]
+    normals = np.empty((len(widths), dim))
+    for gen, n, end in zip(lanes.draws(TAG_NESTED), counts.tolist(), ends.tolist()):
+        gen.standard_normal(out=normals[end - n:end])
+    normals *= np.sqrt(widths)[:, None]
+    return counts, widths, normals
 
 
 def nested_increments(lanes: JumpLanes, durations, step: float, dim: int = 1) -> np.ndarray:
     """Brownian increments of every lane on its `nested_grid`.
 
-    Shape (max count, n lanes, dim); zero past a lane's last step.  The
-    increments have variance equal to their step width, so each lane's sum
-    is a Brownian value at its duration exactly, and they depend only on
-    the lane's (path stream, jump index) address.  Each lane's normals are
-    drawn into one contiguous buffer, lane after lane, and placed by one
-    boolean-mask scatter.
+    Shape (max count, n lanes, dim); zero past a lane's last step.  These
+    are the rows of `nested_steps`, placed by one boolean-mask scatter.
     """
-    counts, widths = nested_grid(durations, step)
-    drawn = np.empty((int(counts.sum()), dim))
-    for gen, n, end in zip(lanes.draws(TAG_NESTED), counts.tolist(), np.cumsum(counts).tolist()):
-        gen.standard_normal(out=drawn[end - n:end])
-    normals = np.zeros((len(counts), len(widths), dim))     # lane-major
-    normals[np.arange(len(widths)) < counts[:, None]] = drawn
-    return normals.transpose(1, 0, 2) * np.sqrt(widths)[..., None]
+    counts, _, incs = nested_steps(lanes, durations, step, dim)
+    grid = np.zeros((len(counts), counts.max(initial=0), dim))     # lane-major
+    grid[np.arange(grid.shape[1]) < counts[:, None]] = incs
+    return grid.transpose(1, 0, 2)

@@ -16,7 +16,6 @@ import numpy as np
 
 from .bottom import EuclideanBottom, WienerOUBottom, WienerSquareBottom
 from .measures import LevyMeasureSpec, compensator_integral
-from .prm import nested_increments
 from .rng import TAG_NESTED
 from .sde import Scenario, SimpleJets
 
@@ -217,12 +216,10 @@ class _FieldBottom(WienerOUBottom):
     direction; the direction angle is part of the mark (drawn from the
     jump's sub-stream, replica 1) and sets the nested drift of its lane."""
 
-    def eval_jumps(self, s, x, lanes):
+    def nested_drift(self, lanes):
         theta = np.array([gen.uniform(0.0, 2 * math.pi)
                           for gen in lanes.draws(TAG_NESTED, replica=1)])
-        push = np.stack([np.cos(theta), np.sin(theta)], -1)
-        incs = nested_increments(lanes, lanes.marks, self.step, self.n_brownian)
-        return self.evolve(x, lanes.marks, incs, drift=push)
+        return np.stack([np.cos(theta), np.sin(theta)], -1)
 
 
 @_register("levy-field-demo")

@@ -26,9 +26,14 @@ state; the linear algebra that feeds no later state (each row's Jacobian J
 and backward matrix B, and `jump_matrices`) runs as one call per block on
 all of its rows; and a flow sweep carries every row by one rule, K <- J K
 and Kbar <- Kbar B, after which C and |K Kbar - I| are accumulated per
-lane.  The blocks change no bits.  `integrate_batch` runs the loop on a
-chunk of sampled paths, and `integrate` on one path, adding the order-2
-table when asked.  A lane's arithmetic and draws do not depend on the
+lane.  The blocks change no bits.  Jumps that are excursions of a nested
+diffusion (an uncompensated chunk on a `WienerOUBottom`) take the state
+sweep out of the blocks: each lane runs its excursions back to back on one
+nested clock for the whole chunk, so the chunk takes as many nested steps
+as its longest lane needs, not the sum over events of each event's longest
+excursion, and the blocks read the rows it recorded.  `integrate_batch`
+runs the loop on a chunk of sampled paths, and `integrate` on one path,
+adding the order-2 table when asked.  A lane's arithmetic and draws do not depend on the
 other lanes, so a path gives the same bits alone as in any chunk.  The
 loop keeps no state history: besides the results at T it keeps the jump
 rows of each block (`JumpRows`: per jump, the post-jump flow K and the
@@ -48,7 +53,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bottom import BottomStructure, CapabilityError
+from .bottom import BottomStructure, CapabilityError, WienerOUBottom, flow_overflow
 from .measures import LevyMeasureSpec, compensator_integral
 from .prm import JumpLanes, MarkedPoissonPath, sample_paths
 from .rng import RngStream
@@ -385,6 +390,13 @@ def _concat(parts: list):
     return np.concatenate(parts)
 
 
+def _rows(part, index):
+    """The rows `index` of an array or of a dataclass of row-axis arrays."""
+    if is_dataclass(part):
+        return replace(part, **{f.name: getattr(part, f.name)[index] for f in fields(part)})
+    return part[index]
+
+
 def _at(ufunc, out: np.ndarray, lanes: np.ndarray, rows: np.ndarray):
     """out[lanes[i]] = ufunc(out[lanes[i]], rows[i]) for i in order.  Both
     arrays are flattened first: numpy's `ufunc.at` is much faster on one
@@ -409,7 +421,45 @@ def _jump_jacobians(scenario: Scenario, s, x, ev, events, addresses) -> np.ndarr
     return jac
 
 
-# the loop checks the state (and `evolve` its inverse flow) for overflow and
+def _excursions(scenario: Scenario, x: np.ndarray, rows: JumpLanes, je, jl, s_j, x_j):
+    """The state sweep of an uncompensated chunk on a `WienerOUBottom`, for
+    all of its jumps: each lane's excursions run back to back on one nested
+    clock (`WienerOUBottom.run_excursions`).  Row r of `rows` is jump row r
+    of `_advance`, at event je[r] of lane jl[r], and a lane takes its jumps
+    in event order, with the draws and bits of the event-by-event sweep.
+
+    Returns the lanes' states at T and the rows' resolutions, and fills x_j
+    with the pre-jump states.  A failure is raised once the clock has run,
+    as the event-by-event sweep raises it: the first failing event's, after
+    the Jacobians of the events before it are checked.  At one event a
+    state overflow (of the state the event starts from) comes before an
+    inverse flow overflow, and those come in nested step order.
+    """
+    if not np.isfinite(x).all():
+        raise EventError("state overflow", 1)
+    d = scenario.dim
+    failures = []               # (event, 0 state | 1 nested overflow, nested step)
+
+    def jump(r, x_pre, ev):
+        x_j[r] = x_pre
+        x_post = x_pre + _lanes(scenario.c(s_j[r], x_pre, ev), (len(r), d))
+        if not np.isfinite(x_post).all():
+            failures.append((int(je[r][~np.isfinite(x_post).all(axis=1)].min()) + 1, 0, 0))
+        return x_post
+
+    ev, x, nested = scenario.bottom.run_excursions(x, jl, rows, jump)
+    failures += [(int(je[r]), 1, step) for r, step in nested]
+    if failures:
+        event, nested, step = min(failures)
+        r = int(np.searchsorted(je, event))     # the rows of the earlier events
+        if r:
+            _jump_jacobians(scenario, s_j[:r], x_j[:r], _rows(ev, slice(0, r)), je[:r],
+                            rows.paths[:r])
+        raise flow_overflow(step) if nested else EventError("state overflow", event)
+    return x, ev
+
+
+# the loop checks the state (and the nested scheme its inverse flow) for overflow and
 # raises, so numpy's overflow warnings would only repeat the failure
 @np.errstate(over="ignore", invalid="ignore")
 def _advance(scenario: Scenario, paths: list) -> TrajectoryBatch:
@@ -440,10 +490,17 @@ def _advance(scenario: Scenario, paths: list) -> TrajectoryBatch:
        Then C gains Kbar gamma Kbar^T per jump row, lane by lane in event
        order, and each lane's |K Kbar - I| is a running max over its rows.
 
+    An uncompensated chunk on a `WienerOUBottom` runs its state sweep once
+    for the whole chunk instead, before the blocks (`_excursions`): each
+    lane's excursions back to back on one nested clock, rather than one
+    `evolve` per event that runs until the event's longest excursion ends.
+    Its blocks start at step 2, with the same pre-jump states, resolutions
+    and row groups, so the bits are those of the event-by-event sweep.
+
     A failure in the state sweep is raised after the Jacobians of the
-    block's earlier events are checked, so the error is the first failing
-    event's, as it is event by event.  Per block with jumps it keeps one
-    `JumpRows` of the block's own arrays; joined in order, they hold every jump.
+    earlier events are checked, so the error is the first failing event's,
+    as it is event by event.  Per block with jumps it keeps one `JumpRows`
+    of the block's rows; joined in order, they hold every jump.
     """
     d, comp, bottom = scenario.dim, scenario.compensated, scenario.bottom
     times = [_event_times(scenario, p) for p in paths]
@@ -462,10 +519,21 @@ def _advance(scenario: Scenario, paths: list) -> TrajectoryBatch:
         mark_at[at, lane] = p.marks
     addresses = np.array([p.stream.path for p in paths])[order]
     jumping = jump_at >= 0
+    jumping[0] = False                              # event 0 is the start, not a jump
     n_jumping = jumping.sum(axis=1)
     leading = np.all(jumping == (np.arange(n) < n_jumping[:, None]), axis=1).tolist()
     live = np.count_nonzero(n_events > np.arange(width)[:, None], axis=1).tolist()
     n_jumping = n_jumping.tolist()
+    # the jump rows, event by event: event k has rows row_at[k] .. row_at[k + 1] - 1
+    je, jl = np.nonzero(jumping)
+    s_j, j_index, j_marks = ev_times[je, jl], jump_at[je, jl], mark_at[je, jl]
+    j_paths, j_lanes = addresses[jl], order[jl]
+    row_at = list(accumulate(n_jumping, initial=0))
+    x_j = np.empty((len(je), d))                    # pre-jump states
+
+    def jumpers(k):
+        """The lanes that jump at event k."""
+        return slice(0, n_jumping[k]) if leading[k] else jl[row_at[k]:row_at[k + 1]]
 
     eye = np.eye(d)
     x = np.tile(scenario.x0, (n, 1))
@@ -474,15 +542,13 @@ def _advance(scenario: Scenario, paths: list) -> TrajectoryBatch:
     C = np.zeros((n, d, d))
     flow_err = np.zeros((n, d, d))                  # running max of |K Kbar - I|
     jumps = []
+    clock = not comp and isinstance(bottom, WienerOUBottom) and len(je) > 0
+    if clock:
+        rows = JumpLanes(paths[0].stream, j_paths, j_index, j_marks)
+        x, ev_rows = _excursions(scenario, x, rows, je, jl, s_j, x_j)
     for k0, k1 in _blocks([j + m * comp for j, m in zip(n_jumping, live)]):
-        # jump rows ne + j_at[k - k0] .. ne + j_at[k - k0 + 1] - 1: event je, lane jl
-        j_at = list(accumulate(n_jumping[k0:k1], initial=0))
-        je, jl = np.nonzero(jumping[k0:k1])
-        je += k0
-        s_j, j_index, j_marks = ev_times[je, jl], jump_at[je, jl], mark_at[je, jl]
-        j_paths, j_lanes = addresses[jl], order[jl]
-        x_j = np.empty((len(jl), d))                # pre-jump states
-        ne, lanes = 0, jl                           # Euler row count, each row's lane
+        r0, r1 = row_at[k0], row_at[k1]             # the block's jump rows
+        ne, lanes = 0, jl[r0:r1]                    # Euler row count, each row's lane
         if comp:
             # Euler rows 0 .. ne - 1: lanes 0 .. live[k] - 1 of each event k, the cells
             # of `alive` in row-major order (times are NaN past a lane's end)
@@ -491,52 +557,58 @@ def _advance(scenario: Scenario, paths: list) -> TrajectoryBatch:
             s_e = ev_times[k0 - 1:k1 - 1, :live[k0]][alive]     # averages are taken at
             dt_e = ev_times[k0:k1, :live[k0]][alive] - s_e      # the step's start
             lane_at = np.broadcast_to(np.arange(live[k0]), alive.shape)
-            ne, lanes = len(s_e), np.concatenate([lane_at[alive], jl])
+            ne, lanes = len(s_e), np.concatenate([lane_at[alive], lanes])
             x_e = np.empty((ne, d))                 # pre-step states
 
-        # 1. the state sweep
-        groups, evs = [], []                        # groups: (lanes, first row, end row)
-        try:
-            for k in range(k0, k1):
-                if comp:
-                    a, b, m = e_at[k - k0], e_at[k - k0 + 1], live[k]
-                    xl = x_e[a:b]
-                    xl[...] = x[:m]
-                    x[:m] = xl - _lanes(scenario.comp_c(s_e[a:b], xl), (m, d)) * dt_e[a:b, None]
-                    groups.append((slice(0, m), a, b))
-                if not np.isfinite(x[:live[k]]).all():
-                    raise EventError("state overflow", k)
-                mj = n_jumping[k]
-                if mj:
-                    a, b = j_at[k - k0], j_at[k - k0 + 1]
-                    sel = slice(0, mj) if leading[k] else jl[a:b]
-                    s, xl = s_j[a:b], x_j[a:b]
-                    xl[...] = x[sel]
-                    ev = bottom.eval_jumps(s, xl, JumpLanes(paths[0].stream, j_paths[a:b],
-                                                            j_index[a:b], j_marks[a:b]))
-                    x[sel] = xl + _lanes(scenario.c(s, xl, ev), (mj, d))
-                    evs.append(ev)
-                    groups.append((sel, ne + a, ne + b))
-        except Exception:
-            # event by event, the Jacobians of the earlier events were checked first
-            r = j_at[k - k0]
-            if r:
-                _jump_jacobians(scenario, s_j[:r], x_j[:r], _concat(evs), je[:r], j_paths[:r])
-            raise
+        # 1. the state sweep; groups: (lanes, first row, end row)
+        if clock:
+            ev = _rows(ev_rows, slice(r0, r1))
+            groups = [(jumpers(k), row_at[k] - r0, row_at[k + 1] - r0)
+                      for k in range(k0, k1) if n_jumping[k]]
+        else:
+            groups, evs = [], []
+            try:
+                for k in range(k0, k1):
+                    if comp:
+                        a, b, m = e_at[k - k0], e_at[k - k0 + 1], live[k]
+                        xl = x_e[a:b]
+                        xl[...] = x[:m]
+                        drift = _lanes(scenario.comp_c(s_e[a:b], xl), (m, d))
+                        x[:m] = xl - drift * dt_e[a:b, None]
+                        groups.append((slice(0, m), a, b))
+                    if not np.isfinite(x[:live[k]]).all():
+                        raise EventError("state overflow", k)
+                    if n_jumping[k]:
+                        a, b, sel = row_at[k], row_at[k + 1], jumpers(k)
+                        s, xl = s_j[a:b], x_j[a:b]
+                        xl[...] = x[sel]
+                        ev = bottom.eval_jumps(s, xl, JumpLanes(paths[0].stream, j_paths[a:b],
+                                                                j_index[a:b], j_marks[a:b]))
+                        x[sel] = xl + _lanes(scenario.c(s, xl, ev), (b - a, d))
+                        evs.append(ev)
+                        groups.append((sel, ne + a - r0, ne + b - r0))
+            except Exception:
+                # event by event, the Jacobians of the earlier events were checked first
+                r = row_at[k]
+                if r > r0:
+                    _jump_jacobians(scenario, s_j[r0:r], x_j[r0:r], _concat(evs), je[r0:r],
+                                    j_paths[r0:r])
+                raise
+            ev = _concat(evs) if evs else None
+            del evs                                 # the table keeps `ev` instead
 
         # 2. one call per block: each row's Jacobian J and backward matrix B
-        nj = len(jl)
+        nj = r1 - r0
         J, B = np.empty((ne + nj, d, d)), np.empty((ne + nj, d, d))
         if comp:
             step = _lanes(scenario.comp_dx_c(s_e, x_e), (ne, d, d)) * dt_e[:, None, None]
             np.subtract(eye, step, out=J[:ne])
             np.add(eye, step, out=B[:ne])
         if nj:
-            ev = _concat(evs)
-            del evs                                 # the table keeps `ev` instead
-            J[ne:] = _jump_jacobians(scenario, s_j, x_j, ev, je, j_paths)
+            s_b, x_b = s_j[r0:r1], x_j[r0:r1]
+            J[ne:] = _jump_jacobians(scenario, s_b, x_b, ev, je[r0:r1], j_paths[r0:r1])
             B[ne:] = np.linalg.inv(J[ne:])
-            gamma, flat = bottom.jump_matrices(s_j, x_j, ev)
+            gamma, flat = bottom.jump_matrices(s_b, x_b, ev)
             gamma, flat = _lanes(gamma, (nj, d, d)), _lanes(flat, (nj, d, bottom.block_dim))
 
         # 3. the flow sweep: kn, kbn hold K and Kbar just after each row
@@ -549,10 +621,10 @@ def _advance(scenario: Scenario, paths: list) -> TrajectoryBatch:
         _at(np.maximum, flow_err, lanes, np.abs(kn @ kbn - eye))
         if nj:
             kn_j, kbn_j = kn[ne:], kbn[ne:]
-            _at(np.add, C, jl, kbn_j @ gamma @ kbn_j.transpose(0, 2, 1))
+            _at(np.add, C, jl[r0:r1], kbn_j @ gamma @ kbn_j.transpose(0, 2, 1))
             # with Euler rows in kn, the table copies K so as not to keep them alive
-            jumps.append(JumpRows(event=je, lanes=j_lanes, index=j_index, ev=ev,
-                                  k=kn_j.copy() if ne else kn_j, gamma=gamma, flat=flat))
+            jumps.append(JumpRows(event=je[r0:r1], lanes=j_lanes[r0:r1], index=j_index[r0:r1],
+                                  ev=ev, k=kn_j.copy() if ne else kn_j, gamma=gamma, flat=flat))
     back = np.argsort(order)
     return TrajectoryBatch(paths=paths, times=times, x=x[back], k=K[back],
                            c=C[back], kk_err=flow_err.max(axis=(1, 2))[back], jumps=jumps)

@@ -11,10 +11,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from lentparticle import scenarios
+from lentparticle import scenarios, sde
 from lentparticle.bottom import CapabilityError
 from lentparticle.measures import LevyMeasureSpec, compensator_integral, total_mass
-from lentparticle.prm import MarkedPoissonPath
+from lentparticle.prm import JumpLanes, MarkedPoissonPath
 from lentparticle.sde import SimpleJets
 
 # the jump scale of `compound-linear` as the catalog builds it by default
@@ -117,3 +117,36 @@ def pnorm_ratio(samples: np.ndarray, p: float, gamma: float | None = None) -> fl
         raise ZeroDivisionError("zero energy: p-norm ratio undefined")
     pnorm = float(np.mean(np.abs(samples) ** p)) ** (1.0 / p)
     return pnorm / math.sqrt(gamma)
+
+
+# ---------------------------------------------------------------------------
+# the nested state sweep, event by event
+# ---------------------------------------------------------------------------
+
+def per_event_excursions(scenario, x, rows: JumpLanes, je, jl, s_j, x_j):
+    """`sde._excursions` as the event loop ran it before the nested clock, a
+    drop-in for it: event by event, the state check of every lane, then one
+    `eval_jumps` (so one `evolve`) of the lanes that jump there, each from
+    its pre-jump state.  A failure at event k is raised once the Jacobians of
+    the rows of the events before k are checked, so the first failing event's
+    error is raised, as the event loop raises it."""
+    x, d, evs = x.copy(), scenario.dim, []
+    for k in range(1, int(je.max()) + 2):
+        a, b = np.searchsorted(je, [k, k + 1])
+        try:
+            if not np.isfinite(x).all():
+                raise sde.EventError("state overflow", k)
+            if b > a:
+                lanes = jl[a:b]
+                x_j[a:b] = x[lanes]
+                ev = scenario.bottom.eval_jumps(s_j[a:b], x_j[a:b], JumpLanes(
+                    rows.stream, rows.paths[a:b], rows.index[a:b], rows.marks[a:b]))
+                x[lanes] = x_j[a:b] + np.broadcast_to(scenario.c(s_j[a:b], x_j[a:b], ev),
+                                                      (b - a, d))
+                evs.append(ev)
+        except Exception:
+            if a:
+                sde._jump_jacobians(scenario, s_j[:a], x_j[:a], sde._concat(evs), je[:a],
+                                    rows.paths[:a])
+            raise
+    return x, sde._concat(evs)

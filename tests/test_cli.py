@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -504,6 +505,20 @@ def test_command_pool_forks_one_process_per_chunk_but_the_parents(monkeypatch, p
         assert isinstance(pool, contextlib.nullcontext)
     else:
         assert pool == forks
+
+
+def test_command_pool_counts_the_chunks_without_listing_them(monkeypatch):
+    # a million one-path chunks: the pool size is worked out, not listed
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli.multiprocessing, "Pool", lambda processes: processes)
+    tracemalloc.start()
+    try:
+        forks = cli._command_pool({"paths": 10 ** 6, "workers": 10 ** 6})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert forks == 7
+    assert peak < 2 ** 20
 
 
 class _RecordingPool:

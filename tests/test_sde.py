@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 from lentparticle import cli, ibp, lent, scenarios, sde
-from lentparticle.bottom import CapabilityError, EuclideanBottom
+from lentparticle.bottom import CapabilityError, EuclideanBottom, WienerOUBottom
 from lentparticle.ensemble import sample_mark_sets, simple_ensemble
 from lentparticle.measures import LevyMeasureSpec, compensator_integral
 from lentparticle.prm import JumpLanes, MarkedPoissonPath, rho_blocks, sample_path, sample_paths
 from lentparticle.rng import RngStream
 from lentparticle.sde import EventError, Scenario, SimpleJets, integrate, integrate_batch
 
-from oracles import LINEAR_BETA
+from oracles import LINEAR_BETA, per_event_excursions
 
 SPEC = LevyMeasureSpec(0.5, ymax=1.0, trunc=0.01)
 
@@ -552,11 +552,13 @@ def _paths_with_counts(sc, stream, counts):
 
 @pytest.mark.parametrize("name,params", [("compound-linear", {}),
                                          ("compound-linear", {"compensated": True}),
-                                         ("levy-field-demo", {})])
+                                         ("levy-field-demo", {}),
+                                         ("subordination-nonlinear", {"horizon": 0.1}),
+                                         ("subordination-linear", {"horizon": 0.1})])
 def test_lockstep_lane_order_bit_identical(name, params):
     # event counts that rise, fall and repeat, with jumpless paths among
     # them: each lane of the chunk is what the path gives on its own
-    sc = scenarios.build(name, horizon=0.3, **params)
+    sc = scenarios.build(name, **{"horizon": 0.3, **params})
     paths = _paths_with_counts(sc, RngStream(seed=23), [2, 0, 4, 4, 6, 1, 0, 3])
     batch = sde._advance(sc, paths)
     rows = sde._concat(batch.jumps)
@@ -699,3 +701,107 @@ def test_first_failing_event_raises(monkeypatch, singular_first, block):
     else:
         assert info.value.args[0] == "state overflow"
         assert info.value.event_index == 2
+
+
+# ---------------------------------------------------------------------------
+# nested excursions: one clock per chunk, the bits of the event-by-event sweep
+# ---------------------------------------------------------------------------
+
+NESTED = ["subordination-linear", "subordination-nonlinear", "levy-field-demo"]
+
+
+@pytest.mark.parametrize("block", [1, 7, sde.BLOCK_ROWS])
+@pytest.mark.parametrize("name", NESTED)
+def test_nested_clock_matches_per_event_sweep(monkeypatch, name, block):
+    # the chunk's excursions run back to back on one clock, yet every output
+    # has the bits of one `evolve` per event
+    sc = scenarios.build(name)
+    monkeypatch.setattr(sde, "BLOCK_ROWS", block)
+    got = integrate_batch(sc, 60, RngStream(seed=42))
+    monkeypatch.setattr(sde, "_excursions", per_event_excursions)
+    want = integrate_batch(sc, 60, RngStream(seed=42))
+    for key in ("x", "k", "c", "kk_err"):
+        assert np.array_equal(getattr(got, key), getattr(want, key)), key
+    rows, ref = sde._concat(got.jumps), sde._concat(want.jumps)
+    assert len(rows) == sum(p.n_jumps for p in got.paths) > 100
+    for f in fields(rows):
+        if f.name != "ev":
+            assert np.array_equal(getattr(rows, f.name), getattr(ref, f.name)), f.name
+    for f in fields(rows.ev):
+        assert np.array_equal(getattr(rows.ev, f.name), getattr(ref.ev, f.name)), f.name
+
+
+def test_nested_clock_ticks_once_per_lane_step():
+    # the seed-42 chunk of 400 paths takes max_i sum_k ceil(y_ik / step)
+    # nested steps, one `diff` call each; one `evolve` per event would take
+    # sum_k max_i ceil(y_ik / step)
+    sc = scenarios.build("subordination-nonlinear")
+    calls = Counter()
+
+    def diff(z, a=sc.bottom.diff):
+        calls["diff"] += 1
+        return a(z)
+
+    sc = replace(sc, bottom=replace(sc.bottom, diff=diff))
+    batch = integrate_batch(sc, 400, RngStream(seed=42))
+    steps = [np.ceil(p.marks / sc.bottom.step).astype(int) for p in batch.paths]
+    per_event = sum(max((c[k] for c in steps if len(c) > k), default=0)
+                    for k in range(max(map(len, steps))))
+    assert max(c.sum() for c in steps) == 275 and per_event == 1266
+    assert calls["diff"] == 275
+
+
+class _PushedBottom(WienerOUBottom):
+    """A nested state that only drifts, up on path 1 and down on path 2, by
+    one per unit time; the inverse flow overflows at a step that starts
+    where `fails` holds."""
+
+    def nested_drift(self, lanes):
+        return np.where(lanes.paths == 1, 1.0, -1.0)[:, None]
+
+
+def _planted(fails, c=None, dx_c=None):
+    """Path 1 jumps at events 1, 2, 3 with excursions of 1, 1 and 2 nested
+    steps (its z runs 0 .. 0.4), path 2 at event 1 with one of 10 steps (its
+    z runs 0 .. -1); a jump moves the state by its displacement."""
+    bottom = _PushedBottom(
+        dim=1, n_brownian=1, step=0.1, diff=lambda z: np.zeros((1, 1)),
+        diff_jac=lambda z: np.where(fails(z), 1e300, 0.0)[:, :, None, None])
+    sc = Scenario(name="planted", x0=np.zeros(1), horizon=1.0, measure=SPEC, bottom=bottom,
+                  c=c or (lambda s, x, ev: ev.z), dx_c=dx_c or (lambda s, x, ev: ev.m - 1.0))
+    paths = [MarkedPoissonPath(1.0, np.array([0.1, 0.2, 0.3]), np.array([0.1, 0.1, 0.2]),
+                               RngStream(seed=3, path=1)),
+             MarkedPoissonPath(1.0, np.array([0.15]), np.array([1.0]), RngStream(seed=3, path=2))]
+    return sc, paths
+
+
+def _raised(sc, paths):
+    with pytest.raises((EventError, FloatingPointError)) as info:
+        sde._advance(sc, paths)
+    return type(info.value), str(info.value), getattr(info.value, "event_index", None)
+
+
+@pytest.mark.parametrize("case", ["nested", "state", "singular"])
+def test_nested_clock_raises_the_first_failing_event(monkeypatch, case):
+    # path 1 fails first on the clock, at tick 3 (nested step 1 of event 3);
+    # path 2 fails later on the clock but at an earlier event: a nested
+    # overflow at tick 8 (step 8 of event 1), a state overflow made by its
+    # jump at event 1 (seen at event 2), or a singular Jacobian at event 1
+    late = lambda z: z >= 0.25
+    if case == "nested":
+        sc, paths = _planted(lambda z: late(z) | (z <= -0.75))
+        want = (FloatingPointError, "inverse flow overflow at nested step 8", None)
+    elif case == "state":
+        sc, paths = _planted(late, c=lambda s, x, ev: np.where(ev.y[:, None] == 1.0, np.inf,
+                                                                ev.z))
+        want = (EventError, "state overflow (event 2)", 2)
+    else:
+        sc, paths = _planted(late, dx_c=lambda s, x, ev: np.where(
+            ev.y[:, None, None] == 1.0, -1.0, ev.m - 1.0))
+        want = (EventError, "singular jump Jacobian det=0.000e+00 on path 2; "
+                            "state-coefficient invertibility violated (event 1)", 1)
+    alone = (FloatingPointError, "inverse flow overflow at nested step 1", None)
+    for sweep in (sde._excursions, per_event_excursions):
+        monkeypatch.setattr(sde, "_excursions", sweep)
+        assert _raised(sc, paths) == want
+        assert _raised(sc, paths[:1]) == alone      # path 1 alone fails at its event 3

@@ -212,31 +212,56 @@ def load_config(path: str) -> dict:
 # sin check): its chunks tabulate only the columns that order reads
 RUN_WEIGHT_ORDER = 1
 
+# Lanes per `sde.integrate_batch` call of a trajectory chunk, so a chunk
+# holds one batch's event tables (~7 kB a lane on `subordination-nonlinear`,
+# ~36 kB on a compensated chunk) whatever its size.  A batch pays the
+# per-event block cost of `sde._advance` once more; sized in CHANGES.md.
+LANE_BATCH = 4096
+
 
 def _simple_chunk(args):
     name, params, start, count, seed = args
     sc = scenarios.build(name, **params)
-    return ensemble.simple_ensemble(sc, count, RngStream(seed=seed), order=RUN_WEIGHT_ORDER,
-                                    path_offset=start)
+    ens = ensemble.simple_ensemble(sc, count, RngStream(seed=seed), order=RUN_WEIGHT_ORDER,
+                                   path_offset=start)
+    ens.n_jumps = None          # `run` reads no jump count
+    return ens
 
 
 def _traj_chunk(args):
+    """States, flow-inverse errors, the smallest eigenvalue of Gamma and the
+    margin over the scenario's pathwise lower bound (NaN without one) of a
+    path range, integrated LANE_BATCH lanes at a time.  Lanes do not
+    interact, so the batches give the bits of one batch; a failure is the
+    first failing batch's."""
     name, params, start, count, seed = args
     sc = scenarios.build(name, **params)
-    batch = sde.integrate_batch(sc, count, RngStream(seed=seed), path_offset=start)
+    out = {"x": np.empty((count, sc.dim)), "kk_err": np.empty(count),
+           "gamma_min_eig": np.empty(count), "bound_margin": np.full(count, np.nan)}
+    for lo in range(0, count, LANE_BATCH):
+        hi = min(lo + LANE_BATCH, count)
+        _traj_batch(sc, seed, start + lo, {key: col[lo:hi] for key, col in out.items()})
+    return out
+
+
+def _traj_batch(sc, seed: int, start: int, out: dict):
+    """Fill `out`, the columns of `_traj_chunk` for len(out["x"]) paths from
+    path index `start` on, from one `sde.integrate_batch`, which is dropped
+    on return."""
+    batch = sde.integrate_batch(sc, len(out["x"]), RngStream(seed=seed), path_offset=start)
     gamma = batch.gamma
-    out = {"x": batch.x, "kk_err": batch.kk_err, "gamma_min_eig": np.linalg.eigvalsh(gamma)[:, 0],
-           "bound_margin": np.full(count, np.nan)}
+    out["x"][:] = batch.x
+    out["kk_err"][:] = batch.kk_err
+    out["gamma_min_eig"][:] = np.linalg.eigvalsh(gamma)[:, 0]
     lower_bound = sc.meta.get("pathwise_lower_bound")
     if lower_bound is not None:
-        bvals = np.zeros((count, max((p.n_jumps for p in batch.paths), default=0)))
+        bvals = np.zeros((len(gamma), max((p.n_jumps for p in batch.paths), default=0)))
         for rows in batch.jumps:
             bvals[rows.lanes, rows.index] = rows.ev.b
         eye = np.eye(sc.dim)
         for i, path in enumerate(batch.paths):
             bound = lower_bound(path.marks, bvals[i, :path.n_jumps])
             out["bound_margin"][i] = float(np.linalg.eigvalsh(gamma[i] - bound * eye)[0])
-    return out
 
 
 def _chunk_size(paths: int, workers: int) -> tuple[int, int]:
@@ -247,31 +272,61 @@ def _chunk_size(paths: int, workers: int) -> tuple[int, int]:
     return size, -(-paths // size)
 
 
-def _chunks(paths: int, workers: int) -> list[tuple[int, int]]:
-    """(start, count) of the contiguous path ranges of a fan-out, in path
-    order, as `_chunk_size` lays them out."""
-    size, n = _chunk_size(paths, workers)
-    return [(i * size, min(size, paths - i * size)) for i in range(n)]
+def _fan_out(worker, name, params, paths, seed, workers, pool=None, then=None):
+    """The results of the chunks `_chunk_size(paths, workers)` lays out, in
+    path order, with the same bits however they run.  Without a pool they
+    run serially; with one, the parent computes the last chunk while the
+    pool runs the others.  The chunks are walked, never listed: the pool
+    takes them one by one.
 
-
-def _fan_out(worker, name, params, paths, seed, workers, pool=None):
-    """The chunks of `_chunks(paths, workers)`, in path order, with the same
-    bits however they run.  Without a pool they run serially; with one, the
-    parent computes the last chunk while the pool runs the others.  The
-    chunks are walked, never listed: the pool takes them one by one.  A
-    failing chunk raises as it would serially: the first failing pool chunk
-    in path order, and the parent's only when all of those succeed."""
+    `then`, if given, is called in the parent once its own chunk is done and
+    before the pool's are collected (serially, after every chunk), so that
+    work the chunks do not feed fills the parent's wait.  Failures raise as
+    they would serially: the first failing pool chunk in path order, then
+    the parent's chunk, which stops `then` from running, then `then`."""
     size, n = _chunk_size(paths, workers)
     last = (n - 1) * size
     jobs = ((name, params, i * size, size, seed) for i in range(n - 1))
     if pool is None or n == 1:
-        return [worker(j) for j in jobs] + [worker((name, params, last, paths - last, seed))]
+        parts = [worker(j) for j in jobs] + [worker((name, params, last, paths - last, seed))]
+        if then is not None:
+            then()
+        return parts
     rest = pool.imap(worker, jobs)
     try:
         tail = worker((name, params, last, paths - last, seed))
+        if then is not None:
+            then()
     finally:
         parts = list(rest)
     return parts + [tail]
+
+
+class _Deferred:
+    """A call made when this is called, whose value, or error, `result`
+    gives later: work run early whose failure must surface where it ran
+    before."""
+
+    def __init__(self, fn, *args):
+        self._call = functools.partial(fn, *args)
+        self._value = self._error = None
+
+    def __call__(self):
+        try:
+            self._value = self._call()
+        except Exception as e:      # delivered by result()
+            self._error = e
+
+    def result(self):
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
+def _merge(parts: list) -> dict:
+    """The columns of the chunk results `parts` (dicts of per-path arrays),
+    each joined in path order; a column leaves the parts as it is joined."""
+    return {key: np.concatenate([p.pop(key) for p in parts]) for key in list(parts[0])}
 
 
 def _command_pool(run: dict):
@@ -282,8 +337,9 @@ def _command_pool(run: dict):
     than the cores - 1, for which the other chunks queue.  The pool lives as
     long as the pipeline, not the fan-out, and the pipelines fan out before
     their serial diagnostics, so the workers hold their peak memory for the
-    rest of every run and a sampled memory reading (bench/run.py polls every
-    0.2 s) sees them however short the chunks are."""
+    rest of every run.  A sampled memory reading (bench/run.py polls every
+    0.2 s) sees them only if the command outlives its first poll: a shorter
+    one reads the parent alone."""
     forks = min(_chunk_size(run["paths"], run["workers"])[1], os.cpu_count() or 1) - 1
     if forks == 0:
         return contextlib.nullcontext()
@@ -328,11 +384,12 @@ def run_pipeline(config: dict, pool=None) -> report.RunReport:
     # the output files are written only once every stage has succeeded, so
     # a run that withholds its outputs leaves no output directory
     writes = []
+    # the dual oracle reads no chunk: the parent runs it while the pool works
+    oracle = _Deferred(_dual_oracle, sc, run["seed"], run["rho_replicas"])
 
     if sc.simple is not None:          # mark sums: the vectorised ensemble
-        parts = _fan_out(_simple_chunk, name, params, run["paths"],
-                         run["seed"], run["workers"], pool)
-        ens = ensemble.merge_ensembles(parts)
+        ens = ensemble.merge_ensembles(_fan_out(_simple_chunk, name, params, run["paths"],
+                                                run["seed"], run["workers"], pool, then=oracle))
         if len(ens) < 2 or np.all(ens.x == ens.x[0]):
             cause = "fewer than 2 paths" if len(ens) < 2 else "every path ends at the same X"
             raise ValueError(f"degenerate ensemble ({cause}): the estimates need 2 or more "
@@ -344,6 +401,7 @@ def run_pipeline(config: dict, pool=None) -> report.RunReport:
         rep.add_estimate("mean_gamma", m, se, len(ens))
 
         w1 = ibp.weight(ens, RUN_WEIGHT_ORDER)
+        ens.a = ens.g2 = None       # read by the weight alone: freed before the density
         m, se = _mean_se(w1.values)
         rep.add_estimate("mean_z1", m, se, len(ens))
         rep.diagnostics["z1_rejection_fraction"] = w1.rejection_fraction
@@ -373,12 +431,9 @@ def run_pipeline(config: dict, pool=None) -> report.RunReport:
         rep.diagnostics["gamma_inverse_moment_p2"] = {
             "estimate": inv.estimate, "stable": inv.stable, "verdict": inv.verdict}
     else:
-        parts = _fan_out(_traj_chunk, name, params, run["paths"],
-                         run["seed"], run["workers"], pool)
-        x = np.concatenate([p["x"] for p in parts])
-        kk = np.concatenate([p["kk_err"] for p in parts])
-        eig = np.concatenate([p["gamma_min_eig"] for p in parts])
-        margins = np.concatenate([p["bound_margin"] for p in parts])
+        cols = _merge(_fan_out(_traj_chunk, name, params, run["paths"],
+                               run["seed"], run["workers"], pool, then=oracle))
+        x, kk, eig, margins = (cols[k] for k in ("x", "kk_err", "gamma_min_eig", "bound_margin"))
         for i in range(sc.dim):
             m, se = _mean_se(x[:, i])
             rep.add_estimate(f"mean_x{i}", m, se, len(x))
@@ -394,8 +449,8 @@ def run_pipeline(config: dict, pool=None) -> report.RunReport:
             [f"x{i}" for i in range(sc.dim)] + ["kk_err", "gamma_min_eig"],
             [list(map(float, row)) + [float(a), float(b)] for row, a, b in zip(x, kk, eig)]))
 
-    # the serial diagnostics follow the fan-out
-    mm, emp, rel, n_jumps = _dual_oracle(sc, run["seed"], run["rho_replicas"])
+    # the serial diagnostics follow the fan-out; the oracle's failure comes here
+    mm, emp, rel, n_jumps = oracle.result()
     rep.diagnostics["gamma_product"] = mm.gamma.tolist()
     rep.diagnostics["gamma_monte_carlo"] = emp.tolist()
     rep.add_estimate("gamma_dual_oracle_rel_err", rel, 0.0, run["rho_replicas"])
@@ -443,6 +498,25 @@ def _ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     return h / n, min(max(2.0 * p, 0.0), 1.0)
 
 
+def _direct_route(sc, n: int, seed: int) -> np.ndarray:
+    """The direct route of `crosscheck`: the total subordinator time, then
+    one Gaussian displacement.  Paths n + 1 .. 2n draw the marks and normals
+    that `prm.sample_path` and their own noise streams would; their marks
+    are summed block by block (`ensemble.mark_blocks`)."""
+    y_total = np.empty(n)
+    counts, blocks = ensemble.mark_blocks(sc, n, RngStream(seed=seed), path_offset=n)
+    for p, marks in blocks:
+        ends = np.cumsum(counts[p])
+        for i, end in zip(range(p.start, p.stop), ends.tolist()):
+            y_total[i] = np.sum(marks[end - counts[i]:end])
+    d, sigma0 = sc.dim, sc.meta["sigma0"]
+    route = np.empty((n, d))
+    noise = RngStream(seed=seed, tag=TAG_NOISE)
+    for i, gen in enumerate(noise.each(path=range(n + 1, 2 * n + 1))):
+        route[i] = sc.x0 + math.sqrt(y_total[i]) * sigma0 @ gen.standard_normal(d)
+    return route
+
+
 def crosscheck_pipeline(config: dict, pool=None) -> report.RunReport:
     """Two independent simulations of the subordinated law, compared by KS."""
     name = config["scenario"]
@@ -452,24 +526,13 @@ def crosscheck_pipeline(config: dict, pool=None) -> report.RunReport:
     run = config["run"]
     _require_two_paths(run, "the half-sample Kolmogorov-Smirnov test")
     sc = scenarios.build(name, **params)
-    sigma0 = sc.meta["sigma0"]
     n = run["paths"]
     rep = report.RunReport(config=config)
 
-    parts = _fan_out(_traj_chunk, name, params, n, run["seed"], run["workers"], pool)
-    route_sde = np.concatenate([p["x"] for p in parts])
-
-    # direct route: total subordinator time, then one Gaussian displacement;
-    # paths n+1 .. 2n draw the marks and normals prm.sample_path and their
-    # own noise streams would
+    route_sde = _merge(_fan_out(_traj_chunk, name, params, n, run["seed"], run["workers"],
+                                pool))["x"]
+    route_direct = _direct_route(sc, n, run["seed"])
     d = sc.dim
-    route_direct = np.empty((n, d))
-    counts, marks = ensemble.sample_mark_sets(sc, n, RngStream(seed=run["seed"]), path_offset=n)
-    ends = np.cumsum(counts)
-    noise = RngStream(seed=run["seed"], tag=TAG_NOISE)
-    for i, gen in enumerate(noise.each(path=range(n + 1, 2 * n + 1))):
-        y_total = float(np.sum(marks[ends[i] - counts[i]:ends[i]]))
-        route_direct[i] = sc.x0 + math.sqrt(y_total) * sigma0 @ gen.standard_normal(d)
 
     out_dir = Path(config["outputs"]["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -9,11 +9,14 @@ runs take seconds instead of minutes.
 Randomness stays path-addressed: path i draws its jump count and marks
 from the sub-streams of path index i, so an ensemble computed in chunks
 by several workers is bit-identical to a single-worker run.  A chunk's
-counts are drawn at once, by a vectorised port of numpy's Poisson sampler
-on `rng.philox_random`; its marks are drawn, and its table computed, in
-blocks of whole paths of about BLOCK_MARKS marks, so that the temporaries
-stay in cache and on the heap.  Every draw is bit for bit that of one
-numpy generator per path and purpose, whatever the blocks.
+counts are drawn first, by a vectorised port of numpy's Poisson sampler
+on `rng.philox_random`, in passes of at most POISSON_PASS paths.  Its
+marks are then drawn, and its table computed, in blocks of whole paths
+of about BLOCK_MARKS marks, so that the temporaries stay in cache and on
+the heap; a block's marks are dropped once its table is computed, so a
+chunk holds one block of marks plus its per-path columns, however many
+paths it has.  Every draw is bit for bit that of one numpy generator per
+path and purpose, whatever the passes and blocks.
 """
 
 from __future__ import annotations
@@ -40,16 +43,31 @@ from .sde import TABLE_COLUMNS, Scenario
 # below the threshold.
 BLOCK_MARKS = 24_576
 
+# Paths per pass of the Poisson sampler.  A pass's temporaries (the Philox
+# words and the sampler's per-path arrays) peak at ~200 B a path, so this
+# bounds them at ~6 MiB, whatever the chunk.  A 25 000-path chunk
+# still draws its counts in one pass: its draws are what lifts glibc's mmap
+# threshold above the blocks' temporaries (see BLOCK_MARKS), and split at
+# 8 Ki paths the chunk ran 30 % slower, page-faulting every block in again.
+POISSON_PASS = 32_768
+
+# numpy's log is within a few ulp of libm's, and every log of the PTRS test
+# is under 80 in magnitude, so its two evaluations differ by well under
+# 1e-12: a test whose sides are further apart than this decides the same
+# with either log.
+PTRS_GUARD = 1e-9
+
 
 @dataclass
 class SimpleEnsemble:
     """Per-path functionals of a scalar mark-sum scenario, tabulated for an
     IBP weight order (`SimpleJets.table`).  Every ensemble carries the
     order-1 columns, which Z1 reads; xa and xg2, which only Z2 reads, are
-    there at order 2 and None at order 1."""
+    there at order 2 and None at order 1.  n_jumps is None on `run`'s
+    chunks, which read no jump count."""
 
     x: np.ndarray          # state at the horizon
-    n_jumps: np.ndarray
+    n_jumps: np.ndarray | None
     gamma: np.ndarray      # covariance N(xi h'^2)
     a: np.ndarray          # generator path, compensated sum of a[h]
     g2: np.ndarray         # bracket of X with gamma
@@ -60,27 +78,41 @@ class SimpleEnsemble:
         return len(self.x)
 
 
-def sample_mark_sets(scenario: Scenario, n_paths: int, stream: RngStream,
-                     path_offset: int = 0):
-    """Counts and concatenated marks for paths [offset, offset + n).
+def mark_blocks(scenario: Scenario, n_paths: int, stream: RngStream, path_offset: int = 0):
+    """Counts for paths [offset, offset + n), and an iterator over the
+    chunk's blocks (`_blocks`): (path slice, the marks of those paths
+    concatenated).
 
     Path i is addressed as p = path_offset + i + 1.  Its count and marks
     are those of `prm.sample_path` at `stream.child(path=p)`, bit for bit:
     the count is what `stream.child(path=p, tag=TAG_TIME).generator()
     .poisson(lam)` draws, and the marks are `mark_quantile` of the first
-    `count` uniforms of `stream.child(path=p, tag=TAG_MARK)`.  All counts
-    are drawn in one pass of the sampler, the marks block by block.
+    `count` uniforms of `stream.child(path=p, tag=TAG_MARK)`.  The counts
+    are drawn before this returns; a block's marks are drawn when the
+    iterator reaches it, so a caller that drops them holds one block's.
     """
     spec = scenario.measure
     lam = scenario.horizon * total_mass(spec)
     paths = np.arange(path_offset + 1, path_offset + n_paths + 1, dtype=np.uint64)
     counts = _poisson(stream.child(tag=TAG_TIME), paths, lam)
-    marks = np.empty(int(counts.sum()))
-    mark_stream = stream.child(tag=TAG_MARK)
+    return counts, _block_marks(spec, stream.child(tag=TAG_MARK), paths, counts)
+
+
+def _block_marks(spec, stream: RngStream, paths: np.ndarray, counts: np.ndarray):
+    """(path slice, marks) of each block, the marks drawn from the mark stream."""
     for p, m in _blocks(counts):
-        if m.start < m.stop:
-            marks[m] = mark_quantile(spec, _leading_draws(mark_stream, paths[p], counts[p]))
-    return counts, marks
+        if m.start == m.stop:
+            yield p, np.empty(0)
+        else:
+            yield p, mark_quantile(spec, _leading_draws(stream, paths[p], counts[p]))
+
+
+def sample_mark_sets(scenario: Scenario, n_paths: int, stream: RngStream,
+                     path_offset: int = 0):
+    """Counts and concatenated marks for paths [offset, offset + n): the
+    whole-chunk form of `mark_blocks`, whose blocks' marks it joins."""
+    counts, blocks = mark_blocks(scenario, n_paths, stream, path_offset)
+    return counts, np.concatenate([np.empty(0)] + [marks for _, marks in blocks])
 
 
 def _blocks(counts: np.ndarray):
@@ -88,7 +120,8 @@ def _blocks(counts: np.ndarray):
     paths, each of at most BLOCK_MARKS marks plus paths, or of one path
     that has more."""
     size = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts + 1, out=size[1:])         # marks plus paths before each path
+    np.add(counts, 1, out=size[1:])
+    np.cumsum(size[1:], out=size[1:])           # marks plus paths before each path
     lo = 0
     while lo < len(counts):
         hi = max(lo + 1, int(np.searchsorted(size, size[lo] + BLOCK_MARKS, side="right")) - 1)
@@ -110,20 +143,23 @@ def _leading_draws(stream: RngStream, paths: np.ndarray, lengths: np.ndarray) ->
 # term by term and in the same order, so every count is numpy's.
 
 def _poisson(stream: RngStream, paths: np.ndarray, lam: float) -> np.ndarray:
-    """Poisson(lam) counts, each the first draw of `stream` at its path."""
+    """Poisson(lam) counts, each the first draw of `stream` at its path,
+    drawn in passes of at most POISSON_PASS paths."""
     if not lam >= 0:
         raise ValueError(f"Poisson mean must be >= 0, got {lam}")
-    if lam >= 10:
-        return _poisson_ptrs(stream, paths, lam)
     if lam == 0:
         return np.zeros(len(paths), dtype=np.int64)
-    return _poisson_mult(stream, paths, lam)
-
-
-def _poisson_mult(stream, paths, lam):
-    """Multiplication method: count uniforms until their product <= e^-lam."""
-    enlam = math.exp(-lam)
+    sampler = _poisson_ptrs if lam >= 10 else _poisson_mult
     counts = np.empty(len(paths), dtype=np.int64)
+    for lo in range(0, len(paths), POISSON_PASS):
+        sampler(stream, paths[lo:lo + POISSON_PASS], lam, counts[lo:lo + POISSON_PASS])
+    return counts
+
+
+def _poisson_mult(stream, paths, lam, counts):
+    """Multiplication method: count uniforms until their product <= e^-lam.
+    The counts go into `counts`, as `_poisson_ptrs`'s do."""
+    enlam = math.exp(-lam)
     todo = np.arange(len(paths))
     x = np.zeros(len(paths), dtype=np.int64)
     prod = np.ones(len(paths))
@@ -137,10 +173,9 @@ def _poisson_mult(stream, paths, lam):
             counts[todo[~more]] = x[~more]
             todo, x, prod, u = todo[more], x[more], prod[more], u[more]
         block += 1
-    return counts
 
 
-def _poisson_ptrs(stream, paths, lam):
+def _poisson_ptrs(stream, paths, lam, counts):
     """Hörmann's PTRS transformed rejection, two uniforms per attempt."""
     slam = math.sqrt(lam)
     loglam = math.log(lam)
@@ -149,7 +184,6 @@ def _poisson_ptrs(stream, paths, lam):
     invalpha = 1.1239 + 1.1328 / (b - 3.4)
     vr = 0.9277 - 3.6224 / (b - 2)
     log_invalpha = math.log(invalpha)
-    counts = np.empty(len(paths), dtype=np.int64)
     todo = np.arange(len(paths))
     block = 0
     while todo.size:
@@ -165,15 +199,25 @@ def _poisson_ptrs(stream, paths, lam):
             test = ~done & np.isfinite(k) & (k >= 0) & ~((us < 0.013) & (V > us))
             i = np.flatnonzero(test)
             if i.size:
-                lhs = (_log(V[i]) + log_invalpha) - _log(a / (us[i] * us[i]) + b)
-                kt = k[i].astype(np.int64)
-                ks, inv = np.unique(kt, return_inverse=True)
-                rhs = np.array([-lam + kk * loglam - _loggam(kk + 1) for kk in ks.tolist()])
-                done[i] = lhs <= rhs[inv]
+                done[i] = _ptrs_accept(V[i], us[i], k[i], lam, loglam, a, b, log_invalpha)
             counts[todo[done]] = k[done]
             todo, u = todo[~done], u[~done]
         block += 1
-    return counts
+
+
+def _ptrs_accept(V, us, k, lam, loglam, a, b, log_invalpha):
+    """PTRS's final test, log(V invalpha / (a / us^2 + b)) <= -lam +
+    k log(lam) - log Gamma(k + 1), decided as the C sampler decides it with
+    libm's log: numpy's log decides every test but those within PTRS_GUARD
+    of the bound, whose left side libm's log evaluates again."""
+    ks, inv = np.unique(k.astype(np.int64), return_inverse=True)
+    rhs = np.array([-lam + kk * loglam - _loggam(kk + 1) for kk in ks.tolist()])[inv]
+    with np.errstate(divide="ignore"):          # V = 0: -inf, as libm's log gives
+        lhs = (np.log(V) + log_invalpha) - np.log(a / (us * us) + b)
+    near = np.flatnonzero(np.abs(lhs - rhs) <= PTRS_GUARD)
+    if near.size:
+        lhs[near] = (_log(V[near]) + log_invalpha) - _log(a / (us[near] * us[near]) + b)
+    return lhs <= rhs
 
 
 def _log(x: np.ndarray) -> np.ndarray:
@@ -212,33 +256,41 @@ def simple_ensemble(scenario: Scenario, n_paths: int, stream: RngStream, *, orde
     """Simulate n_paths paths of a scalar mark-sum scenario, with the table
     the IBP weight of `order` reads (`SimpleJets.table`).
 
-    The table runs block by block, over the blocks `sample_mark_sets`
-    draws the marks in: the same bits as one table for the whole chunk,
-    on temporaries that stay in cache.
+    The table runs block by block, over the blocks `mark_blocks` draws
+    the marks in, and each block's marks are dropped after its table: the
+    same bits as one table for the whole chunk, on temporaries that stay
+    in cache, and the chunk holds its counts and columns, not its marks.
     """
     sj = scenario.simple
     if scenario.dim != 1 or sj is None:
         raise ValueError("vectorised ensembles need a scalar scenario with mark jets")
     if order not in TABLE_COLUMNS:
         raise ValueError(f"table order must be 1 or 2, got {order!r}")
-    counts, marks = sample_mark_sets(scenario, n_paths, stream, path_offset)
+    counts, blocks = mark_blocks(scenario, n_paths, stream, path_offset)
     tab = {key: np.empty(n_paths) for key in TABLE_COLUMNS[order]}
-    for p, m in _blocks(counts):
-        part = sj.table(marks[m], counts[p], scenario.horizon, scenario.measure,
+    for p, marks in blocks:
+        part = sj.table(marks, counts[p], scenario.horizon, scenario.measure,
                         scenario.compensated, order)
         for key, column in tab.items():
             column[p] = part[key]
+    tab["X"] += scenario.x0[0]
     return SimpleEnsemble(
-        x=scenario.x0[0] + tab["X"], n_jumps=counts, gamma=tab["gamma"], a=tab["A"],
+        x=tab["X"], n_jumps=counts, gamma=tab["gamma"], a=tab["A"],
         g2=tab["G2"], xa=tab.get("XA"), xg2=tab.get("XG2"))
 
 
 def merge_ensembles(parts) -> SimpleEnsemble:
-    """Concatenate ensembles computed for consecutive path ranges; a column
-    that a part lacks (an order-1 part's xa and xg2) the merge lacks too."""
+    """Join ensembles computed for consecutive path ranges; a column that a
+    part lacks (an order-1 part's xa and xg2) the merge lacks too.
+
+    The merge consumes its parts: it joins them column by column and drops
+    each column from the parts once joined, so it holds at most one column
+    more than the parts did."""
     parts = list(parts)
     merged = {}
     for f in fields(SimpleEnsemble):
         columns = [getattr(p, f.name) for p in parts]
+        for p in parts:
+            setattr(p, f.name, None)
         merged[f.name] = None if any(c is None for c in columns) else np.concatenate(columns)
     return SimpleEnsemble(**merged)

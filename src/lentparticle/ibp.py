@@ -180,30 +180,49 @@ def density_ibp(samples: np.ndarray, weights: WeightResult,
     """
     samples = np.asarray(samples, dtype=float)
     grid = np.asarray(grid, dtype=float)
-    xs = samples[weights.accepted]
-    zs = weights.values[weights.accepted]
+    # Each per-path array below is dropped once read, so that at most four
+    # are held at a time.
     # Gaussian kernel with h = 0.5 n^(-1/5) sd, half the Scott bandwidth.  A
     # sample beyond KERNEL_REACH h of a grid point adds exactly 0, so only
-    # the sorted samples within that reach are summed: the far ones would
-    # each take exp's slow underflow path for nothing
+    # the sorted samples within that reach are summed, each grid point's in
+    # one reused buffer: the far ones would each take exp's slow underflow
+    # path for nothing
     bw = 0.5 * len(samples) ** (-1.0 / 5.0) * float(np.std(samples, ddof=1))
     ordered = np.sort(samples)
     lo = np.searchsorted(ordered, grid - KERNEL_REACH * bw)
     hi = np.searchsorted(ordered, grid + KERNEL_REACH * bw, side="right")
+    kde = np.empty(len(grid))
+    buf = np.empty(int(np.max(hi - lo, initial=0)))
+    for i, g in enumerate(grid):
+        u = buf[:hi[i] - lo[i]]
+        np.subtract(g, ordered[lo[i]:hi[i]], out=u)
+        np.divide(u, bw, out=u)
+        np.square(u, out=u)
+        np.multiply(-0.5, u, out=u)
+        kde[i] = np.sum(np.exp(u, out=u))
+    del ordered, buf
+    kde /= len(samples) * bw * np.sqrt(2 * np.pi)
     # E[1{X >= g} Z1] and its iid SE at every grid point from one sort: the
     # sums of Z1 and Z1^2 over the paths at or above g are reverse
-    # cumulative sums over the paths sorted by X
+    # cumulative sums over the paths sorted by X.  t1 and t2 hold Z1 and
+    # Z1^2 in that order, each accumulated in place from the largest X
+    # down, and end in the empty sum
+    xs = samples[weights.accepted]
+    zs = weights.values[weights.accepted]
     n = len(xs)
     by_x = np.argsort(xs)
-    tail = np.zeros((2, n + 1))
-    tail[:, :n] = np.cumsum(np.stack([zs, zs * zs])[:, by_x[::-1]], axis=1)[:, ::-1]
-    s1, s2 = tail[:, np.searchsorted(xs[by_x], grid, side="left")]
+    at = np.searchsorted(xs[by_x], grid, side="left")
+    del xs
+    t1, t2 = np.zeros(n + 1), np.zeros(n + 1)
+    np.take(zs, by_x, out=t1[:n], mode="clip")     # "raise" would buffer the output
+    del zs, by_x
+    np.multiply(t1[:n], t1[:n], out=t2[:n])
+    for t in (t1, t2):
+        down = t[:n][::-1]
+        np.cumsum(down, out=down)
+    s1, s2 = t1[at], t2[at]
     vals = s1 / n
     ses = np.sqrt(np.maximum(s2 - s1 * vals, 0.0) / (n - 1) / n)
-    kde = np.empty(len(grid))
-    for i, g in enumerate(grid):
-        kde[i] = np.sum(np.exp(-0.5 * ((g - ordered[lo[i]:hi[i]]) / bw) ** 2))
-    kde /= len(samples) * bw * np.sqrt(2 * np.pi)
     # pointwise KDE standard error: sqrt(p * R(K) / (n h)), Gaussian kernel
     kde_se = np.sqrt(np.maximum(kde, 0.0) / (2 * np.sqrt(np.pi) * len(samples) * bw))
     return DensityEstimate(grid=grid, ibp=vals, ibp_se=ses, kde=kde, kde_se=kde_se)

@@ -11,10 +11,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from lentparticle import scenarios, sde
+from lentparticle import ensemble, scenarios, sde
 from lentparticle.bottom import CapabilityError
 from lentparticle.measures import LevyMeasureSpec, compensator_integral, total_mass
-from lentparticle.prm import JumpLanes, MarkedPoissonPath
+from lentparticle.prm import JumpLanes, MarkedPoissonPath, sample_path
+from lentparticle.rng import TAG_NOISE, RngStream, philox_random
 from lentparticle.sde import SimpleJets
 
 # the jump scale of `compound-linear` as the catalog builds it by default
@@ -150,3 +151,86 @@ def per_event_excursions(scenario, x, rows: JumpLanes, je, jl, s_j, x_j):
                                     rows.paths[:a])
             raise
     return x, sde._concat(evs)
+
+
+# ---------------------------------------------------------------------------
+# whole-chunk forms of the streamed chunk code
+# ---------------------------------------------------------------------------
+
+def ptrs_counts_libm(stream: RngStream, paths: np.ndarray, lam: float) -> np.ndarray:
+    """`ensemble._poisson_ptrs` in one pass over all paths, with every
+    acceptance test evaluated by libm's log (`ensemble._log`) alone."""
+    slam, loglam = math.sqrt(lam), math.log(lam)
+    b = 0.931 + 2.53 * slam
+    a = -0.059 + 0.02483 * b
+    invalpha = 1.1239 + 1.1328 / (b - 3.4)
+    vr = 0.9277 - 3.6224 / (b - 2)
+    log_invalpha = math.log(invalpha)
+    counts = np.empty(len(paths), dtype=np.int64)
+    todo, block = np.arange(len(paths)), 0
+    while todo.size:
+        u = philox_random(stream, paths[todo], block)
+        for w in (0, 2):
+            U, V = u[:, w] - 0.5, u[:, w + 1]
+            us = 0.5 - np.abs(U)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                k = np.floor((2 * a / us + b) * U + lam + 0.43)
+            done = (us >= 0.07) & (V <= vr)
+            test = ~done & np.isfinite(k) & (k >= 0) & ~((us < 0.013) & (V > us))
+            for i in np.flatnonzero(test).tolist():
+                lhs = ((ensemble._log(V[i:i + 1])[0] + log_invalpha)
+                       - ensemble._log(np.array([a / (us[i] * us[i]) + b]))[0])
+                done[i] = lhs <= -lam + k[i] * loglam - ensemble._loggam(k[i] + 1)
+            counts[todo[done]] = k[done]
+            todo, u = todo[~done], u[~done]
+        block += 1
+    return counts
+
+
+def simple_ensemble_whole(scenario, n_paths: int, stream: RngStream, path_offset: int,
+                          order: int) -> ensemble.SimpleEnsemble:
+    """`ensemble.simple_ensemble` as one table over the whole chunk, its marks
+    drawn path by path by `prm.sample_path`'s numpy generators."""
+    paths = [sample_path(scenario.measure, scenario.horizon,
+                         stream.child(path=path_offset + i + 1)) for i in range(n_paths)]
+    counts = np.array([p.n_jumps for p in paths], dtype=np.int64)
+    marks = np.concatenate([np.empty(0)] + [p.marks for p in paths])
+    tab = scenario.simple.table(marks, counts, scenario.horizon, scenario.measure,
+                                scenario.compensated, order)
+    return ensemble.SimpleEnsemble(
+        x=scenario.x0[0] + tab["X"], n_jumps=counts, gamma=tab["gamma"], a=tab["A"],
+        g2=tab["G2"], xa=tab.get("XA"), xg2=tab.get("XG2"))
+
+
+def traj_chunk_whole(args) -> dict:
+    """`cli._traj_chunk` in one `sde.integrate_batch` over the whole range."""
+    name, params, start, count, seed = args
+    sc = scenarios.build(name, **params)
+    batch = sde.integrate_batch(sc, count, RngStream(seed=seed), path_offset=start)
+    gamma = batch.gamma
+    out = {"x": batch.x, "kk_err": batch.kk_err, "gamma_min_eig": np.linalg.eigvalsh(gamma)[:, 0],
+           "bound_margin": np.full(count, np.nan)}
+    lower_bound = sc.meta.get("pathwise_lower_bound")
+    if lower_bound is not None:
+        bvals = np.zeros((count, max((p.n_jumps for p in batch.paths), default=0)))
+        for rows in batch.jumps:
+            bvals[rows.lanes, rows.index] = rows.ev.b
+        eye = np.eye(sc.dim)
+        for i, path in enumerate(batch.paths):
+            bound = lower_bound(path.marks, bvals[i, :path.n_jumps])
+            out["bound_margin"][i] = float(np.linalg.eigvalsh(gamma[i] - bound * eye)[0])
+    return out
+
+
+def direct_route_whole(sc, n: int, seed: int) -> np.ndarray:
+    """`cli._direct_route` path by path: each path's marks from
+    `prm.sample_path`, summed whole, and its normals from its own
+    generator."""
+    route = np.empty((n, sc.dim))
+    for i in range(n):
+        p = n + i + 1
+        marks = sample_path(sc.measure, sc.horizon, RngStream(seed=seed, path=p)).marks
+        gen = RngStream(seed=seed, path=p, tag=TAG_NOISE).generator()
+        route[i] = (sc.x0 + math.sqrt(float(np.sum(marks))) * sc.meta["sigma0"]
+                    @ gen.standard_normal(sc.dim))
+    return route

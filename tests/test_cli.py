@@ -462,8 +462,8 @@ def test_command_pool_outlives_the_fan_out(tmp_path, monkeypatch):
     is still open when the fan-out returns and is closed with the command."""
     real_fan_out, pools = cli._fan_out, []
 
-    def fan_out(worker, name, params, paths, seed, workers, pool=None):
-        parts = real_fan_out(worker, name, params, paths, seed, workers, pool)
+    def fan_out(worker, name, params, paths, seed, workers, pool=None, then=None):
+        parts = real_fan_out(worker, name, params, paths, seed, workers, pool, then)
         assert pool.apply(abs, (-2,)) == 2     # still open
         assert len(multiprocessing.active_children()) == workers - 1
         pools.append(pool)
@@ -478,6 +478,13 @@ def test_command_pool_outlives_the_fan_out(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def _chunks(paths: int, workers: int) -> list[tuple[int, int]]:
+    """(start, count) of the contiguous path ranges of a fan-out, in path
+    order, as `cli._chunk_size` lays them out: the reference for it."""
+    size, n = cli._chunk_size(paths, workers)
+    return [(i * size, min(size, paths - i * size)) for i in range(n)]
+
+
 @pytest.mark.parametrize("paths,workers,chunks", [
     (10, 1, [(0, 10)]),
     (10, 2, [(0, 5), (5, 5)]),
@@ -487,7 +494,7 @@ def test_command_pool_outlives_the_fan_out(tmp_path, monkeypatch):
     (1, 4, [(0, 1)]),
 ])
 def test_chunks_split_the_paths_in_order(paths, workers, chunks):
-    assert cli._chunks(paths, workers) == chunks
+    assert _chunks(paths, workers) == chunks
 
 
 @pytest.mark.parametrize("paths,workers,forks", [
@@ -547,7 +554,7 @@ def _assert_parts_equal(got, want):
 @pytest.mark.parametrize("workers", [2, 3])
 def test_parent_computes_the_last_chunk(worker, name, workers):
     paths, seed = 23, 5
-    jobs = [(name, {}, start, count, seed) for start, count in cli._chunks(paths, workers)]
+    jobs = [(name, {}, start, count, seed) for start, count in _chunks(paths, workers)]
     pool = _RecordingPool()
     parts = cli._fan_out(worker, name, {}, paths, seed, workers, pool)
     assert pool.jobs == jobs[:-1]

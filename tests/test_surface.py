@@ -12,6 +12,9 @@ CALLERS = SOURCES + sorted((REPO / "bench").glob("*.py"))
 ALLOWED = {
     # ROADMAP item 7 wires it into diagnostics.hypothesis_report
     ("diagnostics", "ellipticity_scan"),
+    # the whole-chunk form of `mark_blocks`: the bench's sample_mark_sets
+    # rows count its calls by name, and the tests read it as a reference
+    ("ensemble", "sample_mark_sets"),
 }
 
 

@@ -32,7 +32,7 @@ from . import diagnostics, ensemble, ibp, lent, prm, report, scenarios, sde
 from .ibp import _mean_se
 from .measures import (InfiniteMassError, LevyMeasureSpec, NonIntegrableError, small_ball_params,
                        tauberian_fit, total_mass)
-from .rng import TAG_NOISE, RngStream, normal_quantile, philox_random
+from .rng import TAG_NOISE, RngStream, normal_quantile, philox_random, standard_normals
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -501,8 +501,9 @@ def _ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
 def _direct_route(sc, n: int, seed: int) -> np.ndarray:
     """The direct route of `crosscheck`: the total subordinator time, then
     one Gaussian displacement.  Paths n + 1 .. 2n draw the marks and normals
-    that `prm.sample_path` and their own noise streams would; their marks
-    are summed block by block (`ensemble.mark_blocks`)."""
+    that `prm.sample_path` and their own noise streams' generators would;
+    their marks are summed block by block (`ensemble.mark_blocks`), and
+    their normals drawn at once (`rng.standard_normals`)."""
     y_total = np.empty(n)
     counts, blocks = ensemble.mark_blocks(sc, n, RngStream(seed=seed), path_offset=n)
     for p, marks in blocks:
@@ -510,11 +511,10 @@ def _direct_route(sc, n: int, seed: int) -> np.ndarray:
         for i, end in zip(range(p.start, p.stop), ends.tolist()):
             y_total[i] = np.sum(marks[end - counts[i]:end])
     d, sigma0 = sc.dim, sc.meta["sigma0"]
-    route = np.empty((n, d))
-    noise = RngStream(seed=seed, tag=TAG_NOISE)
-    for i, gen in enumerate(noise.each(path=range(n + 1, 2 * n + 1))):
-        route[i] = sc.x0 + math.sqrt(y_total[i]) * sigma0 @ gen.standard_normal(d)
-    return route
+    z = standard_normals(RngStream(seed=seed, tag=TAG_NOISE), np.full(n, d),
+                         path=np.arange(n + 1, 2 * n + 1))
+    # one (d, d) @ (d,) product per path, as sqrt(y) * sigma0 @ z path by path
+    return sc.x0 + (np.sqrt(y_total)[:, None, None] * sigma0 @ z.reshape(n, d, 1))[..., 0]
 
 
 def crosscheck_pipeline(config: dict, pool=None) -> report.RunReport:

@@ -9,8 +9,8 @@ runs take seconds instead of minutes.
 Randomness stays path-addressed: path i draws its jump count and marks
 from the sub-streams of path index i, so an ensemble computed in chunks
 by several workers is bit-identical to a single-worker run.  A chunk's
-counts are drawn first, by a vectorised port of numpy's Poisson sampler
-on `rng.philox_random`, in passes of at most POISSON_PASS paths.  Its
+counts are drawn first, by `prm`'s vectorised port of numpy's Poisson
+sampler on `rng.philox_random`, in passes of at most POISSON_PASS paths.  Its
 marks are then drawn, and its table computed, in blocks of whole paths
 of about BLOCK_MARKS marks, so that the temporaries stay in cache and on
 the heap; a block's marks are dropped once its table is computed, so a
@@ -21,13 +21,13 @@ path and purpose, whatever the passes and blocks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .measures import mark_quantile, total_mass
-from .rng import TAG_MARK, TAG_TIME, RngStream, philox_random
+from .prm import _leading_draws, _poisson
+from .rng import TAG_MARK, TAG_TIME, RngStream
 from .sde import TABLE_COLUMNS, Scenario
 
 # Marks plus paths per block of a chunk (a path counts one more than its
@@ -50,12 +50,6 @@ BLOCK_MARKS = 24_576
 # threshold above the blocks' temporaries (see BLOCK_MARKS), and split at
 # 8 Ki paths the chunk ran 30 % slower, page-faulting every block in again.
 POISSON_PASS = 32_768
-
-# numpy's log is within a few ulp of libm's, and every log of the PTRS test
-# is under 80 in magnitude, so its two evaluations differ by well under
-# 1e-12: a test whose sides are further apart than this decides the same
-# with either log.
-PTRS_GUARD = 1e-9
 
 
 @dataclass
@@ -94,7 +88,10 @@ def mark_blocks(scenario: Scenario, n_paths: int, stream: RngStream, path_offset
     spec = scenario.measure
     lam = scenario.horizon * total_mass(spec)
     paths = np.arange(path_offset + 1, path_offset + n_paths + 1, dtype=np.uint64)
-    counts = _poisson(stream.child(tag=TAG_TIME), paths, lam)
+    counts = np.empty(n_paths, dtype=np.int64)
+    for lo in range(0, n_paths, POISSON_PASS):
+        counts[lo:lo + POISSON_PASS] = _poisson(stream.child(tag=TAG_TIME),
+                                                paths[lo:lo + POISSON_PASS], lam)[0]
     return counts, _block_marks(spec, stream.child(tag=TAG_MARK), paths, counts)
 
 
@@ -127,128 +124,6 @@ def _blocks(counts: np.ndarray):
         hi = max(lo + 1, int(np.searchsorted(size, size[lo] + BLOCK_MARKS, side="right")) - 1)
         yield slice(lo, hi), slice(int(size[lo]) - lo, int(size[hi]) - hi)
         lo = hi
-
-
-def _leading_draws(stream: RngStream, paths: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The first lengths[i] doubles of `stream` at paths[i], concatenated."""
-    n_blocks = (lengths + 3) // 4
-    owner = np.repeat(np.arange(len(paths)), n_blocks)
-    block = np.arange(owner.size) - np.repeat(np.cumsum(n_blocks) - n_blocks, n_blocks)
-    u = philox_random(stream, paths[owner], block)
-    return u[4 * block[:, None] + np.arange(4) < lengths[owner, None]]
-
-
-# numpy's random_poisson (numpy/random/src/distributions/distributions.c),
-# vectorised over paths.  Scalars and libm logs follow the C expressions
-# term by term and in the same order, so every count is numpy's.
-
-def _poisson(stream: RngStream, paths: np.ndarray, lam: float) -> np.ndarray:
-    """Poisson(lam) counts, each the first draw of `stream` at its path,
-    drawn in passes of at most POISSON_PASS paths."""
-    if not lam >= 0:
-        raise ValueError(f"Poisson mean must be >= 0, got {lam}")
-    if lam == 0:
-        return np.zeros(len(paths), dtype=np.int64)
-    sampler = _poisson_ptrs if lam >= 10 else _poisson_mult
-    counts = np.empty(len(paths), dtype=np.int64)
-    for lo in range(0, len(paths), POISSON_PASS):
-        sampler(stream, paths[lo:lo + POISSON_PASS], lam, counts[lo:lo + POISSON_PASS])
-    return counts
-
-
-def _poisson_mult(stream, paths, lam, counts):
-    """Multiplication method: count uniforms until their product <= e^-lam.
-    The counts go into `counts`, as `_poisson_ptrs`'s do."""
-    enlam = math.exp(-lam)
-    todo = np.arange(len(paths))
-    x = np.zeros(len(paths), dtype=np.int64)
-    prod = np.ones(len(paths))
-    block = 0
-    while todo.size:
-        u = philox_random(stream, paths[todo], block)
-        for w in range(4):
-            prod *= u[:, w]
-            more = prod > enlam
-            x += more
-            counts[todo[~more]] = x[~more]
-            todo, x, prod, u = todo[more], x[more], prod[more], u[more]
-        block += 1
-
-
-def _poisson_ptrs(stream, paths, lam, counts):
-    """Hörmann's PTRS transformed rejection, two uniforms per attempt."""
-    slam = math.sqrt(lam)
-    loglam = math.log(lam)
-    b = 0.931 + 2.53 * slam
-    a = -0.059 + 0.02483 * b
-    invalpha = 1.1239 + 1.1328 / (b - 3.4)
-    vr = 0.9277 - 3.6224 / (b - 2)
-    log_invalpha = math.log(invalpha)
-    todo = np.arange(len(paths))
-    block = 0
-    while todo.size:
-        u = philox_random(stream, paths[todo], block)
-        for w in (0, 2):
-            U = u[:, w] - 0.5
-            V = u[:, w + 1]
-            us = 0.5 - np.abs(U)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                k = np.floor((2 * a / us + b) * U + lam + 0.43)
-            done = (us >= 0.07) & (V <= vr)
-            # us == 0 gives k = +-inf, which C casts to a negative integer
-            test = ~done & np.isfinite(k) & (k >= 0) & ~((us < 0.013) & (V > us))
-            i = np.flatnonzero(test)
-            if i.size:
-                done[i] = _ptrs_accept(V[i], us[i], k[i], lam, loglam, a, b, log_invalpha)
-            counts[todo[done]] = k[done]
-            todo, u = todo[~done], u[~done]
-        block += 1
-
-
-def _ptrs_accept(V, us, k, lam, loglam, a, b, log_invalpha):
-    """PTRS's final test, log(V invalpha / (a / us^2 + b)) <= -lam +
-    k log(lam) - log Gamma(k + 1), decided as the C sampler decides it with
-    libm's log: numpy's log decides every test but those within PTRS_GUARD
-    of the bound, whose left side libm's log evaluates again."""
-    ks, inv = np.unique(k.astype(np.int64), return_inverse=True)
-    rhs = np.array([-lam + kk * loglam - _loggam(kk + 1) for kk in ks.tolist()])[inv]
-    with np.errstate(divide="ignore"):          # V = 0: -inf, as libm's log gives
-        lhs = (np.log(V) + log_invalpha) - np.log(a / (us * us) + b)
-    near = np.flatnonzero(np.abs(lhs - rhs) <= PTRS_GUARD)
-    if near.size:
-        lhs[near] = (_log(V[near]) + log_invalpha) - _log(a / (us[near] * us[near]) + b)
-    return lhs <= rhs
-
-
-def _log(x: np.ndarray) -> np.ndarray:
-    """libm's log, as the C sampler calls it (numpy's SIMD log may differ by an ulp)."""
-    return np.array([math.log(t) if t > 0.0 else -math.inf for t in x.tolist()])
-
-
-_LOGGAM_A = (8.333333333333333e-02, -2.777777777777778e-03,
-             7.936507936507937e-04, -5.952380952380952e-04,
-             8.417508417508418e-04, -1.917526917526918e-03,
-             6.410256410256410e-03, -2.955065359477124e-02,
-             1.796443723688307e-01, -1.39243221690590e+00)
-
-
-def _loggam(x: float) -> float:
-    """numpy's random_loggam: log Gamma(x) by Stirling's series."""
-    x = float(x)
-    if x == 1.0 or x == 2.0:
-        return 0.0
-    n = int(7 - x) if x < 7.0 else 0
-    x0 = x + n
-    x2 = (1.0 / x0) * (1.0 / x0)
-    gl0 = _LOGGAM_A[9]
-    for k in range(8, -1, -1):
-        gl0 *= x2
-        gl0 += _LOGGAM_A[k]
-    gl = gl0 / x0 + 0.5 * 1.8378770664093453e+00 + (x0 - 0.5) * math.log(x0) - x0
-    for _ in range(n):
-        gl -= math.log(x0 - 1.0)
-        x0 -= 1.0
-    return gl
 
 
 def simple_ensemble(scenario: Scenario, n_paths: int, stream: RngStream, *, order: int,

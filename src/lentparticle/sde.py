@@ -356,7 +356,7 @@ def integrate_batch(scenario: Scenario, n_paths: int, stream: RngStream,
 
     Path i is `prm.sample_path` at address p = path_offset + i + 1, as in
     `ensemble.sample_mark_sets`, and gives what `integrate` gives for it;
-    `prm.sample_paths` draws the chunk's paths in one walk per purpose.
+    `prm.sample_paths` draws the chunk's paths at once on the Philox kernel.
     Each lane's arithmetic does not depend on the other lanes, so a chunk
     split into parts gives the same bits as the whole.
     """

@@ -11,11 +11,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from lentparticle import ensemble, scenarios, sde
+from lentparticle import ensemble, prm, scenarios, sde
 from lentparticle.bottom import CapabilityError
 from lentparticle.measures import LevyMeasureSpec, compensator_integral, total_mass
 from lentparticle.prm import JumpLanes, MarkedPoissonPath, sample_path
-from lentparticle.rng import TAG_NOISE, RngStream, philox_random
+from lentparticle.rng import TAG_NESTED, TAG_NOISE, RngStream, philox_random
 from lentparticle.sde import SimpleJets
 
 # the jump scale of `compound-linear` as the catalog builds it by default
@@ -121,6 +121,24 @@ def pnorm_ratio(samples: np.ndarray, p: float, gamma: float | None = None) -> fl
 
 
 # ---------------------------------------------------------------------------
+# nested increments, lane by lane
+# ---------------------------------------------------------------------------
+
+def nested_steps_walk(lanes: JumpLanes, durations, step: float, dim: int = 1):
+    """`prm.nested_steps` with each lane's normals drawn by the generator
+    of its jump's TAG_NESTED sub-stream, one generator walking the lanes
+    (`JumpLanes.draws`)."""
+    counts, widths = prm.nested_grid(durations, step)
+    widths = widths.T[np.arange(widths.shape[0]) < counts[:, None]]
+    normals = np.empty((len(widths), dim))
+    ends = np.cumsum(counts)
+    for gen, n, end in zip(lanes.draws(TAG_NESTED), counts.tolist(), ends.tolist()):
+        gen.standard_normal(out=normals[end - n:end])
+    normals *= np.sqrt(widths)[:, None]
+    return counts, widths, normals
+
+
+# ---------------------------------------------------------------------------
 # the nested state sweep, event by event
 # ---------------------------------------------------------------------------
 
@@ -158,8 +176,8 @@ def per_event_excursions(scenario, x, rows: JumpLanes, je, jl, s_j, x_j):
 # ---------------------------------------------------------------------------
 
 def ptrs_counts_libm(stream: RngStream, paths: np.ndarray, lam: float) -> np.ndarray:
-    """`ensemble._poisson_ptrs` in one pass over all paths, with every
-    acceptance test evaluated by libm's log (`ensemble._log`) alone."""
+    """`prm._poisson_ptrs` in one pass over all paths, with every
+    acceptance test evaluated by libm's log (`prm._log`) alone."""
     slam, loglam = math.sqrt(lam), math.log(lam)
     b = 0.931 + 2.53 * slam
     a = -0.059 + 0.02483 * b
@@ -178,9 +196,9 @@ def ptrs_counts_libm(stream: RngStream, paths: np.ndarray, lam: float) -> np.nda
             done = (us >= 0.07) & (V <= vr)
             test = ~done & np.isfinite(k) & (k >= 0) & ~((us < 0.013) & (V > us))
             for i in np.flatnonzero(test).tolist():
-                lhs = ((ensemble._log(V[i:i + 1])[0] + log_invalpha)
-                       - ensemble._log(np.array([a / (us[i] * us[i]) + b]))[0])
-                done[i] = lhs <= -lam + k[i] * loglam - ensemble._loggam(k[i] + 1)
+                lhs = ((prm._log(V[i:i + 1])[0] + log_invalpha)
+                       - prm._log(np.array([a / (us[i] * us[i]) + b]))[0])
+                done[i] = lhs <= -lam + k[i] * loglam - prm._loggam(k[i] + 1)
             counts[todo[done]] = k[done]
             todo, u = todo[~done], u[~done]
         block += 1

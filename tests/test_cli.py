@@ -414,6 +414,16 @@ def test_trajectory_commands_do_not_import_numpy_ma(tmp_path):
     assert _fresh_interpreter(script).splitlines()[-1] == "False"
 
 
+def test_crosscheck_does_not_import_numpy_random(tmp_path):
+    # a fresh interpreter: every draw of crosscheck comes from the Philox
+    # kernel, and importing numpy.random costs ~10 ms and ~2 MB per invocation
+    crosscheck, _ = _config(tmp_path, "x", scenario="subordination-linear", run={"paths": 20})
+    script = (f"import sys\nfrom lentparticle import cli\n"
+              f"assert cli.main(['crosscheck', {str(crosscheck)!r}]) == 0\n"
+              f"print('numpy.random' in sys.modules)")
+    assert _fresh_interpreter(script).splitlines()[-1] == "False"
+
+
 def test_stable_samples_match_erfcinv(monkeypatch):
     # the uniforms are the stream's own generator draws
     u = RngStream(seed=0, tag=TAG_NOISE).generator().random(5)

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from lentparticle import cli, scenarios, sde
+from lentparticle import cli, prm, rng, scenarios, sde
 from lentparticle.measures import LevyMeasureSpec, mark_quantile, total_mass
 from lentparticle.prm import JumpLanes, nested_increments, rho_blocks, sample_path, sample_paths
 from lentparticle.rng import (TAG_MARK, TAG_NESTED, TAG_NOISE, TAG_RHO, TAG_TIME, RngStream,
-                              normal_quantile)
+                              normal_quantile, philox_words, standard_normals)
 
 from oracles import iterated_gradient_simple
 
@@ -135,8 +135,13 @@ def _fresh_path(spec, horizon, stream):
 @pytest.mark.parametrize("spec", [SPEC, LevyMeasureSpec(0.5, ymax=1.0, trunc=0.2), EDGE],
                          ids=["power", "power-sparse", "zero-mass-edge"])
 def test_sample_paths_match_per_address(spec):
+    # lam = 27 (PTRS), 3.7 (the multiplication method) and 0; the times
+    # start after the words each count read, in every slot of a block
     stream = RngStream(seed=-4, jump=2)
-    addresses = list(range(5, 45)) + [2**40, 3]
+    addresses = list(range(5, 45)) + [2**40, 3] + list(range(1_000, 1_400))
+    lam = 1.5 * total_mass(spec)
+    _, used = prm._poisson(stream.child(tag=TAG_TIME), np.array(addresses, dtype=np.uint64), lam)
+    assert set((used % 4).tolist()) == ({2, 0} if lam >= 10 else {1, 2, 3, 0} if lam else {0})
     batch = sample_paths(spec, 1.5, stream, addresses)
     assert len(batch) == len(addresses)
     for p, path in zip(addresses, batch):
@@ -229,10 +234,9 @@ def test_rho_order_validation():
 
 
 def test_walks_build_one_generator(monkeypatch, tmp_path):
-    """Loops over many addresses walk one generator instead of building one
-    per address: a chunk of paths builds one per purpose plus one per
-    lockstep event that draws, and a rho walk and crosscheck's direct
-    route build one each."""
+    """A rho walk over many addresses builds one generator, not one per
+    address; a trajectory chunk and a crosscheck build none, since every
+    draw of theirs comes from the Philox kernel."""
     built = []
     generator = RngStream.generator
 
@@ -241,18 +245,15 @@ def test_walks_build_one_generator(monkeypatch, tmp_path):
         return generator(self)
 
     monkeypatch.setattr(RngStream, "generator", counted)
-    n = 50
-    batch = sde.integrate_batch(scenarios.build("subordination-nonlinear"), n, RngStream(seed=42))
-    drawing = sum(len(set(rows.event.tolist())) for rows in batch.jumps)
-    assert len(built) <= 2 + drawing < 2 * n      # one per lane per purpose: 2n
-    built.clear()
+    batch = sde.integrate_batch(scenarios.build("subordination-nonlinear"), 50, RngStream(seed=42))
+    assert batch.jumps and built == []
     rho_blocks(RngStream(seed=1, path=3), range(1, 201), (13, 1))
     assert len(built) == 1
     built.clear()
     cli.crosscheck_pipeline({"scenario": "subordination-linear", "params": {},
                              "run": {"seed": 3, "paths": 40, "rho_replicas": 10, "workers": 1},
                              "outputs": {"dir": str(tmp_path), "svg": False}})
-    assert [s.tag for s in built].count(TAG_NOISE) == 1
+    assert built == []
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +267,13 @@ def _nested(path, duration, step):
 
 
 def test_nested_brownian_terminal_variance():
+    # jump 0 of each of 10 000 paths, drawn as the lanes of one call
     y = 0.7
-    terms = []
-    for i in range(10_000):
-        p = sample_path(SPEC, 1.0, RngStream(seed=40, path=i + 1))
-        if p.n_jumps == 0:
-            continue
-        incs = _nested(p, y, step=0.1)
-        terms.append(float(incs.sum()))
-    terms = np.array(terms)
+    paths = [sample_path(SPEC, 1.0, RngStream(seed=40, path=i + 1)) for i in range(10_000)]
+    paths = [p for p in paths if p.n_jumps]
+    lanes = JumpLanes(RngStream(seed=40), np.array([p.stream.path for p in paths]),
+                      np.zeros(len(paths), dtype=np.int64), np.array([p.marks[0] for p in paths]))
+    terms = nested_increments(lanes, np.full(len(paths), y), 0.1)[:, :, 0].sum(axis=0)
     se = math.sqrt(2.0 / len(terms)) * y   # SE of the sample variance
     assert abs(terms.var(ddof=1) - y) < 3 * se
 
@@ -291,6 +290,153 @@ def test_nested_brownian_step_widths():
     assert incs.shape == (3, 1)
     again = _nested(p, 0.25, step=0.1)
     np.testing.assert_array_equal(incs, again)
+
+
+# ---------------------------------------------------------------------------
+# standard normals on the Philox kernel
+# ---------------------------------------------------------------------------
+
+def _numpy_normals(words, count):
+    """numpy's random_standard_normal, line for line, on a list of 64-bit
+    words: `count` normals, and each slow draw taken, as (kind, first word)
+    with kind "accept" or "reject" for the wedge, ("tail", pairs read) for
+    the tail."""
+    words = iter(words)
+
+    def double():
+        return (next(words) >> 11) * (1.0 / 9007199254740992.0)
+
+    values, slow, at = [], [], 0
+    ki, wi, fi = rng._KI.tolist(), rng._WI.tolist(), rng._FI.tolist()
+    while len(values) < count:
+        r = next(words)
+        idx, sign, rabs = r & 0xFF, (r >> 8) & 1, (r >> 9) & 0x000FFFFFFFFFFFFF
+        x = -rabs * wi[idx] if sign else rabs * wi[idx]
+        start, at = at, at + 1
+        if rabs < ki[idx]:
+            values.append(x)
+        elif idx == 0:
+            pairs = 0
+            while True:
+                xx = -rng._ZIG_INV_R * math.log1p(-double())
+                yy = -math.log1p(-double())
+                pairs, at = pairs + 1, at + 2
+                if yy + yy > xx * xx:
+                    values.append(-(rng._ZIG_R + xx) if (rabs >> 8) & 1 else rng._ZIG_R + xx)
+                    slow.append((("tail", pairs), start))
+                    break
+        else:
+            at += 1
+            if (fi[idx - 1] - fi[idx]) * double() + fi[idx] < math.exp(-0.5 * x * x):
+                values.append(x)
+                slow.append(("accept", start))
+            else:
+                slow.append(("reject", start))
+    return values, slow
+
+
+def _generator_normals(stream, counts, coords):
+    """The oracle: each lane's normals from its own numpy generator."""
+    return np.concatenate([np.empty(0)] + [
+        stream.child(**{name: int(v[i]) for name, v in coords.items()}).generator()
+        .standard_normal(int(n)) for i, n in enumerate(counts)])
+
+
+def test_ziggurat_tables():
+    # numpy's ziggurat_constants.h: the base layer's ki is 0, f falls from
+    # f(0) = 1, and the last layer's width is r
+    ki, wi, fi = rng._KI, rng._WI, rng._FI
+    assert ki.shape == wi.shape == fi.shape == (256,)
+    assert ki[1] == 0 and fi[0] == 1.0 and np.all(np.diff(fi) < 0)
+    assert wi[255] * 2.0 ** 52 == rng._ZIG_R == 3.6541528853610088
+
+
+@pytest.mark.parametrize("seed", [-3, 0, 42, 2**64 - 1])
+def test_standard_normals_match_numpy(seed):
+    # 4 x 3 x 2 800 lanes of 0 .. 60 normals: ~1e6 draws over the four seeds
+    pick = np.random.default_rng(seed % 1_000)
+    for tag in (TAG_RHO, TAG_NESTED, TAG_NOISE):
+        n = 2_800
+        counts = pick.integers(0, 61, n)
+        counts[:3] = [0, 1, 60]
+        coords = {"path": pick.integers(1, 2**40, n), "jump": pick.integers(0, 40, n),
+                  "replica": pick.integers(0, 3, n)}
+        stream = RngStream(seed=seed, tag=tag)
+        got = standard_normals(stream, counts, **coords)
+        np.testing.assert_array_equal(got, _generator_normals(stream, counts, coords),
+                                      strict=True)
+
+
+# paths of RngStream(seed=42, tag=TAG_NESTED) at jump 1 whose first words take
+# each slow branch, found by scanning paths 1 .. 200 000 with `philox_words`
+BRANCHES = {
+    47: [("accept", 0)],
+    148: [("reject", 0)],
+    6010: [(("tail", 1), 0)],
+    139: [(("tail", 2), 0)],                    # its first pair rejected
+    4166: [("accept", 0)],                      # word 1, slow too, is its uniform
+    117: [("accept", 1), ("accept", 3)],        # two draws back to back
+    81: [("accept", 3)],                        # the last slot: its uniform is word 4,
+    179: [("reject", 3)],                       # in the next block
+}
+
+
+@pytest.mark.parametrize("guard", [rng.EXP_GUARD, 0.0, math.inf],
+                         ids=["default", "numpy-exp", "libm-exp"])
+def test_standard_normals_take_every_branch(monkeypatch, guard):
+    # a guard of 0 decides every wedge test by numpy's exp, inf by libm's
+    monkeypatch.setattr(rng, "EXP_GUARD", guard)
+    stream = RngStream(seed=42, tag=TAG_NESTED)
+    paths = np.array(list(BRANCHES))
+    words = philox_words(stream, np.arange(4)[:, None], path=paths, jump=1)
+    for i, (p, slow) in enumerate(BRANCHES.items()):
+        lane = [int(w) for w in words[:, i].reshape(-1)]
+        values, taken = _numpy_normals(lane, 6)
+        assert taken[:len(slow)] == slow, p
+        assert values == stream.child(path=p, jump=1).generator().standard_normal(6).tolist()
+        if p == 4166:
+            assert (lane[1] >> 9) & 0x000FFFFFFFFFFFFF >= int(rng._KI[lane[1] & 0xFF])
+    # one lane at a time and all at once, at counts that end inside,
+    # at and past each lane's first block
+    ones = np.ones(len(paths), dtype=np.int64)
+    for n in range(1, 9):
+        for lanes in [[i] for i in range(len(paths))] + [list(range(len(paths)))]:
+            coords = {"path": paths[lanes], "jump": ones[lanes]}
+            np.testing.assert_array_equal(
+                standard_normals(stream, n * ones[lanes], **coords),
+                _generator_normals(stream, n * ones[lanes], coords), strict=True)
+
+
+# paths of RngStream(seed=42, tag=TAG_NESTED) at jump 1 whose first `count`
+# normals run short twice, found by scanning paths 1 .. 2 000 000 at counts
+# path % 8 + 1; all but the first resume mid-block in the third pass
+THREE_PASSES = {207230: 7, 223526: 7, 223527: 8, 377191: 8, 1758567: 8}
+
+
+def test_standard_normals_resume_after_two_top_ups(monkeypatch):
+    calls = []
+    words = rng.philox_words
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return words(*args, **kwargs)
+
+    monkeypatch.setattr(rng, "philox_words", counted)
+    stream = RngStream(seed=42, tag=TAG_NESTED)
+    coords = {"path": np.array(list(THREE_PASSES)),
+              "jump": np.ones(len(THREE_PASSES), dtype=np.int64)}
+    counts = list(THREE_PASSES.values())
+    got = standard_normals(stream, counts, **coords)
+    assert len(calls) == 3
+    np.testing.assert_array_equal(got, _generator_normals(stream, counts, coords), strict=True)
+
+
+def test_standard_normals_shapes():
+    stream = RngStream(seed=1, tag=TAG_NOISE)
+    assert standard_normals(stream, [], path=[]).shape == (0,)
+    assert standard_normals(stream, [0, 0], path=[1, 2]).shape == (0,)
+    np.testing.assert_array_equal(standard_normals(stream, [3], path=[5]),
+                                  stream.child(path=5).generator().standard_normal(3))
 
 
 # ---------------------------------------------------------------------------

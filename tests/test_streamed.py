@@ -13,11 +13,12 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
-from lentparticle import cli, ensemble, scenarios
+from lentparticle import cli, ensemble, prm, rng, scenarios
+from lentparticle.prm import JumpLanes
 from lentparticle.rng import TAG_TIME, RngStream
 
-from oracles import (direct_route_whole, ptrs_counts_libm, simple_ensemble_whole,
-                     traj_chunk_whole)
+from oracles import (direct_route_whole, nested_steps_walk, ptrs_counts_libm,
+                     simple_ensemble_whole, traj_chunk_whole)
 
 # small bounds: one path, a prime, a few hundred; None keeps the default
 BOUNDS = [1, 7, 300, None]
@@ -29,7 +30,7 @@ def _bound(monkeypatch, size, *names):
         return
     for name in names:
         module, attr = name.split(".")
-        monkeypatch.setattr({"ensemble": ensemble, "cli": cli}[module], attr, size)
+        monkeypatch.setattr({"ensemble": ensemble, "cli": cli, "rng": rng}[module], attr, size)
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +76,37 @@ def test_traj_chunk_matches_one_batch(monkeypatch, size, name, params):
 
 @pytest.mark.parametrize("size", BOUNDS)
 def test_direct_route_matches_path_by_path(monkeypatch, size):
-    _bound(monkeypatch, size, "ensemble.POISSON_PASS", "ensemble.BLOCK_MARKS")
+    _bound(monkeypatch, size, "ensemble.POISSON_PASS", "ensemble.BLOCK_MARKS",
+           "rng.NORMAL_SLICE")
     sc = scenarios.build("subordination-linear")
     got = cli._direct_route(sc, 150, 8)
     np.testing.assert_array_equal(got, direct_route_whole(sc, 150, 8), strict=True)
+
+
+def _chunk_lanes(name, n_paths, seed):
+    """The jump lanes of a chunk's first `n_paths` paths, as its nested clock
+    takes them (lane after lane), with the scenario's nested step."""
+    sc = scenarios.build(name)
+    paths = prm.sample_paths(sc.measure, sc.horizon, RngStream(seed=seed),
+                             range(1, n_paths + 1))
+    lanes = JumpLanes(RngStream(seed=seed),
+                      np.concatenate([np.full(p.n_jumps, p.stream.path) for p in paths]),
+                      np.concatenate([np.arange(p.n_jumps) for p in paths]),
+                      np.concatenate([p.marks for p in paths]))
+    return lanes, sc.bottom.step, sc.bottom.n_brownian
+
+
+@pytest.mark.parametrize("size", BOUNDS)
+@pytest.mark.parametrize("name", ["subordination-nonlinear", "subordination-linear"])
+def test_nested_steps_match_the_walk(monkeypatch, size, name):
+    # every lane's normals against its own generator, in slices of any size
+    _bound(monkeypatch, size, "rng.NORMAL_SLICE")
+    lanes, step, dim = _chunk_lanes(name, 12 if size == 1 else 120, 42)
+    got, want = prm.nested_steps(lanes, lanes.marks, step, dim), nested_steps_walk(
+        lanes, lanes.marks, step, dim)
+    assert len(got) == len(want) == 3
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b, strict=True)
 
 
 def _outputs(tmp_path, tag, name, workers, paths):
@@ -118,7 +146,7 @@ def test_run_reports_match_across_bounds_and_workers(tmp_path, monkeypatch, name
 def test_ptrs_counts_match_the_libm_loop(lam, seed):
     stream = RngStream(seed=seed, tag=TAG_TIME)
     paths = np.arange(1, 4_001, dtype=np.uint64)
-    got = ensemble._poisson(stream, paths, lam)
+    got = prm._poisson(stream, paths, lam)[0]
     np.testing.assert_array_equal(got, ptrs_counts_libm(stream, paths, lam), strict=True)
     # and each count is numpy's own
     for p in (1, 2, 4_000):
@@ -144,23 +172,23 @@ def test_ptrs_entries_in_the_guard_band_take_libm(monkeypatch):
             us.append(u)
             k.append(kk)
     us, k = np.repeat(us, 7), np.repeat(k, 7)
-    rhs = -lam + k * loglam - np.array([ensemble._loggam(kk + 1) for kk in k])
+    rhs = -lam + k * loglam - np.array([prm._loggam(kk + 1) for kk in k])
     bound = np.exp(rhs - log_invalpha + np.log(a / (us * us) + b))
     V = bound * (1.0 + np.tile(np.arange(-3, 4), len(bound) // 7) * 2.0 ** -52)
     keep = V < 1.0
     us, k, V, rhs = us[keep], k[keep], V[keep], rhs[keep]
     V[0] = 0.0
-    libm = ((ensemble._log(V) + log_invalpha) - ensemble._log(a / (us * us) + b)) <= rhs
+    libm = ((prm._log(V) + log_invalpha) - prm._log(a / (us * us) + b)) <= rhs
 
     seen = []
-    real_log = ensemble._log
+    real_log = prm._log
 
     def recording_log(x):
         seen.append(x.copy())
         return real_log(x)
 
-    monkeypatch.setattr(ensemble, "_log", recording_log)
-    got = ensemble._ptrs_accept(V, us, k, lam, loglam, a, b, log_invalpha)
+    monkeypatch.setattr(prm, "_log", recording_log)
+    got = prm._ptrs_accept(V, us, k, lam, loglam, a, b, log_invalpha)
     np.testing.assert_array_equal(got, libm, strict=True)
     assert libm[1:].any() and not libm[1:].all()
     # every planted entry but V = 0 sat in the band, and libm evaluated it
@@ -298,3 +326,22 @@ def test_chunk_memory_grows_by_its_columns_only(monkeypatch):
     small, large = (_peak(cli._traj_chunk, ("compound-linear", params, 0, n, 4))
                     for n in (600, 1_200))
     assert (large - small) / 600 <= 60
+
+
+def test_nested_steps_memory_grows_by_its_output_only(monkeypatch):
+    # 64 lanes whose durations double, from 2 to 4 slices' worth of rows
+    # (lane-steps): the per-lane arrays are alike, and the draws' temporaries
+    # are bounded by a slice, so the peak may grow by the output rows alone,
+    # a width and dim increments, 8 (1 + dim) B a row, give or take the few
+    # hundred bytes of interpreter objects that differ between two calls;
+    # holding the chunk's words would add ~90 B a row
+    monkeypatch.setattr(rng, "NORMAL_SLICE", 4_096)
+    dim, step = 2, 1 / 32
+    lanes = JumpLanes(RngStream(seed=9), np.arange(1, 65), np.zeros(64, dtype=np.int64),
+                      np.ones(64))
+    prm.nested_steps(lanes, np.full(64, 0.5), step, dim)
+    small, large = (_peak(prm.nested_steps, lanes, np.full(64, y), step, dim)
+                    for y in (2.0, 4.0))
+    rows = 64 * 64                              # the rows the longer durations add
+    assert rows * dim == 2 * rng.NORMAL_SLICE
+    assert (large - small) / rows <= 8 * (1 + dim) + 0.5

@@ -4,15 +4,17 @@ Each structure knows how to
 
 * resolve a raw mark into whatever the coefficients need (possibly running
   a nested simulation addressed by the jump's sub-stream),
-* produce, in one `jump_matrices` call, the quadratic-form matrix of the
-  jump coefficient in the mark variable (a symmetric PSD d x d matrix)
-  and the linear map (the injector) sending an auxiliary rho-block to a
-  zero-mean gradient sample whose second moment is that matrix.
+* produce the quadratic-form matrix Gamma of the jump coefficient in the
+  mark variable, a symmetric PSD d x d matrix (`jump_matrices`),
+* and, on demand, the injector: the linear map sending an auxiliary
+  rho-block to a zero-mean gradient sample whose second moment is Gamma
+  (`injector`).  Only the Monte Carlo gradient (`lent.gradient_samples`)
+  reads it, so the event loop never computes it.
 
 Marks are resolved for many paths at once: `eval_jumps` takes one jump
 per lane (`prm.JumpLanes`) and returns a resolution with a leading lane
-axis, and `jump_matrices` maps it to the (n, d, d) matrices and the
-(n, d, block_dim) injectors.
+axis, `jump_matrices` maps it to the (n, d, d) matrices and `injector` to
+the (n, d, block_dim) injectors.
 
 Two families are provided: a weighted structure on a Euclidean mark
 interval, and Wiener-space structures (Ornstein-Uhlenbeck) for jumps that
@@ -46,9 +48,13 @@ class BottomStructure:
         raise NotImplementedError
 
     def jump_matrices(self, s, x, ev):
-        """Quadratic-form matrices (n, d, d) of the jumps resolved as `ev`,
-        and their injectors (n, d, block_dim): the linear maps sending a
-        rho-block to a gradient sample whose second moment is the matrix."""
+        """Quadratic-form matrices Gamma (n, d, d) of the jumps resolved as `ev`."""
+        raise NotImplementedError
+
+    def injector(self, s, x, ev):
+        """Injectors (n, d, block_dim) of the jumps resolved as `ev`: the
+        linear maps sending a rho-block to a gradient sample whose second
+        moment is Gamma, so that injector @ injector^T = Gamma."""
         raise NotImplementedError
 
 
@@ -75,12 +81,18 @@ class EuclideanBottom(BottomStructure):
     def eval_jumps(self, s, x, lanes):
         return lanes.marks
 
+    def _du_xi(self, s, x, u):
+        """c_u and the weight xi at the marks u."""
+        return (np.atleast_1d(np.asarray(self.c_u(s, x, u), dtype=float)),
+                np.asarray(self.xi(u), dtype=float))
+
     def jump_matrices(self, s, x, u):
-        """Both matrices from one evaluation of c_u and of the weight xi."""
-        du = np.atleast_1d(np.asarray(self.c_u(s, x, u), dtype=float))
-        xi = np.asarray(self.xi(u), dtype=float)
-        return (xi[..., None, None] * (du[..., :, None] * du[..., None, :]),
-                np.sqrt(xi)[..., None, None] * du[..., :, None])
+        du, xi = self._du_xi(s, x, u)
+        return xi[..., None, None] * (du[..., :, None] * du[..., None, :])
+
+    def injector(self, s, x, u):
+        du, xi = self._du_xi(s, x, u)
+        return np.sqrt(xi)[..., None, None] * du[..., :, None]
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +127,10 @@ class WienerSquareBottom(BottomStructure):
     def jump_matrices(self, s, x, ev):
         y, b = ev.y, ev.b
         yb = y * b
-        return (np.stack([np.stack([y, yb], -1), np.stack([yb, yb * b], -1)], -2),
-                (np.stack([np.ones_like(b), b], -1) * np.sqrt(y)[..., None])[..., None])
+        return np.stack([np.stack([y, yb], -1), np.stack([yb, yb * b], -1)], -2)
+
+    def injector(self, s, x, ev):
+        return (np.stack([np.ones_like(ev.b), ev.b], -1) * np.sqrt(ev.y)[..., None])[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +338,12 @@ class WienerOUBottom(BottomStructure):
         return bool(np.isfinite(m_inv).all())
 
     def jump_matrices(self, s, x, ev: WienerOUEval):
-        """The excursion's Malliavin matrix and its symmetric square root."""
-        return ev.gamma_m, _psd_sqrt(ev.gamma_m)
+        """The excursion's Malliavin matrix."""
+        return ev.gamma_m
+
+    def injector(self, s, x, ev: WienerOUEval):
+        """The symmetric square root of the excursion's Malliavin matrix."""
+        return _psd_sqrt(ev.gamma_m)
 
 
 def _schedule(lane: np.ndarray, counts: np.ndarray):

@@ -214,7 +214,7 @@ RUN_WEIGHT_ORDER = 1
 
 # Lanes per `sde.integrate_batch` call of a trajectory chunk, so a chunk
 # holds one batch's event tables (~7 kB a lane on `subordination-nonlinear`,
-# ~36 kB on a compensated chunk) whatever its size.  A batch pays the
+# ~19 kB on a compensated chunk) whatever its size.  A batch pays the
 # per-event block cost of `sde._advance` once more; sized in CHANGES.md.
 LANE_BATCH = 4096
 

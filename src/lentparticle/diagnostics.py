@@ -151,7 +151,7 @@ def ellipticity_scan(scenario: Scenario, probes) -> EllipticityReport:
         bound = psi(u) / (1.0 + float(np.linalg.norm(x))) ** delta
         if bound <= 0:
             raise ValueError(f"nonpositive ellipticity bound at probe {(s, tuple(x), u)}")
-        lam = float(np.linalg.eigvalsh(scenario.bottom.jump_matrices(s, x, u)[0])[0])
+        lam = float(np.linalg.eigvalsh(scenario.bottom.jump_matrices(s, x, u))[0])
         ratio = lam / bound
         if ratio < best:
             best, arg = ratio, (s, tuple(x), u)

@@ -10,7 +10,10 @@ of standard normal marks and form the lent-particle gradient
 
 with K_{T_j} the flow just after jump j and c_flat_j its injector, by
 solves against the recorded K_{T_j}; then average outer products of the
-samples.  Agreement of the two is the library's central correctness check.
+samples.  The injectors are the bottom's `injector` of the jump rows the
+event loop recorded (time, pre-jump state and resolution), computed here,
+their one reader.  Agreement of the two is the library's central
+correctness check.
 """
 
 from __future__ import annotations
@@ -42,14 +45,17 @@ def gradient_samples(scenario: Scenario, traj: Trajectory, n_replicas: int,
 
     Replica r draws its blocks from the replica-indexed sub-stream, so the
     batch is reproducible and schedule-independent.  Sample r is
-    K_T sum_j K_{T_j}^-1 c_flat_j rho_{r,j}: one batched solve over the
-    path's jumps, contracted with every replica's blocks.
+    K_T sum_j K_{T_j}^-1 c_flat_j rho_{r,j}: one `injector` call and one
+    batched solve over the path's jumps, contracted with every replica's
+    blocks.
     """
-    rows = traj.jumps
+    rows, d, block_dim = traj.jumps, scenario.dim, scenario.bottom.block_dim
     if not rows:
-        return np.zeros((n_replicas, scenario.dim))
-    blocks = rho_blocks(stream, range(1, n_replicas + 1), (len(rows), scenario.bottom.block_dim))
-    inj = np.linalg.solve(rows.k, rows.flat).transpose(0, 2, 1).reshape(-1, scenario.dim)
+        return np.zeros((n_replicas, d))
+    blocks = rho_blocks(stream, range(1, n_replicas + 1), (len(rows), block_dim))
+    flat = np.broadcast_to(scenario.bottom.injector(rows.s, rows.x, rows.ev),
+                           (len(rows), d, block_dim))
+    inj = np.linalg.solve(rows.k, flat).transpose(0, 2, 1).reshape(-1, d)
     return blocks[:, rows.index].reshape(n_replicas, -1) @ inj @ traj.k.T
 
 

@@ -1,6 +1,6 @@
 """Sampling of the marked Poisson random measure and its enrichments.
 
-A path is a finite realisation of the jump measure on (0, T]: sorted jump
+A path is a finite realisation of the jump measure on [0, T): sorted jump
 times with one mark each.  `rho_blocks` draws the blocks of auxiliary
 i.i.d. standard normal marks per jump that realise gradients, one set per
 replica, and jumps can carry lazily generated nested Brownian paths
@@ -33,10 +33,10 @@ from .rng import (TAG_MARK, TAG_NESTED, TAG_RHO, TAG_TIME, RngStream, philox_ran
 
 @dataclass
 class MarkedPoissonPath:
-    """One realisation of the jump measure on (0, horizon]."""
+    """One realisation of the jump measure on [0, horizon)."""
 
     horizon: float
-    times: np.ndarray                  # strictly increasing, in (0, horizon]
+    times: np.ndarray                  # non-decreasing, in [0, horizon)
     marks: np.ndarray                  # one scalar mark per jump
     stream: RngStream                  # base stream; jump sub-streams derive from it
 

@@ -191,15 +191,16 @@ def philox_words(stream: RngStream, blocks, **coords) -> np.ndarray:
     return _philox4x64(c, key)
 
 
-def philox_random(stream: RngStream, paths, blocks) -> np.ndarray:
+def philox_random(stream: RngStream, paths, blocks, **coords) -> np.ndarray:
     """Doubles of `stream.child(path=p).generator().random()`, four per block.
 
     `paths` and `blocks` are broadcast together; entry i of the result is
     the row of draws 4 b .. 4 b + 3 of the stream at path p, for
-    (p, b) = (paths[i], blocks[i]).  Shape: broadcast shape + (4,).  A
+    (p, b) = (paths[i], blocks[i]).  `coords` may give the jump and replica
+    too, as `philox_words` takes them.  Shape: broadcast shape + (4,).  A
     double is numpy's (u64 >> 11) * 2**-53 of a `philox_words` word.
     """
-    return _doubles(philox_words(stream, blocks, path=paths))
+    return _doubles(philox_words(stream, blocks, path=paths, **coords))
 
 
 def _doubles(words: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bottom import EuclideanBottom, WienerOUBottom, WienerSquareBottom
 from .measures import LevyMeasureSpec, compensator_integral
-from .rng import TAG_NESTED
+from .rng import TAG_NESTED, philox_random
 from .sde import Scenario, SimpleJets
 
 CATALOG = {}
@@ -217,8 +217,11 @@ class _FieldBottom(WienerOUBottom):
     jump's sub-stream, replica 1) and sets the nested drift of its lane."""
 
     def nested_drift(self, lanes):
-        theta = np.array([gen.uniform(0.0, 2 * math.pi)
-                          for gen in lanes.draws(TAG_NESTED, replica=1)])
+        # numpy's uniform(0, 2 pi) of each lane's generator, all lanes on the
+        # Philox kernel: 2 pi times the first double of its stream
+        u = philox_random(lanes.stream.child(tag=TAG_NESTED, replica=1), lanes.paths, 0,
+                          jump=lanes.index + 1)[:, 0]
+        theta = 2 * math.pi * u
         return np.stack([np.cos(theta), np.sin(theta)], -1)
 
 

@@ -15,7 +15,8 @@ brackets that the integration-by-parts weights consume.  That table is
 ensemble runs, and the generator a[.] is written only there.
 
 There is one event loop, `_advance`: every path of a chunk advances in
-lockstep by event index (jump index when uncompensated), with the state,
+lockstep by event index (jump index when uncompensated), on event tables
+built for all lanes at once (`_event_tables`), with the state,
 K, Kbar and C held as (n, d) and (n, d, d) arrays, and each lockstep event
 resolves its jumps with one `eval_jumps` call on the bottom structure.
 The events run in blocks of whole events, each of at most `BLOCK_ROWS`
@@ -33,16 +34,20 @@ nested clock for the whole chunk, so the chunk takes as many nested steps
 as its longest lane needs, not the sum over events of each event's longest
 excursion, and the blocks read the rows it recorded.  `integrate_batch`
 runs the loop on a chunk of sampled paths, and `integrate` on one path,
-adding the order-2 table when asked.  A lane's arithmetic and draws do not depend on the
-other lanes, so a path gives the same bits alone as in any chunk.  The
-loop keeps no state history: besides the results at T it keeps the jump
-rows of each block (`JumpRows`: per jump, the post-jump flow K and the
-injector) from which `lent` forms the gradient.
+adding the order-2 table when asked.  A lane's arithmetic and draws do
+not depend on the other lanes, so a path gives the same bits alone as in
+any chunk.  The loop keeps no state history: besides the results at T it
+keeps the jump rows of each block (`JumpRows`: per jump, its time, its
+pre-jump state and resolution, the post-jump flow K and Gamma), from which
+`lent` forms the gradient; the loop computes no injector, since only the
+gradient reads it.
 
 Every measure-average is scenario data (the comp_* callables); nothing is
-averaged by quadrature here.  Jump times are events of the grid, and an
-Euler grid is added only when the scenario is compensated.  Uncompensated
-scenarios are therefore solved with no discretization error at all.
+averaged by quadrature here.  Every jump is an event of its own (a jump
+at time 0 or two at one time too), and an Euler grid is added only when
+the scenario is compensated; the first jump on one of its points (or at
+T) joins that point's event.  Uncompensated scenarios are therefore solved with no
+discretization error at all.
 """
 
 from __future__ import annotations
@@ -185,11 +190,11 @@ class Scenario:
     scalar mark-sum scenario.
 
     Lane axis: the event loop calls c, dx_c, comp_c and comp_dx_c (and the
-    bottom's jump_matrices) with a leading lane axis on every argument,
-    s (n,), x (n, d) and ev as `eval_jumps` resolves it, and expects (n, d)
-    and (n, d, d) back, and from jump_matrices (n, d, d) and
-    (n, d, block_dim); a value without the lane axis (a constant) is taken
-    to hold for every lane.  One path is one lane.  dx_c, comp_dx_c and
+    bottom's jump_matrices, and the gradient its injector) with a leading
+    lane axis on every argument, s (n,), x (n, d) and ev as `eval_jumps`
+    resolves it, and expects (n, d) and (n, d, d) back, and from the
+    injector (n, d, block_dim); a value without the lane axis (a constant)
+    is taken to hold for every lane.  One path is one lane.  dx_c, comp_dx_c and
     jump_matrices see the rows of a whole block of events at once (one row
     per lane and event), so every row must be computed from its own
     arguments alone.
@@ -226,25 +231,27 @@ class Scenario:
 @dataclass
 class JumpRows:
     """Jump rows, one per lane and jump, in event order; arrays have the row
-    axis first.  `_advance` keeps one table per block of events."""
+    axis first.  `_advance` keeps one table per block of events, whose s and
+    x are views of the chunk's arrays."""
 
     event: np.ndarray      # (m,) event index
     lanes: np.ndarray      # (m,) lane that jumps there
     index: np.ndarray      # (m,) its jump index
+    s: np.ndarray          # (m,) jump time
+    x: np.ndarray          # (m, d) state just before the jump
     ev: object             # the resolutions; None on a table with no rows
     k: np.ndarray          # (m, d, d) flow derivative K just after the jump
     gamma: np.ndarray      # (m, d, d) bottom matrix of c
-    flat: np.ndarray       # (m, d, block_dim) gradient injector
 
     def __len__(self):
         return len(self.event)
 
     @classmethod
-    def empty(cls, d: int, block_dim: int) -> JumpRows:
+    def empty(cls, d: int) -> JumpRows:
         """The table of a jumpless path."""
         none = np.empty(0, dtype=np.intp)
-        return cls(event=none, lanes=none, index=none, ev=None, k=np.empty((0, d, d)),
-                   gamma=np.empty((0, d, d)), flat=np.empty((0, d, block_dim)))
+        return cls(event=none, lanes=none, index=none, s=np.empty(0), x=np.empty((0, d)),
+                   ev=None, k=np.empty((0, d, d)), gamma=np.empty((0, d, d)))
 
 
 def _conjugate(k: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -286,14 +293,58 @@ class EventError(RuntimeError):
         return f"{self.args[0]} (event {self.event_index})"
 
 
-def _event_times(scenario: Scenario, path: MarkedPoissonPath) -> np.ndarray:
-    """Event grid of a path: 0, the jump times and T, plus an Euler grid
-    when the state drifts; sorted, each time once.  (A sort and an
-    adjacent-difference mask: numpy's `unique` would import `numpy.ma`.)"""
-    T = scenario.horizon
+def _event_tables(scenario: Scenario, paths: list):
+    """The events of every lane, built for all lanes at once.
+
+    A lane's events are the points of its grid (0 and T, plus an Euler grid
+    when the state drifts) and its path's jumps, in time order, a grid
+    point before a jump at its time.  Every jump is an event of its own,
+    except that the first jump at a grid point other than 0 shares that
+    point's event.  A path's jump times must be non-decreasing (ValueError).
+
+    Returns each lane's event count, the lanes' walking order (by event
+    count, largest first; stable), the (width, n) table of event times,
+    event-major with the lanes in walking order and NaN past a lane's last
+    event, and the jump rows sorted by event, then by lane in walking
+    order: their event, walking lane, jump index and mark.
+    """
+    T, n = scenario.horizon, len(paths)
     grid = np.linspace(0.0, T, N_STEPS + 1) if scenario.compensated else np.array([0.0, T])
-    t = np.sort(np.concatenate([grid, path.times]))
-    return t[np.concatenate([[True], t[1:] != t[:-1]])]
+    counts = np.array([p.n_jumps for p in paths], dtype=np.intp)
+    s = np.concatenate([p.times for p in paths] or [np.empty(0)])
+    marks = np.concatenate([p.marks for p in paths] or [np.empty(0)])
+    starts = counts.cumsum() - counts
+    lane = np.arange(n).repeat(counts)
+    index = np.arange(len(s)) - starts[lane]
+    point = grid.searchsorted(s, "right") - 1               # the last grid point <= s
+    later = index[1:] > 0                                   # not a lane's first jump
+    if np.count_nonzero((s[1:] < s[:-1]) & later):
+        raise ValueError("a path's jump times must be non-decreasing")
+    # an event of its own, unless the first jump at a grid point other than 0
+    own = (point == 0) | (grid[point] != s)
+    own[1:] |= (s[1:] == s[:-1]) & later
+    owned = np.zeros(len(s) + 1, dtype=np.intp)             # own events among jumps < i
+    own.cumsum(out=owned[1:])
+    before = owned[starts]                                  # ... in the lanes before
+    event = point + owned[1:] - before[lane]
+    n_events = len(grid) + owned[starts + counts] - before
+    order = (-n_events).argsort(kind="stable")
+    walk = np.empty(n, dtype=np.intp)
+    walk[order] = np.arange(n)
+    times = np.full((int(n_events[order[0]]) if n else 1, n), np.nan)
+    # the cells of the grid points: in each lane, its first cells but the jumps' own
+    grid_at = np.arange(len(times)) < n_events[order, None]     # lane-major, walking order
+    lane = walk[lane]
+    grid_at[lane[own], event[own]] = False
+    times.T[grid_at] = np.tile(grid, n)
+    times[event[own], lane[own]] = s[own]
+    rows = np.lexsort((lane, event))
+    return n_events, order, times, event[rows], lane[rows], index[rows], marks[rows]
+
+
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of `a` is finite (`ndarray.all` costs more per call)."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
 
 
 def _lanes(value, shape) -> np.ndarray:
@@ -326,8 +377,7 @@ def integrate(scenario: Scenario, path: MarkedPoissonPath, order: int) -> Trajec
         full = scenario.simple.table(path.marks, np.array([path.n_jumps]), scenario.horizon,
                                      scenario.measure, scenario.compensated, 2)
         tab = {key: float(full[key][0]) for key in ("A", "G2", "XA", "XG2")}
-    jumps = (_concat(batch.jumps) if batch.jumps
-             else JumpRows.empty(scenario.dim, scenario.bottom.block_dim))
+    jumps = _concat(batch.jumps) if batch.jumps else JumpRows.empty(scenario.dim)
     return Trajectory(times=batch.times[0], jumps=jumps, x=batch.x[0], k=batch.k[0],
                       c=batch.c[0], kk_err=float(batch.kk_err[0]), order2=tab)
 
@@ -381,9 +431,11 @@ def _blocks(rows: list) -> list:
 
 
 def _concat(parts: list):
-    """The rows of `parts` joined in order.  A part is an array, or a
-    dataclass of row-axis arrays (a resolution such as `WienerSquareEval`,
-    or `JumpRows`)."""
+    """The rows of `parts` joined in order (a lone part is returned as it
+    is).  A part is an array, or a dataclass of row-axis arrays (a
+    resolution such as `WienerSquareEval`, or `JumpRows`)."""
+    if len(parts) == 1:
+        return parts[0]
     if is_dataclass(parts[0]):
         return replace(parts[0], **{f.name: _concat([getattr(p, f.name) for p in parts])
                                     for f in fields(parts[0])})
@@ -503,41 +555,26 @@ def _advance(scenario: Scenario, paths: list) -> TrajectoryBatch:
     of the block's rows; joined in order, they hold every jump.
     """
     d, comp, bottom = scenario.dim, scenario.compensated, scenario.bottom
-    times = [_event_times(scenario, p) for p in paths]
-    n_events = np.array([len(t) for t in times])
-    order = np.argsort(-n_events, kind="stable")
-    n, width = len(paths), int(n_events.max(initial=1))
-    # event-major tables, lanes in walking order
-    ev_times = np.full((width, n), np.nan)
-    jump_at = np.full((width, n), -1)
-    mark_at = np.zeros((width, n))
-    for lane, i in enumerate(order.tolist()):
-        t, p = times[i], paths[i]
-        at = np.searchsorted(t, p.times)
-        ev_times[:len(t), lane] = t
-        jump_at[at, lane] = np.arange(p.n_jumps)
-        mark_at[at, lane] = p.marks
+    n_events, order, ev_times, je, jl, j_index, j_marks = _event_tables(scenario, paths)
+    n, width = len(paths), len(ev_times)
     addresses = np.array([p.stream.path for p in paths])[order]
-    jumping = jump_at >= 0
-    jumping[0] = False                              # event 0 is the start, not a jump
-    n_jumping = jumping.sum(axis=1)
-    leading = np.all(jumping == (np.arange(n) < n_jumping[:, None]), axis=1).tolist()
-    live = np.count_nonzero(n_events > np.arange(width)[:, None], axis=1).tolist()
-    n_jumping = n_jumping.tolist()
+    live = (-n_events[order]).searchsorted(-np.arange(width)).tolist()     # n_events > k
     # the jump rows, event by event: event k has rows row_at[k] .. row_at[k + 1] - 1
-    je, jl = np.nonzero(jumping)
-    s_j, j_index, j_marks = ev_times[je, jl], jump_at[je, jl], mark_at[je, jl]
-    j_paths, j_lanes = addresses[jl], order[jl]
+    n_jumping = np.bincount(je, minlength=width).tolist()
     row_at = list(accumulate(n_jumping, initial=0))
+    s_j = ev_times[je, jl]
+    j_paths, j_lanes = addresses[jl], order[jl]
     x_j = np.empty((len(je), d))                    # pre-jump states
 
     def jumpers(k):
-        """The lanes that jump at event k."""
-        return slice(0, n_jumping[k]) if leading[k] else jl[row_at[k]:row_at[k + 1]]
+        """The lanes that jump at event k: lanes 0 .. m - 1 when the last
+        of its m rows is lane m - 1 (a row group's lanes ascend)."""
+        a, b = row_at[k], row_at[k + 1]
+        return slice(0, b - a) if jl[b - 1] == b - a - 1 else jl[a:b]
 
     eye = np.eye(d)
-    x = np.tile(scenario.x0, (n, 1))
-    K = np.tile(eye, (n, 1, 1))
+    x, K = np.empty((n, d)), np.empty((n, d, d))
+    x[...], K[...] = scenario.x0, eye
     Kb = K.copy()
     C = np.zeros((n, d, d))
     flow_err = np.zeros((n, d, d))                  # running max of |K Kbar - I|
@@ -576,7 +613,7 @@ def _advance(scenario: Scenario, paths: list) -> TrajectoryBatch:
                         drift = _lanes(scenario.comp_c(s_e[a:b], xl), (m, d))
                         x[:m] = xl - drift * dt_e[a:b, None]
                         groups.append((slice(0, m), a, b))
-                    if not np.isfinite(x[:live[k]]).all():
+                    if not _finite(x[:live[k]]):
                         raise EventError("state overflow", k)
                     if n_jumping[k]:
                         a, b, sel = row_at[k], row_at[k + 1], jumpers(k)
@@ -608,8 +645,7 @@ def _advance(scenario: Scenario, paths: list) -> TrajectoryBatch:
             s_b, x_b = s_j[r0:r1], x_j[r0:r1]
             J[ne:] = _jump_jacobians(scenario, s_b, x_b, ev, je[r0:r1], j_paths[r0:r1])
             B[ne:] = np.linalg.inv(J[ne:])
-            gamma, flat = bottom.jump_matrices(s_b, x_b, ev)
-            gamma, flat = _lanes(gamma, (nj, d, d)), _lanes(flat, (nj, d, bottom.block_dim))
+            gamma = _lanes(bottom.jump_matrices(s_b, x_b, ev), (nj, d, d))
 
         # 3. the flow sweep: kn, kbn hold K and Kbar just after each row
         kn, kbn = np.empty_like(J), np.empty_like(B)
@@ -624,7 +660,9 @@ def _advance(scenario: Scenario, paths: list) -> TrajectoryBatch:
             _at(np.add, C, jl[r0:r1], kbn_j @ gamma @ kbn_j.transpose(0, 2, 1))
             # with Euler rows in kn, the table copies K so as not to keep them alive
             jumps.append(JumpRows(event=je[r0:r1], lanes=j_lanes[r0:r1], index=j_index[r0:r1],
-                                  ev=ev, k=kn_j.copy() if ne else kn_j, gamma=gamma, flat=flat))
+                                  s=s_b, x=x_b, ev=ev, k=kn_j.copy() if ne else kn_j,
+                                  gamma=gamma))
     back = np.argsort(order)
+    times = [ev_times[:m, w] for m, w in zip(n_events.tolist(), back.tolist())]
     return TrajectoryBatch(paths=paths, times=times, x=x[back], k=K[back],
                            c=C[back], kk_err=flow_err.max(axis=(1, 2))[back], jumps=jumps)

@@ -138,6 +138,55 @@ def nested_steps_walk(lanes: JumpLanes, durations, step: float, dim: int = 1):
     return counts, widths, normals
 
 
+def field_drift_walk(lanes: JumpLanes) -> np.ndarray:
+    """The `levy-field-demo` bottom's `nested_drift` with each lane's angle
+    drawn by `uniform(0, 2 pi)` of the generator of its jump's TAG_NESTED
+    sub-stream at replica 1, one generator walking the lanes."""
+    theta = np.array([gen.uniform(0.0, 2 * math.pi)
+                      for gen in lanes.draws(TAG_NESTED, replica=1)])
+    return np.stack([np.cos(theta), np.sin(theta)], -1)
+
+
+# ---------------------------------------------------------------------------
+# event tables, lane by lane
+# ---------------------------------------------------------------------------
+
+def event_times_per_path(scenario, path: MarkedPoissonPath) -> np.ndarray:
+    """The event grid of one path as the event loop once built it: 0, the
+    jump times and T, plus the Euler grid when the state drifts; sorted,
+    each time once.  It is the grid of `sde._event_tables` wherever no two
+    of the path's events fall at one time but a jump on an Euler grid point."""
+    T = scenario.horizon
+    grid = np.linspace(0.0, T, sde.N_STEPS + 1) if scenario.compensated else np.array([0.0, T])
+    t = np.sort(np.concatenate([grid, path.times]))
+    return t[np.concatenate([[True], t[1:] != t[:-1]])]
+
+
+def event_tables_per_lane(scenario, paths: list):
+    """`sde._event_tables` by the per-lane loop it replaced, with the same
+    returns: each lane's `event_times_per_path`, its jump indices and marks
+    written lane by lane into event-major (width, n) tables, lanes in
+    walking order, and the jumping cells, in row-major order, as the jump
+    rows."""
+    times = [event_times_per_path(scenario, p) for p in paths]
+    n_events = np.array([len(t) for t in times])
+    order = np.argsort(-n_events, kind="stable")
+    n, width = len(paths), int(n_events.max(initial=1))
+    ev_times = np.full((width, n), np.nan)
+    jump_at = np.full((width, n), -1)
+    mark_at = np.zeros((width, n))
+    for lane, i in enumerate(order.tolist()):
+        t, p = times[i], paths[i]
+        at = np.searchsorted(t, p.times)
+        ev_times[:len(t), lane] = t
+        jump_at[at, lane] = np.arange(p.n_jumps)
+        mark_at[at, lane] = p.marks
+    jumping = jump_at >= 0
+    jumping[0] = False                              # event 0 is the start, not a jump
+    je, jl = np.nonzero(jumping)
+    return n_events, order, ev_times, je, jl, jump_at[je, jl], mark_at[je, jl]
+
+
 # ---------------------------------------------------------------------------
 # the nested state sweep, event by event
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ def _jets(h, hp, hpp):
 # ---------------------------------------------------------------------------
 
 def _gamma(bottom, s, x, ev):
-    return bottom.jump_matrices(s, x, ev)[0]
+    return bottom.jump_matrices(s, x, ev)
 
 
 def test_gamma_unit_derivative():
@@ -84,13 +84,13 @@ def test_generator_symmetry_on_vanishing_flux_pair():
 def test_flat_zero_derivative():
     b = EuclideanBottom(xi=lambda u: u * u, c_u=lambda s, x, u: np.array([0.0]))
     rho = np.array([1.7])
-    assert b.jump_matrices(0.0, np.zeros(1), 0.4)[1] @ rho == pytest.approx(np.array([0.0]))
+    assert b.injector(0.0, np.zeros(1), 0.4) @ rho == pytest.approx(np.array([0.0]))
 
 
 def test_flat_moments_match_gamma(rng):
     b = EuclideanBottom(xi=lambda u: u * u, c_u=lambda s, x, u: np.array([1.0, math.sin(u)]))
     for u in rng.uniform(0.05, 1.0, 5):
-        gam, mat = b.jump_matrices(0.0, np.zeros(2), u)
+        gam, mat = b.jump_matrices(0.0, np.zeros(2), u), b.injector(0.0, np.zeros(2), u)
         draws = (mat @ rng.standard_normal((1, 10_000))).T
         emp = draws.T @ draws / len(draws)
         # entrywise SE of a Gaussian product moment is <= sqrt(3)*max|gamma|/sqrt(n)
@@ -136,16 +136,17 @@ def test_wiener_square_closed_forms():
 
 @pytest.mark.parametrize("name", sorted(scenarios.CATALOG))
 def test_jump_matrices_injector_squares_to_gamma(name):
-    # the one bottom contract, as the event loop records it: the injector
-    # of every jump is a square root of its quadratic-form matrix
+    # the one bottom contract, on the jump rows the event loop records: the
+    # injector of every jump is a square root of its quadratic-form matrix
     sc = scenarios.build(name)
     d, block_dim = sc.dim, sc.bottom.block_dim
     batch = integrate_batch(sc, 5, RngStream(seed=31))
     assert batch.jumps
     for rec in batch.jumps:
         m = len(rec.lanes)
-        assert rec.gamma.shape == (m, d, d) and rec.flat.shape == (m, d, block_dim)
-        err = np.abs(rec.flat @ rec.flat.transpose(0, 2, 1) - rec.gamma).max()
+        inj = np.broadcast_to(sc.bottom.injector(rec.s, rec.x, rec.ev), (m, d, block_dim))
+        assert rec.gamma.shape == (m, d, d) and rec.s.shape == (m,) and rec.x.shape == (m, d)
+        err = np.abs(inj @ inj.transpose(0, 2, 1) - rec.gamma).max()
         assert err <= 1e-12 * np.abs(rec.gamma).max(), (rec.event, err)
 
 

@@ -455,16 +455,21 @@ def test_run_repeatable_report(tmp_path):
 
 
 def test_run_worker_count_invariance(tmp_path):
-    for name in ("compound", "subordination-nonlinear"):
-        bodies = []
+    # the report body, and crosscheck's table, byte for byte
+    for command, name in (("run", "compound"), ("run", "subordination-nonlinear"),
+                          ("run", "subordination-linear"), ("run", "levy-field-demo"),
+                          ("run", "simple2d"), ("crosscheck", "subordination-linear")):
+        outputs = []
         for workers in (1, 2, 3, 8):
-            path, cfg = _config(tmp_path, f"{name}-w{workers}", scenario=name,
+            path, cfg = _config(tmp_path, f"{command}-{name}-w{workers}", scenario=name,
                                 run={"rho_replicas": 50, "workers": workers})
-            assert cli.main(["run", str(path)]) == 0
-            body = report.report_body(Path(cfg["outputs"]["dir"]) / "report.json")
+            assert cli.main([command, str(path)]) == 0
+            out = Path(cfg["outputs"]["dir"])
+            body = report.report_body(out / "report.json")
             body["provenance"].pop("config_hash")   # differs through run.workers
-            bodies.append(body)
-        assert all(body == bodies[0] for body in bodies[1:]), name
+            outputs.append((body, (out / "crosscheck.csv").read_bytes()
+                            if command == "crosscheck" else None))
+        assert all(o == outputs[0] for o in outputs[1:]), (command, name)
 
 
 def test_command_pool_outlives_the_fan_out(tmp_path, monkeypatch):

@@ -9,14 +9,16 @@ import numpy as np
 import pytest
 
 from lentparticle import cli, ibp, lent, scenarios, sde
-from lentparticle.bottom import CapabilityError, EuclideanBottom, WienerOUBottom
+from lentparticle.bottom import (CapabilityError, EuclideanBottom, WienerOUBottom,
+                                 WienerSquareBottom)
 from lentparticle.ensemble import sample_mark_sets, simple_ensemble
 from lentparticle.measures import LevyMeasureSpec, compensator_integral
 from lentparticle.prm import JumpLanes, MarkedPoissonPath, rho_blocks, sample_path, sample_paths
 from lentparticle.rng import RngStream
 from lentparticle.sde import EventError, Scenario, SimpleJets, integrate, integrate_batch
 
-from oracles import LINEAR_BETA, per_event_excursions
+from oracles import (LINEAR_BETA, event_tables_per_lane, event_times_per_path,
+                     per_event_excursions)
 
 SPEC = LevyMeasureSpec(0.5, ymax=1.0, trunc=0.01)
 
@@ -138,21 +140,98 @@ def test_covariance_accumulator_monotone():
 _GRID_POINT = float(np.linspace(0.0, 1.0, sde.N_STEPS + 1)[250])
 
 
-@pytest.mark.parametrize("times", [[0.3, 0.3, 0.5], [0.0, 0.4], [], [_GRID_POINT, 0.7],
-                                   [0.2, 1.0]], ids=["duplicate", "at-zero", "empty",
-                                                     "on-grid", "at-horizon"])
+def _events_by_rule(grid, times):
+    """Event times and each jump's event, merged one jump at a time: a jump
+    joins the event of a grid point other than 0 at its time that holds no
+    jump yet, and otherwise comes after every event at or before its time."""
+    events = [[t, True] for t in grid.tolist()]         # (time, free grid point)
+    at = []
+    for t in times.tolist():
+        k = next((k for k, (u, free) in enumerate(events) if k and free and u == t), None)
+        if k is None:
+            k = sum(u <= t for u, _ in events)
+            events.insert(k, [t, False])
+            at = [a + (a >= k) for a in at]
+        events[k][1] = False
+        at.append(k)
+    return np.array([u for u, _ in events]), at
+
+
+@pytest.mark.parametrize("times", [[0.3, 0.3, 0.5], [0.0, 0.4], [0.0, 0.0], [],
+                                   [_GRID_POINT, 0.7], [_GRID_POINT, _GRID_POINT],
+                                   [0.2, 1.0], [0.5, 0.5]],
+                         ids=["duplicate", "at-zero", "twice-at-zero", "empty", "on-grid",
+                              "twice-on-grid", "at-horizon", "pair"])
 @pytest.mark.parametrize("compensated", [False, True])
-def test_event_times_match_numpy_unique(times, compensated):
-    # the sort-and-mask grid is what np.unique / np.union1d give, bit for bit
+def test_every_jump_is_its_own_event(times, compensated):
+    # each jump is an event of its own, but that the first jump on a grid
+    # point other than 0 joins that point's event; so no jump is lost, and
+    # X_T is what the mark-sum table gives, with a jump at 0 or two at once
     sc = scenarios.build("compound", compensated=compensated)
     times = np.array(times, dtype=float)
-    path = MarkedPoissonPath(1.0, times, np.full(len(times), 0.5), RngStream(seed=1))
+    marks = np.linspace(0.2, 0.3, len(times))
+    path = MarkedPoissonPath(1.0, times, marks, RngStream(seed=1))
+    grid = np.linspace(0.0, 1.0, sde.N_STEPS + 1) if compensated else np.array([0.0, 1.0])
+    want, at = _events_by_rule(grid, times)
+    traj = integrate(sc, path, order=1)
+    assert traj.times.dtype == want.dtype and traj.times.tobytes() == want.tobytes()
+    assert traj.jumps.event.tolist() == at and traj.jumps.index.tolist() == list(range(len(at)))
+    tab = sc.simple.table(marks, np.array([len(marks)]), 1.0, sc.measure, compensated, 1)
     if compensated:
-        want = np.union1d(np.linspace(0.0, 1.0, sde.N_STEPS + 1), times)
+        assert traj.x[0] == pytest.approx(tab["X"][0], rel=0, abs=1e-12)
     else:
-        want = np.unique(np.concatenate([[0.0], times, [1.0]]))
-    got = sde._event_times(sc, path)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert traj.x[0] == sum(marks.tolist())     # summed in event order, as the loop sums
+        assert traj.x[0] == pytest.approx(tab["X"][0], rel=0, abs=1e-15)
+
+
+def test_decreasing_jump_times_rejected():
+    # within a path, not across the lanes of a chunk
+    sc = scenarios.build("compound")
+    marks, stream = np.array([0.2, 0.3]), RngStream(seed=1)
+    ok = MarkedPoissonPath(1.0, np.array([0.1, 0.9]), marks, stream.child(path=1))
+    bad = MarkedPoissonPath(1.0, np.array([0.5, 0.2]), marks, stream.child(path=2))
+    with pytest.raises(ValueError, match="jump times must be non-decreasing"):
+        sde._advance(sc, [ok, bad])
+    sde._advance(sc, [ok, MarkedPoissonPath(1.0, np.array([0.05]), marks[:1], stream)])
+
+
+@pytest.mark.parametrize("name,params,lanes", [
+    ("compound-linear", {"horizon": 0.1}, 40), ("compound-linear", {}, 1),
+    ("compound-linear", {"compensated": True}, 12),
+    ("compound-linear", {"compensated": True, "horizon": 0.1}, 12),
+    ("subordination-nonlinear", {}, 30)])
+def test_event_tables_match_per_lane_build(name, params, lanes):
+    # all lanes at once, the tables are the per-lane loop's bit for bit,
+    # with jumpless lanes among the lanes (a horizon of 0.1) and one lane
+    sc = scenarios.build(name, **params)
+    paths = sample_paths(sc.measure, sc.horizon, RngStream(seed=41), range(1, lanes + 1))
+    if lanes > 1 and params.get("horizon"):
+        assert 0 < sum(p.n_jumps == 0 for p in paths) < lanes
+    got, want = sde._event_tables(sc, paths), event_tables_per_lane(sc, paths)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, sde.BLOCK_ROWS])
+@pytest.mark.parametrize("name,params", [("compound-linear", {"horizon": 0.1}),
+                                         ("compound-linear", {"compensated": True}),
+                                         ("simple2d", {"horizon": 0.3}),
+                                         ("subordination-nonlinear", {"horizon": 0.3})])
+def test_advance_on_per_lane_tables_bit_identical(monkeypatch, name, params, block):
+    # the event loop reads the tables the per-lane loop built to the same
+    # bits, for a chunk and for one lane, with blocks of one row or many
+    sc = scenarios.build(name, **params)
+    chunk = sample_paths(sc.measure, sc.horizon, RngStream(seed=43), range(1, 9))
+    monkeypatch.setattr(sde, "BLOCK_ROWS", block)
+    for paths in (chunk, chunk[-1:]):
+        want = _batch_arrays(sde._advance(sc, paths))
+        with monkeypatch.context() as m:
+            m.setattr(sde, "_event_tables", event_tables_per_lane)
+            got = _batch_arrays(sde._advance(sc, paths))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +488,7 @@ def per_path_integrate(sc, path):
     states, (K, C, kk_err) at T and per jump (event, ev, jac, gamma, flat, K),
     with K the flow just after the jump."""
     d = sc.dim
-    times = sde._event_times(sc, path)
+    times = event_times_per_path(sc, path)
     jump_at = {int(e): j for j, e in enumerate(np.searchsorted(times, path.times))}
     x, K, Kb, C = sc.x0, np.eye(d), np.eye(d), np.zeros((d, d))
     states, flows, jumps = [x], [], []
@@ -429,7 +508,7 @@ def per_path_integrate(sc, path):
             ev = _lane(sc.bottom.eval_jumps(np.array([s]), x[None], lanes))
             cval = np.atleast_1d(np.asarray(sc.c(s, x, ev), dtype=float))
             jac = np.eye(d) + np.asarray(sc.dx_c(s, x, ev), dtype=float).reshape(d, d)
-            gamma, flat = sc.bottom.jump_matrices(s, x, ev)
+            gamma, flat = sc.bottom.jump_matrices(s, x, ev), sc.bottom.injector(s, x, ev)
             K = jac @ K
             jumps.append((k, ev, jac, gamma, flat, K))
             Kb = Kb @ np.linalg.inv(jac)
@@ -571,7 +650,7 @@ def test_lockstep_lane_order_bit_identical(name, params):
         assert np.count_nonzero(mine) == len(traj.jumps) == path.n_jumps
         if not mine.any():
             continue
-        for key in ("event", "index", "k", "gamma", "flat"):
+        for key in ("event", "index", "s", "x", "k", "gamma"):
             np.testing.assert_array_equal(getattr(rows, key)[mine], getattr(traj.jumps, key))
         lane, alone = _lane(rows.ev, mine), traj.jumps.ev
         np.testing.assert_equal(getattr(lane, "__dict__", lane),
@@ -606,7 +685,7 @@ def _batch_arrays(batch):
     ev = ([getattr(rows.ev, f.name) for f in fields(rows.ev)] if is_dataclass(rows.ev)
           else [rows.ev])
     return [*batch.times, batch.x, batch.k, batch.c, batch.kk_err, rows.event, rows.lanes,
-            rows.index, rows.k, rows.gamma, rows.flat, *ev]
+            rows.index, rows.s, rows.x, rows.k, rows.gamma, *ev]
 
 
 @pytest.mark.parametrize("block", [1, 2, 7])
@@ -649,7 +728,8 @@ def test_jump_rows_count_the_path_jumps(monkeypatch):
 
 def test_batched_calls_once_per_block(monkeypatch):
     # dx_c, the bottom matrices and the inverse Jacobians are computed once
-    # per block of events, not once per jump
+    # per block of events, not once per jump; the injectors are computed
+    # only by the gradient, once a call, and never by a trajectory chunk
     sc = scenarios.build("compound-linear")
     path = next(p for p in (sample_path(sc.measure, sc.horizon, RngStream(seed=31, path=i))
                             for i in range(1, 50)) if p.n_jumps >= 5)
@@ -664,15 +744,34 @@ def test_batched_calls_once_per_block(monkeypatch):
     sc = replace(sc, dx_c=counted("dx_c", sc.dx_c))
     monkeypatch.setattr(sc.bottom, "jump_matrices", counted("jump_matrices",
                                                             sc.bottom.jump_matrices))
+    for cls in (EuclideanBottom, WienerSquareBottom, WienerOUBottom):
+        monkeypatch.setattr(cls, "injector", counted("injector", cls.injector))
     monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
     traj = integrate(sc, path, order=1)
     assert len(traj.jumps) == path.n_jumps >= 5
     assert calls == {"dx_c": 1, "jump_matrices": 1, "inv": 1}
     calls.clear()
+    lent.gradient_samples(sc, traj, 30, path.stream)
+    assert calls == {"injector": 1}
+    calls.clear()
     monkeypatch.setattr(sde, "BLOCK_ROWS", 2)      # one row per jump: two jumps a block
-    integrate(sc, path, order=1)
+    traj = integrate(sc, path, order=1)
     blocks = -(-path.n_jumps // 2)
     assert calls == {"dx_c": blocks, "jump_matrices": blocks, "inv": blocks}
+    calls.clear()
+    lent.gradient_samples(sc, traj, 30, path.stream)
+    assert calls == {"injector": 1}
+    monkeypatch.setattr(sde, "BLOCK_ROWS", 7)
+    for name in sorted(scenarios.CATALOG):
+        calls.clear()
+        cli._traj_chunk((name, {}, 0, 12, 31))
+        integrate_batch(scenarios.build(name), 12, RngStream(seed=31))
+        assert calls["injector"] == 0, name
+        other = scenarios.build(name)
+        traj = integrate(other, sample_path(other.measure, other.horizon, path.stream), order=1)
+        assert len(traj.jumps) > 0
+        lent.gradient_samples(other, traj, 30, path.stream)
+        assert calls["injector"] == 1, name
 
 
 @pytest.mark.parametrize("block", [1, sde.BLOCK_ROWS])

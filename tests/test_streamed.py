@@ -17,7 +17,7 @@ from lentparticle import cli, ensemble, prm, rng, scenarios
 from lentparticle.prm import JumpLanes
 from lentparticle.rng import TAG_TIME, RngStream
 
-from oracles import (direct_route_whole, nested_steps_walk, ptrs_counts_libm,
+from oracles import (direct_route_whole, field_drift_walk, nested_steps_walk, ptrs_counts_libm,
                      simple_ensemble_whole, traj_chunk_whole)
 
 # small bounds: one path, a prime, a few hundred; None keeps the default
@@ -107,6 +107,20 @@ def test_nested_steps_match_the_walk(monkeypatch, size, name):
     assert len(got) == len(want) == 3
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a, b, strict=True)
+
+
+@pytest.mark.parametrize("seed", [42, 7, -3, 2 ** 64 - 1])
+def test_field_drift_matches_the_walk(seed):
+    # the drift angles of a chunk's jumps, and of lanes at far addresses,
+    # are what each lane's own generator draws, bit for bit
+    lanes, _, _ = _chunk_lanes("levy-field-demo", 300, seed)
+    far = np.random.default_rng(5)
+    lanes = JumpLanes(lanes.stream, np.r_[lanes.paths, far.integers(0, 2 ** 40, 200)],
+                      np.r_[lanes.index, far.integers(0, 2 ** 40, 200)],
+                      np.r_[lanes.marks, far.random(200)])
+    bottom = scenarios.build("levy-field-demo").bottom
+    np.testing.assert_array_equal(bottom.nested_drift(lanes), field_drift_walk(lanes),
+                                  strict=True)
 
 
 def _outputs(tmp_path, tag, name, workers, paths):

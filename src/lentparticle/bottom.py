@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .prm import JumpLanes, nested_grid, nested_increments, nested_steps
+from .prm import JumpLanes, nested_grid, nested_steps
 from .rng import TAG_NESTED
 
 
@@ -165,9 +165,10 @@ class WienerOUBottom(BottomStructure):
     the diffusion coefficient only.
 
     One scheme runs every excursion: `run_excursions` runs several per lane
-    back to back on one nested clock, and `evolve` is its case of one
-    excursion per lane.  `run_excursions` reports each lane's first inverse
-    flow overflow to its caller; `evolve` raises the first of them.
+    back to back on one nested clock, and `eval_jumps` (on the lanes' own
+    draws) and `evolve` (on given increments) are its case of one excursion
+    per lane.  `run_excursions` reports each lane's first inverse flow
+    overflow to its caller; the other two raise the first of them.
     """
 
     dim: int
@@ -185,8 +186,10 @@ class WienerOUBottom(BottomStructure):
         return None
 
     def eval_jumps(self, s, x, lanes):
-        incs = nested_increments(lanes, lanes.marks, self.step, self.n_brownian)
-        return self.evolve(x, lanes.marks, incs, drift=self.nested_drift(lanes))
+        ev, _, failed = self.run_excursions(x, np.arange(len(x)), lanes, None)
+        if failed:
+            raise flow_overflow(min(step for _, step in failed))
+        return ev
 
     def evolve(self, x: np.ndarray, y: np.ndarray, incs: np.ndarray,
                drift: np.ndarray | None = None) -> WienerOUEval:
@@ -220,8 +223,7 @@ class WienerOUBottom(BottomStructure):
         jumps.marks[r], with the draws `eval_jumps` gives it, and a lane runs
         its rows back to back in the order they come."""
         by_lane = np.argsort(lane, kind="stable")
-        steps = JumpLanes(jumps.stream, jumps.paths[by_lane], jumps.index[by_lane],
-                          jumps.marks[by_lane])
+        steps = jumps[by_lane]
         drawn, widths, incs = nested_steps(steps, steps.marks, self.step, self.n_brownian)
         counts = np.empty_like(drawn)
         counts[by_lane] = drawn

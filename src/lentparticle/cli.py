@@ -29,7 +29,6 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, ensemble, ibp, lent, prm, report, scenarios, sde
-from .ibp import _mean_se
 from .measures import (InfiniteMassError, LevyMeasureSpec, NonIntegrableError, small_ball_params,
                        tauberian_fit, total_mass)
 from .rng import TAG_NOISE, RngStream, normal_quantile, philox_random, standard_normals
@@ -255,13 +254,13 @@ def _traj_batch(sc, seed: int, start: int, out: dict):
     out["gamma_min_eig"][:] = np.linalg.eigvalsh(gamma)[:, 0]
     lower_bound = sc.meta.get("pathwise_lower_bound")
     if lower_bound is not None:
-        bvals = np.zeros((len(gamma), max((p.n_jumps for p in batch.paths), default=0)))
+        # each jump's B value, at its place in the table
+        table = batch.table
+        bvals, starts = np.empty(table.n_jumps), np.cumsum(table.counts) - table.counts
         for rows in batch.jumps:
-            bvals[rows.lanes, rows.index] = rows.ev.b
-        eye = np.eye(sc.dim)
-        for i, path in enumerate(batch.paths):
-            bound = lower_bound(path.marks, bvals[i, :path.n_jumps])
-            out["bound_margin"][i] = float(np.linalg.eigvalsh(gamma[i] - bound * eye)[0])
+            bvals[starts[rows.lanes] + rows.index] = rows.ev.b
+        bound = lower_bound(table, bvals)[:, None, None] * np.eye(sc.dim)
+        out["bound_margin"][:] = np.linalg.eigvalsh(gamma - bound)[:, 0]
 
 
 def _chunk_size(paths: int, workers: int) -> tuple[int, int]:
@@ -395,15 +394,12 @@ def run_pipeline(config: dict, pool=None) -> report.RunReport:
             raise ValueError(f"degenerate ensemble ({cause}): the estimates need 2 or more "
                              "paths with distinct X; raise run.paths, or the jump count by "
                              "raising params.horizon or lowering params.trunc")
-        m, se = _mean_se(ens.x)
-        rep.add_estimate("mean_x", m, se, len(ens))
-        m, se = _mean_se(ens.gamma)
-        rep.add_estimate("mean_gamma", m, se, len(ens))
+        rep.add_mean("mean_x", ens.x)
+        rep.add_mean("mean_gamma", ens.gamma)
 
         w1 = ibp.weight(ens, RUN_WEIGHT_ORDER)
         ens.a = ens.g2 = None       # read by the weight alone: freed before the density
-        m, se = _mean_se(w1.values)
-        rep.add_estimate("mean_z1", m, se, len(ens))
+        rep.add_mean("mean_z1", w1.values)
         rep.diagnostics["z1_rejection_fraction"] = w1.rejection_fraction
         if w1.rejection_fraction > 0.01:
             rep.diagnostics["warnings"] = ["Z1 rejection fraction exceeds 1%"]
@@ -435,8 +431,7 @@ def run_pipeline(config: dict, pool=None) -> report.RunReport:
                                run["seed"], run["workers"], pool, then=oracle))
         x, kk, eig, margins = (cols[k] for k in ("x", "kk_err", "gamma_min_eig", "bound_margin"))
         for i in range(sc.dim):
-            m, se = _mean_se(x[:, i])
-            rep.add_estimate(f"mean_x{i}", m, se, len(x))
+            rep.add_mean(f"mean_x{i}", x[:, i])
         rep.add_estimate("max_flow_inverse_error", float(np.max(kk)), 0.0, len(kk))
         rep.verdicts["flow_inverse_1e-8"] = bool(np.max(kk) <= 1e-8)
         rep.add_estimate("min_gamma_eigenvalue", float(np.min(eig)), 0.0, len(eig))

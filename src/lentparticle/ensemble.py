@@ -9,14 +9,15 @@ runs take seconds instead of minutes.
 Randomness stays path-addressed: path i draws its jump count and marks
 from the sub-streams of path index i, so an ensemble computed in chunks
 by several workers is bit-identical to a single-worker run.  A chunk's
-counts are drawn first, by `prm`'s vectorised port of numpy's Poisson
-sampler on `rng.philox_random`, in passes of at most POISSON_PASS paths.  Its
-marks are then drawn, and its table computed, in blocks of whole paths
-of about BLOCK_MARKS marks, so that the temporaries stay in cache and on
-the heap; a block's marks are dropped once its table is computed, so a
-chunk holds one block of marks plus its per-path columns, however many
-paths it has.  Every draw is bit for bit that of one numpy generator per
-path and purpose, whatever the passes and blocks.
+counts are drawn first, by `prm.jump_draws` (a vectorised port of numpy's
+Poisson sampler on `rng.philox_random`, in passes of at most
+`prm.POISSON_PASS` paths).  Its marks are then drawn, and its table
+computed, in blocks of whole paths of about BLOCK_MARKS marks, so that the
+temporaries stay in cache and on the heap; a block's marks are dropped
+once its table is computed, so a chunk holds one block of marks plus its
+per-path columns, however many paths it has.  Every draw is bit for bit
+that of one numpy generator per path and purpose, whatever the passes and
+blocks.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .measures import mark_quantile, total_mass
-from .prm import _leading_draws, _poisson
-from .rng import TAG_MARK, TAG_TIME, RngStream
+from .prm import jump_draws
+from .rng import RngStream
 from .sde import TABLE_COLUMNS, Scenario
 
 # Marks plus paths per block of a chunk (a path counts one more than its
@@ -42,14 +42,6 @@ from .sde import TABLE_COLUMNS, Scenario
 # fixed cost is ~0.25 ms a call, fewer times, and 24 Ki is the largest
 # below the threshold.
 BLOCK_MARKS = 24_576
-
-# Paths per pass of the Poisson sampler.  A pass's temporaries (the Philox
-# words and the sampler's per-path arrays) peak at ~200 B a path, so this
-# bounds them at ~6 MiB, whatever the chunk.  A 25 000-path chunk
-# still draws its counts in one pass: its draws are what lifts glibc's mmap
-# threshold above the blocks' temporaries (see BLOCK_MARKS), and split at
-# 8 Ki paths the chunk ran 30 % slower, page-faulting every block in again.
-POISSON_PASS = 32_768
 
 
 @dataclass
@@ -78,30 +70,14 @@ def mark_blocks(scenario: Scenario, n_paths: int, stream: RngStream, path_offset
     concatenated).
 
     Path i is addressed as p = path_offset + i + 1.  Its count and marks
-    are those of `prm.sample_path` at `stream.child(path=p)`, bit for bit:
-    the count is what `stream.child(path=p, tag=TAG_TIME).generator()
-    .poisson(lam)` draws, and the marks are `mark_quantile` of the first
-    `count` uniforms of `stream.child(path=p, tag=TAG_MARK)`.  The counts
-    are drawn before this returns; a block's marks are drawn when the
-    iterator reaches it, so a caller that drops them holds one block's.
+    are those of `prm.sample_path` at `stream.child(path=p)`, bit for bit
+    (`prm.jump_draws`).  The counts are drawn before this returns; a
+    block's marks are drawn when the iterator reaches it, so a caller that
+    drops them holds one block's.
     """
-    spec = scenario.measure
-    lam = scenario.horizon * total_mass(spec)
     paths = np.arange(path_offset + 1, path_offset + n_paths + 1, dtype=np.uint64)
-    counts = np.empty(n_paths, dtype=np.int64)
-    for lo in range(0, n_paths, POISSON_PASS):
-        counts[lo:lo + POISSON_PASS] = _poisson(stream.child(tag=TAG_TIME),
-                                                paths[lo:lo + POISSON_PASS], lam)[0]
-    return counts, _block_marks(spec, stream.child(tag=TAG_MARK), paths, counts)
-
-
-def _block_marks(spec, stream: RngStream, paths: np.ndarray, counts: np.ndarray):
-    """(path slice, marks) of each block, the marks drawn from the mark stream."""
-    for p, m in _blocks(counts):
-        if m.start == m.stop:
-            yield p, np.empty(0)
-        else:
-            yield p, mark_quantile(spec, _leading_draws(stream, paths[p], counts[p]))
+    counts, _, marks = jump_draws(scenario.measure, scenario.horizon, stream, paths)
+    return counts, ((p, marks(p)) for p, _ in _blocks(counts))
 
 
 def sample_mark_sets(scenario: Scenario, n_paths: int, stream: RngStream,

@@ -1,23 +1,21 @@
 """Sampling of the marked Poisson random measure and its enrichments.
 
-A path is a finite realisation of the jump measure on [0, T): sorted jump
-times with one mark each.  `rho_blocks` draws the blocks of auxiliary
-i.i.d. standard normal marks per jump that realise gradients, one set per
-replica, and jumps can carry lazily generated nested Brownian paths
-addressed through the jump's own sub-stream.  `JumpLanes` gathers one jump
-from each of several paths of one stream, so that a lockstep sweep can
-resolve them together with the same draws each would get in a sweep of its
-own.
+The measure's points on [0, T) are (jump time, mark) pairs; the paths of
+a chunk are one flat `JumpTable`.  `rho_blocks` draws the auxiliary
+standard normal blocks per jump that realise gradients, one set per
+replica, and `nested_steps` the Brownian increments of nested excursions,
+from the jump's own sub-streams.  `JumpLanes` is a row selection of a
+table, one jump from each of several paths, so that a lockstep sweep can
+resolve them together with the draws each would get in a sweep of its own.
 
 Every draw is the one numpy's generator at the address makes.  Many paths
-(`sample_paths`) and many nested excursions (`nested_steps`) are drawn at
-once on the Philox kernel, through ports of numpy's samplers: the Poisson
-sampler here (`_poisson`, vectorised over paths; `ensemble` draws its
-counts with it too), the uniforms (`_leading_draws`) and the ziggurat
-(`rng.standard_normals`).  One path (`sample_path`), the rho blocks and
-the once-per-jump normals of `JumpLanes.draws` walk numpy's generators
-with `RngStream.each`, where the kernel's fixed cost per call would
-outweigh their draws.
+(`sample_paths`; `jump_draws` draws their counts and marks, for `ensemble`
+too) and many nested excursions are drawn at once on the Philox kernel,
+through ports of numpy's samplers: the Poisson sampler here (`_poisson`),
+the uniforms (`_leading_draws`) and the ziggurat (`rng.standard_normals`).
+One path (`sample_path`), the rho blocks and `JumpLanes.draws` walk
+numpy's generators, where the kernel's fixed cost per call would outweigh
+their draws.
 """
 
 from __future__ import annotations
@@ -31,22 +29,34 @@ from .measures import LevyMeasureSpec, mark_quantile, total_mass
 from .rng import (TAG_MARK, TAG_NESTED, TAG_RHO, TAG_TIME, RngStream, philox_random,
                   standard_normals)
 
-@dataclass
-class MarkedPoissonPath:
-    """One realisation of the jump measure on [0, horizon)."""
+# Paths per pass of the Poisson sampler: a pass's temporaries peak at ~200 B
+# a path, ~6 MiB.  A 25 000-path `ensemble` chunk still takes one pass, whose
+# draws lift glibc's mmap threshold above its blocks' temporaries
+# (`ensemble.BLOCK_MARKS`); split at 8 Ki paths it ran 30 % slower.
+POISSON_PASS = 32_768
 
-    horizon: float
-    times: np.ndarray                  # non-decreasing, in [0, horizon)
-    marks: np.ndarray                  # one scalar mark per jump
-    stream: RngStream                  # base stream; jump sub-streams derive from it
+
+@dataclass
+class JumpTable:
+    """The jumps of paths of one stream on [0, horizon), held flat: path i
+    is at address paths[i] of `stream` (its jumps draw from the sub-streams
+    of `stream.child(path=paths[i])`), and owns the next counts[i] entries
+    of `times` and `marks`, path after path."""
+
+    stream: RngStream
+    paths: np.ndarray                  # (n,) path addresses
+    counts: np.ndarray                 # (n,) jump counts
+    times: np.ndarray                  # (sum of counts,) non-decreasing in a path, in [0, horizon)
+    marks: np.ndarray                  # (sum of counts,) one scalar mark per jump
 
     @property
     def n_jumps(self) -> int:
         return len(self.times)
 
 
-def sample_path(spec: LevyMeasureSpec, horizon: float, stream: RngStream) -> MarkedPoissonPath:
-    """Sample a path: Poisson count, sorted uniform times, i.i.d. marks.
+def sample_path(spec: LevyMeasureSpec, horizon: float, stream: RngStream) -> JumpTable:
+    """Sample the one path at `stream`: Poisson count, sorted uniform
+    times, i.i.d. marks.
 
     The count and then the times come from the generator of the path's
     TAG_TIME stream, and the marks, the inverse CDF of uniforms, from its
@@ -57,32 +67,50 @@ def sample_path(spec: LevyMeasureSpec, horizon: float, stream: RngStream) -> Mar
     n = int(gen.poisson(horizon * total_mass(spec)))
     times = np.sort(gen.random(n)) * horizon
     u = stream.child(tag=TAG_MARK).generator().random(n)
-    return MarkedPoissonPath(horizon, times, mark_quantile(spec, u) if n else np.empty(0), stream)
+    return JumpTable(stream, np.array([stream.path], dtype=np.uint64), np.array([n]), times,
+                     mark_quantile(spec, u) if n else np.empty(0))
 
 
-def sample_paths(spec: LevyMeasureSpec, horizon: float, stream: RngStream, paths) -> list:
-    """`sample_path` at `stream.child(path=p)` for each address p of `paths`,
-    bit for bit, drawn for all paths at once on the Philox kernel.
+def jump_draws(spec: LevyMeasureSpec, horizon: float, stream: RngStream, paths):
+    """The jump counts and marks of the paths at the addresses `paths` of
+    `stream`: `sample_path`'s, bit for bit, on the Philox kernel.
 
-    The counts are numpy's Poisson sampler ported (`_poisson`), and a
-    path's times are the uniforms of its TAG_TIME stream that follow the
-    words its count consumed; its marks are `mark_quantile` of the first
-    count uniforms of its TAG_MARK stream (`_leading_draws`).
+    Returns the counts (`_poisson` on each path's TAG_TIME stream, in
+    passes of at most POISSON_PASS paths), the words each count consumed,
+    after which the path's times start, and `marks(p)`: the marks of the
+    paths `paths[p]` (all by default), concatenated, `mark_quantile` of the
+    first count uniforms of each one's TAG_MARK stream (`_leading_draws`).
     """
     paths = np.asarray(paths, dtype=np.uint64)
-    times = stream.child(tag=TAG_TIME)
-    counts, used = _poisson(times, paths, horizon * total_mass(spec))
+    times, lam = stream.child(tag=TAG_TIME), horizon * total_mass(spec)
+    counts = np.empty(len(paths), dtype=np.int64)
+    used = np.empty_like(counts)
+    for lo in range(0, len(paths), POISSON_PASS):
+        counts[lo:lo + POISSON_PASS], used[lo:lo + POISSON_PASS] = _poisson(
+            times, paths[lo:lo + POISSON_PASS], lam)
+    mark_stream = stream.child(tag=TAG_MARK)
+
+    def marks(p=slice(None)):
+        if not counts[p].any():
+            return np.empty(0)
+        return mark_quantile(spec, _leading_draws(mark_stream, paths[p], counts[p]))
+
+    return counts, used, marks
+
+
+def sample_paths(spec: LevyMeasureSpec, horizon: float, stream: RngStream, paths) -> JumpTable:
+    """`sample_path` at `stream.child(path=p)` for each address p of `paths`,
+    bit for bit, as one table drawn at once on the Philox kernel: the
+    counts and marks of `jump_draws`, and each path's times, the uniforms
+    of its TAG_TIME stream after the words its count consumed, sorted."""
+    paths = np.asarray(paths, dtype=np.uint64)
+    counts, used, marks = jump_draws(spec, horizon, stream, paths)
     # each path's uniforms sorted in a row of its own, padded with +inf
     inside = np.arange(counts.max(initial=0)) < counts[:, None]
     rows = np.full(inside.shape, np.inf)
-    rows[inside] = _leading_draws(times, paths, counts, skip=used)
+    rows[inside] = _leading_draws(stream.child(tag=TAG_TIME), paths, counts, skip=used)
     rows.sort(axis=1)
-    u = rows[inside] * horizon
-    marks = (mark_quantile(spec, _leading_draws(stream.child(tag=TAG_MARK), paths, counts))
-             if u.size else np.empty(0))
-    ends = np.cumsum(counts).tolist()
-    return [MarkedPoissonPath(horizon, u[lo:hi], marks[lo:hi], stream.child(path=p))
-            for p, lo, hi in zip(paths.tolist(), [0] + ends[:-1], ends)]
+    return JumpTable(stream, paths, counts, rows[inside] * horizon, marks())
 
 
 def rho_blocks(stream: RngStream, replicas, shape) -> np.ndarray:
@@ -102,7 +130,8 @@ def rho_blocks(stream: RngStream, replicas, shape) -> np.ndarray:
 
 @dataclass
 class JumpLanes:
-    """One jump from each of several paths of one stream (the lanes).
+    """One jump from each of several paths of one stream (the lanes): rows
+    of a `JumpTable`.
 
     Lane i is jump `index[i]` of the path at address `paths[i]` of
     `stream`, and carries that jump's mark.  A lane's draws come from the
@@ -116,6 +145,10 @@ class JumpLanes:
 
     def __len__(self) -> int:
         return len(self.marks)
+
+    def __getitem__(self, rows) -> JumpLanes:
+        """The lanes `rows` (an index array or a slice)."""
+        return JumpLanes(self.stream, self.paths[rows], self.index[rows], self.marks[rows])
 
     def draws(self, tag: int, replica: int | None = None):
         """Yield, lane by lane, a generator at the start of the lane's jump
@@ -174,18 +207,6 @@ def nested_steps(lanes: JumpLanes, durations, step: float, dim: int = 1):
     normals *= math.sqrt(step)
     normals[tails] = scaled
     return counts, widths, normals
-
-
-def nested_increments(lanes: JumpLanes, durations, step: float, dim: int = 1) -> np.ndarray:
-    """Brownian increments of every lane on its `nested_grid`.
-
-    Shape (max count, n lanes, dim); zero past a lane's last step.  These
-    are the rows of `nested_steps`, placed by one boolean-mask scatter.
-    """
-    counts, _, incs = nested_steps(lanes, durations, step, dim)
-    grid = np.zeros((len(counts), counts.max(initial=0), dim))     # lane-major
-    grid[np.arange(grid.shape[1]) < counts[:, None]] = incs
-    return grid.transpose(1, 0, 2)
 
 
 # numpy's log is within a few ulp of libm's, and every log of the PTRS test

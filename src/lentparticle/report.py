@@ -31,6 +31,11 @@ class RunReport:
     def add_estimate(self, name, value, se, n):
         self.estimates[name] = {"value": float(value), "se": float(se), "n": int(n)}
 
+    def add_mean(self, name, values):
+        """The mean of `values` as an estimate, with its iid standard error."""
+        v = np.asarray(values, dtype=float)
+        self.add_estimate(name, np.mean(v), np.std(v, ddof=1) / np.sqrt(len(v)), len(v))
+
     def dump(self, dest) -> None:
         """Write the report as JSON, stamped with the wall-clock time."""
         from . import __version__

@@ -146,12 +146,14 @@ def simple2d(eps: float = 0.5, trunc: float = 0.01, ymax: float = 1.0,
     spec = LevyMeasureSpec(eps, ymax=ymax, trunc=trunc)
     bottom = WienerSquareBottom()
 
-    def lower_bound(marks, bvals):
-        sel1 = (marks < 1.0) & (bvals >= np.sqrt(marks))
-        sel2 = (marks < 1.0) & (bvals <= -np.sqrt(marks))
-        m1 = float(np.sum(marks[sel1] ** 2))
-        m2 = float(np.sum(marks[sel2] ** 2))
-        return min(m1, m2)
+    def lower_bound(table, bvals):
+        # M1 ^ M2 of each path of a jump table, given each jump's B_y
+        y, n = table.marks, len(table.counts)
+        lane, root = np.arange(n).repeat(table.counts), np.sqrt(y)
+        small = np.where(y < 1.0, y ** 2, 0.0)
+        m1, m2 = (np.bincount(lane, np.where(side, small, 0.0), n)
+                  for side in (bvals >= root, bvals <= -root))
+        return np.minimum(m1, m2)
 
     return Scenario(
         name="simple2d", x0=np.zeros(2), horizon=horizon,

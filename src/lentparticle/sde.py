@@ -60,7 +60,7 @@ import numpy as np
 
 from .bottom import BottomStructure, CapabilityError, WienerOUBottom, flow_overflow
 from .measures import LevyMeasureSpec, compensator_integral
-from .prm import JumpLanes, MarkedPoissonPath, sample_paths
+from .prm import JumpLanes, JumpTable, sample_paths
 from .rng import RngStream
 
 DET_FLOOR = 1e-12
@@ -293,8 +293,8 @@ class EventError(RuntimeError):
         return f"{self.args[0]} (event {self.event_index})"
 
 
-def _event_tables(scenario: Scenario, paths: list):
-    """The events of every lane, built for all lanes at once.
+def _event_tables(scenario: Scenario, table: JumpTable):
+    """The events of every lane (path) of `table`, built for all lanes at once.
 
     A lane's events are the points of its grid (0 and T, plus an Euler grid
     when the state drifts) and its path's jumps, in time order, a grid
@@ -306,13 +306,10 @@ def _event_tables(scenario: Scenario, paths: list):
     count, largest first; stable), the (width, n) table of event times,
     event-major with the lanes in walking order and NaN past a lane's last
     event, and the jump rows sorted by event, then by lane in walking
-    order: their event, walking lane, jump index and mark.
+    order: their event, walking lane and jumps (`JumpLanes`).
     """
-    T, n = scenario.horizon, len(paths)
+    T, n, counts, s = scenario.horizon, len(table.counts), table.counts, table.times
     grid = np.linspace(0.0, T, N_STEPS + 1) if scenario.compensated else np.array([0.0, T])
-    counts = np.array([p.n_jumps for p in paths], dtype=np.intp)
-    s = np.concatenate([p.times for p in paths] or [np.empty(0)])
-    marks = np.concatenate([p.marks for p in paths] or [np.empty(0)])
     starts = counts.cumsum() - counts
     lane = np.arange(n).repeat(counts)
     index = np.arange(len(s)) - starts[lane]
@@ -334,12 +331,13 @@ def _event_tables(scenario: Scenario, paths: list):
     times = np.full((int(n_events[order[0]]) if n else 1, n), np.nan)
     # the cells of the grid points: in each lane, its first cells but the jumps' own
     grid_at = np.arange(len(times)) < n_events[order, None]     # lane-major, walking order
-    lane = walk[lane]
-    grid_at[lane[own], event[own]] = False
+    walking = walk[lane]
+    grid_at[walking[own], event[own]] = False
     times.T[grid_at] = np.tile(grid, n)
-    times[event[own], lane[own]] = s[own]
-    rows = np.lexsort((lane, event))
-    return n_events, order, times, event[rows], lane[rows], index[rows], marks[rows]
+    times[event[own], walking[own]] = s[own]
+    rows = np.lexsort((walking, event))
+    return (n_events, order, times, event[rows], walking[rows],
+            JumpLanes(table.stream, table.paths[lane[rows]], index[rows], table.marks[rows]))
 
 
 def _finite(a: np.ndarray) -> bool:
@@ -358,9 +356,10 @@ def _lanes(value, shape) -> np.ndarray:
     return out
 
 
-def integrate(scenario: Scenario, path: MarkedPoissonPath, order: int) -> Trajectory:
-    """Solve one path at jet order 1 (state, flow and covariance
-    accumulator) or 2 (order 1 plus the scalar table of `SimpleJets`).
+def integrate(scenario: Scenario, path: JumpTable, order: int) -> Trajectory:
+    """Solve the one path of `path` at jet order 1 (state, flow and
+    covariance accumulator) or 2 (order 1 plus the scalar table of
+    `SimpleJets`).
 
     Order 1 is the lockstep recursion run on the path alone, with the
     draws of its own stream.
@@ -371,23 +370,25 @@ def integrate(scenario: Scenario, path: MarkedPoissonPath, order: int) -> Trajec
         raise CapabilityError(
             f"jet order 2 needs simple, the mark jets of a scalar mark-sum scenario; "
             f"scenario {scenario.name!r} has none")
-    batch = _advance(scenario, [path])
+    batch = _advance(scenario, path)
     tab = None
     if order == 2:
-        full = scenario.simple.table(path.marks, np.array([path.n_jumps]), scenario.horizon,
+        full = scenario.simple.table(path.marks, path.counts, scenario.horizon,
                                      scenario.measure, scenario.compensated, 2)
         tab = {key: float(full[key][0]) for key in ("A", "G2", "XA", "XG2")}
     jumps = _concat(batch.jumps) if batch.jumps else JumpRows.empty(scenario.dim)
-    return Trajectory(times=batch.times[0], jumps=jumps, x=batch.x[0], k=batch.k[0],
-                      c=batch.c[0], kk_err=float(batch.kk_err[0]), order2=tab)
+    return Trajectory(times=batch.times[:batch.n_events[0], 0], jumps=jumps, x=batch.x[0],
+                      k=batch.k[0], c=batch.c[0], kk_err=float(batch.kk_err[0]), order2=tab)
 
 
 @dataclass
 class TrajectoryBatch:
     """A chunk of solved paths, one per lane."""
 
-    paths: list                            # MarkedPoissonPath per lane
-    times: list                            # each lane's event times
+    table: JumpTable                       # the lanes' paths
+    times: np.ndarray                      # (width, n) event times, NaN past a lane's last
+    order: np.ndarray                      # (n,) the lane of each column of `times`
+    n_events: np.ndarray                   # (n,) each lane's event count
     x: np.ndarray                          # (n, d) states at T
     k: np.ndarray                          # (n, d, d) flow derivative K
     c: np.ndarray                          # (n, d, d) accumulator C
@@ -405,14 +406,13 @@ def integrate_batch(scenario: Scenario, n_paths: int, stream: RngStream,
     """The order-1 recursion for paths [offset, offset + n) of `stream`.
 
     Path i is `prm.sample_path` at address p = path_offset + i + 1, as in
-    `ensemble.sample_mark_sets`, and gives what `integrate` gives for it;
-    `prm.sample_paths` draws the chunk's paths at once on the Philox kernel.
-    Each lane's arithmetic does not depend on the other lanes, so a chunk
-    split into parts gives the same bits as the whole.
+    `ensemble.mark_blocks`, and gives what `integrate` gives for it;
+    `prm.sample_paths` draws the chunk's table at once on the Philox
+    kernel.  Each lane's arithmetic does not depend on the other lanes, so a
+    chunk split into parts gives the same bits as the whole.
     """
-    paths = sample_paths(scenario.measure, scenario.horizon, stream,
-                         range(path_offset + 1, path_offset + n_paths + 1))
-    return _advance(scenario, paths)
+    return _advance(scenario, sample_paths(scenario.measure, scenario.horizon, stream,
+                                           range(path_offset + 1, path_offset + n_paths + 1)))
 
 
 def _blocks(rows: list) -> list:
@@ -514,15 +514,15 @@ def _excursions(scenario: Scenario, x: np.ndarray, rows: JumpLanes, je, jl, s_j,
 # the loop checks the state (and the nested scheme its inverse flow) for overflow and
 # raises, so numpy's overflow warnings would only repeat the failure
 @np.errstate(over="ignore", invalid="ignore")
-def _advance(scenario: Scenario, paths: list) -> TrajectoryBatch:
-    """The event recursion for every path, advanced in lockstep by event index.
+def _advance(scenario: Scenario, table: JumpTable) -> TrajectoryBatch:
+    """The event recursion for every path of `table`, advanced in lockstep
+    by event index.
 
-    Lane i is `paths[i]`, and its jumps draw from its path's stream.  The
-    paths' streams may differ only in their path address, as the streams
-    `stream.child(path=p)` of one chunk do.  The lanes are walked sorted by
-    event count, so the lanes still running at an event are a leading
-    slice, and so (without an Euler grid, where event k is jump k - 1) are
-    the lanes that jump there.  Results come back in the order of `paths`.
+    Lane i is path i of the table, and its jumps draw from its path's
+    stream.  The lanes are walked sorted by event count, so the lanes still
+    running at an event are a leading slice, and so (without an Euler grid,
+    where event k is jump k - 1) are the lanes that jump there.  Results
+    come back in the order of the table.
 
     The events run in blocks of whole events (`_blocks`).  A block's rows
     are its Euler rows (one per live lane and event, when compensated) and
@@ -555,15 +555,13 @@ def _advance(scenario: Scenario, paths: list) -> TrajectoryBatch:
     of the block's rows; joined in order, they hold every jump.
     """
     d, comp, bottom = scenario.dim, scenario.compensated, scenario.bottom
-    n_events, order, ev_times, je, jl, j_index, j_marks = _event_tables(scenario, paths)
-    n, width = len(paths), len(ev_times)
-    addresses = np.array([p.stream.path for p in paths])[order]
+    n_events, order, ev_times, je, jl, rows = _event_tables(scenario, table)
+    n, width = len(order), len(ev_times)
     live = (-n_events[order]).searchsorted(-np.arange(width)).tolist()     # n_events > k
     # the jump rows, event by event: event k has rows row_at[k] .. row_at[k + 1] - 1
     n_jumping = np.bincount(je, minlength=width).tolist()
     row_at = list(accumulate(n_jumping, initial=0))
-    s_j = ev_times[je, jl]
-    j_paths, j_lanes = addresses[jl], order[jl]
+    s_j, j_lanes = ev_times[je, jl], order[jl]
     x_j = np.empty((len(je), d))                    # pre-jump states
 
     def jumpers(k):
@@ -581,7 +579,6 @@ def _advance(scenario: Scenario, paths: list) -> TrajectoryBatch:
     jumps = []
     clock = not comp and isinstance(bottom, WienerOUBottom) and len(je) > 0
     if clock:
-        rows = JumpLanes(paths[0].stream, j_paths, j_index, j_marks)
         x, ev_rows = _excursions(scenario, x, rows, je, jl, s_j, x_j)
     for k0, k1 in _blocks([j + m * comp for j, m in zip(n_jumping, live)]):
         r0, r1 = row_at[k0], row_at[k1]             # the block's jump rows
@@ -619,8 +616,7 @@ def _advance(scenario: Scenario, paths: list) -> TrajectoryBatch:
                         a, b, sel = row_at[k], row_at[k + 1], jumpers(k)
                         s, xl = s_j[a:b], x_j[a:b]
                         xl[...] = x[sel]
-                        ev = bottom.eval_jumps(s, xl, JumpLanes(paths[0].stream, j_paths[a:b],
-                                                                j_index[a:b], j_marks[a:b]))
+                        ev = bottom.eval_jumps(s, xl, rows[a:b])
                         x[sel] = xl + _lanes(scenario.c(s, xl, ev), (b - a, d))
                         evs.append(ev)
                         groups.append((sel, ne + a - r0, ne + b - r0))
@@ -629,7 +625,7 @@ def _advance(scenario: Scenario, paths: list) -> TrajectoryBatch:
                 r = row_at[k]
                 if r > r0:
                     _jump_jacobians(scenario, s_j[r0:r], x_j[r0:r], _concat(evs), je[r0:r],
-                                    j_paths[r0:r])
+                                    rows.paths[r0:r])
                 raise
             ev = _concat(evs) if evs else None
             del evs                                 # the table keeps `ev` instead
@@ -643,7 +639,7 @@ def _advance(scenario: Scenario, paths: list) -> TrajectoryBatch:
             np.add(eye, step, out=B[:ne])
         if nj:
             s_b, x_b = s_j[r0:r1], x_j[r0:r1]
-            J[ne:] = _jump_jacobians(scenario, s_b, x_b, ev, je[r0:r1], j_paths[r0:r1])
+            J[ne:] = _jump_jacobians(scenario, s_b, x_b, ev, je[r0:r1], rows.paths[r0:r1])
             B[ne:] = np.linalg.inv(J[ne:])
             gamma = _lanes(bottom.jump_matrices(s_b, x_b, ev), (nj, d, d))
 
@@ -659,10 +655,10 @@ def _advance(scenario: Scenario, paths: list) -> TrajectoryBatch:
             kn_j, kbn_j = kn[ne:], kbn[ne:]
             _at(np.add, C, jl[r0:r1], kbn_j @ gamma @ kbn_j.transpose(0, 2, 1))
             # with Euler rows in kn, the table copies K so as not to keep them alive
-            jumps.append(JumpRows(event=je[r0:r1], lanes=j_lanes[r0:r1], index=j_index[r0:r1],
-                                  s=s_b, x=x_b, ev=ev, k=kn_j.copy() if ne else kn_j,
-                                  gamma=gamma))
+            jumps.append(JumpRows(event=je[r0:r1], lanes=j_lanes[r0:r1],
+                                  index=rows.index[r0:r1], s=s_b, x=x_b, ev=ev,
+                                  k=kn_j.copy() if ne else kn_j, gamma=gamma))
     back = np.argsort(order)
-    times = [ev_times[:m, w] for m, w in zip(n_events.tolist(), back.tolist())]
-    return TrajectoryBatch(paths=paths, times=times, x=x[back], k=K[back],
-                           c=C[back], kk_err=flow_err.max(axis=(1, 2))[back], jumps=jumps)
+    return TrajectoryBatch(table=table, times=ev_times, order=order, n_events=n_events,
+                           x=x[back], k=K[back], c=C[back],
+                           kk_err=flow_err.max(axis=(1, 2))[back], jumps=jumps)

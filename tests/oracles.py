@@ -11,10 +11,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from lentparticle import ensemble, prm, scenarios, sde
+from lentparticle import cli, ensemble, prm, scenarios, sde
 from lentparticle.bottom import CapabilityError
 from lentparticle.measures import LevyMeasureSpec, compensator_integral, total_mass
-from lentparticle.prm import JumpLanes, MarkedPoissonPath, sample_path
+from lentparticle.prm import JumpLanes, JumpTable, sample_path
 from lentparticle.rng import TAG_NESTED, TAG_NOISE, RngStream, philox_random
 from lentparticle.sde import SimpleJets
 
@@ -30,6 +30,33 @@ def mark_cdf(spec: LevyMeasureSpec, y) -> np.ndarray:
         raise ValueError("zero-mass measure has no mark distribution")
     yc = np.clip(np.atleast_1d(np.asarray(y, dtype=float)), spec.trunc, spec.ymax)
     return (spec.trunc ** -spec.eps - yc ** -spec.eps) / spec.eps / mass
+
+
+# ---------------------------------------------------------------------------
+# jump tables path by path
+# ---------------------------------------------------------------------------
+
+def one_path(times, marks, stream: RngStream) -> JumpTable:
+    """A hand-made table of the one path at `stream`'s path address."""
+    return JumpTable(stream, np.array([stream.path], dtype=np.uint64), np.array([len(times)]),
+                     np.asarray(times, dtype=float), np.asarray(marks, dtype=float))
+
+
+def split_paths(table: JumpTable) -> list:
+    """The one-path table of each path of `table`, at its own stream, as
+    `prm.sample_path` returns it."""
+    ends = np.cumsum(table.counts).tolist()
+    return [JumpTable(table.stream.child(path=p), np.array([p], dtype=np.uint64),
+                      np.array([hi - lo]), table.times[lo:hi], table.marks[lo:hi])
+            for p, lo, hi in zip(table.paths.tolist(), [0] + ends[:-1], ends)]
+
+
+def join_paths(paths: list) -> JumpTable:
+    """One table of the one-path tables `paths` of one seed, path after path."""
+    return JumpTable(paths[0].stream, np.concatenate([p.paths for p in paths]),
+                     np.concatenate([p.counts for p in paths]),
+                     np.concatenate([np.empty(0)] + [p.times for p in paths]),
+                     np.concatenate([np.empty(0)] + [p.marks for p in paths]))
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +100,7 @@ def joint_se(dens) -> np.ndarray:
 # iterated gradients of mark sums, orders 1 to 3
 # ---------------------------------------------------------------------------
 
-def iterated_gradient_simple(h_flats, path: MarkedPoissonPath, blocks: np.ndarray,
+def iterated_gradient_simple(h_flats, path: JumpTable, blocks: np.ndarray,
                              k: int) -> float:
     """k-fold gradient of a simple integral of h over the jump measure.
 
@@ -89,7 +116,7 @@ def iterated_gradient_simple(h_flats, path: MarkedPoissonPath, blocks: np.ndarra
     return float(np.dot(terms, np.prod(blocks[:k, :, 0], axis=0)))
 
 
-def gradient_terms(h_flats, path: MarkedPoissonPath, k: int) -> np.ndarray:
+def gradient_terms(h_flats, path: JumpTable, k: int) -> np.ndarray:
     """h_flats[k-1] at every mark of the path, after checking the order."""
     if not 1 <= k <= 3:
         raise ValueError("gradient order must be 1, 2 or 3")
@@ -151,7 +178,7 @@ def field_drift_walk(lanes: JumpLanes) -> np.ndarray:
 # event tables, lane by lane
 # ---------------------------------------------------------------------------
 
-def event_times_per_path(scenario, path: MarkedPoissonPath) -> np.ndarray:
+def event_times_per_path(scenario, path: JumpTable) -> np.ndarray:
     """The event grid of one path as the event loop once built it: 0, the
     jump times and T, plus the Euler grid when the state drifts; sorted,
     each time once.  It is the grid of `sde._event_tables` wherever no two
@@ -162,12 +189,13 @@ def event_times_per_path(scenario, path: MarkedPoissonPath) -> np.ndarray:
     return t[np.concatenate([[True], t[1:] != t[:-1]])]
 
 
-def event_tables_per_lane(scenario, paths: list):
+def event_tables_per_lane(scenario, table: JumpTable):
     """`sde._event_tables` by the per-lane loop it replaced, with the same
-    returns: each lane's `event_times_per_path`, its jump indices and marks
+    returns: each path's `event_times_per_path`, its jump indices and marks
     written lane by lane into event-major (width, n) tables, lanes in
     walking order, and the jumping cells, in row-major order, as the jump
     rows."""
+    paths = split_paths(table)
     times = [event_times_per_path(scenario, p) for p in paths]
     n_events = np.array([len(t) for t in times])
     order = np.argsort(-n_events, kind="stable")
@@ -176,15 +204,15 @@ def event_tables_per_lane(scenario, paths: list):
     jump_at = np.full((width, n), -1)
     mark_at = np.zeros((width, n))
     for lane, i in enumerate(order.tolist()):
-        t, p = times[i], paths[i]
-        at = np.searchsorted(t, p.times)
-        ev_times[:len(t), lane] = t
-        jump_at[at, lane] = np.arange(p.n_jumps)
-        mark_at[at, lane] = p.marks
+        ev_times[:len(times[i]), lane] = times[i]
+        at = np.searchsorted(times[i], paths[i].times)
+        jump_at[at, lane] = np.arange(paths[i].n_jumps)
+        mark_at[at, lane] = paths[i].marks
     jumping = jump_at >= 0
     jumping[0] = False                              # event 0 is the start, not a jump
     je, jl = np.nonzero(jumping)
-    return n_events, order, ev_times, je, jl, jump_at[je, jl], mark_at[je, jl]
+    return n_events, order, ev_times, je, jl, JumpLanes(
+        table.stream, table.paths[order[jl]], jump_at[je, jl], mark_at[je, jl])
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +235,7 @@ def per_event_excursions(scenario, x, rows: JumpLanes, je, jl, s_j, x_j):
             if b > a:
                 lanes = jl[a:b]
                 x_j[a:b] = x[lanes]
-                ev = scenario.bottom.eval_jumps(s_j[a:b], x_j[a:b], JumpLanes(
-                    rows.stream, rows.paths[a:b], rows.index[a:b], rows.marks[a:b]))
+                ev = scenario.bottom.eval_jumps(s_j[a:b], x_j[a:b], rows[a:b])
                 x[lanes] = x_j[a:b] + np.broadcast_to(scenario.c(s_j[a:b], x_j[a:b], ev),
                                                       (b - a, d))
                 evs.append(ev)
@@ -273,19 +300,9 @@ def traj_chunk_whole(args) -> dict:
     """`cli._traj_chunk` in one `sde.integrate_batch` over the whole range."""
     name, params, start, count, seed = args
     sc = scenarios.build(name, **params)
-    batch = sde.integrate_batch(sc, count, RngStream(seed=seed), path_offset=start)
-    gamma = batch.gamma
-    out = {"x": batch.x, "kk_err": batch.kk_err, "gamma_min_eig": np.linalg.eigvalsh(gamma)[:, 0],
-           "bound_margin": np.full(count, np.nan)}
-    lower_bound = sc.meta.get("pathwise_lower_bound")
-    if lower_bound is not None:
-        bvals = np.zeros((count, max((p.n_jumps for p in batch.paths), default=0)))
-        for rows in batch.jumps:
-            bvals[rows.lanes, rows.index] = rows.ev.b
-        eye = np.eye(sc.dim)
-        for i, path in enumerate(batch.paths):
-            bound = lower_bound(path.marks, bvals[i, :path.n_jumps])
-            out["bound_margin"][i] = float(np.linalg.eigvalsh(gamma[i] - bound * eye)[0])
+    out = {"x": np.empty((count, sc.dim)), "kk_err": np.empty(count),
+           "gamma_min_eig": np.empty(count), "bound_margin": np.full(count, np.nan)}
+    cli._traj_batch(sc, seed, start, out)
     return out
 
 

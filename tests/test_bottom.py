@@ -8,12 +8,12 @@ import pytest
 
 from lentparticle.bottom import EuclideanBottom, WienerOUBottom, WienerSquareBottom
 from lentparticle.measures import LevyMeasureSpec
-from lentparticle.prm import JumpLanes, MarkedPoissonPath, nested_grid, sample_path
+from lentparticle.prm import JumpLanes, nested_grid, sample_path
 from lentparticle.rng import RngStream
 from lentparticle.sde import SimpleJets, integrate_batch
 from lentparticle import scenarios
 
-from oracles import generator_symmetry_residual, symmetry_pair
+from oracles import generator_symmetry_residual, one_path, symmetry_pair
 
 SPEC = LevyMeasureSpec(0.5, ymax=1.0, trunc=0.01)
 
@@ -115,7 +115,7 @@ def _resolve(bottom, s, x, path, j):
 def _excursion(bottom, x, y, stream):
     """Flow derivative and Malliavin matrix of one nested excursion of
     duration y from x: jump 0 of a one-jump path on `stream`."""
-    path = MarkedPoissonPath(1.0, np.array([0.5]), np.array([y]), stream)
+    path = one_path([0.5], [y], stream)
     ev = _resolve(bottom, 0.5, x, path, 0)
     return ev.m[0], ev.m_inv[0], ev.gamma_m[0]
 

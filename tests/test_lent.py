@@ -8,12 +8,12 @@ import pytest
 from lentparticle import scenarios
 from lentparticle.lent import empirical_gamma, gradient_samples, malliavin_matrix
 from lentparticle.measures import LevyMeasureSpec
-from lentparticle.prm import MarkedPoissonPath, rho_blocks, sample_path
+from lentparticle.prm import JumpTable, rho_blocks, sample_path
 from lentparticle.rng import TAG_RHO, RngStream
 from lentparticle.sde import integrate
 
-from oracles import (LINEAR_BETA, gradient_terms, iterated_gradient_simple, pnorm_ratio,
-                     sharp_coefficients)
+from oracles import (LINEAR_BETA, gradient_terms, iterated_gradient_simple, one_path,
+                     pnorm_ratio, sharp_coefficients)
 
 SPEC = LevyMeasureSpec(0.5, ymax=1.0, trunc=0.01)
 
@@ -30,7 +30,7 @@ def _traj(name, seed, **kw):
 
 def test_matrix_no_jumps():
     sc = scenarios.build("compound")
-    path = MarkedPoissonPath(1.0, np.empty(0), np.empty(0), RngStream(seed=0))
+    path = one_path([], [], RngStream(seed=0))
     traj = integrate(sc, path, order=1)
     assert np.all(malliavin_matrix(traj).gamma == 0.0)
 
@@ -84,7 +84,7 @@ def test_gradient_insensitive_coefficient():
 
 def test_gradient_jumpless_path_draws_nothing(monkeypatch):
     sc = scenarios.build("compound")
-    path = MarkedPoissonPath(1.0, np.empty(0), np.empty(0), RngStream(seed=0))
+    path = one_path([], [], RngStream(seed=0))
     traj = integrate(sc, path, order=1)
 
     def refuse(*args, **kwargs):
@@ -99,7 +99,7 @@ def test_gradient_jumpless_path_draws_nothing(monkeypatch):
 # iterated gradients of mark sums
 # ---------------------------------------------------------------------------
 
-def gamma_k_simple(h_flats, path: MarkedPoissonPath, k: int,
+def gamma_k_simple(h_flats, path: JumpTable, k: int,
                    n_replicas: int, stream: RngStream) -> float:
     """Order-k energy of a simple integral, by averaging squared gradients.
 

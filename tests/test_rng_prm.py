@@ -10,7 +10,7 @@ from scipy.stats import kstest
 
 from lentparticle import cli, prm, rng, scenarios, sde
 from lentparticle.measures import LevyMeasureSpec, mark_quantile, total_mass
-from lentparticle.prm import JumpLanes, nested_increments, rho_blocks, sample_path, sample_paths
+from lentparticle.prm import JumpLanes, nested_steps, rho_blocks, sample_path, sample_paths
 from lentparticle.rng import (TAG_MARK, TAG_NESTED, TAG_NOISE, TAG_RHO, TAG_TIME, RngStream,
                               normal_quantile, philox_words, standard_normals)
 
@@ -142,16 +142,22 @@ def test_sample_paths_match_per_address(spec):
     lam = 1.5 * total_mass(spec)
     _, used = prm._poisson(stream.child(tag=TAG_TIME), np.array(addresses, dtype=np.uint64), lam)
     assert set((used % 4).tolist()) == ({2, 0} if lam >= 10 else {1, 2, 3, 0} if lam else {0})
-    batch = sample_paths(spec, 1.5, stream, addresses)
-    assert len(batch) == len(addresses)
-    for p, path in zip(addresses, batch):
+    table = sample_paths(spec, 1.5, stream, addresses)
+    assert table.stream == stream and table.paths.tolist() == addresses
+    assert len(table.times) == len(table.marks) == table.n_jumps == table.counts.sum()
+    ends = np.cumsum(table.counts).tolist()
+    for p, count, end in zip(addresses, table.counts.tolist(), ends):
         one = sample_path(spec, 1.5, stream.child(path=p))
         times, marks = _fresh_path(spec, 1.5, stream.child(path=p))
-        assert path.stream == stream.child(path=p) and path.horizon == 1.5
-        for got in (path, one):
-            assert got.times.dtype == times.dtype and got.marks.dtype == marks.dtype
-            assert np.array_equal(got.times, times) and np.array_equal(got.marks, marks)
-    assert sample_paths(spec, 1.5, stream, []) == []
+        assert one.stream == stream.child(path=p) and one.paths.tolist() == [p]
+        assert one.counts.tolist() == [one.n_jumps] == [count]
+        for got in ((table.times[end - count:end], table.marks[end - count:end]),
+                    (one.times, one.marks)):
+            assert got[0].dtype == times.dtype and got[1].dtype == marks.dtype
+            assert np.array_equal(got[0], times) and np.array_equal(got[1], marks)
+    empty = sample_paths(spec, 1.5, stream, [])
+    assert empty.stream == stream and empty.n_jumps == 0
+    assert all(a.shape == (0,) for a in (empty.paths, empty.counts, empty.times, empty.marks))
 
 
 def test_jump_times_uniform_on_horizon():
@@ -263,7 +269,7 @@ def test_walks_build_one_generator(monkeypatch, tmp_path):
 def _nested(path, duration, step):
     """Increments of an excursion of the given duration at jump 0 of `path`."""
     lanes = JumpLanes(path.stream, np.array([path.stream.path]), np.array([0]), path.marks[:1])
-    return nested_increments(lanes, [duration], step)[:, 0]
+    return nested_steps(lanes, [duration], step)[2]
 
 
 def test_nested_brownian_terminal_variance():
@@ -273,7 +279,8 @@ def test_nested_brownian_terminal_variance():
     paths = [p for p in paths if p.n_jumps]
     lanes = JumpLanes(RngStream(seed=40), np.array([p.stream.path for p in paths]),
                       np.zeros(len(paths), dtype=np.int64), np.array([p.marks[0] for p in paths]))
-    terms = nested_increments(lanes, np.full(len(paths), y), 0.1)[:, :, 0].sum(axis=0)
+    counts, _, incs = nested_steps(lanes, np.full(len(paths), y), 0.1)
+    terms = np.add.reduceat(incs[:, 0], np.cumsum(counts) - counts)
     se = math.sqrt(2.0 / len(terms)) * y   # SE of the sample variance
     assert abs(terms.var(ddof=1) - y) < 3 * se
 

@@ -13,12 +13,13 @@ from lentparticle.bottom import (CapabilityError, EuclideanBottom, WienerOUBotto
                                  WienerSquareBottom)
 from lentparticle.ensemble import sample_mark_sets, simple_ensemble
 from lentparticle.measures import LevyMeasureSpec, compensator_integral
-from lentparticle.prm import JumpLanes, MarkedPoissonPath, rho_blocks, sample_path, sample_paths
+from lentparticle.prm import JumpLanes, JumpTable, rho_blocks, sample_path, sample_paths
 from lentparticle.rng import RngStream
-from lentparticle.sde import EventError, Scenario, SimpleJets, integrate, integrate_batch
+from lentparticle.sde import (EventError, JumpRows, Scenario, SimpleJets, integrate,
+                              integrate_batch)
 
-from oracles import (LINEAR_BETA, event_tables_per_lane, event_times_per_path,
-                     per_event_excursions)
+from oracles import (LINEAR_BETA, event_tables_per_lane, event_times_per_path, join_paths,
+                     one_path, per_event_excursions, split_paths)
 
 SPEC = LevyMeasureSpec(0.5, ymax=1.0, trunc=0.01)
 
@@ -98,7 +99,7 @@ def test_compensated_flow_matches_exact_flow():
     batch = integrate_batch(sc, 400, RngStream(seed=42))
     rate = LINEAR_BETA * compensator_integral(sc.measure, lambda u: u, 1.0) * sc.horizon
     exact = sc.x0[0] * np.exp(-rate) * np.array([np.prod(1.0 + LINEAR_BETA * p.marks)
-                                                  for p in batch.paths])
+                                                  for p in split_paths(batch.table)])
     np.testing.assert_allclose(batch.x[:, 0] / exact - 1, -rate ** 2 / (2 * sde.N_STEPS),
                                rtol=0.02)
     np.testing.assert_allclose(batch.k[:, 0, 0] * sc.x0[0], batch.x[:, 0], rtol=1e-12, atol=0)
@@ -170,7 +171,7 @@ def test_every_jump_is_its_own_event(times, compensated):
     sc = scenarios.build("compound", compensated=compensated)
     times = np.array(times, dtype=float)
     marks = np.linspace(0.2, 0.3, len(times))
-    path = MarkedPoissonPath(1.0, times, marks, RngStream(seed=1))
+    path = one_path(times, marks, RngStream(seed=1))
     grid = np.linspace(0.0, 1.0, sde.N_STEPS + 1) if compensated else np.array([0.0, 1.0])
     want, at = _events_by_rule(grid, times)
     traj = integrate(sc, path, order=1)
@@ -187,12 +188,13 @@ def test_every_jump_is_its_own_event(times, compensated):
 def test_decreasing_jump_times_rejected():
     # within a path, not across the lanes of a chunk
     sc = scenarios.build("compound")
-    marks, stream = np.array([0.2, 0.3]), RngStream(seed=1)
-    ok = MarkedPoissonPath(1.0, np.array([0.1, 0.9]), marks, stream.child(path=1))
-    bad = MarkedPoissonPath(1.0, np.array([0.5, 0.2]), marks, stream.child(path=2))
+    ok = JumpTable(RngStream(seed=1), np.array([1, 2], dtype=np.uint64), np.array([2, 1]),
+                   np.array([0.1, 0.9, 0.05]), np.array([0.2, 0.3, 0.2]))
+    bad = replace(ok, counts=np.array([2, 2]), times=np.array([0.1, 0.9, 0.5, 0.2]),
+                  marks=np.array([0.2, 0.3, 0.2, 0.3]))
     with pytest.raises(ValueError, match="jump times must be non-decreasing"):
-        sde._advance(sc, [ok, bad])
-    sde._advance(sc, [ok, MarkedPoissonPath(1.0, np.array([0.05]), marks[:1], stream)])
+        sde._advance(sc, bad)
+    sde._advance(sc, ok)
 
 
 @pytest.mark.parametrize("name,params,lanes", [
@@ -204,12 +206,15 @@ def test_event_tables_match_per_lane_build(name, params, lanes):
     # all lanes at once, the tables are the per-lane loop's bit for bit,
     # with jumpless lanes among the lanes (a horizon of 0.1) and one lane
     sc = scenarios.build(name, **params)
-    paths = sample_paths(sc.measure, sc.horizon, RngStream(seed=41), range(1, lanes + 1))
+    table = sample_paths(sc.measure, sc.horizon, RngStream(seed=41), range(1, lanes + 1))
     if lanes > 1 and params.get("horizon"):
-        assert 0 < sum(p.n_jumps == 0 for p in paths) < lanes
-    got, want = sde._event_tables(sc, paths), event_tables_per_lane(sc, paths)
+        assert 0 < np.count_nonzero(table.counts == 0) < lanes
+    got, want = sde._event_tables(sc, table), event_tables_per_lane(sc, table)
     assert len(got) == len(want)
-    for a, b in zip(got, want):
+    rows, ref = got[-1], want[-1]
+    assert rows.stream == ref.stream
+    for a, b in zip(got[:-1] + (rows.paths, rows.index, rows.marks),
+                    want[:-1] + (ref.paths, ref.index, ref.marks)):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
@@ -224,7 +229,7 @@ def test_advance_on_per_lane_tables_bit_identical(monkeypatch, name, params, blo
     sc = scenarios.build(name, **params)
     chunk = sample_paths(sc.measure, sc.horizon, RngStream(seed=43), range(1, 9))
     monkeypatch.setattr(sde, "BLOCK_ROWS", block)
-    for paths in (chunk, chunk[-1:]):
+    for paths in (chunk, split_paths(chunk)[-1]):
         want = _batch_arrays(sde._advance(sc, paths))
         with monkeypatch.context() as m:
             m.setattr(sde, "_event_tables", event_tables_per_lane)
@@ -588,7 +593,7 @@ def _per_path_chunk(sc, seed, start, count):
         margin = math.nan
         lower_bound = sc.meta.get("pathwise_lower_bound")
         if lower_bound is not None:
-            bound = lower_bound(path.marks, np.array([ev.b for _, ev, *_ in jumps]))
+            bound = lower_bound(path, np.array([ev.b for _, ev, *_ in jumps]))[0]
             margin = float(np.linalg.eigvalsh(gamma - bound * np.eye(d))[0])
         rows.append((states[-1], path.n_jumps, kk, gamma, margin))
     return rows
@@ -605,7 +610,7 @@ def test_batch_matches_per_path_loop(name, params, horizon):
     out = cli._traj_chunk((name, params, start, count, 21))
     batch = integrate_batch(sc, count, RngStream(seed=21), path_offset=start)
     ref = _per_path_chunk(sc, 21, start, count)
-    counts = np.array([p.n_jumps for p in batch.paths])
+    counts = batch.table.counts
     if horizon is not None:
         assert 0 < np.count_nonzero(counts == 0) < count
     for i, (x, n_jumps, kk, gamma, margin) in enumerate(ref):
@@ -639,11 +644,38 @@ def test_lockstep_lane_order_bit_identical(name, params):
     # them: each lane of the chunk is what the path gives on its own
     sc = scenarios.build(name, **{"horizon": 0.3, **params})
     paths = _paths_with_counts(sc, RngStream(seed=23), [2, 0, 4, 4, 6, 1, 0, 3])
-    batch = sde._advance(sc, paths)
-    rows = sde._concat(batch.jumps)
+    _assert_lanes_are_the_paths(sc, sde._advance(sc, join_paths(paths)), paths)
+
+
+@pytest.mark.parametrize("horizon", [None, 0.1])
+@pytest.mark.parametrize("name", sorted(scenarios.CATALOG))
+def test_batch_is_the_per_path_route_bit_for_bit(name, horizon):
+    # a chunk's one jump table, drawn on the Philox kernel, gives each lane
+    # the bits `integrate` gives the path `sample_path` draws alone; at a
+    # horizon of 0.1 some lanes have no jump
+    sc = scenarios.build(name, **({} if horizon is None else {"horizon": horizon}))
+    count, offset = 12, 30
+    batch = integrate_batch(sc, count, RngStream(seed=42), path_offset=offset)
+    if horizon is not None:
+        assert 0 < np.count_nonzero(batch.table.counts == 0) < count
+    paths = [sample_path(sc.measure, sc.horizon, RngStream(seed=42, path=offset + i + 1))
+             for i in range(count)]
+    _assert_lanes_are_the_paths(sc, batch, paths)
+
+
+def _lane_times(batch, i):
+    """Lane i's event times in a `TrajectoryBatch`."""
+    return batch.times[:batch.n_events[i], np.flatnonzero(batch.order == i)[0]]
+
+
+def _assert_lanes_are_the_paths(sc, batch, paths):
+    """Lane i of `batch` has the bits `integrate` gives paths[i]: states,
+    flows, event times and jump rows."""
+    rows = sde._concat(batch.jumps) if batch.jumps else JumpRows.empty(sc.dim)
+    assert batch.table.counts.tolist() == [p.n_jumps for p in paths]
     for i, path in enumerate(paths):
         traj = integrate(sc, path, order=1)
-        np.testing.assert_array_equal(batch.times[i], traj.times)
+        np.testing.assert_array_equal(_lane_times(batch, i), traj.times)
         for key in ("x", "k", "c", "kk_err", "gamma"):
             np.testing.assert_array_equal(getattr(batch, key)[i], getattr(traj, key))
         mine = rows.lanes == i
@@ -684,7 +716,8 @@ def _batch_arrays(batch):
     rows = sde._concat(batch.jumps)
     ev = ([getattr(rows.ev, f.name) for f in fields(rows.ev)] if is_dataclass(rows.ev)
           else [rows.ev])
-    return [*batch.times, batch.x, batch.k, batch.c, batch.kk_err, rows.event, rows.lanes,
+    times = [_lane_times(batch, i) for i in range(len(batch.x))]
+    return [*times, batch.x, batch.k, batch.c, batch.kk_err, rows.event, rows.lanes,
             rows.index, rows.s, rows.x, rows.k, rows.gamma, *ev]
 
 
@@ -696,7 +729,7 @@ def test_blocks_are_invisible(monkeypatch, name, params, block):
     # its Euler events) give the same bits at any block size
     sc = scenarios.build(name, horizon=0.3, **params)
     chunk = sample_paths(sc.measure, sc.horizon, RngStream(seed=29), range(1, 7))
-    runs = [chunk, [max(chunk, key=lambda p: p.n_jumps)]]
+    runs = [chunk, max(split_paths(chunk), key=lambda p: p.n_jumps)]
     want = [_batch_arrays(sde._advance(sc, paths)) for paths in runs]
     monkeypatch.setattr(sde, "BLOCK_ROWS", block)
     for paths, ref in zip(runs, want):
@@ -722,7 +755,7 @@ def test_jump_rows_count_the_path_jumps(monkeypatch):
     assert path.n_jumps >= 5
     for block, tables in ((sde.BLOCK_ROWS, 1), (2, -(-path.n_jumps // 2))):
         monkeypatch.setattr(sde, "BLOCK_ROWS", block)
-        assert len(sde._advance(sc, [path]).jumps) == tables
+        assert len(sde._advance(sc, path).jumps) == tables
         assert len(integrate(sc, path, order=1).jumps) == path.n_jumps
 
 
@@ -790,8 +823,7 @@ def test_first_failing_event_raises(monkeypatch, singular_first, block):
                   c=lambda s, x, u: np.where(np.asarray(u)[..., None] == blowup, np.inf, 0.0),
                   dx_c=lambda s, x, u: np.where(np.asarray(u)[..., None, None] == singular,
                                                 -1.0, 0.0))
-    path = MarkedPoissonPath(1.0, np.array([0.1, 0.2, 0.3, 0.4]), marks,
-                             RngStream(seed=1, path=1))
+    path = one_path([0.1, 0.2, 0.3, 0.4], marks, RngStream(seed=1, path=1))
     with pytest.raises(EventError) as info:
         integrate(sc, path, order=1)
     if singular_first:
@@ -822,7 +854,7 @@ def test_nested_clock_matches_per_event_sweep(monkeypatch, name, block):
     for key in ("x", "k", "c", "kk_err"):
         assert np.array_equal(getattr(got, key), getattr(want, key)), key
     rows, ref = sde._concat(got.jumps), sde._concat(want.jumps)
-    assert len(rows) == sum(p.n_jumps for p in got.paths) > 100
+    assert len(rows) == got.table.n_jumps > 100
     for f in fields(rows):
         if f.name != "ev":
             assert np.array_equal(getattr(rows, f.name), getattr(ref, f.name)), f.name
@@ -843,7 +875,7 @@ def test_nested_clock_ticks_once_per_lane_step():
 
     sc = replace(sc, bottom=replace(sc.bottom, diff=diff))
     batch = integrate_batch(sc, 400, RngStream(seed=42))
-    steps = [np.ceil(p.marks / sc.bottom.step).astype(int) for p in batch.paths]
+    steps = [np.ceil(p.marks / sc.bottom.step).astype(int) for p in split_paths(batch.table)]
     per_event = sum(max((c[k] for c in steps if len(c) > k), default=0)
                     for k in range(max(map(len, steps))))
     assert max(c.sum() for c in steps) == 275 and per_event == 1266
@@ -868,9 +900,8 @@ def _planted(fails, c=None, dx_c=None):
         diff_jac=lambda z: np.where(fails(z), 1e300, 0.0)[:, :, None, None])
     sc = Scenario(name="planted", x0=np.zeros(1), horizon=1.0, measure=SPEC, bottom=bottom,
                   c=c or (lambda s, x, ev: ev.z), dx_c=dx_c or (lambda s, x, ev: ev.m - 1.0))
-    paths = [MarkedPoissonPath(1.0, np.array([0.1, 0.2, 0.3]), np.array([0.1, 0.1, 0.2]),
-                               RngStream(seed=3, path=1)),
-             MarkedPoissonPath(1.0, np.array([0.15]), np.array([1.0]), RngStream(seed=3, path=2))]
+    paths = join_paths([one_path([0.1, 0.2, 0.3], [0.1, 0.1, 0.2], RngStream(seed=3, path=1)),
+                        one_path([0.15], [1.0], RngStream(seed=3, path=2))])
     return sc, paths
 
 
@@ -903,4 +934,4 @@ def test_nested_clock_raises_the_first_failing_event(monkeypatch, case):
     for sweep in (sde._excursions, per_event_excursions):
         monkeypatch.setattr(sde, "_excursions", sweep)
         assert _raised(sc, paths) == want
-        assert _raised(sc, paths[:1]) == alone      # path 1 alone fails at its event 3
+        assert _raised(sc, split_paths(paths)[0]) == alone     # path 1 alone fails at event 3

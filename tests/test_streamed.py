@@ -30,7 +30,8 @@ def _bound(monkeypatch, size, *names):
         return
     for name in names:
         module, attr = name.split(".")
-        monkeypatch.setattr({"ensemble": ensemble, "cli": cli, "rng": rng}[module], attr, size)
+        monkeypatch.setattr({"ensemble": ensemble, "cli": cli, "prm": prm, "rng": rng}[module],
+                            attr, size)
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +43,7 @@ def _bound(monkeypatch, size, *names):
                                                         "compensated": True}])
 def test_simple_ensemble_matches_the_whole_chunk(monkeypatch, size, params):
     # PTRS (lam = 18) and the multiplication method (trunc 0.1), at an offset
-    _bound(monkeypatch, size, "ensemble.POISSON_PASS", "ensemble.BLOCK_MARKS")
+    _bound(monkeypatch, size, "prm.POISSON_PASS", "ensemble.BLOCK_MARKS")
     sc = scenarios.build("compound", **params)
     stream = RngStream(seed=11)
     n, offset = (60, 5) if size == 1 else (700, 333)
@@ -76,7 +77,7 @@ def test_traj_chunk_matches_one_batch(monkeypatch, size, name, params):
 
 @pytest.mark.parametrize("size", BOUNDS)
 def test_direct_route_matches_path_by_path(monkeypatch, size):
-    _bound(monkeypatch, size, "ensemble.POISSON_PASS", "ensemble.BLOCK_MARKS",
+    _bound(monkeypatch, size, "prm.POISSON_PASS", "ensemble.BLOCK_MARKS",
            "rng.NORMAL_SLICE")
     sc = scenarios.build("subordination-linear")
     got = cli._direct_route(sc, 150, 8)
@@ -87,12 +88,10 @@ def _chunk_lanes(name, n_paths, seed):
     """The jump lanes of a chunk's first `n_paths` paths, as its nested clock
     takes them (lane after lane), with the scenario's nested step."""
     sc = scenarios.build(name)
-    paths = prm.sample_paths(sc.measure, sc.horizon, RngStream(seed=seed),
+    table = prm.sample_paths(sc.measure, sc.horizon, RngStream(seed=seed),
                              range(1, n_paths + 1))
-    lanes = JumpLanes(RngStream(seed=seed),
-                      np.concatenate([np.full(p.n_jumps, p.stream.path) for p in paths]),
-                      np.concatenate([np.arange(p.n_jumps) for p in paths]),
-                      np.concatenate([p.marks for p in paths]))
+    lanes = JumpLanes(table.stream, table.paths.repeat(table.counts),
+                      np.concatenate([np.arange(n) for n in table.counts.tolist()]), table.marks)
     return lanes, sc.bottom.step, sc.bottom.n_brownian
 
 
@@ -144,7 +143,7 @@ def _outputs(tmp_path, tag, name, workers, paths):
 def test_run_reports_match_across_bounds_and_workers(tmp_path, monkeypatch, name, paths):
     # forked workers inherit the patched bounds
     want = _outputs(tmp_path, "default", name, 1, paths)
-    monkeypatch.setattr(ensemble, "POISSON_PASS", 7)
+    monkeypatch.setattr(prm, "POISSON_PASS", 7)
     monkeypatch.setattr(ensemble, "BLOCK_MARKS", 300)
     monkeypatch.setattr(cli, "LANE_BATCH", 7)
     for workers in (1, 2, 3):
@@ -325,7 +324,7 @@ def test_chunk_memory_grows_by_its_columns_only(monkeypatch):
     # or its event tables (several kB a lane) grows far faster.  The
     # Poisson pass is set below both ensemble sizes, so that its own
     # bounded temporaries are the same at both
-    monkeypatch.setattr(ensemble, "POISSON_PASS", 10_000)
+    monkeypatch.setattr(prm, "POISSON_PASS", 10_000)
     sc = scenarios.build("compound")
     ensemble.simple_ensemble(sc, 10, RngStream(seed=1), order=1)    # memoised quadratures
     small, large = (_peak(ensemble.simple_ensemble, sc, n, RngStream(seed=4), order=1)

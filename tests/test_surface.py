@@ -47,3 +47,25 @@ def test_every_public_name_has_a_caller_outside_tests():
                     and node.name not in named and (path.stem, node.name) not in ALLOWED):
                 unused.append(f"{path.stem}.{node.name}")
     assert not unused, f"public names that only tests reach: {unused}"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_reads_another_modules_private_names():
+    # a leading underscore keeps a name to its own module: one that another
+    # module needs gets a public name (imports, and reads through a sibling
+    # module such as `prm._poisson`)
+    modules = {path.stem for path in SOURCES}
+    reads = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                reads += [f"{path.stem}: {alias.name}" for alias in node.names
+                          if _private(alias.name)]
+            elif (isinstance(node, ast.Attribute) and _private(node.attr)
+                  and isinstance(node.value, ast.Name) and node.value.id in modules
+                  and node.value.id != path.stem):
+                reads.append(f"{path.stem}: {node.value.id}.{node.attr}")
+    assert not reads, f"private names read across modules: {reads}"

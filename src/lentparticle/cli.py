@@ -394,6 +394,11 @@ def run_pipeline(config: dict, pool=None) -> report.RunReport:
             raise ValueError(f"degenerate ensemble ({cause}): the estimates need 2 or more "
                              "paths with distinct X; raise run.paths, or the jump count by "
                              "raising params.horizon or lowering params.trunc")
+        accepted = int(np.count_nonzero(ens.gamma > ibp.DET_GAMMA_FLOOR))
+        if accepted < 2:
+            raise ValueError(f"{accepted} of {len(ens)} paths pass the Z1 acceptance (gamma > "
+                             f"{ibp.DET_GAMMA_FLOOR:g}): the IBP estimates need 2 or more; "
+                             "raise params.horizon or lower params.trunc")
         rep.add_mean("mean_x", ens.x)
         rep.add_mean("mean_gamma", ens.gamma)
 

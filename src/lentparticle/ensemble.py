@@ -77,7 +77,7 @@ def mark_blocks(scenario: Scenario, n_paths: int, stream: RngStream, path_offset
     """
     paths = np.arange(path_offset + 1, path_offset + n_paths + 1, dtype=np.uint64)
     counts, _, marks = jump_draws(scenario.measure, scenario.horizon, stream, paths)
-    return counts, ((p, marks(p)) for p, _ in _blocks(counts))
+    return counts, ((p, marks(p)) for p in _blocks(counts))
 
 
 def sample_mark_sets(scenario: Scenario, n_paths: int, stream: RngStream,
@@ -89,16 +89,15 @@ def sample_mark_sets(scenario: Scenario, n_paths: int, stream: RngStream,
 
 
 def _blocks(counts: np.ndarray):
-    """(path slice, mark slice) of each block of a chunk: runs of whole
-    paths, each of at most BLOCK_MARKS marks plus paths, or of one path
-    that has more."""
+    """The path slice of each block of a chunk: runs of whole paths, each of
+    at most BLOCK_MARKS marks plus paths, or of one path that has more."""
     size = np.zeros(len(counts) + 1, dtype=np.int64)
     np.add(counts, 1, out=size[1:])
     np.cumsum(size[1:], out=size[1:])           # marks plus paths before each path
     lo = 0
     while lo < len(counts):
         hi = max(lo + 1, int(np.searchsorted(size, size[lo] + BLOCK_MARKS, side="right")) - 1)
-        yield slice(lo, hi), slice(int(size[lo]) - lo, int(size[hi]) - hi)
+        yield slice(lo, hi)
         lo = hi
 
 

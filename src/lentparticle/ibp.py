@@ -19,8 +19,9 @@ the upper endpoint.
 
 Weights are implemented for scalar mark-sum scenarios, whose bracket
 table is carried by the vectorised ensemble: gamma, A and G2 = <X, gamma>
-for Z1, and for Z2 also the brackets of X with A and G2.  Everything is
-closed under explicit chain rules, no numerical differentiation anywhere.
+for Z1, and for Z2 also the brackets of X with A and G2.  Every
+derivative of a mark function is exact, carried by `sde.Jet`'s Taylor
+arithmetic; there is no numerical differentiation anywhere.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .ensemble import SimpleEnsemble
 from .measures import LevyMeasureSpec
-from .sde import SimpleJets
+from .sde import Jet, SimpleJets
 
 DET_GAMMA_FLOOR = 1e-10
 KERNEL_REACH = 40.0        # exp(-z^2 / 2) rounds to 0 beyond z = 38.61
@@ -45,7 +46,7 @@ def bracket(jx: SimpleJets, jy: SimpleJets, marks: np.ndarray) -> float:
     """Covariance bracket of two mark-sum functionals along one path."""
     if len(marks) == 0:
         return 0.0
-    return float(np.sum(jx.xi(marks) * jx.hp(marks) * jy.hp(marks)))
+    return float(np.sum(jx.xi(marks) * Jet.of(jx.h, marks, 1)[1] * Jet.of(jy.h, marks, 1)[1]))
 
 
 def functional_value(j: SimpleJets, marks: np.ndarray, t: float,

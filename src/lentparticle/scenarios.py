@@ -1,11 +1,13 @@
 """Catalog of ready-made scenarios.
 
-Each builder returns a fully wired Scenario with hand-written coefficient
-jets (mark jets must be analytically exact for the order-2 calculus, so
-there is no expression language -- the catalog is code, configured by
-numeric parameters only).  Every coefficient is written for one path and,
-with a leading lane axis on its arguments, for many paths at once (see
-`sde.Scenario`); a constant is left without the lane axis.
+Each builder returns a fully wired Scenario, configured by numeric
+parameters only (the catalog is code, with no expression language).  The
+mark functions h and xi are written once, with operators only, and
+`sde.Jet` takes their exact derivatives for the order-2 calculus; the
+state derivatives dx_c, comp_dx_c and diff_jac are written by hand.  Every
+coefficient is written for one path and, with a leading lane axis on its
+arguments, for many paths at once (see `sde.Scenario`); a constant is left
+without the lane axis.
 """
 
 from __future__ import annotations
@@ -42,10 +44,8 @@ def build(name: str, **params) -> Scenario:
 # ---------------------------------------------------------------------------
 
 def _power_weight(lo, hi):
-    """Form weight xi(u) = u^2 (with derivatives)."""
-    return (lambda u: u * u,
-            lambda u: 2.0 * u,
-            lambda u: 2.0)
+    """Form weight xi(u) = u^2."""
+    return lambda u: u * u
 
 
 def _bump_weight(lo, hi):
@@ -56,16 +56,7 @@ def _bump_weight(lo, hi):
     built on it: generator paths, adjoint formula, IBP weights) needs on a
     measure whose density does not itself vanish there.
     """
-    def xi(u):
-        return (u - lo) ** 2 * (hi - u) ** 2
-
-    def xip(u):
-        return 2 * (u - lo) * (hi - u) ** 2 - 2 * (u - lo) ** 2 * (hi - u)
-
-    def xipp(u):
-        return 2 * (hi - u) ** 2 - 8 * (u - lo) * (hi - u) + 2 * (u - lo) ** 2
-
-    return xi, xip, xipp
+    return lambda u: (u - lo) ** 2 * (hi - u) ** 2
 
 
 # the form weights of `compound` by name, each built from the support (lo, hi)
@@ -86,9 +77,8 @@ def compound(eps: float = 0.5, trunc: float = 0.01, ymax: float = 1.0,
     are only consistent under the "bump" choice.
     """
     spec = LevyMeasureSpec(eps, ymax=ymax, trunc=trunc)
-    xi, xip, xipp = WEIGHTS[weight](spec.trunc, spec.ymax)
-    jets = SimpleJets(h=lambda u: u, hp=lambda u: 1.0, hpp=lambda u: 0.0, hppp=lambda u: 0.0,
-                      xi=xi, xip=xip, xipp=xipp)
+    xi = WEIGHTS[weight](spec.trunc, spec.ymax)
+    jets = SimpleJets(h=lambda u: u, xi=xi)
 
     bottom = EuclideanBottom(xi=xi, c_u=lambda s, x, u: np.array([1.0]))
     mean_jump = jets.mean_h(spec)
@@ -114,7 +104,7 @@ def compound_linear(beta: float = 0.5, eps: float = 0.5, trunc: float = 0.01,
     The form weight on marks is xi(u) = u^2.
     """
     spec = LevyMeasureSpec(eps, ymax=ymax, trunc=trunc)
-    xi, _, _ = _power_weight(spec.trunc, spec.ymax)
+    xi = _power_weight(spec.trunc, spec.ymax)
     bottom = EuclideanBottom(xi=xi, c_u=lambda s, x, u: beta * x)
     mean_jump = float(compensator_integral(spec, lambda u: u, 1.0))
 

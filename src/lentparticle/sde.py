@@ -12,7 +12,9 @@ Order 2 is the scalar mark-sum calculus: for scenarios carrying SimpleJets
 it adds the table of the generator path A[X] and the carre-du-champ
 brackets that the integration-by-parts weights consume.  That table is
 `SimpleJets.table` on the path's marks, the same code the vectorised
-ensemble runs, and the generator a[.] is written only there.
+ensemble runs: two operators, the bracket and the generator a[.]
+(`mark_generator`), on the truncated-Taylor jets (`Jet`) of the two mark
+functions h and xi, so no derivative of either is written by hand.
 
 There is one event loop, `_advance`: every path of a chunk advances in
 lockstep by event index (jump index when uncompensated), on event tables
@@ -52,6 +54,7 @@ discretization error at all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from itertools import accumulate
 from typing import Callable
@@ -68,37 +71,138 @@ N_STEPS = 1000          # Euler steps on [0, T] in a compensated scenario's even
 BLOCK_ROWS = 2048       # rows (lane-events) an `_advance` block holds; sized in CHANGES.md
 # the columns of `SimpleJets.table` at each IBP weight order
 TABLE_COLUMNS = {1: ("X", "gamma", "A", "G2"), 2: ("X", "gamma", "A", "G2", "XA", "XG2")}
+# BINOMIALS[n][i] = n choose i, as floats, for Leibniz's rule on jets of order <= 15
+BINOMIALS = [[float(math.comb(n, i)) for i in range(n + 1)] for n in range(16)]
+
+
+def _num(v):
+    """A jet coefficient: a lane array as it is, any other number as a float."""
+    return v if isinstance(v, np.ndarray) else float(v)
+
+
+def _add(a, b):
+    """a + b, skipping a float 0."""
+    if type(a) is float and a == 0.0:
+        return b
+    return a if type(b) is float and b == 0.0 else a + b
+
+
+def _mul(a, b):
+    """a * b, skipping a float factor 0 or 1."""
+    if type(a) is float and (a == 0.0 or a == 1.0):
+        return b if a else 0.0
+    if type(b) is float and (b == 0.0 or b == 1.0):
+        return a if b else 0.0
+    return a * b
+
+
+class Jet:
+    """Forward-mode truncated Taylor jet of a function f of the marks: its
+    derivatives f, f', ..., f^(k) at a mark array (`c`), each a lane array
+    or, where it does not vary with the mark, a float (Griewank & Walther,
+    Evaluating Derivatives, ch. 13).
+
+    +, -, * (Leibniz's rule) and integer powers combine jets with each other
+    and with constants, truncated to the lower order; a float term 0 or
+    factor 1 is skipped, so the jet of u itself costs no array work.  Numpy
+    scalars and arrays defer to these operators (`__array_ufunc__ = None`);
+    an array operand is a constant, one value per lane.
+    """
+
+    __slots__ = ("c",)
+    __array_ufunc__ = None
+
+    def __init__(self, c: list):
+        self.c = c
+
+    @classmethod
+    def of(cls, f, u, order: int) -> Jet:
+        """The jet of f at marks u to `order`; f is an operator expression."""
+        value = f(cls([_num(u), 1.0] + [0.0] * (order - 1) if order else [_num(u)]))
+        return value if isinstance(value, Jet) else cls([_num(value)] + [0.0] * order)
+
+    def __getitem__(self, k: int):
+        return self.c[k]
+
+    @property
+    def d(self) -> Jet:
+        """The jet of f', one order lower."""
+        return Jet(self.c[1:])
+
+    def __add__(self, other):
+        if isinstance(other, Jet):
+            return Jet([_add(a, b) for a, b in zip(self.c, other.c)])
+        return Jet([_add(self.c[0], _num(other))] + self.c[1:])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Jet([-a for a in self.c])
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return Jet([_num(other) - self.c[0]] + [-v for v in self.c[1:]])
+
+    def __mul__(self, other):
+        if not isinstance(other, Jet):
+            k = _num(other)
+            return Jet([_mul(k, a) for a in self.c])
+        a, b, out = self.c, other.c, []
+        for n in range(min(len(a), len(b))):      # Leibniz's rule, `_mul` and `_add` inlined
+            total = None
+            for i, binomial in enumerate(BINOMIALS[n]):
+                x, y = a[i], b[n - i]
+                if type(x) is float:
+                    if x == 0.0:
+                        continue
+                    term = y if x == 1.0 else x * y
+                elif type(y) is float:
+                    if y == 0.0:
+                        continue
+                    term = x if y == 1.0 else x * y
+                else:
+                    term = x * y
+                if binomial != 1.0:
+                    term = binomial * term
+                total = term if total is None else total + term
+            out.append(0.0 if total is None else total)
+        return Jet(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if not isinstance(n, (int, np.integer)) or n < 0:
+            raise TypeError(f"a jet takes powers that are integers >= 0, got {n!r}")
+        out = Jet([1.0] + [0.0] * (len(self.c) - 1)) if n == 0 else self
+        for _ in range(n - 1):
+            out = out * self
+        return out
 
 
 @dataclass
 class SimpleJets:
-    """Closed-form mark jets for scalar jump heights c(s,x,u) = h(u).
+    """Mark jets for scalar jump heights c(s,x,u) = h(u).
 
-    Carries h with three derivatives and the form weight xi with two; the
-    log-density slope r = m'/m and r' come from the measure
-    (`LevyMeasureSpec.log_slope`).  From these it assembles the derived
-    quantities the order-2 calculus needs:
+    h and the form weight xi are each written once, as an operator
+    expression in the mark (+, -, * and integer powers of it and of
+    constants), so the same function runs on mark arrays and on `Jet`s,
+    which carry its derivatives; the log-density slope r = m'/m and r' come
+    from the measure (`LevyMeasureSpec.log_slope`).  The order-2 calculus
+    needs two operators on those jets, the bracket <N(f), N(g)> = N(xi f' g')
+    and the mark-space generator
 
-        g1 = xi h'^2                 (per-jump covariance increment)
-        ah = xi h''/2 + (xi'+xi r) h'/2     (generator applied to h)
-        g2 = xi h' g1'               (bracket of X with its covariance)
+        a[f] = xi f''/2 + (xi' + xi r) f'/2      (`mark_generator`),
 
-    plus the brackets of X with ah and g2.  ah is the library's one
-    writing of the mark-space generator a[.] (`_a`, which `table` also
-    applies to jet values): it comes from integrating the form xi f'^2 by
-    parts against the mark density m, so it is the generator only on
-    functions whose weighted flux xi m f' vanishes at both support
-    endpoints.  The compensator constants int h dnu and int a[h] dnu are
-    computed once per measure and memoised.
+    which comes from integrating the form xi f'^2 by parts against the mark
+    density m, so it is the generator only on functions whose weighted flux
+    xi m f' vanishes at both support endpoints.  The compensator constants
+    int h dnu and int a[h] dnu are computed once per measure and memoised.
     """
 
     h: Callable
-    hp: Callable
-    hpp: Callable
-    hppp: Callable
     xi: Callable
-    xip: Callable
-    xipp: Callable
     _means: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _mean(self, name: str, measure: LevyMeasureSpec, f) -> float:
@@ -115,6 +219,11 @@ class SimpleJets:
         """int a[h] dnu over the truncated measure."""
         return self._mean("ah", measure, lambda u: self.ah(u, measure))
 
+    def _jets(self, u, measure: LevyMeasureSpec, order: int):
+        """The jets of h to order + 1, and of xi and r to order and order - 1."""
+        return (Jet.of(self.h, u, order + 1), Jet.of(self.xi, u, order),
+                Jet(list(measure.log_slope(u, order))))
+
     def table(self, marks: np.ndarray, counts, t: float, measure: LevyMeasureSpec,
               compensated: bool, order: int) -> dict:
         """Table of X = N(h) at time t for the IBP weight of `order`, one
@@ -122,23 +231,22 @@ class SimpleJets:
 
         Path i owns the next counts[i] marks of the concatenated array.
         The columns are TABLE_COLUMNS[order].  Order 1 holds what Z1 reads:
-        X (compensated by t int h dnu if asked), gamma = <X, X>, A = A[X]
-        (always compensated) and G2 = <X, gamma> = N(xi h' g1'); the
+        X (compensated by t int h dnu if asked), gamma = <X, X> = N(xi h'^2),
+        A = A[X] = N(a[h]) (always compensated) and G2 = <X, gamma>; the
         vectorised `run` asks for it.  Order 2 adds what Z2 reads,
-        XA = <X, A> = N(xi h' a[h]') and XG2 = <X, G2> = N(xi h' g2'), on
-        top of the same order-1 columns; `integrate(order=2)` and the
-        ensembles that `ibp.weight(ens, 2)` weighs ask for it.  Each jet the
-        order needs and the log slope (h''', xi'' and r' only at order 2)
-        are evaluated once, on the whole mark array, and every integrand is
-        assembled from those values.
+        XA = <X, A> and XG2 = <X, G2>, on top of the same order-1 columns;
+        `integrate(order=2)` and the ensembles that `ibp.weight(ens, 2)`
+        weighs ask for it.  h and xi are evaluated once each, on the whole
+        mark array, as jets of the orders the columns need.
         """
         if order not in TABLE_COLUMNS:
             raise ValueError(f"table order must be 1 or 2, got {order!r}")
-        h, hp, hpp, xi, xip = (jet(marks) for jet in (self.h, self.hp, self.hpp,
-                                                         self.xi, self.xip))
-        slope = measure.log_slope(marks, order)
-        r = slope[0]
-        g1p = xip * hp ** 2 + 2 * xi * hp * hpp
+        h, xi, r = self._jets(marks, measure, order)
+        dh = h.d
+        xi_dh = xi * dh
+
+        def br(g):      # <X, N(g)> = N(xi h' g')
+            return xi_dh * g.d
 
         # per-path sums: path i's marks start at starts[i], the paths with
         # no mark sum to zero
@@ -151,30 +259,27 @@ class SimpleJets:
             out[jumped] = np.add.reduceat(values, starts)
             return out
 
-        x = seg(h)
+        x = seg(h[0])
         if compensated:
             x = x - t * self.mean_h(measure)
-        tab = {"X": x, "gamma": seg(xi * hp ** 2),
-               "A": seg(_a(xi, xip, r, hp, hpp)) - t * self.mean_ah(measure),
-               "G2": seg(xi * hp * g1p)}
+        gamma = xi * dh ** 2       # <X, X>, rounded as xi (h'^2) like the hand-expanded reference
+        a, g2 = mark_generator(xi, r, h), br(gamma)
+        tab = {"X": x, "gamma": seg(gamma[0]), "A": seg(a[0]) - t * self.mean_ah(measure),
+               "G2": seg(g2[0])}
         if order == 2:
-            hppp, xipp, rp = self.hppp(marks), self.xipp(marks), slope[1]
-            g1pp = xipp * hp ** 2 + 4 * xip * hp * hpp + 2 * xi * (hpp ** 2 + hp * hppp)
-            ahp = (0.5 * xip * hpp + 0.5 * xi * hppp
-                   + 0.5 * (xipp + xip * r + xi * rp) * hp + 0.5 * (xip + xi * r) * hpp)
-            g2p = xip * hp * g1p + xi * hpp * g1p + xi * hp * g1pp
-            tab["XA"] = seg(xi * hp * ahp)
-            tab["XG2"] = seg(xi * hp * g2p)
+            tab["XA"], tab["XG2"] = seg(br(a)[0]), seg(br(g2)[0])
         return tab
 
     def ah(self, u, measure: LevyMeasureSpec):
         """a[h] at marks u, under the density of `measure`."""
-        return _a(self.xi(u), self.xip(u), measure.log_slope(u, 1)[0], self.hp(u), self.hpp(u))
+        h, xi, r = self._jets(u, measure, 1)
+        return mark_generator(xi, r, h)[0]
 
 
-def _a(xi, xip, r, fp, fpp):
-    """The mark-space generator a[f] = xi f''/2 + (xi' + xi r) f'/2, from jet values."""
-    return 0.5 * xi * fpp + 0.5 * (xip + xi * r) * fp
+def mark_generator(xi: Jet, r: Jet, f: Jet) -> Jet:
+    """The mark-space generator a[f] = xi f''/2 + (xi' + xi r) f'/2 on jets:
+    f to order k + 2, xi to k + 1 and r to k give a[f] to order k."""
+    return 0.5 * (xi * f.d.d + (xi.d + xi * r) * f.d)
 
 
 @dataclass

@@ -7,7 +7,7 @@ back from its builder), kept here as an oracle.
 
 import inspect
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from lentparticle.bottom import CapabilityError
 from lentparticle.measures import LevyMeasureSpec, compensator_integral, total_mass
 from lentparticle.prm import JumpLanes, JumpTable, sample_path
 from lentparticle.rng import TAG_NESTED, TAG_NOISE, RngStream, philox_random
-from lentparticle.sde import SimpleJets
+from lentparticle.sde import Jet, SimpleJets
 
 # the jump scale of `compound-linear` as the catalog builds it by default
 LINEAR_BETA = inspect.signature(scenarios.compound_linear).parameters["beta"].default
@@ -63,8 +63,7 @@ def join_paths(paths: list) -> JumpTable:
 # mark-space calculus
 # ---------------------------------------------------------------------------
 
-def generator_symmetry_residual(jets: SimpleJets, measure: LevyMeasureSpec,
-                                f, fp, fpp, g, gp) -> float:
+def generator_symmetry_residual(jets: SimpleJets, measure: LevyMeasureSpec, f, g) -> float:
     """int a[f] g dnu + 1/2 int xi f' g' dnu, with a[f] the `SimpleJets.ah`
     of the jets' form weight and measure, applied to f instead of h.
 
@@ -72,23 +71,89 @@ def generator_symmetry_residual(jets: SimpleJets, measure: LevyMeasureSpec,
     xi m f' g of the test pair vanishes at both support endpoints; the
     executable symmetry check of the generator formula.
     """
-    af = replace(jets, h=f, hp=fp, hpp=fpp).ah
+    af = replace(jets, h=f).ah
     return float(compensator_integral(
-        measure, lambda u: af(u, measure) * g(u) + 0.5 * jets.xi(u) * fp(u) * gp(u), 1.0))
+        measure, lambda u: af(u, measure) * g(u)
+        + 0.5 * jets.xi(u) * Jet.of(f, u, 1)[1] * Jet.of(g, u, 1)[1], 1.0))
 
 
 def symmetry_pair(measure: LevyMeasureSpec):
-    """A test pair (f, f', f'', g, g') whose flux vanishes at both endpoints
-    of the measure's support: f is the bump weight, g(u) = u."""
-    return (*scenarios._bump_weight(measure.trunc, measure.ymax),
-            lambda u: u, lambda u: 1.0)
+    """A test pair (f, g) whose flux vanishes at both endpoints of the
+    measure's support: f is the bump weight, g(u) = u."""
+    return scenarios._bump_weight(measure.trunc, measure.ymax), lambda u: u
 
 
 def sharp_coefficients(j: SimpleJets, marks: np.ndarray) -> np.ndarray:
     """Per-jump loadings of the gradient: grad = sum_j coef_j * rho_j."""
     if len(marks) == 0:
         return np.empty(0)
-    return np.sqrt(j.xi(marks)) * j.hp(marks)
+    return np.sqrt(j.xi(marks)) * Jet.of(j.h, marks, 1)[1]
+
+
+# ---------------------------------------------------------------------------
+# the mark-sum table by hand-expanded chain rules
+# ---------------------------------------------------------------------------
+
+# the catalog's form weights with their derivatives by hand, (xi, xi', xi'')
+# of the support (lo, hi)
+HAND_WEIGHTS = {
+    "power": lambda lo, hi: (lambda u: u * u, lambda u: 2.0 * u, lambda u: 2.0),
+    "bump": lambda lo, hi: (
+        lambda u: (u - lo) ** 2 * (hi - u) ** 2,
+        lambda u: 2 * (u - lo) * (hi - u) ** 2 - 2 * (u - lo) ** 2 * (hi - u),
+        lambda u: 2 * (hi - u) ** 2 - 8 * (u - lo) * (hi - u) + 2 * (u - lo) ** 2)}
+
+
+@dataclass
+class HandJets:
+    """h with three derivatives and xi with two, each written by hand: the
+    reference `SimpleJets.table` is checked against."""
+
+    h: object
+    hp: object
+    hpp: object
+    hppp: object
+    xi: object
+    xip: object
+    xipp: object
+
+    def ah(self, u, measure: LevyMeasureSpec):
+        """a[h] = xi h''/2 + (xi' + xi r) h'/2 at marks u."""
+        r = measure.log_slope(u, 1)[0]
+        return 0.5 * self.xi(u) * self.hpp(u) + 0.5 * (self.xip(u) + self.xi(u) * r) * self.hp(u)
+
+    def table(self, marks, counts, t, measure, compensated, order) -> dict:
+        """`SimpleJets.table`'s columns, every chain rule expanded by hand."""
+        h, hp, hpp, xi, xip = (jet(marks) for jet in (self.h, self.hp, self.hpp,
+                                                         self.xi, self.xip))
+        slope = measure.log_slope(marks, order)
+        r = slope[0]
+        g1p = xip * hp ** 2 + 2 * xi * hp * hpp
+        jumped = counts > 0
+        starts = (np.cumsum(counts) - counts)[jumped]
+
+        def seg(values):
+            values = np.ascontiguousarray(np.broadcast_to(values, marks.shape), dtype=float)
+            out = np.zeros(len(counts))
+            out[jumped] = np.add.reduceat(values, starts)
+            return out
+
+        x = seg(h)
+        if compensated:
+            x = x - t * float(compensator_integral(measure, self.h, 1.0))
+        mean_ah = float(compensator_integral(measure, lambda u: self.ah(u, measure), 1.0))
+        tab = {"X": x, "gamma": seg(xi * hp ** 2),
+               "A": seg(0.5 * xi * hpp + 0.5 * (xip + xi * r) * hp) - t * mean_ah,
+               "G2": seg(xi * hp * g1p)}
+        if order == 2:
+            hppp, xipp, rp = self.hppp(marks), self.xipp(marks), slope[1]
+            g1pp = xipp * hp ** 2 + 4 * xip * hp * hpp + 2 * xi * (hpp ** 2 + hp * hppp)
+            ahp = (0.5 * xip * hpp + 0.5 * xi * hppp
+                   + 0.5 * (xipp + xip * r + xi * rp) * hp + 0.5 * (xip + xi * r) * hpp)
+            g2p = xip * hp * g1p + xi * hpp * g1p + xi * hp * g1pp
+            tab["XA"] = seg(xi * hp * ahp)
+            tab["XG2"] = seg(xi * hp * g2p)
+        return tab
 
 
 def joint_se(dens) -> np.ndarray:

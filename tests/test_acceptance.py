@@ -17,7 +17,7 @@ from scipy.integrate import quad
 from lentparticle import cli, ensemble, ibp, lent, prm, report, scenarios, sde
 from lentparticle.measures import LevyMeasureSpec, tauberian_fit
 from lentparticle.rng import TAG_RHO, RngStream
-from lentparticle.sde import SimpleJets
+from lentparticle.sde import Jet, SimpleJets
 from lentparticle.diagnostics import small_ball_fit
 
 from oracles import (LINEAR_BETA, generator_symmetry_residual, joint_se, pnorm_ratio,
@@ -124,9 +124,10 @@ def test_criterion_04_ibp_vs_characteristic_function(ens_power_100k):
     bare = f(x) * w1.values[w1.accepted]
     boundary = np.zeros_like(bare)
     for e, sign in ((spec.trunc, -1.0), (spec.ymax, 1.0)):
-        phi = float(sj.xi(e) * sj.hp(e) * spec.density(e))
+        hp = Jet.of(sj.h, e, 1)[1]
+        phi = float(sj.xi(e) * hp * spec.density(e))
         boundary += sign * sc.horizon * phi * (
-            f(x + sj.h(e)) / (gamma + sj.xi(e) * sj.hp(e) ** 2) - f(x) / gamma)
+            f(x + sj.h(e)) / (gamma + sj.xi(e) * hp ** 2) - f(x) / gamma)
     corrected, se = _block_mean_se(bare + boundary)
     assert 3 * se <= 0.2 * abs(exact), f"3 SE {3 * se:.4f} vs oracle {exact:.4f}"
     assert abs(corrected - exact) < 3 * se, (
@@ -140,9 +141,7 @@ def test_criterion_05_adjoint_duality():
     """E over paths and rho-draws of Z-grad X Y-grad vs E[Z delta[X grad Y]]."""
     sc = scenarios.build("compound", weight="bump")
     sj = sc.simple
-    jet2 = SimpleJets(h=lambda u: 0.5 * u * u, hp=lambda u: u,
-                      hpp=lambda u: 1.0 + 0.0 * u, hppp=lambda u: 0.0 * u,
-                      xi=sj.xi, xip=sj.xip, xipp=sj.xipp)
+    jet2 = SimpleJets(h=lambda u: 0.5 * u * u, xi=sj.xi)
     n_paths, n_rho = 10_000, 100
     counts, marks = ensemble.sample_mark_sets(sc, n_paths, RngStream(seed=5))
     offsets = np.concatenate([[0], np.cumsum(counts)])

@@ -18,10 +18,9 @@ from oracles import generator_symmetry_residual, one_path, symmetry_pair
 SPEC = LevyMeasureSpec(0.5, ymax=1.0, trunc=0.01)
 
 
-def _jets(h, hp, hpp):
+def _jets(h):
     """Mark jets of h under xi = u^2."""
-    return SimpleJets(h=h, hp=hp, hpp=hpp, hppp=lambda u: 0.0 * u,
-                      xi=lambda u: u * u, xip=lambda u: 2 * u, xipp=lambda u: 2.0 + 0.0 * u)
+    return SimpleJets(h=h, xi=lambda u: u * u)
 
 
 # ---------------------------------------------------------------------------
@@ -61,13 +60,13 @@ def test_gamma_psd_at_probes(rng):
 # ---------------------------------------------------------------------------
 
 def test_generator_constant_coefficient():
-    jets = _jets(lambda u: 0.0 * u + 1.0, lambda u: 0.0 * u, lambda u: 0.0 * u)
+    jets = _jets(lambda u: 0.0 * u + 1.0)
     assert jets.ah(0.3, SPEC) == pytest.approx(0.0)
 
 
 def test_generator_power_weight_closed_form():
     # xi = u^2, SPEC's density slope -1.5/u, h = u: a[h] = (2u + u^2(-1.5/u))/2 = u/4
-    jets = _jets(lambda u: u, lambda u: 1.0 + 0.0 * u, lambda u: 0.0 * u)
+    jets = _jets(lambda u: u)
     assert jets.ah(0.8, SPEC) == pytest.approx(0.2, rel=1e-12)
 
 

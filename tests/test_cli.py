@@ -191,6 +191,23 @@ def test_zero_mass_run_is_hypothesis_failure(tmp_path, capsys):
         assert not (tmp_path / name).exists()
 
 
+@pytest.mark.parametrize("seed", [1, 2, 5, 10])
+def test_run_with_one_accepted_path_is_hypothesis_failure(tmp_path, capsys, seed):
+    # at this horizon the X of the 150 paths are not all equal, but only
+    # one path has gamma above the Z1 floor: its weighted estimate would
+    # be a mean of one value with a NaN standard error
+    name = f"accept-{seed}"
+    path, _ = _config(tmp_path, name, params={"weight": "bump", "horizon": 0.0005},
+                      run={"seed": seed, "paths": 150, "rho_replicas": 100})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = _exit_and_stderr(capsys, ["run", str(path)])
+    assert code == cli.EXIT_HYPOTHESIS, err
+    assert "Z1 acceptance" in err and "params.horizon" in err and "params.trunc" in err
+    assert "Warning" not in err
+    assert not (tmp_path / name).exists()
+
+
 @pytest.mark.parametrize("command", ["validate", "run", "crosscheck"])
 def test_ymax_range_checked_before_simulation(tmp_path, capsys, command):
     path, _ = _config(tmp_path, "negymax", scenario="subordination-linear",

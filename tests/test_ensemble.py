@@ -149,20 +149,20 @@ def test_blocks_match_whole_chunk(weight, compensated, horizon):
             assert a.dtype == b.dtype == c.dtype, (order, f.name)
             assert np.array_equal(a, b) and np.array_equal(a, c), (order, f.name)
 
-    # the blocks tile the paths, each holds the marks of its own paths, and
-    # only the last is short
+    # the blocks tile the paths, each of at most BLOCK_MARKS marks plus
+    # paths, and only the last is short
     counts = ref.n_jumps
     before = np.concatenate([[0], np.cumsum(counts)])     # marks before each path
     blocks = list(ensemble._blocks(counts))
     assert len(blocks) >= 3
-    assert [p.start for p, _ in blocks] == [0] + [p.stop for p, _ in blocks[:-1]]
-    assert blocks[-1][0].stop == n
+    assert [p.start for p in blocks] == [0] + [p.stop for p in blocks[:-1]]
+    assert blocks[-1].stop == n
     entries = []
-    for p, m in blocks:
-        assert p.start < p.stop and (m.start, m.stop) == (before[p.start], before[p.stop])
-        entries.append(m.stop - m.start + p.stop - p.start)
+    for p in blocks:
+        assert p.start < p.stop
+        entries.append(before[p.stop] - before[p.start] + p.stop - p.start)
     assert max(entries) <= size and entries[-1] < min(entries[:-1])
-    jumps = np.array([counts[p].sum() for p, _ in blocks])
+    jumps = np.array([counts[p].sum() for p in blocks])
     if horizon < 1:
         assert (jumps == 0).any()
     else:
@@ -171,9 +171,7 @@ def test_blocks_match_whole_chunk(weight, compensated, horizon):
 
 def test_block_holds_one_path_with_more_marks():
     counts = np.array([3, ensemble.BLOCK_MARKS + 7, 0, 2])
-    assert list(ensemble._blocks(counts)) == [
-        (slice(0, 1), slice(0, 3)), (slice(1, 2), slice(3, ensemble.BLOCK_MARKS + 10)),
-        (slice(2, 4), slice(ensemble.BLOCK_MARKS + 10, ensemble.BLOCK_MARKS + 12))]
+    assert list(ensemble._blocks(counts)) == [slice(0, 1), slice(1, 2), slice(2, 4)]
 
 
 def test_chunk_temporaries_stay_block_sized():

@@ -37,9 +37,7 @@ def _cf_oracle(spec):
 
 def _unit_jet(sj):
     """Jets of the constant functional 1 (flat gradient, zero bracket)."""
-    return SimpleJets(h=lambda u: 0.0 * u + 0.0, hp=lambda u: 0.0 * u,
-                      hpp=lambda u: 0.0 * u, hppp=lambda u: 0.0 * u,
-                      xi=sj.xi, xip=sj.xip, xipp=sj.xipp)
+    return SimpleJets(h=lambda u: 0.0 * u + 0.0, xi=sj.xi)
 
 
 def test_delta_constant_left_factor():

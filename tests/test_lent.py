@@ -10,7 +10,7 @@ from lentparticle.lent import empirical_gamma, gradient_samples, malliavin_matri
 from lentparticle.measures import LevyMeasureSpec
 from lentparticle.prm import JumpTable, rho_blocks, sample_path
 from lentparticle.rng import TAG_RHO, RngStream
-from lentparticle.sde import integrate
+from lentparticle.sde import Jet, integrate
 
 from oracles import (LINEAR_BETA, gradient_terms, iterated_gradient_simple, one_path,
                      pnorm_ratio, sharp_coefficients)
@@ -114,7 +114,7 @@ def gamma_k_simple(h_flats, path: JumpTable, k: int,
 
 def _flats(sc):
     sj = sc.simple
-    flat1 = lambda u: math.sqrt(sj.xi(u)) * sj.hp(u)
+    flat1 = lambda u: math.sqrt(sj.xi(u)) * Jet.of(sj.h, u, 1)[1]
     return [flat1]
 
 

@@ -7,6 +7,8 @@ from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lentparticle import cli, ibp, lent, scenarios, sde
 from lentparticle.bottom import (CapabilityError, EuclideanBottom, WienerOUBottom,
@@ -18,8 +20,9 @@ from lentparticle.rng import RngStream
 from lentparticle.sde import (EventError, JumpRows, Scenario, SimpleJets, integrate,
                               integrate_batch)
 
-from oracles import (LINEAR_BETA, event_tables_per_lane, event_times_per_path, join_paths,
-                     one_path, per_event_excursions, split_paths)
+from oracles import (HAND_WEIGHTS, LINEAR_BETA, HandJets, event_tables_per_lane,
+                     event_times_per_path, join_paths, one_path, per_event_excursions,
+                     split_paths)
 
 SPEC = LevyMeasureSpec(0.5, ymax=1.0, trunc=0.01)
 
@@ -28,7 +31,7 @@ def _null_scenario():
     """State never moves: zero jump coefficient, zero form, no drift."""
     zero = lambda u: 0.0 * u
     bottom = EuclideanBottom(xi=lambda u: 0.0, c_u=lambda s, x, u: np.array([0.0]))
-    jets = SimpleJets(h=zero, hp=zero, hpp=zero, hppp=zero, xi=zero, xip=zero, xipp=zero)
+    jets = SimpleJets(h=zero, xi=zero)
     return Scenario(name="null", x0=np.array([3.0]), horizon=1.0,
                     measure=SPEC, bottom=bottom,
                     c=lambda s, x, u: np.array([0.0]),
@@ -326,34 +329,109 @@ def test_compensator_constants_computed_once(monkeypatch):
 @pytest.mark.parametrize("weight", ["power", "bump"])
 @pytest.mark.parametrize("compensated", [False, True])
 def test_table_evaluates_each_jet_once(weight, compensated):
-    # the table evaluates each jet its order needs once on the mark array
-    # (order 1 skips h''' and xi'') and assembles every integrand from
-    # those values; the order-1 columns are the order-2 table's, bit for bit
+    # the table evaluates h and xi once each on the mark array, as jets,
+    # and assembles every integrand from them; the order-1 columns are the
+    # order-2 table's, bit for bit
     sc = scenarios.build("compound", weight=weight, compensated=compensated)
     names = [f.name for f in fields(SimpleJets) if f.init]
-    assert names == ["h", "hp", "hpp", "hppp", "xi", "xip", "xipp"]
+    assert names == ["h", "xi"]
     calls = Counter()
 
     def counted(name):
-        jet = getattr(sc.simple, name)
+        fn = getattr(sc.simple, name)
 
         def wrapped(u):
             calls[name] += 1
-            return jet(u)
+            return fn(u)
         return wrapped
 
     jets = replace(sc.simple, **{name: counted(name) for name in names})
     jets.mean_h(sc.measure), jets.mean_ah(sc.measure)      # memoised quadratures
     counts, marks = sample_mark_sets(sc, 300, RngStream(seed=6))
     ref = sc.simple.table(marks, counts, sc.horizon, sc.measure, compensated, 2)
-    for order, needed in ((1, ["h", "hp", "hpp", "xi", "xip"]), (2, names)):
+    for order in (1, 2):
         calls.clear()
         for n_calls in (1, 2):
             tab = jets.table(marks, counts, sc.horizon, sc.measure, compensated, order)
-            assert calls == {name: n_calls for name in needed}
+            assert calls == {name: n_calls for name in names}
         assert tuple(tab) == sde.TABLE_COLUMNS[order]
         assert all(tab[key].dtype == ref[key].dtype and np.array_equal(tab[key], ref[key])
                    for key in tab)
+
+
+HALF_SQUARE = (lambda u: 0.5 * u * u, lambda u: u, lambda u: 1.0 + 0.0 * u, lambda u: 0.0 * u)
+
+
+@pytest.mark.parametrize("h", ["u", "u^2/2"])
+@pytest.mark.parametrize("weight", ["power", "bump"])
+@pytest.mark.parametrize("compensated", [False, True])
+def test_jet_table_matches_hand_expanded_table(h, weight, compensated):
+    # the jet table against the chain rules expanded by hand: bit for bit
+    # at order 1, within rounding at order 2; h = u^2/2 has a varying h'
+    sc = scenarios.build("compound", weight=weight, compensated=compensated)
+    hs = (lambda u: u, lambda u: 1.0, lambda u: 0.0, lambda u: 0.0) if h == "u" else HALF_SQUARE
+    jets = replace(sc.simple, h=hs[0])
+    hand = HandJets(*hs, *HAND_WEIGHTS[weight](sc.measure.trunc, sc.measure.ymax))
+    counts, marks = sample_mark_sets(sc, 2000, RngStream(seed=8))
+    for order in (1, 2):
+        got = jets.table(marks, counts, sc.horizon, sc.measure, compensated, order)
+        want = hand.table(marks, counts, sc.horizon, sc.measure, compensated, order)
+        assert tuple(got) == tuple(want)
+        for key in sde.TABLE_COLUMNS[1]:
+            assert np.array_equal(got[key], want[key]), (order, key)
+        for key in sde.TABLE_COLUMNS[order][4:]:
+            np.testing.assert_allclose(got[key], want[key], rtol=1e-11, atol=0, err_msg=key)
+
+
+def _polynomials(depth):
+    """Expressions in u built with +, -, * and integer powers from u and
+    small constants, as functions that run on np.poly1d and on jets."""
+    leaf = st.one_of(st.just(lambda u: u),
+                     st.integers(-3, 3).map(lambda k: (lambda u: 0.5 * k)))
+    if depth == 0:
+        return leaf
+    sub = _polynomials(depth - 1)
+    binary = {"+": lambda f, g: (lambda u: f(u) + g(u)), "-": lambda f, g: (lambda u: f(u) - g(u)),
+              "*": lambda f, g: (lambda u: f(u) * g(u))}
+    unary = [lambda f: (lambda u: 1.5 - f(u)), lambda f: (lambda u: 0.25 * f(u) + 2)]
+    return st.one_of(
+        leaf,
+        st.tuples(st.sampled_from(sorted(binary)), sub, sub).map(
+            lambda t: binary[t[0]](t[1], t[2])),
+        st.tuples(st.sampled_from(unary), sub).map(lambda t: t[0](t[1])),
+        st.tuples(sub, st.integers(0, 3)).map(lambda t: (lambda u: t[0](u) ** t[1])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polynomials(3), st.integers(0, 4))
+def test_jet_derivatives_are_polyders(f, order):
+    # Leibniz's rule on random polynomials: the jet's k-th entry is the
+    # k-th derivative np.polyder takes of the same expression
+    u = np.linspace(-1.3, 1.7, 7)
+    p = np.poly1d(f(np.poly1d([1.0, 0.0])))
+    scale = np.poly1d(np.abs(p.coeffs))
+    jet = sde.Jet.of(f, u, order)
+    assert len(jet.c) == order + 1
+    for k, value in enumerate(jet.c):
+        want = np.polyder(p, k)(u)
+        bound = 1e-12 * (1.0 + np.polyder(scale, k)(np.abs(u)))
+        assert np.all(np.abs(np.broadcast_to(value, u.shape) - want) <= bound), k
+
+
+def test_jet_skips_constant_terms_and_takes_numpy_scalars():
+    u = np.linspace(0.1, 0.9, 5)
+    var = sde.Jet.of(lambda v: v, u, 3)
+    assert var.c[0] is u
+    assert var.c[1:] == [1.0, 0.0, 0.0] and all(type(v) is float for v in var.c[1:])
+    # h = u, its square and scalar multiples keep the constant entries floats
+    sq = np.float64(2.0) * var ** 2 - np.float64(1.0)
+    assert isinstance(sq, sde.Jet) and sq.c[2:] == [4.0, 0.0]
+    np.testing.assert_array_equal(sq.c[1], 4.0 * u)
+    # a constant function's jet, and a power of 0
+    assert sde.Jet.of(lambda v: 3, u, 2).c == [3.0, 0.0, 0.0]
+    assert (var ** 0).c == [1.0, 0.0, 0.0, 0.0]
+    with pytest.raises(TypeError, match="integers"):
+        var ** 0.5
 
 
 def test_jet_order_preserves_states():
@@ -405,28 +483,49 @@ def test_scenario_state_is_one_dimensional(x0):
         replace(sc, x0=x0)
 
 
-def check_jets(scenario: Scenario, probes, rel_tol: float = 1e-4) -> float:
-    """Finite-difference cross-check of the state jets of c at probe points.
+def jacobian_error(f, jac, x) -> float:
+    """Worst error of jac(x), the derivative of f in its last axis, against
+    the central difference of f at the point x, relative to max(1, |f(x)|)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    base = np.atleast_1d(np.asarray(f(x), dtype=float))
+    scale = max(1.0, float(np.max(np.abs(base))))
+    exact = np.asarray(jac(x), dtype=float).reshape(base.size, x.size)
+    h = 1e-6 * max(1.0, float(np.max(np.abs(x))))
+    worst = 0.0
+    for j in range(x.size):
+        e = np.zeros(x.size)
+        e[j] = h
+        fd = (np.asarray(f(x + e), dtype=float) - np.asarray(f(x - e), dtype=float)) / (2 * h)
+        worst = max(worst, float(np.max(np.abs(fd.ravel() - exact[:, j]))) / scale)
+    return worst
 
-    probes: iterable of (s, x, ev).  Returns the worst relative error seen;
-    raises if it exceeds rel_tol.
+
+def check_jets(scenario: Scenario, probes, rel_tol: float = 1e-4) -> float:
+    """Finite-difference cross-check of every hand-written state jet.
+
+    probes: iterable of (s, x, u).  On a Euclidean mark space, where c is a
+    function of the state and the mark u, dx_c is checked against c at
+    each probe; comp_dx_c (if any) against comp_c at (s, x); and a nested
+    diffusion's diff_jac (if any) against diff with x as its state.
+    Returns the worst relative error seen; raises if it exceeds rel_tol.
     """
     worst = 0.0
-    d = scenario.dim
-    for (s, x, ev) in probes:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        base = np.atleast_1d(np.asarray(scenario.c(s, x, ev), dtype=float))
-        scale = max(1.0, float(np.max(np.abs(base))))
-        jac = np.asarray(scenario.dx_c(s, x, ev), dtype=float).reshape(d, d)
-        h = 1e-6 * max(1.0, float(np.max(np.abs(x))))
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = h
-            fd = (np.atleast_1d(scenario.c(s, x + e, ev))
-                  - np.atleast_1d(scenario.c(s, x - e, ev))) / (2 * h)
-            worst = max(worst, float(np.max(np.abs(fd - jac[:, j]))) / scale)
-    if worst > rel_tol:
-        raise ValueError(f"coefficient jets inconsistent: relative error {worst:.2e}")
+    bottom = scenario.bottom
+    for (s, x, u) in probes:
+        errors = {}
+        if isinstance(bottom, EuclideanBottom):
+            errors["dx_c"] = jacobian_error(lambda y: scenario.c(s, y, u),
+                                            lambda y: scenario.dx_c(s, y, u), x)
+        if scenario.comp_dx_c is not None:
+            errors["comp_dx_c"] = jacobian_error(lambda y: scenario.comp_c(s, y),
+                                                 lambda y: scenario.comp_dx_c(s, y), x)
+        if getattr(bottom, "diff_jac", None) is not None:
+            errors["diff_jac"] = jacobian_error(lambda z: bottom.diff(z[None])[0],
+                                                lambda z: bottom.diff_jac(z[None])[0], x)
+        for name, err in errors.items():
+            if err > rel_tol:
+                raise ValueError(f"{name} inconsistent: relative error {err:.2e}")
+            worst = max(worst, err)
     return worst
 
 
@@ -439,41 +538,79 @@ def test_check_jets_catalog_and_broken():
         check_jets(bad, probes)
 
 
+# a wrong state jet of each kind, for the check to catch
+WRONG_COMP_JETS = {"dx_c": lambda s, x, u: np.array([[0.2]]),
+                   "comp_dx_c": lambda s, x: np.array([[0.2]])}
+WRONG_DIFF_JAC = {"bottom": lambda b: replace(b, diff_jac=lambda z: 1.5 * b.diff_jac(z))}
+
+
+@pytest.mark.parametrize("name,params,wrong", [
+    ("compound", {}, WRONG_COMP_JETS), ("compound", {"compensated": True}, WRONG_COMP_JETS),
+    ("compound-linear", {}, WRONG_COMP_JETS),
+    ("compound-linear", {"compensated": True}, WRONG_COMP_JETS),
+    ("subordination-nonlinear", {}, WRONG_DIFF_JAC), ("levy-field-demo", {}, WRONG_DIFF_JAC)])
+def test_check_jets_every_hand_written_state_jet(name, params, wrong):
+    # dx_c and comp_dx_c of the mark-sum scenarios, compensated or not,
+    # and diff_jac of the state-dependent nested diffusions; each kind of
+    # jet, deliberately wrong, fails the check
+    sc = scenarios.build(name, **params)
+    points = [(0.1, [1.5, -0.3], 0.3), (0.9, [-0.4, 0.7], 0.8), (0.5, [0.05, 1.2], 0.05)]
+    probes = [(s, np.array(x[:sc.dim]), u) for s, x, u in points]
+    assert check_jets(sc, probes) < 1e-6
+    for key, fault in wrong.items():
+        if key == "bottom":
+            key, bad = "diff_jac", replace(sc, bottom=fault(sc.bottom))
+        else:
+            bad = replace(sc, **{key: fault})
+        with pytest.raises(ValueError, match=f"^{key} inconsistent"):
+            check_jets(bad, probes)
+
+
 def mark_jet_errors(jets: SimpleJets, spec: LevyMeasureSpec, u: np.ndarray) -> dict:
-    """Worst error of each hand-written mark derivative against the central
-    difference of the function it differentiates, at marks u inside the
-    support, relative to 1 + |derivative|.  r and r' are the measure's
-    `log_slope`, checked against the log of its density."""
+    """Worst error of each mark derivative the jets carry (h to order 3, xi
+    to order 2) against the central difference of the one below it, at
+    marks u inside the support, relative to 1 + |derivative|.  r and r' are
+    the measure's `log_slope`, checked against the log of its density."""
     h = 1e-6 * u
+
+    def entry(f, k, order):
+        return lambda v: np.broadcast_to(sde.Jet.of(f, v, order)[k], u.shape)
 
     def slope(k):
         return lambda v: spec.log_slope(v, 2)[k]
 
-    def at(f, v):
-        return np.broadcast_to(np.asarray(f(v), dtype=float), u.shape)
-
-    pairs = {"hp": (jets.hp, jets.h), "hpp": (jets.hpp, jets.hp), "hppp": (jets.hppp, jets.hpp),
-             "xip": (jets.xip, jets.xi), "xipp": (jets.xipp, jets.xip),
+    pairs = {"hp": (entry(jets.h, 1, 3), entry(jets.h, 0, 3)),
+             "hpp": (entry(jets.h, 2, 3), entry(jets.h, 1, 3)),
+             "hppp": (entry(jets.h, 3, 3), entry(jets.h, 2, 3)),
+             "xip": (entry(jets.xi, 1, 2), entry(jets.xi, 0, 2)),
+             "xipp": (entry(jets.xi, 2, 2), entry(jets.xi, 1, 2)),
              "r": (slope(0), lambda v: np.log(spec.density(v))), "rp": (slope(1), slope(0))}
     errors = {}
     for name, (deriv, f) in pairs.items():
-        exact = at(deriv, u)
-        fd = (at(f, u + h) - at(f, u - h)) / (2 * h)
+        exact = deriv(u)
+        fd = (f(u + h) - f(u - h)) / (2 * h)
         errors[name] = float(np.max(np.abs(fd - exact) / (1.0 + np.abs(exact))))
     return errors
 
 
 @pytest.mark.parametrize("weight", ["power", "bump"])
-def test_mark_jets_are_the_derivatives_they_name(weight):
+def test_mark_jets_are_the_derivatives_they_name(monkeypatch, weight):
+    # on h = u and on h = u^2/2, whose h' varies
     sc = scenarios.build("compound", weight=weight)
     u = np.linspace(sc.measure.trunc, sc.measure.ymax, 41)[1:-1]
-    errors = mark_jet_errors(sc.simple, sc.measure, u)
-    assert max(errors.values()) < 1e-6, errors
-    # a wrong hand-written derivative is caught, and only it
-    xip = sc.simple.xip
-    bad = mark_jet_errors(replace(sc.simple, xip=lambda v: 1.01 * xip(v)), sc.measure, u)
-    assert bad["xip"] > 1e-3 and bad["xipp"] > 1e-3, bad
-    assert all(bad[name] == errors[name] for name in errors if name not in ("xip", "xipp"))
+    cases = [sc.simple, replace(sc.simple, h=HALF_SQUARE[0])]
+    errors = [mark_jet_errors(jets, sc.measure, u) for jets in cases]
+    assert max(max(e.values()) for e in errors) < 1e-6, errors
+    # a wrong product rule is caught where a product is differentiated
+    monkeypatch.setattr(sde, "BINOMIALS", [[1.0, 1.01] if n == 1 else row
+                                           for n, row in enumerate(sde.BINOMIALS)])
+    bad = [mark_jet_errors(jets, sc.measure, u) for jets in cases]
+    for b in bad:
+        assert b["xip"] > 1e-3 and b["xipp"] > 1e-3, b
+    # h = u has no product to get wrong; u^2/2 has
+    assert all(bad[0][name] == errors[0][name] for name in errors[0]
+               if name not in ("xip", "xipp"))
+    assert bad[1]["hp"] > 1e-3, bad[1]
 
 
 # ---------------------------------------------------------------------------

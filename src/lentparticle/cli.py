@@ -213,8 +213,8 @@ RUN_WEIGHT_ORDER = 1
 
 # Lanes per `sde.integrate_batch` call of a trajectory chunk, so a chunk
 # holds one batch's event tables (~7 kB a lane on `subordination-nonlinear`,
-# ~19 kB on a compensated chunk) whatever its size.  A batch pays the
-# per-event block cost of `sde._advance` once more; sized in CHANGES.md.
+# ~2.4 kB on compensated `compound-linear`) whatever its size.  A batch pays
+# the per-event block cost of `sde._advance` once more; sized in CHANGES.md.
 LANE_BATCH = 4096
 
 
@@ -729,13 +729,14 @@ def main(argv=None) -> int:
     except SchemaError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_SCHEMA
-    except ValueError as e:
-        print(f"hypothesis failure: {e}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
+    # before ValueError: NonIntegrableError and LinAlgError are ValueErrors
     except (sde.EventError, NonIntegrableError, FloatingPointError,
             np.linalg.LinAlgError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ValueError as e:
+        print(f"hypothesis failure: {e}", file=sys.stderr)
+        return EXIT_HYPOTHESIS
 
     out_dir = Path(config["outputs"]["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -4,7 +4,8 @@ Each builder returns a fully wired Scenario, configured by numeric
 parameters only (the catalog is code, with no expression language).  The
 mark functions h and xi are written once, with operators only, and
 `sde.Jet` takes their exact derivatives for the order-2 calculus; the
-state derivatives dx_c, comp_dx_c and diff_jac are written by hand.  Every
+state derivatives dx_c and diff_jac are written by hand, and so is the
+closed-form flow of each compensated drift (comp_flow, comp_dx_flow).  Every
 coefficient is written for one path and, with a leading lane axis on its
 arguments, for many paths at once (see `sde.Scenario`); a constant is left
 without the lane axis.
@@ -19,7 +20,7 @@ import numpy as np
 from .bottom import EuclideanBottom, WienerOUBottom, WienerSquareBottom
 from .measures import LevyMeasureSpec, compensator_integral
 from .rng import TAG_NESTED, philox_random
-from .sde import Scenario, SimpleJets
+from .sde import Jet, Scenario, SimpleJets
 
 CATALOG = {}
 
@@ -80,17 +81,19 @@ def compound(eps: float = 0.5, trunc: float = 0.01, ymax: float = 1.0,
     xi = WEIGHTS[weight](spec.trunc, spec.ymax)
     jets = SimpleJets(h=lambda u: u, xi=xi)
 
-    bottom = EuclideanBottom(xi=xi, c_u=lambda s, x, u: np.array([1.0]))
+    bottom = EuclideanBottom(
+        xi=xi, c_u=lambda s, x, u: np.asarray(Jet.of(jets.h, u, 1)[1], dtype=float)[..., None])
     mean_jump = jets.mean_h(spec)
 
+    # the compensated drift -int h dnu is constant: its flow moves x by it times dt
     return Scenario(
         name="compound", x0=np.array([x0]), horizon=horizon,
         measure=spec, bottom=bottom,
-        c=lambda s, x, u: np.asarray(u, dtype=float)[..., None],
+        c=lambda s, x, u: np.asarray(jets.h(u), dtype=float)[..., None],
         dx_c=lambda s, x, u: np.array([[0.0]]),
         compensated=compensated, simple=jets,
-        comp_c=lambda s, x: np.array([mean_jump]),
-        comp_dx_c=lambda s, x: np.zeros((1, 1)),
+        comp_flow=lambda s, x, dt: x - mean_jump * np.asarray(dt, dtype=float)[..., None],
+        comp_dx_flow=lambda s, x, dt: np.eye(1),
         meta={"psi": xi, "psi_delta": 0.0})
 
 
@@ -100,13 +103,17 @@ def compound_linear(beta: float = 0.5, eps: float = 0.5, trunc: float = 0.01,
                     compensated: bool = False) -> Scenario:
     """d=1 geometric-type compound Poisson: jumps beta * x * u.
 
-    The flow derivative has the exact product form prod_i (1 + beta*u_i).
-    The form weight on marks is xi(u) = u^2.
+    The flow derivative has the exact product form prod_i (1 + beta*u_i),
+    times exp(-beta m1 t) when compensated, m1 = int u dnu.  The form
+    weight on marks is xi(u) = u^2.
     """
     spec = LevyMeasureSpec(eps, ymax=ymax, trunc=trunc)
     xi = _power_weight(spec.trunc, spec.ymax)
     bottom = EuclideanBottom(xi=xi, c_u=lambda s, x, u: beta * x)
-    mean_jump = float(compensator_integral(spec, lambda u: u, 1.0))
+    rate = beta * float(compensator_integral(spec, lambda u: u, 1.0))
+
+    def decay(dt):      # the compensated drift -rate x, solved: x exp(-rate dt)
+        return np.exp(-rate * np.asarray(dt, dtype=float))[..., None]
 
     return Scenario(
         name="compound-linear", x0=np.array([x0]), horizon=horizon,
@@ -114,8 +121,8 @@ def compound_linear(beta: float = 0.5, eps: float = 0.5, trunc: float = 0.01,
         c=lambda s, x, u: beta * x * np.asarray(u, dtype=float)[..., None],
         dx_c=lambda s, x, u: beta * np.asarray(u, dtype=float)[..., None, None],
         compensated=compensated,
-        comp_c=lambda s, x: beta * x * mean_jump,
-        comp_dx_c=lambda s, x: np.array([[beta * mean_jump]]))
+        comp_flow=lambda s, x, dt: x * decay(dt),
+        comp_dx_flow=lambda s, x, dt: decay(dt)[..., None])
 
 
 # ---------------------------------------------------------------------------

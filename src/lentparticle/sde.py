@@ -2,7 +2,8 @@
 
 The state jumps by c(s, X-, u) at each point of the measure and, when the
 equation is compensated, drifts between jumps by minus the measure-average
-of c.  The same event-by-event recursion also propagates, on demand,
+of c, along the exact flow of that drift that the scenario supplies.  The
+same event-by-event recursion also propagates, on demand,
 
 * the flow derivative K (Jacobian of x0 -> X) and its inverse Kbar,
 * the covariance accumulator C = sum Kbar gamma[c] Kbar^T (taken with the
@@ -17,19 +18,19 @@ ensemble runs: two operators, the bracket and the generator a[.]
 functions h and xi, so no derivative of either is written by hand.
 
 There is one event loop, `_advance`: every path of a chunk advances in
-lockstep by event index (jump index when uncompensated), on event tables
-built for all lanes at once (`_event_tables`), with the state,
+lockstep by event index (event k is jump k - 1 of each lane), on event
+tables built for all lanes at once (`_event_tables`), with the state,
 K, Kbar and C held as (n, d) and (n, d, d) arrays, and each lockstep event
 resolves its jumps with one `eval_jumps` call on the bottom structure.
 The events run in blocks of whole events, each of at most `BLOCK_ROWS`
-rows (a row is one lane at one Euler step or at one jump).  Only the state
-and the flow products are sequential, so a block runs in three steps: a
-state sweep advances x event by event and records every row's pre-event
-state; the linear algebra that feeds no later state (each row's Jacobian J
-and backward matrix B, and `jump_matrices`) runs as one call per block on
-all of its rows; and a flow sweep carries every row by one rule, K <- J K
-and Kbar <- Kbar B, after which C and |K Kbar - I| are accumulated per
-lane.  The blocks change no bits.  Jumps that are excursions of a nested
+rows (a row is one lane's drift into an event, or its jump there).  Only
+the state and the flow products are sequential, so a block runs in three
+steps: a state sweep advances x event by event and records every row's
+pre-event state; the linear algebra that feeds no later state (each row's
+Jacobian J and its inverse B, and `jump_matrices`) runs as one call per
+block on all of its rows; and a flow sweep carries every row by one rule,
+K <- J K and Kbar <- Kbar B, after which C and |K Kbar - I| are
+accumulated per lane.  The blocks change no bits.  Jumps that are excursions of a nested
 diffusion (an uncompensated chunk on a `WienerOUBottom`) take the state
 sweep out of the blocks: each lane runs its excursions back to back on one
 nested clock for the whole chunk, so the chunk takes as many nested steps
@@ -44,12 +45,12 @@ pre-jump state and resolution, the post-jump flow K and Gamma), from which
 `lent` forms the gradient; the loop computes no injector, since only the
 gradient reads it.
 
-Every measure-average is scenario data (the comp_* callables); nothing is
-averaged by quadrature here.  Every jump is an event of its own (a jump
-at time 0 or two at one time too), and an Euler grid is added only when
-the scenario is compensated; the first jump on one of its points (or at
-T) joins that point's event.  Uncompensated scenarios are therefore solved with no
-discretization error at all.
+Every measure-average is scenario data: a compensated scenario hands the
+loop the flow of its drift over an interval and that flow's Jacobian
+(`Scenario.comp_flow`, `comp_dx_flow`), so nothing is averaged by
+quadrature or stepped in time here.  A lane's events are 0, each of its
+jumps (a jump at 0 or at T, or two at one time, too) and T, and every
+equation is solved with no discretization error of the loop's own.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from .prm import JumpLanes, JumpTable, sample_paths
 from .rng import RngStream
 
 DET_FLOOR = 1e-12
-N_STEPS = 1000          # Euler steps on [0, T] in a compensated scenario's event grid
 BLOCK_ROWS = 2048       # rows (lane-events) an `_advance` block holds; sized in CHANGES.md
 # the columns of `SimpleJets.table` at each IBP weight order
 TABLE_COLUMNS = {1: ("X", "gamma", "A", "G2"), 2: ("X", "gamma", "A", "G2", "XA", "XG2")}
@@ -287,22 +287,24 @@ class Scenario:
     """Full description of one solvable model.
 
     Coefficient signatures: c(s, x, ev) -> (d,) and dx_c(s, x, ev) -> (d, d);
-    ev is whatever the bottom structure resolves a mark into.  The comp_*
-    callables are the measure-averages of the corresponding quantities,
-    signature (s, x): comp_c of c (d,) and comp_dx_c of dx_c (d, d).  A
-    compensated scenario must supply both; they drive the state and the
-    flow between jumps.  Jet order 2 needs `simple`, the mark jets of a
-    scalar mark-sum scenario.
+    ev is whatever the bottom structure resolves a mark into.  A compensated
+    scenario drifts between jumps by x' = -int c(s, x, u) nu(du) and must
+    supply that drift's flow: comp_flow(s, x, dt) -> (d,), the state it
+    reaches from x at time s after dt, and comp_dx_flow(s, x, dt) -> (d, d),
+    the Jacobian of comp_flow in x.  The event loop takes no time step of
+    its own; a drift without a closed-form flow would be solved inside the
+    two (say, by Runge-Kutta on it and on its variational equation).  Jet
+    order 2 needs `simple`, the mark jets of a scalar mark-sum scenario.
 
-    Lane axis: the event loop calls c, dx_c, comp_c and comp_dx_c (and the
-    bottom's jump_matrices, and the gradient its injector) with a leading
-    lane axis on every argument, s (n,), x (n, d) and ev as `eval_jumps`
-    resolves it, and expects (n, d) and (n, d, d) back, and from the
-    injector (n, d, block_dim); a value without the lane axis (a constant)
-    is taken to hold for every lane.  One path is one lane.  dx_c, comp_dx_c and
-    jump_matrices see the rows of a whole block of events at once (one row
-    per lane and event), so every row must be computed from its own
-    arguments alone.
+    Lane axis: the event loop calls c, dx_c, comp_flow and comp_dx_flow (and
+    the bottom's jump_matrices, and the gradient its injector) with a
+    leading lane axis on every argument, s (n,), x (n, d), dt (n,) and ev
+    as `eval_jumps` resolves it, and expects (n, d) and (n, d, d) back, and
+    from the injector (n, d, block_dim); a value without the lane axis (a
+    constant) is taken to hold for every lane.  One path is one lane.  dx_c,
+    comp_dx_flow and jump_matrices see the rows of a whole block of events
+    at once (one row per lane and event), so every row must be computed
+    from its own arguments alone.
     """
 
     name: str
@@ -313,8 +315,8 @@ class Scenario:
     c: Callable
     dx_c: Callable
     compensated: bool = False
-    comp_c: Callable | None = None
-    comp_dx_c: Callable | None = None
+    comp_flow: Callable | None = None
+    comp_dx_flow: Callable | None = None
     simple: SimpleJets | None = None
     meta: dict = field(default_factory=dict)
 
@@ -323,7 +325,7 @@ class Scenario:
         if self.x0.ndim != 1:
             raise ValueError(f"x0 must be a 1-D state, got shape {self.x0.shape}")
         if self.compensated:
-            missing = [key for key in ("comp_c", "comp_dx_c") if getattr(self, key) is None]
+            missing = [key for key in ("comp_flow", "comp_dx_flow") if getattr(self, key) is None]
             if missing:
                 raise ValueError(f"compensated scenario {self.name!r} must supply {missing}")
 
@@ -401,11 +403,10 @@ class EventError(RuntimeError):
 def _event_tables(scenario: Scenario, table: JumpTable):
     """The events of every lane (path) of `table`, built for all lanes at once.
 
-    A lane's events are the points of its grid (0 and T, plus an Euler grid
-    when the state drifts) and its path's jumps, in time order, a grid
-    point before a jump at its time.  Every jump is an event of its own,
-    except that the first jump at a grid point other than 0 shares that
-    point's event.  A path's jump times must be non-decreasing (ValueError).
+    A lane's events are 0, its path's jumps in time order and T, so it has
+    its jump count + 2 events and jump j is event j + 1: every jump is an
+    event of its own, at 0 or T, or two at one time, too.  A path's jump
+    times must be non-decreasing (ValueError).
 
     Returns each lane's event count, the lanes' walking order (by event
     count, largest first; stable), the (width, n) table of event times,
@@ -414,32 +415,19 @@ def _event_tables(scenario: Scenario, table: JumpTable):
     order: their event, walking lane and jumps (`JumpLanes`).
     """
     T, n, counts, s = scenario.horizon, len(table.counts), table.counts, table.times
-    grid = np.linspace(0.0, T, N_STEPS + 1) if scenario.compensated else np.array([0.0, T])
-    starts = counts.cumsum() - counts
     lane = np.arange(n).repeat(counts)
-    index = np.arange(len(s)) - starts[lane]
-    point = grid.searchsorted(s, "right") - 1               # the last grid point <= s
-    later = index[1:] > 0                                   # not a lane's first jump
-    if np.count_nonzero((s[1:] < s[:-1]) & later):
+    index = np.arange(len(s)) - (counts.cumsum() - counts)[lane]
+    if np.count_nonzero((s[1:] < s[:-1]) & (index[1:] > 0)):
         raise ValueError("a path's jump times must be non-decreasing")
-    # an event of its own, unless the first jump at a grid point other than 0
-    own = (point == 0) | (grid[point] != s)
-    own[1:] |= (s[1:] == s[:-1]) & later
-    owned = np.zeros(len(s) + 1, dtype=np.intp)             # own events among jumps < i
-    own.cumsum(out=owned[1:])
-    before = owned[starts]                                  # ... in the lanes before
-    event = point + owned[1:] - before[lane]
-    n_events = len(grid) + owned[starts + counts] - before
+    n_events = counts + 2
     order = (-n_events).argsort(kind="stable")
     walk = np.empty(n, dtype=np.intp)
     walk[order] = np.arange(n)
     times = np.full((int(n_events[order[0]]) if n else 1, n), np.nan)
-    # the cells of the grid points: in each lane, its first cells but the jumps' own
-    grid_at = np.arange(len(times)) < n_events[order, None]     # lane-major, walking order
-    walking = walk[lane]
-    grid_at[walking[own], event[own]] = False
-    times.T[grid_at] = np.tile(grid, n)
-    times[event[own], walking[own]] = s[own]
+    times[0] = 0.0
+    times[n_events[order] - 1, np.arange(n)] = T
+    event, walking = index + 1, walk[lane]
+    times[event, walking] = s
     rows = np.lexsort((walking, event))
     return (n_events, order, times, event[rows], walking[rows],
             JumpLanes(table.stream, table.paths[lane[rows]], index[rows], table.marks[rows]))
@@ -625,23 +613,22 @@ def _advance(scenario: Scenario, table: JumpTable) -> TrajectoryBatch:
 
     Lane i is path i of the table, and its jumps draw from its path's
     stream.  The lanes are walked sorted by event count, so the lanes still
-    running at an event are a leading slice, and so (without an Euler grid,
-    where event k is jump k - 1) are the lanes that jump there.  Results
-    come back in the order of the table.
+    running at an event are a leading slice, and so are the lanes that jump
+    there (event k is jump k - 1 of each).  Results come back in the order
+    of the table.
 
     The events run in blocks of whole events (`_blocks`).  A block's rows
-    are its Euler rows (one per live lane and event, when compensated) and
+    are its drift rows (one per live lane and event, when compensated) and
     then its jump rows (one per jumping lane and event), each kind in event
-    order.  Every row carries a Jacobian J and a backward matrix B: a jump
-    row J = I + dx_c and B = J^-1, an Euler row J = I - comp_dx_c dt and
-    B = I + comp_dx_c dt, the inverse to first order.  Each block runs in
-    three steps:
+    order.  Every row carries a Jacobian J and its inverse B = J^-1: a drift
+    row J = comp_dx_flow over the time since the lane's previous event, a
+    jump row J = I + dx_c.  Each block runs in three steps:
 
-    1. the state sweep, event by event: the Euler drift, the overflow check
-       and, per jump, `eval_jumps` and c.  It records each row's pre-event
-       state, each event's resolution, and each row group (the lanes of one
-       kind at one event) as (lanes, first row, end row);
-    2. one call per block, over all of its rows, of comp_dx_c, dx_c with
+    1. the state sweep, event by event: the drift (`comp_flow`), the
+       overflow check and, per jump, `eval_jumps` and c.  It records each
+       row's pre-event state, each event's resolution, and each row group
+       (the lanes of one kind at one event) as (lanes, first row, end row);
+    2. one call per block, over all of its rows, of comp_dx_flow, dx_c with
        the singular-Jacobian check, `np.linalg.inv` and `jump_matrices`;
     3. the flow sweep replays the row groups: K <- J K and Kbar <- Kbar B.
        Then C gains Kbar gamma Kbar^T per jump row, lane by lane in event
@@ -663,17 +650,12 @@ def _advance(scenario: Scenario, table: JumpTable) -> TrajectoryBatch:
     n_events, order, ev_times, je, jl, rows = _event_tables(scenario, table)
     n, width = len(order), len(ev_times)
     live = (-n_events[order]).searchsorted(-np.arange(width)).tolist()     # n_events > k
-    # the jump rows, event by event: event k has rows row_at[k] .. row_at[k + 1] - 1
+    # the jump rows, event by event: event k has rows row_at[k] .. row_at[k + 1] - 1,
+    # on lanes 0 .. n_jumping[k] - 1
     n_jumping = np.bincount(je, minlength=width).tolist()
     row_at = list(accumulate(n_jumping, initial=0))
     s_j, j_lanes = ev_times[je, jl], order[jl]
     x_j = np.empty((len(je), d))                    # pre-jump states
-
-    def jumpers(k):
-        """The lanes that jump at event k: lanes 0 .. m - 1 when the last
-        of its m rows is lane m - 1 (a row group's lanes ascend)."""
-        a, b = row_at[k], row_at[k + 1]
-        return slice(0, b - a) if jl[b - 1] == b - a - 1 else jl[a:b]
 
     eye = np.eye(d)
     x, K = np.empty((n, d)), np.empty((n, d, d))
@@ -687,22 +669,22 @@ def _advance(scenario: Scenario, table: JumpTable) -> TrajectoryBatch:
         x, ev_rows = _excursions(scenario, x, rows, je, jl, s_j, x_j)
     for k0, k1 in _blocks([j + m * comp for j, m in zip(n_jumping, live)]):
         r0, r1 = row_at[k0], row_at[k1]             # the block's jump rows
-        ne, lanes = 0, jl[r0:r1]                    # Euler row count, each row's lane
+        ne, lanes = 0, jl[r0:r1]                    # drift row count, each row's lane
         if comp:
-            # Euler rows 0 .. ne - 1: lanes 0 .. live[k] - 1 of each event k, the cells
+            # drift rows 0 .. ne - 1: lanes 0 .. live[k] - 1 of each event k, the cells
             # of `alive` in row-major order (times are NaN past a lane's end)
             e_at = list(accumulate(live[k0:k1], initial=0))
             alive = ~np.isnan(ev_times[k0:k1, :live[k0]])
-            s_e = ev_times[k0 - 1:k1 - 1, :live[k0]][alive]     # averages are taken at
-            dt_e = ev_times[k0:k1, :live[k0]][alive] - s_e      # the step's start
+            s_e = ev_times[k0 - 1:k1 - 1, :live[k0]][alive]     # each drift's start
+            dt_e = ev_times[k0:k1, :live[k0]][alive] - s_e
             lane_at = np.broadcast_to(np.arange(live[k0]), alive.shape)
             ne, lanes = len(s_e), np.concatenate([lane_at[alive], lanes])
-            x_e = np.empty((ne, d))                 # pre-step states
+            x_e = np.empty((ne, d))                 # pre-drift states
 
         # 1. the state sweep; groups: (lanes, first row, end row)
         if clock:
             ev = _rows(ev_rows, slice(r0, r1))
-            groups = [(jumpers(k), row_at[k] - r0, row_at[k + 1] - r0)
+            groups = [(slice(0, n_jumping[k]), row_at[k] - r0, row_at[k + 1] - r0)
                       for k in range(k0, k1) if n_jumping[k]]
         else:
             groups, evs = [], []
@@ -712,19 +694,18 @@ def _advance(scenario: Scenario, table: JumpTable) -> TrajectoryBatch:
                         a, b, m = e_at[k - k0], e_at[k - k0 + 1], live[k]
                         xl = x_e[a:b]
                         xl[...] = x[:m]
-                        drift = _lanes(scenario.comp_c(s_e[a:b], xl), (m, d))
-                        x[:m] = xl - drift * dt_e[a:b, None]
+                        x[:m] = _lanes(scenario.comp_flow(s_e[a:b], xl, dt_e[a:b]), (m, d))
                         groups.append((slice(0, m), a, b))
                     if not _finite(x[:live[k]]):
                         raise EventError("state overflow", k)
                     if n_jumping[k]:
-                        a, b, sel = row_at[k], row_at[k + 1], jumpers(k)
+                        a, b = row_at[k], row_at[k + 1]
                         s, xl = s_j[a:b], x_j[a:b]
-                        xl[...] = x[sel]
+                        xl[...] = x[:b - a]
                         ev = bottom.eval_jumps(s, xl, rows[a:b])
-                        x[sel] = xl + _lanes(scenario.c(s, xl, ev), (b - a, d))
+                        x[:b - a] = xl + _lanes(scenario.c(s, xl, ev), (b - a, d))
                         evs.append(ev)
-                        groups.append((sel, ne + a - r0, ne + b - r0))
+                        groups.append((slice(0, b - a), ne + a - r0, ne + b - r0))
             except Exception:
                 # event by event, the Jacobians of the earlier events were checked first
                 r = row_at[k]
@@ -735,18 +716,16 @@ def _advance(scenario: Scenario, table: JumpTable) -> TrajectoryBatch:
             ev = _concat(evs) if evs else None
             del evs                                 # the table keeps `ev` instead
 
-        # 2. one call per block: each row's Jacobian J and backward matrix B
+        # 2. one call per block: each row's Jacobian J and its inverse B
         nj = r1 - r0
-        J, B = np.empty((ne + nj, d, d)), np.empty((ne + nj, d, d))
+        J = np.empty((ne + nj, d, d))
         if comp:
-            step = _lanes(scenario.comp_dx_c(s_e, x_e), (ne, d, d)) * dt_e[:, None, None]
-            np.subtract(eye, step, out=J[:ne])
-            np.add(eye, step, out=B[:ne])
+            J[:ne] = _lanes(scenario.comp_dx_flow(s_e, x_e, dt_e), (ne, d, d))
         if nj:
             s_b, x_b = s_j[r0:r1], x_j[r0:r1]
             J[ne:] = _jump_jacobians(scenario, s_b, x_b, ev, je[r0:r1], rows.paths[r0:r1])
-            B[ne:] = np.linalg.inv(J[ne:])
             gamma = _lanes(bottom.jump_matrices(s_b, x_b, ev), (nj, d, d))
+        B = np.linalg.inv(J)
 
         # 3. the flow sweep: kn, kbn hold K and Kbar just after each row
         kn, kbn = np.empty_like(J), np.empty_like(B)
@@ -759,7 +738,7 @@ def _advance(scenario: Scenario, table: JumpTable) -> TrajectoryBatch:
         if nj:
             kn_j, kbn_j = kn[ne:], kbn[ne:]
             _at(np.add, C, jl[r0:r1], kbn_j @ gamma @ kbn_j.transpose(0, 2, 1))
-            # with Euler rows in kn, the table copies K so as not to keep them alive
+            # with drift rows in kn, the table copies K so as not to keep them alive
             jumps.append(JumpRows(event=je[r0:r1], lanes=j_lanes[r0:r1],
                                   index=rows.index[r0:r1], s=s_b, x=x_b, ev=ev,
                                   k=kn_j.copy() if ne else kn_j, gamma=gamma))

@@ -244,22 +244,16 @@ def field_drift_walk(lanes: JumpLanes) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def event_times_per_path(scenario, path: JumpTable) -> np.ndarray:
-    """The event grid of one path as the event loop once built it: 0, the
-    jump times and T, plus the Euler grid when the state drifts; sorted,
-    each time once.  It is the grid of `sde._event_tables` wherever no two
-    of the path's events fall at one time but a jump on an Euler grid point."""
-    T = scenario.horizon
-    grid = np.linspace(0.0, T, sde.N_STEPS + 1) if scenario.compensated else np.array([0.0, T])
-    t = np.sort(np.concatenate([grid, path.times]))
-    return t[np.concatenate([[True], t[1:] != t[:-1]])]
+    """The event times of one path: 0, each jump time (at 0 or T, or twice
+    at one time, too) and T."""
+    return np.concatenate([[0.0], path.times, [scenario.horizon]])
 
 
 def event_tables_per_lane(scenario, table: JumpTable):
-    """`sde._event_tables` by the per-lane loop it replaced, with the same
-    returns: each path's `event_times_per_path`, its jump indices and marks
-    written lane by lane into event-major (width, n) tables, lanes in
-    walking order, and the jumping cells, in row-major order, as the jump
-    rows."""
+    """`sde._event_tables` by a per-lane loop, with the same returns: each
+    path's `event_times_per_path`, its jump indices and marks written lane
+    by lane into event-major (width, n) tables, lanes in walking order, and
+    the jumping cells, in row-major order, as the jump rows."""
     paths = split_paths(table)
     times = [event_times_per_path(scenario, p) for p in paths]
     n_events = np.array([len(t) for t in times])
@@ -270,12 +264,10 @@ def event_tables_per_lane(scenario, table: JumpTable):
     mark_at = np.zeros((width, n))
     for lane, i in enumerate(order.tolist()):
         ev_times[:len(times[i]), lane] = times[i]
-        at = np.searchsorted(times[i], paths[i].times)
+        at = 1 + np.arange(paths[i].n_jumps)        # jump j is event j + 1
         jump_at[at, lane] = np.arange(paths[i].n_jumps)
         mark_at[at, lane] = paths[i].marks
-    jumping = jump_at >= 0
-    jumping[0] = False                              # event 0 is the start, not a jump
-    je, jl = np.nonzero(jumping)
+    je, jl = np.nonzero(jump_at >= 0)
     return n_events, order, ev_times, je, jl, JumpLanes(
         table.stream, table.paths[order[jl]], jump_at[je, jl], mark_at[je, jl])
 

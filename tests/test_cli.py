@@ -19,6 +19,7 @@ from scipy.special import erfcinv
 from scipy.stats import ks_2samp
 
 from lentparticle import cli, ensemble, report, scenarios, sde
+from lentparticle.measures import NonIntegrableError
 from lentparticle.rng import TAG_NOISE, RngStream
 
 HERE = Path(__file__).parent
@@ -330,6 +331,28 @@ def test_run_state_overflow_exits_numeric_without_warnings(tmp_path, capfd, work
     assert "Warning" not in err and "Traceback" not in err
     assert err.strip() == "numeric failure: state overflow (event 2)"
     assert not (tmp_path / "overflow").exists()
+
+
+def test_compensated_run_passes_the_flow_inverse_check(tmp_path):
+    # the drift runs on its exact flow, whose inverse is exact to rounding
+    path, cfg = _config(tmp_path, "comp", scenario="compound-linear",
+                        params={"compensated": True}, run={"paths": 2000, "rho_replicas": 50})
+    assert cli.main(["run", str(path)]) == cli.EXIT_OK
+    body = report.report_body(Path(cfg["outputs"]["dir"]) / "report.json")
+    assert body["verdicts"]["flow_inverse_1e-8"] is True
+    assert body["estimates"]["max_flow_inverse_error"]["value"] <= 1e-12
+
+
+def test_compensated_flow_without_inverse_exits_numeric(tmp_path, capfd):
+    # at beta 1000 the drift's flow exp(-beta m1 dt) rounds to 0 across a
+    # long enough gap between events, and a Jacobian 0 has no inverse
+    path, _ = _config(tmp_path, "decay", scenario="compound-linear",
+                      params={"beta": 1000, "compensated": True}, run={"paths": 2000})
+    assert cli.main(["run", str(path)]) == cli.EXIT_NUMERIC
+    err = capfd.readouterr().err
+    assert "Warning" not in err and "Traceback" not in err
+    assert err.startswith("numeric failure: ")
+    assert not (tmp_path / "decay").exists()
 
 
 @pytest.mark.parametrize("name", ["compound", "compound-linear"])
@@ -648,6 +671,11 @@ def _fail_from(module, attr, monkeypatch, errors):
      sde.EventError("bad chunk", 3), cli.EXIT_NUMERIC),
     ("crosscheck", "subordination-linear", sde, "integrate_batch",
      sde.EventError("bad chunk", 3), cli.EXIT_NUMERIC),
+    # numeric failures that are ValueErrors too
+    ("run", "subordination-nonlinear", sde, "integrate_batch",
+     NonIntegrableError("bad chunk"), cli.EXIT_NUMERIC),
+    ("run", "subordination-nonlinear", sde, "integrate_batch",
+     np.linalg.LinAlgError("bad chunk"), cli.EXIT_NUMERIC),
 ])
 @pytest.mark.parametrize("failing", [0, 1])     # the pool's chunk, the parent's
 def test_failing_chunk_leaves_no_process(tmp_path, capsys, monkeypatch, command, scenario,

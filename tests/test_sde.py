@@ -51,7 +51,7 @@ def test_pure_jump_telescoping():
     path = sample_path(sc.measure, sc.horizon, RngStream(seed=2, path=1))
     traj = integrate(sc, path, order=1)
     assert traj.x[0] == pytest.approx(0.5 + path.marks.sum(), rel=1e-14)
-    # pure-jump event grid carries no Euler points, at any jet order
+    # the events are 0, the jumps and T, at any jet order
     assert len(traj.times) == path.n_jumps + 2
     np.testing.assert_array_equal(integrate(sc, path, order=2).times, traj.times)
 
@@ -96,16 +96,18 @@ def test_flow_inverse_identity():
 
 
 def test_compensated_flow_matches_exact_flow():
-    # X_T = x0 prod(1 + beta u_j) exp(-beta m1 T) exactly; the Euler drift's
-    # relative error is -(beta m1 T)^2 / (2 N_STEPS) on every lane
+    # X_T = x0 prod(1 + beta u_j) exp(-beta m1 T) and K_T = X_T / x0 on every
+    # lane, to rounding: the drift runs on its exact flow, over the jumps'
+    # own events only
     sc = scenarios.build("compound-linear", compensated=True)
     batch = integrate_batch(sc, 400, RngStream(seed=42))
     rate = LINEAR_BETA * compensator_integral(sc.measure, lambda u: u, 1.0) * sc.horizon
     exact = sc.x0[0] * np.exp(-rate) * np.array([np.prod(1.0 + LINEAR_BETA * p.marks)
                                                   for p in split_paths(batch.table)])
-    np.testing.assert_allclose(batch.x[:, 0] / exact - 1, -rate ** 2 / (2 * sde.N_STEPS),
-                               rtol=0.02)
-    np.testing.assert_allclose(batch.k[:, 0, 0] * sc.x0[0], batch.x[:, 0], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(batch.x[:, 0], exact, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(batch.k[:, 0, 0] * sc.x0[0], exact, rtol=1e-12, atol=0)
+    assert batch.kk_err.max() <= 1e-12
+    np.testing.assert_array_equal(batch.n_events, batch.table.counts + 2)
 
 
 def test_singular_jump_jacobian_rejected():
@@ -141,45 +143,25 @@ def test_covariance_accumulator_monotone():
 # event grid
 # ---------------------------------------------------------------------------
 
-_GRID_POINT = float(np.linspace(0.0, 1.0, sde.N_STEPS + 1)[250])
-
-
-def _events_by_rule(grid, times):
-    """Event times and each jump's event, merged one jump at a time: a jump
-    joins the event of a grid point other than 0 at its time that holds no
-    jump yet, and otherwise comes after every event at or before its time."""
-    events = [[t, True] for t in grid.tolist()]         # (time, free grid point)
-    at = []
-    for t in times.tolist():
-        k = next((k for k, (u, free) in enumerate(events) if k and free and u == t), None)
-        if k is None:
-            k = sum(u <= t for u, _ in events)
-            events.insert(k, [t, False])
-            at = [a + (a >= k) for a in at]
-        events[k][1] = False
-        at.append(k)
-    return np.array([u for u, _ in events]), at
-
-
+# 0.25 lies on every step grid of [0, 1] whose step count is a multiple of 4
 @pytest.mark.parametrize("times", [[0.3, 0.3, 0.5], [0.0, 0.4], [0.0, 0.0], [],
-                                   [_GRID_POINT, 0.7], [_GRID_POINT, _GRID_POINT],
-                                   [0.2, 1.0], [0.5, 0.5]],
+                                   [0.25, 0.7], [0.25, 0.25], [0.2, 1.0], [0.5, 0.5]],
                          ids=["duplicate", "at-zero", "twice-at-zero", "empty", "on-grid",
                               "twice-on-grid", "at-horizon", "pair"])
 @pytest.mark.parametrize("compensated", [False, True])
 def test_every_jump_is_its_own_event(times, compensated):
-    # each jump is an event of its own, but that the first jump on a grid
-    # point other than 0 joins that point's event; so no jump is lost, and
-    # X_T is what the mark-sum table gives, with a jump at 0 or two at once
+    # a path's events are 0, each of its jumps and T, whatever the jump
+    # times; so no jump is lost, and X_T is what the mark-sum table gives,
+    # with a jump at 0 or T or two at once
     sc = scenarios.build("compound", compensated=compensated)
     times = np.array(times, dtype=float)
     marks = np.linspace(0.2, 0.3, len(times))
     path = one_path(times, marks, RngStream(seed=1))
-    grid = np.linspace(0.0, 1.0, sde.N_STEPS + 1) if compensated else np.array([0.0, 1.0])
-    want, at = _events_by_rule(grid, times)
+    want = np.concatenate([[0.0], times, [1.0]])
     traj = integrate(sc, path, order=1)
     assert traj.times.dtype == want.dtype and traj.times.tobytes() == want.tobytes()
-    assert traj.jumps.event.tolist() == at and traj.jumps.index.tolist() == list(range(len(at)))
+    assert traj.jumps.event.tolist() == list(range(1, len(times) + 1))
+    assert traj.jumps.index.tolist() == list(range(len(times)))
     tab = sc.simple.table(marks, np.array([len(marks)]), 1.0, sc.measure, compensated, 1)
     if compensated:
         assert traj.x[0] == pytest.approx(tab["X"][0], rel=0, abs=1e-12)
@@ -468,10 +450,10 @@ def test_order2_needs_averaged_generator(name):
 
 def test_compensated_scenario_requires_averages():
     sc = scenarios.build("compound", compensated=True)
-    with pytest.raises(ValueError, match="comp_c"):
+    with pytest.raises(ValueError, match="comp_flow"):
         Scenario(name="no-average", x0=np.zeros(1), horizon=1.0,
                  measure=sc.measure, bottom=sc.bottom, c=sc.c, dx_c=sc.dx_c,
-                 compensated=True, comp_dx_c=sc.comp_dx_c)
+                 compensated=True, comp_dx_flow=sc.comp_dx_flow)
 
 
 @pytest.mark.parametrize("x0", [1.0, np.zeros((1, 1))])
@@ -500,14 +482,39 @@ def jacobian_error(f, jac, x) -> float:
     return worst
 
 
+# the times (a, b) of the semigroup check, and the step of the drift's difference quotient
+FLOW_TIMES, DRIFT_STEP = (0.3, 0.45), 1e-7
+
+
+def flow_errors(scenario: Scenario, s: float, x: np.ndarray) -> dict:
+    """Errors of a compensated scenario's flow at (s, x), relative to
+    max(1, |x|): its drift (x - comp_flow(s, x, h)) / h against the
+    measure-average of c, int c(s, x, u) nu(du), at a small h; the semigroup
+    law comp_flow(s + a, comp_flow(s, x, a), b) = comp_flow(s, x, a + b);
+    and comp_dx_flow against the central difference of comp_flow in x."""
+    def flow(y, t, dt):
+        return np.asarray(scenario.comp_flow(t, y, dt), dtype=float)
+
+    scale = max(1.0, float(np.max(np.abs(x))))
+    drift = (x - flow(x, s, DRIFT_STEP)) / DRIFT_STEP
+    mean_c = compensator_integral(scenario.measure, lambda u: scenario.c(s, x, u), 1.0)
+    a, b = FLOW_TIMES
+    twice = flow(flow(x, s, a), s + a, b)
+    return {"comp_flow drift": float(np.max(np.abs(drift - mean_c))) / scale,
+            "comp_flow semigroup": float(np.max(np.abs(twice - flow(x, s, a + b)))) / scale,
+            "comp_dx_flow": jacobian_error(lambda y: flow(y, s, a),
+                                           lambda y: scenario.comp_dx_flow(s, y, a), x)}
+
+
 def check_jets(scenario: Scenario, probes, rel_tol: float = 1e-4) -> float:
     """Finite-difference cross-check of every hand-written state jet.
 
     probes: iterable of (s, x, u).  On a Euclidean mark space, where c is a
-    function of the state and the mark u, dx_c is checked against c at
-    each probe; comp_dx_c (if any) against comp_c at (s, x); and a nested
-    diffusion's diff_jac (if any) against diff with x as its state.
-    Returns the worst relative error seen; raises if it exceeds rel_tol.
+    function of the state and the mark u, dx_c is checked against c in x,
+    and the bottom's c_u against c in u, at each probe; the compensated
+    flow (if any) by `flow_errors` at (s, x); and a nested diffusion's
+    diff_jac (if any) against diff with x as its state.  Returns the worst
+    relative error seen; raises if it exceeds rel_tol.
     """
     worst = 0.0
     bottom = scenario.bottom
@@ -516,9 +523,10 @@ def check_jets(scenario: Scenario, probes, rel_tol: float = 1e-4) -> float:
         if isinstance(bottom, EuclideanBottom):
             errors["dx_c"] = jacobian_error(lambda y: scenario.c(s, y, u),
                                             lambda y: scenario.dx_c(s, y, u), x)
-        if scenario.comp_dx_c is not None:
-            errors["comp_dx_c"] = jacobian_error(lambda y: scenario.comp_c(s, y),
-                                                 lambda y: scenario.comp_dx_c(s, y), x)
+            errors["c_u"] = jacobian_error(lambda v: scenario.c(s, x, v[0]),
+                                           lambda v: bottom.c_u(s, x, v[0]), u)
+        if scenario.comp_flow is not None:
+            errors.update(flow_errors(scenario, s, x))
         if getattr(bottom, "diff_jac", None) is not None:
             errors["diff_jac"] = jacobian_error(lambda z: bottom.diff(z[None])[0],
                                                 lambda z: bottom.diff_jac(z[None])[0], x)
@@ -538,32 +546,45 @@ def test_check_jets_catalog_and_broken():
         check_jets(bad, probes)
 
 
-# a wrong state jet of each kind, for the check to catch
-WRONG_COMP_JETS = {"dx_c": lambda s, x, u: np.array([[0.2]]),
-                   "comp_dx_c": lambda s, x: np.array([[0.2]])}
-WRONG_DIFF_JAC = {"bottom": lambda b: replace(b, diff_jac=lambda z: 1.5 * b.diff_jac(z))}
+def _euler_step(sc):
+    """`compound-linear`'s compensated drift -rate x taken as one Euler step
+    x (1 - rate dt): the drift's slope at dt = 0, but not a flow."""
+    rate = LINEAR_BETA * compensator_integral(sc.measure, lambda u: u, 1.0)
+    step = lambda dt: (1.0 - rate * np.asarray(dt, dtype=float))[..., None]
+    return replace(sc, comp_flow=lambda s, x, dt: x * step(dt),
+                   comp_dx_flow=lambda s, x, dt: step(dt)[..., None])
+
+
+# a wrong state jet of each kind, by the check that must catch it: the
+# scenario with that jet broken
+WRONG_COMP_JETS = {
+    "dx_c": lambda sc: replace(sc, dx_c=lambda s, x, u: np.array([[0.2]])),
+    "c_u": lambda sc: replace(sc, bottom=replace(
+        sc.bottom, c_u=lambda s, x, u: 1.5 * sc.bottom.c_u(s, x, u))),
+    "comp_flow drift": lambda sc: replace(
+        sc, comp_flow=lambda s, x, dt: sc.comp_flow(s, x, 0.5 * np.asarray(dt))),
+    "comp_dx_flow": lambda sc: replace(sc, comp_dx_flow=lambda s, x, dt: np.array([[0.2]]))}
+WRONG_LINEAR_JETS = dict(WRONG_COMP_JETS, **{"comp_flow semigroup": _euler_step})
+WRONG_DIFF_JAC = {"diff_jac": lambda sc: replace(sc, bottom=replace(
+    sc.bottom, diff_jac=lambda z: 1.5 * sc.bottom.diff_jac(z)))}
 
 
 @pytest.mark.parametrize("name,params,wrong", [
     ("compound", {}, WRONG_COMP_JETS), ("compound", {"compensated": True}, WRONG_COMP_JETS),
-    ("compound-linear", {}, WRONG_COMP_JETS),
-    ("compound-linear", {"compensated": True}, WRONG_COMP_JETS),
+    ("compound-linear", {}, WRONG_LINEAR_JETS),
+    ("compound-linear", {"compensated": True}, WRONG_LINEAR_JETS),
     ("subordination-nonlinear", {}, WRONG_DIFF_JAC), ("levy-field-demo", {}, WRONG_DIFF_JAC)])
 def test_check_jets_every_hand_written_state_jet(name, params, wrong):
-    # dx_c and comp_dx_c of the mark-sum scenarios, compensated or not,
-    # and diff_jac of the state-dependent nested diffusions; each kind of
-    # jet, deliberately wrong, fails the check
+    # dx_c, c_u and the compensated flow of the mark-sum scenarios,
+    # compensated or not, and diff_jac of the state-dependent nested
+    # diffusions; each kind of jet, deliberately wrong, fails its check
     sc = scenarios.build(name, **params)
     points = [(0.1, [1.5, -0.3], 0.3), (0.9, [-0.4, 0.7], 0.8), (0.5, [0.05, 1.2], 0.05)]
     probes = [(s, np.array(x[:sc.dim]), u) for s, x, u in points]
     assert check_jets(sc, probes) < 1e-6
-    for key, fault in wrong.items():
-        if key == "bottom":
-            key, bad = "diff_jac", replace(sc, bottom=fault(sc.bottom))
-        else:
-            bad = replace(sc, **{key: fault})
-        with pytest.raises(ValueError, match=f"^{key} inconsistent"):
-            check_jets(bad, probes)
+    for check, fault in wrong.items():
+        with pytest.raises(ValueError, match=f"^{check} inconsistent"):
+            check_jets(fault(sc), probes)
 
 
 def mark_jet_errors(jets: SimpleJets, spec: LevyMeasureSpec, u: np.ndarray) -> dict:
@@ -631,20 +652,18 @@ def per_path_integrate(sc, path):
     with K the flow just after the jump."""
     d = sc.dim
     times = event_times_per_path(sc, path)
-    jump_at = {int(e): j for j, e in enumerate(np.searchsorted(times, path.times))}
     x, K, Kb, C = sc.x0, np.eye(d), np.eye(d), np.zeros((d, d))
     states, flows, jumps = [x], [], []
     for k in range(1, len(times)):
         s_prev, s = times[k - 1], times[k]
-        dt = s - s_prev
-        if sc.compensated and dt > 0:
-            cdx = np.asarray(sc.comp_dx_c(s_prev, x), dtype=float).reshape(d, d)
-            K = (np.eye(d) - cdx * dt) @ K
-            Kb = Kb @ (np.eye(d) + cdx * dt)
-            x = x - np.asarray(sc.comp_c(s_prev, x), dtype=float).reshape(d) * dt
+        if sc.compensated:
+            jac = np.asarray(sc.comp_dx_flow(s_prev, x, s - s_prev), dtype=float).reshape(d, d)
+            K = jac @ K
+            Kb = Kb @ np.linalg.inv(jac)
+            x = np.asarray(sc.comp_flow(s_prev, x, s - s_prev), dtype=float).reshape(d)
             flows.append((K, Kb))
-        j = jump_at.get(k)
-        if j is not None:
+        j = k - 1                                   # jump j is event j + 1
+        if j < path.n_jumps:
             lanes = JumpLanes(path.stream, np.array([path.stream.path]), np.array([j]),
                               path.marks[j:j + 1])
             ev = _lane(sc.bottom.eval_jumps(np.array([s]), x[None], lanes))
@@ -668,10 +687,10 @@ def per_path_gradients(sc, times, states, jumps, blocks):
     sharp = np.zeros((d, blocks.shape[0]))
     at = {k: (j, jac, flat) for j, (k, _, jac, _, flat, _) in enumerate(jumps)}
     for k in range(1, len(times)):
-        dt = times[k] - times[k - 1]
-        if sc.compensated and dt > 0:
-            cdx = np.asarray(sc.comp_dx_c(times[k - 1], states[k - 1]), dtype=float).reshape(d, d)
-            sharp = sharp - cdx @ sharp * dt
+        if sc.compensated:
+            sharp = np.asarray(sc.comp_dx_flow(times[k - 1], states[k - 1],
+                                               times[k] - times[k - 1]),
+                               dtype=float).reshape(d, d) @ sharp
         if k in at:
             j, jac, flat = at[k]
             sharp = jac @ sharp + flat @ blocks[:, j, :].T
@@ -862,8 +881,8 @@ def _batch_arrays(batch):
 @pytest.mark.parametrize("name,params", BATCH_CASES + [("compound", {"weight": "bump"}),
                                                        ("compound", {"compensated": True})])
 def test_blocks_are_invisible(monkeypatch, name, params, block):
-    # a chunk and one lane alone (compensated: block boundaries fall among
-    # its Euler events) give the same bits at any block size
+    # a chunk and one lane alone (compensated: block boundaries fall between
+    # drift rows too) give the same bits at any block size
     sc = scenarios.build(name, horizon=0.3, **params)
     chunk = sample_paths(sc.measure, sc.horizon, RngStream(seed=29), range(1, 7))
     runs = [chunk, max(split_paths(chunk), key=lambda p: p.n_jumps)]

@@ -332,7 +332,7 @@ def test_chunk_memory_grows_by_its_columns_only(monkeypatch):
     assert (large - small) / 60_000 <= 60
 
     # compensated lanes without a jump (the mass rounds to 0) all carry the
-    # 1 000-step Euler grid and nothing else, so each batch peaks alike
+    # drift from 0 to T and nothing else, so each batch peaks alike
     monkeypatch.setattr(cli, "LANE_BATCH", 300)
     params = {"compensated": True, "trunc": 1.0 - 2.0 ** -53}
     cli._traj_chunk(("compound-linear", params, 0, 5, 1))
